@@ -34,7 +34,7 @@ from .errors import (
     ZeroCouplingError,
 )
 from .lens import OMEGA0, DiskPoint, LensConfig, ModeIndex, order_parameter, radius_for_order
-from .greens import GreensValue, ModeSumResult, greens_modesum, greens_zz
+from .greens import GreensValue, ModeSumResult, greens_modesum, greens_zz, greens_zz_points
 from .qed import (
     AtomPairConfig,
     CouplingRates,
@@ -62,6 +62,7 @@ __all__ = [
     "GreensValue",
     "ModeSumResult",
     "greens_zz",
+    "greens_zz_points",
     "greens_modesum",
     "AtomPairConfig",
     "CouplingRates",

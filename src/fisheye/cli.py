@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -93,13 +92,6 @@ def _resolve(args: argparse.Namespace, name: str, default, cast=float):
             return raw.lower() in ("1", "true", "yes", "on")
         return cast(raw)
     return default
-
-
-def _pmap(fn, items, workers: int):
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _float_list(text: str) -> list[float]:
@@ -229,7 +221,6 @@ def cmd_ddi_sweep(args: argparse.Namespace) -> int:
     b = _resolve(args, "b", 0.1)
     offset = _resolve(args, "offset", 1.0)
     samples = int(_resolve(args, "samples", 1201, int))
-    workers = int(_resolve(args, "workers", 1, int))
 
     rows: list[tuple] = []
     for r0 in radii:
@@ -239,16 +230,10 @@ def cmd_ddi_sweep(args: argparse.Namespace) -> int:
         x1 = -(r0 - offset)
         p1 = lens.DiskPoint(abs(x1) / r0, math.pi if x1 < 0 else 0.0)
         xs = np.linspace(-r0 * 0.999, r0 * 0.999, samples)
-
-        def one(x2: float, cfg=cfg, p1=p1, x1=x1, r0=r0):
-            if abs(x2 - x1) < 1e-9:
-                return None
-            p2 = lens.DiskPoint(abs(x2) / r0, math.pi if x2 < 0 else 0.0)
-            g = greens.greens_zz(cfg, p1, p2, lens.OMEGA0).value
-            dw = 3.0 * math.pi / lens.OMEGA0 * g.real
-            return (r0, x2, dw)
-
-        rows.extend(r for r in _pmap(one, [float(x) for x in xs], workers) if r is not None)
+        xs = xs[np.abs(xs - x1) >= 1e-9]
+        g = greens.greens_zz_points(cfg, p1, np.abs(xs) / r0, np.where(xs < 0, math.pi, 0.0), lens.OMEGA0)
+        dw = 3.0 * math.pi / lens.OMEGA0 * g.real
+        rows.extend((r0, x2, w) for x2, w in zip(xs, dw))
     rows.sort(key=lambda r: (r[0], r[1]))
     _write_csv(args.out, ["R0_over_lambda", "x_over_lambda", "ddi_over_Gamma0"], rows)
     if args.plot_script:
@@ -307,7 +292,6 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
     simulate = bool(_resolve(args, "simulate", False, bool))
     samples = int(_resolve(args, "samples", 25, int))
     radii = _resolve(args, "radii", list(FIDELITY_RADII), _float_list)
-    workers = int(_resolve(args, "workers", 1, int))
     l_max = _resolve(args, "l_max", None, int)
     atoms = qed.AtomPairConfig.antipodal(rho)
 
@@ -327,22 +311,20 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
             math.log10(_resolve(args, "alpha_max", 1e-2)),
             samples,
         )
-        tasks = [(r0, float(a)) for r0 in radii for a in alphas]
-        vals = _pmap(lambda t: error_at(*t), tasks, workers)
-        for (r0, a), (ea, en) in zip(tasks, vals):
-            rows.append((r0, a, ea) if en is None else (r0, a, ea, en))
+        for r0 in radii:
+            for a in alphas.tolist():
+                ea, en = error_at(r0, a)
+                rows.append((r0, a, ea) if en is None else (r0, a, ea, en))
         header = ["R0_over_lambda", "alpha", "one_minus_F_analytic"]
     elif mode == "vs-detuning":
         alpha = _resolve(args, "alpha", 5e-4)
         span = _resolve(args, "dnu_span", 0.45)
         dnus = np.linspace(-span, span, samples if samples % 2 else samples + 1)
-        tasks = []
         for r0 in radii:
             nu_center = round(lens.order_parameter(lens.LensConfig(radius=r0), lens.OMEGA0).real * 2) / 2
-            tasks.extend((r0, nu_center, float(d)) for d in dnus)
-        vals = _pmap(lambda t: error_at(lens.radius_for_order(t[1] + t[2]), alpha), tasks, workers)
-        for (r0, _, d), (ea, en) in zip(tasks, vals):
-            rows.append((r0, d, ea) if en is None else (r0, d, ea, en))
+            for d in dnus.tolist():
+                ea, en = error_at(lens.radius_for_order(nu_center + d), alpha)
+                rows.append((r0, d, ea) if en is None else (r0, d, ea, en))
         header = ["R0_over_lambda", "delta_nu", "one_minus_F_analytic"]
     elif mode == "vs-radius":
         alpha = _resolve(args, "alpha", 5e-4)
@@ -420,7 +402,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--quick", action="store_const", const=True, help="reduced grids")
     p.add_argument("--samples", type=int, help="sample count for sweeps/grids")
     p.add_argument("--l-max", type=int, dest="l_max", help="mode-sum / simulator truncation")
-    p.add_argument("--workers", type=int, help="worker threads for sweep points")
+    p.add_argument("--workers", type=int, help="accepted for compatibility; sweeps always run serially")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -122,6 +122,44 @@ def greens_zz(cfg: LensConfig, p1: DiskPoint, p2: DiskPoint, omega: complex) -> 
     return GreensValue(val)
 
 
+def _xi_points(a1: complex, a2: np.ndarray) -> np.ndarray:
+    """xi(a1, a2) over an array of second points; +1 at the zeta pole, as xi."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        m2 = np.abs((a1 - a2) / (a1 * np.conj(a2) + 1.0)) ** 2
+        return np.where(np.isfinite(m2), (m2 - 1.0) / (m2 + 1.0), 1.0)
+
+
+def greens_zz_points(
+    cfg: LensConfig,
+    p1: DiskPoint,
+    rho2: np.ndarray,
+    phi2: np.ndarray,
+    omega: complex,
+) -> np.ndarray:
+    """Closed-form G_zz(p1, p2, omega) for one point p1 and many points p2.
+
+    Array form of greens_zz: p2 runs over the disk points (rho2, phi2),
+    broadcast together, and the complex values come back in that shape.
+    All points share one legendre_nu call for the source arguments and one
+    for the image arguments.  Same limits and errors as greens_zz.
+    """
+    rho2, phi2 = np.broadcast_arrays(np.asarray(rho2, dtype=float), np.asarray(phi2, dtype=float))
+    if not np.all((rho2 >= 0.0) & (rho2 <= 1.0)):
+        raise DomainError("rho must lie in [0, 1]")
+    nu = order_parameter(cfg, omega)
+    s = _check_order(nu)
+    a1 = p1.alpha
+    a2 = rho2 * np.exp(1j * phi2)
+    xi_src = _xi_points(a1, a2)
+    if np.any(xi_src <= -1.0 + 1e-14):
+        raise CoincidentPointsError("greens_zz diverges at coincident points")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        image = 1.0 / np.conj(a2)
+    # the image of the center is at infinity: limit as in _xi_pair
+    xi_img = np.where(rho2 == 0.0, (1.0 - p1.rho**2) / (1.0 + p1.rho**2), _xi_points(a1, image))
+    return -(legendre_nu(nu, xi_src) - legendre_nu(nu, xi_img)) / (4.0 * cfg.b * s)
+
+
 def greens_modesum(
     cfg: LensConfig,
     p1: DiskPoint,

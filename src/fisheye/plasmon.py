@@ -279,7 +279,7 @@ def height_for_index(n_target: float, stack: PlasmonStack, d_max_nm: float = 200
         raise DomainError(
             f"target index {n_target} not reached below d = {d_max_nm} nm"
         )
-    return _invert_height(stack, lo, hi, z_lo, n_target)
+    return _invert_height(stack, lo, hi, z_lo, n_target)[0]
 
 
 def _invert_height(
@@ -289,15 +289,20 @@ def _invert_height(
     z_seed: complex,
     n_target: float,
     tol: float = 1e-10,
-) -> float:
-    """Secant iteration for Re ntilde(d) = n_target inside a bracket."""
+) -> tuple[float, complex]:
+    """Secant iteration for Re ntilde(d) = n_target inside a bracket.
+
+    Returns the height and the index solved there.  Raises RootNotFoundError
+    if the secant stalls or 80 iterations do not bring Re ntilde within `tol`
+    of the target.
+    """
     a, b = d_lo, d_hi
     za = _newton(stack, a, z_seed)
     fa = za.real - n_target
     zb = _newton(stack, b, za)
     fb = zb.real - n_target
     if fa == 0.0:
-        return a
+        return a, za
     for _ in range(80):
         if fb == fa:
             break
@@ -308,8 +313,11 @@ def _invert_height(
         a, fa = b, fb
         b, fb, zb = c, fc, zc
         if abs(fc) < tol:
-            return c
-    return b
+            return c, zc
+    raise RootNotFoundError(
+        f"no height in [{d_lo}, {d_hi}] nm gives index {n_target} "
+        f"(last iterate d = {b} nm, residual {fb:.3g})"
+    )
 
 
 def lens_height_profile(
@@ -324,6 +332,15 @@ def lens_height_profile(
     index (the rim for n0 = 1, where the profile asks for exactly 1 but the
     flat surface already gives ~1.02) are clamped to d = 0.
     """
+    return [(rho, d) for rho, d, _ in _profile_samples(cfg, stack, n_radial_samples)]
+
+
+def _profile_samples(
+    cfg: LensConfig,
+    stack: PlasmonStack,
+    n_radial_samples: int,
+) -> list[tuple[float, float, complex]]:
+    """(rho, d_nm, ntilde) of lens_height_profile, with the index solved at each height."""
     if n_radial_samples < 2:
         raise DomainError("need at least two radial samples")
     n_floor = stack.flat_interface_index.real
@@ -350,18 +367,19 @@ def lens_height_profile(
         table.append(EffectiveIndexSample(d, z))
     heights = np.array([s.height_nm for s in table])
     n_re = np.array([s.n for s in table])
+    z_floor = _newton(stack, 0.0, stack.flat_interface_index)
     out = []
     for rho in np.linspace(0.0, 1.0, n_radial_samples):
         target = refractive_index(cfg, float(rho))
         if target <= n_floor:
-            out.append((float(rho), 0.0))
+            out.append((float(rho), 0.0, z_floor))
             continue
         i = int(np.searchsorted(n_re, target))
         i = min(max(i, 1), len(table) - 1)
-        d_rho = _invert_height(
+        d_rho, z_rho = _invert_height(
             stack, heights[i - 1], heights[i], table[i - 1].n_eff, target
         )
-        out.append((float(rho), d_rho))
+        out.append((float(rho), d_rho, z_rho))
     return out
 
 
@@ -372,18 +390,12 @@ def average_absorption(
 ) -> float:
     """Radially averaged absorption ratio (1/R0) int chi(r)/n(r) dr.
 
-    chi and n are taken from the solved mode at the profile height d(rho);
+    chi and n are those of the mode the height inversion solved at d(rho);
     the average is uniform in r (trapezoid over the rho grid).
     """
-    profile = lens_height_profile(cfg, stack, n_radial_samples)
-    rhos = np.array([p[0] for p in profile])
-    ratios = np.empty_like(rhos)
-    z = stack.flat_interface_index
-    # warm-start each solve from the neighboring (inward) sample
-    for i in reversed(range(len(profile))):
-        sample = solve_effective_index(profile[i][1], stack, seed=z)
-        z = sample.n_eff
-        ratios[i] = sample.chi / sample.n
+    samples = _profile_samples(cfg, stack, n_radial_samples)
+    rhos = np.array([rho for rho, _, _ in samples])
+    ratios = np.array([z.imag / z.real for _, _, z in samples])
     return float(np.trapezoid(ratios, rhos))
 
 

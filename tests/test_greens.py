@@ -9,6 +9,7 @@ from fisheye.greens import (
     ModeSumResult,
     greens_modesum,
     greens_zz,
+    greens_zz_points,
     image_point_value,
     source_asymptote,
     source_offset,
@@ -104,6 +105,30 @@ class TestGreensZZ:
         g = greens_zz(lens_20p5, p1, p2, OMEGA0).value
         m = greens_modesum(lens_20p5, p1, p2, OMEGA0)
         assert g == pytest.approx(m.value.real, rel=1e-9)
+
+
+class TestGreensZZPoints:
+    @pytest.mark.parametrize("alpha", [0.0, 5e-4])
+    def test_matches_scalar(self, alpha, rng):
+        cfg = LensConfig(radius=radius_for_order(20.5), alpha=alpha)
+        p1 = DiskPoint(0.27, 0.4)
+        rho2 = np.concatenate([rng.uniform(0.0, 0.999, 40), [0.0, 0.27, 1.0]])
+        phi2 = np.concatenate([rng.uniform(0.0, 2 * math.pi, 40), [0.0, 0.4 + math.pi, 2.0]])
+        got = greens_zz_points(cfg, p1, rho2, phi2, OMEGA0)
+        want = np.array(
+            [greens_zz(cfg, p1, DiskPoint(r, f), OMEGA0).value for r, f in zip(rho2, phi2)]
+        )
+        assert got.shape == rho2.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    def test_coincident_point_rejected(self, lens_20p5):
+        p1 = DiskPoint(0.3, 1.0)
+        with pytest.raises(CoincidentPointsError):
+            greens_zz_points(lens_20p5, p1, np.array([0.5, 0.3]), np.array([0.0, 1.0]), OMEGA0)
+
+    def test_radius_outside_disk_rejected(self, lens_20p5):
+        with pytest.raises(DomainError):
+            greens_zz_points(lens_20p5, DiskPoint(0.3, 1.0), np.array([0.5, 1.2]), 0.0, OMEGA0)
 
 
 class TestModeSum:

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from fisheye.errors import DomainError
+from fisheye.errors import DomainError, RootNotFoundError
 from fisheye.lens import LensConfig, radial_mean_index
 from fisheye.plasmon import (
     NOMINAL_TOTAL_LOSS,
     PlasmonStack,
+    _invert_height,
     average_absorption,
     dispersion_residual,
     end_to_end_estimate,
@@ -115,6 +116,11 @@ class TestHeightForIndex:
         with pytest.raises(DomainError):
             height_for_index(0.99, stack)
 
+    def test_bracket_without_target_raises(self, stack):
+        # Re ntilde stays well below 1.9 on [10, 20] nm: the secant stalls
+        with pytest.raises(RootNotFoundError):
+            _invert_height(stack, 10.0, 20.0, stack.flat_interface_index, 1.9)
+
 
 class TestLensProfile:
     def test_conical_shape(self, stack, lens_cfg):
@@ -147,6 +153,19 @@ class TestAverageAbsorption:
     def test_lossless_metal_gives_zero(self, lens_cfg):
         lossless = PlasmonStack(eps_metal=-25.23 + 0.0j)
         assert average_absorption(lens_cfg, lossless, 60) == pytest.approx(0.0, abs=1e-15)
+
+    def test_matches_resolving_each_profile_height(self, stack, lens_cfg):
+        # chi/n comes from the index the inversion solved; re-solving every
+        # height from its outer neighbour, as before, must agree
+        profile = lens_height_profile(lens_cfg, stack, 400)
+        rhos = np.array([rho for rho, _ in profile])
+        ratios = np.empty_like(rhos)
+        z = stack.flat_interface_index
+        for i in reversed(range(len(profile))):
+            z = solve_effective_index(profile[i][1], stack, seed=z).n_eff
+            ratios[i] = z.imag / z.real
+        resolved = float(np.trapezoid(ratios, rhos))
+        assert average_absorption(lens_cfg, stack, 400) == pytest.approx(resolved, rel=1e-12)
 
     def test_sample_count_insensitive(self, stack, lens_cfg):
         coarse = average_absorption(lens_cfg, stack, 400)

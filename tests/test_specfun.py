@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from fisheye.errors import DomainError, PoleError
+from fisheye.errors import DomainError, NonConvergenceError, PoleError
 from fisheye.specfun import (
     EULER_GAMMA,
     accelerate,
@@ -212,6 +212,71 @@ class TestLegendreNu:
             legendre_nu(10.5, -1.0)
         with pytest.raises(DomainError):
             legendre_nu(10.5, 1.0001)
+
+
+class TestLegendreNuArray:
+    @pytest.mark.parametrize(
+        "nu", [0.3, 1.7, 3.0, 7.0005, 10.5, 20.5 + 0.3j, 50.459, 90.5 * (1 + 1e-2j), 90.5 + 0.9j]
+    )
+    def test_matches_scalar_elementwise(self, nu):
+        x = np.concatenate([np.linspace(-0.999, 1.0, 67), [0.0, -0.5, 1.0]])
+        got = legendre_nu(nu, x)
+        want = np.array([legendre_nu(nu, float(v)) for v in x])
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+        assert np.all(got[x == 1.0] == 1.0)
+
+    def test_shape_follows_input(self):
+        x = np.linspace(-0.9, 0.9, 12).reshape(3, 4)
+        got = legendre_nu(20.5, x)
+        assert got.shape == (3, 4) and got.dtype == complex
+        assert got[1, 2] == pytest.approx(legendre_nu(20.5, float(x[1, 2])), rel=1e-12)
+        assert legendre_nu(20.5, np.empty(0)).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [-1.0, 1.0001, float("nan")])
+    def test_one_element_out_of_domain(self, bad):
+        with pytest.raises(DomainError):
+            legendre_nu(10.5, np.array([0.2, bad, 0.5]))
+
+    def test_nonconvergence_with_tiny_max_terms(self):
+        with pytest.raises(NonConvergenceError):
+            legendre_nu(10.5, np.array([0.9, 0.1, -0.4]), max_terms=3)
+
+
+@pytest.fixture(scope="module")
+def mpmath_grid():
+    """Reference P_nu(x) at 40 digits over the paper's range of degrees.
+
+    Degrees within 1e-3 of an integer skip x = -0.99999, where the
+    hypergeometric seed needs more than max_terms terms and raises.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    grid = []
+    for re_nu in (0.5, 3.3, 7.0005, 10.5, 20.5, 33.17, 50.459, 70.8, 90.5):
+        for im_nu in (0.0, 0.3, 0.9):
+            nu = complex(re_nu, im_nu)
+            xs = [-0.99999, -0.999, -0.9, -0.5, -0.2, 0.2, 0.5, 0.9, 0.99999]
+            if abs(re_nu - round(re_nu)) < 1e-3:
+                xs = xs[1:]
+            ref = [complex(mpmath.legenp(mpmath.mpc(re_nu, im_nu), 0, x, type=2)) for x in xs]
+            grid.append((nu, np.array(xs), np.array(ref)))
+    return grid
+
+
+class TestLegendreNuAccuracyEnvelope:
+    # worst error relative to max(1, |P|) on this grid: 1.8e-10 at tol=1e-10
+    # and 1.9e-13 at tol=1e-13 (nu = 7.0005, x = -0.999); bounds keep >= 3x
+    @pytest.mark.parametrize("tol, bound", [(1e-10, 6e-10), (1e-13, 6e-13)])
+    @pytest.mark.parametrize("path", ["scalar", "array"])
+    def test_against_mpmath(self, mpmath_grid, path, tol, bound):
+        worst = 0.0
+        for nu, xs, ref in mpmath_grid:
+            if path == "array":
+                got = legendre_nu(nu, xs, tol=tol)
+            else:
+                got = np.array([legendre_nu(nu, float(x), tol=tol) for x in xs])
+            worst = max(worst, float(np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref)))))
+        assert worst <= bound
 
 
 class TestAccelerate:
