@@ -143,13 +143,13 @@ def greens_zz_points(
     All points share one legendre_nu call for the source arguments and one
     for the image arguments.  Same limits and errors as greens_zz.
     """
-    rho2, phi2 = np.broadcast_arrays(np.asarray(rho2, dtype=float), np.asarray(phi2, dtype=float))
+    rho2 = np.asarray(rho2, dtype=float)
     if not np.all((rho2 >= 0.0) & (rho2 <= 1.0)):
         raise DomainError("rho must lie in [0, 1]")
     nu = order_parameter(cfg, omega)
     s = _check_order(nu)
     a1 = p1.alpha
-    a2 = rho2 * np.exp(1j * phi2)
+    a2 = rho2 * np.exp(1j * np.asarray(phi2, dtype=float))
     xi_src = _xi_points(a1, a2)
     if np.any(xi_src <= -1.0 + 1e-14):
         raise CoincidentPointsError("greens_zz diverges at coincident points")

@@ -352,7 +352,8 @@ def legendre_nu(
     Im nu <= 0.9 and x in [-0.99999, 0.99999], as the error relative to
     max(1, |P_nu(x)|): at the default tol = 1e-10 at most 3.1e-11, and
     1.8e-10 for nu within 1e-3 of an integer at x = -0.999; tol = 1e-13
-    brings these to 7.4e-14 and 1.9e-13 for ~20% more time per call.
+    brings these to 9.0e-14 and 1.9e-13 for ~20% more time per call.  The
+    scalar and the array path meet the same bounds.
     Relative to |P_nu(x)| alone the error grows near its zeros (3.8e-11 at
     nu = 50.459, x = 0.2, where |P| = 0.11).
 
