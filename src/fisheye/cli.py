@@ -31,14 +31,21 @@ RANGE_SWEEP_RADII = (4.93, 8.11, 11.3, 14.48)
 FIDELITY_RADII = (1.749, 3.34, 8.11, 14.48)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.12g}"
+def _row_format(types: tuple[type, ...]) -> str:
+    """%-format for one CSV row: integers exactly, everything else as float to 12 digits."""
+    return ",".join("%d" if issubclass(t, (int, np.integer)) else "%.12g" for t in types)
 
 
 def _write_csv(out: str | None, header: list[str], rows: list[tuple]) -> None:
-    text = "\n".join([",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]) + "\n"
+    lines = [",".join(header)]
+    formats: dict[tuple[type, ...], str] = {}
+    for row in rows:
+        types = tuple(map(type, row))
+        fmt = formats.get(types)
+        if fmt is None:
+            fmt = formats[types] = _row_format(types)
+        lines.append(fmt % tuple(row))
+    text = "\n".join(lines) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:
@@ -297,12 +304,11 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
 
     def error_at(r0: float, alpha: float) -> tuple[float, float | None]:
         cfg = lens.LensConfig(radius=r0, b=b, alpha=alpha)
-        f_ana = qed.entanglement_fidelity(qed.coupling_rates(cfg, atoms))
         if not simulate:
-            return 1.0 - f_ana, None
+            return 1.0 - qed.entanglement_fidelity(qed.coupling_rates(cfg, atoms)), None
         l_range = range(1, l_max + 1) if l_max else None
         cmp = schrodinger.compare_to_analytics(cfg, atoms, alpha, l_range=l_range)
-        return 1.0 - f_ana, 1.0 - cmp.F_numeric
+        return 1.0 - cmp.F_analytic, 1.0 - cmp.F_numeric
 
     rows: list[tuple] = []
     if mode == "vs-loss":

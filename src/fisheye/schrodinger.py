@@ -16,7 +16,10 @@ into two independent arrowhead blocks
 with the initial state |e,g>|vac> = (|o> + |e>)/sqrt(2).  Evolution is by
 dense eigendecomposition (blocks are real symmetric at kappa = 0 and complex
 symmetric otherwise), with a fixed-step RK4 fallback if the eigensolve fails
-its residual check.
+or misses its residual check.  The pair observables need only the atomic
+amplitude of each block, sum_j v_0j c_j exp(-i w_j t), one matrix-vector
+product over the time grid; the full block state, a T x n by n x n product,
+is built only when SimResult.state_norm is read.
 
 The absolute coupling scale G_l is proportional to sqrt(gamma0), the
 free-space emission rate in internal units; it drops out of every reported
@@ -27,7 +30,9 @@ gamma0 = 1e-5 keeps those corrections at the percent level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -86,11 +91,20 @@ class SimResult:
     times: np.ndarray
     amp_a: np.ndarray            # amplitude on |e,g>
     amp_b: np.ndarray            # amplitude on |g,e>
-    state_norm: np.ndarray       # full single-excitation norm (atoms + modes)
     bell_fidelity: np.ndarray
     bell_branch: int             # +1: (|a> - i|b>)/sqrt2 reached first; -1: +i partner
     max_fidelity: float
     extracted_delta_omega: float | None  # from first pop1 = pop2 crossing, Gamma0 units
+    # full states of the odd and even block, built on demand
+    _full_states: tuple[Callable[[], np.ndarray], ...] = field(repr=False, compare=False)
+
+    @cached_property
+    def state_norm(self) -> np.ndarray:
+        """Full single-excitation norm (atoms + modes), built on first read."""
+        psi_o, psi_e = (full() for full in self._full_states)
+        return np.sqrt(
+            0.5 * (np.sum(np.abs(psi_o) ** 2, axis=1) + np.sum(np.abs(psi_e) ** 2, axis=1))
+        )
 
 
 def build_blocks(
@@ -147,8 +161,22 @@ def build_blocks(
     return BlockModel("odd", tuple(odd)), BlockModel("even", tuple(even))
 
 
-def _propagate(h: np.ndarray, t_grid: np.ndarray, hermitian: bool) -> np.ndarray:
-    """exp(-i H t)|0> for all t; rows = times, cols = block components."""
+def _full_state(
+    w: np.ndarray, v: np.ndarray, coeff: np.ndarray, t_grid: np.ndarray
+) -> np.ndarray:
+    """exp(-i H t)|0> for all t from the eigensystem; rows = times, cols = components."""
+    return (np.exp(-1j * np.outer(t_grid, w)) * coeff[None, :]) @ v.T
+
+
+def _propagate(
+    h: np.ndarray, t_grid: np.ndarray, hermitian: bool
+) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
+    """Atomic amplitude <0|exp(-i H t)|0> for all t, and a callable for the full state.
+
+    The atomic row is one matrix-vector product, O(T n); the full state,
+    O(T n^2), is built only when the returned callable is called.  The
+    callable is a partial of module-level functions, so results pickle.
+    """
     e0 = np.zeros(h.shape[0], dtype=complex)
     e0[0] = 1.0
     try:
@@ -165,10 +193,11 @@ def _propagate(h: np.ndarray, t_grid: np.ndarray, hermitian: bool) -> np.ndarray
                 f"eigendecomposition residual {residual:.2e} exceeds "
                 f"{RESIDUAL_TOL:.0e} * ||H||"
             )
-        phases = np.exp(-1j * np.outer(t_grid, w))
-        return (phases * coeff[None, :]) @ v.T
     except (np.linalg.LinAlgError, EigensolveError):
-        return _propagate_rk4(h, t_grid, e0)
+        states = _propagate_rk4(h, t_grid, e0)
+        return states[:, 0], partial(np.asarray, states)
+    atomic = np.exp(-1j * np.outer(t_grid, w)) @ (v[0] * coeff)
+    return atomic, partial(_full_state, w, v, coeff, t_grid)
 
 
 def _propagate_rk4(h: np.ndarray, t_grid: np.ndarray, psi0: np.ndarray) -> np.ndarray:
@@ -222,7 +251,9 @@ def evolve(
     """Evolve |e,g>|vac> = (|o> + |e>)/sqrt 2 and extract pair observables.
 
     Each block is propagated by spectral decomposition applied to its atomic
-    basis vector; kappa is applied on every mode diagonal.  Reported times
+    basis vector; only the atomic amplitude is formed here, and the full
+    state behind `state_norm` is built when that attribute is first read.
+    kappa is applied on every mode diagonal.  Reported times
     and the extracted exchange rate are converted to Gamma0 units via the
     gamma0 that scaled the couplings at build time.
 
@@ -234,13 +265,10 @@ def evolve(
     if t_grid.ndim != 1 or t_grid.size < 2:
         raise DomainError("t_grid must be a 1-D array with at least two points")
     block_o, block_e = blocks
-    psi_o = _propagate(block_o.hamiltonian(kappa), t_grid, hermitian=(kappa == 0.0))
-    psi_e = _propagate(block_e.hamiltonian(kappa), t_grid, hermitian=(kappa == 0.0))
-    amp_a = 0.5 * (psi_o[:, 0] + psi_e[:, 0])
-    amp_b = 0.5 * (psi_o[:, 0] - psi_e[:, 0])
-    norm = np.sqrt(
-        0.5 * (np.sum(np.abs(psi_o) ** 2, axis=1) + np.sum(np.abs(psi_e) ** 2, axis=1))
-    )
+    atom_o, full_o = _propagate(block_o.hamiltonian(kappa), t_grid, hermitian=(kappa == 0.0))
+    atom_e, full_e = _propagate(block_e.hamiltonian(kappa), t_grid, hermitian=(kappa == 0.0))
+    amp_a = 0.5 * (atom_o + atom_e)
+    amp_b = 0.5 * (atom_o - atom_e)
     f_minus = 0.5 * np.abs(amp_a - 1j * amp_b) ** 2
     f_plus = 0.5 * np.abs(amp_a + 1j * amp_b) ** 2
     if f_minus.max() >= f_plus.max():
@@ -262,11 +290,11 @@ def evolve(
         times=t_grid * gamma0,
         amp_a=amp_a,
         amp_b=amp_b,
-        state_norm=norm,
         bell_fidelity=fid,
         bell_branch=branch,
         max_fidelity=_refine_peak(t_grid, fid),
         extracted_delta_omega=dw_extracted,
+        _full_states=(full_o, full_e),
     )
 
 

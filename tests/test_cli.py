@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from fisheye import cli
@@ -15,6 +16,29 @@ def _read_csv(path):
     header = lines[0].split(",")
     rows = [line.split(",") for line in lines[1:-1]]
     return header, rows
+
+
+def _fmt_per_value(value) -> str:
+    """The per-value CSV formatter the row formats must reproduce byte for byte."""
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return f"{float(value):.12g}"
+
+
+class TestWriteCsv:
+    def test_row_formats_match_per_value_formatter(self, tmp_path):
+        rows = [
+            (0, 1.5, -0.0, float("nan")),
+            (10**12, np.int64(-7), np.float64(1 / 3), float("inf")),
+            (2**63 + 5, np.int32(0), -float("inf"), 1e-320),
+            (np.float64(-0.0), np.uint64(2**64 - 1), True, 123456789012.5),
+            (1.0, 2, 3.0),
+            (np.float64(1e22), np.float32(0.1), 7, np.float64("nan")),
+        ]
+        out = tmp_path / "rows.csv"
+        cli._write_csv(str(out), ["a", "b", "c", "d"], rows)
+        want = "\n".join(["a,b,c,d"] + [",".join(_fmt_per_value(v) for v in row) for row in rows]) + "\n"
+        assert out.read_bytes() == want.encode("utf-8")
 
 
 class TestValidate:

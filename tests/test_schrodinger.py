@@ -1,8 +1,10 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 
+from fisheye import schrodinger
 from fisheye.errors import DomainError
 from fisheye.lens import OMEGA0, LensConfig, radius_for_order, stereo_theta
 from fisheye.qed import AtomPairConfig, coupling_rates
@@ -11,6 +13,7 @@ from fisheye.schrodinger import (
     build_blocks,
     compare_to_analytics,
     evolve,
+    _propagate,
     _propagate_rk4,
 )
 from fisheye.specfun import legendre_poly
@@ -26,6 +29,26 @@ def _time_grid(cfg, atoms, alpha, n=2000):
     )
     dw = abs(rates.delta_omega) * DEFAULT_GAMMA0
     return np.linspace(0.0, 3.0 * math.pi / dw, n), rates
+
+
+def _eager_full_state(h, t, hermitian):
+    """exp(-iHt)|0> by the full-state product that evolve once formed for every block."""
+    e0 = np.zeros(len(h), dtype=complex)
+    e0[0] = 1.0
+    if hermitian:
+        w, v = np.linalg.eigh(h.real)
+        coeff = v.T @ e0
+    else:
+        w, v = np.linalg.eig(h)
+        coeff = np.linalg.solve(v, e0)
+    return (np.exp(-1j * np.outer(t, w)) * coeff[None, :]) @ v.T
+
+
+def _eager_norm(blocks, kappa, t):
+    psi_o, psi_e = (_eager_full_state(b.hamiltonian(kappa), t, kappa == 0.0) for b in blocks)
+    return np.sqrt(
+        0.5 * (np.sum(np.abs(psi_o) ** 2, axis=1) + np.sum(np.abs(psi_e) ** 2, axis=1))
+    )
 
 
 class TestBuildBlocks:
@@ -132,6 +155,77 @@ class TestEvolve:
         e0[0] = 1.0
         rk4 = _propagate_rk4(h, t, e0)
         assert float(np.max(np.abs(rk4 - spectral))) < 1e-6
+
+
+class TestAtomicRow:
+    """evolve forms only the atomic amplitude of each block; the full state
+    behind state_norm is built on demand."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 1e-4, 1e-3, 1e-2])
+    def test_matches_column_zero_of_full_state(self, antipodal_027, alpha):
+        # R0 = 14.48 gives two blocks of dim 183; at alpha = 1e-3 about 2% of
+        # the decaying phases exp(-i w t) are subnormal floats
+        cfg = LensConfig(radius=14.48, alpha=alpha)
+        t, _ = _time_grid(cfg, antipodal_027, alpha)
+        kappa = alpha * OMEGA0
+        for block in build_blocks(cfg, stereo_theta(0.27), kappa=kappa):
+            h = block.hamiltonian(kappa)
+            atomic, _ = _propagate(h, t, hermitian=(alpha == 0.0))
+            full = _eager_full_state(h, t, alpha == 0.0)
+            assert float(np.max(np.abs(atomic - full[:, 0]))) <= 1e-13
+
+    @pytest.mark.parametrize("alpha", [0.0, 3e-3])
+    def test_state_norm_on_demand_matches_eager_norm(self, antipodal_027, alpha):
+        cfg = _reference_cfg(alpha=alpha)
+        t, _ = _time_grid(cfg, antipodal_027, alpha, n=800)
+        blocks = build_blocks(cfg, stereo_theta(0.27), kappa=cfg.kappa)
+        sim = evolve(blocks, cfg.kappa, t)
+        unread = pickle.loads(pickle.dumps(sim))
+        norm = sim.state_norm
+        assert norm is sim.state_norm  # built once, then cached
+        assert float(np.max(np.abs(norm - _eager_norm(blocks, cfg.kappa, t)))) <= 1e-13
+        assert np.array_equal(unread.state_norm, norm)
+
+    def test_compare_to_analytics_never_builds_full_state(self, monkeypatch, antipodal_027):
+        def refuse(*args):
+            raise AssertionError("full state built")
+
+        monkeypatch.setattr(schrodinger, "_full_state", refuse)
+        cmp = compare_to_analytics(_reference_cfg(), antipodal_027, 5e-4)
+        assert cmp.relative_deviation < 0.15
+        # the patch is on the path state_norm takes
+        cfg = _reference_cfg(nu_re=5.5)
+        sim = evolve(build_blocks(cfg, stereo_theta(0.3), l_range=range(1, 13)), 0.0, np.linspace(0.0, 40.0, 60))
+        with pytest.raises(AssertionError, match="full state built"):
+            sim.state_norm
+
+    @pytest.mark.parametrize("failure", ["eig raises", "residual check fails"])
+    def test_evolve_falls_back_to_rk4(self, monkeypatch, failure):
+        kappa = 0.01
+        cfg = _reference_cfg(nu_re=5.5)
+        blocks = build_blocks(cfg, stereo_theta(0.3), l_range=range(1, 13), kappa=kappa)
+        t = np.linspace(0.0, 40.0, 60)
+        spectral = evolve(blocks, kappa, t)
+        calls = []
+
+        def rk4(*args):
+            calls.append(1)
+            return _propagate_rk4(*args)
+
+        def broken_eig(h):
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+        monkeypatch.setattr(schrodinger, "_propagate_rk4", rk4)
+        if failure == "eig raises":
+            monkeypatch.setattr(schrodinger.np.linalg, "eig", broken_eig)
+        else:
+            monkeypatch.setattr(schrodinger, "RESIDUAL_TOL", -1.0)
+        fallback = evolve(blocks, kappa, t)
+        assert len(calls) == 2  # one per parity block
+        assert float(np.max(np.abs(fallback.amp_a - spectral.amp_a))) < 1e-6
+        assert float(np.max(np.abs(fallback.amp_b - spectral.amp_b))) < 1e-6
+        assert float(np.max(np.abs(fallback.state_norm - spectral.state_norm))) < 1e-6
+        assert np.array_equal(pickle.loads(pickle.dumps(fallback)).state_norm, fallback.state_norm)
 
 
 class TestFullBasisCrossCheck:
