@@ -33,13 +33,14 @@ from .errors import (
     ThinDiskWarning,
     ZeroCouplingError,
 )
-from .lens import OMEGA0, DiskPoint, LensConfig, ModeIndex, order_parameter, radius_for_order
-from .greens import GreensValue, ModeSumResult, greens_modesum, greens_zz, greens_zz_points
+from .lens import OMEGA0, DiskPoint, LensConfig, ModeIndex, order_parameter, order_parameters, radius_for_order
+from .greens import GreensValue, ModeSumResult, greens_modesum, greens_zz, greens_zz_orders, greens_zz_points
 from .qed import (
     AtomPairConfig,
     CouplingRates,
     TwoAtomTrajectory,
     coupling_rates,
+    entangling_error,
     entanglement_fidelity,
     fidelity_approx,
     fidelity_with_freespace,
@@ -58,10 +59,12 @@ __all__ = [
     "DiskPoint",
     "ModeIndex",
     "order_parameter",
+    "order_parameters",
     "radius_for_order",
     "GreensValue",
     "ModeSumResult",
     "greens_zz",
+    "greens_zz_orders",
     "greens_zz_points",
     "greens_modesum",
     "AtomPairConfig",
@@ -72,6 +75,7 @@ __all__ = [
     "scaling_rates",
     "trajectory",
     "entanglement_fidelity",
+    "entangling_error",
     "fidelity_approx",
     "fidelity_with_freespace",
     "BlockModel",

@@ -301,15 +301,15 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
     radii = _resolve(args, "radii", list(FIDELITY_RADII), _float_list)
     l_max = _resolve(args, "l_max", None, int)
     atoms = qed.AtomPairConfig.antipodal(rho)
+    l_range = range(1, l_max + 1) if l_max else None
 
-    def error_at(r0: float, alpha: float) -> tuple[float, float | None]:
+    def numeric_error(r0: float, alpha: float) -> float:
         cfg = lens.LensConfig(radius=r0, b=b, alpha=alpha)
-        if not simulate:
-            return 1.0 - qed.entanglement_fidelity(qed.coupling_rates(cfg, atoms)), None
-        l_range = range(1, l_max + 1) if l_max else None
-        cmp = schrodinger.compare_to_analytics(cfg, atoms, alpha, l_range=l_range)
-        return 1.0 - cmp.F_analytic, 1.0 - cmp.F_numeric
+        return 1.0 - schrodinger.compare_to_analytics(cfg, atoms, alpha, l_range=l_range).F_numeric
 
+    # the analytic column comes from the batched rate chain, one call per
+    # radius (a row of the grid), with or without --simulate; the simulation
+    # adds only its own column
     rows: list[tuple] = []
     if mode == "vs-loss":
         alphas = np.logspace(
@@ -318,29 +318,29 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
             samples,
         )
         for r0 in radii:
-            for a in alphas.tolist():
-                ea, en = error_at(r0, a)
-                rows.append((r0, a, ea) if en is None else (r0, a, ea, en))
+            errors = qed.entangling_error(atoms, r0, alphas, b=b)
+            for a, ea in zip(alphas.tolist(), errors.tolist()):
+                rows.append((r0, a, ea, numeric_error(r0, a)) if simulate else (r0, a, ea))
         header = ["R0_over_lambda", "alpha", "one_minus_F_analytic"]
     elif mode == "vs-detuning":
         alpha = _resolve(args, "alpha", 5e-4)
         span = _resolve(args, "dnu_span", 0.45)
-        dnus = np.linspace(-span, span, samples if samples % 2 else samples + 1)
+        dnus = np.linspace(-span, span, samples if samples % 2 else samples + 1).tolist()
         for r0 in radii:
             nu_center = round(lens.order_parameter(lens.LensConfig(radius=r0), lens.OMEGA0).real * 2) / 2
-            for d in dnus.tolist():
-                ea, en = error_at(lens.radius_for_order(nu_center + d), alpha)
-                rows.append((r0, d, ea) if en is None else (r0, d, ea, en))
+            rs = [lens.radius_for_order(nu_center + d) for d in dnus]
+            errors = qed.entangling_error(atoms, np.array(rs), alpha, b=b)
+            for d, r, ea in zip(dnus, rs, errors.tolist()):
+                rows.append((r0, d, ea, numeric_error(r, alpha)) if simulate else (r0, d, ea))
         header = ["R0_over_lambda", "delta_nu", "one_minus_F_analytic"]
     elif mode == "vs-radius":
+        # no numeric column here, so --simulate runs no simulation
         alpha = _resolve(args, "alpha", 5e-4)
         nu_lo = _resolve(args, "nu_min", 10.5)
         nu_hi = _resolve(args, "nu_max", 90.5)
-        nus = np.arange(nu_lo, nu_hi + 0.5, 1.0)
-        for nu in nus:
-            r0 = lens.radius_for_order(float(nu))
-            ea, _ = error_at(r0, alpha)
-            rows.append((r0, ea, qed.fidelity_approx(r0, alpha)))
+        r0s = [lens.radius_for_order(float(nu)) for nu in np.arange(nu_lo, nu_hi + 0.5, 1.0)]
+        errors = qed.entangling_error(atoms, np.array(r0s), alpha, b=b)
+        rows = [(r0, ea, qed.fidelity_approx(r0, alpha)) for r0, ea in zip(r0s, errors.tolist())]
         header = ["R0_over_lambda", "one_minus_F_analytic", "F_approx"]
     else:  # pragma: no cover - argparse restricts choices
         raise DomainError(f"unknown fidelity mode {mode}")

@@ -97,11 +97,13 @@ def _xi_pair(p1: DiskPoint, p2: DiskPoint) -> tuple[float, float]:
     return xi_src, xi_img
 
 
-def _check_order(nu: complex) -> complex:
-    s = cmath.sin(cmath.pi * nu)
-    if abs(s) < RESONANCE_EPS:
+def _check_order(nu: complex | np.ndarray) -> complex | np.ndarray:
+    """sin(pi nu); ResonanceError where it vanishes numerically (any element)."""
+    s = np.sin(np.pi * nu) if isinstance(nu, np.ndarray) else cmath.sin(cmath.pi * nu)
+    resonant = np.abs(s) < RESONANCE_EPS
+    if np.any(resonant):
         raise ResonanceError(
-            f"nu = {nu} is within {RESONANCE_EPS} of a cavity resonance"
+            f"nu = {np.asarray(nu)[resonant].flat[0]} is within {RESONANCE_EPS} of a cavity resonance"
         )
     return s
 
@@ -113,13 +115,29 @@ def greens_zz(cfg: LensConfig, p1: DiskPoint, p2: DiskPoint, omega: complex) -> 
     CoincidentPointsError at p1 = p2 (source-point log divergence) and
     ResonanceError when sin(pi nu) vanishes numerically.
     """
-    nu = order_parameter(cfg, omega)
+    return GreensValue(greens_zz_orders(cfg.b, p1, p2, order_parameter(cfg, omega)))
+
+
+def greens_zz_orders(
+    b: float, p1: DiskPoint, p2: DiskPoint, nu: complex | np.ndarray
+) -> complex | np.ndarray:
+    """Closed-form G_zz(p1, p2) at the order nu, or at an array of orders.
+
+    The form of greens_zz for a sweep over frequency or lens radius at fixed
+    points: xi_src and xi_img are two numbers and only the degree changes,
+    so an array of orders costs one legendre_nu call for all of them.  b is
+    the disk thickness.  Same errors as greens_zz, raised if any element is
+    bad.
+    """
     s = _check_order(nu)
     xi_src, xi_img = _xi_pair(p1, p2)
     if xi_src <= -1.0 + 1e-14:
         raise CoincidentPointsError("greens_zz diverges at coincident points")
-    val = -(legendre_nu(nu, xi_src) - legendre_nu(nu, xi_img)) / (4.0 * cfg.b * s)
-    return GreensValue(val)
+    if isinstance(nu, np.ndarray):
+        p_src, p_img = np.moveaxis(legendre_nu(nu[..., None], np.array([xi_src, xi_img])), -1, 0)
+    else:
+        p_src, p_img = legendre_nu(nu, xi_src), legendre_nu(nu, xi_img)
+    return -(p_src - p_img) / (4.0 * b * s)
 
 
 def _xi_points(a1: complex, a2: np.ndarray) -> np.ndarray:
@@ -140,8 +158,8 @@ def greens_zz_points(
 
     Array form of greens_zz: p2 runs over the disk points (rho2, phi2),
     broadcast together, and the complex values come back in that shape.
-    All points share one legendre_nu call for the source arguments and one
-    for the image arguments.  Same limits and errors as greens_zz.
+    All points share one legendre_nu call for the source and the image
+    arguments.  Same limits and errors as greens_zz.
     """
     rho2 = np.asarray(rho2, dtype=float)
     if not np.all((rho2 >= 0.0) & (rho2 <= 1.0)):
@@ -157,7 +175,8 @@ def greens_zz_points(
         image = 1.0 / np.conj(a2)
     # the image of the center is at infinity: limit as in _xi_pair
     xi_img = np.where(rho2 == 0.0, (1.0 - p1.rho**2) / (1.0 + p1.rho**2), _xi_points(a1, image))
-    return -(legendre_nu(nu, xi_src) - legendre_nu(nu, xi_img)) / (4.0 * cfg.b * s)
+    p_src, p_img = legendre_nu(nu, np.stack([xi_src, xi_img]))
+    return -(p_src - p_img) / (4.0 * cfg.b * s)
 
 
 def greens_modesum(
@@ -222,7 +241,7 @@ def image_point_value(cfg: LensConfig, nu: complex) -> complex:
     return -1.0 / (4.0 * cfg.b * s)
 
 
-def source_offset(nu: complex) -> complex:
+def source_offset(nu: complex | np.ndarray) -> complex | np.ndarray:
     """Additive constant of the near-source log expansion.
 
     F(nu) = 2 gamma_E + 2 psi(nu + 1) + pi cot(pi nu), i.e. the n = 0
@@ -232,9 +251,13 @@ def source_offset(nu: complex) -> complex:
     actually approaches, cf. the asymptotic-match tests.)  Its imaginary
     part at lossy (complex) nu sets the regularized on-site decay rate;
     gamma_E is real, so that part is insensitive to the variant.
+    An ndarray nu returns an array of F(nu) element by element.
     """
-    nu = complex(nu)
-    return 2.0 * EULER_GAMMA + 2.0 * digamma(nu + 1.0) + math.pi / cmath.tan(math.pi * nu)
+    if isinstance(nu, np.ndarray):
+        tan = np.tan
+    else:
+        nu, tan = complex(nu), cmath.tan
+    return 2.0 * EULER_GAMMA + 2.0 * digamma(nu + 1.0) + math.pi / tan(math.pi * nu)
 
 
 def source_asymptote(cfg: LensConfig, nu: complex, xi_near: float) -> complex:

@@ -45,25 +45,36 @@ class LensConfig:
     alpha: float = 0.0
 
     def __post_init__(self):
-        if self.radius <= 0 or self.b <= 0:
-            raise DomainError("radius and thickness must be positive")
-        if self.n0 < 1:
-            raise DomainError("base index n0 must be >= 1")
-        if self.alpha < 0:
-            raise DomainError("loss ratio alpha must be >= 0")
-        # single transverse band requires omega0 well below pi*c/b
-        if OMEGA0 >= 0.5 * math.pi / self.b:
-            warnings.warn(
-                f"thickness b = {self.b} puts omega0 above half the transverse "
-                "cutoff pi*c/b; higher TE bands are no longer negligible",
-                ThinDiskWarning,
-                stacklevel=2,
-            )
+        check_lens(self.radius, self.n0, self.b, self.alpha)
 
     @property
     def kappa(self) -> float:
         """Mode decay rate kappa = alpha * omega0 (internal units)."""
         return self.alpha * OMEGA0
+
+
+def check_lens(
+    radius: float | np.ndarray, n0: float, b: float, alpha: float | np.ndarray
+) -> None:
+    """The checks of LensConfig; radius and alpha may be arrays, checked element by element.
+
+    Raises DomainError; warns ThinDiskWarning (pointing at the caller of the
+    function that called this) when b admits higher transverse bands.
+    """
+    if np.any(radius <= 0) or b <= 0:
+        raise DomainError("radius and thickness must be positive")
+    if n0 < 1:
+        raise DomainError("base index n0 must be >= 1")
+    if np.any(alpha < 0):
+        raise DomainError("loss ratio alpha must be >= 0")
+    # single transverse band requires omega0 well below pi*c/b
+    if OMEGA0 >= 0.5 * math.pi / b:
+        warnings.warn(
+            f"thickness b = {b} puts omega0 above half the transverse "
+            "cutoff pi*c/b; higher TE bands are no longer negligible",
+            ThinDiskWarning,
+            stacklevel=3,
+        )
 
 
 @dataclass(frozen=True)
@@ -138,13 +149,22 @@ def order_parameter(cfg: LensConfig, omega: complex) -> complex:
     midway between resonances.  With omega = omega0 (1 + i alpha) this becomes
     approximately (2 pi R0 / lambda0)(1 + i alpha) for small alpha.
     """
-    omega = complex(omega)
-    if omega.real <= 0:
+    return order_parameters(cfg.radius, complex(omega), cfg.n0)
+
+
+def order_parameters(
+    radius: float | np.ndarray, omega: complex | np.ndarray, n0: float = 1.0
+) -> complex | np.ndarray:
+    """order_parameter over broadcast arrays of lens radii and frequencies.
+
+    Same formula and the same DomainError (for any element); scalar
+    arguments return a complex.
+    """
+    if np.any(np.real(omega) <= 0):
         raise DomainError("Re(omega) must be positive")
-    root = cmath.sqrt(4.0 * (omega * cfg.radius * cfg.n0) ** 2 + 1.0)
-    if root.real < 0:
-        root = -root
-    return 0.5 * (root - 1.0)
+    k = omega * radius * n0
+    sqrt = np.sqrt if isinstance(k, np.ndarray) else cmath.sqrt
+    return 0.5 * (sqrt(4.0 * k**2 + 1.0) - 1.0)
 
 
 def radius_for_order(nu_real: float, n0: float = 1.0) -> float:

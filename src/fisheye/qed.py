@@ -21,7 +21,9 @@ Two closed-form levels coexist and are both exposed:
   * coupling_rates      - exact evaluation of the full Green's function,
                           including the oscillatory source-wave (fringe)
                           contribution P_nu(xi_src) (10-25% of the antipodal
-                          peak at typical geometries);
+                          peak at typical geometries); entangling_error runs
+                          the same chain to 1 - F over arrays of lens radii
+                          and losses;
   * image_rates         - the image-point model (P_nu(xi_src) dropped),
                           whose half-integer magnitude is 3 lambda/(8b)
                           / cosh(2 pi^2 R0 alpha / lambda);
@@ -40,8 +42,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ZeroCouplingError
-from .greens import greens_zz, image_point_value, source_offset, _xi_pair
-from .lens import OMEGA0, DiskPoint, LensConfig, order_parameter
+from .greens import greens_zz, greens_zz_orders, image_point_value, source_offset, _xi_pair
+from .lens import OMEGA0, DiskPoint, LensConfig, check_lens, order_parameter, order_parameters
 from .specfun import accelerate, legendre_poly_table
 
 #: delta_omega / Gamma0 per unit Re{(omega0+i kappa)^2 G}
@@ -112,9 +114,27 @@ class TwoAtomTrajectory:
     bell_fidelity: np.ndarray
 
 
-def _onsite_gamma(cfg: LensConfig, nu: complex) -> float:
+def _onsite_gamma(b: float, nu: complex | np.ndarray) -> float | np.ndarray:
     """Regularized single-atom decay: -(6 pi / omega0) Im F(nu) / (4 pi b)."""
-    return -_G_PREF * OMEGA0**2 * source_offset(nu).imag / (4.0 * math.pi * cfg.b)
+    return -_G_PREF * OMEGA0**2 * source_offset(nu).imag / (4.0 * math.pi * b)
+
+
+def _pair_rates(omega, g, nu, b: float) -> tuple:
+    """(delta_omega, gamma, gamma_coop) from G_zz at the complex frequency omega (order nu).
+
+    Scalars or arrays; the one set of rate formulas behind coupling_rates
+    and entangling_error.
+    """
+    pref = omega * omega * g
+    return _DW_PREF * pref.real, _onsite_gamma(b, nu), _G_PREF * pref.imag
+
+
+def _fidelity(delta_omega, gamma, gamma_coop):
+    """F = exp(-q |gamma|) cosh(q |gamma_coop|), q = pi / (4 |delta_omega|); scalars or arrays."""
+    if np.any(delta_omega == 0.0):
+        raise ZeroCouplingError("fidelity undefined at zero dipole-dipole coupling")
+    q = 0.25 * math.pi / np.abs(delta_omega)
+    return np.exp(-q * np.abs(gamma)) * np.cosh(q * np.abs(gamma_coop))
 
 
 def coupling_rates(cfg: LensConfig, atoms: AtomPairConfig) -> CouplingRates:
@@ -131,12 +151,36 @@ def coupling_rates(cfg: LensConfig, atoms: AtomPairConfig) -> CouplingRates:
     omega = OMEGA0 * (1.0 + 1j * cfg.alpha)
     nu = order_parameter(cfg, omega)
     g = greens_zz(cfg, atoms.p1, atoms.p2, omega).value
-    pref = omega * omega * g
-    return CouplingRates(
-        delta_omega=_DW_PREF * pref.real,
-        gamma=_onsite_gamma(cfg, nu),
-        gamma_coop=_G_PREF * pref.imag,
-    )
+    return CouplingRates(*_pair_rates(omega, g, nu, cfg.b))
+
+
+def entangling_error(
+    atoms: AtomPairConfig,
+    radius: float | np.ndarray,
+    alpha: float | np.ndarray,
+    *,
+    n0: float = 1.0,
+    b: float = 0.1,
+) -> np.ndarray:
+    """1 - F of the exact rate chain over broadcast arrays of lens radii and loss ratios.
+
+    The array form of 1 - entanglement_fidelity(coupling_rates(cfg, atoms))
+    with cfg = LensConfig(radius, n0, b, alpha) at each element: the chain
+    nu(omega0 (1 + i alpha), R0) -> G_zz -> (delta_omega, gamma, gamma_coop)
+    -> 1 - F, with the same formulas.  The atoms are fixed, so only the
+    Legendre degree changes along the sweep, and one legendre_nu call
+    serves every point.  Raises what the scalar chain raises, if any element
+    is bad: DomainError for a bad lens or coincident atoms, ResonanceError,
+    CoincidentPointsError, ZeroCouplingError and NonConvergenceError.
+    """
+    radius, alpha = np.broadcast_arrays(np.asarray(radius, dtype=float), np.asarray(alpha, dtype=float))
+    check_lens(radius, n0, b, alpha)
+    if atoms.p1 == atoms.p2:
+        raise DomainError("atom positions must be distinct")
+    omega = OMEGA0 * (1.0 + 1j * alpha)
+    nu = order_parameters(radius, omega, n0)
+    g = greens_zz_orders(b, atoms.p1, atoms.p2, nu)
+    return 1.0 - _fidelity(*_pair_rates(omega, g, nu, b))
 
 
 def image_rates(cfg: LensConfig, alpha: float | None = None) -> CouplingRates:
@@ -156,7 +200,7 @@ def image_rates(cfg: LensConfig, alpha: float | None = None) -> CouplingRates:
     g_img = image_point_value(cfg, nu)
     return CouplingRates(
         delta_omega=_DW_PREF * OMEGA0**2 * g_img.real,
-        gamma=_onsite_gamma(cfg, nu),
+        gamma=_onsite_gamma(cfg.b, nu),
         gamma_coop=_G_PREF * OMEGA0**2 * g_img.imag,
     )
 
@@ -223,7 +267,7 @@ def rates_modesum_oracle(
     pref = 3.0 * math.pi / OMEGA0**3
     return CouplingRates(
         delta_omega=pref * dw.real,
-        gamma=_onsite_gamma(cfg, nu),
+        gamma=_onsite_gamma(cfg.b, nu),
         gamma_coop=pref * gcoop.real,
     )
 
@@ -283,10 +327,7 @@ def entanglement_fidelity(rates: CouplingRates) -> float:
     Evaluated at the first population-balance time t0 = pi/(4 delta_omega);
     unity in the lossless cavity.
     """
-    if rates.delta_omega == 0.0:
-        raise ZeroCouplingError("fidelity undefined at zero dipole-dipole coupling")
-    q = 0.25 * math.pi / abs(rates.delta_omega)
-    return math.exp(-q * abs(rates.gamma)) * math.cosh(q * abs(rates.gamma_coop))
+    return float(_fidelity(rates.delta_omega, rates.gamma, rates.gamma_coop))
 
 
 def fidelity_approx(R0_over_lambda: float, alpha: float) -> float:

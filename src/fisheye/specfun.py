@@ -35,15 +35,21 @@ _DIGAMMA_ASYMP = (
 )
 
 
-def digamma(z: complex) -> complex:
+def digamma(z: complex | np.ndarray) -> complex | np.ndarray:
     """Digamma function psi(z) for complex z.
 
     Upward recurrence psi(z) = psi(z+1) - 1/z is applied until Re z >= 10,
     then the standard asymptotic series ln z - 1/(2z) - sum B_2n/(2n z^2n)
     is summed.  Accurate to ~1e-13 relative for |z| <= 1e3.
 
-    Raises PoleError within 1e-12 of a non-positive integer.
+    An ndarray z returns a complex array of its shape, computed by the same
+    steps (numpy rounds complex products and quotients a little differently,
+    so elements can differ from the scalar result in the last bits).
+
+    Raises PoleError within 1e-12 of a non-positive integer (any element).
     """
+    if isinstance(z, np.ndarray):
+        return _digamma_array(z)
     z = complex(z)
     if z.real <= 0.5 and abs(z.imag) < 1e-12:
         nearest = round(z.real)
@@ -60,6 +66,29 @@ def digamma(z: complex) -> complex:
     for coeff in _DIGAMMA_ASYMP:
         total -= coeff * power
         power *= inv2
+    return acc + total
+
+
+def _digamma_array(z: np.ndarray) -> np.ndarray:
+    """digamma over an array: the scalar steps as numpy operations, element by element."""
+    z = np.array(z, dtype=complex)
+    nearest = np.round(z.real)
+    pole = (nearest <= 0) & (np.abs(z.real - nearest) < 1e-12) & (np.abs(z.imag) < 1e-12)
+    if pole.any():
+        raise PoleError(f"digamma pole at z = {int(nearest[pole].flat[0])}")
+    acc = np.zeros(z.shape, dtype=complex)
+    low = z.real < 10.0
+    while low.any():
+        acc[low] -= 1.0 / z[low]
+        z[low] += 1.0
+        low = z.real < 10.0
+    inv = 1.0 / z
+    inv2 = inv * inv
+    total = np.log(z) - 0.5 * inv
+    power = inv2
+    for coeff in _DIGAMMA_ASYMP:
+        total -= coeff * power
+        power = power * inv2
     return acc + total
 
 
@@ -237,10 +266,11 @@ _BLOCK_FIRST = 16
 _BLOCK_CAP = 256
 
 
-def _series_array(d: complex, x: np.ndarray, hyp: bool, tol: float, max_terms: int) -> np.ndarray:
+def _series_array(d: complex | np.ndarray, x: np.ndarray, hyp: bool, tol: float, max_terms: int) -> np.ndarray:
     """Array form of _hyp_series (hyp=True) or _log_series over many x.
 
-    Both series share the coefficient recurrence c_{n+1} = c_n (n-d)(n+d+1)
+    d is one degree for all x or an array with the degree of each x.  Both
+    series share the coefficient recurrence c_{n+1} = c_n (n-d)(n+d+1)
     y/(n+1)^2, with y = (1-x)/2 or (1+x)/2.  Terms are formed a block at a
     time (cumulative products and sums along a block); each element keeps
     the scalar stopping rule, two consecutive geometric-tail hits, and
@@ -249,12 +279,16 @@ def _series_array(d: complex, x: np.ndarray, hyp: bool, tol: float, max_terms: i
     y = (1.0 - x) / 2.0 if hyp else (1.0 + x) / 2.0
     c = np.ones(y.shape, dtype=complex)
     if hyp:
-        lw, a, floor = None, 0.0, 1.0
+        lw, a, floor = None, None, 1.0
         total = c.copy()
     else:
         lw, floor = np.log(y), 1e-300
         a = digamma(-d) + digamma(d + 1.0) + 2.0 * EULER_GAMMA
         total = lw + a
+        a = np.reshape(a, (-1, 1))
+        # sin(pi d)/pi with each part divided by pi, as Python's complex / float
+        # does it (numpy would multiply by 1/pi)
+        scale = (np.sin(np.pi * np.ravel(d)).view(float) / math.pi).view(complex)
     out = np.empty(y.shape, dtype=complex)
     live = np.arange(y.size)
     prev_hit = np.zeros(y.size, dtype=bool)
@@ -263,15 +297,16 @@ def _series_array(d: complex, x: np.ndarray, hyp: bool, tol: float, max_terms: i
         size = min(max(_BLOCK_FIRST, n0), _BLOCK_CAP, max_terms - n0)
         n = np.arange(n0, n0 + size, dtype=float)
         n0 += size
-        cs = c[:, None] * np.cumprod((n - d) * (n + d + 1.0) / (n + 1.0) ** 2 * y[:, None], axis=1)
+        dc = np.reshape(d, (-1, 1))
+        cs = c[:, None] * np.cumprod((n - dc) * (n + dc + 1.0) / (n + 1.0) ** 2 * y[:, None], axis=1)
         if hyp:
             terms = cs
         else:
-            a_n = a + np.cumsum(1.0 / (n - d) + 1.0 / (n + d + 1.0) - 2.0 / (n + 1.0))
+            a_n = a + np.cumsum(1.0 / (n - dc) + 1.0 / (n + dc + 1.0) - 2.0 / (n + 1.0), axis=1)
             terms = cs * (lw[:, None] + a_n)
-            a = a_n[-1]
+            a = a_n[:, -1:]
         totals = total[:, None] + np.cumsum(terms, axis=1)
-        ratio = np.minimum(y[:, None] * (np.abs((n + 1 - d) * (n + d + 2.0)) / (n + 2.0) ** 2), 0.999)
+        ratio = np.minimum(y[:, None] * (np.abs((n + 1 - dc) * (n + dc + 2.0)) / (n + 2.0) ** 2), 0.999)
         hit = np.abs(terms) * ratio / (1.0 - ratio) <= tol * np.maximum(np.abs(totals), floor)
         stop = hit & np.concatenate([prev_hit[:, None], hit[:, :-1]], axis=1)
         done = stop.any(axis=1)
@@ -279,51 +314,80 @@ def _series_array(d: complex, x: np.ndarray, hyp: bool, tol: float, max_terms: i
         out[live[rows]] = totals[rows, stop[rows].argmax(axis=1)]
         keep = ~done
         if not keep.any():
-            return out if hyp else cmath.sin(cmath.pi * d) / math.pi * out
+            return out if hyp else scale * out
         live, y, c, total, prev_hit = live[keep], y[keep], cs[keep, -1], totals[keep, -1], hit[keep, -1]
         if not hyp:
             lw = lw[keep]
+        if np.size(d) > 1:
+            d = d[keep]
+            if not hyp:
+                a = a[keep]
     name = "hypergeometric" if hyp else "logarithmic"
     raise NonConvergenceError(
-        f"{name} series for P_nu(nu={d}, x={x[live[0]]}) exceeded {max_terms} terms"
+        f"{name} series for P_nu(nu={np.ravel(d)[0]}, x={x[live[0]]}) exceeded {max_terms} terms"
     )
 
 
-def _legendre_nu_array(nu: complex, x: np.ndarray, x_switch: float, tol: float, max_terms: int) -> np.ndarray:
-    """legendre_nu over an array of x: the scalar algorithm as numpy operations over all points."""
-    x = np.asarray(x, dtype=float)
+def _legendre_nu_array(
+    nu: np.ndarray, x: np.ndarray, x_switch: float, tol: float, max_terms: int
+) -> np.ndarray:
+    """legendre_nu over broadcast arrays of nu and x: the scalar algorithm per element."""
+    nu, x = np.broadcast_arrays(np.asarray(nu, dtype=complex), np.asarray(x, dtype=float))
     if not np.all((x > -1.0) & (x <= 1.0)):
         raise DomainError("argument x must lie in (-1, 1]")
+    if not np.all(np.isfinite(nu)):
+        raise DomainError("degree nu must be finite")
     out = np.ones(x.shape, dtype=complex)
     inner = x != 1.0
-    xs = x[inner]
-    n = math.floor(nu.real)
-    s = nu - n
+    nus, xs = nu[inner], x[inner]
+    n = np.floor(nus.real)
+    s = nus - n
+    lift = n > 1
 
-    def seed(d: complex) -> np.ndarray:
-        near_integer = min(abs(d - round(d.real)), 1.0) < 1e-3
-        hyp = np.full(xs.shape, True) if near_integer else xs >= x_switch
-        p = np.empty(xs.shape, dtype=complex)
+    def seed(d: np.ndarray, x: np.ndarray) -> np.ndarray:
+        near_integer = np.minimum(np.abs(d - np.round(d.real)), 1.0) < 1e-3
+        hyp = near_integer | (x >= x_switch)
+        p = np.empty(x.shape, dtype=complex)
         for is_hyp, branch in ((True, hyp), (False, ~hyp)):
             if branch.any():
-                p[branch] = _series_array(d, xs[branch], is_hyp, tol, max_terms)
+                db = d[branch]
+                if np.all(db == db[0]):  # one degree for all (a sweep over x)
+                    db = complex(db[0])
+                p[branch] = _series_array(db, x[branch], is_hyp, tol, max_terms)
         return p
 
-    if n <= 1:
-        out[inner] = seed(nu)
-        return out
-    p0 = seed(s)
-    p1 = seed(s + 1.0)
-    k = s + 1.0
-    for _ in range(n - 1):
-        p0, p1 = p1, ((2.0 * k + 1.0) * xs * p1 - k * p0) / (k + 1.0)
-        k += 1.0
-    out[inner] = p1
+    # nu itself where no recurrence is needed, else s, and s + 1 below
+    vals = seed(np.where(lift, s, nus), xs)
+    if lift.any():
+        # run the recurrence with the elements sorted by their step count,
+        # longest first; an element is recorded, and dropped, at its count
+        steps = n[lift].astype(int) - 1
+        order = np.argsort(-steps, kind="stable")
+        steps = steps[order]
+        running = np.searchsorted(-steps, -np.arange(1, steps[0] + 1))
+        p0, p1 = vals[lift][order], seed(s[lift] + 1.0, xs[lift])[order]
+        k, xl = (s[lift] + 1.0)[order], xs[lift][order].astype(complex)
+        lifted = np.empty(p1.shape, dtype=complex)
+        for live in running:
+            # ((2k+1) x p1 - k p0) / (k+1), in place
+            nxt = 2.0 * k
+            nxt += 1.0
+            nxt *= xl
+            nxt *= p1
+            nxt -= k * p0
+            k += 1.0
+            nxt /= k
+            p0, p1 = p1, nxt
+            if live < p1.size:
+                lifted[live : p1.size] = p1[live:]
+                p0, p1, k, xl = p0[:live], p1[:live], k[:live], xl[:live]
+        vals[np.flatnonzero(lift)[order]] = lifted
+    out[inner] = vals
     return out
 
 
 def legendre_nu(
-    nu: complex,
+    nu: complex | np.ndarray,
     x: float | np.ndarray,
     *,
     x_switch: float = 0.0,
@@ -372,26 +436,33 @@ def legendre_nu(
 
     Arrays
     ------
-    An ndarray x returns a complex array of its shape, computed by the same
-    algorithm with each seed series and the recurrence run as numpy
-    operations over all points; each element keeps its own branch and
-    stopping rule.  A float x takes the scalar code, because numpy's
-    per-operation overhead would slow single-point calls several-fold.
+    If nu or x is an ndarray, the two are broadcast and a complex array of
+    the broadcast shape is returned, computed by the same algorithm with
+    the seed series and the recurrence run as numpy operations over all
+    elements.  Each element keeps its own degree split, branch (including
+    the near-integer rule) and stopping rule, and leaves the recurrence at
+    its own n.  So a sweep over frequency or lens radius at fixed points
+    (one x, many nu) costs one call, like a sweep over points at one
+    degree.  A scalar nu with a scalar x takes the scalar code, because
+    numpy's per-operation overhead would slow single-point calls
+    several-fold.
 
     Raises
     ------
     DomainError
-        If x (any element) is outside (-1, 1]; x = -1 is a logarithmic
-        singularity.
+        If x (any element) is outside (-1, 1] (x = -1 is a logarithmic
+        singularity), or a degree is not finite.
     NonConvergenceError
         If a seed series does not reach `tol` within `max_terms` terms
         (for any element).
     """
-    if isinstance(x, np.ndarray):
-        return _legendre_nu_array(complex(nu), x, x_switch, tol, max_terms)
+    if isinstance(nu, np.ndarray) or isinstance(x, np.ndarray):
+        return _legendre_nu_array(nu, x, x_switch, tol, max_terms)
     if not -1.0 < x <= 1.0:
         raise DomainError("argument x must lie in (-1, 1]")
     nu = complex(nu)
+    if not cmath.isfinite(nu):
+        raise DomainError("degree nu must be finite")
     if x == 1.0:
         return 1.0 + 0.0j
     n = math.floor(nu.real)

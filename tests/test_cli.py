@@ -156,6 +156,44 @@ class TestFidelity:
         for r in rows:
             assert (1.0 - float(r[1])) == pytest.approx(float(r[2]), rel=0.02)
 
+    def test_vs_radius_simulate_runs_no_simulation(self, monkeypatch, tmp_path):
+        argv = ["fidelity", "--mode", "vs-radius", "--nu-min", "10.5", "--nu-max", "20.5"]
+        plain, simulated = tmp_path / "plain.csv", tmp_path / "sim.csv"
+        assert _run(argv + ["--out", str(plain)]) == 0
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("vs-radius has no numeric column to simulate")
+
+        monkeypatch.setattr(cli.schrodinger, "compare_to_analytics", forbidden)
+        assert _run(argv + ["--simulate", "--out", str(simulated)]) == 0
+        assert simulated.read_bytes() == plain.read_bytes()
+
+    @pytest.mark.parametrize("mode", ["vs-loss", "vs-detuning"])
+    def test_simulate_keeps_the_analytic_columns(self, mode, tmp_path):
+        argv = ["fidelity", "--mode", mode, "--radii", "1.749", "--samples", "3"]
+        plain, simulated = tmp_path / "plain.csv", tmp_path / "sim.csv"
+        assert _run(argv + ["--out", str(plain)]) == 0
+        assert _run(argv + ["--simulate", "--out", str(simulated)]) == 0
+        plain_lines = plain.read_text(encoding="utf-8").splitlines()
+        sim_lines = simulated.read_text(encoding="utf-8").splitlines()
+        assert sim_lines[0] == plain_lines[0] + ",one_minus_F_numeric"
+        assert [line.rsplit(",", 1)[0] for line in sim_lines[1:]] == plain_lines[1:]
+
+    def test_one_legendre_call_per_radius(self, monkeypatch, tmp_path):
+        calls = []
+        real = cli.greens.legendre_nu
+
+        def counting(nu, x, **kwargs):
+            calls.append(np.shape(nu))
+            return real(nu, x, **kwargs)
+
+        monkeypatch.setattr(cli.greens, "legendre_nu", counting)
+        assert _run(
+            ["fidelity", "--mode", "vs-loss", "--radii", "1.749,3.34", "--samples", "11",
+             "--out", str(tmp_path / "f.csv")]
+        ) == 0
+        assert calls == [(11, 1), (11, 1)]
+
     def test_mode_required(self):
         with pytest.raises(SystemExit) as exc:
             _run(["fidelity"])

@@ -9,6 +9,7 @@ from fisheye.greens import (
     ModeSumResult,
     greens_modesum,
     greens_zz,
+    greens_zz_orders,
     greens_zz_points,
     image_point_value,
     source_asymptote,
@@ -129,6 +130,33 @@ class TestGreensZZPoints:
     def test_radius_outside_disk_rejected(self, lens_20p5):
         with pytest.raises(DomainError):
             greens_zz_points(lens_20p5, DiskPoint(0.3, 1.0), np.array([0.5, 1.2]), 0.0, OMEGA0)
+
+
+class TestGreensZZOrders:
+    def test_matches_scalar_over_frequency_and_radius(self, rng):
+        p1, p2 = _random_pair(rng)
+        radii = np.array([1.749, 3.34, 8.11, 14.48])[:, None]
+        omega = OMEGA0 * (1.0 + 1j * np.array([0.0, 1e-4, 3e-3, 1e-2]))
+        nu = np.array([[order_parameter(LensConfig(radius=r), w) for w in omega] for r in radii[:, 0]])
+        got = greens_zz_orders(0.1, p1, p2, nu)
+        assert got.shape == nu.shape
+        want = np.array([[greens_zz(LensConfig(radius=r), p1, p2, w).value for w in omega] for r in radii[:, 0]])
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+    def test_scalar_order_gives_greens_zz(self, lens_20p5, rng):
+        p1, p2 = _random_pair(rng)
+        nu = order_parameter(lens_20p5, OMEGA0)
+        assert greens_zz_orders(lens_20p5.b, p1, p2, nu) == greens_zz(lens_20p5, p1, p2, OMEGA0).value
+
+    def test_one_resonant_order_rejected(self, rng):
+        p1, p2 = _random_pair(rng)
+        with pytest.raises(ResonanceError):
+            greens_zz_orders(0.1, p1, p2, np.array([10.5, 12.0, 13.5 + 0.1j]))
+
+    def test_coincident_points_rejected(self):
+        p = DiskPoint(0.4, 1.0)
+        with pytest.raises(CoincidentPointsError):
+            greens_zz_orders(0.1, p, DiskPoint(0.4, 1.0 + 2.0 * math.pi), np.array([10.5, 20.5]))
 
 
 class TestModeSum:

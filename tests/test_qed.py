@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from fisheye.errors import DomainError, ZeroCouplingError
+from fisheye import qed
+from fisheye.errors import CoincidentPointsError, DomainError, ResonanceError, ZeroCouplingError
 from fisheye.greens import greens_zz
 from fisheye.lens import OMEGA0, DiskPoint, LensConfig, radius_for_order
 from fisheye.qed import (
     AtomPairConfig,
     CouplingRates,
     coupling_rates,
+    entangling_error,
     entanglement_fidelity,
     fidelity_approx,
     fidelity_with_freespace,
@@ -315,3 +317,70 @@ class TestAtomPairConfig:
     def test_purcell_validation(self):
         with pytest.raises(DomainError):
             AtomPairConfig(DiskPoint(0.2, 0.0), DiskPoint(0.2, math.pi), purcell_eta=-1.0)
+
+
+def _scalar_error(r0: float, alpha: float, atoms: AtomPairConfig) -> float:
+    return 1.0 - entanglement_fidelity(coupling_rates(LensConfig(radius=r0, alpha=alpha), atoms))
+
+
+class TestEntanglingError:
+    """The batched rate chain against the scalar one, point by point."""
+
+    def test_loss_grid(self, antipodal_027):
+        radii = np.array([1.749, 3.34, 8.11, 14.48])
+        alphas = np.logspace(-4, -2, 9)
+        got = entangling_error(antipodal_027, radii[:, None], alphas)
+        assert got.shape == (4, 9)
+        want = np.array([[_scalar_error(r, a, antipodal_027) for a in alphas] for r in radii])
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+    def test_detuning_grid(self, antipodal_027):
+        radii = np.array([radius_for_order(v + d) for v in (10.5, 50.5) for d in np.linspace(-0.45, 0.45, 9)])
+        got = entangling_error(antipodal_027, radii, 5e-4)
+        want = np.array([_scalar_error(r, 5e-4, antipodal_027) for r in radii])
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+    def test_radius_grid(self):
+        # recurrence lengths n = 10 .. 90 in one call, off-axis atom pair
+        atoms = AtomPairConfig(DiskPoint(0.3, 0.4), DiskPoint(0.55, 2.9))
+        radii = np.array([radius_for_order(v) for v in np.arange(10.5, 91.0, 4.0)])
+        got = entangling_error(atoms, radii, 5e-4)
+        want = np.array([_scalar_error(r, 5e-4, atoms) for r in radii])
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+    def test_one_resonant_element_raises_like_the_scalar_chain(self, antipodal_027):
+        on_resonance = radius_for_order(12.0)
+        with pytest.raises(ResonanceError):
+            _scalar_error(on_resonance, 0.0, antipodal_027)
+        with pytest.raises(ResonanceError):
+            entangling_error(antipodal_027, np.array([1.749, on_resonance, 3.34]), 0.0)
+
+    def test_coincident_atoms_raise_like_the_scalar_chain(self):
+        same = AtomPairConfig(DiskPoint(0.3, 0.5), DiskPoint(0.3, 0.5))
+        with pytest.raises(DomainError):
+            _scalar_error(3.34, 5e-4, same)
+        with pytest.raises(DomainError):
+            entangling_error(same, np.array([1.749, 3.34]), 5e-4)
+        # the same point under another azimuth label: the Green's function diverges
+        wrapped = AtomPairConfig(DiskPoint(0.3, 0.5), DiskPoint(0.3, 0.5 + 2.0 * math.pi))
+        with pytest.raises(CoincidentPointsError):
+            _scalar_error(3.34, 5e-4, wrapped)
+        with pytest.raises(CoincidentPointsError):
+            entangling_error(wrapped, np.array([1.749, 3.34]), 5e-4)
+
+    @pytest.mark.parametrize("radius, alpha", [(np.array([3.34, -1.0]), 5e-4), (3.34, np.array([1e-3, -1e-4]))])
+    def test_bad_lens_element_is_a_domain_error(self, radius, alpha, antipodal_027):
+        with pytest.raises(DomainError):
+            entangling_error(antipodal_027, radius, alpha)
+
+    def test_zero_coupling_element_rejected(self, monkeypatch, antipodal_027):
+        real = qed.greens_zz_orders
+
+        def one_zero(*args):
+            g = real(*args)
+            g[1] = 0.0
+            return g
+
+        monkeypatch.setattr(qed, "greens_zz_orders", one_zero)
+        with pytest.raises(ZeroCouplingError):
+            entangling_error(antipodal_027, 3.34, np.array([1e-4, 1e-3, 1e-2]))

@@ -33,6 +33,33 @@ class TestDigamma:
         with pytest.raises(PoleError):
             digamma(z)
 
+    def test_array_matches_scalar(self, rng):
+        z = np.concatenate([
+            rng.uniform(-95.0, 95.0, 400) + 1j * rng.uniform(-3.0, 3.0, 400),
+            -rng.uniform(0.001, 1.999, 100) + 1j * rng.uniform(-1e-3, 1e-3, 100),
+            [0.3, 7.9, 250.0, 999.0, 3.7 + 2.1j, -4.3 + 0.5j, 0.5 - 80.0j, 0.2 + 9.0j, 10.0, 9.5],
+        ]).reshape(2, -1)
+        got = digamma(z)
+        assert got.shape == z.shape and got.dtype == complex
+        want = np.array([digamma(v) for v in z.ravel().tolist()]).reshape(z.shape)
+        assert np.all(np.abs(got - want) <= 2e-15 * np.abs(want))
+
+    def test_array_against_scipy(self):
+        z = np.array([0.3, 7.9, 250.0, 999.0, 3.7 + 2.1j, -4.3 + 0.5j, 0.5 - 80.0j, -0.457 + 0.01j])
+        want = sp.digamma(z)
+        assert np.all(np.abs(digamma(z) - want) <= 1e-12 * np.abs(want))
+
+    def test_array_against_mpmath_near_the_seed_degrees(self):
+        mpmath = pytest.importorskip("mpmath")
+        d = np.linspace(0.01, 0.99, 7) + 0.3j
+        z = np.concatenate([-d, d + 1.0])
+        want = np.array([complex(mpmath.digamma(mpmath.mpc(v.real, v.imag))) for v in z])
+        assert np.all(np.abs(digamma(z) - want) <= 1e-12 * np.abs(want))
+
+    def test_array_pole_error_on_one_element(self):
+        with pytest.raises(PoleError):
+            digamma(np.array([2.5 + 0.1j, -3.0, 7.0]))
+
 
 class TestLegendrePoly:
     def test_low_degrees(self):
@@ -242,6 +269,67 @@ class TestLegendreNuArray:
             legendre_nu(10.5, np.array([0.9, 0.1, -0.4]), max_terms=3)
 
 
+def _mixed_degrees() -> np.ndarray:
+    """Log-branch degrees, degrees within 1e-3 of an integer and floor(Re nu) from 0 to 90."""
+    k = np.arange(91.0)
+    return np.concatenate([
+        k + 0.5 + 0.3j,                     # one degree for each n = 0 .. 90
+        k[::9] + 0.2718,                    # real, generic fractional part
+        k[1::9] + 7e-4,                     # just above an integer
+        k[2::9] + 1.0 - 4e-4 + 1e-5j,       # just below an integer
+        k[::15],                            # integers: the series terminate
+        [0.05 + 0.9j, 1.7, -0.3 + 0.1j],    # n <= 1: no recurrence
+    ])
+
+
+class TestLegendreNuDegreeArray:
+    """One degree per element: the sweeps over frequency and lens radius."""
+
+    @pytest.mark.parametrize("x", [-0.95, -0.49, -0.1, 0.0, 0.35, 0.9, 1.0])
+    def test_matches_scalar_elementwise(self, x):
+        nu = _mixed_degrees()
+        got = legendre_nu(nu, x)
+        want = np.array([legendre_nu(v, x) for v in nu.tolist()])
+        assert got.shape == nu.shape and got.dtype == complex
+        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+        if x == 1.0:
+            assert np.all(got == 1.0)
+
+    def test_degree_array_broadcasts_against_x_array(self):
+        nu = _mixed_degrees()[::4]
+        x = np.array([-0.9, -0.3, 0.0, 0.6, 1.0, 0.999])
+        got = legendre_nu(nu[:, None], x)
+        assert got.shape == (nu.size, x.size)
+        want = np.array([[legendre_nu(v, u) for u in x.tolist()] for v in nu.tolist()])
+        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+        assert np.all(got[:, x == 1.0] == 1.0)
+
+    def test_element_order_does_not_matter(self, rng):
+        nu, x = _mixed_degrees(), rng.uniform(-0.9, 0.9, _mixed_degrees().size)
+        perm = rng.permutation(nu.size)
+        assert np.array_equal(legendre_nu(nu, x)[perm], legendre_nu(nu[perm], x[perm]))
+
+    def test_one_degree_matches_the_x_sweep(self):
+        # a degree array of equal values takes the same arithmetic as a scalar degree
+        x = np.linspace(-0.999, 0.999, 101)
+        assert np.array_equal(legendre_nu(np.full(x.size, 20.5 + 0.02j), x), legendre_nu(20.5 + 0.02j, x))
+
+    def test_one_bad_x_raises_domain_error(self):
+        with pytest.raises(DomainError):
+            legendre_nu(np.array([10.5, 20.5, 30.5]), np.array([0.2, -1.0, 0.5]))
+
+    @pytest.mark.parametrize("bad", [float("nan"), complex(float("inf"), 0.0)])
+    def test_one_non_finite_degree_raises_domain_error(self, bad):
+        with pytest.raises(DomainError):
+            legendre_nu(np.array([10.5, bad, 30.5]), 0.2)
+        with pytest.raises(DomainError):
+            legendre_nu(bad, 0.2)
+
+    def test_nonconvergence_with_tiny_max_terms(self):
+        with pytest.raises(NonConvergenceError):
+            legendre_nu(np.array([0.5, 10.5, 20.5 + 0.3j]), -0.4, max_terms=3)
+
+
 @pytest.fixture(scope="module")
 def mpmath_grid():
     """Reference P_nu(x) at 40 digits over the paper's range of degrees.
@@ -267,16 +355,19 @@ class TestLegendreNuAccuracyEnvelope:
     # worst error relative to max(1, |P|) on this grid: 1.8e-10 at tol=1e-10
     # and 1.9e-13 at tol=1e-13 (nu = 7.0005, x = -0.999); bounds keep >= 3x
     @pytest.mark.parametrize("tol, bound", [(1e-10, 6e-10), (1e-13, 6e-13)])
-    @pytest.mark.parametrize("path", ["scalar", "array"])
+    @pytest.mark.parametrize("path", ["scalar", "array", "pairs"])
     def test_against_mpmath(self, mpmath_grid, path, tol, bound):
-        worst = 0.0
-        for nu, xs, ref in mpmath_grid:
-            if path == "array":
-                got = legendre_nu(nu, xs, tol=tol)
-            else:
-                got = np.array([legendre_nu(nu, float(x), tol=tol) for x in xs])
-            worst = max(worst, float(np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref)))))
-        assert worst <= bound
+        nus = [np.full(xs.size, nu) for nu, xs, _ in mpmath_grid]
+        xs = [xs for _, xs, _ in mpmath_grid]
+        ref = np.concatenate([ref for _, _, ref in mpmath_grid])
+        if path == "scalar":
+            pairs = zip(np.concatenate(nus).tolist(), np.concatenate(xs).tolist())
+            got = np.array([legendre_nu(nu, x, tol=tol) for nu, x in pairs])
+        elif path == "array":  # one call per degree, over its x
+            got = np.concatenate([legendre_nu(complex(nu[0]), x, tol=tol) for nu, x in zip(nus, xs)])
+        else:  # the whole grid in one call, a degree per element
+            got = legendre_nu(np.concatenate(nus), np.concatenate(xs), tol=tol)
+        assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) <= bound
 
 
 class TestAccelerate:
