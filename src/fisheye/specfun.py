@@ -297,12 +297,12 @@ def _series_array(d: complex | np.ndarray, x: np.ndarray, hyp: bool, tol: float,
         size = min(max(_BLOCK_FIRST, n0), _BLOCK_CAP, max_terms - n0)
         n = np.arange(n0, n0 + size, dtype=float)
         n0 += size
-        dc = np.reshape(d, (-1, 1))
+        dc = d[:, None] if isinstance(d, np.ndarray) else d
         cs = c[:, None] * np.cumprod((n - dc) * (n + dc + 1.0) / (n + 1.0) ** 2 * y[:, None], axis=1)
         if hyp:
             terms = cs
         else:
-            a_n = a + np.cumsum(1.0 / (n - dc) + 1.0 / (n + dc + 1.0) - 2.0 / (n + 1.0), axis=1)
+            a_n = a + np.cumsum(1.0 / (n - dc) + 1.0 / (n + dc + 1.0) - 2.0 / (n + 1.0), axis=-1)
             terms = cs * (lw[:, None] + a_n)
             a = a_n[:, -1:]
         totals = total[:, None] + np.cumsum(terms, axis=1)
@@ -318,7 +318,7 @@ def _series_array(d: complex | np.ndarray, x: np.ndarray, hyp: bool, tol: float,
         live, y, c, total, prev_hit = live[keep], y[keep], cs[keep, -1], totals[keep, -1], hit[keep, -1]
         if not hyp:
             lw = lw[keep]
-        if np.size(d) > 1:
+        if isinstance(d, np.ndarray):
             d = d[keep]
             if not hyp:
                 a = a[keep]
@@ -366,21 +366,18 @@ def _legendre_nu_array(
         steps = steps[order]
         running = np.searchsorted(-steps, -np.arange(1, steps[0] + 1))
         p0, p1 = vals[lift][order], seed(s[lift] + 1.0, xs[lift])[order]
-        k, xl = (s[lift] + 1.0)[order], xs[lift][order].astype(complex)
+        xl, k = xs[lift][order].astype(complex), s[lift][order] + 1.0
+        if np.all(k == k[0]):  # one fractional degree for all (a sweep over x)
+            k = complex(k[0])
         lifted = np.empty(p1.shape, dtype=complex)
         for live in running:
-            # ((2k+1) x p1 - k p0) / (k+1), in place
-            nxt = 2.0 * k
-            nxt += 1.0
-            nxt *= xl
-            nxt *= p1
-            nxt -= k * p0
-            k += 1.0
-            nxt /= k
-            p0, p1 = p1, nxt
+            p0, p1 = p1, ((2.0 * k + 1.0) * xl * p1 - k * p0) / (k + 1.0)
+            k = k + 1.0
             if live < p1.size:
                 lifted[live : p1.size] = p1[live:]
-                p0, p1, k, xl = p0[:live], p1[:live], k[:live], xl[:live]
+                p0, p1, xl = p0[:live], p1[:live], xl[:live]
+                if isinstance(k, np.ndarray):
+                    k = k[:live]
         vals[np.flatnonzero(lift)[order]] = lifted
     out[inner] = vals
     return out
