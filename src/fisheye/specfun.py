@@ -279,7 +279,7 @@ def _series_array(d: complex | np.ndarray, x: np.ndarray, hyp: bool, tol: float,
     y = (1.0 - x) / 2.0 if hyp else (1.0 + x) / 2.0
     c = np.ones(y.shape, dtype=complex)
     if hyp:
-        lw, a, floor = None, None, 1.0
+        floor = 1.0
         total = c.copy()
     else:
         lw, floor = np.log(y), 1e-300
