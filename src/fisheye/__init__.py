@@ -28,13 +28,14 @@ from .errors import (
     FisheyeError,
     NonConvergenceError,
     PoleError,
+    RangeOverflowError,
     ResonanceError,
     RootNotFoundError,
     ThinDiskWarning,
     ZeroCouplingError,
 )
-from .lens import OMEGA0, DiskPoint, LensConfig, ModeIndex, order_parameter, order_parameters, radius_for_order
-from .greens import GreensValue, ModeSumResult, greens_modesum, greens_zz, greens_zz_orders, greens_zz_points
+from .lens import OMEGA0, DiskPoint, LensConfig, ModeIndex, order_parameter, radius_for_order
+from .greens import GreensValue, ModeSumResult, greens_modesum, greens_zz, greens_zz_points
 from .qed import (
     AtomPairConfig,
     CouplingRates,
@@ -59,12 +60,10 @@ __all__ = [
     "DiskPoint",
     "ModeIndex",
     "order_parameter",
-    "order_parameters",
     "radius_for_order",
     "GreensValue",
     "ModeSumResult",
     "greens_zz",
-    "greens_zz_orders",
     "greens_zz_points",
     "greens_modesum",
     "AtomPairConfig",
@@ -93,6 +92,7 @@ __all__ = [
     "ResonanceError",
     "CoincidentPointsError",
     "ZeroCouplingError",
+    "RangeOverflowError",
     "NonConvergenceError",
     "RootNotFoundError",
     "BranchJumpError",

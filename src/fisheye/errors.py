@@ -25,6 +25,10 @@ class ZeroCouplingError(DomainError):
     """A fidelity was requested for vanishing dipole-dipole coupling."""
 
 
+class RangeOverflowError(FisheyeError, OverflowError):
+    """A result lies outside the floating-point range."""
+
+
 class NonConvergenceError(FisheyeError):
     """A series, quadrature, or iteration failed to reach its tolerance."""
 

@@ -158,8 +158,8 @@ def greens_zz_points(
 
     Array form of greens_zz: p2 runs over the disk points (rho2, phi2),
     broadcast together, and the complex values come back in that shape.
-    All points share one legendre_nu call for the source and the image
-    arguments.  Same limits and errors as greens_zz.
+    All points share one legendre_nu call for the source arguments and one
+    for the image arguments.  Same limits and errors as greens_zz.
     """
     rho2 = np.asarray(rho2, dtype=float)
     if not np.all((rho2 >= 0.0) & (rho2 <= 1.0)):
@@ -175,8 +175,7 @@ def greens_zz_points(
         image = 1.0 / np.conj(a2)
     # the image of the center is at infinity: limit as in _xi_pair
     xi_img = np.where(rho2 == 0.0, (1.0 - p1.rho**2) / (1.0 + p1.rho**2), _xi_points(a1, image))
-    p_src, p_img = legendre_nu(nu, np.stack([xi_src, xi_img]))
-    return -(p_src - p_img) / (4.0 * cfg.b * s)
+    return -(legendre_nu(nu, xi_src) - legendre_nu(nu, xi_img)) / (4.0 * cfg.b * s)
 
 
 def greens_modesum(

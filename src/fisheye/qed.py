@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ZeroCouplingError
+from .errors import DomainError, RangeOverflowError, ZeroCouplingError
 from .greens import greens_zz, greens_zz_orders, image_point_value, source_offset, _xi_pair
 from .lens import OMEGA0, DiskPoint, LensConfig, check_lens, order_parameter, order_parameters
 from .specfun import accelerate, legendre_poly_table
@@ -130,11 +130,22 @@ def _pair_rates(omega, g, nu, b: float) -> tuple:
 
 
 def _fidelity(delta_omega, gamma, gamma_coop):
-    """F = exp(-q |gamma|) cosh(q |gamma_coop|), q = pi / (4 |delta_omega|); scalars or arrays."""
+    """F = exp(-q |gamma|) cosh(q |gamma_coop|), q = pi / (4 |delta_omega|); scalars or arrays.
+
+    RangeOverflowError where F is not finite: cosh overflows once
+    q |gamma_coop| > ~710, which a small |delta_omega| reaches near an
+    integer Re nu.
+    """
     if np.any(delta_omega == 0.0):
         raise ZeroCouplingError("fidelity undefined at zero dipole-dipole coupling")
-    q = 0.25 * math.pi / np.abs(delta_omega)
-    return np.exp(-q * np.abs(gamma)) * np.cosh(q * np.abs(gamma_coop))
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = 0.25 * math.pi / np.abs(delta_omega)
+        f = np.exp(-q * np.abs(gamma)) * np.cosh(q * np.abs(gamma_coop))
+    if not np.all(np.isfinite(f)):
+        raise RangeOverflowError(
+            "fidelity overflows the float range: pi |gamma_coop| / (4 |delta_omega|) is too large"
+        )
+    return f
 
 
 def coupling_rates(cfg: LensConfig, atoms: AtomPairConfig) -> CouplingRates:
@@ -159,26 +170,27 @@ def entangling_error(
     radius: float | np.ndarray,
     alpha: float | np.ndarray,
     *,
-    n0: float = 1.0,
-    b: float = 0.1,
+    b: float,
 ) -> np.ndarray:
     """1 - F of the exact rate chain over broadcast arrays of lens radii and loss ratios.
 
     The array form of 1 - entanglement_fidelity(coupling_rates(cfg, atoms))
-    with cfg = LensConfig(radius, n0, b, alpha) at each element: the chain
+    with cfg = LensConfig(radius, b=b, alpha=alpha) at each element (base
+    index n0 = 1, the LensConfig default): the chain
     nu(omega0 (1 + i alpha), R0) -> G_zz -> (delta_omega, gamma, gamma_coop)
     -> 1 - F, with the same formulas.  The atoms are fixed, so only the
     Legendre degree changes along the sweep, and one legendre_nu call
     serves every point.  Raises what the scalar chain raises, if any element
     is bad: DomainError for a bad lens or coincident atoms, ResonanceError,
-    CoincidentPointsError, ZeroCouplingError and NonConvergenceError.
+    CoincidentPointsError, ZeroCouplingError, RangeOverflowError and
+    NonConvergenceError.
     """
     radius, alpha = np.broadcast_arrays(np.asarray(radius, dtype=float), np.asarray(alpha, dtype=float))
-    check_lens(radius, n0, b, alpha)
+    check_lens(radius, 1.0, b, alpha)
     if atoms.p1 == atoms.p2:
         raise DomainError("atom positions must be distinct")
     omega = OMEGA0 * (1.0 + 1j * alpha)
-    nu = order_parameters(radius, omega, n0)
+    nu = order_parameters(radius, omega)
     g = greens_zz_orders(b, atoms.p1, atoms.p2, nu)
     return 1.0 - _fidelity(*_pair_rates(omega, g, nu, b))
 
@@ -325,7 +337,9 @@ def entanglement_fidelity(rates: CouplingRates) -> float:
     """Maximal Bell fidelity F = exp(-pi|gamma/delta_omega|/4) cosh(pi|gamma_coop/delta_omega|/4).
 
     Evaluated at the first population-balance time t0 = pi/(4 delta_omega);
-    unity in the lossless cavity.
+    unity in the lossless cavity.  Raises ZeroCouplingError at delta_omega = 0
+    and RangeOverflowError where cosh(pi |gamma_coop / delta_omega| / 4)
+    overflows.
     """
     return float(_fidelity(rates.delta_omega, rates.gamma, rates.gamma_coop))
 

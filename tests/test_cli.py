@@ -179,6 +179,16 @@ class TestFidelity:
         assert sim_lines[0] == plain_lines[0] + ",one_minus_F_numeric"
         assert [line.rsplit(",", 1)[0] for line in sim_lines[1:]] == plain_lines[1:]
 
+    def test_overflowing_fidelity_is_a_clean_error(self, tmp_path, capsys):
+        # delta_nu = +-0.49999 around Re nu = 20.5 at alpha = 5e-4: cosh overflows in F
+        out = tmp_path / "f.csv"
+        assert _run(
+            ["fidelity", "--mode", "vs-detuning", "--radii", "3.34", "--samples", "3",
+             "--dnu-span", "0.49999", "--alpha", "5e-4", "--out", str(out)]
+        ) == 1
+        assert "overflows" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_one_legendre_call_per_radius(self, monkeypatch, tmp_path):
         calls = []
         real = cli.greens.legendre_nu

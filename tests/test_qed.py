@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from fisheye import qed
-from fisheye.errors import CoincidentPointsError, DomainError, ResonanceError, ZeroCouplingError
+from fisheye.errors import (
+    CoincidentPointsError,
+    DomainError,
+    RangeOverflowError,
+    ResonanceError,
+    ZeroCouplingError,
+)
 from fisheye.greens import greens_zz
 from fisheye.lens import OMEGA0, DiskPoint, LensConfig, radius_for_order
 from fisheye.qed import (
@@ -223,6 +229,12 @@ class TestEntanglementFidelity:
     def test_lossless_unity(self):
         assert entanglement_fidelity(CouplingRates(1.7, 0.0, 0.0)) == 1.0
 
+    def test_overflow_is_a_range_error(self):
+        # q |gamma_coop| = 785 overflows cosh; an underflowing exp alone is F = 0
+        with pytest.raises(RangeOverflowError):
+            entanglement_fidelity(CouplingRates(1e-3, 1.0, 1.0))
+        assert entanglement_fidelity(CouplingRates(1e-3, 1.0, 0.0)) == 0.0
+
     def test_zero_coupling_rejected(self):
         with pytest.raises(ZeroCouplingError):
             entanglement_fidelity(CouplingRates(0.0, 0.1, 0.0))
@@ -329,14 +341,14 @@ class TestEntanglingError:
     def test_loss_grid(self, antipodal_027):
         radii = np.array([1.749, 3.34, 8.11, 14.48])
         alphas = np.logspace(-4, -2, 9)
-        got = entangling_error(antipodal_027, radii[:, None], alphas)
+        got = entangling_error(antipodal_027, radii[:, None], alphas, b=0.1)
         assert got.shape == (4, 9)
         want = np.array([[_scalar_error(r, a, antipodal_027) for a in alphas] for r in radii])
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
     def test_detuning_grid(self, antipodal_027):
         radii = np.array([radius_for_order(v + d) for v in (10.5, 50.5) for d in np.linspace(-0.45, 0.45, 9)])
-        got = entangling_error(antipodal_027, radii, 5e-4)
+        got = entangling_error(antipodal_027, radii, 5e-4, b=0.1)
         want = np.array([_scalar_error(r, 5e-4, antipodal_027) for r in radii])
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
@@ -344,7 +356,7 @@ class TestEntanglingError:
         # recurrence lengths n = 10 .. 90 in one call, off-axis atom pair
         atoms = AtomPairConfig(DiskPoint(0.3, 0.4), DiskPoint(0.55, 2.9))
         radii = np.array([radius_for_order(v) for v in np.arange(10.5, 91.0, 4.0)])
-        got = entangling_error(atoms, radii, 5e-4)
+        got = entangling_error(atoms, radii, 5e-4, b=0.1)
         want = np.array([_scalar_error(r, 5e-4, atoms) for r in radii])
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
@@ -353,25 +365,25 @@ class TestEntanglingError:
         with pytest.raises(ResonanceError):
             _scalar_error(on_resonance, 0.0, antipodal_027)
         with pytest.raises(ResonanceError):
-            entangling_error(antipodal_027, np.array([1.749, on_resonance, 3.34]), 0.0)
+            entangling_error(antipodal_027, np.array([1.749, on_resonance, 3.34]), 0.0, b=0.1)
 
     def test_coincident_atoms_raise_like_the_scalar_chain(self):
         same = AtomPairConfig(DiskPoint(0.3, 0.5), DiskPoint(0.3, 0.5))
         with pytest.raises(DomainError):
             _scalar_error(3.34, 5e-4, same)
         with pytest.raises(DomainError):
-            entangling_error(same, np.array([1.749, 3.34]), 5e-4)
+            entangling_error(same, np.array([1.749, 3.34]), 5e-4, b=0.1)
         # the same point under another azimuth label: the Green's function diverges
         wrapped = AtomPairConfig(DiskPoint(0.3, 0.5), DiskPoint(0.3, 0.5 + 2.0 * math.pi))
         with pytest.raises(CoincidentPointsError):
             _scalar_error(3.34, 5e-4, wrapped)
         with pytest.raises(CoincidentPointsError):
-            entangling_error(wrapped, np.array([1.749, 3.34]), 5e-4)
+            entangling_error(wrapped, np.array([1.749, 3.34]), 5e-4, b=0.1)
 
     @pytest.mark.parametrize("radius, alpha", [(np.array([3.34, -1.0]), 5e-4), (3.34, np.array([1e-3, -1e-4]))])
     def test_bad_lens_element_is_a_domain_error(self, radius, alpha, antipodal_027):
         with pytest.raises(DomainError):
-            entangling_error(antipodal_027, radius, alpha)
+            entangling_error(antipodal_027, radius, alpha, b=0.1)
 
     def test_zero_coupling_element_rejected(self, monkeypatch, antipodal_027):
         real = qed.greens_zz_orders
@@ -383,4 +395,13 @@ class TestEntanglingError:
 
         monkeypatch.setattr(qed, "greens_zz_orders", one_zero)
         with pytest.raises(ZeroCouplingError):
-            entangling_error(antipodal_027, 3.34, np.array([1e-4, 1e-3, 1e-2]))
+            entangling_error(antipodal_027, 3.34, np.array([1e-4, 1e-3, 1e-2]), b=0.1)
+
+    def test_overflowing_element_raises_like_the_scalar_chain(self, antipodal_027):
+        # just below the integer order 21, |delta_omega| is small enough that
+        # cosh(pi |gamma_coop| / (4 |delta_omega|)) overflows
+        near_integer = radius_for_order(20.99999)
+        with pytest.raises(RangeOverflowError):
+            _scalar_error(near_integer, 5e-4, antipodal_027)
+        with pytest.raises(RangeOverflowError):
+            entangling_error(antipodal_027, np.array([3.34, near_integer, 1.749]), 5e-4, b=0.1)
