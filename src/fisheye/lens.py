@@ -15,6 +15,7 @@ units of lambda0 throughout the package.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -112,9 +113,9 @@ class ModeIndex:
             raise DomainError(f"m = {self.m} not allowed for l = {self.l}")
 
 
-def refractive_index(cfg: LensConfig, rho: float) -> float:
-    """Index profile n(rho) = 2 n0 / (1 + rho^2); rho > 1 allowed for plotting."""
-    if rho < 0:
+def refractive_index(cfg: LensConfig, rho: float | np.ndarray) -> float | np.ndarray:
+    """Index profile n(rho) = 2 n0 / (1 + rho^2); rho > 1 allowed for plotting, arrays elementwise."""
+    if np.any(rho < 0):
         raise DomainError("rho must be >= 0")
     return 2.0 * cfg.n0 / (1.0 + rho * rho)
 
@@ -197,6 +198,20 @@ def mode_function(cfg: LensConfig, mode: ModeIndex, p: DiskPoint) -> complex:
     return norm * spherical_harmonic(mode.l, mode.m, stereo_theta(p.rho), p.phi)
 
 
+@functools.lru_cache(maxsize=16)
+def _gauss_rule(npts: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights mapped from [-1, 1] to [-1, 0], cached per node count.
+
+    The arrays are shared between calls and read-only.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(npts)
+    u = 0.5 * (nodes - 1.0)
+    w = 0.5 * weights
+    u.flags.writeable = False
+    w.flags.writeable = False
+    return u, w
+
+
 def orthonormality_check(
     cfg: LensConfig,
     mode_a: ModeIndex,
@@ -209,6 +224,8 @@ def orthonormality_check(
     gives b; the radial integral is done by Gauss-Legendre quadrature after
     the substitution u = cos theta(rho), under which n^2 r dr = n0^2 R0^2 du
     and the integrand is a polynomial in u (exact for quadrature_n > l + l').
+    The rule for each node count is built once and cached (16 node counts
+    at most), and both mode functions are evaluated at all nodes at once.
 
     Raises NonConvergenceError if doubling the node count moves the result
     by more than 1e-9.
@@ -219,15 +236,8 @@ def orthonormality_check(
         return 0.0 + 0.0j
 
     def radial(npts: int) -> float:
-        nodes, weights = np.polynomial.legendre.leggauss(npts)
-        u = 0.5 * (nodes - 1.0)  # map [-1, 1] -> [-1, 0]
-        w = 0.5 * weights
-        vals = np.array(
-            [
-                _theta_lm(mode_a.l, mode_a.m, ui) * _theta_lm(mode_b.l, mode_b.m, ui)
-                for ui in u
-            ]
-        )
+        u, w = _gauss_rule(npts)
+        vals = _theta_lm(mode_a.l, mode_a.m, u) * _theta_lm(mode_b.l, mode_b.m, u)
         return 4.0 * math.pi * float(np.dot(w, vals))
 
     coarse = radial(quadrature_n)

@@ -99,8 +99,11 @@ class EffectiveIndexSample:
         return self.n_eff.imag
 
 
-def _decay_root(z: complex) -> complex:
-    """Square root on the Re >= 0 branch (Im >= 0 tie-break on the cut)."""
+def _decay_root(z: complex | np.ndarray) -> complex | np.ndarray:
+    """Square root on the Re >= 0 branch (Im >= 0 tie-break on the cut); elementwise on arrays."""
+    if isinstance(z, np.ndarray):
+        r = np.sqrt(z)
+        return np.where((r.real < 0.0) | ((r.real == 0.0) & (r.imag < 0.0)), -r, r)
     r = cmath.sqrt(z)
     if r.real < 0.0 or (r.real == 0.0 and r.imag < 0.0):
         r = -r
@@ -108,7 +111,7 @@ def _decay_root(z: complex) -> complex:
 
 
 def transverse_wavenumbers(n_eff: complex, stack: PlasmonStack) -> tuple[complex, complex, complex]:
-    """(k_air, k_d, k_m) for a trial index; decay-branch square roots."""
+    """(k_air, k_d, k_m) for a trial index (or an array of them); decay-branch square roots."""
     k0 = stack.k0
     nk2 = (n_eff * k0) ** 2
     k_air = _decay_root(nk2 - k0**2)
@@ -137,11 +140,19 @@ def _residual_smooth(n_eff: complex, d_nm: float, stack: PlasmonStack) -> comple
         R = tanh(k_d eps_d d)/k_d * (k_d^2 + k_air k_m) + (k_air + k_m),
 
     which has the same roots, is analytic in k_d^2 (tanh(z)/z is even), and
-    stays well-behaved through the crossing.
+    stays well-behaved through the crossing.  n_eff and d_nm may be arrays
+    of one shape (the batched Newton iteration).
     """
     k_air, k_d, k_m = transverse_wavenumbers(n_eff, stack)
     z = k_d * stack.eps_dielectric * d_nm
-    if abs(z) < 1e-6:
+    if isinstance(z, np.ndarray):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_over_kd = np.where(
+                np.abs(z) < 1e-6,
+                stack.eps_dielectric * d_nm * (1.0 - z * z / 3.0),
+                np.tanh(z) / k_d,
+            )
+    elif abs(z) < 1e-6:
         t_over_kd = stack.eps_dielectric * d_nm * (1.0 - z * z / 3.0)
     else:
         t_over_kd = np.tanh(z) / k_d
@@ -149,7 +160,11 @@ def _residual_smooth(n_eff: complex, d_nm: float, stack: PlasmonStack) -> comple
 
 
 def _newton(stack: PlasmonStack, d_nm: float, seed: complex, tol: float = 1e-13, max_iter: int = 80) -> complex:
-    """Damped Newton iteration on the desingularized residual (numeric derivative)."""
+    """Damped Newton iteration on the desingularized residual (numeric derivative).
+
+    One height, for the continuation sweeps, where each solve is seeded by
+    the last; _newton_batch runs the same iteration over many heights.
+    """
     z = complex(seed)
     f_scale = stack.k0
     for _ in range(max_iter):
@@ -175,6 +190,55 @@ def _newton(stack: PlasmonStack, d_nm: float, seed: complex, tol: float = 1e-13,
     raise RootNotFoundError(
         f"dispersion root did not converge at d = {d_nm} nm (last iterate {z})"
     )
+
+
+def _newton_batch(
+    stack: PlasmonStack, d_nm: np.ndarray, seed: np.ndarray, tol: float = 1e-13, max_iter: int = 80
+) -> np.ndarray:
+    """_newton over 1-D arrays of heights and seeds, all elements at once.
+
+    Each element follows the scalar iteration: its own damping halvings, the
+    same stopping rules, and acceptance at |f| < 1e-8 k0 when the iteration
+    stalls or runs out; it is retired once it stops.  Raises
+    RootNotFoundError naming the first height that does not converge.
+    """
+    z = np.array(seed, dtype=complex)
+    d = np.asarray(d_nm, dtype=float)
+    f_scale = stack.k0
+    live = np.arange(z.size)
+    stuck = np.zeros(z.size, dtype=bool)
+    for _ in range(max_iter):
+        if live.size == 0:
+            break
+        zl, dl = z[live], d[live]
+        f = _residual_smooth(zl, dl, stack)
+        moving = np.abs(f) >= 1e-13 * f_scale
+        live, zl, dl, f = live[moving], zl[moving], dl[moving], f[moving]
+        h = 1e-7 * np.maximum(1.0, np.abs(zl))
+        df = (_residual_smooth(zl + h, dl, stack) - f) / h
+        flat = df == 0
+        stuck[live[flat]] = True
+        live, zl, dl, f, df = live[~flat], zl[~flat], dl[~flat], f[~flat], df[~flat]
+        step = f / df
+        damping = np.ones(live.size)
+        trying = np.arange(live.size)
+        while trying.size and damping[trying[0]] > 1.0 / 64.0:
+            trial = zl[trying] - damping[trying] * step[trying]
+            better = np.abs(_residual_smooth(trial, dl[trying], stack)) < np.abs(f[trying])
+            trying = trying[~better]
+            damping[trying] *= 0.5
+        zl = zl - damping * step
+        z[live] = zl
+        live = live[np.abs(step) * damping >= tol * np.maximum(1.0, np.abs(zl))]
+    stuck[live] = True
+    check = np.flatnonzero(stuck)
+    failed = check[np.abs(_residual_smooth(z[check], d[check], stack)) >= 1e-8 * f_scale]
+    if failed.size:
+        i = failed[0]
+        raise RootNotFoundError(
+            f"dispersion root did not converge at d = {float(d[i])} nm (last iterate {complex(z[i])})"
+        )
+    return z
 
 
 def solve_effective_index(
@@ -279,45 +343,62 @@ def height_for_index(n_target: float, stack: PlasmonStack, d_max_nm: float = 200
         raise DomainError(
             f"target index {n_target} not reached below d = {d_max_nm} nm"
         )
-    return _invert_height(stack, lo, hi, z_lo, n_target)[0]
+    return float(_invert_height(stack, lo, hi, z_lo, n_target)[0][0])
 
 
 def _invert_height(
     stack: PlasmonStack,
-    d_lo: float,
-    d_hi: float,
-    z_seed: complex,
-    n_target: float,
+    d_lo: float | np.ndarray,
+    d_hi: float | np.ndarray,
+    z_seed: complex | np.ndarray,
+    n_target: float | np.ndarray,
     tol: float = 1e-10,
-) -> tuple[float, complex]:
-    """Secant iteration for Re ntilde(d) = n_target inside a bracket.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Secant iteration for Re ntilde(d) = n_target inside a bracket, over a batch of brackets.
 
-    Returns the height and the index solved there.  Raises RootNotFoundError
-    if the secant stalls or 80 iterations do not bring Re ntilde within `tol`
-    of the target.
+    The arguments broadcast to one 1-D batch, which is solved together: each
+    element runs its own secant, warm-started from its last index, and is
+    retired once Re ntilde is within `tol` of its target.  Returns the
+    heights and the indices solved there.  Raises RootNotFoundError naming
+    the first element whose secant stalls or whose 80 iterations do not
+    converge.
     """
-    a, b = d_lo, d_hi
-    za = _newton(stack, a, z_seed)
+    d_lo, d_hi, n_target = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (d_lo, d_hi, n_target))
+    d_lo, d_hi, n_target, z_seed = np.broadcast_arrays(d_lo, d_hi, n_target, np.asarray(z_seed, dtype=complex))
+    lo, hi = np.minimum(d_lo, d_hi), np.maximum(d_lo, d_hi)
+    a, b = d_lo.copy(), d_hi.copy()
+    za = _newton_batch(stack, a, z_seed)
     fa = za.real - n_target
-    zb = _newton(stack, b, za)
+    zb = _newton_batch(stack, b, za)
     fb = zb.real - n_target
-    if fa == 0.0:
-        return a, za
+    exact = fa == 0.0
+    d_out = np.where(exact, a, np.nan)
+    z_out = np.where(exact, za, np.nan)
+    live = np.flatnonzero(~exact)
+    failed = np.zeros(a.size, dtype=bool)
     for _ in range(80):
-        if fb == fa:
+        stalled = fb[live] == fa[live]
+        failed[live[stalled]] = True
+        live = live[~stalled]
+        if live.size == 0:
             break
-        c = b - fb * (b - a) / (fb - fa)
-        c = min(max(c, min(d_lo, d_hi)), max(d_lo, d_hi))
-        zc = _newton(stack, c, zb)
-        fc = zc.real - n_target
-        a, fa = b, fb
-        b, fb, zb = c, fc, zc
-        if abs(fc) < tol:
-            return c, zc
-    raise RootNotFoundError(
-        f"no height in [{d_lo}, {d_hi}] nm gives index {n_target} "
-        f"(last iterate d = {b} nm, residual {fb:.3g})"
-    )
+        c = b[live] - fb[live] * (b[live] - a[live]) / (fb[live] - fa[live])
+        c = np.minimum(np.maximum(c, lo[live]), hi[live])
+        zc = _newton_batch(stack, c, zb[live])
+        fc = zc.real - n_target[live]
+        a[live], fa[live] = b[live], fb[live]
+        b[live], fb[live], zb[live] = c, fc, zc
+        done = np.abs(fc) < tol
+        d_out[live[done]], z_out[live[done]] = c[done], zc[done]
+        live = live[~done]
+    failed[live] = True
+    if failed.any():
+        i = np.flatnonzero(failed)[0]
+        raise RootNotFoundError(
+            f"no height in [{float(d_lo[i])}, {float(d_hi[i])}] nm gives index {float(n_target[i])} "
+            f"(last iterate d = {float(b[i])} nm, residual {fb[i]:.3g})"
+        )
+    return d_out, z_out
 
 
 def lens_height_profile(
@@ -332,15 +413,16 @@ def lens_height_profile(
     index (the rim for n0 = 1, where the profile asks for exactly 1 but the
     flat surface already gives ~1.02) are clamped to d = 0.
     """
-    return [(rho, d) for rho, d, _ in _profile_samples(cfg, stack, n_radial_samples)]
+    rhos, heights, _ = _profile_samples(cfg, stack, n_radial_samples)
+    return list(zip(rhos.tolist(), heights.tolist()))
 
 
 def _profile_samples(
     cfg: LensConfig,
     stack: PlasmonStack,
     n_radial_samples: int,
-) -> list[tuple[float, float, complex]]:
-    """(rho, d_nm, ntilde) of lens_height_profile, with the index solved at each height."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rho, d_nm, ntilde) arrays of lens_height_profile, with the index solved at each height."""
     if n_radial_samples < 2:
         raise DomainError("need at least two radial samples")
     n_floor = stack.flat_interface_index.real
@@ -351,8 +433,8 @@ def _profile_samples(
             f"profile needs index {center_target:.3f}, above the stack "
             f"ceiling {ceiling:.3f}"
         )
-    # one continuation sweep bracketing the largest target, then local
-    # secant inversion per radius (monotone table)
+    # one continuation sweep bracketing the largest target, then one batched
+    # secant inversion over all radii (monotone table)
     table = [EffectiveIndexSample(0.0, stack.flat_interface_index)]
     z = table[0].n_eff
     d = 0.0
@@ -365,22 +447,18 @@ def _profile_samples(
             raise BranchJumpError(f"guided branch lost near d = {d} nm")
         z = z_next
         table.append(EffectiveIndexSample(d, z))
-    heights = np.array([s.height_nm for s in table])
-    n_re = np.array([s.n for s in table])
-    z_floor = _newton(stack, 0.0, stack.flat_interface_index)
-    out = []
-    for rho in np.linspace(0.0, 1.0, n_radial_samples):
-        target = refractive_index(cfg, float(rho))
-        if target <= n_floor:
-            out.append((float(rho), 0.0, z_floor))
-            continue
-        i = int(np.searchsorted(n_re, target))
-        i = min(max(i, 1), len(table) - 1)
-        d_rho, z_rho = _invert_height(
-            stack, heights[i - 1], heights[i], table[i - 1].n_eff, target
-        )
-        out.append((float(rho), d_rho, z_rho))
-    return out
+    table_d = np.array([s.height_nm for s in table])
+    table_z = np.array([s.n_eff for s in table])
+    rhos = np.linspace(0.0, 1.0, n_radial_samples)
+    targets = refractive_index(cfg, rhos)
+    heights = np.zeros(n_radial_samples)
+    indices = np.full(n_radial_samples, _newton(stack, 0.0, stack.flat_interface_index))
+    inner = targets > n_floor
+    i = np.clip(np.searchsorted(table_z.real, targets[inner]), 1, len(table) - 1)
+    heights[inner], indices[inner] = _invert_height(
+        stack, table_d[i - 1], table_d[i], table_z[i - 1], targets[inner]
+    )
+    return rhos, heights, indices
 
 
 def average_absorption(
@@ -393,10 +471,8 @@ def average_absorption(
     chi and n are those of the mode the height inversion solved at d(rho);
     the average is uniform in r (trapezoid over the rho grid).
     """
-    samples = _profile_samples(cfg, stack, n_radial_samples)
-    rhos = np.array([rho for rho, _, _ in samples])
-    ratios = np.array([z.imag / z.real for _, _, z in samples])
-    return float(np.trapezoid(ratios, rhos))
+    rhos, _, indices = _profile_samples(cfg, stack, n_radial_samples)
+    return float(np.trapezoid(indices.imag / indices.real, rhos))
 
 
 def mirror_loss(cfg: LensConfig, reflectivity_sq: float, n_bar: float) -> float:

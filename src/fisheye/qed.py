@@ -132,18 +132,21 @@ def _pair_rates(omega, g, nu, b: float) -> tuple:
 def _fidelity(delta_omega, gamma, gamma_coop):
     """F = exp(-q |gamma|) cosh(q |gamma_coop|), q = pi / (4 |delta_omega|); scalars or arrays.
 
-    RangeOverflowError where F is not finite: cosh overflows once
-    q |gamma_coop| > ~710, which a small |delta_omega| reaches near an
-    integer Re nu.
+    Evaluated as (exp(-q (|gamma| - |gamma_coop|)) + exp(-q (|gamma| + |gamma_coop|))) / 2,
+    which stays finite for any q when |gamma_coop| <= |gamma| (a small
+    |delta_omega| near an integer Re nu makes q large there).
+    RangeOverflowError where F is not finite, which needs
+    q (|gamma_coop| - |gamma|) > ~710.
     """
     if np.any(delta_omega == 0.0):
         raise ZeroCouplingError("fidelity undefined at zero dipole-dipole coupling")
     with np.errstate(over="ignore", invalid="ignore"):
         q = 0.25 * math.pi / np.abs(delta_omega)
-        f = np.exp(-q * np.abs(gamma)) * np.cosh(q * np.abs(gamma_coop))
+        g, gc = np.abs(gamma), np.abs(gamma_coop)
+        f = 0.5 * (np.exp(-q * (g - gc)) + np.exp(-q * (g + gc)))
     if not np.all(np.isfinite(f)):
         raise RangeOverflowError(
-            "fidelity overflows the float range: pi |gamma_coop| / (4 |delta_omega|) is too large"
+            "fidelity overflows the float range: pi (|gamma_coop| - |gamma|) / (4 |delta_omega|) is too large"
         )
     return f
 
@@ -338,8 +341,8 @@ def entanglement_fidelity(rates: CouplingRates) -> float:
 
     Evaluated at the first population-balance time t0 = pi/(4 delta_omega);
     unity in the lossless cavity.  Raises ZeroCouplingError at delta_omega = 0
-    and RangeOverflowError where cosh(pi |gamma_coop / delta_omega| / 4)
-    overflows.
+    and RangeOverflowError where F overflows (only possible for
+    |gamma_coop| well above |gamma|).
     """
     return float(_fidelity(rates.delta_omega, rates.gamma, rates.gamma_coop))
 

@@ -151,30 +151,33 @@ def assoc_legendre(l: int, m: int, x: float) -> float:
     return pm1
 
 
-def _theta_lm(l: int, m: int, u: float) -> float:
+def _theta_lm(l: int, m: int, u: float | np.ndarray) -> float | np.ndarray:
     """Normalized colatitude part of Y_l^m: Y = _theta_lm(cos theta) e^{im phi}.
 
     Normalized so that 2*pi * integral of _theta_lm^2 du = 1.  The recurrence
-    runs on the normalized functions and is stable to very large l.
+    runs on the normalized functions and is stable to very large l.  u may be
+    an array (e.g. all quadrature nodes), which the recurrence runs over at
+    once; a float u returns a float.
     """
     m_abs = abs(m)
-    s = math.sqrt(max(0.0, (1.0 - u) * (1.0 + u)))
-    # seed: normalized |m||m| term
+    # seed: normalized |m||m| term, one per element of u
     t = math.sqrt(1.0 / (4.0 * math.pi))
+    if isinstance(u, np.ndarray):
+        s = np.sqrt(np.maximum(0.0, (1.0 - u) * (1.0 + u)))
+        t = np.full_like(s, t)
+    else:
+        s = math.sqrt(max(0.0, (1.0 - u) * (1.0 + u)))
     for k in range(1, m_abs + 1):
         t *= -math.sqrt((2 * k + 1) / (2.0 * k)) * s
-    if l == m_abs:
-        val = t
-    else:
+    if l > m_abs:
         t_prev = 0.0
         for k in range(m_abs, l):
             a = math.sqrt((4.0 * (k + 1) ** 2 - 1.0) / ((k + 1) ** 2 - m_abs**2))
             b = math.sqrt(((2.0 * k + 3) * (k**2 - m_abs**2)) / ((2.0 * k - 1) * ((k + 1) ** 2 - m_abs**2)))
             t_prev, t = t, a * u * t - b * t_prev
-        val = t
     if m < 0:
-        val *= (-1.0) ** m_abs
-    return val
+        t = t * (-1.0) ** m_abs
+    return t
 
 
 def spherical_harmonic(l: int, m: int, theta: float, phi: float) -> complex:

@@ -179,8 +179,10 @@ class TestFidelity:
         assert sim_lines[0] == plain_lines[0] + ",one_minus_F_numeric"
         assert [line.rsplit(",", 1)[0] for line in sim_lines[1:]] == plain_lines[1:]
 
-    def test_overflowing_fidelity_is_a_clean_error(self, tmp_path, capsys):
-        # delta_nu = +-0.49999 around Re nu = 20.5 at alpha = 5e-4: cosh overflows in F
+    def test_overflowing_fidelity_is_a_clean_error(self, tmp_path, capsys, monkeypatch):
+        # delta_nu = +-0.49999 around Re nu = 20.5 at alpha = 5e-4 without the
+        # on-site decay: cosh(q |gamma_coop|) overflows in F
+        monkeypatch.setattr(cli.qed, "_onsite_gamma", lambda b, nu: 0.0 * np.real(nu))
         out = tmp_path / "f.csv"
         assert _run(
             ["fidelity", "--mode", "vs-detuning", "--radii", "3.34", "--samples", "3",
@@ -188,6 +190,19 @@ class TestFidelity:
         ) == 1
         assert "overflows" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_near_resonance_detuning_has_finite_rows(self, tmp_path):
+        # q |gamma_coop| reaches ~2,480 at delta_nu = +0.49999; F stays representable
+        out = tmp_path / "f.csv"
+        assert _run(
+            ["fidelity", "--mode", "vs-detuning", "--radii", "3.34", "--samples", "3",
+             "--dnu-span", "0.49999", "--alpha", "5e-4", "--out", str(out)]
+        ) == 0
+        header, rows = _read_csv(out)
+        assert header == ["R0_over_lambda", "delta_nu", "one_minus_F_analytic"]
+        assert [row[1] for row in rows] == ["-0.49999", "0", "0.49999"]
+        assert all(np.isfinite(float(value)) for row in rows for value in row)
+        assert rows[2][2] == "1"
 
     def test_one_legendre_call_per_radius(self, monkeypatch, tmp_path):
         calls = []

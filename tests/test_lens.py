@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fisheye.errors import DomainError, ThinDiskWarning
+from fisheye.errors import DomainError, NonConvergenceError, ThinDiskWarning
 from fisheye.lens import (
     OMEGA0,
     DiskPoint,
@@ -20,6 +20,7 @@ from fisheye.lens import (
     refractive_index,
     stereo_theta,
 )
+from fisheye.specfun import _theta_lm
 
 
 class TestLensConfig:
@@ -49,6 +50,13 @@ class TestRefractiveIndex:
         cfg = LensConfig(radius=2.0, n0=1.5)
         assert refractive_index(cfg, 0.0) == 3.0
         assert refractive_index(cfg, 1.0) == 1.5
+
+    def test_array_elementwise(self):
+        cfg = LensConfig(radius=2.0, n0=1.5)
+        rho = np.linspace(0.0, 1.3, 27)
+        np.testing.assert_array_equal(refractive_index(cfg, rho), [refractive_index(cfg, float(r)) for r in rho])
+        with pytest.raises(DomainError):
+            refractive_index(cfg, np.array([0.5, -0.1]))
 
     def test_radial_mean_is_half_pi(self):
         # quadrature vs the analytic 2 n0 arctan(1) = n0 pi/2
@@ -188,6 +196,23 @@ class TestOrthonormality:
                 got = orthonormality_check(cfg, ma, mb, quadrature_n=64)
                 worst = max(worst, abs(got - want))
         assert worst < 1e-6
+
+    def test_matches_per_node_quadrature(self):
+        # the batched integrand on the cached rule is the old per-node sum, bit for bit
+        cfg = LensConfig(radius=2.0)
+        for ma, mb in [(ModeIndex(5, 2), ModeIndex(5, 2)), (ModeIndex(4, 1), ModeIndex(6, 1)),
+                       (ModeIndex(12, -3), ModeIndex(8, -3))]:
+            nodes, weights = np.polynomial.legendre.leggauss(256)
+            u, w = 0.5 * (nodes - 1.0), 0.5 * weights
+            vals = np.array([_theta_lm(ma.l, ma.m, ui) * _theta_lm(mb.l, mb.m, ui) for ui in u])
+            want = 4.0 * math.pi * float(np.dot(w, vals))
+            assert orthonormality_check(cfg, ma, mb) == complex(want)
+
+    def test_unsettled_quadrature_raises(self):
+        # l = 80 needs more than 64 nodes: doubling moves the result by ~3e-8
+        cfg = LensConfig(radius=2.0)
+        with pytest.raises(NonConvergenceError):
+            orthonormality_check(cfg, ModeIndex(80, 1), ModeIndex(80, 1), quadrature_n=64)
 
     def test_quadrature_floor(self):
         cfg = LensConfig(radius=2.0)

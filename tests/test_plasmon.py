@@ -21,6 +21,15 @@ from fisheye.plasmon import (
 )
 
 
+#: lens_height_profile(LensConfig(radius=1.749), PlasmonStack(), 11) heights
+#: (nm) from the per-radius secant loop.
+PINNED_HEIGHTS_1749 = [
+    195.7236490370577, 175.72268854747838, 142.50452216573066, 115.95475820855131,
+    96.59774154245079, 81.93902913719836, 69.88278807438323, 58.72545960731929,
+    46.557895385969346, 29.485107039001132, 0.0,
+]
+
+
 @pytest.fixture
 def stack():
     return PlasmonStack()
@@ -120,6 +129,26 @@ class TestHeightForIndex:
         # Re ntilde stays well below 1.9 on [10, 20] nm: the secant stalls
         with pytest.raises(RootNotFoundError):
             _invert_height(stack, 10.0, 20.0, stack.flat_interface_index, 1.9)
+        # in a batch, the reachable target does not hide the unreachable one
+        d_mid = height_for_index(1.5, stack)
+        z_mid = solve_effective_index(d_mid, stack).n_eff
+        with pytest.raises(RootNotFoundError, match=r"\[10\.0, 20\.0\] nm gives index 1\.9 "):
+            _invert_height(
+                stack, np.array([d_mid - 0.5, 10.0]), np.array([d_mid + 0.5, 20.0]),
+                np.array([z_mid, stack.flat_interface_index]), np.array([1.5, 1.9]),
+            )
+
+    def test_batch_matches_one_target_at_a_time(self, stack):
+        targets = np.array([1.05, 1.3, 1.6, 1.95])
+        lo = np.array([0.0, 20.0, 40.0, 120.0])
+        hi = np.array([40.0, 80.0, 120.0, 250.0])
+        seeds = np.array([stack.flat_interface_index] + [solve_effective_index(d, stack).n_eff for d in lo[1:]])
+        heights, indices = _invert_height(stack, lo, hi, seeds, targets)
+        for i, target in enumerate(targets):
+            d_one, z_one = _invert_height(stack, lo[i], hi[i], seeds[i], target)
+            assert heights[i] == pytest.approx(d_one[0], abs=1e-9)
+            assert indices[i] == pytest.approx(z_one[0], abs=1e-12)
+            assert abs(indices[i].real - target) < 1e-10
 
 
 class TestLensProfile:
@@ -140,6 +169,12 @@ class TestLensProfile:
                 got = solve_effective_index(d, stack).n
                 assert got == pytest.approx(target, abs=1e-6)
 
+    def test_heights_pinned(self, stack, lens_cfg):
+        # heights of the per-radius secant loop this batched inversion replaced
+        profile = lens_height_profile(lens_cfg, stack, 11)
+        assert [rho for rho, _ in profile] == pytest.approx(np.linspace(0.0, 1.0, 11).tolist(), abs=0)
+        np.testing.assert_allclose([d for _, d in profile], PINNED_HEIGHTS_1749, rtol=0, atol=1e-9)
+
     def test_unreachable_center_rejected(self, stack):
         with pytest.raises(DomainError):
             lens_height_profile(LensConfig(radius=1.0, n0=1.2), stack, 11)
@@ -149,6 +184,11 @@ class TestAverageAbsorption:
     def test_published_level(self, stack, lens_cfg):
         avg = average_absorption(lens_cfg, stack, 400)
         assert avg == pytest.approx(3e-3, rel=0.3)
+
+    def test_pinned_value(self, stack):
+        # value of the per-radius secant loop this batched inversion replaced
+        got = average_absorption(LensConfig(radius=2.5), stack, 1000)
+        assert got == pytest.approx(0.003153808876033486, rel=1e-14, abs=0)
 
     def test_lossless_metal_gives_zero(self, lens_cfg):
         lossless = PlasmonStack(eps_metal=-25.23 + 0.0j)

@@ -230,10 +230,19 @@ class TestEntanglementFidelity:
         assert entanglement_fidelity(CouplingRates(1.7, 0.0, 0.0)) == 1.0
 
     def test_overflow_is_a_range_error(self):
-        # q |gamma_coop| = 785 overflows cosh; an underflowing exp alone is F = 0
+        # q = 785: with gamma = 0, cosh(q |gamma_coop|) overflows; an
+        # underflowing exp alone is F = 0
         with pytest.raises(RangeOverflowError):
-            entanglement_fidelity(CouplingRates(1e-3, 1.0, 1.0))
+            entanglement_fidelity(CouplingRates(1e-3, 0.0, 1.0))
         assert entanglement_fidelity(CouplingRates(1e-3, 1.0, 0.0)) == 0.0
+
+    def test_large_q_with_equal_rates_is_finite(self):
+        # exp(-q |gamma|) cosh(q |gamma_coop|) at q = 785: the product form
+        # overflows in cosh, the exact value is 1/2 (1 + exp(-1570)) = 1/2
+        assert entanglement_fidelity(CouplingRates(1e-3, 1.0, 1.0)) == 0.5
+        assert entanglement_fidelity(CouplingRates(-1e-3, -1.0, 0.9)) == pytest.approx(
+            0.5 * math.exp(-0.25 * math.pi * 0.1 / 1e-3), rel=1e-12
+        )
 
     def test_zero_coupling_rejected(self):
         with pytest.raises(ZeroCouplingError):
@@ -397,11 +406,24 @@ class TestEntanglingError:
         with pytest.raises(ZeroCouplingError):
             entangling_error(antipodal_027, 3.34, np.array([1e-4, 1e-3, 1e-2]), b=0.1)
 
-    def test_overflowing_element_raises_like_the_scalar_chain(self, antipodal_027):
-        # just below the integer order 21, |delta_omega| is small enough that
-        # cosh(pi |gamma_coop| / (4 |delta_omega|)) overflows
+    def test_overflowing_element_raises_like_the_scalar_chain(self, antipodal_027, monkeypatch):
+        # just below the integer order 21, |delta_omega| is small enough that,
+        # without the on-site decay, cosh(pi |gamma_coop| / (4 |delta_omega|))
+        # overflows
         near_integer = radius_for_order(20.99999)
+        monkeypatch.setattr(qed, "_onsite_gamma", lambda b, nu: 0.0 * np.real(nu))
         with pytest.raises(RangeOverflowError):
             _scalar_error(near_integer, 5e-4, antipodal_027)
         with pytest.raises(RangeOverflowError):
             entangling_error(antipodal_027, np.array([3.34, near_integer, 1.749]), 5e-4, b=0.1)
+
+    def test_near_integer_order_is_finite_like_the_scalar_chain(self, antipodal_027):
+        # q |gamma_coop| ~ 2,500 there, but |gamma_coop| < |gamma|: F is a
+        # representable ~0, not an overflow
+        near_integer = radius_for_order(20.99999)
+        radii = np.array([3.34, near_integer, 1.749])
+        got = entangling_error(antipodal_027, radii, 5e-4, b=0.1)
+        want = [_scalar_error(r, 5e-4, antipodal_027) for r in radii]
+        assert np.all(np.isfinite(got))
+        assert got[1] == 1.0
+        np.testing.assert_allclose(got, want, rtol=1e-12)

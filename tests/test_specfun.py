@@ -5,8 +5,10 @@ import pytest
 import scipy.special as sp
 
 from fisheye.errors import DomainError, NonConvergenceError, PoleError
+from fisheye.lens import _gauss_rule, allowed_m
 from fisheye.specfun import (
     EULER_GAMMA,
+    _theta_lm,
     accelerate,
     assoc_legendre,
     digamma,
@@ -144,6 +146,49 @@ class TestSphericalHarmonic:
         phi = float(rng.uniform(0.0, 2.0 * math.pi))
         want = complex(sp.sph_harm_y(l, m, theta, phi))
         assert spherical_harmonic(l, m, theta, phi) == pytest.approx(want, rel=1e-11)
+
+
+class TestThetaLmArray:
+    """_theta_lm over an array of u, as the orthonormality quadrature calls it."""
+
+    @pytest.mark.parametrize("npts", [64, 128])
+    def test_equals_scalar_evaluation_at_gauss_nodes(self, npts):
+        u, _ = _gauss_rule(npts)
+        for l in range(1, 41):
+            for m in allowed_m(l):
+                got = _theta_lm(l, m, u)
+                want = np.array([_theta_lm(l, m, float(ui)) for ui in u])
+                assert got.shape == u.shape
+                np.testing.assert_array_equal(got, want, err_msg=f"l={l} m={m}")
+
+    def test_scalar_argument_returns_float(self):
+        assert type(_theta_lm(3, -2, 0.4)) is float
+        assert type(_theta_lm(0, 0, 0.4)) is float
+
+    def test_against_scipy(self):
+        u = np.concatenate([_gauss_rule(128)[0], np.linspace(-1.0, 1.0, 41)])
+        theta = np.arccos(u)
+        for l in range(61):
+            for m in range(-l, l + 1):
+                want = sp.sph_harm_y(l, m, theta, 0.0).real
+                err = np.max(np.abs(_theta_lm(l, m, u) - want))
+                assert err <= 1e-12 * max(1.0, np.max(np.abs(want))), (l, m, err)
+
+
+class TestGaussRule:
+    def test_cached_and_mapped_to_lower_half(self):
+        u, w = _gauss_rule(64)
+        assert _gauss_rule(64)[0] is u
+        assert u.shape == w.shape == (64,)
+        assert np.all((u > -1.0) & (u < 0.0))
+        assert w.sum() == pytest.approx(1.0, abs=1e-14)
+
+    def test_arrays_are_read_only(self):
+        u, w = _gauss_rule(128)
+        with pytest.raises(ValueError):
+            u[0] = 0.0
+        with pytest.raises(ValueError):
+            w[:] = 1.0
 
 
 class TestLegendreNu:
