@@ -212,7 +212,8 @@ def _newton_batch(
             break
         zl, dl = z[live], d[live]
         f = _residual_smooth(zl, dl, stack)
-        moving = np.abs(f) >= 1e-13 * f_scale
+        # negated tests, as in _newton, so that a nan element keeps iterating and fails
+        moving = ~(np.abs(f) < 1e-13 * f_scale)
         live, zl, dl, f = live[moving], zl[moving], dl[moving], f[moving]
         h = 1e-7 * np.maximum(1.0, np.abs(zl))
         df = (_residual_smooth(zl + h, dl, stack) - f) / h
@@ -229,10 +230,10 @@ def _newton_batch(
             damping[trying] *= 0.5
         zl = zl - damping * step
         z[live] = zl
-        live = live[np.abs(step) * damping >= tol * np.maximum(1.0, np.abs(zl))]
+        live = live[~(np.abs(step) * damping < tol * np.maximum(1.0, np.abs(zl)))]
     stuck[live] = True
     check = np.flatnonzero(stuck)
-    failed = check[np.abs(_residual_smooth(z[check], d[check], stack)) >= 1e-8 * f_scale]
+    failed = check[~(np.abs(_residual_smooth(z[check], d[check], stack)) < 1e-8 * f_scale)]
     if failed.size:
         i = failed[0]
         raise RootNotFoundError(

@@ -9,6 +9,8 @@ from fisheye.plasmon import (
     NOMINAL_TOTAL_LOSS,
     PlasmonStack,
     _invert_height,
+    _newton,
+    _newton_batch,
     average_absorption,
     dispersion_residual,
     end_to_end_estimate,
@@ -87,6 +89,24 @@ class TestSolveEffectiveIndex:
     def test_negative_height_rejected(self, stack):
         with pytest.raises(DomainError):
             solve_effective_index(-1.0, stack)
+
+
+class TestNewtonBatch:
+    def test_matches_scalar_newton(self, stack):
+        heights = np.array([0.0, 0.3, 7.5, 41.0, 120.0, 190.0])
+        seeds = np.array([solve_effective_index(max(d - 0.5, 0.0), stack).n_eff for d in heights])
+        got = _newton_batch(stack, heights, seeds)
+        want = [_newton(stack, d, z) for d, z in zip(heights, seeds)]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failure_names_first_bad_height(self, stack):
+        # a nan seed never converges, as in the scalar iteration
+        seeds = np.array([stack.flat_interface_index, complex("nan"), complex("nan")])
+        with pytest.raises(RootNotFoundError, match=r"d = 20\.0 nm"):
+            _newton_batch(stack, np.array([10.0, 20.0, 30.0]), seeds)
+        with pytest.raises(RootNotFoundError, match=r"d = 20\.0 nm"):
+            _newton(stack, 20.0, complex("nan"))
 
 
 class TestSweep:
