@@ -32,6 +32,7 @@ from .errors import (
     ResonanceError,
     RootNotFoundError,
     ThinDiskWarning,
+    UnphysicalRatesError,
     ZeroCouplingError,
 )
 from .lens import OMEGA0, DiskPoint, LensConfig, ModeIndex, order_parameter, radius_for_order
@@ -93,6 +94,7 @@ __all__ = [
     "CoincidentPointsError",
     "ZeroCouplingError",
     "RangeOverflowError",
+    "UnphysicalRatesError",
     "NonConvergenceError",
     "RootNotFoundError",
     "BranchJumpError",

@@ -29,6 +29,10 @@ class RangeOverflowError(FisheyeError, OverflowError):
     """A result lies outside the floating-point range."""
 
 
+class UnphysicalRatesError(FisheyeError):
+    """Pair decay rates with |gamma_coop| > |gamma|, which put a fidelity above 1."""
+
+
 class NonConvergenceError(FisheyeError):
     """A series, quadrature, or iteration failed to reach its tolerance."""
 

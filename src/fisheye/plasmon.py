@@ -40,6 +40,11 @@ CONTINUATION_STEP_NM = 0.5
 #: Adjacent-sample jump in Re ntilde that flags a branch change.
 BRANCH_JUMP_TOL = 0.05
 
+#: Relative step size that stops the damped Newton iteration, and its
+#: iteration cap (_newton and _newton_batch alike).
+NEWTON_TOL = 1e-13
+NEWTON_MAX_ITER = 80
+
 #: Loss ratio quoted in the source estimate for this stack (absorption plus
 #: mirror leakage); its mirror part is ~3.6x below the printed mirror-loss
 #: formula evaluated with the same inputs, so both are reported side by side.
@@ -145,21 +150,16 @@ def _residual_smooth(n_eff: complex, d_nm: float, stack: PlasmonStack) -> comple
     """
     k_air, k_d, k_m = transverse_wavenumbers(n_eff, stack)
     z = k_d * stack.eps_dielectric * d_nm
+    series = stack.eps_dielectric * d_nm * (1.0 - z * z / 3.0)
     if isinstance(z, np.ndarray):
         with np.errstate(divide="ignore", invalid="ignore"):
-            t_over_kd = np.where(
-                np.abs(z) < 1e-6,
-                stack.eps_dielectric * d_nm * (1.0 - z * z / 3.0),
-                np.tanh(z) / k_d,
-            )
-    elif abs(z) < 1e-6:
-        t_over_kd = stack.eps_dielectric * d_nm * (1.0 - z * z / 3.0)
+            t_over_kd = np.where(np.abs(z) < 1e-6, series, np.tanh(z) / k_d)
     else:
-        t_over_kd = np.tanh(z) / k_d
+        t_over_kd = series if abs(z) < 1e-6 else np.tanh(z) / k_d
     return t_over_kd * (k_d * k_d + k_air * k_m) + (k_air + k_m)
 
 
-def _newton(stack: PlasmonStack, d_nm: float, seed: complex, tol: float = 1e-13, max_iter: int = 80) -> complex:
+def _newton(stack: PlasmonStack, d_nm: float, seed: complex) -> complex:
     """Damped Newton iteration on the desingularized residual (numeric derivative).
 
     One height, for the continuation sweeps, where each solve is seeded by
@@ -167,7 +167,7 @@ def _newton(stack: PlasmonStack, d_nm: float, seed: complex, tol: float = 1e-13,
     """
     z = complex(seed)
     f_scale = stack.k0
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         f = _residual_smooth(z, d_nm, stack)
         if abs(f) < 1e-13 * f_scale:
             return z
@@ -183,7 +183,7 @@ def _newton(stack: PlasmonStack, d_nm: float, seed: complex, tol: float = 1e-13,
                 break
             damping *= 0.5
         z = z - damping * step
-        if abs(step) * damping < tol * max(1.0, abs(z)):
+        if abs(step) * damping < NEWTON_TOL * max(1.0, abs(z)):
             return z
     if abs(_residual_smooth(z, d_nm, stack)) < 1e-8 * f_scale:
         return z
@@ -192,9 +192,7 @@ def _newton(stack: PlasmonStack, d_nm: float, seed: complex, tol: float = 1e-13,
     )
 
 
-def _newton_batch(
-    stack: PlasmonStack, d_nm: np.ndarray, seed: np.ndarray, tol: float = 1e-13, max_iter: int = 80
-) -> np.ndarray:
+def _newton_batch(stack: PlasmonStack, d_nm: np.ndarray, seed: np.ndarray) -> np.ndarray:
     """_newton over 1-D arrays of heights and seeds, all elements at once.
 
     Each element follows the scalar iteration: its own damping halvings, the
@@ -207,7 +205,7 @@ def _newton_batch(
     f_scale = stack.k0
     live = np.arange(z.size)
     stuck = np.zeros(z.size, dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         if live.size == 0:
             break
         zl, dl = z[live], d[live]
@@ -230,7 +228,7 @@ def _newton_batch(
             damping[trying] *= 0.5
         zl = zl - damping * step
         z[live] = zl
-        live = live[~(np.abs(step) * damping < tol * np.maximum(1.0, np.abs(zl)))]
+        live = live[~(np.abs(step) * damping < NEWTON_TOL * np.maximum(1.0, np.abs(zl)))]
     stuck[live] = True
     check = np.flatnonzero(stuck)
     failed = check[~(np.abs(_residual_smooth(z[check], d[check], stack)) < 1e-8 * f_scale)]

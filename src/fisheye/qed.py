@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, RangeOverflowError, ZeroCouplingError
+from .errors import DomainError, RangeOverflowError, UnphysicalRatesError, ZeroCouplingError
 from .greens import greens_zz, greens_zz_orders, image_point_value, source_offset, _xi_pair
 from .lens import OMEGA0, DiskPoint, LensConfig, check_lens, order_parameter, order_parameters
 from .specfun import accelerate, legendre_poly_table
@@ -136,7 +136,8 @@ def _fidelity(delta_omega, gamma, gamma_coop):
     which stays finite for any q when |gamma_coop| <= |gamma| (a small
     |delta_omega| near an integer Re nu makes q large there).
     RangeOverflowError where F is not finite, which needs
-    q (|gamma_coop| - |gamma|) > ~710.
+    q (|gamma_coop| - |gamma|) > ~710; UnphysicalRatesError where F exceeds 1
+    by more than rounding, which needs |gamma_coop| > |gamma|.
     """
     if np.any(delta_omega == 0.0):
         raise ZeroCouplingError("fidelity undefined at zero dipole-dipole coupling")
@@ -147,6 +148,13 @@ def _fidelity(delta_omega, gamma, gamma_coop):
     if not np.all(np.isfinite(f)):
         raise RangeOverflowError(
             "fidelity overflows the float range: pi (|gamma_coop| - |gamma|) / (4 |delta_omega|) is too large"
+        )
+    above = np.flatnonzero(np.ravel(f) > 1.0 + 1e-12)
+    if above.size:
+        f_i, dw, g, gc = (float(np.ravel(v)[above[0]]) for v in np.broadcast_arrays(f, delta_omega, gamma, gamma_coop))
+        raise UnphysicalRatesError(
+            f"fidelity {f_i:.6g} above 1: |gamma_coop| = {abs(gc):.6g} exceeds "
+            f"|gamma| = {abs(g):.6g} (delta_omega = {dw:.6g})"
         )
     return f
 
@@ -185,8 +193,8 @@ def entangling_error(
     Legendre degree changes along the sweep, and one legendre_nu call
     serves every point.  Raises what the scalar chain raises, if any element
     is bad: DomainError for a bad lens or coincident atoms, ResonanceError,
-    CoincidentPointsError, ZeroCouplingError, RangeOverflowError and
-    NonConvergenceError.
+    CoincidentPointsError, ZeroCouplingError, RangeOverflowError,
+    UnphysicalRatesError and NonConvergenceError.
     """
     radius, alpha = np.broadcast_arrays(np.asarray(radius, dtype=float), np.asarray(alpha, dtype=float))
     check_lens(radius, 1.0, b, alpha)
@@ -342,7 +350,7 @@ def entanglement_fidelity(rates: CouplingRates) -> float:
     Evaluated at the first population-balance time t0 = pi/(4 delta_omega);
     unity in the lossless cavity.  Raises ZeroCouplingError at delta_omega = 0
     and RangeOverflowError where F overflows (only possible for
-    |gamma_coop| well above |gamma|).
+    |gamma_coop| well above |gamma|), UnphysicalRatesError where F > 1.
     """
     return float(_fidelity(rates.delta_omega, rates.gamma, rates.gamma_coop))
 

@@ -191,18 +191,16 @@ class TestFidelity:
         assert "overflows" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_near_resonance_detuning_has_finite_rows(self, tmp_path):
-        # q |gamma_coop| reaches ~2,480 at delta_nu = +0.49999; F stays representable
+    def test_rates_above_the_on_site_decay_are_a_clean_error(self, tmp_path, capsys):
+        # delta_nu = +0.49999 (q |gamma_coop| ~ 2,480) gives a representable
+        # F ~ 0; at delta_nu = -0.49999 |gamma_coop| > |gamma| and F ~ 1.7e32
         out = tmp_path / "f.csv"
         assert _run(
             ["fidelity", "--mode", "vs-detuning", "--radii", "3.34", "--samples", "3",
              "--dnu-span", "0.49999", "--alpha", "5e-4", "--out", str(out)]
-        ) == 0
-        header, rows = _read_csv(out)
-        assert header == ["R0_over_lambda", "delta_nu", "one_minus_F_analytic"]
-        assert [row[1] for row in rows] == ["-0.49999", "0", "0.49999"]
-        assert all(np.isfinite(float(value)) for row in rows for value in row)
-        assert rows[2][2] == "1"
+        ) == 1
+        assert "above 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_one_legendre_call_per_radius(self, monkeypatch, tmp_path):
         calls = []

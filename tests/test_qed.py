@@ -9,6 +9,7 @@ from fisheye.errors import (
     DomainError,
     RangeOverflowError,
     ResonanceError,
+    UnphysicalRatesError,
     ZeroCouplingError,
 )
 from fisheye.greens import greens_zz
@@ -248,6 +249,14 @@ class TestEntanglementFidelity:
         with pytest.raises(ZeroCouplingError):
             entanglement_fidelity(CouplingRates(0.0, 0.1, 0.0))
 
+    def test_cooperative_rate_above_on_site_rate_rejected(self):
+        # q = 7.85: F = (exp(0.785) + exp(-16.5)) / 2 = 1.096
+        with pytest.raises(UnphysicalRatesError, match="above 1"):
+            entanglement_fidelity(CouplingRates(0.1, 1.0, 1.1))
+        # within rounding of F = 1, and F < 1 at q |gamma_coop - gamma| < ln 2
+        assert entanglement_fidelity(CouplingRates(0.1, 1e-20, 1.1e-20)) == 1.0
+        assert entanglement_fidelity(CouplingRates(0.1, 0.1, 0.11)) < 1.0
+
     def test_matches_trajectory_maximum_without_coop(self):
         # grid max equals the closed form to 1e-6 once gamma/dw is small
         # (the true max sits slightly before t0, offset O((gamma/2 dw)^2))
@@ -416,6 +425,15 @@ class TestEntanglingError:
             _scalar_error(near_integer, 5e-4, antipodal_027)
         with pytest.raises(RangeOverflowError):
             entangling_error(antipodal_027, np.array([3.34, near_integer, 1.749]), 5e-4, b=0.1)
+
+    def test_rates_above_the_on_site_decay_raise_like_the_scalar_chain(self, antipodal_027):
+        # just above the integer order 20, |gamma_coop| / |gamma| ~ 1.076 and
+        # F ~ 1.7e32
+        above_integer = radius_for_order(20.00001)
+        with pytest.raises(UnphysicalRatesError):
+            _scalar_error(above_integer, 5e-4, antipodal_027)
+        with pytest.raises(UnphysicalRatesError):
+            entangling_error(antipodal_027, np.array([3.34, above_integer, 1.749]), 5e-4, b=0.1)
 
     def test_near_integer_order_is_finite_like_the_scalar_chain(self, antipodal_027):
         # q |gamma_coop| ~ 2,500 there, but |gamma_coop| < |gamma|: F is a
