@@ -46,7 +46,13 @@ class BranchJumpError(NonConvergenceError):
 
 
 class EigensolveError(NonConvergenceError):
-    """Dense eigendecomposition failed its residual conditioning check."""
+    """A simulator block's spectrum failed its checks.
+
+    The simulator raises it when the secular roots of a block fail theirs
+    (Newton convergence, relative residual, sum of residues, distinct
+    roots) and the dense eigensolver it then falls back to fails or misses
+    its residual check.
+    """
 
 
 class ThinDiskWarning(UserWarning):

@@ -13,13 +13,29 @@ into two independent arrowhead blocks
     H_parity = sum_l [ (delta_l - i kappa) |l><l| + G_l (|atom><l| + h.c.) ],
     G_l = sqrt(2) g_l N_l,   delta_l = omega_l - omega0,
 
-with the initial state |e,g>|vac> = (|o> + |e>)/sqrt(2).  Evolution is by
-dense eigendecomposition (blocks are real symmetric at kappa = 0 and complex
-symmetric otherwise), with a fixed-step RK4 fallback if the eigensolve fails
-or misses its residual check.  The pair observables need only the atomic
-amplitude of each block, sum_j v_0j c_j exp(-i w_j t), one matrix-vector
-product over the time grid; the full block state, a T x n by n x n product,
-is built only when SimResult.state_norm is read.
+with the initial state |e,g>|vac> = (|o> + |e>)/sqrt(2).
+
+Each block is evolved from its secular equation (Golub, SIAM Rev. 15 (1973)
+318).  The n + 1 eigenvalues of the arrowhead H = [[0, G^T], [G, diag(d)]],
+d_l = delta_l - i kappa, are the roots of
+
+    f(z) = z - sum_l G_l^2 / (z - d_l),
+
+and since H is complex symmetric,
+
+    exp(-i H t)|atom> = sum_k exp(-i z_k t) x_k / f'(z_k),   x_k = (1, G / (z_k - d)),
+
+so the atomic residues are 1 / f'(z_k) and sum to one.  One vectorised
+Newton iteration finds all roots in offset form (the atom-like root itself,
+every other root as d_l plus a small offset, with the gaps d_l - d_m formed
+exactly), which keeps z - d to full relative accuracy; modes with vanishing
+coupling are deflated.  Every solve checks Newton's convergence, the
+relative secular residual, sum res = 1 and distinct roots; a block that
+fails falls back to dense eig / eigh with its residual check, and
+EigensolveError is raised if that fails too.  The time grid is uniform from
+0, so the phases exp(-i z_k j dt) factor into two ~sqrt(T) x n tables and
+the atomic amplitude on all T times is one GEMM; the full block state is
+built only when SimResult.state_norm is read.
 
 The absolute coupling scale G_l is proportional to sqrt(gamma0), the
 free-space emission rate in internal units; it drops out of every reported
@@ -44,8 +60,27 @@ from .specfun import legendre_poly_table
 #: Default free-space rate (internal units) setting the absolute coupling scale.
 DEFAULT_GAMMA0 = 1e-5
 
-#: Eigenvector residual threshold, ||H v - w v|| <= RESIDUAL_TOL * ||H||.
+#: Residual threshold of the dense fallback, ||H v - w v|| <= RESIDUAL_TOL * ||H||.
 RESIDUAL_TOL = 1e-8
+
+#: Modes with G_l^2 <= DEFLATION_TOL * max G^2 keep their pole as a root, with zero weight.
+DEFLATION_TOL = 1e-30
+
+#: Secular Newton: iteration cap and the relative step taken as converged.
+SECULAR_MAX_ITER = 40
+SECULAR_STEP_TOL = 1e-12
+
+#: Checks of every secular solve: relative residual, |sum of residues - 1|,
+#: and the relative distance below which two roots count as one.
+SECULAR_RESIDUAL_TOL = 1e-12
+RESIDUE_SUM_TOL = 1e-10
+ROOT_SEPARATION_TOL = 1e-12
+
+#: Uniform-grid tolerance of evolve, |t_k - k dt| <= GRID_TOL * t_end.
+GRID_TOL = 1e-14
+
+#: Machine epsilon; f is known to about 4 EPS times the size of its terms, which floors a Newton step.
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -69,18 +104,21 @@ class BlockModel:
     def dim(self) -> int:
         return 1 + len(self.modes)
 
-    def hamiltonian(self, kappa: float | None = None) -> np.ndarray:
-        """Arrowhead matrix; index 0 is the atomic combination.
+    def arrowhead(self, kappa: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Mode diagonal d - i kappa and border couplings G of the arrowhead.
 
         kappa overrides the per-mode loss stored at build time (same flat
         loss on every mode diagonal, atoms lossless).
         """
-        h = np.zeros((self.dim, self.dim), dtype=complex)
-        for j, mode in enumerate(self.modes, start=1):
-            loss = mode.loss if kappa is None else kappa
-            h[j, j] = mode.detuning - 1j * loss
-            h[0, j] = mode.coupling
-            h[j, 0] = mode.coupling
+        detuning = np.array([mode.detuning for mode in self.modes])
+        loss = np.array([mode.loss for mode in self.modes]) if kappa is None else kappa
+        return detuning - 1j * loss, np.array([mode.coupling for mode in self.modes])
+
+    def hamiltonian(self, kappa: float | None = None) -> np.ndarray:
+        """Arrowhead matrix; index 0 is the atomic combination."""
+        diag, border = self.arrowhead(kappa)
+        h = np.diag(np.concatenate(([0.0], diag)))
+        h[0, 1:] = h[1:, 0] = border
         return h
 
 
@@ -161,72 +199,166 @@ def build_blocks(
     return BlockModel("odd", tuple(odd)), BlockModel("even", tuple(even))
 
 
-def _full_state(
-    w: np.ndarray, v: np.ndarray, coeff: np.ndarray, t_grid: np.ndarray
-) -> np.ndarray:
-    """exp(-i H t)|0> for all t from the eigensystem; rows = times, cols = components."""
-    return (np.exp(-1j * np.outer(t_grid, w)) * coeff[None, :]) @ v.T
+def _small_root(c: np.ndarray, g2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Small and large roots of u^2 + c u - g2 = 0, without cancellation."""
+    r = np.sqrt(c * c + 4.0 * g2)
+    big = np.where((np.conj(c) * r).real >= 0.0, c + r, c - r)
+    return 2.0 * g2 / big, -0.5 * big
 
 
-def _propagate(
-    h: np.ndarray, t_grid: np.ndarray, hermitian: bool
-) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
-    """Atomic amplitude <0|exp(-i H t)|0> for all t, and a callable for the full state.
+def _secular_guess(base: np.ndarray, gaps: np.ndarray, g2: np.ndarray) -> np.ndarray:
+    """Starting offsets u_k: each root from the 2 x 2 problem with its nearest partner.
 
-    The atomic row is one matrix-vector product, O(T n); the full state,
-    O(T n^2), is built only when the returned callable is called.  The
-    callable is a partial of module-level functions, so results pickle.
+    Root j next to pole d_j sees the atom at the shift the other modes give
+    it there, u^2 + (d_j - s_j) u - g_j^2 = 0 with s_j = sum_m!=j g_m^2 / (d_j - d_m);
+    its small root is the mode-like one.  The atom-like root is the large
+    root of the same problem for the most strongly mixed mode, the other
+    modes taken at z = 0.
     """
-    e0 = np.zeros(h.shape[0], dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pull = np.where(gaps != 0.0, g2 / gaps, 0.0)
+        u_modes, _ = _small_root(base[1:] - pull[1:].sum(axis=1), g2)
+        star = int(np.argmax(g2 / np.abs(base[1:]) ** 2))
+    shift = pull[0].sum() - pull[0, star]
+    _, w_atom = _small_root(base[1 + star] - shift, g2[star])
+    return np.concatenate(([base[1 + star] + w_atom], u_modes))
+
+
+def _secular_terms(base, gaps, g2, u):
+    """f(z), f'(z), the size |z| + sum |g^2 / (z - d)| of f's terms, and 1 / (z - d).
+
+    Evaluated at the roots z = base + u, with z - d = gaps + u.
+    """
+    inv = 1.0 / (gaps + u[:, None])
+    pull = g2 * inv
+    z = base + u
+    return z - pull.sum(axis=1), 1.0 + (pull * inv).sum(axis=1), np.abs(z) + np.abs(inv) @ g2, inv
+
+
+def _secular_spectrum(diag: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Roots z and weights W of the arrowhead H = [[0, g^T], [g, diag(diag)]].
+
+    exp(-i H t) e_0 = sum_k exp(-i z_k t) W[k].  The roots solve
+    f(z) = z - sum_j g_j^2 / (z - diag_j) = 0, and H is complex symmetric, so
+    W[k] = x_k / f'(z_k) with x_k = (1, g / (z_k - diag)); W[:, 0] are the
+    atomic residues.  Root 0 is the atom-like root and root j sits next to
+    pole j.  Newton runs on the offsets u (z_0 = u_0, z_j = diag_j + u_j) with
+    the gaps diag_j - diag_m formed exactly, so z - diag keeps full relative
+    accuracy.  Modes with g_j^2 <= DEFLATION_TOL * max g^2 keep the root
+    diag_j with zero weight.  Raises EigensolveError if Newton misses its
+    cap, a relative residual |f(z)| / (|z| + sum |g^2 / (z - diag)|) exceeds
+    SECULAR_RESIDUAL_TOL, |sum res - 1| > RESIDUE_SUM_TOL, or two roots
+    coincide.
+    """
+    n = diag.size
+    g2 = g * g
+    live = np.flatnonzero(g2 > DEFLATION_TOL * g2.max(initial=0.0))
+    rows = np.concatenate(([0], 1 + live))
+    z_all = np.concatenate(([0.0], diag)).astype(complex)
+    weights = np.zeros((n + 1, n + 1), dtype=complex)
+    if live.size == 0:
+        weights[0, 0] = 1.0
+        return z_all, weights
+    base = z_all[rows]
+    gaps = base[:, None] - base[None, 1:]
+    g2 = g2[live]
+    u = _secular_guess(base, gaps, g2)
+    with np.errstate(all="ignore"):
+        f, fp, scale, inv = _secular_terms(base, gaps, g2, u)
+        for _ in range(SECULAR_MAX_ITER):
+            step = f / fp
+            floor = 4.0 * EPS * scale / np.abs(fp)
+            u = u - step
+            f, fp, scale, inv = _secular_terms(base, gaps, g2, u)
+            if not np.all(np.isfinite(u)) or np.all(np.abs(step) <= SECULAR_STEP_TOL * np.abs(u) + floor):
+                break
+        else:
+            raise EigensolveError(f"secular Newton did not converge in {SECULAR_MAX_ITER} iterations")
+        res = 1.0 / fp
+        residual = float(np.max(np.abs(f) / scale))
+        sum_dev = abs(complex(res.sum()) - 1.0)
+        # the separation tolerance is far above the rounding of z itself
+        z = base + u
+        sep = np.abs(z[:, None] - z[None, :])
+        np.fill_diagonal(sep, np.inf)
+        distinct = bool(sep.min() > ROOT_SEPARATION_TOL * np.abs(z).max())
+    if not (residual <= SECULAR_RESIDUAL_TOL and sum_dev <= RESIDUE_SUM_TOL and distinct):
+        raise EigensolveError(
+            f"secular roots failed their checks: relative residual {residual:.2e}, "
+            f"|sum res - 1| = {sum_dev:.2e}, distinct roots: {distinct}"
+        )
+    z_all[rows] = z
+    weights[rows, 0] = res
+    weights[np.ix_(rows, 1 + live)] = (res[:, None] * g[live]) * inv
+    return z_all, weights
+
+
+def _dense_spectrum(h: np.ndarray, hermitian: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues w and weights W[k] = c_k v_k of exp(-i H t) e_0 from dense eig / eigh.
+
+    Raises EigensolveError if the eigensolver fails or misses its residual
+    check ||H v - w v|| <= RESIDUAL_TOL * ||H||.
+    """
+    e0 = np.zeros(h.shape[0])
     e0[0] = 1.0
     try:
         if hermitian:
             w, v = np.linalg.eigh(h.real)
-            coeff = v.T @ e0
+            coeff = v[0]
         else:
             w, v = np.linalg.eig(h)
             coeff = np.linalg.solve(v, e0)
-        hnorm = np.linalg.norm(h)
-        residual = np.linalg.norm(h @ v - v * w[None, :])
-        if residual > RESIDUAL_TOL * max(hnorm, 1e-300):
-            raise EigensolveError(
-                f"eigendecomposition residual {residual:.2e} exceeds "
-                f"{RESIDUAL_TOL:.0e} * ||H||"
-            )
-    except (np.linalg.LinAlgError, EigensolveError):
-        states = _propagate_rk4(h, t_grid, e0)
-        return states[:, 0], partial(np.asarray, states)
-    atomic = np.exp(-1j * np.outer(t_grid, w)) @ (v[0] * coeff)
-    return atomic, partial(_full_state, w, v, coeff, t_grid)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolveError(f"dense eigendecomposition failed: {exc}") from exc
+    residual = np.linalg.norm(h @ v - v * w[None, :])
+    if not residual <= RESIDUAL_TOL * max(np.linalg.norm(h), 1e-300):
+        raise EigensolveError(
+            f"eigendecomposition residual {residual:.2e} exceeds {RESIDUAL_TOL:.0e} * ||H||"
+        )
+    return w.astype(complex), coeff[:, None] * v.T
 
 
-def _propagate_rk4(h: np.ndarray, t_grid: np.ndarray, psi0: np.ndarray) -> np.ndarray:
-    """Fixed-step RK4 on d psi/dt = -i H psi, resolving the fastest mode."""
-    scale = max(1.0, float(np.max(np.abs(h))))
-    out = np.empty((t_grid.size, psi0.size), dtype=complex)
-    psi = psi0.astype(complex)
-    t_now = 0.0
-    out_idx = 0
-    if t_grid[0] == 0.0:
-        out[0] = psi
-        out_idx = 1
-    dt = 0.05 / scale
+def _phase_sum(z: np.ndarray, weights: np.ndarray, dt: float, n_times: int) -> np.ndarray:
+    """sum_k exp(-i z_k t_j) weights[k] on t_j = j dt, j = 0 .. n_times - 1.
 
-    def deriv(p):
-        return -1j * (h @ p)
+    With B = ceil(sqrt(n_times)), t_j = (B m + b) dt splits every phase into
+    an outer and an inner table of about sqrt(n_times) x n exponentials.  A
+    weight vector makes the sum one GEMM, (outer * weights) @ inner^T; a
+    weight matrix (the full state) contracts the product of the two tables.
+    """
+    n_inner = math.isqrt(n_times - 1) + 1
+    n_outer = -(-n_times // n_inner)
+    inner = np.exp(-1j * dt * np.outer(np.arange(n_inner), z))
+    outer = np.exp(-1j * (n_inner * dt) * np.outer(np.arange(n_outer), z))
+    if weights.ndim == 1:
+        out = (outer * weights) @ inner.T
+    else:
+        out = (outer[:, None, :] * inner[None, :, :]) @ weights
+    return out.reshape(n_outer * n_inner, *weights.shape[1:])[:n_times]
 
-    for target in t_grid[out_idx:]:
-        while t_now < target:
-            step = min(dt, target - t_now)
-            k1 = deriv(psi)
-            k2 = deriv(psi + 0.5 * step * k1)
-            k3 = deriv(psi + 0.5 * step * k2)
-            k4 = deriv(psi + step * k3)
-            psi = psi + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            t_now += step
-        out[out_idx] = psi
-        out_idx += 1
-    return out
+
+def _full_state(z: np.ndarray, weights: np.ndarray, dt: float, n_times: int) -> np.ndarray:
+    """exp(-i H t)|0> on the time grid; rows = times, cols = components."""
+    return _phase_sum(z, weights, dt, n_times)
+
+
+def _propagate(
+    block: BlockModel, kappa: float, dt: float, n_times: int
+) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
+    """Atomic amplitude <0|exp(-i H t)|0> on t = k dt, and a callable for the full state.
+
+    The roots and weights come from the secular equation, or from the dense
+    eigensolver if a secular check fails.  The atomic row is one GEMM; the
+    full state is built only when the returned callable is called, which is
+    a partial of module-level functions, so results pickle.
+    """
+    diag, border = block.arrowhead(kappa)
+    try:
+        z, weights = _secular_spectrum(diag, border)
+    except EigensolveError:
+        z, weights = _dense_spectrum(block.hamiltonian(kappa), hermitian=(kappa == 0.0))
+    atomic = _phase_sum(z, weights[:, 0], dt, n_times)
+    return atomic, partial(_full_state, z, weights, dt, n_times)
 
 
 def _refine_peak(t: np.ndarray, f: np.ndarray) -> float:
@@ -250,10 +382,13 @@ def evolve(
 ) -> SimResult:
     """Evolve |e,g>|vac> = (|o> + |e>)/sqrt 2 and extract pair observables.
 
-    Each block is propagated by spectral decomposition applied to its atomic
-    basis vector; only the atomic amplitude is formed here, and the full
-    state behind `state_norm` is built when that attribute is first read.
-    kappa is applied on every mode diagonal.  Reported times
+    t_grid must be uniform and start at 0 (t_k = k dt, as np.linspace(0, T, n)
+    gives), else DomainError.  Each block is propagated from the roots and
+    residues of its secular equation; only the atomic amplitude is formed
+    here, and the full state behind `state_norm` is built when that
+    attribute is first read.  kappa is applied on every mode diagonal.
+    Raises EigensolveError if both the secular solve and the dense
+    fallback of a block fail their checks.  Reported times
     and the extracted exchange rate are converted to Gamma0 units via the
     gamma0 that scaled the couplings at build time.
 
@@ -264,9 +399,14 @@ def evolve(
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 2:
         raise DomainError("t_grid must be a 1-D array with at least two points")
+    n_times = t_grid.size
+    dt = t_grid[-1] / (n_times - 1)
+    offgrid = np.abs(t_grid - dt * np.arange(n_times))
+    if not (t_grid[0] == 0.0 and dt > 0.0 and np.all(offgrid <= GRID_TOL * t_grid[-1])):
+        raise DomainError("t_grid must be uniform and increasing from 0, t_k = k dt")
     block_o, block_e = blocks
-    atom_o, full_o = _propagate(block_o.hamiltonian(kappa), t_grid, hermitian=(kappa == 0.0))
-    atom_e, full_e = _propagate(block_e.hamiltonian(kappa), t_grid, hermitian=(kappa == 0.0))
+    atom_o, full_o = _propagate(block_o, kappa, dt, n_times)
+    atom_e, full_e = _propagate(block_e, kappa, dt, n_times)
     amp_a = 0.5 * (atom_o + atom_e)
     amp_b = 0.5 * (atom_o - atom_e)
     f_minus = 0.5 * np.abs(amp_a - 1j * amp_b) ** 2

@@ -3,9 +3,10 @@ import pickle
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from fisheye import schrodinger
-from fisheye.errors import DomainError
+from fisheye import cli, schrodinger
+from fisheye.errors import DomainError, EigensolveError
 from fisheye.lens import OMEGA0, LensConfig, radius_for_order, stereo_theta
 from fisheye.qed import AtomPairConfig, coupling_rates
 from fisheye.schrodinger import (
@@ -14,7 +15,7 @@ from fisheye.schrodinger import (
     compare_to_analytics,
     evolve,
     _propagate,
-    _propagate_rk4,
+    _secular_spectrum,
 )
 from fisheye.specfun import legendre_poly
 
@@ -31,21 +32,21 @@ def _time_grid(cfg, atoms, alpha, n=2000):
     return np.linspace(0.0, 3.0 * math.pi / dw, n), rates
 
 
-def _eager_full_state(h, t, hermitian):
-    """exp(-iHt)|0> by the full-state product that evolve once formed for every block."""
-    e0 = np.zeros(len(h), dtype=complex)
-    e0[0] = 1.0
-    if hermitian:
-        w, v = np.linalg.eigh(h.real)
-        coeff = v.T @ e0
-    else:
-        w, v = np.linalg.eig(h)
-        coeff = np.linalg.solve(v, e0)
-    return (np.exp(-1j * np.outer(t, w)) * coeff[None, :]) @ v.T
+def _expm_states(h, dt, n):
+    """exp(-i H k dt)|0>, k = 0 .. n-1, by stepping with one matrix exponential."""
+    step = expm(-1j * h * dt)
+    psi = np.zeros(len(h), dtype=complex)
+    psi[0] = 1.0
+    out = np.empty((n, len(h)), dtype=complex)
+    for k in range(n):
+        out[k] = psi
+        psi = step @ psi
+    return out
 
 
-def _eager_norm(blocks, kappa, t):
-    psi_o, psi_e = (_eager_full_state(b.hamiltonian(kappa), t, kappa == 0.0) for b in blocks)
+def _expm_norm(blocks, kappa, t):
+    dt = t[-1] / (len(t) - 1)
+    psi_o, psi_e = (_expm_states(b.hamiltonian(kappa), dt, len(t)) for b in blocks)
     return np.sqrt(
         0.5 * (np.sum(np.abs(psi_o) ** 2, axis=1) + np.sum(np.abs(psi_e) ** 2, axis=1))
     )
@@ -143,19 +144,6 @@ class TestEvolve:
             extracted.append(sim.extracted_delta_omega)
         assert abs(extracted[1] - extracted[0]) / extracted[1] < 0.01
 
-    def test_rk4_fallback_matches_spectral_path(self):
-        cfg = _reference_cfg(nu_re=5.5)
-        blocks = build_blocks(cfg, stereo_theta(0.3), l_range=range(1, 13), kappa=0.01)
-        h = blocks[0].hamiltonian(0.01)
-        t = np.linspace(0.0, 40.0, 60)
-        w, v = np.linalg.eig(h)
-        coeff = np.linalg.solve(v, np.eye(len(h))[:, 0])
-        spectral = (np.exp(-1j * np.outer(t, w)) * coeff[None, :]) @ v.T
-        e0 = np.zeros(len(h), dtype=complex)
-        e0[0] = 1.0
-        rk4 = _propagate_rk4(h, t, e0)
-        assert float(np.max(np.abs(rk4 - spectral))) < 1e-6
-
 
 class TestAtomicRow:
     """evolve forms only the atomic amplitude of each block; the full state
@@ -164,15 +152,20 @@ class TestAtomicRow:
     @pytest.mark.parametrize("alpha", [0.0, 1e-4, 1e-3, 1e-2])
     def test_matches_column_zero_of_full_state(self, antipodal_027, alpha):
         # R0 = 14.48 gives two blocks of dim 183; at alpha = 1e-3 about 2% of
-        # the decaying phases exp(-i w t) are subnormal floats
+        # the decaying phases exp(-i z t) are subnormal floats.  Both the row
+        # and the full state follow expm stepping to 1e-9 (the worst of the
+        # eight blocks is 4.4e-10, the phase error ~ eps ||H|| t of either side)
         cfg = LensConfig(radius=14.48, alpha=alpha)
         t, _ = _time_grid(cfg, antipodal_027, alpha)
+        dt = t[-1] / (len(t) - 1)
         kappa = alpha * OMEGA0
         for block in build_blocks(cfg, stereo_theta(0.27), kappa=kappa):
-            h = block.hamiltonian(kappa)
-            atomic, _ = _propagate(h, t, hermitian=(alpha == 0.0))
-            full = _eager_full_state(h, t, alpha == 0.0)
+            atomic, full_state = _propagate(block, kappa, dt, len(t))
+            full = full_state()
             assert float(np.max(np.abs(atomic - full[:, 0]))) <= 1e-13
+            ref = _expm_states(block.hamiltonian(kappa), dt, len(t))
+            assert float(np.max(np.abs(atomic - ref[:, 0]))) <= 1e-9
+            assert float(np.max(np.abs(full - ref))) <= 1e-9
 
     @pytest.mark.parametrize("alpha", [0.0, 3e-3])
     def test_state_norm_on_demand_matches_eager_norm(self, antipodal_027, alpha):
@@ -183,7 +176,7 @@ class TestAtomicRow:
         unread = pickle.loads(pickle.dumps(sim))
         norm = sim.state_norm
         assert norm is sim.state_norm  # built once, then cached
-        assert float(np.max(np.abs(norm - _eager_norm(blocks, cfg.kappa, t)))) <= 1e-13
+        assert float(np.max(np.abs(norm - _expm_norm(blocks, cfg.kappa, t)))) <= 1e-9
         assert np.array_equal(unread.state_norm, norm)
 
     def test_compare_to_analytics_never_builds_full_state(self, monkeypatch, antipodal_027):
@@ -199,33 +192,135 @@ class TestAtomicRow:
         with pytest.raises(AssertionError, match="full state built"):
             sim.state_norm
 
-    @pytest.mark.parametrize("failure", ["eig raises", "residual check fails"])
-    def test_evolve_falls_back_to_rk4(self, monkeypatch, failure):
+
+class TestSecularSpectrum:
+    """Roots and residues of each block from its secular equation, with the
+    dense eigensolver as the one fallback."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 1e-4, 1e-3, 1e-2])
+    @pytest.mark.parametrize("r0", [1.749, 3.34, 8.11, 14.48])
+    def test_roots_and_residues_match_eig(self, r0, alpha):
+        kappa = alpha * OMEGA0
+        for block in build_blocks(LensConfig(radius=r0, alpha=alpha), stereo_theta(0.27), kappa=kappa):
+            z, weights = _secular_spectrum(*block.arrowhead(kappa))
+            w, v = np.linalg.eig(block.hamiltonian(kappa))
+            residues = v[0] * np.linalg.solve(v, np.eye(len(w))[:, 0])
+            match = np.argmin(np.abs(z[:, None] - w[None, :]), axis=1)
+            assert sorted(match) == list(range(len(w)))  # one eigenvalue per root
+            assert float(np.max(np.abs(z - w[match]))) <= 1e-12 * float(np.max(np.abs(w)))
+            assert float(np.max(np.abs(weights[:, 0] - residues[match]))) <= 1e-12
+            assert abs(weights[:, 0].sum() - 1.0) <= 1e-12
+
+    def test_deflated_top_mode_has_zero_weight(self):
+        # the top mode of every even block sits under a cos^2 window of 3.7e-33
+        kappa = 1e-3 * OMEGA0
+        _, even = build_blocks(LensConfig(radius=3.34), stereo_theta(0.27), kappa=kappa)
+        diag, border = even.arrowhead(kappa)
+        assert border[-1] ** 2 <= schrodinger.DEFLATION_TOL * float(np.max(border**2))
+        z, weights = _secular_spectrum(diag, border)
+        assert np.all(np.isfinite(z)) and np.all(np.isfinite(weights))
+        assert z[-1] == diag[-1]
+        assert np.all(weights[-1] == 0.0) and np.all(weights[:, -1] == 0.0)
+
+    def test_decoupled_atoms_stay_excited(self):
+        # atoms on the mirror couple to no mode: every block is deflated
+        blocks = build_blocks(_reference_cfg(), math.pi / 2.0, l_range=range(1, 21))
+        sim = evolve(blocks, 0.0, np.linspace(0.0, 1e5, 50))
+        assert np.all(sim.amp_a == 1.0) and np.all(sim.amp_b == 0.0)
+        assert np.all(sim.state_norm == 1.0)
+
+    def test_lossless_norm_at_the_largest_radius(self, antipodal_027):
+        cfg = LensConfig(radius=14.48)
+        t, _ = _time_grid(cfg, antipodal_027, 0.0)
+        sim = evolve(build_blocks(cfg, stereo_theta(0.27)), 0.0, t)
+        assert float(np.max(np.abs(sim.state_norm - 1.0))) < 1e-10
+
+    @pytest.mark.parametrize("alpha", [0.0, 5e-4])
+    def test_near_resonant_block_matches_expm(self, alpha):
+        # Re nu = 30.99: the l = 31 mode sits 2e-3 from the atom, its coupling
+        # 2.3e-3, so the atom-like root and that mode's root are strongly mixed.
+        # Whichever path _propagate takes, the state must follow expm
+        cfg = LensConfig(radius=radius_for_order(30.99), alpha=alpha)
+        kappa = alpha * OMEGA0
+        dt, n = 2e3, 300
+        for block in build_blocks(cfg, stereo_theta(0.27), kappa=kappa):
+            atomic, full_state = _propagate(block, kappa, dt, n)
+            ref = _expm_states(block.hamiltonian(kappa), dt, n)
+            assert float(np.max(np.abs(atomic - ref[:, 0]))) <= 1e-9
+            assert float(np.max(np.abs(full_state() - ref))) <= 1e-8
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            np.geomspace(1.0, 1e4, 50) - 1.0,  # starts at 0, not uniform
+            np.linspace(1.0, 100.0, 50),  # uniform, not from 0
+            np.linspace(0.0, -100.0, 50),  # decreasing
+            np.linspace(0.0, 100.0, 50) + np.r_[0.0, 1e-9, np.zeros(48)],  # one point off
+            np.zeros(10),
+        ],
+    )
+    def test_non_uniform_grid_rejected(self, grid):
+        blocks = build_blocks(_reference_cfg(nu_re=5.5), stereo_theta(0.3), l_range=range(1, 13))
+        with pytest.raises(DomainError, match="uniform"):
+            evolve(blocks, 0.0, grid)
+
+    def test_rescaled_linspace_grid_accepted(self):
+        # dynamics passes np.linspace(0, T, n) / gamma0, uniform to a few ulps
+        blocks = build_blocks(_reference_cfg(nu_re=5.5), stereo_theta(0.3), l_range=range(1, 13))
+        t = np.linspace(0.0, 3.0 * math.pi / 0.0123, 2000) / DEFAULT_GAMMA0
+        sim = evolve(blocks, 0.0, t)
+        assert np.array_equal(sim.times, t * DEFAULT_GAMMA0)
+
+    @pytest.mark.parametrize(
+        "check, value",
+        [
+            ("SECULAR_MAX_ITER", 0),
+            ("SECULAR_RESIDUAL_TOL", -1.0),
+            ("RESIDUE_SUM_TOL", -1.0),
+            ("ROOT_SEPARATION_TOL", math.inf),
+        ],
+        ids=["newton cap", "secular residual", "residue sum", "root separation"],
+    )
+    def test_failed_secular_check_takes_the_eig_path(self, monkeypatch, check, value):
         kappa = 0.01
         cfg = _reference_cfg(nu_re=5.5)
         blocks = build_blocks(cfg, stereo_theta(0.3), l_range=range(1, 13), kappa=kappa)
         t = np.linspace(0.0, 40.0, 60)
-        spectral = evolve(blocks, kappa, t)
+        secular = evolve(blocks, kappa, t)
         calls = []
+        dense = schrodinger._dense_spectrum
 
-        def rk4(*args):
+        def counting(*args, **kwargs):
             calls.append(1)
-            return _propagate_rk4(*args)
+            return dense(*args, **kwargs)
 
+        monkeypatch.setattr(schrodinger, "_dense_spectrum", counting)
+        monkeypatch.setattr(schrodinger, check, value)
+        fallback = evolve(blocks, kappa, t)
+        assert len(calls) == 2  # one per parity block
+        assert float(np.max(np.abs(fallback.amp_a - secular.amp_a))) < 1e-10
+        assert float(np.max(np.abs(fallback.amp_b - secular.amp_b))) < 1e-10
+        assert float(np.max(np.abs(fallback.state_norm - secular.state_norm))) < 1e-10
+        assert np.array_equal(pickle.loads(pickle.dumps(fallback)).state_norm, fallback.state_norm)
+
+    @pytest.mark.parametrize("failure", ["eig raises", "residual check fails"])
+    def test_failed_eig_raises_eigensolve_error(self, monkeypatch, tmp_path, capsys, failure):
         def broken_eig(h):
             raise np.linalg.LinAlgError("eigenvalues did not converge")
 
-        monkeypatch.setattr(schrodinger, "_propagate_rk4", rk4)
+        monkeypatch.setattr(schrodinger, "SECULAR_RESIDUAL_TOL", -1.0)
         if failure == "eig raises":
             monkeypatch.setattr(schrodinger.np.linalg, "eig", broken_eig)
         else:
             monkeypatch.setattr(schrodinger, "RESIDUAL_TOL", -1.0)
-        fallback = evolve(blocks, kappa, t)
-        assert len(calls) == 2  # one per parity block
-        assert float(np.max(np.abs(fallback.amp_a - spectral.amp_a))) < 1e-6
-        assert float(np.max(np.abs(fallback.amp_b - spectral.amp_b))) < 1e-6
-        assert float(np.max(np.abs(fallback.state_norm - spectral.state_norm))) < 1e-6
-        assert np.array_equal(pickle.loads(pickle.dumps(fallback)).state_norm, fallback.state_norm)
+        kappa = 0.01
+        blocks = build_blocks(_reference_cfg(nu_re=5.5), stereo_theta(0.3), l_range=range(1, 13), kappa=kappa)
+        with pytest.raises(EigensolveError):
+            evolve(blocks, kappa, np.linspace(0.0, 40.0, 60))
+        out = tmp_path / "dyn.csv"
+        assert cli.main(["dynamics", "--simulate", "--samples", "50", "--out", str(out)]) == 3
+        assert "non-convergence" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestFullBasisCrossCheck:
