@@ -39,9 +39,11 @@ RESONANCE_EPS = 1e-8
 #: Mode-sum source exclusion: keep |xi + 1| above this (log divergence).
 SOURCE_EXCLUSION = 0.01
 
-#: Default and cap for the adaptive mode-sum truncation.
+#: Default and cap for the adaptive mode-sum truncation, and the relative
+#: Wynn error estimate a mode sum must reach.
 MODESUM_LMAX_FACTOR = 8
 MODESUM_LMAX_CAP = 2**14
+MODESUM_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -178,18 +180,37 @@ def greens_zz_points(
     return -(legendre_nu(nu, xi_src) - legendre_nu(nu, xi_img)) / (4.0 * cfg.b * s)
 
 
+def modesum_terms(p1: DiskPoint, p2: DiskPoint, l_max: int) -> np.ndarray:
+    """(-1)^l (2l+1)(P_l(xi_src) - P_l(xi_img)) for l = 0..l_max; the l = 0 entry vanishes.
+
+    The spherical-harmonic addition theorem collapses the m sum of the TE
+    modes at fixed l to these two Legendre polynomials; both mode sums
+    (greens_modesum, qed.rates_modesum_oracle) weight them per l.  Raises
+    CoincidentPointsError for |xi_src + 1| < SOURCE_EXCLUSION: near the
+    source the logarithmic divergence makes the term count explode.
+    """
+    xi_src, xi_img = _xi_pair(p1, p2)
+    if xi_src + 1.0 < SOURCE_EXCLUSION:
+        raise CoincidentPointsError(
+            f"mode sum unreliable near the source point (|xi + 1| < {SOURCE_EXCLUSION})"
+        )
+    ls = np.arange(l_max + 1, dtype=float)
+    p_src = legendre_poly_table(l_max, xi_src)
+    p_img = legendre_poly_table(l_max, xi_img)
+    return (-1.0) ** ls * (2.0 * ls + 1.0) * (p_src - p_img)
+
+
 def greens_modesum(
     cfg: LensConfig,
     p1: DiskPoint,
     p2: DiskPoint,
     omega: complex,
     l_max: int | None = None,
-    tol: float = 1e-8,
+    tol: float = MODESUM_TOL,
 ) -> ModeSumResult:
     """Eigenmode-sum representation of G_zz, the independent oracle.
 
-    Summing the TE modes at fixed l with the spherical-harmonic addition
-    theorem collapses the m sum to two Legendre polynomials:
+    With the m-summed weights of modesum_terms,
 
         G_zz = -(1/(4 pi b)) sum_l (-1)^l (2l+1)
                [P_l(xi_src) - P_l(xi_img)] / (nu(nu+1) - l(l+1)),
@@ -198,27 +219,18 @@ def greens_modesum(
     is resummed with Wynn epsilon acceleration on its partial sums.  Starts
     at l_max = 8 ceil(Re nu) and doubles until the acceleration error
     estimate drops below `tol` relative or the cap 2^14 is hit; the achieved
-    estimate is reported either way.
-
-    Callers must keep |xi_src + 1| > 0.01: near the source the logarithmic
-    divergence makes the term count explode.
+    estimate is reported either way.  Raises CoincidentPointsError within
+    SOURCE_EXCLUSION of the source.
     """
     nu = order_parameter(cfg, omega)
     _check_order(nu)
-    xi_src, xi_img = _xi_pair(p1, p2)
-    if xi_src + 1.0 < SOURCE_EXCLUSION:
-        raise CoincidentPointsError(
-            "mode sum unreliable near the source point (|xi + 1| < 0.01)"
-        )
     if l_max is None:
         l_max = max(64, MODESUM_LMAX_FACTOR * math.ceil(nu.real))
     nn = nu * (nu + 1.0)
     scale = -1.0 / (4.0 * math.pi * cfg.b)
     while True:
         ls = np.arange(l_max + 1, dtype=float)
-        p_src = legendre_poly_table(l_max, xi_src)
-        p_img = legendre_poly_table(l_max, xi_img)
-        terms = (-1.0) ** ls * (2.0 * ls + 1.0) * (p_src - p_img) / (nn - ls * (ls + 1.0))
+        terms = modesum_terms(p1, p2, l_max) / (nn - ls * (ls + 1.0))
         value, err = accelerate(np.cumsum(terms)[1:])  # l = 0 term vanishes
         value, err = scale * value, abs(scale) * err
         converged = err <= tol * max(abs(value), 1e-300)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,12 @@ CONTINUATION_STEP_NM = 0.5
 
 #: Adjacent-sample jump in Re ntilde that flags a branch change.
 BRANCH_JUMP_TOL = 0.05
+
+#: Height cap of the lattice walks that bracket a target index (nm).  Re
+#: ntilde closes on the thick-film ceiling exponentially (within 6e-8 at
+#: 1,200 nm for the default stack), so only targets within rounding of the
+#: ceiling run into it.
+MAX_HEIGHT_NM = 10_000.0
 
 #: Relative step size that stops the damped Newton iteration, and its
 #: iteration cap (_newton and _newton_batch alike).
@@ -162,8 +169,9 @@ def _residual_smooth(n_eff: complex, d_nm: float, stack: PlasmonStack) -> comple
 def _newton(stack: PlasmonStack, d_nm: float, seed: complex) -> complex:
     """Damped Newton iteration on the desingularized residual (numeric derivative).
 
-    One height, for the continuation sweeps, where each solve is seeded by
-    the last; _newton_batch runs the same iteration over many heights.
+    One height, for the continuation walk _track, where each solve is
+    seeded by the last; _newton_batch runs the same iteration over many
+    heights (a one-element batch costs ~15x a scalar call).
     """
     z = complex(seed)
     f_scale = stack.k0
@@ -240,6 +248,43 @@ def _newton_batch(stack: PlasmonStack, d_nm: np.ndarray, seed: np.ndarray) -> np
     return z
 
 
+def _track(stack: PlasmonStack, heights: Iterable[float], n_stop: float = math.inf) -> list[EffectiveIndexSample]:
+    """Continuation of ntilde(d) from the analytic d = 0 root through increasing heights.
+
+    The gap to each height (the first from d = 0) is split into equal
+    sub-steps of at most CONTINUATION_STEP_NM, each root seeded by the one
+    before, which keeps the iteration on the bound branch.  Returns the root
+    at every height, stopping after the first where Re ntilde >= n_stop.
+    Raises BranchJumpError if Re ntilde moves by more than BRANCH_JUMP_TOL
+    over one sub-step.
+    """
+    samples = []
+    z, d_prev = stack.flat_interface_index, 0.0
+    for d in heights:
+        span = d - d_prev
+        substeps = max(1, math.ceil(span / CONTINUATION_STEP_NM))
+        for i in range(1, substeps + 1):
+            d_i = d_prev + span * i / substeps
+            z_next = _newton(stack, d_i, z)
+            if abs(z_next.real - z.real) > BRANCH_JUMP_TOL:
+                raise BranchJumpError(f"guided branch lost near d = {d_i} nm ({z.real:.4f} -> {z_next.real:.4f})")
+            z = z_next
+        samples.append(EffectiveIndexSample(d, z))
+        if z.real >= n_stop:
+            break
+        d_prev = d
+    return samples
+
+
+def _lattice_walk(stack: PlasmonStack, n_stop: float) -> list[EffectiveIndexSample]:
+    """_track over the CONTINUATION_STEP_NM lattice from d = 0 to the first height with Re ntilde >= n_stop."""
+    steps = int(MAX_HEIGHT_NM / CONTINUATION_STEP_NM)
+    table = _track(stack, (i * CONTINUATION_STEP_NM for i in range(steps + 1)), n_stop)
+    if table[-1].n < n_stop:
+        raise DomainError(f"index {n_stop} not reached below d = {MAX_HEIGHT_NM} nm")
+    return table
+
+
 def solve_effective_index(
     d_nm: float,
     stack: PlasmonStack,
@@ -247,30 +292,14 @@ def solve_effective_index(
 ) -> EffectiveIndexSample:
     """Complex effective index ntilde(d) of the bound mode at height d.
 
-    Without a seed the root is tracked by continuation from the analytic
-    d = 0 value in 0.5 nm steps (reusing each previous root), which keeps
-    the iteration on the bound branch; an explicit seed skips the sweep.
-    Raises BranchJumpError if Re ntilde moves by more than 0.05 between
-    adjacent continuation samples.
+    Without a seed the root is tracked by _track from the analytic d = 0
+    value; an explicit seed skips the continuation.
     """
     if d_nm < 0:
         raise DomainError("height must be >= 0")
     if seed is not None:
         return EffectiveIndexSample(d_nm, _newton(stack, d_nm, seed))
-    z = stack.flat_interface_index
-    steps = int(math.ceil(d_nm / CONTINUATION_STEP_NM))
-    for i in range(1, steps + 1):
-        d_i = min(d_nm, i * CONTINUATION_STEP_NM)
-        z_next = _newton(stack, d_i, z)
-        if abs(z_next.real - z.real) > BRANCH_JUMP_TOL:
-            raise BranchJumpError(
-                f"guided branch lost near d = {d_i} nm "
-                f"({z.real:.4f} -> {z_next.real:.4f})"
-            )
-        z = z_next
-    if d_nm == 0.0:
-        z = _newton(stack, 0.0, z)
-    return EffectiveIndexSample(d_nm, z)
+    return _track(stack, [d_nm])[0]
 
 
 def sweep_effective_index(
@@ -280,39 +309,22 @@ def sweep_effective_index(
 ) -> list[EffectiveIndexSample]:
     """Continuation sweep of ntilde(d) on a uniform height grid from 0 to d_max.
 
-    Root tracking always advances by at most CONTINUATION_STEP_NM internally
-    (so branch-jump detection stays calibrated); step_nm only sets the
-    reported grid.
+    step_nm only sets the reported grid: _track still advances by at most
+    CONTINUATION_STEP_NM, so branch-jump detection stays calibrated.
     """
     if d_max_nm <= 0 or step_nm <= 0:
         raise DomainError("need positive sweep range and step")
     grid = [i * step_nm for i in range(int(math.floor(d_max_nm / step_nm)) + 1)]
     if grid[-1] < d_max_nm - 1e-9:
         grid.append(d_max_nm)
-    samples = []
-    z = stack.flat_interface_index
-    d_prev = 0.0
-    for d in grid:
-        span = d - d_prev
-        substeps = max(1, int(math.ceil(span / CONTINUATION_STEP_NM)))
-        for i in range(1, substeps + 1):
-            d_i = d_prev + span * i / substeps
-            z_next = _newton(stack, d_i, z)
-            if abs(z_next.real - z.real) > BRANCH_JUMP_TOL:
-                raise BranchJumpError(f"guided branch lost near d = {d_i} nm")
-            z = z_next
-        if not samples and d == 0.0:
-            z = _newton(stack, 0.0, z)
-        samples.append(EffectiveIndexSample(d, z))
-        d_prev = d
-    return samples
+    return _track(stack, grid)
 
 
-def height_for_index(n_target: float, stack: PlasmonStack, d_max_nm: float = 2000.0) -> float:
-    """Invert Re ntilde(d) = n_target by bisection on the monotone sweep.
+def height_for_index(n_target: float, stack: PlasmonStack) -> float:
+    """Invert Re ntilde(d) = n_target: a lattice walk to the bracket, then a secant solve.
 
-    Raises DomainError for targets outside [n(0), n(d_max)); the reachable
-    ceiling is the thick-film limit sqrt(eps_m eps_d/(eps_m + eps_d)).
+    Raises DomainError for targets outside [n(0), ceiling); the ceiling is
+    the thick-film limit sqrt(eps_m eps_d/(eps_m + eps_d)).
     """
     n0 = stack.flat_interface_index.real
     if n_target < n0:
@@ -326,23 +338,8 @@ def height_for_index(n_target: float, stack: PlasmonStack, d_max_nm: float = 200
         )
     if n_target == n0:
         return 0.0
-    # bracket by continuation, then refine with warm-started secant solves
-    lo, z_lo = 0.0, stack.flat_interface_index
-    hi = None
-    d = CONTINUATION_STEP_NM
-    z = z_lo
-    while d <= d_max_nm:
-        z = _newton(stack, d, z)
-        if z.real >= n_target:
-            hi = d
-            break
-        lo, z_lo = d, z
-        d += max(CONTINUATION_STEP_NM, 0.02 * d)
-    if hi is None:
-        raise DomainError(
-            f"target index {n_target} not reached below d = {d_max_nm} nm"
-        )
-    return float(_invert_height(stack, lo, hi, z_lo, n_target)[0][0])
+    lo, hi = _lattice_walk(stack, n_target)[-2:]
+    return float(_invert_height(stack, lo.height_nm, hi.height_nm, lo.n_eff, n_target)[0][0])
 
 
 def _invert_height(
@@ -432,26 +429,15 @@ def _profile_samples(
             f"profile needs index {center_target:.3f}, above the stack "
             f"ceiling {ceiling:.3f}"
         )
-    # one continuation sweep bracketing the largest target, then one batched
+    # one lattice walk bracketing the largest target, then one batched
     # secant inversion over all radii (monotone table)
-    table = [EffectiveIndexSample(0.0, stack.flat_interface_index)]
-    z = table[0].n_eff
-    d = 0.0
-    while table[-1].n < center_target:
-        d += CONTINUATION_STEP_NM
-        if d > 10_000.0:
-            raise DomainError("center index unreachable within 10 um of dielectric")
-        z_next = _newton(stack, d, z)
-        if abs(z_next.real - z.real) > BRANCH_JUMP_TOL:
-            raise BranchJumpError(f"guided branch lost near d = {d} nm")
-        z = z_next
-        table.append(EffectiveIndexSample(d, z))
+    table = _lattice_walk(stack, center_target)
     table_d = np.array([s.height_nm for s in table])
     table_z = np.array([s.n_eff for s in table])
     rhos = np.linspace(0.0, 1.0, n_radial_samples)
     targets = refractive_index(cfg, rhos)
     heights = np.zeros(n_radial_samples)
-    indices = np.full(n_radial_samples, _newton(stack, 0.0, stack.flat_interface_index))
+    indices = np.full(n_radial_samples, table[0].n_eff)
     inner = targets > n_floor
     i = np.clip(np.searchsorted(table_z.real, targets[inner]), 1, len(table) - 1)
     heights[inner], indices[inner] = _invert_height(

@@ -41,10 +41,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, RangeOverflowError, UnphysicalRatesError, ZeroCouplingError
-from .greens import greens_zz, greens_zz_orders, image_point_value, source_offset, _xi_pair
+from .errors import DomainError, NonConvergenceError, RangeOverflowError, UnphysicalRatesError, ZeroCouplingError
+from .greens import MODESUM_TOL, greens_zz, greens_zz_orders, image_point_value, modesum_terms, source_offset
 from .lens import OMEGA0, DiskPoint, LensConfig, check_lens, order_parameter, order_parameters
-from .specfun import accelerate, legendre_poly_table
+from .specfun import accelerate
 
 #: delta_omega / Gamma0 per unit Re{(omega0+i kappa)^2 G}
 _DW_PREF = 3.0 * math.pi / OMEGA0**3
@@ -253,7 +253,9 @@ def rates_modesum_oracle(
     representation (flat kappa gives a logarithmically divergent on-site sum),
     so the returned gamma is the shared closed-form regularization.
 
-    Keep |xi_src + 1| > 0.01 (source exclusion), as for the Green's mode sum.
+    Raises CoincidentPointsError within the mode sums' source exclusion,
+    and NonConvergenceError when either Wynn error estimate exceeds
+    MODESUM_TOL relative, as greens_modesum would report unconverged.
     """
     if atoms.p1 == atoms.p2:
         raise DomainError("atom positions must be distinct")
@@ -262,31 +264,26 @@ def rates_modesum_oracle(
     kappa = cfg.kappa
     if l_max is None:
         l_max = max(256, 40 * math.ceil(nu.real))
-    xi_src, xi_img = _xi_pair(atoms.p1, atoms.p2)
-    if xi_src + 1.0 < 0.01:
-        raise DomainError("mode-sum oracle unreliable near the source point")
     ls = np.arange(l_max + 1, dtype=float)
-    p_src = legendre_poly_table(l_max, xi_src)
-    p_img = legendre_poly_table(l_max, xi_img)
     # sum over m in M_l of f*(r1) f(r2)
-    s_l = (
-        (2.0 * ls + 1.0)
-        * (-1.0) ** ls
-        * (p_src - p_img)
-        / (4.0 * math.pi * cfg.b * (cfg.radius * cfg.n0) ** 2)
-    )
-    s_l[0] = 0.0
+    s_l = modesum_terms(atoms.p1, atoms.p2, l_max) / (4.0 * math.pi * cfg.b * (cfg.radius * cfg.n0) ** 2)
     w_l = np.sqrt(ls * (ls + 1.0)) / (cfg.radius * cfg.n0)
     lp = -w_l / (kappa**2 + (w_l + OMEGA0) ** 2)
     lm = w_l / (kappa**2 + (w_l - OMEGA0) ** 2)
     gamma_terms = kappa * (lp + lm) * s_l
-    gcoop, _ = accelerate(np.cumsum(gamma_terms)[1:])
+    gcoop, gcoop_err = accelerate(np.cumsum(gamma_terms)[1:])
     dw_weights = (
         (OMEGA0**2 + kappa**2 + 1j * kappa * w_l)
         / ((w_l - 1j * kappa) ** 2 - OMEGA0**2)
     ).real
     dw_terms = dw_weights * s_l
-    dw, _ = accelerate(np.cumsum(dw_terms)[1:])
+    dw, dw_err = accelerate(np.cumsum(dw_terms)[1:])
+    for name, value, err in (("gamma_coop", gcoop, gcoop_err), ("delta_omega", dw, dw_err)):
+        if not err <= MODESUM_TOL * max(abs(value), 1e-300):
+            raise NonConvergenceError(
+                f"{name} mode sum not converged at l_max = {l_max} "
+                f"(Wynn error {err:.3g}, value {abs(value):.3g})"
+            )
     pref = 3.0 * math.pi / OMEGA0**3
     return CouplingRates(
         delta_omega=pref * dw.real,

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fisheye.errors import DomainError, RootNotFoundError
+from fisheye import plasmon
+from fisheye.errors import BranchJumpError, DomainError, RootNotFoundError
 from fisheye.lens import LensConfig, radial_mean_index
 from fisheye.plasmon import (
     NOMINAL_TOTAL_LOSS,
@@ -90,6 +91,12 @@ class TestSolveEffectiveIndex:
         with pytest.raises(DomainError):
             solve_effective_index(-1.0, stack)
 
+    def test_lattice_heights_equal_sweep_entries(self, stack):
+        # both run the one continuation walk through the same 0.5 nm heights
+        sweep = {s.height_nm: s.n_eff for s in sweep_effective_index(200.0, stack)}
+        for d in (0.5, 40.0, 120.0):
+            assert solve_effective_index(d, stack).n_eff == sweep[d]
+
 
 class TestNewtonBatch:
     def test_matches_scalar_newton(self, stack):
@@ -138,6 +145,11 @@ class TestHeightForIndex:
         d = height_for_index(1.5, stack)
         assert 0.0 < d < 200.0
         assert solve_effective_index(d, stack).n == pytest.approx(1.5, abs=1e-4)
+
+    def test_bracket_walk_checks_branch_jumps(self, stack, monkeypatch):
+        monkeypatch.setattr(plasmon, "BRANCH_JUMP_TOL", 1e-6)
+        with pytest.raises(BranchJumpError):
+            height_for_index(1.5, stack)
 
     def test_out_of_range_targets(self, stack):
         with pytest.raises(DomainError):

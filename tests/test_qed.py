@@ -7,6 +7,7 @@ from fisheye import qed
 from fisheye.errors import (
     CoincidentPointsError,
     DomainError,
+    NonConvergenceError,
     RangeOverflowError,
     ResonanceError,
     UnphysicalRatesError,
@@ -120,6 +121,19 @@ class TestModeSumOracle:
         exact = coupling_rates(cfg, antipodal_027)
         assert oracle.gamma_coop == 0.0
         assert oracle.delta_omega == pytest.approx(exact.delta_omega, rel=1e-6)
+
+    def test_unconverged_wynn_estimate_raises(self, antipodal_027, monkeypatch):
+        def loose(partial_sums):
+            return complex(partial_sums[-1]), 1.0
+        monkeypatch.setattr(qed, "accelerate", loose)
+        with pytest.raises(NonConvergenceError, match="not converged"):
+            rates_modesum_oracle(_cfg(20.5, alpha=1e-3), antipodal_027)
+
+    def test_source_exclusion_is_the_mode_sum_one(self):
+        # the same check as greens_modesum: a DomainError subclass
+        near = AtomPairConfig(DiskPoint(0.3, 0.5), DiskPoint(0.3, 0.52))
+        with pytest.raises(CoincidentPointsError, match="near the source point"):
+            rates_modesum_oracle(_cfg(20.5, alpha=1e-3), near)
 
 
 class TestScalingRates:
