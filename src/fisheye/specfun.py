@@ -49,7 +49,7 @@ def digamma(z: complex | np.ndarray) -> complex | np.ndarray:
     Raises PoleError within 1e-12 of a non-positive integer (any element).
     """
     if isinstance(z, np.ndarray):
-        return _digamma_array(z)
+        return np.asarray(_digamma_array(z), dtype=complex)
     z = complex(z)
     if z.real <= 0.5 and abs(z.imag) < 1e-12:
         nearest = round(z.real)
@@ -70,13 +70,19 @@ def digamma(z: complex | np.ndarray) -> complex | np.ndarray:
 
 
 def _digamma_array(z: np.ndarray) -> np.ndarray:
-    """digamma over an array: the scalar steps as numpy operations, element by element."""
-    z = np.array(z, dtype=complex)
+    """digamma over an array: the scalar steps as numpy operations, element by element.
+
+    A real array is worked in float64 and gives the real parts of the
+    complex result bit for bit (see _quotient); its logarithm is the real
+    part of the complex one, which numpy's float64 log (a SIMD kernel on
+    some CPUs) can miss by an ulp.
+    """
+    z = np.array(z, dtype=complex if np.iscomplexobj(z) else float)
     nearest = np.round(z.real)
     pole = (nearest <= 0) & (np.abs(z.real - nearest) < 1e-12) & (np.abs(z.imag) < 1e-12)
     if pole.any():
         raise PoleError(f"digamma pole at z = {int(nearest[pole].flat[0])}")
-    acc = np.zeros(z.shape, dtype=complex)
+    acc = np.zeros(z.shape, dtype=z.dtype)
     low = z.real < 10.0
     while low.any():
         acc[low] -= 1.0 / z[low]
@@ -84,7 +90,7 @@ def _digamma_array(z: np.ndarray) -> np.ndarray:
         low = z.real < 10.0
     inv = 1.0 / z
     inv2 = inv * inv
-    total = np.log(z) - 0.5 * inv
+    total = (np.log(z) if np.iscomplexobj(z) else np.log(z + 0j).real) - 0.5 * inv
     power = inv2
     for coeff in _DIGAMMA_ASYMP:
         total -= coeff * power
@@ -269,6 +275,19 @@ _BLOCK_FIRST = 16
 _BLOCK_CAP = 256
 
 
+def _quotient(num: complex | np.ndarray, den: complex | np.ndarray) -> complex | np.ndarray:
+    """num / den, rounded as numpy rounds a complex quotient.
+
+    numpy divides complex numbers by Smith's algorithm, which for a divisor
+    with zero imaginary part multiplies by its reciprocal.  A real den is
+    divided the same way, so the float64 evaluation of a real degree gives
+    the real parts of the complex evaluation bit for bit.
+    """
+    if isinstance(den, complex) or getattr(den, "dtype", None) == complex:
+        return num / den
+    return num * (1.0 / den)
+
+
 def _series_array(d: complex | np.ndarray, x: np.ndarray, hyp: bool, tol: float, max_terms: int) -> np.ndarray:
     """Array form of _hyp_series (hyp=True) or _log_series over many x.
 
@@ -277,22 +296,29 @@ def _series_array(d: complex | np.ndarray, x: np.ndarray, hyp: bool, tol: float,
     y/(n+1)^2, with y = (1-x)/2 or (1+x)/2.  Terms are formed a block at a
     time (cumulative products and sums along a block); each element keeps
     the scalar stopping rule, two consecutive geometric-tail hits, and
-    leaves the loop with the partial sum at the term where it met it.
+    leaves the loop with the partial sum at the term where it met it.  A
+    real d (a float or a float array) is summed in float64, with the bits
+    of the complex sum's real parts.
     """
+    dtype = complex if np.iscomplexobj(d) else float
     y = (1.0 - x) / 2.0 if hyp else (1.0 + x) / 2.0
-    c = np.ones(y.shape, dtype=complex)
+    c = np.ones(y.shape, dtype=dtype)
     if hyp:
         floor = 1.0
         total = c.copy()
     else:
         lw, floor = np.log(y), 1e-300
-        a = digamma(-d) + digamma(d + 1.0) + 2.0 * EULER_GAMMA
+        psi = _digamma_array if isinstance(d, np.ndarray) else digamma
+        a = psi(-d) + psi(d + 1.0) + 2.0 * EULER_GAMMA
+        if dtype is float:
+            a = a.real  # the scalar digamma is complex, with a zero imaginary part
         total = lw + a
         a = np.reshape(a, (-1, 1))
         # sin(pi d)/pi with each part divided by pi, as Python's complex / float
         # does it (numpy would multiply by 1/pi)
-        scale = (np.sin(np.pi * np.ravel(d)).view(float) / math.pi).view(complex)
-    out = np.empty(y.shape, dtype=complex)
+        sin = np.sin(np.pi * np.ravel(d))
+        scale = (sin.view(float) / math.pi).view(dtype)
+    out = np.empty(y.shape, dtype=dtype)
     live = np.arange(y.size)
     prev_hit = np.zeros(y.size, dtype=bool)
     n0 = 0
@@ -301,7 +327,7 @@ def _series_array(d: complex | np.ndarray, x: np.ndarray, hyp: bool, tol: float,
         n = np.arange(n0, n0 + size, dtype=float)
         n0 += size
         dc = d[:, None] if isinstance(d, np.ndarray) else d
-        cs = c[:, None] * np.cumprod((n - dc) * (n + dc + 1.0) / (n + 1.0) ** 2 * y[:, None], axis=1)
+        cs = c[:, None] * np.cumprod(_quotient((n - dc) * (n + dc + 1.0), (n + 1.0) ** 2) * y[:, None], axis=1)
         if hyp:
             terms = cs
         else:
@@ -334,8 +360,14 @@ def _series_array(d: complex | np.ndarray, x: np.ndarray, hyp: bool, tol: float,
 def _legendre_nu_array(
     nu: np.ndarray, x: np.ndarray, x_switch: float, tol: float, max_terms: int
 ) -> np.ndarray:
-    """legendre_nu over broadcast arrays of nu and x: the scalar algorithm per element."""
-    nu, x = np.broadcast_arrays(np.asarray(nu, dtype=complex), np.asarray(x, dtype=float))
+    """legendre_nu over broadcast arrays of nu and x: the scalar algorithm per element.
+
+    The work runs in the dtype of nu: float64 for a real array, complex128
+    for a complex one, even where its imaginary parts are zero.  Either way
+    the result is complex.
+    """
+    nu = np.asarray(nu)
+    nu, x = np.broadcast_arrays(nu.astype(complex if np.iscomplexobj(nu) else float), np.asarray(x, dtype=float))
     if not np.all((x > -1.0) & (x <= 1.0)):
         raise DomainError("argument x must lie in (-1, 1]")
     if not np.all(np.isfinite(nu)):
@@ -350,12 +382,12 @@ def _legendre_nu_array(
     def seed(d: np.ndarray, x: np.ndarray) -> np.ndarray:
         near_integer = np.minimum(np.abs(d - np.round(d.real)), 1.0) < 1e-3
         hyp = near_integer | (x >= x_switch)
-        p = np.empty(x.shape, dtype=complex)
+        p = np.empty(x.shape, dtype=d.dtype)
         for is_hyp, branch in ((True, hyp), (False, ~hyp)):
             if branch.any():
                 db = d[branch]
                 if np.all(db == db[0]):  # one degree for all (a sweep over x)
-                    db = complex(db[0])
+                    db = db[0].item()
                 p[branch] = _series_array(db, x[branch], is_hyp, tol, max_terms)
         return p
 
@@ -369,12 +401,12 @@ def _legendre_nu_array(
         steps = steps[order]
         running = np.searchsorted(-steps, -np.arange(1, steps[0] + 1))
         p0, p1 = vals[lift][order], seed(s[lift] + 1.0, xs[lift])[order]
-        xl, k = xs[lift][order].astype(complex), s[lift][order] + 1.0
+        xl, k = xs[lift][order].astype(nu.dtype), s[lift][order] + 1.0
         if np.all(k == k[0]):  # one fractional degree for all (a sweep over x)
-            k = complex(k[0])
-        lifted = np.empty(p1.shape, dtype=complex)
+            k = k[0].item()
+        lifted = np.empty(p1.shape, dtype=nu.dtype)
         for live in running:
-            p0, p1 = p1, ((2.0 * k + 1.0) * xl * p1 - k * p0) / (k + 1.0)
+            p0, p1 = p1, _quotient((2.0 * k + 1.0) * xl * p1 - k * p0, k + 1.0)
             k = k + 1.0
             if live < p1.size:
                 lifted[live : p1.size] = p1[live:]
@@ -445,7 +477,12 @@ def legendre_nu(
     (one x, many nu) costs one call, like a sweep over points at one
     degree.  A scalar nu with a scalar x takes the scalar code, because
     numpy's per-operation overhead would slow single-point calls
-    several-fold.
+    several-fold.  When every degree is real (the lossless cavity at real
+    frequency), the seeds and the recurrence run in float64 instead of
+    complex128, with the bits of the complex arithmetic's real parts: numpy
+    divides complex numbers by multiplying with the divisor's reciprocal,
+    and the float path does the same (an exact zero may differ in sign).
+    The result is complex either way.
 
     Raises
     ------
@@ -457,6 +494,9 @@ def legendre_nu(
         (for any element).
     """
     if isinstance(nu, np.ndarray) or isinstance(x, np.ndarray):
+        nu = np.asarray(nu)
+        if np.iscomplexobj(nu) and not nu.imag.any():
+            nu = nu.real  # real degrees: the float64 path
         return _legendre_nu_array(nu, x, x_switch, tol, max_terms)
     if not -1.0 < x <= 1.0:
         raise DomainError("argument x must lie in (-1, 1]")

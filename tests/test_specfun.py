@@ -8,6 +8,9 @@ from fisheye.errors import DomainError, NonConvergenceError, PoleError
 from fisheye.lens import _gauss_rule, allowed_m
 from fisheye.specfun import (
     EULER_GAMMA,
+    _digamma_array,
+    _legendre_nu_array,
+    _series_array,
     _theta_lm,
     accelerate,
     assoc_legendre,
@@ -373,6 +376,74 @@ class TestLegendreNuDegreeArray:
     def test_nonconvergence_with_tiny_max_terms(self):
         with pytest.raises(NonConvergenceError):
             legendre_nu(np.array([0.5, 10.5, 20.5 + 0.3j]), -0.4, max_terms=3)
+
+
+def _same_bits(real: np.ndarray, cplx: np.ndarray) -> bool:
+    """real equals the real parts of cplx element by element, and cplx is real.
+
+    == rather than a bit view: an exact zero may carry the other sign.
+    """
+    return bool(np.all(real == cplx.real) and np.all(cplx.imag == 0.0))
+
+
+class TestRealDegreePath:
+    """Real degrees run in float64 with the bits of the complex arithmetic."""
+
+    X = np.concatenate([np.linspace(-0.99999, 0.99999, 401), -1.0 + np.logspace(-9, -3, 40)])
+
+    @pytest.mark.parametrize("hyp", [True, False])
+    @pytest.mark.parametrize("d", [0.2718, 0.5, 0.9, 1.5, 1.0007])
+    def test_series_matches_zero_imaginary_part(self, d, hyp):
+        x = self.X[self.X >= 0.0] if hyp else self.X[self.X < 0.0]
+        got = _series_array(d, x, hyp, 1e-10, 100_000)
+        assert got.dtype == float
+        assert _same_bits(got, _series_array(complex(d), x, hyp, 1e-10, 100_000))
+
+    @pytest.mark.parametrize("hyp", [True, False])
+    def test_series_over_a_degree_array(self, rng, hyp):
+        d = rng.uniform(0.01, 1.99, 300)
+        x = rng.uniform(0.0, 0.999, d.size) if hyp else rng.uniform(-0.9999, -0.01, d.size)
+        got = _series_array(d, x, hyp, 1e-10, 100_000)
+        assert got.dtype == float
+        assert _same_bits(got, _series_array(d.astype(complex), x, hyp, 1e-10, 100_000))
+
+    @pytest.mark.parametrize("nu", [0.3, 1.7, 3.0, 10.5, 20.5, 50.459, 90.5, 59.8, 76.9993])
+    def test_series_and_recurrence_over_x(self, nu):
+        x = self.X if abs(nu - round(nu)) >= 1e-3 or nu == round(nu) else self.X[self.X > -0.999]
+        nu = np.array(nu)
+        got = _legendre_nu_array(nu, x, 0.0, 1e-10, 100_000)
+        assert _same_bits(got.real, _legendre_nu_array(nu.astype(complex), x, 0.0, 1e-10, 100_000))
+        assert np.all(got.imag == 0.0)
+
+    @pytest.mark.parametrize("x", [-0.99, -0.49, 0.0, 0.35, 0.9])
+    def test_series_and_recurrence_over_degrees(self, rng, x):
+        nu = np.concatenate([rng.uniform(0.0, 95.0, 400), np.arange(95.0), np.arange(95.0) + 7e-4])
+        got = _legendre_nu_array(nu, x, 0.0, 1e-10, 100_000)
+        assert _same_bits(got.real, _legendre_nu_array(nu.astype(complex), x, 0.0, 1e-10, 100_000))
+
+    def test_digamma_matches_zero_imaginary_part(self):
+        # dense enough that numpy's float64 log would miss the complex log's
+        # real part on some elements, where it is a SIMD kernel
+        z = np.concatenate([np.linspace(-95.0, 95.0, 100_001) + 1e-6, np.linspace(10.0, 2000.0, 100_001)])
+        got = _digamma_array(z)
+        assert got.dtype == float
+        assert _same_bits(got, _digamma_array(z.astype(complex)))
+        assert digamma(z).dtype == complex
+
+    @pytest.mark.parametrize("nu", [20.5, 20.5 + 0j, np.array(20.5), np.array(20.5 + 0j)])
+    def test_legendre_nu_returns_complex_for_real_degrees(self, nu):
+        x = np.linspace(-0.999, 0.999, 31)
+        got = legendre_nu(nu, x)
+        assert got.dtype == complex
+        assert np.array_equal(got, _legendre_nu_array(np.array(20.5), x, 0.0, 1e-10, 100_000))
+        assert legendre_nu(np.full(3, nu), 0.3).dtype == complex
+
+    def test_complex_degrees_keep_the_complex_path(self):
+        # one nonzero imaginary part sends the whole call down the complex path
+        nu = np.array([20.5, 30.5 + 1e-3j])
+        got = legendre_nu(nu, -0.4)
+        assert got[1].imag != 0.0
+        assert np.array_equal(got, _legendre_nu_array(nu, -0.4, 0.0, 1e-10, 100_000))
 
 
 @pytest.fixture(scope="module")
