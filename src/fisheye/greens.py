@@ -13,7 +13,9 @@ the zz Green's function of the cavity is
 where nu = order_parameter(omega).  xi(a1, a2) is minus the cosine of the
 spherical distance between the stereographic images of the two points; the
 first term carries the source (xi -> -1, log divergence) and the second the
-mirror image (xi -> +1 at the antipode).  An eigenmode sum over the cavity
+mirror image (xi -> +1 at the antipode).  Near the source 1 + xi cancels, so
+each xi comes with w = (1 + xi)/2 = |zeta|^2/(|zeta|^2 + 1), formed directly,
+for legendre_nu's logarithmic seeds.  An eigenmode sum over the cavity
 spectrum provides an independent representation (greens_modesum) used as a
 cross-validation oracle: the two agree to ~1e-12 away from the source.
 
@@ -70,33 +72,41 @@ def zeta(a1: complex, a2: complex) -> complex:
         return complex(math.inf, 0.0)
     return (a1 - a2) / den
 
+def _xi_w(a1: complex, a2: complex) -> tuple[float, float]:
+    """(xi, w) of a pair: xi = (m - 1)/(m + 1) and w = (1 + xi)/2 = m/(m + 1), m = |zeta|^2.
+
+    w keeps full relative precision as a1 -> a2 (m -> 0), where 1 + xi
+    loses it to cancellation.  Both are 1 at the zeta pole.
+    """
+    z = zeta(a1, a2)
+    if not np.isfinite(z):
+        return 1.0, 1.0
+    m2 = abs(z) ** 2
+    if math.isinf(m2):
+        return 1.0, 1.0
+    return (m2 - 1.0) / (m2 + 1.0), m2 / (m2 + 1.0)
+
+
 def xi(a1: complex, a2: complex) -> float:
     """Spherical-chord coordinate xi in [-1, 1]; -1 at a1 = a2, +1 at the image.
 
     The a1 conj(a2) = -1 pole of zeta is handled as the limit xi -> +1.
     """
-    z = zeta(a1, a2)
-    if not np.isfinite(z):
-        return 1.0
-    m2 = abs(z) ** 2
-    if math.isinf(m2):
-        return 1.0
-    return (m2 - 1.0) / (m2 + 1.0)
+    return _xi_w(a1, a2)[0]
 
 
-def _xi_pair(p1: DiskPoint, p2: DiskPoint) -> tuple[float, float]:
-    """(xi_source, xi_image) for a pair of disk points.
+def _xi_pair(p1: DiskPoint, p2: DiskPoint) -> tuple[tuple[float, float], tuple[float, float]]:
+    """((xi_src, w_src), (xi_img, w_img)) for a pair of disk points, as _xi_w.
 
     The image argument 1/conj(a2) diverges for a point at the center; the
-    limit is xi_image = (1 - rho1^2)/(1 + rho1^2).
+    limit is xi_image = (1 - rho1^2)/(1 + rho1^2), w_image = 1/(1 + rho1^2).
     """
     a1, a2 = p1.alpha, p2.alpha
-    xi_src = xi(a1, a2)
     if p2.rho == 0.0:
-        xi_img = (1.0 - p1.rho**2) / (1.0 + p1.rho**2)
+        image = (1.0 - p1.rho**2) / (1.0 + p1.rho**2), 1.0 / (1.0 + p1.rho**2)
     else:
-        xi_img = xi(a1, 1.0 / np.conj(a2))
-    return xi_src, xi_img
+        image = _xi_w(a1, 1.0 / np.conj(a2))
+    return _xi_w(a1, a2), image
 
 
 def _check_order(nu: complex | np.ndarray) -> complex | np.ndarray:
@@ -132,21 +142,23 @@ def greens_zz_orders(
     bad.
     """
     s = _check_order(nu)
-    xi_src, xi_img = _xi_pair(p1, p2)
+    (xi_src, w_src), (xi_img, w_img) = _xi_pair(p1, p2)
     if xi_src <= -1.0 + 1e-14:
         raise CoincidentPointsError("greens_zz diverges at coincident points")
     if isinstance(nu, np.ndarray):
-        p_src, p_img = np.moveaxis(legendre_nu(nu[..., None], np.array([xi_src, xi_img])), -1, 0)
+        pair = legendre_nu(nu[..., None], np.array([xi_src, xi_img]), w=np.array([w_src, w_img]))
+        p_src, p_img = np.moveaxis(pair, -1, 0)
     else:
-        p_src, p_img = legendre_nu(nu, xi_src), legendre_nu(nu, xi_img)
+        p_src, p_img = legendre_nu(nu, xi_src, w=w_src), legendre_nu(nu, xi_img, w=w_img)
     return -(p_src - p_img) / (4.0 * b * s)
 
 
-def _xi_points(a1: complex, a2: np.ndarray) -> np.ndarray:
-    """xi(a1, a2) over an array of second points; +1 at the zeta pole, as xi."""
+def _xi_points(a1: complex, a2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(xi, w) of (a1, a2) over an array of second points, as _xi_w; 1 at the zeta pole."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         m2 = np.abs((a1 - a2) / (a1 * np.conj(a2) + 1.0)) ** 2
-        return np.where(np.isfinite(m2), (m2 - 1.0) / (m2 + 1.0), 1.0)
+        finite = np.isfinite(m2)
+        return np.where(finite, (m2 - 1.0) / (m2 + 1.0), 1.0), np.where(finite, m2 / (m2 + 1.0), 1.0)
 
 
 def greens_zz_points(
@@ -170,14 +182,18 @@ def greens_zz_points(
     s = _check_order(nu)
     a1 = p1.alpha
     a2 = rho2 * np.exp(1j * np.asarray(phi2, dtype=float))
-    xi_src = _xi_points(a1, a2)
+    xi_src, w_src = _xi_points(a1, a2)
     if np.any(xi_src <= -1.0 + 1e-14):
         raise CoincidentPointsError("greens_zz diverges at coincident points")
     with np.errstate(divide="ignore", invalid="ignore"):
         image = 1.0 / np.conj(a2)
     # the image of the center is at infinity: limit as in _xi_pair
-    xi_img = np.where(rho2 == 0.0, (1.0 - p1.rho**2) / (1.0 + p1.rho**2), _xi_points(a1, image))
-    return -(legendre_nu(nu, xi_src) - legendre_nu(nu, xi_img)) / (4.0 * cfg.b * s)
+    xi_img, w_img = _xi_points(a1, image)
+    center = rho2 == 0.0
+    xi_img = np.where(center, (1.0 - p1.rho**2) / (1.0 + p1.rho**2), xi_img)
+    w_img = np.where(center, 1.0 / (1.0 + p1.rho**2), w_img)
+    p_src, p_img = legendre_nu(nu, xi_src, w=w_src), legendre_nu(nu, xi_img, w=w_img)
+    return -(p_src - p_img) / (4.0 * cfg.b * s)
 
 
 def modesum_terms(p1: DiskPoint, p2: DiskPoint, l_max: int) -> np.ndarray:
@@ -189,7 +205,7 @@ def modesum_terms(p1: DiskPoint, p2: DiskPoint, l_max: int) -> np.ndarray:
     CoincidentPointsError for |xi_src + 1| < SOURCE_EXCLUSION: near the
     source the logarithmic divergence makes the term count explode.
     """
-    xi_src, xi_img = _xi_pair(p1, p2)
+    (xi_src, _), (xi_img, _) = _xi_pair(p1, p2)
     if xi_src + 1.0 < SOURCE_EXCLUSION:
         raise CoincidentPointsError(
             f"mode sum unreliable near the source point (|xi + 1| < {SOURCE_EXCLUSION})"

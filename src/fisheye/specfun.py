@@ -226,10 +226,11 @@ def _hyp_series(d: complex, x: float, tol: float, max_terms: int) -> complex:
     )
 
 
-def _log_series(d: complex, x: float, tol: float, max_terms: int) -> complex:
+def _log_series(d: complex, x: float, w: float, tol: float, max_terms: int) -> complex:
     """Logarithmic connection expansion of P_d(x) about x = -1.
 
-    With w = (1+x)/2,
+    With w = (1+x)/2, passed in so that a caller can keep it to full
+    relative precision near x = -1,
 
         P_d(x) = sin(pi d)/pi * sum_n c_n w^n [ln w + a_n],
         c_0 = 1,  c_{n+1} = c_n (n-d)(n+d+1)/(n+1)^2,
@@ -241,7 +242,6 @@ def _log_series(d: complex, x: float, tol: float, max_terms: int) -> complex:
     Not usable for d within ~1e-3 of an integer (digamma poles; the
     hypergeometric branch is used there instead).
     """
-    w = (1.0 + x) / 2.0
     lw = math.log(w)
     c = 1.0 + 0.0j
     a = digamma(-d) + digamma(d + 1.0) + 2.0 * EULER_GAMMA
@@ -266,6 +266,9 @@ def _log_series(d: complex, x: float, tol: float, max_terms: int) -> complex:
     )
 
 
+#: How far 2w - 1 may lie from x when legendre_nu is given w = (1+x)/2.
+W_TOL = 1e-12
+
 #: Series terms per numpy pass in the array path: the first block has
 #: _BLOCK_FIRST terms, each later one as many as were done before it, up to
 #: _BLOCK_CAP.  Elements that need thousands of terms (x near -1 on the
@@ -288,12 +291,14 @@ def _quotient(num: complex | np.ndarray, den: complex | np.ndarray) -> complex |
     return num * (1.0 / den)
 
 
-def _series_array(d: complex | np.ndarray, x: np.ndarray, hyp: bool, tol: float, max_terms: int) -> np.ndarray:
+def _series_array(
+    d: complex | np.ndarray, x: np.ndarray, w: np.ndarray, hyp: bool, tol: float, max_terms: int
+) -> np.ndarray:
     """Array form of _hyp_series (hyp=True) or _log_series over many x.
 
     d is one degree for all x or an array with the degree of each x.  Both
     series share the coefficient recurrence c_{n+1} = c_n (n-d)(n+d+1)
-    y/(n+1)^2, with y = (1-x)/2 or (1+x)/2.  Terms are formed a block at a
+    y/(n+1)^2, with y = (1-x)/2 or w = (1+x)/2.  Terms are formed a block at a
     time (cumulative products and sums along a block); each element keeps
     the scalar stopping rule, two consecutive geometric-tail hits, and
     leaves the loop with the partial sum at the term where it met it.  A
@@ -301,7 +306,7 @@ def _series_array(d: complex | np.ndarray, x: np.ndarray, hyp: bool, tol: float,
     of the complex sum's real parts.
     """
     dtype = complex if np.iscomplexobj(d) else float
-    y = (1.0 - x) / 2.0 if hyp else (1.0 + x) / 2.0
+    y = (1.0 - x) / 2.0 if hyp else w
     c = np.ones(y.shape, dtype=dtype)
     if hyp:
         floor = 1.0
@@ -358,7 +363,7 @@ def _series_array(d: complex | np.ndarray, x: np.ndarray, hyp: bool, tol: float,
 
 
 def _legendre_nu_array(
-    nu: np.ndarray, x: np.ndarray, x_switch: float, tol: float, max_terms: int
+    nu: np.ndarray, x: np.ndarray, w: np.ndarray | None, x_switch: float, tol: float, max_terms: int
 ) -> np.ndarray:
     """legendre_nu over broadcast arrays of nu and x: the scalar algorithm per element.
 
@@ -366,20 +371,23 @@ def _legendre_nu_array(
     for a complex one, even where its imaginary parts are zero.  Either way
     the result is complex.
     """
-    nu = np.asarray(nu)
-    nu, x = np.broadcast_arrays(nu.astype(complex if np.iscomplexobj(nu) else float), np.asarray(x, dtype=float))
+    nu, x = np.asarray(nu), np.asarray(x, dtype=float)
+    w = (1.0 + x) / 2.0 if w is None else np.asarray(w, dtype=float)
+    nu, x, w = np.broadcast_arrays(nu.astype(complex if np.iscomplexobj(nu) else float), x, w)
     if not np.all((x > -1.0) & (x <= 1.0)):
         raise DomainError("argument x must lie in (-1, 1]")
+    if not np.all(np.abs(2.0 * w - 1.0 - x) <= W_TOL):
+        raise DomainError(f"w must be (1 + x)/2 to within {W_TOL}")
     if not np.all(np.isfinite(nu)):
         raise DomainError("degree nu must be finite")
     out = np.ones(x.shape, dtype=complex)
     inner = x != 1.0
-    nus, xs = nu[inner], x[inner]
+    nus, xs, ws = nu[inner], x[inner], w[inner]
     n = np.floor(nus.real)
     s = nus - n
     lift = n > 1
 
-    def seed(d: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def seed(d: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.ndarray:
         near_integer = np.minimum(np.abs(d - np.round(d.real)), 1.0) < 1e-3
         hyp = near_integer | (x >= x_switch)
         p = np.empty(x.shape, dtype=d.dtype)
@@ -388,11 +396,11 @@ def _legendre_nu_array(
                 db = d[branch]
                 if np.all(db == db[0]):  # one degree for all (a sweep over x)
                     db = db[0].item()
-                p[branch] = _series_array(db, x[branch], is_hyp, tol, max_terms)
+                p[branch] = _series_array(db, x[branch], w[branch], is_hyp, tol, max_terms)
         return p
 
     # nu itself where no recurrence is needed, else s, and s + 1 below
-    vals = seed(np.where(lift, s, nus), xs)
+    vals = seed(np.where(lift, s, nus), xs, ws)
     if lift.any():
         # run the recurrence with the elements sorted by their step count,
         # longest first; an element is recorded, and dropped, at its count
@@ -400,7 +408,7 @@ def _legendre_nu_array(
         order = np.argsort(-steps, kind="stable")
         steps = steps[order]
         running = np.searchsorted(-steps, -np.arange(1, steps[0] + 1))
-        p0, p1 = vals[lift][order], seed(s[lift] + 1.0, xs[lift])[order]
+        p0, p1 = vals[lift][order], seed(s[lift] + 1.0, xs[lift], ws[lift])[order]
         xl, k = xs[lift][order].astype(nu.dtype), s[lift][order] + 1.0
         if np.all(k == k[0]):  # one fractional degree for all (a sweep over x)
             k = k[0].item()
@@ -422,6 +430,7 @@ def legendre_nu(
     nu: complex | np.ndarray,
     x: float | np.ndarray,
     *,
+    w: float | np.ndarray | None = None,
     x_switch: float = 0.0,
     tol: float = 1e-10,
     max_terms: int = 100_000,
@@ -459,6 +468,15 @@ def legendre_nu(
     the hypergeometric branch is used for the seeds regardless of x (slower
     near x = -1 but well-conditioned).
 
+    Near the source, x -> -1: the log series runs on w = (1+x)/2, and a
+    float x keeps 1 + x only to absolute precision, which costs about
+    1e-16/(1+x) relative (3.6e-5 at 1 + x = 2e-14).  A caller that has w
+    to full relative precision passes it as `w` (greens forms it as
+    |zeta|^2/(|zeta|^2 + 1)); the log seeds then see 1 + x without
+    cancellation, while x stays the argument of the branch test, the
+    hypergeometric seeds and the recurrence.  With w, the error over
+    w in [1e-14, 1e-3] and Re nu <= 90.5 is at most 4.3e-13 relative.
+
     Known limits: with nu within ~1e-3 of an integer, x below about -0.9998
     needs more than max_terms hypergeometric terms and raises
     NonConvergenceError.  Outside the range above, large Im nu with x < 0
@@ -488,7 +506,8 @@ def legendre_nu(
     ------
     DomainError
         If x (any element) is outside (-1, 1] (x = -1 is a logarithmic
-        singularity), or a degree is not finite.
+        singularity), a given w is not (1+x)/2 to within W_TOL, or a
+        degree is not finite.
     NonConvergenceError
         If a seed series does not reach `tol` within `max_terms` terms
         (for any element).
@@ -497,9 +516,13 @@ def legendre_nu(
         nu = np.asarray(nu)
         if np.iscomplexobj(nu) and not nu.imag.any():
             nu = nu.real  # real degrees: the float64 path
-        return _legendre_nu_array(nu, x, x_switch, tol, max_terms)
+        return _legendre_nu_array(nu, x, w, x_switch, tol, max_terms)
     if not -1.0 < x <= 1.0:
         raise DomainError("argument x must lie in (-1, 1]")
+    if w is None:
+        w = (1.0 + x) / 2.0
+    elif not abs(2.0 * w - 1.0 - x) <= W_TOL:
+        raise DomainError(f"w must be (1 + x)/2 to within {W_TOL}")
     nu = complex(nu)
     if not cmath.isfinite(nu):
         raise DomainError("degree nu must be finite")
@@ -512,7 +535,7 @@ def legendre_nu(
         near_integer = min(abs(d - round(d.real)), 1.0) < 1e-3
         if x >= x_switch or near_integer:
             return _hyp_series(d, x, tol, max_terms)
-        return _log_series(d, x, tol, max_terms)
+        return _log_series(d, x, w, tol, max_terms)
 
     if n <= 1:
         return seed(nu)

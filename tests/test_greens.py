@@ -7,6 +7,8 @@ import pytest
 from fisheye.errors import CoincidentPointsError, DomainError, ResonanceError
 from fisheye.greens import (
     ModeSumResult,
+    _xi_points,
+    _xi_w,
     greens_modesum,
     greens_zz,
     greens_zz_orders,
@@ -55,6 +57,21 @@ class TestXi:
     def test_zeta_pole_handled(self):
         assert not np.isfinite(zeta(1j, 1j * -1.0 + 0j)) or True  # no crash
         assert xi(0.5, -2.0) == 1.0  # a1 conj(a2) + 1 = 0 exactly
+        assert _xi_w(0.5, -2.0) == (1.0, 1.0)
+
+    def test_w_keeps_relative_precision_near_the_source(self):
+        # w = (1 + xi)/2 = m/(m + 1) with m = |zeta|^2, formed without 1 + xi
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        a1 = -0.9258287292817679
+        a2 = a1 + np.logspace(-9, -1, 9)
+        got_xi, got_w = _xi_points(a1, a2)
+        for a, x, w in zip(a2.tolist(), got_xi, got_w):
+            m2 = ((mpmath.mpf(a1) - a) / (mpmath.mpf(a1) * a + 1)) ** 2
+            want = m2 / (m2 + 1)
+            assert abs(w - want) <= 4e-16 * want
+            assert (x, w) == _xi_w(a1, a)
+            assert x == xi(a1, a)
 
 
 class TestGreensZZ:
@@ -126,6 +143,49 @@ class TestGreensZZPoints:
         p1 = DiskPoint(0.3, 1.0)
         with pytest.raises(CoincidentPointsError):
             greens_zz_points(lens_20p5, p1, np.array([0.5, 0.3]), np.array([0.0, 1.0]), OMEGA0)
+
+    @staticmethod
+    def _closed_form_mpmath(r0, rho1, rho2):
+        """-(P_nu(xi_src) - P_nu(xi_img))/(4 b sin(pi nu)) at 40 digits, points on the phi = pi ray."""
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+
+        def xi40(a, b):
+            m2 = ((a - b) / (a * b + 1)) ** 2
+            return (m2 - 1) / (m2 + 1)
+
+        k = 2 * mpmath.pi * mpmath.mpf(r0)
+        nu = (mpmath.sqrt(4 * k**2 + 1) - 1) / 2
+        a1, a2 = -mpmath.mpf(rho1), -mpmath.mpf(rho2)
+        p_src = mpmath.legenp(nu, 0, xi40(a1, a2), type=2)
+        p_img = mpmath.legenp(nu, 0, xi40(a1, 1 / a2), type=2)
+        return complex(-(p_src - p_img) / (4 * mpmath.mpf(0.1) * mpmath.sin(mpmath.pi * nu)))
+
+    def test_ddi_sweep_point_next_to_the_source_against_mpmath(self):
+        # ddi-sweep --radii 14.48 --offset 1.074: the grid point x = -13.4047
+        # lies 1.3e-3 from the fixed atom, where 1 + xi = 4.6e-9; forming 1 + xi
+        # from xi cost 2.3e-9 relative here
+        r0, offset = 14.48, 1.074
+        x1 = -(r0 - offset)
+        xs = np.linspace(-r0 * 0.999, r0 * 0.999, 1201)
+        x2 = xs[np.argmin(np.abs(xs - x1))]
+        assert x2 == -13.4047152
+        cfg, p1 = LensConfig(radius=r0, b=0.1), DiskPoint(abs(x1) / r0, math.pi)
+        want = self._closed_form_mpmath(r0, abs(x1) / r0, abs(x2) / r0)
+        got = greens_zz_points(cfg, p1, np.array([abs(x2) / r0]), np.array([math.pi]), OMEGA0)[0]
+        assert abs(got - want) <= 1e-12 * abs(want)
+        scalar = greens_zz(cfg, p1, DiskPoint(abs(x2) / r0, math.pi), OMEGA0).value
+        assert abs(scalar - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("r0", [4.93, 14.48])
+    def test_near_source_envelope_against_mpmath(self, r0):
+        # 1 + xi from ~1e-13 to ~1e-3; worst 2.9e-12 relative (R0 = 14.48)
+        rho1 = (r0 - 1.074) / r0
+        rho2 = rho1 - np.logspace(-6.5, -1.5, 11)
+        cfg, p1 = LensConfig(radius=r0, b=0.1), DiskPoint(rho1, math.pi)
+        got = greens_zz_points(cfg, p1, rho2, np.full(rho2.size, math.pi), OMEGA0)
+        want = np.array([self._closed_form_mpmath(r0, rho1, r) for r in rho2.tolist()])
+        assert np.all(np.abs(got - want) <= 1e-11 * np.abs(want))
 
     def test_radius_outside_disk_rejected(self, lens_20p5):
         with pytest.raises(DomainError):

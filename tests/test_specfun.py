@@ -395,31 +395,31 @@ class TestRealDegreePath:
     @pytest.mark.parametrize("d", [0.2718, 0.5, 0.9, 1.5, 1.0007])
     def test_series_matches_zero_imaginary_part(self, d, hyp):
         x = self.X[self.X >= 0.0] if hyp else self.X[self.X < 0.0]
-        got = _series_array(d, x, hyp, 1e-10, 100_000)
+        got = _series_array(d, x, (1.0 + x) / 2.0, hyp, 1e-10, 100_000)
         assert got.dtype == float
-        assert _same_bits(got, _series_array(complex(d), x, hyp, 1e-10, 100_000))
+        assert _same_bits(got, _series_array(complex(d), x, (1.0 + x) / 2.0, hyp, 1e-10, 100_000))
 
     @pytest.mark.parametrize("hyp", [True, False])
     def test_series_over_a_degree_array(self, rng, hyp):
         d = rng.uniform(0.01, 1.99, 300)
         x = rng.uniform(0.0, 0.999, d.size) if hyp else rng.uniform(-0.9999, -0.01, d.size)
-        got = _series_array(d, x, hyp, 1e-10, 100_000)
+        got = _series_array(d, x, (1.0 + x) / 2.0, hyp, 1e-10, 100_000)
         assert got.dtype == float
-        assert _same_bits(got, _series_array(d.astype(complex), x, hyp, 1e-10, 100_000))
+        assert _same_bits(got, _series_array(d.astype(complex), x, (1.0 + x) / 2.0, hyp, 1e-10, 100_000))
 
     @pytest.mark.parametrize("nu", [0.3, 1.7, 3.0, 10.5, 20.5, 50.459, 90.5, 59.8, 76.9993])
     def test_series_and_recurrence_over_x(self, nu):
         x = self.X if abs(nu - round(nu)) >= 1e-3 or nu == round(nu) else self.X[self.X > -0.999]
         nu = np.array(nu)
-        got = _legendre_nu_array(nu, x, 0.0, 1e-10, 100_000)
-        assert _same_bits(got.real, _legendre_nu_array(nu.astype(complex), x, 0.0, 1e-10, 100_000))
+        got = _legendre_nu_array(nu, x, None, 0.0, 1e-10, 100_000)
+        assert _same_bits(got.real, _legendre_nu_array(nu.astype(complex), x, None, 0.0, 1e-10, 100_000))
         assert np.all(got.imag == 0.0)
 
     @pytest.mark.parametrize("x", [-0.99, -0.49, 0.0, 0.35, 0.9])
     def test_series_and_recurrence_over_degrees(self, rng, x):
         nu = np.concatenate([rng.uniform(0.0, 95.0, 400), np.arange(95.0), np.arange(95.0) + 7e-4])
-        got = _legendre_nu_array(nu, x, 0.0, 1e-10, 100_000)
-        assert _same_bits(got.real, _legendre_nu_array(nu.astype(complex), x, 0.0, 1e-10, 100_000))
+        got = _legendre_nu_array(nu, x, None, 0.0, 1e-10, 100_000)
+        assert _same_bits(got.real, _legendre_nu_array(nu.astype(complex), x, None, 0.0, 1e-10, 100_000))
 
     def test_digamma_matches_zero_imaginary_part(self):
         # dense enough that numpy's float64 log would miss the complex log's
@@ -435,7 +435,7 @@ class TestRealDegreePath:
         x = np.linspace(-0.999, 0.999, 31)
         got = legendre_nu(nu, x)
         assert got.dtype == complex
-        assert np.array_equal(got, _legendre_nu_array(np.array(20.5), x, 0.0, 1e-10, 100_000))
+        assert np.array_equal(got, _legendre_nu_array(np.array(20.5), x, None, 0.0, 1e-10, 100_000))
         assert legendre_nu(np.full(3, nu), 0.3).dtype == complex
 
     def test_complex_degrees_keep_the_complex_path(self):
@@ -443,7 +443,36 @@ class TestRealDegreePath:
         nu = np.array([20.5, 30.5 + 1e-3j])
         got = legendre_nu(nu, -0.4)
         assert got[1].imag != 0.0
-        assert np.array_equal(got, _legendre_nu_array(nu, -0.4, 0.0, 1e-10, 100_000))
+        assert np.array_equal(got, _legendre_nu_array(nu, -0.4, None, 0.0, 1e-10, 100_000))
+
+
+class TestLegendreNuNearMinusOne:
+    """w = (1 + x)/2 given to full relative precision seeds the log series."""
+
+    W = np.logspace(-14, -3, 12)
+
+    @pytest.mark.parametrize("nu", [0.5, 10.5, 30.61, 50.459, 90.5, 90.5 + 0.3j])
+    def test_against_mpmath(self, nu):
+        # worst 4.3e-13 relative (nu = 90.5); x = 2w - 1 alone loses up to 3.6e-5
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        x = 2.0 * self.W - 1.0
+        want = np.array([complex(mpmath.legenp(mpmath.mpmathify(nu), 0, 2 * mpmath.mpf(w) - 1, type=2))
+                         for w in self.W.tolist()])
+        scalar = np.array([legendre_nu(nu, u, w=v) for u, v in zip(x.tolist(), self.W.tolist())])
+        assert np.all(np.abs(scalar - want) <= 1.5e-12 * np.abs(want))
+        assert np.all(np.abs(legendre_nu(nu, x, w=self.W) - want) <= 1.5e-12 * np.abs(want))
+
+    def test_w_of_x_is_the_default(self):
+        x = np.linspace(-0.99, 0.99, 41)
+        assert np.array_equal(legendre_nu(20.5, x, w=(1.0 + x) / 2.0), legendre_nu(20.5, x))
+        assert legendre_nu(20.5, -0.3, w=0.35) == legendre_nu(20.5, -0.3)
+
+    def test_inconsistent_w_rejected(self):
+        with pytest.raises(DomainError):
+            legendre_nu(20.5, -0.3, w=-0.3)
+        with pytest.raises(DomainError):
+            legendre_nu(20.5, np.array([-0.3, -0.5]), w=np.array([0.35, 0.35]))
 
 
 @pytest.fixture(scope="module")
