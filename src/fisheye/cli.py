@@ -16,9 +16,7 @@ it.  Exit codes: 0 success, 1 validation failure, 2 bad arguments,
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
-import operator
 import sys
 from pathlib import Path
 
@@ -40,14 +38,13 @@ def _row_format(types: tuple[type, ...]) -> str:
 
 def _write_csv(out: str | None, header: list[str], rows: list[tuple]) -> None:
     lines = [",".join(header)]
-    kinds = {tuple(map(type, row)) for row in rows}
-    if len(kinds) == 1:
-        # one format for every row: apply it once to the flattened rows
-        fmt = _row_format(kinds.pop())
-        lines.append("\n".join([fmt] * len(rows)) % tuple(itertools.chain.from_iterable(rows)))
-    else:
-        formats = {types: _row_format(types) for types in kinds}
-        lines.extend(formats[tuple(map(type, row))] % tuple(row) for row in rows)
+    formats: dict[tuple[type, ...], str] = {}
+    for row in rows:
+        types = tuple(map(type, row))
+        fmt = formats.get(types)
+        if fmt is None:
+            fmt = formats[types] = _row_format(types)
+        lines.append(fmt % tuple(row))
     text = "\n".join(lines) + "\n"
     if out is None:
         sys.stdout.write(text)
@@ -244,7 +241,7 @@ def cmd_ddi_sweep(args: argparse.Namespace) -> int:
         g = greens.greens_zz_points(cfg, p1, np.abs(xs) / r0, np.where(xs < 0, math.pi, 0.0), lens.OMEGA0)
         dw = 3.0 * math.pi / lens.OMEGA0 * g.real
         rows.extend((r0, x2, w) for x2, w in zip(xs, dw))
-    rows.sort(key=operator.itemgetter(0, 1))
+    rows.sort(key=lambda r: (r[0], r[1]))
     _write_csv(args.out, ["R0_over_lambda", "x_over_lambda", "ddi_over_Gamma0"], rows)
     if args.plot_script:
         _write_plot_script(args.plot_script, args.out, "x_over_lambda", ["ddi_over_Gamma0"], "dipole-dipole interaction sweep")
@@ -350,7 +347,7 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
 
     if simulate and mode in ("vs-loss", "vs-detuning"):
         header.append("one_minus_F_numeric")
-    rows.sort(key=operator.itemgetter(0, 1))
+    rows.sort(key=lambda r: (r[0], r[1]))
     _write_csv(args.out, header, rows)
     if args.plot_script:
         xcol = header[0] if mode == "vs-radius" else header[1]

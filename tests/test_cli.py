@@ -40,15 +40,6 @@ class TestWriteCsv:
         want = "\n".join(["a,b,c,d"] + [",".join(_fmt_per_value(v) for v in row) for row in rows]) + "\n"
         assert out.read_bytes() == want.encode("utf-8")
 
-    def test_uniform_rows_match_per_value_formatter(self, tmp_path):
-        # one type tuple for all rows: the single-format path
-        xs = np.linspace(-4.9, 4.9, 37)
-        rows = [(4.93, x, np.float64(1 / 3) * x, 7) for x in xs] + [(0.1, np.float64(-0.0), np.float64("nan"), 0)]
-        out = tmp_path / "rows.csv"
-        cli._write_csv(str(out), ["a", "b", "c", "d"], rows)
-        want = "\n".join(["a,b,c,d"] + [",".join(_fmt_per_value(v) for v in row) for row in rows]) + "\n"
-        assert out.read_bytes() == want.encode("utf-8")
-
     def test_no_rows_writes_the_header(self, tmp_path):
         out = tmp_path / "rows.csv"
         cli._write_csv(str(out), ["a", "b"], [])
