@@ -320,9 +320,12 @@ def _series_array(
         total = lw + a
         a = np.reshape(a, (-1, 1))
         # sin(pi d)/pi with each part divided by pi, as Python's complex / float
-        # does it (numpy would multiply by 1/pi)
-        sin = np.sin(np.pi * np.ravel(d))
-        scale = (sin.view(float) / math.pi).view(dtype)
+        # does it (numpy would multiply by 1/pi); a real d takes the real part
+        # of the complex sine, as _digamma_array does with the log
+        sin = np.sin(np.pi * np.ravel(d).astype(complex))
+        scale = (sin.view(float) / math.pi).view(complex)
+        if dtype is float:
+            scale = scale.real
     out = np.empty(y.shape, dtype=dtype)
     live = np.arange(y.size)
     prev_hit = np.zeros(y.size, dtype=bool)
