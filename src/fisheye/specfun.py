@@ -503,7 +503,9 @@ def legendre_nu(
     complex128, with the bits of the complex arithmetic's real parts: numpy
     divides complex numbers by multiplying with the divisor's reciprocal,
     and the float path does the same (an exact zero may differ in sign).
-    The result is complex either way.
+    Its logarithm (in the digamma) and sine are the real parts of the
+    complex ones, so a SIMD float64 kernel cannot move a last bit.  The
+    result is complex either way.
 
     Raises
     ------
