@@ -274,7 +274,7 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
     columns = [t_grid, traj.pop1, traj.pop2, traj.bell_fidelity]
     if simulate:
         g0 = schrodinger.DEFAULT_GAMMA0
-        l_range = range(1, l_max + 1) if l_max else None
+        l_range = range(1, l_max + 1) if l_max is not None else None
         blocks = schrodinger.build_blocks(cfg, lens.stereo_theta(rho), l_range=l_range, kappa=cfg.kappa, gamma0=g0)
         sim = schrodinger.evolve(blocks, cfg.kappa, t_grid / g0, gamma0=g0)
         header += ["sim_pop1", "sim_pop2", "sim_bell_fidelity"]
@@ -301,7 +301,7 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
     radii = _resolve(args, "radii", list(FIDELITY_RADII), _float_list)
     l_max = _resolve(args, "l_max", None, int)
     atoms = qed.AtomPairConfig.antipodal(rho)
-    l_range = range(1, l_max + 1) if l_max else None
+    l_range = range(1, l_max + 1) if l_max is not None else None
 
     def numeric_error(r0: float, alpha: float) -> float:
         cfg = lens.LensConfig(radius=r0, b=b, alpha=alpha)

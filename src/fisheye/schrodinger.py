@@ -34,8 +34,9 @@ relative secular residual, sum res = 1 and distinct roots; a block that
 fails falls back to dense eig / eigh with its residual check, and
 EigensolveError is raised if that fails too.  The time grid is uniform from
 0, so the phases exp(-i z_k j dt) factor into two ~sqrt(T) x n tables and
-the atomic amplitude on all T times is one GEMM; the full block state is
-built only when SimResult.state_norm is read.
+the atomic amplitude on all T times is one GEMM; the full block state and
+its weights x_k / f'(z_k) are built only when SimResult.state_norm is read.
+Blocks hold their modes as arrays, and one solve allocates its work once.
 
 The absolute coupling scale G_l is proportional to sqrt(gamma0), the
 free-space emission rate in internal units; it drops out of every reported
@@ -82,37 +83,31 @@ GRID_TOL = 1e-14
 #: Machine epsilon; f is known to about 4 EPS times the size of its terms, which floors a Newton step.
 EPS = float(np.finfo(float).eps)
 
-
-@dataclass(frozen=True)
-class CollectiveMode:
-    """One collective mode: label l, detuning delta_l, coupling G_l, loss kappa."""
-
-    l: int
-    detuning: float
-    coupling: float
-    loss: float
+#: Roots z_k, atomic residues W[:, 0] and a builder of the weight matrix W of one block.
+Spectrum = tuple[np.ndarray, np.ndarray, Callable[[], np.ndarray]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockModel:
-    """One parity block: the atom combination plus its collective modes."""
+    """One parity block: the atom combination plus its collective modes, one array entry per mode."""
 
     parity: str  # "odd" or "even"
-    modes: tuple[CollectiveMode, ...]
+    l: np.ndarray  # mode labels
+    detuning: np.ndarray  # delta_l = omega_l - omega0
+    coupling: np.ndarray  # G_l
+    loss: float  # flat mode loss kappa stored at build time
 
     @property
     def dim(self) -> int:
-        return 1 + len(self.modes)
+        return 1 + self.l.size
 
     def arrowhead(self, kappa: float | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Mode diagonal d - i kappa and border couplings G of the arrowhead.
 
-        kappa overrides the per-mode loss stored at build time (same flat
-        loss on every mode diagonal, atoms lossless).
+        kappa overrides the loss stored at build time (same flat loss on
+        every mode diagonal, atoms lossless).
         """
-        detuning = np.array([mode.detuning for mode in self.modes])
-        loss = np.array([mode.loss for mode in self.modes]) if kappa is None else kappa
-        return detuning - 1j * loss, np.array([mode.coupling for mode in self.modes])
+        return self.detuning - 1j * (self.loss if kappa is None else kappa), self.coupling
 
     def hamiltonian(self, kappa: float | None = None) -> np.ndarray:
         """Arrowhead matrix; index 0 is the atomic combination."""
@@ -178,25 +173,28 @@ def build_blocks(
     if l_range is None:
         nu_re = 0.5 * (math.sqrt(4.0 * (omega0 * cfg.radius * cfg.n0) ** 2 + 1.0) - 1.0)
         l_range = range(1, 4 * math.ceil(nu_re) + 1)
-    l_list = [l for l in l_range if l >= 1]
-    if not l_list:
+    l = np.array(l_range, dtype=int)
+    l = l[l >= 1]
+    if not l.size:
         raise DomainError("l_range selects no modes")
-    l_max = max(l_list)
+    l_max = int(l.max())
     l_roll = l_max * (1.0 - edge_taper)
     pl = legendre_poly_table(l_max, math.cos(math.pi - 2.0 * theta))
     c0sq = 3.0 * math.pi * gamma0 / (omega0**3 * cfg.b * (cfg.radius * cfg.n0) ** 2)
-    odd, even = [], []
-    for l in l_list:
-        w_l = math.sqrt(l * (l + 1.0)) / (cfg.radius * cfg.n0)
-        g_sq = c0sq * w_l * (2 * l + 1) * max(0.0, 1.0 - pl[l]) / (4.0 * math.pi)
-        window = 1.0
-        if edge_taper > 0.0 and l > l_roll:
-            window = math.cos(0.5 * math.pi * (l - l_roll) / (l_max - l_roll)) ** 2
-        mode = CollectiveMode(
-            l=l, detuning=w_l - omega0, coupling=window * math.sqrt(g_sq), loss=kappa
-        )
-        (odd if l % 2 == 1 else even).append(mode)
-    return BlockModel("odd", tuple(odd)), BlockModel("even", tuple(even))
+    w_l = np.sqrt(l * (l + 1.0)) / (cfg.radius * cfg.n0)
+    g_sq = c0sq * w_l * (2 * l + 1) * np.maximum(0.0, 1.0 - pl[l]) / (4.0 * math.pi)
+    window = np.ones(l.size)
+    if edge_taper > 0.0:
+        top = l > l_roll
+        # float_power is libm's pow, so the window is the scalar cos(x) ** 2 bit for bit
+        window[top] = np.float_power(np.cos(0.5 * math.pi * (l[top] - l_roll) / (l_max - l_roll)), 2.0)
+    coupling = window * np.sqrt(g_sq)
+    odd = l % 2 == 1
+    detuning = w_l - omega0
+    return (
+        BlockModel("odd", l[odd], detuning[odd], coupling[odd], kappa),
+        BlockModel("even", l[~odd], detuning[~odd], coupling[~odd], kappa),
+    )
 
 
 def _small_root(c: np.ndarray, g2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -206,17 +204,17 @@ def _small_root(c: np.ndarray, g2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return 2.0 * g2 / big, -0.5 * big
 
 
-def _secular_guess(base: np.ndarray, gaps: np.ndarray, g2: np.ndarray) -> np.ndarray:
+def _secular_guess(base: np.ndarray, gaps: np.ndarray, g2: np.ndarray, pull: np.ndarray) -> np.ndarray:
     """Starting offsets u_k: each root from the 2 x 2 problem with its nearest partner.
 
     Root j next to pole d_j sees the atom at the shift the other modes give
     it there, u^2 + (d_j - s_j) u - g_j^2 = 0 with s_j = sum_m!=j g_m^2 / (d_j - d_m);
     its small root is the mode-like one.  The atom-like root is the large
     root of the same problem for the most strongly mixed mode, the other
-    modes taken at z = 0.
+    modes taken at z = 0.  pull is a zeroed work array of the shape of gaps.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        pull = np.where(gaps != 0.0, g2 / gaps, 0.0)
+        np.divide(g2, gaps, out=pull, where=gaps != 0.0)
         u_modes, _ = _small_root(base[1:] - pull[1:].sum(axis=1), g2)
         star = int(np.argmax(g2 / np.abs(base[1:]) ** 2))
     shift = pull[0].sum() - pull[0, star]
@@ -224,52 +222,31 @@ def _secular_guess(base: np.ndarray, gaps: np.ndarray, g2: np.ndarray) -> np.nda
     return np.concatenate(([base[1 + star] + w_atom], u_modes))
 
 
-def _secular_terms(base, gaps, g2, u):
-    """f(z), f'(z), the size |z| + sum |g^2 / (z - d)| of f's terms, and 1 / (z - d).
+def _secular_terms(base, gaps, g2, u, inv, pull, size):
+    """f(z), f'(z) and the size |z| + sum |g^2 / (z - d)| of f's terms.
 
-    Evaluated at the roots z = base + u, with z - d = gaps + u.
+    Evaluated at the roots z = base + u, with z - d = gaps + u, in the work
+    arrays inv (left holding 1 / (z - d)), pull and size of gaps' shape.
     """
-    inv = 1.0 / (gaps + u[:, None])
-    pull = g2 * inv
+    np.divide(1.0, np.add(gaps, u[:, None], out=inv), out=inv)
+    np.multiply(g2, inv, out=pull)
     z = base + u
-    return z - pull.sum(axis=1), 1.0 + (pull * inv).sum(axis=1), np.abs(z) + np.abs(inv) @ g2, inv
+    f = z - pull.sum(axis=1)
+    fp = 1.0 + np.multiply(pull, inv, out=pull).sum(axis=1)
+    return f, fp, np.abs(z) + np.abs(inv, out=size) @ g2
 
 
-def _secular_spectrum(diag: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Roots z and weights W of the arrowhead H = [[0, g^T], [g, diag(diag)]].
-
-    exp(-i H t) e_0 = sum_k exp(-i z_k t) W[k].  The roots solve
-    f(z) = z - sum_j g_j^2 / (z - diag_j) = 0, and H is complex symmetric, so
-    W[k] = x_k / f'(z_k) with x_k = (1, g / (z_k - diag)); W[:, 0] are the
-    atomic residues.  Root 0 is the atom-like root and root j sits next to
-    pole j.  Newton runs on the offsets u (z_0 = u_0, z_j = diag_j + u_j) with
-    the gaps diag_j - diag_m formed exactly, so z - diag keeps full relative
-    accuracy.  Modes with g_j^2 <= DEFLATION_TOL * max g^2 keep the root
-    diag_j with zero weight.  Raises EigensolveError if Newton misses its
-    cap, a relative residual |f(z)| / (|z| + sum |g^2 / (z - diag)|) exceeds
-    SECULAR_RESIDUAL_TOL, |sum res - 1| > RESIDUE_SUM_TOL, or two roots
-    coincide.
-    """
-    n = diag.size
-    g2 = g * g
-    live = np.flatnonzero(g2 > DEFLATION_TOL * g2.max(initial=0.0))
-    rows = np.concatenate(([0], 1 + live))
-    z_all = np.concatenate(([0.0], diag)).astype(complex)
-    weights = np.zeros((n + 1, n + 1), dtype=complex)
-    if live.size == 0:
-        weights[0, 0] = 1.0
-        return z_all, weights
-    base = z_all[rows]
-    gaps = base[:, None] - base[None, 1:]
-    g2 = g2[live]
-    u = _secular_guess(base, gaps, g2)
+def _secular_roots(base: np.ndarray, gaps: np.ndarray, g2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets u of the roots z = base + u and residues 1 / f'(z), checked as _secular_spectrum says."""
+    inv, pull, size = np.empty_like(gaps), np.zeros_like(gaps), np.empty(gaps.shape)
+    u = _secular_guess(base, gaps, g2, pull)
     with np.errstate(all="ignore"):
-        f, fp, scale, inv = _secular_terms(base, gaps, g2, u)
+        f, fp, scale = _secular_terms(base, gaps, g2, u, inv, pull, size)
         for _ in range(SECULAR_MAX_ITER):
             step = f / fp
             floor = 4.0 * EPS * scale / np.abs(fp)
             u = u - step
-            f, fp, scale, inv = _secular_terms(base, gaps, g2, u)
+            f, fp, scale = _secular_terms(base, gaps, g2, u, inv, pull, size)
             if not np.all(np.isfinite(u)) or np.all(np.abs(step) <= SECULAR_STEP_TOL * np.abs(u) + floor):
                 break
         else:
@@ -277,24 +254,59 @@ def _secular_spectrum(diag: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.n
         res = 1.0 / fp
         residual = float(np.max(np.abs(f) / scale))
         sum_dev = abs(complex(res.sum()) - 1.0)
-        # the separation tolerance is far above the rounding of z itself
+        # the separation tolerance is far above the rounding of z itself;
+        # |z_k - z_j| over all k and j >= 1 covers every pair, z_j - z_j masked
         z = base + u
-        sep = np.abs(z[:, None] - z[None, :])
-        np.fill_diagonal(sep, np.inf)
+        sep = np.abs(np.subtract(z[:, None], z[None, 1:], out=inv), out=size)
+        sep.reshape(-1)[g2.size :: g2.size + 1] = np.inf
         distinct = bool(sep.min() > ROOT_SEPARATION_TOL * np.abs(z).max())
     if not (residual <= SECULAR_RESIDUAL_TOL and sum_dev <= RESIDUE_SUM_TOL and distinct):
         raise EigensolveError(
             f"secular roots failed their checks: relative residual {residual:.2e}, "
             f"|sum res - 1| = {sum_dev:.2e}, distinct roots: {distinct}"
         )
-    z_all[rows] = z
+    return u, res
+
+
+def _secular_weights(size, rows, gaps, u, res, g) -> np.ndarray:
+    """W[k] = res_k (1, g / (z_k - d)) on rows, zero elsewhere; 1 / (gaps + u) as in Newton, bit for bit."""
+    weights = np.zeros((size, size), dtype=complex)
     weights[rows, 0] = res
-    weights[np.ix_(rows, 1 + live)] = (res[:, None] * g[live]) * inv
-    return z_all, weights
+    weights[np.ix_(rows, rows[1:])] = (res[:, None] * g) * (1.0 / (gaps + u[:, None]))
+    return weights
 
 
-def _dense_spectrum(h: np.ndarray, hermitian: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues w and weights W[k] = c_k v_k of exp(-i H t) e_0 from dense eig / eigh.
+def _secular_spectrum(diag: np.ndarray, g: np.ndarray) -> Spectrum:
+    """Roots z, residues W[:, 0] and a builder of the weights W of H = [[0, g^T], [g, diag(diag)]].
+
+    exp(-i H t) e_0 = sum_k exp(-i z_k t) W[k].  The roots solve
+    f(z) = z - sum_j g_j^2 / (z - diag_j) = 0, and H is complex symmetric, so
+    W[k] = x_k / f'(z_k) with x_k = (1, g / (z_k - diag)); W[:, 0] are the
+    atomic residues.  The full W is formed only when the returned builder,
+    a picklable partial, is called.  Root 0 is the atom-like root and root
+    j sits next to pole j.  Newton runs on the offsets u (z_0 = u_0,
+    z_j = diag_j + u_j) with the gaps diag_j - diag_m formed exactly, so
+    z - diag keeps full relative accuracy.  Modes with
+    g_j^2 <= DEFLATION_TOL * max g^2 keep the root diag_j with zero weight.
+    Raises EigensolveError if Newton misses its cap, a relative residual
+    |f(z)| / (|z| + sum |g^2 / (z - diag)|) exceeds SECULAR_RESIDUAL_TOL,
+    |sum res - 1| > RESIDUE_SUM_TOL, or two roots coincide.
+    """
+    g2 = g * g
+    live = np.flatnonzero(g2 > DEFLATION_TOL * g2.max(initial=0.0))
+    rows = np.concatenate(([0], 1 + live))
+    z = np.concatenate(([0.0], diag)).astype(complex)
+    base = z[rows]
+    gaps = base[:, None] - base[None, 1:]
+    u, res = _secular_roots(base, gaps, g2[live]) if live.size else (np.zeros(1), np.ones(1))
+    z[rows] = base + u
+    residues = np.zeros(z.size, dtype=complex)
+    residues[rows] = res
+    return z, residues, partial(_secular_weights, z.size, rows, gaps, u, res, g[live])
+
+
+def _dense_spectrum(h: np.ndarray, hermitian: bool) -> Spectrum:
+    """Eigenvalues w, atomic residues and weights W[k] = c_k v_k of exp(-i H t) e_0 from eig / eigh.
 
     Raises EigensolveError if the eigensolver fails or misses its residual
     check ||H v - w v|| <= RESIDUAL_TOL * ||H||.
@@ -315,7 +327,8 @@ def _dense_spectrum(h: np.ndarray, hermitian: bool) -> tuple[np.ndarray, np.ndar
         raise EigensolveError(
             f"eigendecomposition residual {residual:.2e} exceeds {RESIDUAL_TOL:.0e} * ||H||"
         )
-    return w.astype(complex), coeff[:, None] * v.T
+    weights = coeff[:, None] * v.T
+    return w.astype(complex), weights[:, 0], partial(np.asarray, weights)
 
 
 def _phase_sum(z: np.ndarray, weights: np.ndarray, dt: float, n_times: int) -> np.ndarray:
@@ -337,9 +350,9 @@ def _phase_sum(z: np.ndarray, weights: np.ndarray, dt: float, n_times: int) -> n
     return out.reshape(n_outer * n_inner, *weights.shape[1:])[:n_times]
 
 
-def _full_state(z: np.ndarray, weights: np.ndarray, dt: float, n_times: int) -> np.ndarray:
+def _full_state(z: np.ndarray, weights: Callable[[], np.ndarray], dt: float, n_times: int) -> np.ndarray:
     """exp(-i H t)|0> on the time grid; rows = times, cols = components."""
-    return _phase_sum(z, weights, dt, n_times)
+    return _phase_sum(z, weights(), dt, n_times)
 
 
 def _propagate(
@@ -347,17 +360,17 @@ def _propagate(
 ) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
     """Atomic amplitude <0|exp(-i H t)|0> on t = k dt, and a callable for the full state.
 
-    The roots and weights come from the secular equation, or from the dense
+    The roots and residues come from the secular equation, or from the dense
     eigensolver if a secular check fails.  The atomic row is one GEMM; the
-    full state is built only when the returned callable is called, which is
-    a partial of module-level functions, so results pickle.
+    full state and its weights are built only when the returned partial of
+    module-level functions is called, so results pickle.
     """
     diag, border = block.arrowhead(kappa)
     try:
-        z, weights = _secular_spectrum(diag, border)
+        z, residues, weights = _secular_spectrum(diag, border)
     except EigensolveError:
-        z, weights = _dense_spectrum(block.hamiltonian(kappa), hermitian=(kappa == 0.0))
-    atomic = _phase_sum(z, weights[:, 0], dt, n_times)
+        z, residues, weights = _dense_spectrum(block.hamiltonian(kappa), hermitian=(kappa == 0.0))
+    atomic = _phase_sum(z, residues, dt, n_times)
     return atomic, partial(_full_state, z, weights, dt, n_times)
 
 

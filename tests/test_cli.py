@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fisheye import cli
-from fisheye.errors import RootNotFoundError
+from fisheye.errors import EigensolveError, NonConvergenceError, RootNotFoundError
 from fisheye.greens import GreensValue
 
 
@@ -226,6 +226,59 @@ class TestFidelity:
         with pytest.raises(SystemExit) as exc:
             _run(["fidelity"])
         assert exc.value.code == 2
+
+
+class TestSimulatorOptions:
+    """--l-max (or the config key l_max) and the exit code of the simulator path."""
+
+    COMMANDS = {
+        "dynamics": ["dynamics", "--simulate", "--samples", "20"],
+        "fidelity": ["fidelity", "--mode", "vs-loss", "--simulate", "--samples", "2", "--radii", "3.34"],
+    }
+
+    @staticmethod
+    def _argv(tmp_path, command, l_max, source):
+        argv = list(TestSimulatorOptions.COMMANDS[command])
+        if source == "flag":
+            return argv + ["--l-max", l_max]
+        config = tmp_path / "run.cfg"
+        config.write_text(f"l_max = {l_max}\n", encoding="utf-8")
+        return argv + ["--config", str(config)]
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["dynamics", "fidelity"])
+    def test_l_max_sets_the_mode_ladder(self, monkeypatch, tmp_path, command, source):
+        build = cli.schrodinger.build_blocks
+        seen = []
+
+        def recording(*args, l_range=None, **kwargs):
+            seen.append(l_range)
+            return build(*args, l_range=l_range, **kwargs)
+
+        monkeypatch.setattr(cli.schrodinger, "build_blocks", recording)
+        assert _run(self._argv(tmp_path, command, "7", source) + ["--out", str(tmp_path / "out.csv")]) == 0
+        assert seen and all(l_range == range(1, 8) for l_range in seen)
+
+    @pytest.mark.parametrize("l_max", ["0", "-2"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["dynamics", "fidelity"])
+    def test_empty_mode_ladder_is_usage_error(self, tmp_path, capsys, command, source, l_max):
+        out = tmp_path / "out.csv"
+        assert _run(self._argv(tmp_path, command, l_max, source) + ["--out", str(out)]) == 2
+        assert "l_range selects no modes" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["dynamics", "fidelity"])
+    def test_failed_eigensolve_exits_3(self, monkeypatch, tmp_path, capsys, command):
+        # every secular solve and its dense eig / eigh fallback fail their checks
+        assert issubclass(EigensolveError, NonConvergenceError)
+        monkeypatch.setattr(cli.schrodinger, "SECULAR_RESIDUAL_TOL", -1.0)
+        monkeypatch.setattr(cli.schrodinger, "RESIDUAL_TOL", -1.0)
+        out = tmp_path / "out.csv"
+        assert _run(self.COMMANDS[command] + ["--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "non-convergence" in err and "eigendecomposition residual" in err
+        assert not out.exists()
 
 
 class TestPlasmon:

@@ -17,7 +17,7 @@ from fisheye.schrodinger import (
     _propagate,
     _secular_spectrum,
 )
-from fisheye.specfun import legendre_poly
+from fisheye.specfun import legendre_poly, legendre_poly_table
 
 
 def _reference_cfg(nu_re=20.5, alpha=0.0):
@@ -61,23 +61,51 @@ class TestBuildBlocks:
         g0 = DEFAULT_GAMMA0
         bo, be = build_blocks(cfg, theta, l_range=range(1, 31), gamma0=g0, edge_taper=0.0)
         c0sq = 3.0 * math.pi * g0 / (OMEGA0**3 * cfg.b * cfg.radius**2)
-        for mode in bo.modes + be.modes:
-            l = mode.l
-            pl = legendre_poly(l, math.cos(math.pi - 2.0 * theta))
-            direct = c0sq / cfg.radius * (2 * l + 1) * math.sqrt(l * (l + 1.0)) * (1.0 - pl) / (4.0 * math.pi)
-            g_sq = c0sq * math.sqrt(l * (l + 1.0)) / cfg.radius
-            n_sq = (2 * l + 1) * (1.0 - pl) / (8.0 * math.pi)
-            assert mode.coupling**2 == pytest.approx(direct, rel=1e-12)
-            assert mode.coupling**2 == pytest.approx(2.0 * g_sq * n_sq, rel=1e-12)
+        for block in (bo, be):
+            for l, coupling in zip(block.l.tolist(), block.coupling.tolist()):
+                pl = legendre_poly(l, math.cos(math.pi - 2.0 * theta))
+                direct = c0sq / cfg.radius * (2 * l + 1) * math.sqrt(l * (l + 1.0)) * (1.0 - pl) / (4.0 * math.pi)
+                g_sq = c0sq * math.sqrt(l * (l + 1.0)) / cfg.radius
+                n_sq = (2 * l + 1) * (1.0 - pl) / (8.0 * math.pi)
+                assert coupling**2 == pytest.approx(direct, rel=1e-12)
+                assert coupling**2 == pytest.approx(2.0 * g_sq * n_sq, rel=1e-12)
+
+    @pytest.mark.parametrize("edge_taper", [0.0, 0.1, 0.25, 0.9])
+    def test_arrays_equal_the_per_mode_formula(self, edge_taper):
+        # the array build reproduces the scalar formula of the docstring bit
+        # for bit, the cos^2 window included (libm pow, not x * x)
+        cfg = LensConfig(radius=14.48)
+        theta = stereo_theta(0.27)
+        kappa = 2e-3
+        blocks = build_blocks(cfg, theta, l_range=range(-2, 366), kappa=kappa, edge_taper=edge_taper)
+        l_max = 365
+        l_roll = l_max * (1.0 - edge_taper)
+        pl = legendre_poly_table(l_max, math.cos(math.pi - 2.0 * theta))
+        c0sq = 3.0 * math.pi * DEFAULT_GAMMA0 / (OMEGA0**3 * cfg.b * (cfg.radius * cfg.n0) ** 2)
+        for block, first in zip(blocks, (1, 2)):
+            assert block.l.tolist() == list(range(first, l_max + 1, 2))
+            assert block.loss == kappa and block.dim == 1 + block.l.size
+            for l, detuning, coupling in zip(block.l.tolist(), block.detuning.tolist(), block.coupling.tolist()):
+                w_l = math.sqrt(l * (l + 1.0)) / (cfg.radius * cfg.n0)
+                g_sq = c0sq * w_l * (2 * l + 1) * max(0.0, 1.0 - pl[l]) / (4.0 * math.pi)
+                window = 1.0
+                if edge_taper > 0.0 and l > l_roll:
+                    window = math.cos(0.5 * math.pi * (l - l_roll) / (l_max - l_roll)) ** 2
+                assert detuning == w_l - OMEGA0
+                assert coupling == window * math.sqrt(g_sq)
+            diag, border = block.arrowhead()
+            assert border is block.coupling
+            assert np.array_equal(diag, block.detuning - 1j * kappa)
 
     def test_mirror_atoms_decouple(self):
         bo, be = build_blocks(_reference_cfg(), math.pi / 2.0, l_range=range(1, 21))
-        assert all(m.coupling == 0.0 for m in bo.modes + be.modes)
+        assert bo.coupling.size + be.coupling.size == 20
+        assert np.all(bo.coupling == 0.0) and np.all(be.coupling == 0.0)
 
     def test_parity_split(self):
         bo, be = build_blocks(_reference_cfg(), stereo_theta(0.27), l_range=range(1, 11))
-        assert all(m.l % 2 == 1 for m in bo.modes)
-        assert all(m.l % 2 == 0 for m in be.modes)
+        assert bo.l.tolist() == [1, 3, 5, 7, 9]
+        assert be.l.tolist() == [2, 4, 6, 8, 10]
         assert bo.parity == "odd" and be.parity == "even"
 
     def test_empty_range_rejected(self):
@@ -87,15 +115,15 @@ class TestBuildBlocks:
     def test_detuning_is_mode_frequency_minus_omega0(self):
         cfg = _reference_cfg()
         bo, _ = build_blocks(cfg, 2.0, l_range=range(1, 6))
-        for mode in bo.modes:
-            want = math.sqrt(mode.l * (mode.l + 1.0)) / cfg.radius - OMEGA0
-            assert mode.detuning == pytest.approx(want, rel=1e-14)
+        for l, detuning in zip(bo.l.tolist(), bo.detuning.tolist()):
+            want = math.sqrt(l * (l + 1.0)) / cfg.radius - OMEGA0
+            assert detuning == pytest.approx(want, rel=1e-14)
 
     def test_hamiltonian_shape(self):
         bo, _ = build_blocks(_reference_cfg(), 2.0, l_range=range(1, 9), kappa=0.01)
         h = bo.hamiltonian()
         assert h.shape == (bo.dim, bo.dim)
-        assert h[1, 1] == pytest.approx(bo.modes[0].detuning - 0.01j)
+        assert h[1, 1] == pytest.approx(bo.detuning[0] - 0.01j)
         assert h[0, 1] == h[1, 0]
 
 
@@ -179,17 +207,31 @@ class TestAtomicRow:
         assert float(np.max(np.abs(norm - _expm_norm(blocks, cfg.kappa, t)))) <= 1e-9
         assert np.array_equal(unread.state_norm, norm)
 
-    def test_compare_to_analytics_never_builds_full_state(self, monkeypatch, antipodal_027):
-        def refuse(*args):
-            raise AssertionError("full state built")
+    def test_compare_to_analytics_never_builds_full_state(self, monkeypatch, tmp_path, antipodal_027):
+        def refuse(what):
+            def call(*args):
+                raise AssertionError(f"{what} built")
 
-        monkeypatch.setattr(schrodinger, "_full_state", refuse)
+            return call
+
+        full_state = schrodinger._full_state
+        monkeypatch.setattr(schrodinger, "_full_state", refuse("full state"))
+        monkeypatch.setattr(schrodinger, "_secular_weights", refuse("weight matrix"))
         cmp = compare_to_analytics(_reference_cfg(), antipodal_027, 5e-4)
         assert cmp.relative_deviation < 0.15
-        # the patch is on the path state_norm takes
+        out = tmp_path / "out.csv"
+        assert cli.main(["dynamics", "--simulate", "--samples", "50", "--out", str(out)]) == 0
+        argv = ["fidelity", "--mode", "vs-loss", "--simulate", "--samples", "2", "--radii", "3.34"]
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        # both patches are on the path state_norm takes
         cfg = _reference_cfg(nu_re=5.5)
-        sim = evolve(build_blocks(cfg, stereo_theta(0.3), l_range=range(1, 13)), 0.0, np.linspace(0.0, 40.0, 60))
+        blocks = build_blocks(cfg, stereo_theta(0.3), l_range=range(1, 13))
+        sim = evolve(blocks, 0.0, np.linspace(0.0, 40.0, 60))
         with pytest.raises(AssertionError, match="full state built"):
+            sim.state_norm
+        monkeypatch.setattr(schrodinger, "_full_state", full_state)
+        sim = evolve(blocks, 0.0, np.linspace(0.0, 40.0, 60))
+        with pytest.raises(AssertionError, match="weight matrix built"):
             sim.state_norm
 
 
@@ -202,14 +244,19 @@ class TestSecularSpectrum:
     def test_roots_and_residues_match_eig(self, r0, alpha):
         kappa = alpha * OMEGA0
         for block in build_blocks(LensConfig(radius=r0, alpha=alpha), stereo_theta(0.27), kappa=kappa):
-            z, weights = _secular_spectrum(*block.arrowhead(kappa))
+            z, res, weights = _secular_spectrum(*block.arrowhead(kappa))
             w, v = np.linalg.eig(block.hamiltonian(kappa))
             residues = v[0] * np.linalg.solve(v, np.eye(len(w))[:, 0])
             match = np.argmin(np.abs(z[:, None] - w[None, :]), axis=1)
             assert sorted(match) == list(range(len(w)))  # one eigenvalue per root
             assert float(np.max(np.abs(z - w[match]))) <= 1e-12 * float(np.max(np.abs(w)))
-            assert float(np.max(np.abs(weights[:, 0] - residues[match]))) <= 1e-12
-            assert abs(weights[:, 0].sum() - 1.0) <= 1e-12
+            assert float(np.max(np.abs(res - residues[match]))) <= 1e-12
+            assert abs(res.sum() - 1.0) <= 1e-12
+            full = weights()
+            assert np.array_equal(full[:, 0], res)
+            # eigenvector k of H, scaled by its residue: W[k] = res_k x_k
+            vec = v[:, match].T * (residues[match] / v[0, match])[:, None]
+            assert float(np.max(np.abs(full - vec))) <= 1e-12 * float(np.max(np.abs(vec)))
 
     def test_deflated_top_mode_has_zero_weight(self):
         # the top mode of every even block sits under a cos^2 window of 3.7e-33
@@ -217,10 +264,25 @@ class TestSecularSpectrum:
         _, even = build_blocks(LensConfig(radius=3.34), stereo_theta(0.27), kappa=kappa)
         diag, border = even.arrowhead(kappa)
         assert border[-1] ** 2 <= schrodinger.DEFLATION_TOL * float(np.max(border**2))
-        z, weights = _secular_spectrum(diag, border)
+        z, res, build = _secular_spectrum(diag, border)
+        weights = build()
         assert np.all(np.isfinite(z)) and np.all(np.isfinite(weights))
         assert z[-1] == diag[-1]
+        assert res[-1] == 0.0 and np.array_equal(weights[:, 0], res)
         assert np.all(weights[-1] == 0.0) and np.all(weights[:, -1] == 0.0)
+
+    def test_coincident_roots_take_the_eig_path(self):
+        # two coupled modes on one pole share a root there, so the distinct-
+        # root check fails and the dense eigensolver evolves the block
+        block = schrodinger.BlockModel(
+            "odd", np.arange(1, 5), np.array([-0.3, 0.1, 0.1, 0.5]), np.array([0.02, 0.03, 0.01, 0.02]), 1e-3
+        )
+        with pytest.raises(EigensolveError, match="distinct roots: False"):
+            _secular_spectrum(*block.arrowhead())
+        atomic, full_state = _propagate(block, 1e-3, 5.0, 200)
+        ref = _expm_states(block.hamiltonian(), 5.0, 200)
+        assert float(np.max(np.abs(atomic - ref[:, 0]))) <= 1e-12
+        assert float(np.max(np.abs(full_state() - ref))) <= 1e-12
 
     def test_decoupled_atoms_stay_excited(self):
         # atoms on the mirror couple to no mode: every block is deflated
