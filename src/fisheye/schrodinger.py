@@ -36,7 +36,8 @@ EigensolveError is raised if that fails too.  The time grid is uniform from
 0, so the phases exp(-i z_k j dt) factor into two ~sqrt(T) x n tables and
 the atomic amplitude on all T times is one GEMM; the full block state and
 its weights x_k / f'(z_k) are built only when SimResult.state_norm is read.
-Blocks hold their modes as arrays, and one solve allocates its work once.
+Blocks hold their modes as arrays, and the Newton evaluations of one solve
+share work arrays allocated once.
 
 The absolute coupling scale G_l is proportional to sqrt(gamma0), the
 free-space emission rate in internal units; it drops out of every reported
