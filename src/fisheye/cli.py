@@ -31,21 +31,11 @@ RANGE_SWEEP_RADII = (4.93, 8.11, 11.3, 14.48)
 FIDELITY_RADII = (1.749, 3.34, 8.11, 14.48)
 
 
-def _row_format(types: tuple[type, ...]) -> str:
-    """%-format for one CSV row: integers exactly, everything else as float to 12 digits."""
-    return ",".join("%d" if issubclass(t, (int, np.integer)) else "%.12g" for t in types)
-
-
-def _write_csv(out: str | None, header: list[str], rows: list[tuple]) -> None:
-    lines = [",".join(header)]
-    formats: dict[tuple[type, ...], str] = {}
-    for row in rows:
-        types = tuple(map(type, row))
-        fmt = formats.get(types)
-        if fmt is None:
-            fmt = formats[types] = _row_format(types)
-        lines.append(fmt % tuple(row))
-    text = "\n".join(lines) + "\n"
+def _write_csv(out: str | None, header: list[str], columns: list[np.ndarray]) -> None:
+    """Header line, then one row per index of the equal-length 1-D columns: integers %d, the rest %.12g."""
+    fmt = ",".join("%d" if c.dtype.kind in "iu" else "%.12g" for c in columns)
+    rows = zip(*(c.tolist() for c in columns), strict=True)
+    text = "\n".join([",".join(header)] + [fmt % row for row in rows]) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:
@@ -103,6 +93,22 @@ def _resolve(args: argparse.Namespace, name: str, default, cast=float):
 
 def _float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
+
+
+def _samples(args: argparse.Namespace, default: int) -> int:
+    samples = int(_resolve(args, "samples", default, int))
+    if samples < 1:
+        raise DomainError(f"--samples must be at least 1, got {samples}")
+    return samples
+
+
+def _sorted_blocks(blocks: list[tuple[np.ndarray, ...]]) -> list[np.ndarray]:
+    """Concatenate per-radius column blocks (R0, x, ...) and order the rows by (R0, x), stably."""
+    columns = [np.concatenate(parts) for parts in zip(*blocks)]
+    if not columns or not columns[0].size:
+        raise DomainError("empty grid: no radius given, or no order between --nu-min and --nu-max")
+    order = np.lexsort((columns[1], columns[0]))
+    return [c[order] for c in columns]
 
 
 # ---------------------------------------------------------------- validate
@@ -227,9 +233,9 @@ def cmd_ddi_sweep(args: argparse.Namespace) -> int:
     radii = _resolve(args, "radii", list(RANGE_SWEEP_RADII), _float_list)
     b = _resolve(args, "b", 0.1)
     offset = _resolve(args, "offset", 1.0)
-    samples = int(_resolve(args, "samples", 1201, int))
+    samples = _samples(args, 1201)
 
-    rows: list[tuple] = []
+    blocks = []
     for r0 in radii:
         if offset <= 0 or offset >= 2 * r0:
             raise DomainError(f"offset {offset} puts the fixed atom outside the disk")
@@ -239,10 +245,8 @@ def cmd_ddi_sweep(args: argparse.Namespace) -> int:
         xs = np.linspace(-r0 * 0.999, r0 * 0.999, samples)
         xs = xs[np.abs(xs - x1) >= 1e-9]
         g = greens.greens_zz_points(cfg, p1, np.abs(xs) / r0, np.where(xs < 0, math.pi, 0.0), lens.OMEGA0)
-        dw = 3.0 * math.pi / lens.OMEGA0 * g.real
-        rows.extend((r0, x2, w) for x2, w in zip(xs, dw))
-    rows.sort(key=lambda r: (r[0], r[1]))
-    _write_csv(args.out, ["R0_over_lambda", "x_over_lambda", "ddi_over_Gamma0"], rows)
+        blocks.append((np.full(xs.size, r0), xs, 3.0 * math.pi / lens.OMEGA0 * g.real))
+    _write_csv(args.out, ["R0_over_lambda", "x_over_lambda", "ddi_over_Gamma0"], _sorted_blocks(blocks))
     if args.plot_script:
         _write_plot_script(args.plot_script, args.out, "x_over_lambda", ["ddi_over_Gamma0"], "dipole-dipole interaction sweep")
     return 0
@@ -258,7 +262,7 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
     alpha = _resolve(args, "alpha", 5e-4)
     rho = _resolve(args, "rho", 0.27)
     b = _resolve(args, "b", 0.1)
-    samples = int(_resolve(args, "samples", 2000, int))
+    samples = _samples(args, 2000)
     simulate = bool(_resolve(args, "simulate", False, bool))
     l_max = _resolve(args, "l_max", None, int)
 
@@ -268,10 +272,10 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
     t0 = 0.25 * math.pi / abs(rates.delta_omega)
     t_grid = np.linspace(0.0, 3.0 * math.pi / abs(rates.delta_omega), samples)
     traj = qed.trajectory(rates, t_grid)
-    marker_idx = int(np.argmin(np.abs(t_grid - t0)))
+    marker = (np.arange(samples) == np.argmin(np.abs(t_grid - t0))).astype(int)
 
     header = ["t_Gamma0", "pop1", "pop2", "bell_fidelity", "t0_marker"]
-    columns = [t_grid, traj.pop1, traj.pop2, traj.bell_fidelity]
+    columns = [t_grid, traj.pop1, traj.pop2, traj.bell_fidelity, marker]
     if simulate:
         g0 = schrodinger.DEFAULT_GAMMA0
         l_range = range(1, l_max + 1) if l_max is not None else None
@@ -279,12 +283,7 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
         sim = schrodinger.evolve(blocks, cfg.kappa, t_grid / g0, gamma0=g0)
         header += ["sim_pop1", "sim_pop2", "sim_bell_fidelity"]
         columns += [np.abs(sim.amp_a) ** 2, np.abs(sim.amp_b) ** 2, sim.bell_fidelity]
-    rows = []
-    for i in range(samples):
-        row = [columns[0][i]] + [c[i] for c in columns[1:4]] + [1 if i == marker_idx else 0]
-        row += [c[i] for c in columns[4:]]
-        rows.append(tuple(row))
-    _write_csv(args.out, header, rows)
+    _write_csv(args.out, header, columns)
     if args.plot_script:
         _write_plot_script(args.plot_script, args.out, "t_Gamma0", ["pop1", "pop2", "bell_fidelity"], "two-atom exchange dynamics")
     return 0
@@ -297,7 +296,7 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
     rho = _resolve(args, "rho", 0.27)
     b = _resolve(args, "b", 0.1)
     simulate = bool(_resolve(args, "simulate", False, bool))
-    samples = int(_resolve(args, "samples", 25, int))
+    samples = _samples(args, 25)
     radii = _resolve(args, "radii", list(FIDELITY_RADII), _float_list)
     l_max = _resolve(args, "l_max", None, int)
     atoms = qed.AtomPairConfig.antipodal(rho)
@@ -308,9 +307,9 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
         return 1.0 - schrodinger.compare_to_analytics(cfg, atoms, alpha, l_range=l_range).F_numeric
 
     # the analytic column comes from the batched rate chain, one call per
-    # radius (a row of the grid), with or without --simulate; the simulation
+    # radius (a block of rows), with or without --simulate; the simulation
     # adds only its own column
-    rows: list[tuple] = []
+    blocks: list[tuple[np.ndarray, ...]] = []
     if mode == "vs-loss":
         alphas = np.logspace(
             math.log10(_resolve(args, "alpha_min", 1e-4)),
@@ -318,37 +317,38 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
             samples,
         )
         for r0 in radii:
-            errors = qed.entangling_error(atoms, r0, alphas, b=b)
-            for a, ea in zip(alphas.tolist(), errors.tolist()):
-                rows.append((r0, a, ea, numeric_error(r0, a)) if simulate else (r0, a, ea))
+            block = (np.full(samples, r0), alphas, qed.entangling_error(atoms, r0, alphas, b=b))
+            if simulate:
+                block += (np.array([numeric_error(r0, a) for a in alphas.tolist()]),)
+            blocks.append(block)
         header = ["R0_over_lambda", "alpha", "one_minus_F_analytic"]
     elif mode == "vs-detuning":
         alpha = _resolve(args, "alpha", 5e-4)
         span = _resolve(args, "dnu_span", 0.45)
-        dnus = np.linspace(-span, span, samples if samples % 2 else samples + 1).tolist()
+        dnus = np.linspace(-span, span, samples if samples % 2 else samples + 1)
         for r0 in radii:
             nu_center = round(lens.order_parameter(lens.LensConfig(radius=r0), lens.OMEGA0).real * 2) / 2
-            rs = [lens.radius_for_order(nu_center + d) for d in dnus]
-            errors = qed.entangling_error(atoms, np.array(rs), alpha, b=b)
-            for d, r, ea in zip(dnus, rs, errors.tolist()):
-                rows.append((r0, d, ea, numeric_error(r, alpha)) if simulate else (r0, d, ea))
+            rs = [lens.radius_for_order(nu_center + d) for d in dnus.tolist()]
+            block = (np.full(dnus.size, r0), dnus, qed.entangling_error(atoms, np.array(rs), alpha, b=b))
+            if simulate:
+                block += (np.array([numeric_error(r, alpha) for r in rs]),)
+            blocks.append(block)
         header = ["R0_over_lambda", "delta_nu", "one_minus_F_analytic"]
     elif mode == "vs-radius":
         # no numeric column here, so --simulate runs no simulation
         alpha = _resolve(args, "alpha", 5e-4)
         nu_lo = _resolve(args, "nu_min", 10.5)
         nu_hi = _resolve(args, "nu_max", 90.5)
-        r0s = [lens.radius_for_order(float(nu)) for nu in np.arange(nu_lo, nu_hi + 0.5, 1.0)]
-        errors = qed.entangling_error(atoms, np.array(r0s), alpha, b=b)
-        rows = [(r0, ea, qed.fidelity_approx(r0, alpha)) for r0, ea in zip(r0s, errors.tolist())]
+        r0s = np.array([lens.radius_for_order(float(nu)) for nu in np.arange(nu_lo, nu_hi + 0.5, 1.0)])
+        approx = [qed.fidelity_approx(r0, alpha) for r0 in r0s.tolist()]
+        blocks.append((r0s, qed.entangling_error(atoms, r0s, alpha, b=b), np.array(approx)))
         header = ["R0_over_lambda", "one_minus_F_analytic", "F_approx"]
     else:  # pragma: no cover - argparse restricts choices
         raise DomainError(f"unknown fidelity mode {mode}")
 
     if simulate and mode in ("vs-loss", "vs-detuning"):
         header.append("one_minus_F_numeric")
-    rows.sort(key=lambda r: (r[0], r[1]))
-    _write_csv(args.out, header, rows)
+    _write_csv(args.out, header, _sorted_blocks(blocks))
     if args.plot_script:
         xcol = header[0] if mode == "vs-radius" else header[1]
         _write_plot_script(args.plot_script, args.out, xcol, ["one_minus_F_analytic"], f"entangling error {mode}")
@@ -367,8 +367,8 @@ def cmd_plasmon(args: argparse.Namespace) -> int:
         d_max = _resolve(args, "d_max", 200.0)
         step = _resolve(args, "step", 0.5)
         sweep = plasmon.sweep_effective_index(d_max, stack, step)
-        rows = [(s.height_nm, s.n, s.chi) for s in sweep]
-        _write_csv(args.out, ["d_nm", "n_eff", "chi"], rows)
+        n_eff = np.array([s.n_eff for s in sweep])
+        _write_csv(args.out, ["d_nm", "n_eff", "chi"], [np.array([s.height_nm for s in sweep]), n_eff.real, n_eff.imag])
         if args.plot_script:
             _write_plot_script(args.plot_script, args.out, "d_nm", ["n_eff", "chi"], "plasmon effective index vs dielectric height")
         return 0

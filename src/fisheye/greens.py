@@ -172,8 +172,8 @@ def greens_zz_points(
 
     Array form of greens_zz: p2 runs over the disk points (rho2, phi2),
     broadcast together, and the complex values come back in that shape.
-    All points share one legendre_nu call for the source arguments and one
-    for the image arguments.  Same limits and errors as greens_zz.
+    One legendre_nu call serves the source and the image arguments of all
+    points.  Same limits and errors as greens_zz.
     """
     rho2 = np.asarray(rho2, dtype=float)
     if not np.all((rho2 >= 0.0) & (rho2 <= 1.0)):
@@ -182,17 +182,16 @@ def greens_zz_points(
     s = _check_order(nu)
     a1 = p1.alpha
     a2 = rho2 * np.exp(1j * np.asarray(phi2, dtype=float))
-    xi_src, w_src = _xi_points(a1, a2)
-    if np.any(xi_src <= -1.0 + 1e-14):
-        raise CoincidentPointsError("greens_zz diverges at coincident points")
     with np.errstate(divide="ignore", invalid="ignore"):
         image = 1.0 / np.conj(a2)
+    xi, w = _xi_points(a1, np.stack([a2, image]))  # row 0 source, row 1 image
+    if np.any(xi[0] <= -1.0 + 1e-14):
+        raise CoincidentPointsError("greens_zz diverges at coincident points")
     # the image of the center is at infinity: limit as in _xi_pair
-    xi_img, w_img = _xi_points(a1, image)
     center = rho2 == 0.0
-    xi_img = np.where(center, (1.0 - p1.rho**2) / (1.0 + p1.rho**2), xi_img)
-    w_img = np.where(center, 1.0 / (1.0 + p1.rho**2), w_img)
-    p_src, p_img = legendre_nu(nu, xi_src, w=w_src), legendre_nu(nu, xi_img, w=w_img)
+    xi[1] = np.where(center, (1.0 - p1.rho**2) / (1.0 + p1.rho**2), xi[1])
+    w[1] = np.where(center, 1.0 / (1.0 + p1.rho**2), w[1])
+    p_src, p_img = legendre_nu(nu, xi, w=w)
     return -(p_src - p_img) / (4.0 * cfg.b * s)
 
 

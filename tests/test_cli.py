@@ -27,23 +27,26 @@ def _fmt_per_value(value) -> str:
 
 class TestWriteCsv:
     def test_row_formats_match_per_value_formatter(self, tmp_path):
-        rows = [
-            (0, 1.5, -0.0, float("nan")),
-            (10**12, np.int64(-7), np.float64(1 / 3), float("inf")),
-            (2**63 + 5, np.int32(0), -float("inf"), 1e-320),
-            (np.float64(-0.0), np.uint64(2**64 - 1), True, 123456789012.5),
-            (1.0, 2, 3.0),
-            (np.float64(1e22), np.float32(0.1), 7, np.float64("nan")),
+        columns = [
+            np.array([-0.0, float("inf"), -float("inf"), float("nan"), 1e-320, 1e22]),
+            np.array([1 / 3, 123456789012.5, 0.0, -2.5, 7.0, 1e-5]),
+            np.array([0.1, -0.1, 1.0, 3.0, 0.0, 2.0], dtype=np.float32),
+            np.array([0, -7, 10**12, -(10**12), 1, 2**62], dtype=np.int64),
+            np.array([0, 1, 10**12, 2**63 + 5, 2**64 - 1, 3], dtype=np.uint64),
         ]
         out = tmp_path / "rows.csv"
-        cli._write_csv(str(out), ["a", "b", "c", "d"], rows)
-        want = "\n".join(["a,b,c,d"] + [",".join(_fmt_per_value(v) for v in row) for row in rows]) + "\n"
+        cli._write_csv(str(out), ["a", "b", "c", "d", "e"], columns)
+        want = "\n".join(["a,b,c,d,e"] + [",".join(_fmt_per_value(v) for v in row) for row in zip(*columns)]) + "\n"
         assert out.read_bytes() == want.encode("utf-8")
 
     def test_no_rows_writes_the_header(self, tmp_path):
         out = tmp_path / "rows.csv"
-        cli._write_csv(str(out), ["a", "b"], [])
+        cli._write_csv(str(out), ["a", "b"], [np.array([]), np.array([], dtype=np.int64)])
         assert out.read_bytes() == b"a,b\n"
+
+    def test_unequal_columns_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            cli._write_csv(str(tmp_path / "rows.csv"), ["a", "b"], [np.zeros(3), np.zeros(2)])
 
 
 class TestValidate:
@@ -226,6 +229,63 @@ class TestFidelity:
         with pytest.raises(SystemExit) as exc:
             _run(["fidelity"])
         assert exc.value.code == 2
+
+
+class TestSweepGrids:
+    """Row order of the per-radius sweeps, and empty or negative grids."""
+
+    @staticmethod
+    def _stably_sorted_single_radius_runs(tmp_path, argv, radii):
+        # each single-radius run is one block in x order; Python's stable sort
+        # of all blocks by (R0, x) is the order the multi-radius run must print
+        lines = []
+        for i, r0 in enumerate(radii.split(",")):
+            out = tmp_path / f"single{i}.csv"
+            assert _run(argv + ["--radii", r0, "--out", str(out)]) == 0
+            lines += out.read_text(encoding="utf-8").splitlines()[1:]
+        return sorted(lines, key=lambda line: tuple(float(v) for v in line.split(",")[:2]))
+
+    @pytest.mark.parametrize(
+        "argv, radii",
+        [
+            (["ddi-sweep", "--samples", "21"], "8.11,4.93,8.11"),
+            (["fidelity", "--mode", "vs-loss", "--samples", "5"], "14.48,3.34,3.34"),
+        ],
+        ids=["ddi-sweep", "fidelity-vs-loss"],
+    )
+    def test_rows_in_stable_sort_order_of_r0_and_x(self, tmp_path, argv, radii):
+        out = tmp_path / "all.csv"
+        assert _run(argv + ["--radii", radii, "--out", str(out)]) == 0
+        got = out.read_text(encoding="utf-8").splitlines()[1:]
+        assert got == self._stably_sorted_single_radius_runs(tmp_path, argv, radii)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ddi-sweep", "--samples", "0"],
+            ["ddi-sweep", "--samples", "-3"],
+            ["ddi-sweep", "--radii", ","],
+            ["dynamics", "--samples", "0"],
+            ["dynamics", "--samples", "-1"],
+            ["fidelity", "--mode", "vs-loss", "--samples", "-2"],
+            ["fidelity", "--mode", "vs-loss", "--radii", ","],
+            ["fidelity", "--mode", "vs-detuning", "--samples", "0"],
+            ["fidelity", "--mode", "vs-radius", "--nu-min", "20.5", "--nu-max", "10.5"],
+        ],
+        ids=" ".join,
+    )
+    def test_empty_or_negative_grid_is_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "out.csv"
+        assert _run(argv + ["--out", str(out)]) == 2
+        assert "bad arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_samples_from_config_are_checked(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("samples = 0\n", encoding="utf-8")
+        out = tmp_path / "out.csv"
+        assert _run(["ddi-sweep", "--config", str(config), "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestSimulatorOptions:

@@ -4,9 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from fisheye import cli
+from fisheye import greens as greens_module
 from fisheye.errors import CoincidentPointsError, DomainError, ResonanceError
 from fisheye.greens import (
     ModeSumResult,
+    _check_order,
     _xi_points,
     _xi_w,
     greens_modesum,
@@ -190,6 +193,45 @@ class TestGreensZZPoints:
     def test_radius_outside_disk_rejected(self, lens_20p5):
         with pytest.raises(DomainError):
             greens_zz_points(lens_20p5, DiskPoint(0.3, 1.0), np.array([0.5, 1.2]), 0.0, OMEGA0)
+
+    @pytest.mark.parametrize("offset", [1.0, 1.074])
+    @pytest.mark.parametrize("r0", [4.93, 8.11, 11.3, 14.48])
+    def test_one_call_equals_separate_source_and_image_calls(self, r0, offset):
+        # the ddi-sweep grid; offset 1.074 puts a point 1.3e-3 from the source
+        # at R0 = 14.48.  Stacking the source and image arguments into one
+        # legendre_nu call must not move a bit: every element keeps its own
+        # branch, stopping rule and recurrence.
+        cfg = LensConfig(radius=r0, b=0.1)
+        x1 = -(r0 - offset)
+        p1 = DiskPoint(abs(x1) / r0, math.pi)
+        xs = np.linspace(-r0 * 0.999, r0 * 0.999, 1201)
+        xs = xs[np.abs(xs - x1) >= 1e-9]
+        rho2, phi2 = np.abs(xs) / r0, np.where(xs < 0, math.pi, 0.0)
+        got = greens_zz_points(cfg, p1, rho2, phi2, OMEGA0)
+
+        nu = order_parameter(cfg, OMEGA0)
+        a2 = rho2 * np.exp(1j * phi2)
+        xi_src, w_src = _xi_points(p1.alpha, a2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xi_img, w_img = _xi_points(p1.alpha, 1.0 / np.conj(a2))
+        center = rho2 == 0.0
+        xi_img = np.where(center, (1.0 - p1.rho**2) / (1.0 + p1.rho**2), xi_img)
+        w_img = np.where(center, 1.0 / (1.0 + p1.rho**2), w_img)
+        s = _check_order(nu)
+        want = -(legendre_nu(nu, xi_src, w=w_src) - legendre_nu(nu, xi_img, w=w_img)) / (4.0 * cfg.b * s)
+        assert got.tobytes() == want.tobytes()
+
+    def test_ddi_sweep_makes_one_legendre_call_per_radius(self, monkeypatch, tmp_path):
+        calls = []
+        real = greens_module.legendre_nu
+
+        def counting(nu, x, **kwargs):
+            calls.append(np.shape(x))
+            return real(nu, x, **kwargs)
+
+        monkeypatch.setattr(greens_module, "legendre_nu", counting)
+        assert cli.main(["ddi-sweep", "--radii", "4.93,8.11", "--out", str(tmp_path / "d.csv")]) == 0
+        assert calls == [(2, 1201), (2, 1201)]
 
 
 class TestGreensZZOrders:
