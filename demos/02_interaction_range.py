@@ -17,17 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
-from fisheye.greens import greens_zz
-from fisheye.lens import OMEGA0, DiskPoint, LensConfig
+from fisheye.greens import greens_zz_points
+from fisheye.lens import OMEGA0, LensConfig
 from fisheye.qed import image_rates
 
 OUT = Path(__file__).with_name("interaction_range.csv")
 RADII = (4.93, 8.11, 11.3, 14.48)
-
-
-def ddi(cfg, p1, p2):
-    g = greens_zz(cfg, p1, p2, OMEGA0).value
-    return 3.0 * math.pi / OMEGA0 * g.real
 
 
 def main():
@@ -35,17 +30,14 @@ def main():
     print("image-model antipodal height: 3 lambda/(8 b) = 3.75 in Gamma0 units")
     for r0 in RADII:
         cfg = LensConfig(radius=r0, b=0.1)
-        p1 = DiskPoint((r0 - 1.0) / r0, math.pi)  # one wavelength from the mirror
+        x1 = -(r0 - 1.0)  # one wavelength from the mirror
         xs = np.linspace(-0.999 * r0, 0.999 * r0, 1401)
-        antipodal_peak = 0.0
-        for x in xs:
-            p2 = DiskPoint(abs(x) / r0, 0.0 if x >= 0 else math.pi)
-            if abs(x - (-(r0 - 1.0))) < 1e-9:
-                continue  # source point itself (log divergence)
-            v = ddi(cfg, p1, p2)
-            rows.append(f"{r0:.12g},{x:.12g},{v:.12g}")
-            if x > r0 - 2.2:  # the image region; the x < 0 side holds the
-                antipodal_peak = max(antipodal_peak, abs(v))  # source divergence
+        xs = xs[np.abs(xs - x1) >= 1e-9]  # the source point itself (log divergence)
+        g = greens_zz_points(cfg, abs(x1) / r0, math.pi, np.abs(xs) / r0, np.where(xs >= 0, 0.0, math.pi), OMEGA0)
+        ddi = 3.0 * math.pi / OMEGA0 * g.real
+        rows += [f"{r0:.12g},{x:.12g},{v:.12g}" for x, v in zip(xs.tolist(), ddi.tolist())]
+        # the image region; the x < 0 side holds the source divergence
+        antipodal_peak = float(np.max(np.abs(ddi[xs > r0 - 2.2]), initial=0.0))
         model = abs(image_rates(cfg).delta_omega)
         print(f"R0 = {r0:5.2f}: antipodal peak {antipodal_peak:.3f}, "
               f"image model {model:.3f}  (source fringe accounts for the gap)")

@@ -123,10 +123,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(20260808)
 
     # integer-degree reduction of the complex-degree evaluator
-    worst = 0.0
-    for l in range(0, 9):
-        for x in np.linspace(-0.98, 1.0, 17 if quick else 50):
-            worst = max(worst, abs(specfun.legendre_nu(l, float(x)) - specfun.legendre_poly(l, float(x))))
+    xs = np.linspace(-0.98, 1.0, 17 if quick else 50)
+    want = np.array([[specfun.legendre_poly(l, x) for x in xs.tolist()] for l in range(9)])
+    worst = float(np.max(np.abs(specfun.legendre_nu(np.arange(9.0)[:, None], xs) - want)))
     _check("legendre integer-degree reduction", worst < 1e-10, f"max dev {worst:.2e}", results)
 
     # expansion oracle vs direct evaluator
@@ -160,33 +159,34 @@ def cmd_validate(args: argparse.Namespace) -> int:
             worst = max(worst, abs(got - want))
     _check("mode orthonormality identity", worst < 1e-6, f"max dev {worst:.2e}", results)
 
-    # closed form vs eigenmode sum, real frequency midway between resonances
-    worst = 0.0
-    radii = (1.749, 3.34) if quick else (1.749, 3.34, 8.11)
-    pairs = 4 if quick else 8
-    for r0 in radii:
-        cfg = lens.LensConfig(radius=r0)
-        for _ in range(pairs):
+    def random_pairs(count: int, keep_apart: float) -> tuple[list, np.ndarray]:
+        """Draw count pairs, less those with |xi + 1| < keep_apart: the pairs and their rho1, phi1, rho2, phi2 rows."""
+        pairs = []
+        for _ in range(count):
             p1 = lens.DiskPoint(rng.uniform(0.1, 0.9), rng.uniform(0, 2 * math.pi))
             p2 = lens.DiskPoint(rng.uniform(0.1, 0.9), rng.uniform(0, 2 * math.pi))
-            if abs(greens.xi(p1.alpha, p2.alpha) + 1.0) < 0.05:
-                continue
-            g = greens.greens_zz(cfg, p1, p2, lens.OMEGA0).value
-            gm = greens.greens_modesum(cfg, p1, p2, lens.OMEGA0, tol=1e-9).value
-            worst = max(worst, abs(g - gm) / abs(g))
+            if abs(greens.xi(p1.alpha, p2.alpha) + 1.0) >= keep_apart:
+                pairs.append((p1, p2))
+        return pairs, np.array([(p1.rho, p1.phi, p2.rho, p2.phi) for p1, p2 in pairs]).reshape(-1, 4).T
+
+    # closed form (one call per radius) vs eigenmode sum, real frequency
+    # midway between resonances
+    worst = 0.0
+    radii = (1.749, 3.34) if quick else (1.749, 3.34, 8.11)
+    for r0 in radii:
+        cfg = lens.LensConfig(radius=r0)
+        pairs, (rho1, phi1, rho2, phi2) = random_pairs(4 if quick else 8, 0.05)
+        g = greens.greens_zz_points(cfg, rho1, phi1, rho2, phi2, lens.OMEGA0)
+        gm = np.array([greens.greens_modesum(cfg, p1, p2, lens.OMEGA0, tol=1e-9).value for p1, p2 in pairs])
+        worst = max(worst, float(np.max(np.abs(g - gm) / np.abs(g), initial=0.0)))
     _check("closed form vs mode sum", worst < 1e-6, f"max rel dev {worst:.2e}", results)
 
-    # reciprocity
+    # reciprocity: G(p1, p2) and G(p2, p1) in one call
     cfg = lens.LensConfig(radius=3.34)
-    worst = 0.0
-    for _ in range(3 if quick else 8):
-        p1 = lens.DiskPoint(rng.uniform(0.1, 0.9), rng.uniform(0, 2 * math.pi))
-        p2 = lens.DiskPoint(rng.uniform(0.1, 0.9), rng.uniform(0, 2 * math.pi))
-        if abs(greens.xi(p1.alpha, p2.alpha) + 1.0) < 0.02:
-            continue
-        a = greens.greens_zz(cfg, p1, p2, lens.OMEGA0).value
-        b = greens.greens_zz(cfg, p2, p1, lens.OMEGA0).value
-        worst = max(worst, abs(a - b) / abs(a))
+    _, (rho1, phi1, rho2, phi2) = random_pairs(3 if quick else 8, 0.02)
+    rho, phi = np.stack([rho1, rho2]), np.stack([phi1, phi2])
+    a, b = greens.greens_zz_points(cfg, rho, phi, rho[::-1], phi[::-1], lens.OMEGA0)
+    worst = float(np.max(np.abs(a - b) / np.abs(a), initial=0.0))
     _check("reciprocity", worst < 1e-10, f"max rel dev {worst:.2e}", results)
 
     # mirror boundary
@@ -244,7 +244,7 @@ def cmd_ddi_sweep(args: argparse.Namespace) -> int:
         p1 = lens.DiskPoint(abs(x1) / r0, math.pi if x1 < 0 else 0.0)
         xs = np.linspace(-r0 * 0.999, r0 * 0.999, samples)
         xs = xs[np.abs(xs - x1) >= 1e-9]
-        g = greens.greens_zz_points(cfg, p1, np.abs(xs) / r0, np.where(xs < 0, math.pi, 0.0), lens.OMEGA0)
+        g = greens.greens_zz_points(cfg, p1.rho, p1.phi, np.abs(xs) / r0, np.where(xs < 0, math.pi, 0.0), lens.OMEGA0)
         blocks.append((np.full(xs.size, r0), xs, 3.0 * math.pi / lens.OMEGA0 * g.real))
     _write_csv(args.out, ["R0_over_lambda", "x_over_lambda", "ddi_over_Gamma0"], _sorted_blocks(blocks))
     if args.plot_script:
@@ -302,13 +302,25 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
     atoms = qed.AtomPairConfig.antipodal(rho)
     l_range = range(1, l_max + 1) if l_max is not None else None
 
-    def numeric_error(r0: float, alpha: float) -> float:
-        cfg = lens.LensConfig(radius=r0, b=b, alpha=alpha)
-        return 1.0 - schrodinger.compare_to_analytics(cfg, atoms, alpha, l_range=l_range).F_numeric
+    def block(r0: float, x: np.ndarray, radius: float | np.ndarray, alpha: float | np.ndarray) -> tuple:
+        """Rows of one radius: R0, the swept x, 1 - F analytic, and with --simulate 1 - F simulated.
 
-    # the analytic column comes from the batched rate chain, one call per
-    # radius (a block of rows), with or without --simulate; the simulation
-    # adds only its own column
+        One batched rate chain (one legendre_nu call) gives the analytic
+        column and the rates each simulated point is compared with.
+        """
+        rates = qed.coupling_rate_arrays(atoms, radius, alpha, b=b)
+        columns = (np.full(x.size, r0), x, 1.0 - qed.fidelity_from_rates(*rates))
+        if not simulate:
+            return columns
+        radius, alpha = np.broadcast_arrays(radius, alpha)
+        numeric = [
+            1.0 - schrodinger.compare_to_analytics(
+                lens.LensConfig(radius=r, b=b, alpha=a), atoms, qed.CouplingRates(*v), l_range=l_range
+            ).F_numeric
+            for r, a, *v in zip(radius.tolist(), alpha.tolist(), *(c.tolist() for c in rates))
+        ]
+        return columns + (np.array(numeric),)
+
     blocks: list[tuple[np.ndarray, ...]] = []
     if mode == "vs-loss":
         alphas = np.logspace(
@@ -316,11 +328,7 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
             math.log10(_resolve(args, "alpha_max", 1e-2)),
             samples,
         )
-        for r0 in radii:
-            block = (np.full(samples, r0), alphas, qed.entangling_error(atoms, r0, alphas, b=b))
-            if simulate:
-                block += (np.array([numeric_error(r0, a) for a in alphas.tolist()]),)
-            blocks.append(block)
+        blocks = [block(r0, alphas, r0, alphas) for r0 in radii]
         header = ["R0_over_lambda", "alpha", "one_minus_F_analytic"]
     elif mode == "vs-detuning":
         alpha = _resolve(args, "alpha", 5e-4)
@@ -328,11 +336,8 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
         dnus = np.linspace(-span, span, samples if samples % 2 else samples + 1)
         for r0 in radii:
             nu_center = round(lens.order_parameter(lens.LensConfig(radius=r0), lens.OMEGA0).real * 2) / 2
-            rs = [lens.radius_for_order(nu_center + d) for d in dnus.tolist()]
-            block = (np.full(dnus.size, r0), dnus, qed.entangling_error(atoms, np.array(rs), alpha, b=b))
-            if simulate:
-                block += (np.array([numeric_error(r, alpha) for r in rs]),)
-            blocks.append(block)
+            rs = np.array([lens.radius_for_order(nu_center + d) for d in dnus.tolist()])
+            blocks.append(block(r0, dnus, rs, alpha))
         header = ["R0_over_lambda", "delta_nu", "one_minus_F_analytic"]
     elif mode == "vs-radius":
         # no numeric column here, so --simulate runs no simulation

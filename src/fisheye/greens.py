@@ -137,24 +137,20 @@ def greens_zz_orders(
 
     The form of greens_zz for a sweep over frequency or lens radius at fixed
     points: xi_src and xi_img are two numbers and only the degree changes,
-    so an array of orders costs one legendre_nu call for all of them.  b is
-    the disk thickness.  Same errors as greens_zz, raised if any element is
-    bad.
+    so one legendre_nu call serves both arguments at every order.  b is the
+    disk thickness.  Same errors as greens_zz, raised if any element is bad.
     """
     s = _check_order(nu)
     (xi_src, w_src), (xi_img, w_img) = _xi_pair(p1, p2)
     if xi_src <= -1.0 + 1e-14:
         raise CoincidentPointsError("greens_zz diverges at coincident points")
-    if isinstance(nu, np.ndarray):
-        pair = legendre_nu(nu[..., None], np.array([xi_src, xi_img]), w=np.array([w_src, w_img]))
-        p_src, p_img = np.moveaxis(pair, -1, 0)
-    else:
-        p_src, p_img = legendre_nu(nu, xi_src, w=w_src), legendre_nu(nu, xi_img, w=w_img)
+    pair = legendre_nu(np.asarray(nu)[..., None], np.array([xi_src, xi_img]), w=np.array([w_src, w_img]))
+    p_src, p_img = np.moveaxis(pair, -1, 0)
     return -(p_src - p_img) / (4.0 * b * s)
 
 
-def _xi_points(a1: complex, a2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(xi, w) of (a1, a2) over an array of second points, as _xi_w; 1 at the zeta pole."""
+def _xi_points(a1: complex | np.ndarray, a2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(xi, w) of (a1, a2) over broadcast arrays of points, as _xi_w; 1 at the zeta pole."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         m2 = np.abs((a1 - a2) / (a1 * np.conj(a2) + 1.0)) ** 2
         finite = np.isfinite(m2)
@@ -163,25 +159,27 @@ def _xi_points(a1: complex, a2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def greens_zz_points(
     cfg: LensConfig,
-    p1: DiskPoint,
-    rho2: np.ndarray,
-    phi2: np.ndarray,
+    rho1: float | np.ndarray,
+    phi1: float | np.ndarray,
+    rho2: float | np.ndarray,
+    phi2: float | np.ndarray,
     omega: complex,
 ) -> np.ndarray:
-    """Closed-form G_zz(p1, p2, omega) for one point p1 and many points p2.
+    """Closed-form G_zz(p1, p2, omega) over many pairs of points.
 
-    Array form of greens_zz: p2 runs over the disk points (rho2, phi2),
-    broadcast together, and the complex values come back in that shape.
-    One legendre_nu call serves the source and the image arguments of all
-    points.  Same limits and errors as greens_zz.
+    Array form of greens_zz: p1 runs over the disk points (rho1, phi1) and
+    p2 over (rho2, phi2), all four broadcast together, and the complex
+    values come back in that shape.  One legendre_nu call serves the source
+    and the image arguments of all pairs.  Same limits and errors as
+    greens_zz.
     """
-    rho2 = np.asarray(rho2, dtype=float)
-    if not np.all((rho2 >= 0.0) & (rho2 <= 1.0)):
+    rho1, phi1, rho2, phi2 = (np.asarray(v, dtype=float) for v in (rho1, phi1, rho2, phi2))
+    if not (np.all((rho1 >= 0.0) & (rho1 <= 1.0)) and np.all((rho2 >= 0.0) & (rho2 <= 1.0))):
         raise DomainError("rho must lie in [0, 1]")
     nu = order_parameter(cfg, omega)
     s = _check_order(nu)
-    a1 = p1.alpha
-    a2 = rho2 * np.exp(1j * np.asarray(phi2, dtype=float))
+    a1 = rho1 * np.exp(1j * phi1)  # broadcast by numpy where it meets the second points
+    a2 = np.broadcast_to(rho2 * np.exp(1j * phi2), np.broadcast_shapes(a1.shape, rho2.shape, phi2.shape))
     with np.errstate(divide="ignore", invalid="ignore"):
         image = 1.0 / np.conj(a2)
     xi, w = _xi_points(a1, np.stack([a2, image]))  # row 0 source, row 1 image
@@ -189,8 +187,8 @@ def greens_zz_points(
         raise CoincidentPointsError("greens_zz diverges at coincident points")
     # the image of the center is at infinity: limit as in _xi_pair
     center = rho2 == 0.0
-    xi[1] = np.where(center, (1.0 - p1.rho**2) / (1.0 + p1.rho**2), xi[1])
-    w[1] = np.where(center, 1.0 / (1.0 + p1.rho**2), w[1])
+    xi[1] = np.where(center, (1.0 - rho1**2) / (1.0 + rho1**2), xi[1])
+    w[1] = np.where(center, 1.0 / (1.0 + rho1**2), w[1])
     p_src, p_img = legendre_nu(nu, xi, w=w)
     return -(p_src - p_img) / (4.0 * cfg.b * s)
 

@@ -21,9 +21,9 @@ Two closed-form levels coexist and are both exposed:
   * coupling_rates      - exact evaluation of the full Green's function,
                           including the oscillatory source-wave (fringe)
                           contribution P_nu(xi_src) (10-25% of the antipodal
-                          peak at typical geometries); entangling_error runs
-                          the same chain to 1 - F over arrays of lens radii
-                          and losses;
+                          peak at typical geometries); coupling_rate_arrays
+                          runs the same chain over arrays of lens radii and
+                          losses, and entangling_error takes it on to 1 - F;
   * image_rates         - the image-point model (P_nu(xi_src) dropped),
                           whose half-integer magnitude is 3 lambda/(8b)
                           / cosh(2 pi^2 R0 alpha / lambda);
@@ -123,13 +123,13 @@ def _pair_rates(omega, g, nu, b: float) -> tuple:
     """(delta_omega, gamma, gamma_coop) from G_zz at the complex frequency omega (order nu).
 
     Scalars or arrays; the one set of rate formulas behind coupling_rates
-    and entangling_error.
+    and coupling_rate_arrays.
     """
     pref = omega * omega * g
     return _DW_PREF * pref.real, _onsite_gamma(b, nu), _G_PREF * pref.imag
 
 
-def _fidelity(delta_omega, gamma, gamma_coop):
+def fidelity_from_rates(delta_omega, gamma, gamma_coop):
     """F = exp(-q |gamma|) cosh(q |gamma_coop|), q = pi / (4 |delta_omega|); scalars or arrays.
 
     Evaluated as (exp(-q (|gamma| - |gamma_coop|)) + exp(-q (|gamma| + |gamma_coop|))) / 2,
@@ -176,25 +176,22 @@ def coupling_rates(cfg: LensConfig, atoms: AtomPairConfig) -> CouplingRates:
     return CouplingRates(*_pair_rates(omega, g, nu, cfg.b))
 
 
-def entangling_error(
+def coupling_rate_arrays(
     atoms: AtomPairConfig,
     radius: float | np.ndarray,
     alpha: float | np.ndarray,
     *,
     b: float,
-) -> np.ndarray:
-    """1 - F of the exact rate chain over broadcast arrays of lens radii and loss ratios.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(delta_omega, gamma, gamma_coop) over broadcast arrays of lens radii and loss ratios.
 
-    The array form of 1 - entanglement_fidelity(coupling_rates(cfg, atoms))
-    with cfg = LensConfig(radius, b=b, alpha=alpha) at each element (base
-    index n0 = 1, the LensConfig default): the chain
-    nu(omega0 (1 + i alpha), R0) -> G_zz -> (delta_omega, gamma, gamma_coop)
-    -> 1 - F, with the same formulas.  The atoms are fixed, so only the
-    Legendre degree changes along the sweep, and one legendre_nu call
-    serves every point.  Raises what the scalar chain raises, if any element
-    is bad: DomainError for a bad lens or coincident atoms, ResonanceError,
-    CoincidentPointsError, ZeroCouplingError, RangeOverflowError,
-    UnphysicalRatesError and NonConvergenceError.
+    The array form of coupling_rates(cfg, atoms) with
+    cfg = LensConfig(radius, b=b, alpha=alpha) at each element (base index
+    n0 = 1, the LensConfig default), by the same formulas.  The atoms are
+    fixed, so only the Legendre degree changes along the sweep, and one
+    legendre_nu call serves every point.  Raises what coupling_rates raises,
+    if any element is bad: DomainError for a bad lens or coincident atoms,
+    ResonanceError, CoincidentPointsError and NonConvergenceError.
     """
     radius, alpha = np.broadcast_arrays(np.asarray(radius, dtype=float), np.asarray(alpha, dtype=float))
     check_lens(radius, 1.0, b, alpha)
@@ -203,7 +200,21 @@ def entangling_error(
     omega = OMEGA0 * (1.0 + 1j * alpha)
     nu = order_parameters(radius, omega)
     g = greens_zz_orders(b, atoms.p1, atoms.p2, nu)
-    return 1.0 - _fidelity(*_pair_rates(omega, g, nu, b))
+    return _pair_rates(omega, g, nu, b)
+
+
+def entangling_error(
+    atoms: AtomPairConfig,
+    radius: float | np.ndarray,
+    alpha: float | np.ndarray,
+    *,
+    b: float,
+) -> np.ndarray:
+    """1 - F of coupling_rate_arrays: the array form of 1 - entanglement_fidelity(coupling_rates(cfg, atoms)).
+
+    Raises what those two raise, if any element is bad.
+    """
+    return 1.0 - fidelity_from_rates(*coupling_rate_arrays(atoms, radius, alpha, b=b))
 
 
 def image_rates(cfg: LensConfig, alpha: float | None = None) -> CouplingRates:
@@ -349,7 +360,7 @@ def entanglement_fidelity(rates: CouplingRates) -> float:
     and RangeOverflowError where F overflows (only possible for
     |gamma_coop| well above |gamma|), UnphysicalRatesError where F > 1.
     """
-    return float(_fidelity(rates.delta_omega, rates.gamma, rates.gamma_coop))
+    return float(fidelity_from_rates(rates.delta_omega, rates.gamma, rates.gamma_coop))
 
 
 def fidelity_approx(R0_over_lambda: float, alpha: float) -> float:

@@ -56,7 +56,8 @@ import numpy as np
 
 from .errors import DomainError, EigensolveError
 from .lens import OMEGA0, LensConfig, stereo_theta
-from .qed import AtomPairConfig, CouplingRates, coupling_rates, entanglement_fidelity
+from .qed import AtomPairConfig, CouplingRates, entanglement_fidelity
+from .qed import coupling_rates  # noqa: F401  (stays importable from this module)
 from .specfun import legendre_poly_table
 
 #: Default free-space rate (internal units) setting the absolute coupling scale.
@@ -467,30 +468,28 @@ class AnalyticsComparison:
 def compare_to_analytics(
     cfg: LensConfig,
     atoms: AtomPairConfig,
-    alpha: float,
+    rates: CouplingRates,
     l_range: range | None = None,
     gamma0: float = DEFAULT_GAMMA0,
     n_times: int = 2000,
 ) -> AnalyticsComparison:
-    """Run the block simulation and compare with the closed-form rate chain.
+    """Run the block simulation at cfg and compare it with the closed-form rates there.
 
-    Requires antipodal atoms (the parity reduction assumes them).  The time
-    grid is 2000 uniform points on [0, 3 pi / delta_omega_analytic], a few
-    exchange cycles.  The relative deviation is on the entangling error
-    |(1 - F_num) - (1 - F_ana)| / (1 - F_ana).
+    rates are coupling_rates(cfg, atoms), or one element of
+    qed.coupling_rate_arrays for a caller that sweeps many points.  Requires
+    antipodal atoms (the parity reduction assumes them).  The time grid is
+    n_times uniform points on [0, 3 pi / |delta_omega|], a few exchange
+    cycles.  The relative deviation is on the entangling error
+    |(1 - F_num) - (1 - F_ana)| / (1 - F_ana), F_ana = entanglement_fidelity(rates).
     """
     if not atoms.is_antipodal:
         raise DomainError("the parity-reduced simulator requires antipodal atoms")
-    cfg_a = LensConfig(radius=cfg.radius, n0=cfg.n0, b=cfg.b, alpha=alpha)
-    rates = coupling_rates(cfg_a, atoms)
     f_ana = entanglement_fidelity(rates)
     theta = stereo_theta(atoms.p1.rho)
-    blocks = build_blocks(
-        cfg_a, theta, l_range=l_range, kappa=alpha * OMEGA0, gamma0=gamma0
-    )
+    blocks = build_blocks(cfg, theta, l_range=l_range, kappa=cfg.kappa, gamma0=gamma0)
     dw_internal = abs(rates.delta_omega) * gamma0
     t_grid = np.linspace(0.0, 3.0 * math.pi / dw_internal, n_times)
-    sim = evolve(blocks, alpha * OMEGA0, t_grid, gamma0=gamma0)
+    sim = evolve(blocks, cfg.kappa, t_grid, gamma0=gamma0)
     err_ana = 1.0 - f_ana
     deviation = (
         abs((1.0 - sim.max_fidelity) - err_ana) / err_ana if err_ana > 0 else math.inf

@@ -1,15 +1,14 @@
 """Special functions for the fish-eye cavity model.
 
 Everything downstream (mode functions, Green's functions, coupling rates)
-reduces to Legendre polynomials, associated Legendre functions, spherical
-harmonics, the digamma function, and Legendre functions of arbitrary complex
-degree.  All evaluators here are pure functions of their arguments and are
-safe to call concurrently.
+reduces to Legendre polynomials, spherical harmonics, the digamma function,
+and Legendre functions of arbitrary complex degree.  All evaluators here are
+pure functions of their arguments and are safe to call concurrently.
 
-Conventions: associated Legendre functions and spherical harmonics carry the
-Condon-Shortley phase.  The phase drops out of every physical observable in
-this package (they all involve conjugate pairs or the phase-free addition
-theorem), and the choice is pinned by the test suite.
+Conventions: spherical harmonics carry the Condon-Shortley phase.  The phase
+drops out of every physical observable in this package (they all involve
+conjugate pairs or the phase-free addition theorem), and the choice is
+pinned by the test suite.
 """
 
 from __future__ import annotations
@@ -42,35 +41,19 @@ def digamma(z: complex | np.ndarray) -> complex | np.ndarray:
     then the standard asymptotic series ln z - 1/(2z) - sum B_2n/(2n z^2n)
     is summed.  Accurate to ~1e-13 relative for |z| <= 1e3.
 
-    An ndarray z returns a complex array of its shape, computed by the same
-    steps (numpy rounds complex products and quotients a little differently,
-    so elements can differ from the scalar result in the last bits).
+    An ndarray z returns a complex array of its shape; a scalar z returns a
+    Python complex, computed as a one-element array.  Each call costs up to
+    ~0.2 ms of numpy overhead, so loops should pass an array.
 
     Raises PoleError within 1e-12 of a non-positive integer (any element).
     """
     if isinstance(z, np.ndarray):
         return np.asarray(_digamma_array(z), dtype=complex)
-    z = complex(z)
-    if z.real <= 0.5 and abs(z.imag) < 1e-12:
-        nearest = round(z.real)
-        if nearest <= 0 and abs(z.real - nearest) < 1e-12:
-            raise PoleError(f"digamma pole at z = {nearest}")
-    acc = 0.0 + 0.0j
-    while z.real < 10.0:
-        acc -= 1.0 / z
-        z += 1.0
-    inv = 1.0 / z
-    inv2 = inv * inv
-    total = cmath.log(z) - 0.5 * inv
-    power = inv2
-    for coeff in _DIGAMMA_ASYMP:
-        total -= coeff * power
-        power *= inv2
-    return acc + total
+    return complex(_digamma_array(np.asarray(z))[()])
 
 
 def _digamma_array(z: np.ndarray) -> np.ndarray:
-    """digamma over an array: the scalar steps as numpy operations, element by element.
+    """digamma over an array (or a 0-d array), element by element.
 
     A real array is worked in float64 and gives the real parts of the
     complex result bit for bit (see _quotient); its logarithm is the real
@@ -84,9 +67,11 @@ def _digamma_array(z: np.ndarray) -> np.ndarray:
         raise PoleError(f"digamma pole at z = {int(nearest[pole].flat[0])}")
     acc = np.zeros(z.shape, dtype=z.dtype)
     low = z.real < 10.0
+    # unmasked: an element already at Re z >= 10 takes 0/z and + 0, which leave
+    # it as it is (but for the sign of a zero imaginary part)
     while low.any():
-        acc[low] -= 1.0 / z[low]
-        z[low] += 1.0
+        acc -= low / z
+        z += low
         low = z.real < 10.0
     inv = 1.0 / z
     inv2 = inv * inv
@@ -123,38 +108,6 @@ def legendre_poly_table(l_max: int, x: float) -> np.ndarray:
     for k in range(1, l_max):
         out[k + 1] = ((2 * k + 1) * x * out[k] - k * out[k - 1]) / (k + 1)
     return out
-
-
-def assoc_legendre(l: int, m: int, x: float) -> float:
-    """Associated Legendre function P_l^m(x), Condon-Shortley phase.
-
-    Negative m is handled by the factorial reflection
-    P_l^{-m} = (-1)^m (l-m)!/(l+m)! P_l^m.  Stable for moderate degrees
-    (l up to a few hundred); use spherical_harmonic for large l, which
-    runs a normalized recurrence.
-    """
-    if abs(m) > l or l < 0:
-        raise DomainError("need 0 <= |m| <= l")
-    if abs(x) > 1.0:
-        raise DomainError("argument x must lie in [-1, 1]")
-    if m < 0:
-        m = -m
-        factor = (-1.0) ** m * math.factorial(l - m) / math.factorial(l + m)
-        return factor * assoc_legendre(l, m, x)
-    # diagonal start P_m^m, then raise the degree
-    pmm = 1.0
-    if m > 0:
-        s = math.sqrt((1.0 - x) * (1.0 + x))
-        for k in range(1, m + 1):
-            pmm *= -(2 * k - 1) * s
-    if l == m:
-        return pmm
-    pm1 = x * (2 * m + 1) * pmm
-    if l == m + 1:
-        return pm1
-    for k in range(m + 2, l + 1):
-        pmm, pm1 = pm1, ((2 * k - 1) * x * pm1 - (k + m - 1) * pmm) / (k - m)
-    return pm1
 
 
 def _theta_lm(l: int, m: int, u: float | np.ndarray) -> float | np.ndarray:
@@ -199,73 +152,6 @@ def spherical_harmonic(l: int, m: int, theta: float, phi: float) -> complex:
     return _theta_lm(l, m, math.cos(theta)) * cmath.exp(1j * m * phi)
 
 
-def _hyp_series(d: complex, x: float, tol: float, max_terms: int) -> complex:
-    """Gauss hypergeometric series 2F1(-d, d+1; 1; (1-x)/2) = P_d(x).
-
-    Geometric convergence with ratio -> (1-x)/2; terminates exactly when d is
-    a non-negative integer.  Stops on the geometric tail bound
-    |term| r/(1-r), which stays honest for ratios close to 1 (x near -1).
-    """
-    z = (1.0 - x) / 2.0
-    term = 1.0 + 0.0j
-    total = term
-    small_runs = 0
-    for k in range(max_terms):
-        term = term * (k - d) * (k + d + 1.0) * z / ((k + 1.0) ** 2)
-        total += term
-        ratio = min(z * abs((k + 1 - d) * (k + d + 2.0)) / ((k + 2.0) ** 2), 0.999)
-        if abs(term) * ratio / (1.0 - ratio) <= tol * max(1.0, abs(total)):
-            # two consecutive hits: a single term can dip when k passes Re d
-            small_runs += 1
-            if small_runs >= 2:
-                return total
-        else:
-            small_runs = 0
-    raise NonConvergenceError(
-        f"hypergeometric series for P_nu(nu={d}, x={x}) exceeded {max_terms} terms"
-    )
-
-
-def _log_series(d: complex, x: float, w: float, tol: float, max_terms: int) -> complex:
-    """Logarithmic connection expansion of P_d(x) about x = -1.
-
-    With w = (1+x)/2, passed in so that a caller can keep it to full
-    relative precision near x = -1,
-
-        P_d(x) = sin(pi d)/pi * sum_n c_n w^n [ln w + a_n],
-        c_0 = 1,  c_{n+1} = c_n (n-d)(n+d+1)/(n+1)^2,
-        a_0 = psi(-d) + psi(d+1) + 2 gamma_E,
-        a_{n+1} = a_n + 1/(n-d) + 1/(n+d+1) - 2/(n+1).
-
-    The n = 0 term is the familiar leading asymptote
-    (sin(pi d)/pi)[ln((1+x)/2) + gamma_E + 2 psi(d+1) + pi cot(pi d)].
-    Not usable for d within ~1e-3 of an integer (digamma poles; the
-    hypergeometric branch is used there instead).
-    """
-    lw = math.log(w)
-    c = 1.0 + 0.0j
-    a = digamma(-d) + digamma(d + 1.0) + 2.0 * EULER_GAMMA
-    total = c * (lw + a)
-    small_runs = 0
-    for n in range(max_terms):
-        c = c * (n - d) * (n + d + 1.0) * w / ((n + 1.0) ** 2)
-        a = a + 1.0 / (n - d) + 1.0 / (n + d + 1.0) - 2.0 / (n + 1.0)
-        term = c * (lw + a)
-        total += term
-        # geometric tail bound; two consecutive hits guard against single-term
-        # dips (k passing Re d, or a sign change of the log factor)
-        ratio = min(w * abs((n + 1 - d) * (n + d + 2.0)) / ((n + 2.0) ** 2), 0.999)
-        if abs(term) * ratio / (1.0 - ratio) <= tol * max(abs(total), 1e-300):
-            small_runs += 1
-            if small_runs >= 2:
-                return cmath.sin(cmath.pi * d) / math.pi * total
-        else:
-            small_runs = 0
-    raise NonConvergenceError(
-        f"logarithmic series for P_nu(nu={d}, x={x}) exceeded {max_terms} terms"
-    )
-
-
 #: How far 2w - 1 may lie from x when legendre_nu is given w = (1+x)/2.
 W_TOL = 1e-12
 
@@ -294,16 +180,24 @@ def _quotient(num: complex | np.ndarray, den: complex | np.ndarray) -> complex |
 def _series_array(
     d: complex | np.ndarray, x: np.ndarray, w: np.ndarray, hyp: bool, tol: float, max_terms: int
 ) -> np.ndarray:
-    """Array form of _hyp_series (hyp=True) or _log_series over many x.
+    """Seed series for P_d(x) over many x: hypergeometric (hyp=True) or logarithmic.
 
-    d is one degree for all x or an array with the degree of each x.  Both
-    series share the coefficient recurrence c_{n+1} = c_n (n-d)(n+d+1)
-    y/(n+1)^2, with y = (1-x)/2 or w = (1+x)/2.  Terms are formed a block at a
-    time (cumulative products and sums along a block); each element keeps
-    the scalar stopping rule, two consecutive geometric-tail hits, and
-    leaves the loop with the partial sum at the term where it met it.  A
-    real d (a float or a float array) is summed in float64, with the bits
-    of the complex sum's real parts.
+    With c_0 = 1, c_{n+1} = c_n (n-d)(n+d+1) y/(n+1)^2, the Gauss
+    hypergeometric series is P_d(x) = sum_n c_n, y = (1-x)/2, and the
+    logarithmic connection expansion about x = -1 (not usable for d within
+    ~1e-3 of an integer: digamma poles) is, with y = w = (1+x)/2,
+
+        P_d(x) = sin(pi d)/pi * sum_n c_n [ln w + a_n],
+        a_0 = psi(-d) + psi(d+1) + 2 gamma_E,
+        a_{n+1} = a_n + 1/(n-d) + 1/(n+d+1) - 2/(n+1).
+
+    d is one degree for all x or an array with the degree of each x.  Terms
+    are formed a block at a time (cumulative products and sums along a
+    block).  An element stops at the second consecutive term whose
+    geometric tail bound |term| r/(1-r) is within tol of the partial sum (of
+    1 at least, on the hypergeometric branch); a single term can dip when n
+    passes Re d.  A real d (a float or a float array) is summed in float64,
+    with the bits of the complex sum's real parts.
     """
     dtype = complex if np.iscomplexobj(d) else float
     y = (1.0 - x) / 2.0 if hyp else w
@@ -313,10 +207,8 @@ def _series_array(
         total = c.copy()
     else:
         lw, floor = np.log(y), 1e-300
-        psi = _digamma_array if isinstance(d, np.ndarray) else digamma
-        a = psi(-d) + psi(d + 1.0) + 2.0 * EULER_GAMMA
-        if dtype is float:
-            a = a.real  # the scalar digamma is complex, with a zero imaginary part
+        psi = _digamma_array(np.stack([-np.asarray(d), np.asarray(d) + 1.0]))
+        a = psi[0] + psi[1] + 2.0 * EULER_GAMMA
         total = lw + a
         a = np.reshape(a, (-1, 1))
         # sin(pi d)/pi with each part divided by pi, as Python's complex / float
@@ -366,9 +258,9 @@ def _series_array(
 
 
 def _legendre_nu_array(
-    nu: np.ndarray, x: np.ndarray, w: np.ndarray | None, x_switch: float, tol: float, max_terms: int
+    nu: np.ndarray, x: np.ndarray, w: np.ndarray | None, tol: float, max_terms: int
 ) -> np.ndarray:
-    """legendre_nu over broadcast arrays of nu and x: the scalar algorithm per element.
+    """legendre_nu over broadcast arrays (or 0-d arrays) of nu and x, element by element.
 
     The work runs in the dtype of nu: float64 for a real array, complex128
     for a complex one, even where its imaginary parts are zero.  Either way
@@ -392,7 +284,7 @@ def _legendre_nu_array(
 
     def seed(d: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.ndarray:
         near_integer = np.minimum(np.abs(d - np.round(d.real)), 1.0) < 1e-3
-        hyp = near_integer | (x >= x_switch)
+        hyp = near_integer | (x >= 0.0)
         p = np.empty(x.shape, dtype=d.dtype)
         for is_hyp, branch in ((True, hyp), (False, ~hyp)):
             if branch.any():
@@ -434,7 +326,6 @@ def legendre_nu(
     x: float | np.ndarray,
     *,
     w: float | np.ndarray | None = None,
-    x_switch: float = 0.0,
     tol: float = 1e-10,
     max_terms: int = 100_000,
 ) -> complex | np.ndarray:
@@ -444,9 +335,9 @@ def legendre_nu(
     --------
     The degree is split as nu = n + s with n = floor(Re nu), so Re s in [0, 1).
     Seeds P_s(x) and P_{s+1}(x) are evaluated by series: the Gauss
-    hypergeometric series for x >= x_switch and the logarithmic connection
-    expansion about x = -1 for x < x_switch (both converge geometrically with
-    ratio <= 1/2 at the default switch point).  The seeds are then lifted to
+    hypergeometric series for x >= 0 and the logarithmic connection
+    expansion about x = -1 for x < 0 (both converge geometrically with
+    ratio <= 1/2).  The seeds are then lifted to
     degree nu with the three-term recurrence
 
         (k+1) P_{k+1}(x) = (2k+1) x P_k(x) - k P_{k-1}(x),   k = s+1, ...
@@ -460,14 +351,13 @@ def legendre_nu(
     Im nu <= 0.9 and x in [-0.99999, 0.99999], as the error relative to
     max(1, |P_nu(x)|): at the default tol = 1e-10 at most 3.1e-11, and
     1.8e-10 for nu within 1e-3 of an integer at x = -0.999; tol = 1e-13
-    brings these to 9.0e-14 and 1.9e-13 for ~20% more time per call.  The
-    scalar and the array path meet the same bounds.
+    brings these to 9.0e-14 and 1.9e-13 for ~20% more time per call.
     Relative to |P_nu(x)| alone the error grows near its zeros (3.8e-11 at
     nu = 50.459, x = 0.2, where |P| = 0.11).
 
     Integer nu reduces exactly: the seed series terminate and the recurrence
     reproduces the Legendre polynomial.  For nu within ~1e-3 of an integer and
-    x < x_switch the connection series is ill-conditioned (digamma poles), so
+    x < 0 the connection series is ill-conditioned (digamma poles), so
     the hypergeometric branch is used for the seeds regardless of x (slower
     near x = -1 but well-conditioned).
 
@@ -490,17 +380,18 @@ def legendre_nu(
     Arrays
     ------
     If nu or x is an ndarray, the two are broadcast and a complex array of
-    the broadcast shape is returned, computed by the same algorithm with
-    the seed series and the recurrence run as numpy operations over all
-    elements.  Each element keeps its own degree split, branch (including
-    the near-integer rule) and stopping rule, and leaves the recurrence at
-    its own n.  So a sweep over frequency or lens radius at fixed points
-    (one x, many nu) costs one call, like a sweep over points at one
-    degree.  A scalar nu with a scalar x takes the scalar code, because
-    numpy's per-operation overhead would slow single-point calls
-    several-fold.  When every degree is real (the lossless cavity at real
-    frequency), the seeds and the recurrence run in float64 instead of
-    complex128, with the bits of the complex arithmetic's real parts: numpy
+    the broadcast shape is returned; otherwise the result is a Python
+    complex, computed as a one-element array.  The seed series and the
+    recurrence run as numpy operations over all elements.  Each element
+    keeps its own degree split, branch (including the near-integer rule)
+    and stopping rule, and leaves the recurrence at its own n.  So a sweep
+    over frequency or lens radius at fixed points (one x, many nu) costs
+    one call, like a sweep over points at one degree.  Every call costs
+    about 0.5 ms of numpy overhead, a one-element call included, so a loop
+    over points or degrees should pass them as one array.  When every
+    degree is real (the lossless cavity at real frequency), the seeds and
+    the recurrence run in float64 instead of complex128, with the bits of
+    the complex arithmetic's real parts: numpy
     divides complex numbers by multiplying with the divisor's reciprocal,
     and the float path does the same (an exact zero may differ in sign).
     Its logarithm (in the digamma) and sine are the real parts of the
@@ -517,40 +408,12 @@ def legendre_nu(
         If a seed series does not reach `tol` within `max_terms` terms
         (for any element).
     """
-    if isinstance(nu, np.ndarray) or isinstance(x, np.ndarray):
-        nu = np.asarray(nu)
-        if np.iscomplexobj(nu) and not nu.imag.any():
-            nu = nu.real  # real degrees: the float64 path
-        return _legendre_nu_array(nu, x, w, x_switch, tol, max_terms)
-    if not -1.0 < x <= 1.0:
-        raise DomainError("argument x must lie in (-1, 1]")
-    if w is None:
-        w = (1.0 + x) / 2.0
-    elif not abs(2.0 * w - 1.0 - x) <= W_TOL:
-        raise DomainError(f"w must be (1 + x)/2 to within {W_TOL}")
-    nu = complex(nu)
-    if not cmath.isfinite(nu):
-        raise DomainError("degree nu must be finite")
-    if x == 1.0:
-        return 1.0 + 0.0j
-    n = math.floor(nu.real)
-    s = nu - n
-
-    def seed(d: complex) -> complex:
-        near_integer = min(abs(d - round(d.real)), 1.0) < 1e-3
-        if x >= x_switch or near_integer:
-            return _hyp_series(d, x, tol, max_terms)
-        return _log_series(d, x, w, tol, max_terms)
-
-    if n <= 1:
-        return seed(nu)
-    p0 = seed(s)
-    p1 = seed(s + 1.0)
-    k = s + 1.0
-    for _ in range(n - 1):
-        p0, p1 = p1, ((2.0 * k + 1.0) * x * p1 - k * p0) / (k + 1.0)
-        k += 1.0
-    return p1
+    scalar = not (isinstance(nu, np.ndarray) or isinstance(x, np.ndarray))
+    nu = np.asarray(nu)
+    if np.iscomplexobj(nu) and not nu.imag.any():
+        nu = nu.real  # real degrees: the float64 path
+    p = _legendre_nu_array(nu, x, w, tol, max_terms)
+    return complex(p[()]) if scalar else p
 
 
 def legendre_nu_expansion(nu: complex, x: float, l_max: int) -> np.ndarray:

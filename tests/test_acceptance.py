@@ -6,6 +6,7 @@ lines inline.  Tolerances are pinned here, not configurable.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -19,6 +20,12 @@ FIG2_RADII = (4.93, 8.11, 11.3, 14.48)
 def _verdict(number: int, ok: bool, detail: str) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {number}: {detail}")
     assert ok, f"criterion {number} failed: {detail}"
+
+
+def _compare(cfg, atoms, alpha):
+    """compare_to_analytics at cfg with loss ratio alpha, given the closed-form rates there."""
+    cfg = replace(cfg, alpha=alpha)
+    return schrodinger.compare_to_analytics(cfg, atoms, qed.coupling_rates(cfg, atoms))
 
 
 def test_criterion_1_fredholm_equivalence(rng):
@@ -75,19 +82,9 @@ def test_criterion_3_interaction_range_figure():
     for r0 in FIG2_RADII:
         cfg = LensConfig(radius=r0, b=0.1)
         x1 = -(r0 - 1.0)
-        p1 = DiskPoint(abs(x1) / r0, math.pi)
         xs = np.linspace(r0 - 2.2, r0 - 1e-3, 1601)
-        vals = np.array(
-            [
-                abs(
-                    3.0
-                    * math.pi
-                    / OMEGA0
-                    * greens.greens_zz(cfg, p1, DiskPoint(x / r0, 0.0), OMEGA0).value.real
-                )
-                for x in xs
-            ]
-        )
+        g = greens.greens_zz_points(cfg, abs(x1) / r0, math.pi, xs / r0, 0.0, OMEGA0)
+        vals = np.abs(3.0 * math.pi / OMEGA0 * g.real)
         i = int(np.argmax(vals))
         half = vals[i] / 2.0
         j = i
@@ -182,7 +179,7 @@ def test_criterion_7_born_markov_validation(antipodal_027):
     t0 = time.time()
     cfg_ref = LensConfig(radius=radius_for_order(20.5))
     # (a) reference point
-    ref = schrodinger.compare_to_analytics(cfg_ref, antipodal_027, 5e-4)
+    ref = _compare(cfg_ref, antipodal_027, 5e-4)
     ref_ok = ref.relative_deviation < 0.15
     # (b) extracted exchange rate at kappa = 0, l_max = 4 ceil(Re nu)
     rates = qed.coupling_rates(cfg_ref, antipodal_027)
@@ -195,7 +192,7 @@ def test_criterion_7_born_markov_validation(antipodal_027):
     sweep_ok = True
     sweep_detail = []
     for alpha in (1e-4, 5e-4, 1e-3, 3e-3, 1e-2):
-        cmp = schrodinger.compare_to_analytics(cfg_ref, antipodal_027, alpha)
+        cmp = _compare(cfg_ref, antipodal_027, alpha)
         err_num = 1.0 - cmp.F_numeric
         err_cap = min(1.0 - cmp.F_analytic, 0.5)
         bounded = math.isfinite(err_num) and err_num <= 0.501 and abs(err_num - err_cap) <= 0.015 + 0.35 * err_cap
@@ -205,7 +202,7 @@ def test_criterion_7_born_markov_validation(antipodal_027):
     errs = {}
     for dnu in (-0.45, -0.225, 0.0, 0.225, 0.45):
         cfg = LensConfig(radius=radius_for_order(20.5 + dnu))
-        cmp = schrodinger.compare_to_analytics(cfg, antipodal_027, 5e-4)
+        cmp = _compare(cfg, antipodal_027, 5e-4)
         err_num = 1.0 - cmp.F_numeric
         err_cap = min(1.0 - cmp.F_analytic, 0.5)
         sweep_ok &= math.isfinite(err_num) and abs(err_num - err_cap) <= 0.015 + 0.35 * err_cap
@@ -247,13 +244,9 @@ def test_criterion_8_plasmonic_estimate():
 
 def test_criterion_9_property_suites(tmp_path, rng, full_basis_hamiltonian):
     # specfun integer-degree reduction at 1e-10
-    worst_reduction = 0.0
-    for l in range(0, 9):
-        for x in np.linspace(-0.98, 1.0, 50):
-            worst_reduction = max(
-                worst_reduction,
-                abs(specfun.legendre_nu(complex(l), float(x)) - specfun.legendre_poly(l, float(x))),
-            )
+    xs = np.linspace(-0.98, 1.0, 50)
+    want = np.array([[specfun.legendre_poly(l, x) for x in xs.tolist()] for l in range(9)])
+    worst_reduction = float(np.max(np.abs(specfun.legendre_nu(np.arange(9.0)[:, None] + 0j, xs) - want)))
     red_ok = worst_reduction < 1e-10
     # orthonormality identity for l <= 8 at 1e-6
     cfg = LensConfig(radius=2.0)

@@ -3,7 +3,6 @@ import pytest
 
 from fisheye import cli
 from fisheye.errors import EigensolveError, NonConvergenceError, RootNotFoundError
-from fisheye.greens import GreensValue
 
 
 def _run(argv):
@@ -61,12 +60,12 @@ class TestValidate:
 
     def test_sign_flip_mutation_fails(self, monkeypatch, capsys):
         # flipping the closed-form sign must break the mode-sum equivalence
-        original = cli.greens.greens_zz
+        original = cli.greens.greens_zz_points
 
-        def flipped(cfg, p1, p2, omega):
-            return GreensValue(-original(cfg, p1, p2, omega).value)
+        def flipped(*args):
+            return -original(*args)
 
-        monkeypatch.setattr(cli.greens, "greens_zz", flipped)
+        monkeypatch.setattr(cli.greens, "greens_zz_points", flipped)
         assert _run(["validate", "--quick"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
@@ -175,6 +174,19 @@ class TestFidelity:
         monkeypatch.setattr(cli.schrodinger, "compare_to_analytics", forbidden)
         assert _run(argv + ["--simulate", "--out", str(simulated)]) == 0
         assert simulated.read_bytes() == plain.read_bytes()
+
+    def test_each_simulated_point_uses_its_own_rates(self, tmp_path):
+        # the rates come from one batched chain per radius; each point must
+        # get its own element (the scalar chain agrees to the last bits)
+        out = tmp_path / "f.csv"
+        assert _run(["fidelity", "--mode", "vs-loss", "--simulate", "--radii", "3.34", "--samples", "3",
+                     "--out", str(out)]) == 0
+        _, rows = _read_csv(out)
+        atoms = cli.qed.AtomPairConfig.antipodal(0.27)
+        for r in rows:
+            cfg = cli.lens.LensConfig(radius=3.34, b=0.1, alpha=float(r[1]))
+            cmp = cli.schrodinger.compare_to_analytics(cfg, atoms, cli.qed.coupling_rates(cfg, atoms))
+            assert float(r[3]) == pytest.approx(1.0 - cmp.F_numeric, rel=1e-10)
 
     @pytest.mark.parametrize("mode", ["vs-loss", "vs-detuning"])
     def test_simulate_keeps_the_analytic_columns(self, mode, tmp_path):

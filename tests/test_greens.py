@@ -135,17 +135,32 @@ class TestGreensZZPoints:
         p1 = DiskPoint(0.27, 0.4)
         rho2 = np.concatenate([rng.uniform(0.0, 0.999, 40), [0.0, 0.27, 1.0]])
         phi2 = np.concatenate([rng.uniform(0.0, 2 * math.pi, 40), [0.0, 0.4 + math.pi, 2.0]])
-        got = greens_zz_points(cfg, p1, rho2, phi2, OMEGA0)
+        got = greens_zz_points(cfg, p1.rho, p1.phi, rho2, phi2, OMEGA0)
         want = np.array(
             [greens_zz(cfg, p1, DiskPoint(r, f), OMEGA0).value for r, f in zip(rho2, phi2)]
         )
         assert got.shape == rho2.shape
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
+    def test_first_point_broadcasts(self, rng):
+        # one pair per element: both points run over arrays, broadcast together
+        cfg = LensConfig(radius=radius_for_order(20.5), alpha=5e-4)
+        rho1, phi1 = rng.uniform(0.0, 0.999, (3, 1)), rng.uniform(0.0, 2 * math.pi, (3, 1))
+        rho2, phi2 = rng.uniform(0.0, 0.999, 5), np.array([0.0, 1.0, 2.0, 3.0, 4.0])
+        got = greens_zz_points(cfg, rho1, phi1, rho2, phi2, OMEGA0)
+        assert got.shape == (3, 5)
+        want = np.array(
+            [[greens_zz(cfg, DiskPoint(r1, f1), DiskPoint(r2, f2), OMEGA0).value for r2, f2 in zip(rho2, phi2)]
+             for r1, f1 in zip(rho1[:, 0], phi1[:, 0])]
+        )
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+        with pytest.raises(DomainError):
+            greens_zz_points(cfg, np.array([0.3, 1.2]), 0.0, 0.5, 1.0, OMEGA0)
+
     def test_coincident_point_rejected(self, lens_20p5):
         p1 = DiskPoint(0.3, 1.0)
         with pytest.raises(CoincidentPointsError):
-            greens_zz_points(lens_20p5, p1, np.array([0.5, 0.3]), np.array([0.0, 1.0]), OMEGA0)
+            greens_zz_points(lens_20p5, p1.rho, p1.phi, np.array([0.5, 0.3]), np.array([0.0, 1.0]), OMEGA0)
 
     @staticmethod
     def _closed_form_mpmath(r0, rho1, rho2):
@@ -175,7 +190,7 @@ class TestGreensZZPoints:
         assert x2 == -13.4047152
         cfg, p1 = LensConfig(radius=r0, b=0.1), DiskPoint(abs(x1) / r0, math.pi)
         want = self._closed_form_mpmath(r0, abs(x1) / r0, abs(x2) / r0)
-        got = greens_zz_points(cfg, p1, np.array([abs(x2) / r0]), np.array([math.pi]), OMEGA0)[0]
+        got = greens_zz_points(cfg, p1.rho, p1.phi, np.array([abs(x2) / r0]), np.array([math.pi]), OMEGA0)[0]
         assert abs(got - want) <= 1e-12 * abs(want)
         scalar = greens_zz(cfg, p1, DiskPoint(abs(x2) / r0, math.pi), OMEGA0).value
         assert abs(scalar - want) <= 1e-12 * abs(want)
@@ -186,13 +201,13 @@ class TestGreensZZPoints:
         rho1 = (r0 - 1.074) / r0
         rho2 = rho1 - np.logspace(-6.5, -1.5, 11)
         cfg, p1 = LensConfig(radius=r0, b=0.1), DiskPoint(rho1, math.pi)
-        got = greens_zz_points(cfg, p1, rho2, np.full(rho2.size, math.pi), OMEGA0)
+        got = greens_zz_points(cfg, p1.rho, p1.phi, rho2, np.full(rho2.size, math.pi), OMEGA0)
         want = np.array([self._closed_form_mpmath(r0, rho1, r) for r in rho2.tolist()])
         assert np.all(np.abs(got - want) <= 1e-11 * np.abs(want))
 
     def test_radius_outside_disk_rejected(self, lens_20p5):
         with pytest.raises(DomainError):
-            greens_zz_points(lens_20p5, DiskPoint(0.3, 1.0), np.array([0.5, 1.2]), 0.0, OMEGA0)
+            greens_zz_points(lens_20p5, 0.3, 1.0, np.array([0.5, 1.2]), 0.0, OMEGA0)
 
     @pytest.mark.parametrize("offset", [1.0, 1.074])
     @pytest.mark.parametrize("r0", [4.93, 8.11, 11.3, 14.48])
@@ -207,7 +222,7 @@ class TestGreensZZPoints:
         xs = np.linspace(-r0 * 0.999, r0 * 0.999, 1201)
         xs = xs[np.abs(xs - x1) >= 1e-9]
         rho2, phi2 = np.abs(xs) / r0, np.where(xs < 0, math.pi, 0.0)
-        got = greens_zz_points(cfg, p1, rho2, phi2, OMEGA0)
+        got = greens_zz_points(cfg, p1.rho, p1.phi, rho2, phi2, OMEGA0)
 
         nu = order_parameter(cfg, OMEGA0)
         a2 = rho2 * np.exp(1j * phi2)

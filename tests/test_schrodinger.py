@@ -1,5 +1,6 @@
 import math
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,12 @@ from fisheye.specfun import legendre_poly, legendre_poly_table
 
 def _reference_cfg(nu_re=20.5, alpha=0.0):
     return LensConfig(radius=radius_for_order(nu_re), alpha=alpha)
+
+
+def _compare(cfg, atoms, alpha):
+    """compare_to_analytics at cfg with loss ratio alpha, given the closed-form rates there."""
+    cfg = replace(cfg, alpha=alpha)
+    return compare_to_analytics(cfg, atoms, coupling_rates(cfg, atoms))
 
 
 def _time_grid(cfg, atoms, alpha, n=2000):
@@ -217,7 +224,7 @@ class TestAtomicRow:
         full_state = schrodinger._full_state
         monkeypatch.setattr(schrodinger, "_full_state", refuse("full state"))
         monkeypatch.setattr(schrodinger, "_secular_weights", refuse("weight matrix"))
-        cmp = compare_to_analytics(_reference_cfg(), antipodal_027, 5e-4)
+        cmp = _compare(_reference_cfg(), antipodal_027, 5e-4)
         assert cmp.relative_deviation < 0.15
         out = tmp_path / "out.csv"
         assert cli.main(["dynamics", "--simulate", "--samples", "50", "--out", str(out)]) == 0
@@ -426,7 +433,7 @@ class TestFullBasisCrossCheck:
 
 class TestCompareToAnalytics:
     def test_reference_point(self, antipodal_027):
-        cmp = compare_to_analytics(_reference_cfg(), antipodal_027, 5e-4)
+        cmp = _compare(_reference_cfg(), antipodal_027, 5e-4)
         assert cmp.relative_deviation < 0.15
         assert cmp.extracted_delta_omega == pytest.approx(
             abs(cmp.delta_omega_analytic), rel=0.05
@@ -435,7 +442,7 @@ class TestCompareToAnalytics:
     def test_loss_sweep_stays_bounded(self, antipodal_027):
         cfg = _reference_cfg()
         for alpha in (1e-4, 1e-3, 3e-3, 1e-2):
-            cmp = compare_to_analytics(cfg, antipodal_027, alpha)
+            cmp = _compare(cfg, antipodal_027, alpha)
             err_num = 1.0 - cmp.F_numeric
             err_ana = min(1.0 - cmp.F_analytic, 0.5)  # 0.5 is the physical ceiling
             assert math.isfinite(err_num)
@@ -446,7 +453,7 @@ class TestCompareToAnalytics:
         errs = {}
         for dnu in (-0.45, 0.0, 0.45):
             cfg = LensConfig(radius=radius_for_order(20.5 + dnu))
-            cmp = compare_to_analytics(cfg, antipodal_027, 5e-4)
+            cmp = _compare(cfg, antipodal_027, 5e-4)
             errs[dnu] = 1.0 - cmp.F_numeric
         assert errs[-0.45] > 2.0 * errs[0.0]
         assert errs[0.45] > 2.0 * errs[0.0]
@@ -456,4 +463,4 @@ class TestCompareToAnalytics:
 
         atoms = AtomPairConfig(DiskPoint(0.3, 0.0), DiskPoint(0.4, math.pi))
         with pytest.raises(DomainError):
-            compare_to_analytics(_reference_cfg(), atoms, 5e-4)
+            _compare(_reference_cfg(), atoms, 5e-4)

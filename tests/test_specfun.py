@@ -13,7 +13,6 @@ from fisheye.specfun import (
     _series_array,
     _theta_lm,
     accelerate,
-    assoc_legendre,
     digamma,
     legendre_nu,
     legendre_nu_expansion,
@@ -39,6 +38,7 @@ class TestDigamma:
             digamma(z)
 
     def test_array_matches_scalar(self, rng):
+        # reference: scipy, which is within 7e-14 of mpmath on points like these
         z = np.concatenate([
             rng.uniform(-95.0, 95.0, 400) + 1j * rng.uniform(-3.0, 3.0, 400),
             -rng.uniform(0.001, 1.999, 100) + 1j * rng.uniform(-1e-3, 1e-3, 100),
@@ -46,8 +46,8 @@ class TestDigamma:
         ]).reshape(2, -1)
         got = digamma(z)
         assert got.shape == z.shape and got.dtype == complex
-        want = np.array([digamma(v) for v in z.ravel().tolist()]).reshape(z.shape)
-        assert np.all(np.abs(got - want) <= 2e-15 * np.abs(want))
+        want = sp.digamma(z)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
     def test_array_against_scipy(self):
         z = np.array([0.3, 7.9, 250.0, 999.0, 3.7 + 2.1j, -4.3 + 0.5j, 0.5 - 80.0j, -0.457 + 0.01j])
@@ -88,25 +88,6 @@ class TestLegendrePoly:
             legendre_poly(-1, 0.0)
         with pytest.raises(DomainError):
             legendre_poly(3, 1.5)
-
-
-class TestAssocLegendre:
-    def test_m0_reduces_to_legendre(self):
-        assert assoc_legendre(1, 0, 0.43) == pytest.approx(0.43, abs=1e-15)
-        assert assoc_legendre(6, 0, -0.2) == pytest.approx(legendre_poly(6, -0.2), abs=1e-14)
-
-    def test_condon_shortley_sign(self):
-        # P_1^1(0) = -1 with the Condon-Shortley phase
-        assert assoc_legendre(1, 1, 0.0) == pytest.approx(-1.0, abs=1e-15)
-
-    @pytest.mark.parametrize("l,m", [(4, 2), (7, -3), (10, 10), (12, -1)])
-    def test_against_scipy(self, l, m, rng):
-        x = float(rng.uniform(-0.95, 0.95))
-        assert assoc_legendre(l, m, x) == pytest.approx(float(sp.lpmv(m, l, x)), rel=1e-11)
-
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            assoc_legendre(2, 3, 0.1)
 
 
 class TestSphericalHarmonic:
@@ -206,9 +187,9 @@ class TestLegendreNu:
 
     @pytest.mark.parametrize("l", range(0, 9))
     def test_integer_degree_reduction_grid(self, l):
-        for x in np.linspace(-0.98, 1.0, 50):
-            got = legendre_nu(complex(l), float(x))
-            assert abs(got - legendre_poly(l, float(x))) < 1e-10
+        x = np.linspace(-0.98, 1.0, 50)
+        want = np.array([legendre_poly(l, v) for v in x.tolist()])
+        assert np.all(np.abs(legendre_nu(complex(l), x) - want) < 1e-10)
 
     @pytest.mark.parametrize("nu", [0.5, 7.25, 10.5, 20.5, 50.5, 90.5, 33.17])
     def test_against_scipy_real_degree(self, nu):
@@ -289,22 +270,43 @@ class TestLegendreNu:
             legendre_nu(10.5, 1.0001)
 
 
+def _mpmath_legendre(nu, x) -> np.ndarray:
+    """P_nu(x) from mpmath over broadcast nu and x, one element at a time.
+
+    mpmath works at 15 digits here (with its own guard digits); on the
+    grids below that gives the same doubles as 40 digits in half the time.
+    A degree with zero imaginary part goes in as a real number: mpmath
+    rejects a complex integer degree.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    nu, x = np.broadcast_arrays(np.asarray(nu, dtype=complex), np.asarray(x, dtype=float))
+    degree = [mpmath.mpf(v.real) if v.imag == 0.0 else mpmath.mpc(v.real, v.imag) for v in nu.ravel().tolist()]
+    with mpmath.workdps(15):
+        ref = [complex(mpmath.legenp(d, 0, u, type=2)) for d, u in zip(degree, x.ravel().tolist())]
+    return np.array(ref, dtype=complex).reshape(x.shape)
+
+
+#: Worst error relative to max(1, |P|) at the default tol, from the accuracy envelope below.
+ENVELOPE = 6e-10
+
+
 class TestLegendreNuArray:
     @pytest.mark.parametrize(
         "nu", [0.3, 1.7, 3.0, 7.0005, 10.5, 20.5 + 0.3j, 50.459, 90.5 * (1 + 1e-2j), 90.5 + 0.9j]
     )
     def test_matches_scalar_elementwise(self, nu):
+        # reference: mpmath, one element at a time
         x = np.concatenate([np.linspace(-0.999, 1.0, 67), [0.0, -0.5, 1.0]])
         got = legendre_nu(nu, x)
-        want = np.array([legendre_nu(nu, float(v)) for v in x])
-        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+        want = _mpmath_legendre(nu, x)
+        assert np.all(np.abs(got - want) <= ENVELOPE * np.maximum(1.0, np.abs(want)))
         assert np.all(got[x == 1.0] == 1.0)
 
     def test_shape_follows_input(self):
         x = np.linspace(-0.9, 0.9, 12).reshape(3, 4)
         got = legendre_nu(20.5, x)
         assert got.shape == (3, 4) and got.dtype == complex
-        assert got[1, 2] == pytest.approx(legendre_nu(20.5, float(x[1, 2])), rel=1e-12)
+        assert abs(got[1, 2] - _mpmath_legendre(20.5, x[1, 2])) <= ENVELOPE * max(1.0, abs(got[1, 2]))
         assert legendre_nu(20.5, np.empty(0)).shape == (0,)
 
     @pytest.mark.parametrize("bad", [-1.0, 1.0001, float("nan")])
@@ -315,6 +317,40 @@ class TestLegendreNuArray:
     def test_nonconvergence_with_tiny_max_terms(self):
         with pytest.raises(NonConvergenceError):
             legendre_nu(10.5, np.array([0.9, 0.1, -0.4]), max_terms=3)
+
+
+class TestScalarCalls:
+    """A scalar call is the one-element array call, returned as a Python complex."""
+
+    @pytest.mark.parametrize(
+        "nu, x", [(20.5, 0.3), (3, -0.4), (10.5 + 0.02j, -0.7), (20.5 + 0j, -0.999), (7.0005, -0.9), (0.3, 1.0)]
+    )
+    def test_legendre_nu(self, nu, x):
+        got = legendre_nu(nu, x)
+        assert type(got) is complex
+        assert np.array([got]).tobytes() == legendre_nu(np.array([nu]), np.array([x])).tobytes()
+
+    @pytest.mark.parametrize("nu", [20.5, 30.61 + 0.3j])
+    def test_legendre_nu_with_w(self, nu):
+        # w given to full relative precision, not (1 + x)/2 rounded
+        w = 3.7e-11
+        x = 2.0 * w - 1.0
+        assert (1.0 + x) / 2.0 != w
+        got = legendre_nu(nu, x, w=w)
+        assert type(got) is complex
+        assert np.array([got]).tobytes() == legendre_nu(np.array([nu]), x, w=np.array([w])).tobytes()
+        assert got != legendre_nu(nu, x)
+
+    @pytest.mark.parametrize("z", [1.0, 0.3, 7, 250.0, 3.7 + 2.1j, -4.3 + 0.5j, 0.5 - 80.0j])
+    def test_digamma(self, z):
+        got = digamma(z)
+        assert type(got) is complex
+        assert np.array([got]).tobytes() == digamma(np.array([z])).tobytes()
+
+    @pytest.mark.parametrize("z", [0, -2.0, -5.0 + 1e-13j])
+    def test_digamma_pole(self, z):
+        with pytest.raises(PoleError):
+            digamma(z)
 
 
 def _mixed_degrees() -> np.ndarray:
@@ -335,11 +371,12 @@ class TestLegendreNuDegreeArray:
 
     @pytest.mark.parametrize("x", [-0.95, -0.49, -0.1, 0.0, 0.35, 0.9, 1.0])
     def test_matches_scalar_elementwise(self, x):
+        # reference: mpmath, one element at a time
         nu = _mixed_degrees()
         got = legendre_nu(nu, x)
-        want = np.array([legendre_nu(v, x) for v in nu.tolist()])
+        want = _mpmath_legendre(nu, x)
         assert got.shape == nu.shape and got.dtype == complex
-        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+        assert np.all(np.abs(got - want) <= ENVELOPE * np.maximum(1.0, np.abs(want)))
         if x == 1.0:
             assert np.all(got == 1.0)
 
@@ -348,8 +385,8 @@ class TestLegendreNuDegreeArray:
         x = np.array([-0.9, -0.3, 0.0, 0.6, 1.0, 0.999])
         got = legendre_nu(nu[:, None], x)
         assert got.shape == (nu.size, x.size)
-        want = np.array([[legendre_nu(v, u) for u in x.tolist()] for v in nu.tolist()])
-        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+        want = _mpmath_legendre(nu[:, None], x)
+        assert np.all(np.abs(got - want) <= ENVELOPE * np.maximum(1.0, np.abs(want)))
         assert np.all(got[:, x == 1.0] == 1.0)
 
     def test_element_order_does_not_matter(self, rng):
@@ -411,15 +448,15 @@ class TestRealDegreePath:
     def test_series_and_recurrence_over_x(self, nu):
         x = self.X if abs(nu - round(nu)) >= 1e-3 or nu == round(nu) else self.X[self.X > -0.999]
         nu = np.array(nu)
-        got = _legendre_nu_array(nu, x, None, 0.0, 1e-10, 100_000)
-        assert _same_bits(got.real, _legendre_nu_array(nu.astype(complex), x, None, 0.0, 1e-10, 100_000))
+        got = _legendre_nu_array(nu, x, None, 1e-10, 100_000)
+        assert _same_bits(got.real, _legendre_nu_array(nu.astype(complex), x, None, 1e-10, 100_000))
         assert np.all(got.imag == 0.0)
 
     @pytest.mark.parametrize("x", [-0.99, -0.49, 0.0, 0.35, 0.9])
     def test_series_and_recurrence_over_degrees(self, rng, x):
         nu = np.concatenate([rng.uniform(0.0, 95.0, 400), np.arange(95.0), np.arange(95.0) + 7e-4])
-        got = _legendre_nu_array(nu, x, None, 0.0, 1e-10, 100_000)
-        assert _same_bits(got.real, _legendre_nu_array(nu.astype(complex), x, None, 0.0, 1e-10, 100_000))
+        got = _legendre_nu_array(nu, x, None, 1e-10, 100_000)
+        assert _same_bits(got.real, _legendre_nu_array(nu.astype(complex), x, None, 1e-10, 100_000))
 
     def test_digamma_matches_zero_imaginary_part(self):
         # dense enough that numpy's float64 log would miss the complex log's
@@ -435,7 +472,7 @@ class TestRealDegreePath:
         x = np.linspace(-0.999, 0.999, 31)
         got = legendre_nu(nu, x)
         assert got.dtype == complex
-        assert np.array_equal(got, _legendre_nu_array(np.array(20.5), x, None, 0.0, 1e-10, 100_000))
+        assert np.array_equal(got, _legendre_nu_array(np.array(20.5), x, None, 1e-10, 100_000))
         assert legendre_nu(np.full(3, nu), 0.3).dtype == complex
 
     def test_complex_degrees_keep_the_complex_path(self):
@@ -443,7 +480,7 @@ class TestRealDegreePath:
         nu = np.array([20.5, 30.5 + 1e-3j])
         got = legendre_nu(nu, -0.4)
         assert got[1].imag != 0.0
-        assert np.array_equal(got, _legendre_nu_array(nu, -0.4, None, 0.0, 1e-10, 100_000))
+        assert np.array_equal(got, _legendre_nu_array(nu, -0.4, None, 1e-10, 100_000))
 
 
 class TestLegendreNuNearMinusOne:
@@ -459,8 +496,6 @@ class TestLegendreNuNearMinusOne:
         x = 2.0 * self.W - 1.0
         want = np.array([complex(mpmath.legenp(mpmath.mpmathify(nu), 0, 2 * mpmath.mpf(w) - 1, type=2))
                          for w in self.W.tolist()])
-        scalar = np.array([legendre_nu(nu, u, w=v) for u, v in zip(x.tolist(), self.W.tolist())])
-        assert np.all(np.abs(scalar - want) <= 1.5e-12 * np.abs(want))
         assert np.all(np.abs(legendre_nu(nu, x, w=self.W) - want) <= 1.5e-12 * np.abs(want))
 
     def test_w_of_x_is_the_default(self):
@@ -500,15 +535,12 @@ class TestLegendreNuAccuracyEnvelope:
     # worst error relative to max(1, |P|) on this grid: 1.8e-10 at tol=1e-10
     # and 1.9e-13 at tol=1e-13 (nu = 7.0005, x = -0.999); bounds keep >= 3x
     @pytest.mark.parametrize("tol, bound", [(1e-10, 6e-10), (1e-13, 6e-13)])
-    @pytest.mark.parametrize("path", ["scalar", "array", "pairs"])
+    @pytest.mark.parametrize("path", ["array", "pairs"])
     def test_against_mpmath(self, mpmath_grid, path, tol, bound):
         nus = [np.full(xs.size, nu) for nu, xs, _ in mpmath_grid]
         xs = [xs for _, xs, _ in mpmath_grid]
         ref = np.concatenate([ref for _, _, ref in mpmath_grid])
-        if path == "scalar":
-            pairs = zip(np.concatenate(nus).tolist(), np.concatenate(xs).tolist())
-            got = np.array([legendre_nu(nu, x, tol=tol) for nu, x in pairs])
-        elif path == "array":  # one call per degree, over its x
+        if path == "array":  # one call per degree, over its x
             got = np.concatenate([legendre_nu(complex(nu[0]), x, tol=tol) for nu, x in zip(nus, xs)])
         else:  # the whole grid in one call, a degree per element
             got = legendre_nu(np.concatenate(nus), np.concatenate(xs), tol=tol)
