@@ -36,7 +36,7 @@ from .errors import (
     ZeroCouplingError,
 )
 from .lens import OMEGA0, DiskPoint, LensConfig, ModeIndex, order_parameter, radius_for_order
-from .greens import GreensValue, ModeSumResult, greens_modesum, greens_zz, greens_zz_points
+from .greens import ModeSumResult, greens_modesum, greens_zz, greens_zz_points
 from .qed import (
     AtomPairConfig,
     CouplingRates,
@@ -62,7 +62,6 @@ __all__ = [
     "ModeIndex",
     "order_parameter",
     "radius_for_order",
-    "GreensValue",
     "ModeSumResult",
     "greens_zz",
     "greens_zz_points",

@@ -15,9 +15,13 @@ spherical distance between the stereographic images of the two points; the
 first term carries the source (xi -> -1, log divergence) and the second the
 mirror image (xi -> +1 at the antipode).  Near the source 1 + xi cancels, so
 each xi comes with w = (1 + xi)/2 = |zeta|^2/(|zeta|^2 + 1), formed directly,
-for legendre_nu's logarithmic seeds.  An eigenmode sum over the cavity
-spectrum provides an independent representation (greens_modesum) used as a
-cross-validation oracle: the two agree to ~1e-12 away from the source.
+for legendre_nu's logarithmic seeds.  One array kernel, greens_zz_orders,
+evaluates this over broadcast orders and points; greens_zz_points (one
+frequency) and greens_zz (one pair, a Python complex) are that kernel at
+order_parameter(omega), so every closed-form value shares its bits.  An
+eigenmode sum over the cavity spectrum provides an independent
+representation (greens_modesum) used as a cross-validation oracle: the two
+agree to ~1e-12 away from the source.
 
 Scale: G_zz carries 1/length through the explicit 1/(4b); all rates in the
 qed module divide out the remaining dimensional prefactors via Gamma0.
@@ -25,7 +29,6 @@ qed module divide out the remaining dimensional prefactors via Gamma0.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -49,13 +52,6 @@ MODESUM_TOL = 1e-8
 
 
 @dataclass(frozen=True)
-class GreensValue:
-    """Green's-function value (units 1/length, carrying the 1/(4b) scale)."""
-
-    value: complex
-
-
-@dataclass(frozen=True)
 class ModeSumResult:
     """Accelerated eigenmode-sum value plus its convergence report."""
 
@@ -65,53 +61,47 @@ class ModeSumResult:
     converged: bool
 
 
-def zeta(a1: complex, a2: complex) -> complex:
-    """Moebius combination (a1 - a2)/(a1 conj(a2) + 1); infinite at the image."""
-    den = a1 * np.conj(a2) + 1.0
-    if den == 0:
-        return complex(math.inf, 0.0)
-    return (a1 - a2) / den
-
-def _xi_w(a1: complex, a2: complex) -> tuple[float, float]:
-    """(xi, w) of a pair: xi = (m - 1)/(m + 1) and w = (1 + xi)/2 = m/(m + 1), m = |zeta|^2.
+def _xi_w(a1: complex | np.ndarray, a2: complex | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(xi, w) over broadcast complex coordinates: xi = (m - 1)/(m + 1), w = (1 + xi)/2 = m/(m + 1), m = |zeta|^2.
 
     w keeps full relative precision as a1 -> a2 (m -> 0), where 1 + xi
-    loses it to cancellation.  Both are 1 at the zeta pole.
+    loses it to cancellation.  Both are 1 at the zeta pole a1 conj(a2) = -1.
     """
-    z = zeta(a1, a2)
-    if not np.isfinite(z):
-        return 1.0, 1.0
-    m2 = abs(z) ** 2
-    if math.isinf(m2):
-        return 1.0, 1.0
-    return (m2 - 1.0) / (m2 + 1.0), m2 / (m2 + 1.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        m2 = np.abs((a1 - a2) / (a1 * np.conj(a2) + 1.0)) ** 2
+        finite = np.isfinite(m2)
+        return np.where(finite, (m2 - 1.0) / (m2 + 1.0), 1.0), np.where(finite, m2 / (m2 + 1.0), 1.0)
 
 
-def xi(a1: complex, a2: complex) -> float:
+def xi(a1: complex | np.ndarray, a2: complex | np.ndarray) -> float | np.ndarray:
     """Spherical-chord coordinate xi in [-1, 1]; -1 at a1 = a2, +1 at the image.
 
     The a1 conj(a2) = -1 pole of zeta is handled as the limit xi -> +1.
     """
-    return _xi_w(a1, a2)[0]
+    return _xi_w(a1, a2)[0][()]
 
 
-def _xi_pair(p1: DiskPoint, p2: DiskPoint) -> tuple[tuple[float, float], tuple[float, float]]:
-    """((xi_src, w_src), (xi_img, w_img)) for a pair of disk points, as _xi_w.
+def _source_image(rho1, phi1, rho2, phi2) -> tuple[np.ndarray, np.ndarray]:
+    """(xi, w) of the source pair (a1, a2) and the image pair (a1, 1/conj(a2)), stacked on a last axis.
 
-    The image argument 1/conj(a2) diverges for a point at the center; the
-    limit is xi_image = (1 - rho1^2)/(1 + rho1^2), w_image = 1/(1 + rho1^2).
+    The points are floats or broadcast float arrays.  The image argument
+    diverges for a2 at the center; the limit is xi_img = (1 - rho1^2)/(1 + rho1^2),
+    w_img = 1/(1 + rho1^2).
     """
-    a1, a2 = p1.alpha, p2.alpha
-    if p2.rho == 0.0:
-        image = (1.0 - p1.rho**2) / (1.0 + p1.rho**2), 1.0 / (1.0 + p1.rho**2)
-    else:
-        image = _xi_w(a1, 1.0 / np.conj(a2))
-    return _xi_w(a1, a2), image
+    a1 = rho1 * np.exp(1j * phi1)
+    a2 = rho2 * np.exp(1j * phi2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        image = 1.0 / np.conj(a2)
+    xi, w = _xi_w(a1[..., None], np.stack([a2, image], axis=-1))
+    center = rho2 == 0.0
+    xi[..., 1] = np.where(center, (1.0 - rho1**2) / (1.0 + rho1**2), xi[..., 1])
+    w[..., 1] = np.where(center, 1.0 / (1.0 + rho1**2), w[..., 1])
+    return xi, w
 
 
-def _check_order(nu: complex | np.ndarray) -> complex | np.ndarray:
+def _check_order(nu: complex | np.ndarray) -> np.ndarray:
     """sin(pi nu); ResonanceError where it vanishes numerically (any element)."""
-    s = np.sin(np.pi * nu) if isinstance(nu, np.ndarray) else cmath.sin(cmath.pi * nu)
+    s = np.sin(np.pi * np.asarray(nu))
     resonant = np.abs(s) < RESONANCE_EPS
     if np.any(resonant):
         raise ResonanceError(
@@ -120,41 +110,44 @@ def _check_order(nu: complex | np.ndarray) -> complex | np.ndarray:
     return s
 
 
-def greens_zz(cfg: LensConfig, p1: DiskPoint, p2: DiskPoint, omega: complex) -> GreensValue:
-    """Closed-form G_zz(r1, r2, omega) of the mirrored cavity.
+def greens_zz(cfg: LensConfig, p1: DiskPoint, p2: DiskPoint, omega: complex) -> complex:
+    """Closed-form G_zz(r1, r2, omega) of the mirrored cavity (units 1/length, via the 1/(4b)).
 
     For real omega between resonances the value is purely real.  Raises
     CoincidentPointsError at p1 = p2 (source-point log divergence) and
     ResonanceError when sin(pi nu) vanishes numerically.
     """
-    return GreensValue(greens_zz_orders(cfg.b, p1, p2, order_parameter(cfg, omega)))
+    return complex(greens_zz_points(cfg, p1.rho, p1.phi, p2.rho, p2.phi, omega))
 
 
 def greens_zz_orders(
-    b: float, p1: DiskPoint, p2: DiskPoint, nu: complex | np.ndarray
-) -> complex | np.ndarray:
-    """Closed-form G_zz(p1, p2) at the order nu, or at an array of orders.
+    b: float,
+    nu: complex | np.ndarray,
+    rho1: float | np.ndarray,
+    phi1: float | np.ndarray,
+    rho2: float | np.ndarray,
+    phi2: float | np.ndarray,
+) -> np.ndarray:
+    """Closed-form G_zz(p1, p2) at the orders nu: the kernel behind every closed-form value.
 
-    The form of greens_zz for a sweep over frequency or lens radius at fixed
-    points: xi_src and xi_img are two numbers and only the degree changes,
-    so one legendre_nu call serves both arguments at every order.  b is the
-    disk thickness.  Same errors as greens_zz, raised if any element is bad.
+    nu, the first points (rho1, phi1) and the second points (rho2, phi2)
+    are broadcast together, and the complex values come back in that shape.
+    A sweep over frequency or lens radius at fixed points and a sweep over
+    points at one order are both one legendre_nu call, which serves the
+    source and the image arguments of every element.  b is the disk
+    thickness.  Raises DomainError for rho outside [0, 1],
+    CoincidentPointsError at coincident points and ResonanceError where
+    sin(pi nu) vanishes numerically, if any element is bad.
     """
+    rho1, phi1, rho2, phi2 = (np.asarray(v, dtype=float) for v in (rho1, phi1, rho2, phi2))
+    if not (np.all((rho1 >= 0.0) & (rho1 <= 1.0)) and np.all((rho2 >= 0.0) & (rho2 <= 1.0))):
+        raise DomainError("rho must lie in [0, 1]")
     s = _check_order(nu)
-    (xi_src, w_src), (xi_img, w_img) = _xi_pair(p1, p2)
-    if xi_src <= -1.0 + 1e-14:
+    xi, w = _source_image(rho1, phi1, rho2, phi2)
+    if np.any(xi[..., 0] <= -1.0 + 1e-14):
         raise CoincidentPointsError("greens_zz diverges at coincident points")
-    pair = legendre_nu(np.asarray(nu)[..., None], np.array([xi_src, xi_img]), w=np.array([w_src, w_img]))
-    p_src, p_img = np.moveaxis(pair, -1, 0)
-    return -(p_src - p_img) / (4.0 * b * s)
-
-
-def _xi_points(a1: complex | np.ndarray, a2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(xi, w) of (a1, a2) over broadcast arrays of points, as _xi_w; 1 at the zeta pole."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        m2 = np.abs((a1 - a2) / (a1 * np.conj(a2) + 1.0)) ** 2
-        finite = np.isfinite(m2)
-        return np.where(finite, (m2 - 1.0) / (m2 + 1.0), 1.0), np.where(finite, m2 / (m2 + 1.0), 1.0)
+    p = legendre_nu(np.asarray(nu)[..., None], xi, w=w)
+    return -(p[..., 0] - p[..., 1]) / (4.0 * b * s)
 
 
 def greens_zz_points(
@@ -165,32 +158,11 @@ def greens_zz_points(
     phi2: float | np.ndarray,
     omega: complex,
 ) -> np.ndarray:
-    """Closed-form G_zz(p1, p2, omega) over many pairs of points.
+    """Closed-form G_zz(p1, p2, omega) over broadcast arrays of points.
 
-    Array form of greens_zz: p1 runs over the disk points (rho1, phi1) and
-    p2 over (rho2, phi2), all four broadcast together, and the complex
-    values come back in that shape.  One legendre_nu call serves the source
-    and the image arguments of all pairs.  Same limits and errors as
-    greens_zz.
+    greens_zz_orders at order_parameter(cfg, omega), with its limits and errors.
     """
-    rho1, phi1, rho2, phi2 = (np.asarray(v, dtype=float) for v in (rho1, phi1, rho2, phi2))
-    if not (np.all((rho1 >= 0.0) & (rho1 <= 1.0)) and np.all((rho2 >= 0.0) & (rho2 <= 1.0))):
-        raise DomainError("rho must lie in [0, 1]")
-    nu = order_parameter(cfg, omega)
-    s = _check_order(nu)
-    a1 = rho1 * np.exp(1j * phi1)  # broadcast by numpy where it meets the second points
-    a2 = np.broadcast_to(rho2 * np.exp(1j * phi2), np.broadcast_shapes(a1.shape, rho2.shape, phi2.shape))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        image = 1.0 / np.conj(a2)
-    xi, w = _xi_points(a1, np.stack([a2, image]))  # row 0 source, row 1 image
-    if np.any(xi[0] <= -1.0 + 1e-14):
-        raise CoincidentPointsError("greens_zz diverges at coincident points")
-    # the image of the center is at infinity: limit as in _xi_pair
-    center = rho2 == 0.0
-    xi[1] = np.where(center, (1.0 - rho1**2) / (1.0 + rho1**2), xi[1])
-    w[1] = np.where(center, 1.0 / (1.0 + rho1**2), w[1])
-    p_src, p_img = legendre_nu(nu, xi, w=w)
-    return -(p_src - p_img) / (4.0 * cfg.b * s)
+    return greens_zz_orders(cfg.b, order_parameter(cfg, omega), rho1, phi1, rho2, phi2)
 
 
 def modesum_terms(p1: DiskPoint, p2: DiskPoint, l_max: int) -> np.ndarray:
@@ -202,7 +174,7 @@ def modesum_terms(p1: DiskPoint, p2: DiskPoint, l_max: int) -> np.ndarray:
     CoincidentPointsError for |xi_src + 1| < SOURCE_EXCLUSION: near the
     source the logarithmic divergence makes the term count explode.
     """
-    (xi_src, _), (xi_img, _) = _xi_pair(p1, p2)
+    xi_src, xi_img = _source_image(p1.rho, p1.phi, p2.rho, p2.phi)[0].tolist()
     if xi_src + 1.0 < SOURCE_EXCLUSION:
         raise CoincidentPointsError(
             f"mode sum unreliable near the source point (|xi + 1| < {SOURCE_EXCLUSION})"
@@ -261,7 +233,7 @@ def image_point_value(cfg: LensConfig, nu: complex) -> complex:
     greens_zz has the opposite sign, and every observable built on this
     quantity uses magnitudes (see qed).
     """
-    s = _check_order(complex(nu))
+    s = _check_order(nu)
     return -1.0 / (4.0 * cfg.b * s)
 
 
@@ -277,11 +249,7 @@ def source_offset(nu: complex | np.ndarray) -> complex | np.ndarray:
     gamma_E is real, so that part is insensitive to the variant.
     An ndarray nu returns an array of F(nu) element by element.
     """
-    if isinstance(nu, np.ndarray):
-        tan = np.tan
-    else:
-        nu, tan = complex(nu), cmath.tan
-    return 2.0 * EULER_GAMMA + 2.0 * digamma(nu + 1.0) + math.pi / tan(math.pi * nu)
+    return 2.0 * EULER_GAMMA + 2.0 * digamma(nu + 1.0) + math.pi / np.tan(math.pi * nu)
 
 
 def source_asymptote(cfg: LensConfig, nu: complex, xi_near: float) -> complex:
@@ -293,9 +261,4 @@ def source_asymptote(cfg: LensConfig, nu: complex, xi_near: float) -> complex:
     """
     if not -1.0 < xi_near < -0.99:
         raise DomainError("source asymptote expects xi in (-1, -0.99)")
-    nu = complex(nu)
-    return (
-        cmath.sin(cmath.pi * nu)
-        / math.pi
-        * (math.log((1.0 + xi_near) / 2.0) + source_offset(nu))
-    )
+    return np.sin(np.pi * nu) / math.pi * (math.log((1.0 + xi_near) / 2.0) + source_offset(nu))

@@ -150,22 +150,20 @@ def order_parameter(cfg: LensConfig, omega: complex) -> complex:
     midway between resonances.  With omega = omega0 (1 + i alpha) this becomes
     approximately (2 pi R0 / lambda0)(1 + i alpha) for small alpha.
     """
-    return order_parameters(cfg.radius, complex(omega), cfg.n0)
+    return complex(order_parameters(cfg.radius, complex(omega), cfg.n0))
 
 
 def order_parameters(
     radius: float | np.ndarray, omega: complex | np.ndarray, n0: float = 1.0
-) -> complex | np.ndarray:
+) -> np.ndarray:
     """order_parameter over broadcast arrays of lens radii and frequencies.
 
-    Same formula and the same DomainError (for any element); scalar
-    arguments return a complex.
+    Same formula and the same DomainError (for any element).
     """
     if np.any(np.real(omega) <= 0):
         raise DomainError("Re(omega) must be positive")
     k = omega * radius * n0
-    sqrt = np.sqrt if isinstance(k, np.ndarray) else cmath.sqrt
-    return 0.5 * (sqrt(4.0 * k**2 + 1.0) - 1.0)
+    return 0.5 * (np.sqrt(4.0 * k**2 + 1.0) - 1.0)
 
 
 def radius_for_order(nu_real: float, n0: float = 1.0) -> float:

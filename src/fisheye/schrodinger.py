@@ -55,7 +55,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import DomainError, EigensolveError
-from .lens import OMEGA0, LensConfig, stereo_theta
+from .lens import OMEGA0, LensConfig, order_parameter, stereo_theta
 from .qed import AtomPairConfig, CouplingRates, entanglement_fidelity
 from .qed import coupling_rates  # noqa: F401  (stays importable from this module)
 from .specfun import legendre_poly_table
@@ -145,7 +145,6 @@ class SimResult:
 def build_blocks(
     cfg: LensConfig,
     theta: float,
-    omega0: float = OMEGA0,
     l_range: range | None = None,
     kappa: float = 0.0,
     gamma0: float = DEFAULT_GAMMA0,
@@ -173,8 +172,7 @@ def build_blocks(
     if not 0.0 <= edge_taper < 1.0:
         raise DomainError("edge_taper must lie in [0, 1)")
     if l_range is None:
-        nu_re = 0.5 * (math.sqrt(4.0 * (omega0 * cfg.radius * cfg.n0) ** 2 + 1.0) - 1.0)
-        l_range = range(1, 4 * math.ceil(nu_re) + 1)
+        l_range = range(1, 4 * math.ceil(order_parameter(cfg, OMEGA0).real) + 1)
     l = np.array(l_range, dtype=int)
     l = l[l >= 1]
     if not l.size:
@@ -182,7 +180,7 @@ def build_blocks(
     l_max = int(l.max())
     l_roll = l_max * (1.0 - edge_taper)
     pl = legendre_poly_table(l_max, math.cos(math.pi - 2.0 * theta))
-    c0sq = 3.0 * math.pi * gamma0 / (omega0**3 * cfg.b * (cfg.radius * cfg.n0) ** 2)
+    c0sq = 3.0 * math.pi * gamma0 / (OMEGA0**3 * cfg.b * (cfg.radius * cfg.n0) ** 2)
     w_l = np.sqrt(l * (l + 1.0)) / (cfg.radius * cfg.n0)
     g_sq = c0sq * w_l * (2 * l + 1) * np.maximum(0.0, 1.0 - pl[l]) / (4.0 * math.pi)
     window = np.ones(l.size)
@@ -192,7 +190,7 @@ def build_blocks(
         window[top] = np.float_power(np.cos(0.5 * math.pi * (l[top] - l_roll) / (l_max - l_roll)), 2.0)
     coupling = window * np.sqrt(g_sq)
     odd = l % 2 == 1
-    detuning = w_l - omega0
+    detuning = w_l - OMEGA0
     return (
         BlockModel("odd", l[odd], detuning[odd], coupling[odd], kappa),
         BlockModel("even", l[~odd], detuning[~odd], coupling[~odd], kappa),

@@ -40,7 +40,7 @@ def test_criterion_1_fredholm_equivalence(rng):
             p2 = DiskPoint(float(rng.uniform(0.08, 0.92)), float(rng.uniform(0, 2 * math.pi)))
             if greens.xi(p1.alpha, p2.alpha) + 1.0 < 0.05:
                 continue
-            closed = greens.greens_zz(cfg, p1, p2, OMEGA0).value
+            closed = greens.greens_zz(cfg, p1, p2, OMEGA0)
             summed = greens.greens_modesum(cfg, p1, p2, OMEGA0, tol=1e-9).value
             worst = max(worst, abs(closed - summed) / abs(closed))
             done += 1

@@ -47,7 +47,7 @@ class TestCouplingRates:
         # alpha = 0 rate must equal the real-frequency Green's function route
         cfg = _cfg(20.5)
         rates = coupling_rates(cfg, antipodal_027)
-        g = greens_zz(cfg, antipodal_027.p1, antipodal_027.p2, OMEGA0).value
+        g = greens_zz(cfg, antipodal_027.p1, antipodal_027.p2, OMEGA0)
         want = 3.0 * math.pi / OMEGA0 * g.real
         assert rates.delta_omega == pytest.approx(want, rel=1e-10)
 
@@ -73,6 +73,25 @@ class TestCouplingRates:
         r1 = coupling_rates(cfg, AtomPairConfig.antipodal(0.27))
         r2 = coupling_rates(cfg, AtomPairConfig.antipodal(0.61))
         assert r1.gamma == r2.gamma
+
+    @pytest.mark.parametrize(
+        "atoms", [AtomPairConfig.antipodal(0.27), AtomPairConfig(DiskPoint(0.3, 0.4), DiskPoint(0.55, 2.9))]
+    )
+    def test_one_element_of_the_batched_chain_bit_for_bit(self, atoms, rng):
+        # coupling_rates is the one-element coupling_rate_arrays call, so a
+        # scalar chain and a sweep print the same digits at the same point
+        radii = rng.uniform(1.5, 15.0, 120)
+        alphas = 10.0 ** rng.uniform(-5.0, -2.0, 120)
+        alphas[:10] = 0.0
+        batched = np.stack(qed.coupling_rate_arrays(atoms, radii, alphas, b=0.1), axis=1)
+        for r, a, want in zip(radii.tolist(), alphas.tolist(), batched):
+            got = coupling_rates(LensConfig(radius=r, alpha=a), atoms)
+            assert np.array([got.delta_omega, got.gamma, got.gamma_coop]).tobytes() == want.tobytes()
+
+    def test_rates_depend_on_radius_times_index(self, antipodal_027):
+        # R0 n0 is the same product, so the rates are the same bits
+        one = coupling_rates(LensConfig(radius=6.68, alpha=5e-4), antipodal_027)
+        assert coupling_rates(LensConfig(radius=3.34, n0=2.0, alpha=5e-4), antipodal_027) == one
 
 
 class TestImageRates:
@@ -358,9 +377,6 @@ class TestAtomPairConfig:
         atoms = AtomPairConfig(DiskPoint(0.3, 0.0), DiskPoint(0.4, math.pi))
         assert not atoms.is_antipodal
 
-    def test_purcell_validation(self):
-        with pytest.raises(DomainError):
-            AtomPairConfig(DiskPoint(0.2, 0.0), DiskPoint(0.2, math.pi), purcell_eta=-1.0)
 
 
 def _scalar_error(r0: float, alpha: float, atoms: AtomPairConfig) -> float:
