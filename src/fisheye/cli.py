@@ -4,12 +4,15 @@
     fisheye ddi-sweep  --radii 4.93,8.11,11.3,14.48 --b 0.1 --offset 1.0
     fisheye dynamics   --R0 3.34 --alpha 5e-4 --rho 0.27 [--simulate]
     fisheye fidelity   --mode vs-loss|vs-detuning|vs-radius [--simulate]
-    fisheye plasmon    index-sweep | estimate
+    fisheye plasmon    index-sweep [--d-max 200] | estimate [--R0 1.749]
 
+Each leaf command declares only the flags it reads, with their defaults.
 Output is CSV only (header line, 12 significant digits, LF endings), plus an
 optional generated matplotlib script (--plot-script).  A plain-text config
-file (key = value, '#' comments) supplies defaults; explicit flags override
-it.  Exit codes: 0 success, 1 validation failure, 2 bad arguments,
+file (--config; key = value, '#' comments) sets flag defaults: keys are flag
+names with '-' as '_', values are checked by the flag's type, on/off flags
+read 1/true/yes/on, unknown keys are ignored; explicit flags override it.
+Exit codes: 0 success, 1 validation failure, 2 bad arguments,
 3 numerical non-convergence.
 """
 
@@ -78,28 +81,20 @@ def _parse_config(path: str) -> dict[str, str]:
     return config
 
 
-def _resolve(args: argparse.Namespace, name: str, default, cast=float):
-    """Flag > config file > default."""
-    flag = getattr(args, name, None)
-    if flag is not None:
-        return flag
-    if args.config_values and name in args.config_values:
-        raw = args.config_values[name]
-        if cast is bool:
-            return raw.lower() in ("1", "true", "yes", "on")
-        return cast(raw)
-    return default
-
 
 def _float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _samples(args: argparse.Namespace, default: int) -> int:
-    samples = int(_resolve(args, "samples", default, int))
-    if samples < 1:
-        raise DomainError(f"--samples must be at least 1, got {samples}")
-    return samples
+def _samples(args: argparse.Namespace) -> int:
+    if args.samples < 1:
+        raise DomainError(f"--samples must be at least 1, got {args.samples}")
+    return args.samples
+
+
+def _l_range(args: argparse.Namespace) -> range | None:
+    """The simulator's mode ladder 1 .. --l-max, or None for its default."""
+    return None if args.l_max is None else range(1, args.l_max + 1)
 
 
 def _sorted_blocks(blocks: list[tuple[np.ndarray, ...]]) -> list[np.ndarray]:
@@ -118,7 +113,7 @@ def _check(name: str, ok: bool, detail: str, results: list) -> None:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    quick = bool(_resolve(args, "quick", False, bool))
+    quick = args.quick
     results: list[tuple[str, bool, str]] = []
     rng = np.random.default_rng(20260808)
 
@@ -230,16 +225,14 @@ def cmd_validate(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------- ddi-sweep
 
 def cmd_ddi_sweep(args: argparse.Namespace) -> int:
-    radii = _resolve(args, "radii", list(RANGE_SWEEP_RADII), _float_list)
-    b = _resolve(args, "b", 0.1)
-    offset = _resolve(args, "offset", 1.0)
-    samples = _samples(args, 1201)
+    offset = args.offset
+    samples = _samples(args)
 
     blocks = []
-    for r0 in radii:
+    for r0 in args.radii:
         if offset <= 0 or offset >= 2 * r0:
             raise DomainError(f"offset {offset} puts the fixed atom outside the disk")
-        cfg = lens.LensConfig(radius=r0, b=b)
+        cfg = lens.LensConfig(radius=r0, b=args.b)
         x1 = -(r0 - offset)
         p1 = lens.DiskPoint(abs(x1) / r0, math.pi if x1 < 0 else 0.0)
         xs = np.linspace(-r0 * 0.999, r0 * 0.999, samples)
@@ -255,19 +248,11 @@ def cmd_ddi_sweep(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- dynamics
 
 def cmd_dynamics(args: argparse.Namespace) -> int:
-    nu_center = _resolve(args, "nu_center", None)
-    r0 = _resolve(args, "R0", 3.34)
-    if nu_center is not None:
-        r0 = lens.radius_for_order(nu_center)
-    alpha = _resolve(args, "alpha", 5e-4)
-    rho = _resolve(args, "rho", 0.27)
-    b = _resolve(args, "b", 0.1)
-    samples = _samples(args, 2000)
-    simulate = bool(_resolve(args, "simulate", False, bool))
-    l_max = _resolve(args, "l_max", None, int)
+    r0 = args.R0 if args.nu_center is None else lens.radius_for_order(args.nu_center)
+    samples = _samples(args)
 
-    cfg = lens.LensConfig(radius=r0, b=b, alpha=alpha)
-    atoms = qed.AtomPairConfig.antipodal(rho)
+    cfg = lens.LensConfig(radius=r0, b=args.b, alpha=args.alpha)
+    atoms = qed.AtomPairConfig.antipodal(args.rho)
     rates = qed.coupling_rates(cfg, atoms)
     t0 = 0.25 * math.pi / abs(rates.delta_omega)
     t_grid = np.linspace(0.0, 3.0 * math.pi / abs(rates.delta_omega), samples)
@@ -276,11 +261,9 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
 
     header = ["t_Gamma0", "pop1", "pop2", "bell_fidelity", "t0_marker"]
     columns = [t_grid, traj.pop1, traj.pop2, traj.bell_fidelity, marker]
-    if simulate:
-        g0 = schrodinger.DEFAULT_GAMMA0
-        l_range = range(1, l_max + 1) if l_max is not None else None
-        blocks = schrodinger.build_blocks(cfg, lens.stereo_theta(rho), l_range=l_range, kappa=cfg.kappa, gamma0=g0)
-        sim = schrodinger.evolve(blocks, cfg.kappa, t_grid / g0, gamma0=g0)
+    if args.simulate:
+        blocks = schrodinger.build_blocks(cfg, lens.stereo_theta(args.rho), l_range=_l_range(args))
+        sim = schrodinger.evolve(blocks, cfg.kappa, t_grid / schrodinger.DEFAULT_GAMMA0)
         header += ["sim_pop1", "sim_pop2", "sim_bell_fidelity"]
         columns += [np.abs(sim.amp_a) ** 2, np.abs(sim.amp_b) ** 2, sim.bell_fidelity]
     _write_csv(args.out, header, columns)
@@ -293,14 +276,8 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
 
 def cmd_fidelity(args: argparse.Namespace) -> int:
     mode = args.mode
-    rho = _resolve(args, "rho", 0.27)
-    b = _resolve(args, "b", 0.1)
-    simulate = bool(_resolve(args, "simulate", False, bool))
-    samples = _samples(args, 25)
-    radii = _resolve(args, "radii", list(FIDELITY_RADII), _float_list)
-    l_max = _resolve(args, "l_max", None, int)
-    atoms = qed.AtomPairConfig.antipodal(rho)
-    l_range = range(1, l_max + 1) if l_max is not None else None
+    samples = _samples(args)
+    atoms = qed.AtomPairConfig.antipodal(args.rho)
 
     def block(r0: float, x: np.ndarray, radius: float | np.ndarray, alpha: float | np.ndarray) -> tuple:
         """Rows of one radius: R0, the swept x, 1 - F analytic, and with --simulate 1 - F simulated.
@@ -308,14 +285,14 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
         One batched rate chain (one legendre_nu call) gives the analytic
         column and the rates each simulated point is compared with.
         """
-        rates = qed.coupling_rate_arrays(atoms, radius, alpha, b=b)
+        rates = qed.coupling_rate_arrays(atoms, radius, alpha, b=args.b)
         columns = (np.full(x.size, r0), x, 1.0 - qed.fidelity_from_rates(*rates))
-        if not simulate:
+        if not args.simulate:
             return columns
         radius, alpha = np.broadcast_arrays(radius, alpha)
         numeric = [
             1.0 - schrodinger.compare_to_analytics(
-                lens.LensConfig(radius=r, b=b, alpha=a), atoms, qed.CouplingRates(*v), l_range=l_range
+                lens.LensConfig(radius=r, b=args.b, alpha=a), atoms, qed.CouplingRates(*v), l_range=_l_range(args)
             ).F_numeric
             for r, a, *v in zip(radius.tolist(), alpha.tolist(), *(c.tolist() for c in rates))
         ]
@@ -323,35 +300,26 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
 
     blocks: list[tuple[np.ndarray, ...]] = []
     if mode == "vs-loss":
-        alphas = np.logspace(
-            math.log10(_resolve(args, "alpha_min", 1e-4)),
-            math.log10(_resolve(args, "alpha_max", 1e-2)),
-            samples,
-        )
-        blocks = [block(r0, alphas, r0, alphas) for r0 in radii]
+        alphas = np.logspace(math.log10(args.alpha_min), math.log10(args.alpha_max), samples)
+        blocks = [block(r0, alphas, r0, alphas) for r0 in args.radii]
         header = ["R0_over_lambda", "alpha", "one_minus_F_analytic"]
     elif mode == "vs-detuning":
-        alpha = _resolve(args, "alpha", 5e-4)
-        span = _resolve(args, "dnu_span", 0.45)
-        dnus = np.linspace(-span, span, samples if samples % 2 else samples + 1)
-        for r0 in radii:
+        dnus = np.linspace(-args.dnu_span, args.dnu_span, samples if samples % 2 else samples + 1)
+        for r0 in args.radii:
             nu_center = round(lens.order_parameter(lens.LensConfig(radius=r0), lens.OMEGA0).real * 2) / 2
             rs = np.array([lens.radius_for_order(nu_center + d) for d in dnus.tolist()])
-            blocks.append(block(r0, dnus, rs, alpha))
+            blocks.append(block(r0, dnus, rs, args.alpha))
         header = ["R0_over_lambda", "delta_nu", "one_minus_F_analytic"]
     elif mode == "vs-radius":
         # no numeric column here, so --simulate runs no simulation
-        alpha = _resolve(args, "alpha", 5e-4)
-        nu_lo = _resolve(args, "nu_min", 10.5)
-        nu_hi = _resolve(args, "nu_max", 90.5)
-        r0s = np.array([lens.radius_for_order(float(nu)) for nu in np.arange(nu_lo, nu_hi + 0.5, 1.0)])
-        approx = [qed.fidelity_approx(r0, alpha) for r0 in r0s.tolist()]
-        blocks.append((r0s, qed.entangling_error(atoms, r0s, alpha, b=b), np.array(approx)))
+        r0s = np.array([lens.radius_for_order(float(nu)) for nu in np.arange(args.nu_min, args.nu_max + 0.5, 1.0)])
+        approx = [qed.fidelity_approx(r0, args.alpha) for r0 in r0s.tolist()]
+        blocks.append((r0s, qed.entangling_error(atoms, r0s, args.alpha, b=args.b), np.array(approx)))
         header = ["R0_over_lambda", "one_minus_F_analytic", "F_approx"]
     else:  # pragma: no cover - argparse restricts choices
         raise DomainError(f"unknown fidelity mode {mode}")
 
-    if simulate and mode in ("vs-loss", "vs-detuning"):
+    if args.simulate and mode in ("vs-loss", "vs-detuning"):
         header.append("one_minus_F_numeric")
     _write_csv(args.out, header, _sorted_blocks(blocks))
     if args.plot_script:
@@ -362,30 +330,27 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
 
 # ----------------------------------------------------------------- plasmon
 
-def cmd_plasmon(args: argparse.Namespace) -> int:
-    stack = plasmon.PlasmonStack(
-        eps_metal=complex(_resolve(args, "eps_metal", -25.23 + 0.589j, complex)),
-        eps_dielectric=_resolve(args, "eps_dielectric", 3.6),
-        lambda0_nm=_resolve(args, "lambda0_nm", 737.0),
+def _stack(args: argparse.Namespace) -> plasmon.PlasmonStack:
+    return plasmon.PlasmonStack(
+        eps_metal=args.eps_metal, eps_dielectric=args.eps_dielectric, lambda0_nm=args.lambda0_nm
     )
-    if args.plasmon_cmd == "index-sweep":
-        d_max = _resolve(args, "d_max", 200.0)
-        step = _resolve(args, "step", 0.5)
-        sweep = plasmon.sweep_effective_index(d_max, stack, step)
-        n_eff = np.array([s.n_eff for s in sweep])
-        _write_csv(args.out, ["d_nm", "n_eff", "chi"], [np.array([s.height_nm for s in sweep]), n_eff.real, n_eff.imag])
-        if args.plot_script:
-            _write_plot_script(args.plot_script, args.out, "d_nm", ["n_eff", "chi"], "plasmon effective index vs dielectric height")
-        return 0
-    # estimate
-    r0 = _resolve(args, "R0", 1.749)
-    eta = _resolve(args, "eta", 3.0)
-    r2 = _resolve(args, "r2", 0.95)
-    n_samples = int(_resolve(args, "samples", 1000, int))
-    recomputed = bool(_resolve(args, "recomputed_mirror_loss", False, bool))
-    cfg = lens.LensConfig(radius=r0)
-    report = plasmon.end_to_end_estimate(cfg, stack, reflectivity_sq=r2, eta=eta, n_radial_samples=n_samples)
-    headline = report.fidelity_computed if recomputed else report.fidelity_nominal
+
+
+def cmd_plasmon_index_sweep(args: argparse.Namespace) -> int:
+    sweep = plasmon.sweep_effective_index(args.d_max, _stack(args), args.step)
+    n_eff = np.array([s.n_eff for s in sweep])
+    _write_csv(args.out, ["d_nm", "n_eff", "chi"], [np.array([s.height_nm for s in sweep]), n_eff.real, n_eff.imag])
+    if args.plot_script:
+        _write_plot_script(args.plot_script, args.out, "d_nm", ["n_eff", "chi"], "plasmon effective index vs dielectric height")
+    return 0
+
+
+def cmd_plasmon_estimate(args: argparse.Namespace) -> int:
+    cfg = lens.LensConfig(radius=args.R0)
+    report = plasmon.end_to_end_estimate(
+        cfg, _stack(args), reflectivity_sq=args.r2, eta=args.eta, n_radial_samples=args.samples
+    )
+    headline = report.fidelity_computed if args.recomputed_mirror_loss else report.fidelity_nominal
     lines = [
         f"alpha_abs                = {report.alpha_abs:.6g}",
         f"alpha_mirror (formula)   = {report.alpha_mirror_formula:.6g}",
@@ -406,14 +371,29 @@ def cmd_plasmon(args: argparse.Namespace) -> int:
 
 # ------------------------------------------------------------------ parser
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _leaf(sub, name: str, func, summary: str) -> argparse.ArgumentParser:
+    """A leaf command's parser: --config, and the function that runs it."""
+    p = sub.add_parser(name, help=summary)
     p.add_argument("--config", help="plain-text config file (key = value, '#' comments)")
-    p.add_argument("--out", help="output CSV/text path (default: stdout)")
-    p.add_argument("--plot-script", help="also write a matplotlib script to this path")
-    p.add_argument("--quick", action="store_const", const=True, help="reduced grids")
-    p.add_argument("--samples", type=int, help="sample count for sweeps/grids")
-    p.add_argument("--l-max", type=int, dest="l_max", help="mode-sum / simulator truncation")
-    p.add_argument("--workers", type=int, help="accepted for compatibility; sweeps always run serially")
+    p.set_defaults(func=func, leaf=p)
+    return p
+
+
+def _add_output(p: argparse.ArgumentParser, plot_script: bool = True) -> None:
+    p.add_argument("--out", help="output path (default: stdout)")
+    if plot_script:
+        p.add_argument("--plot-script", help="also write a matplotlib script to this path")
+
+
+def _add_stack(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--eps-metal",
+        type=complex,
+        default=-25.23 + 0.589j,
+        help="metal permittivity; pass as --eps-metal=-25.23+0.589j (leading minus)",
+    )
+    p.add_argument("--eps-dielectric", type=float, default=3.6, help="dielectric permittivity")
+    p.add_argument("--lambda0-nm", type=float, default=737.0, help="free-space wavelength in nm")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -423,74 +403,89 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="run the cross-validation oracle suite")
-    _add_common(p)
-    p.set_defaults(func=cmd_validate)
+    p = _leaf(sub, "validate", cmd_validate, "run the cross-validation oracle suite")
+    p.add_argument("--quick", action="store_true", help="reduced grids")
 
-    p = sub.add_parser("ddi-sweep", help="dipole-dipole interaction along the diameter")
-    _add_common(p)
-    p.add_argument("--radii", type=_float_list, help="comma list of R0/lambda0")
-    p.add_argument("--b", type=float, help="disk thickness in lambda0")
-    p.add_argument("--offset", type=float, help="fixed-atom distance from the mirror (lambda0)")
-    p.set_defaults(func=cmd_ddi_sweep)
+    p = _leaf(sub, "ddi-sweep", cmd_ddi_sweep, "dipole-dipole interaction along the diameter")
+    _add_output(p)
+    p.add_argument("--radii", type=_float_list, default=list(RANGE_SWEEP_RADII), help="comma list of R0/lambda0")
+    p.add_argument("--b", type=float, default=lens.LensConfig.b, help="disk thickness in lambda0")
+    p.add_argument("--offset", type=float, default=1.0, help="fixed-atom distance from the mirror (lambda0)")
+    p.add_argument("--samples", type=int, default=1201, help="points along the diameter per radius")
+    p.add_argument("--workers", type=int, help="ignored: the sweep runs serially (kept so older command lines parse)")
 
-    p = sub.add_parser("dynamics", help="two-atom exchange dynamics time series")
-    _add_common(p)
-    p.add_argument("--R0", type=float, dest="R0", help="lens radius in lambda0")
-    p.add_argument("--nu-center", type=float, dest="nu_center", help="derive R0 from this Re nu")
-    p.add_argument("--alpha", type=float, help="loss ratio kappa/omega0")
-    p.add_argument("--rho", type=float, help="antipodal atom radius fraction")
-    p.add_argument("--b", type=float, help="disk thickness in lambda0")
-    p.add_argument("--simulate", action="store_const", const=True, help="add spectral-simulation columns")
-    p.set_defaults(func=cmd_dynamics)
+    p = _leaf(sub, "dynamics", cmd_dynamics, "two-atom exchange dynamics time series")
+    _add_output(p)
+    p.add_argument("--R0", type=float, default=3.34, help="lens radius in lambda0")
+    p.add_argument("--nu-center", type=float, help="derive R0 from this Re nu instead")
+    p.add_argument("--alpha", type=float, default=5e-4, help="loss ratio kappa/omega0")
+    p.add_argument("--rho", type=float, default=0.27, help="antipodal atom radius fraction")
+    p.add_argument("--b", type=float, default=lens.LensConfig.b, help="disk thickness in lambda0")
+    p.add_argument("--samples", type=int, default=2000, help="time points")
+    p.add_argument("--simulate", action="store_true", help="add spectral-simulation columns")
+    p.add_argument("--l-max", type=int, help="simulator mode ladder 1 .. l_max (default: 4 ceil(Re nu))")
 
-    p = sub.add_parser("fidelity", help="entangling-error sweeps")
-    _add_common(p)
+    p = _leaf(sub, "fidelity", cmd_fidelity, "entangling-error sweeps")
+    _add_output(p)
     p.add_argument("--mode", required=True, choices=["vs-loss", "vs-detuning", "vs-radius"])
-    p.add_argument("--radii", type=_float_list, help="comma list of R0/lambda0")
-    p.add_argument("--rho", type=float, help="antipodal atom radius fraction")
-    p.add_argument("--b", type=float, help="disk thickness in lambda0")
-    p.add_argument("--alpha", type=float, help="loss ratio (vs-detuning / vs-radius)")
-    p.add_argument("--alpha-min", type=float, dest="alpha_min")
-    p.add_argument("--alpha-max", type=float, dest="alpha_max")
-    p.add_argument("--dnu-span", type=float, dest="dnu_span", help="detuning half-range in nu")
-    p.add_argument("--nu-min", type=float, dest="nu_min", help="first half-integer Re nu (vs-radius)")
-    p.add_argument("--nu-max", type=float, dest="nu_max", help="last half-integer Re nu (vs-radius)")
-    p.add_argument("--simulate", action="store_const", const=True, help="add spectral-simulation column")
-    p.set_defaults(func=cmd_fidelity)
+    p.add_argument("--radii", type=_float_list, default=list(FIDELITY_RADII), help="comma list of R0/lambda0")
+    p.add_argument("--rho", type=float, default=0.27, help="antipodal atom radius fraction")
+    p.add_argument("--b", type=float, default=lens.LensConfig.b, help="disk thickness in lambda0")
+    p.add_argument("--samples", type=int, default=25, help="points per radius")
+    p.add_argument("--alpha", type=float, default=5e-4, help="loss ratio (vs-detuning / vs-radius)")
+    p.add_argument("--alpha-min", type=float, default=1e-4, help="first loss ratio (vs-loss)")
+    p.add_argument("--alpha-max", type=float, default=1e-2, help="last loss ratio (vs-loss)")
+    p.add_argument("--dnu-span", type=float, default=0.45, help="detuning half-range in nu (vs-detuning)")
+    p.add_argument("--nu-min", type=float, default=10.5, help="first half-integer Re nu (vs-radius)")
+    p.add_argument("--nu-max", type=float, default=90.5, help="last half-integer Re nu (vs-radius)")
+    p.add_argument("--simulate", action="store_true", help="add spectral-simulation column")
+    p.add_argument("--l-max", type=int, help="simulator mode ladder 1 .. l_max (default: 4 ceil(Re nu))")
 
-    p = sub.add_parser("plasmon", help="surface-plasmon realization")
-    _add_common(p)
-    p.add_argument("plasmon_cmd", choices=["index-sweep", "estimate"])
-    p.add_argument("--d-max", type=float, dest="d_max", help="sweep ceiling in nm")
-    p.add_argument("--step", type=float, help="sweep step in nm")
-    p.add_argument(
-        "--eps-metal",
-        type=complex,
-        dest="eps_metal",
-        help="metal permittivity; pass as --eps-metal=-25.23+0.589j (leading minus)",
+    actions = sub.add_parser("plasmon", help="surface-plasmon realization").add_subparsers(
+        dest="plasmon_command", required=True
     )
-    p.add_argument("--eps-dielectric", type=float, dest="eps_dielectric")
-    p.add_argument("--lambda0-nm", type=float, dest="lambda0_nm")
-    p.add_argument("--R0", type=float, dest="R0", help="lens radius in lambda0")
-    p.add_argument("--eta", type=float, help="Purcell ratio gamma/gamma0")
-    p.add_argument("--r2", type=float, help="mirror reflectivity r^2")
+    p = _leaf(actions, "index-sweep", cmd_plasmon_index_sweep, "effective index against dielectric height")
+    _add_output(p)
+    _add_stack(p)
+    p.add_argument("--d-max", type=float, default=200.0, help="sweep ceiling in nm")
+    p.add_argument("--step", type=float, default=0.5, help="sweep step in nm")
+
+    p = _leaf(actions, "estimate", cmd_plasmon_estimate, "end-to-end loss and fidelity estimate")
+    _add_output(p, plot_script=False)
+    _add_stack(p)
+    p.add_argument("--R0", type=float, default=1.749, help="lens radius in lambda0")
+    p.add_argument("--eta", type=float, default=3.0, help="Purcell ratio gamma/gamma0")
+    p.add_argument("--r2", type=float, default=0.95, help="mirror reflectivity r^2")
+    p.add_argument("--samples", type=int, default=1000, help="radial samples of the absorption average")
     p.add_argument(
         "--recomputed-mirror-loss",
-        action="store_const",
-        const=True,
-        dest="recomputed_mirror_loss",
+        action="store_true",
         help="headline fidelity from the computed loss budget instead of the nominal one",
     )
-    p.set_defaults(func=cmd_plasmon)
     return parser
+
+
+def _config_defaults(leaf: argparse.ArgumentParser, path: str) -> dict:
+    """The config values that name a flag of leaf, as parser defaults.
+
+    A value stays a string, so parsing converts and checks it with the
+    flag's own type; an on/off flag is on for 1/true/yes/on.
+    """
+    config = _parse_config(path)
+    return {
+        a.dest: config[a.dest].lower() in ("1", "true", "yes", "on") if a.nargs == 0 else config[a.dest]
+        for a in leaf._actions
+        if a.dest in config
+    }
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.config_values = _parse_config(args.config) if args.config else {}
+        if args.config:
+            args.leaf.set_defaults(**_config_defaults(args.leaf, args.config))
+            args = parser.parse_args(argv)
         return args.func(args)
     except NonConvergenceError as exc:
         print(f"fisheye: numerical non-convergence: {exc}", file=sys.stderr)

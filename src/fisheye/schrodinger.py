@@ -41,8 +41,9 @@ share work arrays allocated once.
 
 The absolute coupling scale G_l is proportional to sqrt(gamma0), the
 free-space emission rate in internal units; it drops out of every reported
-ratio and controls only the size of non-Markovian corrections.  The default
-gamma0 = 1e-5 keeps those corrections at the percent level.
+ratio and controls only the size of non-Markovian corrections.  One value,
+DEFAULT_GAMMA0 = 1e-5, scales the couplings and converts times and rates to
+Gamma0 units, and keeps those corrections at the percent level.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from .qed import AtomPairConfig, CouplingRates, entanglement_fidelity
 from .qed import coupling_rates  # noqa: F401  (stays importable from this module)
 from .specfun import legendre_poly_table
 
-#: Default free-space rate (internal units) setting the absolute coupling scale.
+#: Free-space rate (internal units): the coupling scale and the unit of reported times and rates.
 DEFAULT_GAMMA0 = 1e-5
 
 #: Residual threshold of the dense fallback, ||H v - w v|| <= RESIDUAL_TOL * ||H||.
@@ -97,21 +98,16 @@ class BlockModel:
     l: np.ndarray  # mode labels
     detuning: np.ndarray  # delta_l = omega_l - omega0
     coupling: np.ndarray  # G_l
-    loss: float  # flat mode loss kappa stored at build time
 
     @property
     def dim(self) -> int:
         return 1 + self.l.size
 
-    def arrowhead(self, kappa: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Mode diagonal d - i kappa and border couplings G of the arrowhead.
+    def arrowhead(self, kappa: float) -> tuple[np.ndarray, np.ndarray]:
+        """Mode diagonal d - i kappa and border couplings G of the arrowhead (same flat loss on every mode, atoms lossless)."""
+        return self.detuning - 1j * kappa, self.coupling
 
-        kappa overrides the loss stored at build time (same flat loss on
-        every mode diagonal, atoms lossless).
-        """
-        return self.detuning - 1j * (self.loss if kappa is None else kappa), self.coupling
-
-    def hamiltonian(self, kappa: float | None = None) -> np.ndarray:
+    def hamiltonian(self, kappa: float) -> np.ndarray:
         """Arrowhead matrix; index 0 is the atomic combination."""
         diag, border = self.arrowhead(kappa)
         h = np.diag(np.concatenate(([0.0], diag)))
@@ -146,13 +142,11 @@ def build_blocks(
     cfg: LensConfig,
     theta: float,
     l_range: range | None = None,
-    kappa: float = 0.0,
-    gamma0: float = DEFAULT_GAMMA0,
     edge_taper: float = 0.25,
 ) -> tuple[BlockModel, BlockModel]:
     """Build the odd and even parity blocks for antipodal atoms at polar angle theta.
 
-    G_l^2 = (3 pi gamma0 / (omega0^3 b R0^2 n0^2)) omega_l (2l+1)
+    G_l^2 = (3 pi DEFAULT_GAMMA0 / (omega0^3 b R0^2 n0^2)) omega_l (2l+1)
             [1 - P_l(cos(pi - 2 theta))] / (4 pi),
 
     which is sqrt(2) g_l N_l squared with the dipole prefactor expressed
@@ -180,7 +174,7 @@ def build_blocks(
     l_max = int(l.max())
     l_roll = l_max * (1.0 - edge_taper)
     pl = legendre_poly_table(l_max, math.cos(math.pi - 2.0 * theta))
-    c0sq = 3.0 * math.pi * gamma0 / (OMEGA0**3 * cfg.b * (cfg.radius * cfg.n0) ** 2)
+    c0sq = 3.0 * math.pi * DEFAULT_GAMMA0 / (OMEGA0**3 * cfg.b * (cfg.radius * cfg.n0) ** 2)
     w_l = np.sqrt(l * (l + 1.0)) / (cfg.radius * cfg.n0)
     g_sq = c0sq * w_l * (2 * l + 1) * np.maximum(0.0, 1.0 - pl[l]) / (4.0 * math.pi)
     window = np.ones(l.size)
@@ -192,8 +186,8 @@ def build_blocks(
     odd = l % 2 == 1
     detuning = w_l - OMEGA0
     return (
-        BlockModel("odd", l[odd], detuning[odd], coupling[odd], kappa),
-        BlockModel("even", l[~odd], detuning[~odd], coupling[~odd], kappa),
+        BlockModel("odd", l[odd], detuning[odd], coupling[odd]),
+        BlockModel("even", l[~odd], detuning[~odd], coupling[~odd]),
     )
 
 
@@ -387,12 +381,7 @@ def _refine_peak(t: np.ndarray, f: np.ndarray) -> float:
     return float(f[i])
 
 
-def evolve(
-    blocks: tuple[BlockModel, BlockModel],
-    kappa: float,
-    t_grid: np.ndarray,
-    gamma0: float = DEFAULT_GAMMA0,
-) -> SimResult:
+def evolve(blocks: tuple[BlockModel, BlockModel], kappa: float, t_grid: np.ndarray) -> SimResult:
     """Evolve |e,g>|vac> = (|o> + |e>)/sqrt 2 and extract pair observables.
 
     t_grid must be uniform and start at 0 (t_k = k dt, as np.linspace(0, T, n)
@@ -402,8 +391,8 @@ def evolve(
     attribute is first read.  kappa is applied on every mode diagonal.
     Raises EigensolveError if both the secular solve and the dense
     fallback of a block fail their checks.  Reported times
-    and the extracted exchange rate are converted to Gamma0 units via the
-    gamma0 that scaled the couplings at build time.
+    and the extracted exchange rate are converted to Gamma0 units via
+    DEFAULT_GAMMA0, the rate that scaled the couplings at build time.
 
     The Bell fidelity is computed against both (|a> -+ i|b>)/sqrt2 partners;
     the branch reaching the larger peak is reported (which of the two is
@@ -438,9 +427,9 @@ def evolve(
         d0, d1 = pop_diff[i], pop_diff[i + 1]
         t_cross = t0 if d1 == d0 else t0 - d0 * (t1 - t0) / (d1 - d0)
         if t_cross > 0:
-            dw_extracted = 0.25 * math.pi / (t_cross * gamma0)
+            dw_extracted = 0.25 * math.pi / (t_cross * DEFAULT_GAMMA0)
     return SimResult(
-        times=t_grid * gamma0,
+        times=t_grid * DEFAULT_GAMMA0,
         amp_a=amp_a,
         amp_b=amp_b,
         bell_fidelity=fid,
@@ -468,15 +457,13 @@ def compare_to_analytics(
     atoms: AtomPairConfig,
     rates: CouplingRates,
     l_range: range | None = None,
-    gamma0: float = DEFAULT_GAMMA0,
-    n_times: int = 2000,
 ) -> AnalyticsComparison:
     """Run the block simulation at cfg and compare it with the closed-form rates there.
 
     rates are coupling_rates(cfg, atoms), or one element of
     qed.coupling_rate_arrays for a caller that sweeps many points.  Requires
     antipodal atoms (the parity reduction assumes them).  The time grid is
-    n_times uniform points on [0, 3 pi / |delta_omega|], a few exchange
+    2000 uniform points on [0, 3 pi / |delta_omega|], a few exchange
     cycles.  The relative deviation is on the entangling error
     |(1 - F_num) - (1 - F_ana)| / (1 - F_ana), F_ana = entanglement_fidelity(rates).
     """
@@ -484,10 +471,10 @@ def compare_to_analytics(
         raise DomainError("the parity-reduced simulator requires antipodal atoms")
     f_ana = entanglement_fidelity(rates)
     theta = stereo_theta(atoms.p1.rho)
-    blocks = build_blocks(cfg, theta, l_range=l_range, kappa=cfg.kappa, gamma0=gamma0)
-    dw_internal = abs(rates.delta_omega) * gamma0
-    t_grid = np.linspace(0.0, 3.0 * math.pi / dw_internal, n_times)
-    sim = evolve(blocks, cfg.kappa, t_grid, gamma0=gamma0)
+    blocks = build_blocks(cfg, theta, l_range=l_range)
+    dw_internal = abs(rates.delta_omega) * DEFAULT_GAMMA0
+    t_grid = np.linspace(0.0, 3.0 * math.pi / dw_internal, 2000)
+    sim = evolve(blocks, cfg.kappa, t_grid)
     err_ana = 1.0 - f_ana
     deviation = (
         abs((1.0 - sim.max_fidelity) - err_ana) / err_ana if err_ana > 0 else math.inf

@@ -464,19 +464,19 @@ def accelerate(partial_sums: np.ndarray) -> tuple[complex, float]:
     prev1 = s.copy()                             # epsilon_0 column
     col = 0
     max_cols = min(s.size - 2, 120)  # deeper columns only amplify roundoff
-    while prev1.size > 2 and col < max_cols:
-        col += 1
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while prev1.size > 2 and col < max_cols:
+            col += 1
             diffs = prev1[1:] - prev1[:-1]
             zero = diffs == 0.0
             recip = 1.0 / np.where(zero, 1.0, diffs)
             recip[zero] = np.inf
             nxt = prev2[1 : prev1.size] + recip
-        prev2, prev1 = prev1, nxt
-        if col % 2 == 0 and prev1.size >= 2:
-            a, b = complex(prev1[-1]), complex(prev1[-2])
-            if np.isfinite(a) and np.isfinite(b):
-                err = abs(a - b)
-                if err < best_err:
-                    best, best_err = a, err
+            prev2, prev1 = prev1, nxt
+            if col % 2 == 0 and prev1.size >= 2:
+                a, b = complex(prev1[-1]), complex(prev1[-2])
+                if np.isfinite(a) and np.isfinite(b):
+                    err = abs(a - b)
+                    if err < best_err:
+                        best, best_err = a, err
     return best, float(best_err)

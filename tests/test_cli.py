@@ -1,3 +1,6 @@
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,14 @@ from fisheye.errors import EigensolveError, NonConvergenceError, RootNotFoundErr
 
 def _run(argv):
     return cli.main(argv)
+
+
+def _exit_code(argv):
+    """main's return value, or the code of the SystemExit that argparse raised."""
+    try:
+        return _run(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def _read_csv(path):
@@ -404,6 +415,39 @@ class TestConfigFile:
     def test_missing_config_is_usage_error(self, tmp_path):
         assert _run(["ddi-sweep", "--config", str(tmp_path / "nope.cfg")]) == 2
 
+    @pytest.mark.parametrize(
+        "key, value, flag",
+        [("b", "abc", "--b"), ("samples", "2.5", "--samples"), ("radii", "3.34,x", "--radii")],
+    )
+    def test_bad_value_exits_2_as_the_flag_does(self, tmp_path, capsys, key, value, flag):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{key} = {value}\n", encoding="utf-8")
+        out = tmp_path / "out.csv"
+        assert _exit_code(["ddi-sweep", "--config", str(config), "--out", str(out)]) == 2
+        from_config = capsys.readouterr().err
+        assert f"argument {flag}:" in from_config and "Traceback" not in from_config
+        assert not out.exists()
+        assert _exit_code(["ddi-sweep", flag, value, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == from_config
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value, simulated", [("no", False), ("on", True), ("1", True), ("off", False)])
+    def test_on_off_values(self, tmp_path, value, simulated):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"simulate = {value}\nl-max = 20\nunknown_key = 3\n", encoding="utf-8")
+        out = tmp_path / "out.csv"
+        assert _run(["dynamics", "--samples", "20", "--config", str(config), "--out", str(out)]) == 0
+        header, _ = _read_csv(out)
+        assert ("sim_pop1" in header) == simulated
+
+    def test_flag_overrides_an_off_value(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("simulate = no\nl_max = 20\n", encoding="utf-8")
+        out = tmp_path / "out.csv"
+        assert _run(["dynamics", "--samples", "20", "--config", str(config), "--simulate", "--out", str(out)]) == 0
+        header, _ = _read_csv(out)
+        assert "sim_pop1" in header
+
 
 class TestArgparseContract:
     def test_unknown_command(self):
@@ -415,6 +459,36 @@ class TestArgparseContract:
         with pytest.raises(SystemExit) as exc:
             _run(["validate", "--frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "--out", "x"],
+            ["validate", "--samples", "3"],
+            ["ddi-sweep", "--l-max", "3"],
+            ["dynamics", "--quick"],
+            ["dynamics", "--workers", "2"],
+            ["plasmon", "index-sweep", "--R0", "2"],
+            ["plasmon", "estimate", "--step", "1"],
+            ["plasmon", "estimate", "--plot-script", "p.py"],
+            ["plasmon", "--R0", "2", "estimate"],
+        ],
+        ids=" ".join,
+    )
+    def test_flag_the_command_does_not_read_is_rejected(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert _exit_code(argv) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_benchmark_command_lines_still_parse(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        parser = cli.build_parser()
+        for make in workloads.WORKLOADS.values():
+            for command in make(1).commands:
+                argv = list(command.argv) + (["--out", command.output] if command.writes_file else [])
+                assert callable(parser.parse_args(argv).func), argv
 
     def test_plot_script_emitted(self, tmp_path):
         out, script = tmp_path / "d.csv", tmp_path / "plot.py"

@@ -66,7 +66,7 @@ class TestBuildBlocks:
         cfg = _reference_cfg()
         theta = stereo_theta(0.27)
         g0 = DEFAULT_GAMMA0
-        bo, be = build_blocks(cfg, theta, l_range=range(1, 31), gamma0=g0, edge_taper=0.0)
+        bo, be = build_blocks(cfg, theta, l_range=range(1, 31), edge_taper=0.0)
         c0sq = 3.0 * math.pi * g0 / (OMEGA0**3 * cfg.b * cfg.radius**2)
         for block in (bo, be):
             for l, coupling in zip(block.l.tolist(), block.coupling.tolist()):
@@ -85,13 +85,13 @@ class TestBuildBlocks:
         cfg = LensConfig(radius=14.48)
         theta = stereo_theta(0.27)
         kappa = 2e-3
-        blocks = build_blocks(cfg, theta, l_range=range(-2, l_max + 1), kappa=kappa, edge_taper=edge_taper)
+        blocks = build_blocks(cfg, theta, l_range=range(-2, l_max + 1), edge_taper=edge_taper)
         l_roll = l_max * (1.0 - edge_taper)
         pl = legendre_poly_table(l_max, math.cos(math.pi - 2.0 * theta))
         c0sq = 3.0 * math.pi * DEFAULT_GAMMA0 / (OMEGA0**3 * cfg.b * (cfg.radius * cfg.n0) ** 2)
         for block, first in zip(blocks, (1, 2)):
             assert block.l.tolist() == list(range(first, l_max + 1, 2))
-            assert block.loss == kappa and block.dim == 1 + block.l.size
+            assert block.dim == 1 + block.l.size
             for l, detuning, coupling in zip(block.l.tolist(), block.detuning.tolist(), block.coupling.tolist()):
                 w_l = math.sqrt(l * (l + 1.0)) / (cfg.radius * cfg.n0)
                 g_sq = c0sq * w_l * (2 * l + 1) * max(0.0, 1.0 - pl[l]) / (4.0 * math.pi)
@@ -100,7 +100,7 @@ class TestBuildBlocks:
                     window = math.cos(0.5 * math.pi * (l - l_roll) / (l_max - l_roll)) ** 2
                 assert detuning == w_l - OMEGA0
                 assert coupling == window * math.sqrt(g_sq)
-            diag, border = block.arrowhead()
+            diag, border = block.arrowhead(kappa)
             assert border is block.coupling
             assert np.array_equal(diag, block.detuning - 1j * kappa)
 
@@ -127,8 +127,8 @@ class TestBuildBlocks:
             assert detuning == pytest.approx(want, rel=1e-14)
 
     def test_hamiltonian_shape(self):
-        bo, _ = build_blocks(_reference_cfg(), 2.0, l_range=range(1, 9), kappa=0.01)
-        h = bo.hamiltonian()
+        bo, _ = build_blocks(_reference_cfg(), 2.0, l_range=range(1, 9))
+        h = bo.hamiltonian(0.01)
         assert h.shape == (bo.dim, bo.dim)
         assert h[1, 1] == pytest.approx(bo.detuning[0] - 0.01j)
         assert h[0, 1] == h[1, 0]
@@ -163,7 +163,7 @@ class TestEvolve:
         cfg = _reference_cfg(alpha=alpha)
         t, _ = _time_grid(cfg, antipodal_027, alpha)
         t = np.linspace(0.0, 6.0 * t[-1], 1500)
-        blocks = build_blocks(cfg, stereo_theta(0.27), kappa=cfg.kappa)
+        blocks = build_blocks(cfg, stereo_theta(0.27))
         sim = evolve(blocks, cfg.kappa, t)
         assert np.all(np.diff(sim.state_norm) <= 1e-10)
         assert abs(sim.amp_a[-1]) ** 2 + abs(sim.amp_b[-1]) ** 2 < 5e-3
@@ -194,7 +194,7 @@ class TestAtomicRow:
         t, _ = _time_grid(cfg, antipodal_027, alpha)
         dt = t[-1] / (len(t) - 1)
         kappa = alpha * OMEGA0
-        for block in build_blocks(cfg, stereo_theta(0.27), kappa=kappa):
+        for block in build_blocks(cfg, stereo_theta(0.27)):
             atomic, full_state = _propagate(block, kappa, dt, len(t))
             full = full_state()
             assert float(np.max(np.abs(atomic - full[:, 0]))) <= 1e-13
@@ -206,7 +206,7 @@ class TestAtomicRow:
     def test_state_norm_on_demand_matches_eager_norm(self, antipodal_027, alpha):
         cfg = _reference_cfg(alpha=alpha)
         t, _ = _time_grid(cfg, antipodal_027, alpha, n=800)
-        blocks = build_blocks(cfg, stereo_theta(0.27), kappa=cfg.kappa)
+        blocks = build_blocks(cfg, stereo_theta(0.27))
         sim = evolve(blocks, cfg.kappa, t)
         unread = pickle.loads(pickle.dumps(sim))
         norm = sim.state_norm
@@ -250,7 +250,7 @@ class TestSecularSpectrum:
     @pytest.mark.parametrize("r0", [1.749, 3.34, 8.11, 14.48])
     def test_roots_and_residues_match_eig(self, r0, alpha):
         kappa = alpha * OMEGA0
-        for block in build_blocks(LensConfig(radius=r0, alpha=alpha), stereo_theta(0.27), kappa=kappa):
+        for block in build_blocks(LensConfig(radius=r0, alpha=alpha), stereo_theta(0.27)):
             z, res, weights = _secular_spectrum(*block.arrowhead(kappa))
             w, v = np.linalg.eig(block.hamiltonian(kappa))
             residues = v[0] * np.linalg.solve(v, np.eye(len(w))[:, 0])
@@ -268,7 +268,7 @@ class TestSecularSpectrum:
     def test_deflated_top_mode_has_zero_weight(self):
         # the top mode of every even block sits under a cos^2 window of 3.7e-33
         kappa = 1e-3 * OMEGA0
-        _, even = build_blocks(LensConfig(radius=3.34), stereo_theta(0.27), kappa=kappa)
+        _, even = build_blocks(LensConfig(radius=3.34), stereo_theta(0.27))
         diag, border = even.arrowhead(kappa)
         assert border[-1] ** 2 <= schrodinger.DEFLATION_TOL * float(np.max(border**2))
         z, res, build = _secular_spectrum(diag, border)
@@ -282,12 +282,12 @@ class TestSecularSpectrum:
         # two coupled modes on one pole share a root there, so the distinct-
         # root check fails and the dense eigensolver evolves the block
         block = schrodinger.BlockModel(
-            "odd", np.arange(1, 5), np.array([-0.3, 0.1, 0.1, 0.5]), np.array([0.02, 0.03, 0.01, 0.02]), 1e-3
+            "odd", np.arange(1, 5), np.array([-0.3, 0.1, 0.1, 0.5]), np.array([0.02, 0.03, 0.01, 0.02])
         )
         with pytest.raises(EigensolveError, match="distinct roots: False"):
-            _secular_spectrum(*block.arrowhead())
+            _secular_spectrum(*block.arrowhead(1e-3))
         atomic, full_state = _propagate(block, 1e-3, 5.0, 200)
-        ref = _expm_states(block.hamiltonian(), 5.0, 200)
+        ref = _expm_states(block.hamiltonian(1e-3), 5.0, 200)
         assert float(np.max(np.abs(atomic - ref[:, 0]))) <= 1e-12
         assert float(np.max(np.abs(full_state() - ref))) <= 1e-12
 
@@ -312,7 +312,7 @@ class TestSecularSpectrum:
         cfg = LensConfig(radius=radius_for_order(30.99), alpha=alpha)
         kappa = alpha * OMEGA0
         dt, n = 2e3, 300
-        for block in build_blocks(cfg, stereo_theta(0.27), kappa=kappa):
+        for block in build_blocks(cfg, stereo_theta(0.27)):
             atomic, full_state = _propagate(block, kappa, dt, n)
             ref = _expm_states(block.hamiltonian(kappa), dt, n)
             assert float(np.max(np.abs(atomic - ref[:, 0]))) <= 1e-9
@@ -353,7 +353,7 @@ class TestSecularSpectrum:
     def test_failed_secular_check_takes_the_eig_path(self, monkeypatch, check, value):
         kappa = 0.01
         cfg = _reference_cfg(nu_re=5.5)
-        blocks = build_blocks(cfg, stereo_theta(0.3), l_range=range(1, 13), kappa=kappa)
+        blocks = build_blocks(cfg, stereo_theta(0.3), l_range=range(1, 13))
         t = np.linspace(0.0, 40.0, 60)
         secular = evolve(blocks, kappa, t)
         calls = []
@@ -383,7 +383,7 @@ class TestSecularSpectrum:
         else:
             monkeypatch.setattr(schrodinger, "RESIDUAL_TOL", -1.0)
         kappa = 0.01
-        blocks = build_blocks(_reference_cfg(nu_re=5.5), stereo_theta(0.3), l_range=range(1, 13), kappa=kappa)
+        blocks = build_blocks(_reference_cfg(nu_re=5.5), stereo_theta(0.3), l_range=range(1, 13))
         with pytest.raises(EigensolveError):
             evolve(blocks, kappa, np.linspace(0.0, 40.0, 60))
         out = tmp_path / "dyn.csv"
@@ -409,8 +409,8 @@ class TestFullBasisCrossCheck:
         psi0[0] = 1.0
         coeff = v.conj().T @ psi0
         full = (np.exp(-1j * np.outer(t, w)) * coeff[None, :]) @ v.T
-        blocks = build_blocks(cfg, stereo_theta(rho), l_range=l_range, gamma0=g0, edge_taper=0.0)
-        sim = evolve(blocks, 0.0, t, gamma0=g0)
+        blocks = build_blocks(cfg, stereo_theta(rho), l_range=l_range, edge_taper=0.0)
+        sim = evolve(blocks, 0.0, t)
         assert float(np.max(np.abs(full[:, 0] - sim.amp_a))) < 1e-9
         assert float(np.max(np.abs(full[:, 1] - sim.amp_b))) < 1e-9
 
