@@ -36,7 +36,7 @@ from .errors import (
     ZeroCouplingError,
 )
 from .lens import OMEGA0, DiskPoint, LensConfig, ModeIndex, order_parameter, radius_for_order
-from .greens import ModeSumResult, greens_modesum, greens_zz, greens_zz_points
+from .greens import ModeSumResult, greens_modesum, greens_modesum_points, greens_zz, greens_zz_points
 from .qed import (
     AtomPairConfig,
     CouplingRates,
@@ -66,6 +66,7 @@ __all__ = [
     "greens_zz",
     "greens_zz_points",
     "greens_modesum",
+    "greens_modesum_points",
     "AtomPairConfig",
     "CouplingRates",
     "TwoAtomTrajectory",

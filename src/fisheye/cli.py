@@ -83,7 +83,21 @@ def _parse_config(path: str) -> dict[str, str]:
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    try:
+        return [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a comma list of floats, got {text!r}") from None
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser; in a command group (plasmon), whose flags belong to its actions, it names a
+    flag given before the action, where argparse would report the flag's value as an invalid action."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._subparsers is not None and args and args[0].startswith("-") and args[0] not in ("-h", "--help"):
+            flag = args[0].split("=", 1)[0]
+            self.error(f"{flag} comes before the action: {self.prog} flags follow it ({self.prog} ACTION {flag} ...)")
+        return super().parse_known_args(args, namespace)
 
 
 def _samples(args: argparse.Namespace) -> int:
@@ -146,39 +160,35 @@ def cmd_validate(args: argparse.Namespace) -> int:
     cfg = lens.LensConfig(radius=2.0)
     l_cap = 5 if quick else 8
     modes = [lens.ModeIndex(l, m) for l in range(1, l_cap + 1) for m in lens.allowed_m(l)]
-    worst = 0.0
-    for i, ma in enumerate(modes):
-        for mb in modes[i:]:
-            want = 1.0 if ma == mb else 0.0
-            got = lens.orthonormality_check(cfg, ma, mb, quadrature_n=64)
-            worst = max(worst, abs(got - want))
+    overlaps = lens.orthonormality_matrix(cfg, modes, quadrature_n=64)
+    worst = float(np.max(np.abs(overlaps - np.eye(len(modes)))))
     _check("mode orthonormality identity", worst < 1e-6, f"max dev {worst:.2e}", results)
 
-    def random_pairs(count: int, keep_apart: float) -> tuple[list, np.ndarray]:
-        """Draw count pairs, less those with |xi + 1| < keep_apart: the pairs and their rho1, phi1, rho2, phi2 rows."""
-        pairs = []
-        for _ in range(count):
-            p1 = lens.DiskPoint(rng.uniform(0.1, 0.9), rng.uniform(0, 2 * math.pi))
-            p2 = lens.DiskPoint(rng.uniform(0.1, 0.9), rng.uniform(0, 2 * math.pi))
-            if abs(greens.xi(p1.alpha, p2.alpha) + 1.0) >= keep_apart:
-                pairs.append((p1, p2))
-        return pairs, np.array([(p1.rho, p1.phi, p2.rho, p2.phi) for p1, p2 in pairs]).reshape(-1, 4).T
+    def random_pairs(count: int, keep_apart: float) -> np.ndarray:
+        """rho1, phi1, rho2, phi2 rows of count drawn pairs, less those with |xi + 1| < keep_apart."""
+        drawn = np.array(
+            [(rng.uniform(0.1, 0.9), rng.uniform(0, 2 * math.pi), rng.uniform(0.1, 0.9), rng.uniform(0, 2 * math.pi))
+             for _ in range(count)]
+        )
+        rho1, phi1, rho2, phi2 = drawn.T
+        apart = np.abs(greens.xi(rho1 * np.exp(1j * phi1), rho2 * np.exp(1j * phi2)) + 1.0) >= keep_apart
+        return drawn[apart].T
 
-    # closed form (one call per radius) vs eigenmode sum, real frequency
-    # midway between resonances
+    # closed form vs eigenmode sum (one call each per radius), real
+    # frequency midway between resonances
     worst = 0.0
     radii = (1.749, 3.34) if quick else (1.749, 3.34, 8.11)
     for r0 in radii:
         cfg = lens.LensConfig(radius=r0)
-        pairs, (rho1, phi1, rho2, phi2) = random_pairs(4 if quick else 8, 0.05)
+        rho1, phi1, rho2, phi2 = random_pairs(4 if quick else 8, 0.05)
         g = greens.greens_zz_points(cfg, rho1, phi1, rho2, phi2, lens.OMEGA0)
-        gm = np.array([greens.greens_modesum(cfg, p1, p2, lens.OMEGA0, tol=1e-9).value for p1, p2 in pairs])
+        gm = greens.greens_modesum_points(cfg, rho1, phi1, rho2, phi2, lens.OMEGA0, tol=1e-9).value
         worst = max(worst, float(np.max(np.abs(g - gm) / np.abs(g), initial=0.0)))
     _check("closed form vs mode sum", worst < 1e-6, f"max rel dev {worst:.2e}", results)
 
     # reciprocity: G(p1, p2) and G(p2, p1) in one call
     cfg = lens.LensConfig(radius=3.34)
-    _, (rho1, phi1, rho2, phi2) = random_pairs(3 if quick else 8, 0.02)
+    rho1, phi1, rho2, phi2 = random_pairs(3 if quick else 8, 0.02)
     rho, phi = np.stack([rho1, rho2]), np.stack([phi1, phi2])
     a, b = greens.greens_zz_points(cfg, rho, phi, rho[::-1], phi[::-1], lens.OMEGA0)
     worst = float(np.max(np.abs(a - b) / np.abs(a), initial=0.0))
@@ -401,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fisheye",
         description="Gradient-index cavity quantum optics: figure data, validation, loss estimates.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     p = _leaf(sub, "validate", cmd_validate, "run the cross-validation oracle suite")
     p.add_argument("--quick", action="store_true", help="reduced grids")

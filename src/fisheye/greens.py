@@ -20,8 +20,9 @@ evaluates this over broadcast orders and points; greens_zz_points (one
 frequency) and greens_zz (one pair, a Python complex) are that kernel at
 order_parameter(omega), so every closed-form value shares its bits.  An
 eigenmode sum over the cavity spectrum provides an independent
-representation (greens_modesum) used as a cross-validation oracle: the two
-agree to ~1e-12 away from the source.
+representation used as a cross-validation oracle (greens_modesum_points
+over pairs, greens_modesum for one): the two agree to ~1e-12 away from the
+source.
 
 Scale: G_zz carries 1/length through the explicit 1/(4b); all rates in the
 qed module divide out the remaining dimensional prefactors via Gamma0.
@@ -53,7 +54,7 @@ MODESUM_TOL = 1e-8
 
 @dataclass(frozen=True)
 class ModeSumResult:
-    """Accelerated eigenmode-sum value plus its convergence report."""
+    """Accelerated eigenmode-sum value plus its convergence report: one pair's, or arrays over pairs."""
 
     value: complex
     l_max: int
@@ -165,35 +166,38 @@ def greens_zz_points(
     return greens_zz_orders(cfg.b, order_parameter(cfg, omega), rho1, phi1, rho2, phi2)
 
 
-def modesum_terms(p1: DiskPoint, p2: DiskPoint, l_max: int) -> np.ndarray:
-    """(-1)^l (2l+1)(P_l(xi_src) - P_l(xi_img)) for l = 0..l_max; the l = 0 entry vanishes.
+def modesum_xi(rho1, phi1, rho2, phi2) -> np.ndarray:
+    """(xi_src, xi_img) of each pair of broadcast points, on a last axis: the arguments of the mode sums.
 
-    The spherical-harmonic addition theorem collapses the m sum of the TE
-    modes at fixed l to these two Legendre polynomials; both mode sums
-    (greens_modesum, qed.rates_modesum_oracle) weight them per l.  Raises
-    CoincidentPointsError for |xi_src + 1| < SOURCE_EXCLUSION: near the
-    source the logarithmic divergence makes the term count explode.
+    Raises CoincidentPointsError if any pair has |xi_src + 1| < SOURCE_EXCLUSION:
+    near the source the logarithmic divergence makes the term count explode.
     """
-    xi_src, xi_img = _source_image(p1.rho, p1.phi, p2.rho, p2.phi)[0].tolist()
-    if xi_src + 1.0 < SOURCE_EXCLUSION:
+    xi = _source_image(rho1, phi1, rho2, phi2)[0]
+    if np.any(xi[..., 0] + 1.0 < SOURCE_EXCLUSION):
         raise CoincidentPointsError(
             f"mode sum unreliable near the source point (|xi + 1| < {SOURCE_EXCLUSION})"
         )
+    return xi
+
+
+def modesum_terms(xi: np.ndarray, l_max: int) -> np.ndarray:
+    """(-1)^l (2l+1)(P_l(xi_src) - P_l(xi_img)) for l = 0..l_max; the l = 0 entry vanishes.
+
+    xi is the (2,) or (pairs, 2) modesum_xi result, and the terms come back
+    with shape (l_max + 1,) or (pairs, l_max + 1).  The spherical-harmonic
+    addition theorem collapses the m sum of the TE modes at fixed l to these
+    two Legendre polynomials; both mode sums (greens_modesum_points,
+    qed.rates_modesum_oracle) weight them per l.
+    """
     ls = np.arange(l_max + 1, dtype=float)
-    p_src = legendre_poly_table(l_max, xi_src)
-    p_img = legendre_poly_table(l_max, xi_img)
-    return (-1.0) ** ls * (2.0 * ls + 1.0) * (p_src - p_img)
+    p = legendre_poly_table(l_max, xi)
+    return (p[..., 0] - p[..., 1]).T * ((-1.0) ** ls * (2.0 * ls + 1.0))
 
 
-def greens_modesum(
-    cfg: LensConfig,
-    p1: DiskPoint,
-    p2: DiskPoint,
-    omega: complex,
-    l_max: int | None = None,
-    tol: float = MODESUM_TOL,
+def greens_modesum_points(
+    cfg: LensConfig, rho1, phi1, rho2, phi2, omega: complex, l_max: int | None = None, tol: float = MODESUM_TOL
 ) -> ModeSumResult:
-    """Eigenmode-sum representation of G_zz, the independent oracle.
+    """Eigenmode-sum representation of G_zz over pairs of points, the independent oracle.
 
     With the m-summed weights of modesum_terms,
 
@@ -204,24 +208,48 @@ def greens_modesum(
     is resummed with Wynn epsilon acceleration on its partial sums.  Starts
     at l_max = 8 ceil(Re nu) and doubles until the acceleration error
     estimate drops below `tol` relative or the cap 2^14 is hit; the achieved
-    estimate is reported either way.  Raises CoincidentPointsError within
-    SOURCE_EXCLUSION of the source.
+    estimate is reported either way.
+
+    The points are floats (one pair) or 1-D arrays that broadcast to one
+    batch of pairs, and the fields of the result are arrays over it.  Each
+    round resums the pairs still unconverged in one accelerate call, so
+    every pair takes its own l_max sequence.  Raises DomainError for rho
+    outside [0, 1], ResonanceError, and CoincidentPointsError if any pair
+    lies within SOURCE_EXCLUSION of its source.
     """
+    rho1, phi1, rho2, phi2 = np.broadcast_arrays(*np.atleast_1d(rho1, phi1, rho2, phi2))
+    if not (np.all((rho1 >= 0.0) & (rho1 <= 1.0)) and np.all((rho2 >= 0.0) & (rho2 <= 1.0))):
+        raise DomainError("rho must lie in [0, 1]")
     nu = order_parameter(cfg, omega)
     _check_order(nu)
+    xi = modesum_xi(rho1, phi1, rho2, phi2)
     if l_max is None:
         l_max = max(64, MODESUM_LMAX_FACTOR * math.ceil(nu.real))
     nn = nu * (nu + 1.0)
     scale = -1.0 / (4.0 * math.pi * cfg.b)
-    while True:
+    value, tail = np.empty(len(xi), dtype=complex), np.empty(len(xi))
+    l_maxes, converged = np.empty(len(xi), dtype=int), np.empty(len(xi), dtype=bool)
+    live = np.arange(len(xi))
+    while live.size:
         ls = np.arange(l_max + 1, dtype=float)
-        terms = modesum_terms(p1, p2, l_max) / (nn - ls * (ls + 1.0))
-        value, err = accelerate(np.cumsum(terms)[1:])  # l = 0 term vanishes
-        value, err = scale * value, abs(scale) * err
-        converged = err <= tol * max(abs(value), 1e-300)
-        if converged or l_max >= MODESUM_LMAX_CAP:
-            return ModeSumResult(value, l_max, err, converged)
+        terms = modesum_terms(xi[live], l_max) / (nn - ls * (ls + 1.0))
+        v, err = accelerate(np.cumsum(terms, axis=-1)[:, 1:])  # l = 0 term vanishes
+        v, err = scale * v, abs(scale) * err
+        ok = err <= tol * np.maximum(np.hypot(v.real, v.imag), 1e-300)  # |v| rounded as Python's abs
+        done = ok | (l_max >= MODESUM_LMAX_CAP)
+        rows = live[done]
+        value[rows], tail[rows], l_maxes[rows], converged[rows] = v[done], err[done], l_max, ok[done]
+        live = live[~done]
         l_max = min(2 * l_max, MODESUM_LMAX_CAP)
+    return ModeSumResult(value, l_maxes, tail, converged)
+
+
+def greens_modesum(
+    cfg: LensConfig, p1: DiskPoint, p2: DiskPoint, omega: complex, l_max: int | None = None, tol: float = MODESUM_TOL
+) -> ModeSumResult:
+    """greens_modesum_points for one pair, with Python scalars in the result."""
+    r = greens_modesum_points(cfg, p1.rho, p1.phi, p2.rho, p2.phi, omega, l_max, tol)
+    return ModeSumResult(complex(r.value[0]), int(r.l_max[0]), float(r.tail_estimate[0]), bool(r.converged[0]))
 
 
 def image_point_value(cfg: LensConfig, nu: complex) -> complex:

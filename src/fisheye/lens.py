@@ -210,38 +210,40 @@ def _gauss_rule(npts: int) -> tuple[np.ndarray, np.ndarray]:
     return u, w
 
 
-def orthonormality_check(
-    cfg: LensConfig,
-    mode_a: ModeIndex,
-    mode_b: ModeIndex,
-    quadrature_n: int = 128,
-) -> complex:
-    """Weighted overlap integral int n^2 f_a . f_b* d^3r (should be delta_ab).
+def orthonormality_matrix(cfg: LensConfig, modes: list[ModeIndex], quadrature_n: int = 128) -> np.ndarray:
+    """Weighted overlap integrals int n^2 f_a . f_b* d^3r of every pair of modes (should be the identity).
 
     The azimuthal integral is analytic (2 pi delta_{m m'}); the z integral
     gives b; the radial integral is done by Gauss-Legendre quadrature after
     the substitution u = cos theta(rho), under which n^2 r dr = n0^2 R0^2 du
     and the integrand is a polynomial in u (exact for quadrature_n > l + l').
     The rule for each node count is built once and cached (16 node counts
-    at most), and both mode functions are evaluated at all nodes at once.
+    at most), and each mode function is evaluated once per rule, at all
+    nodes at once.  Returns the symmetric float matrix of overlaps.
 
-    Raises NonConvergenceError if doubling the node count moves the result
+    Raises NonConvergenceError if doubling the node count moves any overlap
     by more than 1e-9.
     """
     if quadrature_n < 64:
         raise DomainError("quadrature_n must be >= 64")
-    if mode_a.m != mode_b.m:
-        return 0.0 + 0.0j
+    rules = [_gauss_rule(npts) for npts in (quadrature_n, 2 * quadrature_n)]
+    thetas = [[_theta_lm(mode.l, mode.m, u) for mode in modes] for u, _ in rules]
+    out = np.zeros((len(modes), len(modes)))
+    for i, mode_a in enumerate(modes):
+        for j in range(i, len(modes)):
+            if modes[j].m != mode_a.m:
+                continue
+            coarse, fine = (
+                4.0 * math.pi * float(np.dot(w, theta[i] * theta[j])) for (_, w), theta in zip(rules, thetas)
+            )
+            if abs(fine - coarse) > 1e-9 * max(1.0, abs(fine)):
+                raise NonConvergenceError(
+                    f"orthonormality quadrature did not settle for {mode_a} and {modes[j]}: {coarse} vs {fine}"
+                )
+            out[i, j] = out[j, i] = fine
+    return out
 
-    def radial(npts: int) -> float:
-        u, w = _gauss_rule(npts)
-        vals = _theta_lm(mode_a.l, mode_a.m, u) * _theta_lm(mode_b.l, mode_b.m, u)
-        return 4.0 * math.pi * float(np.dot(w, vals))
 
-    coarse = radial(quadrature_n)
-    fine = radial(2 * quadrature_n)
-    if abs(fine - coarse) > 1e-9 * max(1.0, abs(fine)):
-        raise NonConvergenceError(
-            f"orthonormality quadrature did not settle: {coarse} vs {fine}"
-        )
-    return complex(fine)
+def orthonormality_check(cfg: LensConfig, mode_a: ModeIndex, mode_b: ModeIndex, quadrature_n: int = 128) -> complex:
+    """The overlap of two modes: orthonormality_matrix of (mode_a, mode_b), off its diagonal."""
+    return complex(orthonormality_matrix(cfg, [mode_a, mode_b], quadrature_n)[0, 1])

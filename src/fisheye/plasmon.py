@@ -74,6 +74,10 @@ class PlasmonStack:
             raise DomainError("eps_dielectric must exceed 1")
         if self.lambda0_nm <= 0:
             raise DomainError("wavelength must be positive")
+        # constants of transverse_wavenumbers, which a Newton solve calls ~10 times
+        k0_sq = self.k0**2
+        constants = (self.k0, k0_sq, self.eps_dielectric * k0_sq, self.eps_metal * k0_sq)
+        object.__setattr__(self, "_wavenumber_constants", constants)
 
     @property
     def k0(self) -> float:
@@ -124,11 +128,11 @@ def _decay_root(z: complex | np.ndarray) -> complex | np.ndarray:
 
 def transverse_wavenumbers(n_eff: complex, stack: PlasmonStack) -> tuple[complex, complex, complex]:
     """(k_air, k_d, k_m) for a trial index (or an array of them); decay-branch square roots."""
-    k0 = stack.k0
+    k0, k0_sq, eps_d_k0_sq, eps_m_k0_sq = stack._wavenumber_constants
     nk2 = (n_eff * k0) ** 2
-    k_air = _decay_root(nk2 - k0**2)
-    k_d = _decay_root(nk2 - stack.eps_dielectric * k0**2) / stack.eps_dielectric
-    k_m = _decay_root(nk2 - stack.eps_metal * k0**2) / stack.eps_metal
+    k_air = _decay_root(nk2 - k0_sq)
+    k_d = _decay_root(nk2 - eps_d_k0_sq) / stack.eps_dielectric
+    k_m = _decay_root(nk2 - eps_m_k0_sq) / stack.eps_metal
     return k_air, k_d, k_m
 
 
@@ -175,8 +179,8 @@ def _newton(stack: PlasmonStack, d_nm: float, seed: complex) -> complex:
     """
     z = complex(seed)
     f_scale = stack.k0
+    f = _residual_smooth(z, d_nm, stack)
     for _ in range(NEWTON_MAX_ITER):
-        f = _residual_smooth(z, d_nm, stack)
         if abs(f) < 1e-13 * f_scale:
             return z
         h = 1e-7 * max(1.0, abs(z))
@@ -186,14 +190,18 @@ def _newton(stack: PlasmonStack, d_nm: float, seed: complex) -> complex:
         step = f / df
         damping = 1.0
         while damping > 1.0 / 64.0:
-            trial = z - damping * step
-            if abs(_residual_smooth(trial, d_nm, stack)) < abs(f):
+            f_trial = _residual_smooth(z - damping * step, d_nm, stack)
+            if abs(f_trial) < abs(f):
                 break
             damping *= 0.5
+        else:  # the last halving was not evaluated
+            f_trial = None
         z = z - damping * step
         if abs(step) * damping < NEWTON_TOL * max(1.0, abs(z)):
             return z
-    if abs(_residual_smooth(z, d_nm, stack)) < 1e-8 * f_scale:
+        # an accepted trial is the new iterate, so its residual is the next f
+        f = _residual_smooth(z, d_nm, stack) if f_trial is None else f_trial
+    if abs(f) < 1e-8 * f_scale:
         return z
     raise RootNotFoundError(
         f"dispersion root did not converge at d = {d_nm} nm (last iterate {z})"

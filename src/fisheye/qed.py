@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError, RangeOverflowError, UnphysicalRatesError, ZeroCouplingError
-from .greens import MODESUM_TOL, greens_zz_orders, image_point_value, modesum_terms, source_offset
+from .greens import MODESUM_TOL, greens_zz_orders, image_point_value, modesum_terms, modesum_xi, source_offset
 from .greens import greens_zz  # noqa: F401  (the benchmark tracer wraps this binding)
 from .lens import OMEGA0, DiskPoint, LensConfig, check_lens, order_parameter, order_parameters
 from .specfun import accelerate
@@ -256,18 +256,19 @@ def rates_modesum_oracle(
         l_max = max(256, 40 * math.ceil(nu.real))
     ls = np.arange(l_max + 1, dtype=float)
     # sum over m in M_l of f*(r1) f(r2)
-    s_l = modesum_terms(atoms.p1, atoms.p2, l_max) / (4.0 * math.pi * cfg.b * (cfg.radius * cfg.n0) ** 2)
+    xi = modesum_xi(atoms.p1.rho, atoms.p1.phi, atoms.p2.rho, atoms.p2.phi)
+    s_l = modesum_terms(xi, l_max) / (4.0 * math.pi * cfg.b * (cfg.radius * cfg.n0) ** 2)
     w_l = np.sqrt(ls * (ls + 1.0)) / (cfg.radius * cfg.n0)
     lp = -w_l / (kappa**2 + (w_l + OMEGA0) ** 2)
     lm = w_l / (kappa**2 + (w_l - OMEGA0) ** 2)
     gamma_terms = kappa * (lp + lm) * s_l
-    gcoop, gcoop_err = accelerate(np.cumsum(gamma_terms)[1:])
     dw_weights = (
         (OMEGA0**2 + kappa**2 + 1j * kappa * w_l)
         / ((w_l - 1j * kappa) ** 2 - OMEGA0**2)
     ).real
     dw_terms = dw_weights * s_l
-    dw, dw_err = accelerate(np.cumsum(dw_terms)[1:])
+    values, errors = accelerate(np.cumsum(np.stack([gamma_terms, dw_terms]), axis=-1)[:, 1:])
+    (gcoop, dw), (gcoop_err, dw_err) = values.tolist(), errors.tolist()
     for name, value, err in (("gamma_coop", gcoop, gcoop_err), ("delta_omega", dw, dw_err)):
         if not err <= MODESUM_TOL * max(abs(value), 1e-300):
             raise NonConvergenceError(

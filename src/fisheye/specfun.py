@@ -97,17 +97,23 @@ def legendre_poly(l: int, x: float) -> float:
     return p
 
 
-def legendre_poly_table(l_max: int, x: float) -> np.ndarray:
-    """All P_l(x) for l = 0..l_max as a float array (same recurrence)."""
+def legendre_poly_table(l_max: int, x: float | np.ndarray) -> np.ndarray:
+    """All P_l(x) for l = 0..l_max as a float array (same recurrence); an ndarray x adds its shape after l.
+
+    The recurrence runs on Python floats, one x at a time: for the few
+    arguments of a mode sum, a numpy step over all of them costs more.
+    """
     if l_max < 0:
         raise DomainError("l_max must be >= 0")
-    out = np.empty(l_max + 1)
-    out[0] = 1.0
-    if l_max >= 1:
-        out[1] = x
-    for k in range(1, l_max):
-        out[k + 1] = ((2 * k + 1) * x * out[k] - k * out[k - 1]) / (k + 1)
-    return out
+    xs = np.asarray(x, dtype=float)
+    out = np.empty((xs.size, l_max + 1))
+    for row, xj in zip(out, xs.ravel().tolist()):
+        table, p_prev, p = [1.0, xj], 1.0, xj
+        for k in range(1, l_max):
+            p_prev, p = p, ((2 * k + 1) * xj * p - k * p_prev) / (k + 1)
+            table.append(p)
+        row[:] = table[: l_max + 1]
+    return out.T.reshape((l_max + 1,) + xs.shape)
 
 
 def _theta_lm(l: int, m: int, u: float | np.ndarray) -> float | np.ndarray:
@@ -439,44 +445,56 @@ def legendre_nu_expansion(nu: complex, x: float, l_max: int) -> np.ndarray:
     return cmath.sin(cmath.pi * nu) / math.pi * np.cumsum(terms)
 
 
-def accelerate(partial_sums: np.ndarray) -> tuple[complex, float]:
-    """Wynn epsilon acceleration of a sequence of partial sums.
+def accelerate(partial_sums: np.ndarray) -> tuple[complex, float] | tuple[np.ndarray, np.ndarray]:
+    """Wynn epsilon acceleration of a sequence of partial sums, or of each row of a 2-D array of them.
 
     Returns (limit estimate, error estimate).  Handles the oscillatory,
     conditionally convergent tails of the mode sums and of
     legendre_nu_expansion; typical gain is from ~1e-2 to ~1e-12 relative.
     Exact stagnation (two equal consecutive sums) returns that value directly.
+
+    A 2-D input returns arrays (values, errors), one per row, each as the
+    1-D call on that row would give it; a 1-D input is the one-row call.
     """
     s = np.asarray(partial_sums, dtype=complex)
     if s.size == 0:
         raise DomainError("empty partial-sum sequence")
+    rows = np.atleast_2d(s)
     # collapse runs of equal sums (zero terms, e.g. vanishing odd-l Legendre
     # values at x = 0) that would fill the epsilon table with zero divisors
-    if s.size > 1:
-        keep = np.ones(s.size, dtype=bool)
-        keep[1:] = s[1:] != s[:-1]
-        s = s[keep]
-    if s.size == 1:
-        return complex(s[0]), 0.0
-    best = complex(s[-1])
-    best_err = abs(s[-1] - s[-2])
-    prev2 = np.zeros(s.size + 1, dtype=complex)  # epsilon_{-1} column
-    prev1 = s.copy()                             # epsilon_0 column
-    col = 0
-    max_cols = min(s.size - 2, 120)  # deeper columns only amplify roundoff
+    keep = np.ones(rows.shape, dtype=bool)
+    keep[:, 1:] = rows[:, 1:] != rows[:, :-1]
+    n = keep.sum(axis=1)
+    cols = np.minimum(n - 2, 120)  # deeper columns only amplify roundoff
+    # column k's last two entries depend only on the last k + 2 sums, so each
+    # row keeps its last cols + 2 distinct sums, right-aligned in one table;
+    # the entries left of a short row are never read for it
+    width = max(int(cols.max()), 0) + 2
+    from_end = np.cumsum(keep[:, ::-1], axis=1)[:, ::-1] - 1
+    r, c = np.nonzero(keep & (from_end < width))
+    prev1 = np.zeros((len(rows), width), dtype=complex)  # epsilon_0 column
+    prev1[r, width - 1 - from_end[r, c]] = rows[r, c]
+    prev2 = np.zeros((len(rows), width + 1), dtype=complex)  # epsilon_{-1} column
+    ends = [prev1[:, -2:]]  # the last two entries of epsilon_0 and each even column
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        while prev1.size > 2 and col < max_cols:
-            col += 1
-            diffs = prev1[1:] - prev1[:-1]
-            zero = diffs == 0.0
-            recip = 1.0 / np.where(zero, 1.0, diffs)
-            recip[zero] = np.inf
-            nxt = prev2[1 : prev1.size] + recip
-            prev2, prev1 = prev1, nxt
-            if col % 2 == 0 and prev1.size >= 2:
-                a, b = complex(prev1[-1]), complex(prev1[-2])
-                if np.isfinite(a) and np.isfinite(b):
-                    err = abs(a - b)
-                    if err < best_err:
-                        best, best_err = a, err
-    return best, float(best_err)
+        for col in range(1, width - 1):
+            diffs = prev1[:, 1:] - prev1[:, :-1]
+            recip = 1.0 / diffs
+            np.copyto(recip, np.inf, where=diffs == 0.0)
+            prev2, prev1 = prev1, prev2[:, 1 : prev1.shape[1]] + recip
+            if col % 2 == 0:
+                ends.append(prev1[:, -2:])
+        b, a = np.moveaxis(np.stack(ends, axis=1), -1, 0)
+        # the error is hypot(re, im), Python's complex abs (numpy's complex abs can
+        # differ by an ulp); of the columns with finite entries within the row's
+        # cutoff, the first with the least error is the one "err < best" keeps
+        err = np.hypot((a - b).real, (a - b).imag)
+        err[n == 1, 0] = 0.0
+        usable = np.isfinite(a) & np.isfinite(b) & (2 * np.arange(len(ends)) <= cols[:, None])
+        usable[:, 0] = True
+        err[~usable] = np.inf
+    pick = (np.arange(len(rows)), np.argmin(err, axis=1))
+    best, best_err = a[pick], err[pick]
+    if s.ndim == 1:
+        return complex(best[0]), float(best_err[0])
+    return best, best_err

@@ -81,6 +81,29 @@ class TestValidate:
         assert "FAIL" in capsys.readouterr().out
 
 
+    def test_one_accelerate_call_per_mode_sum_and_one_theta_per_mode_and_rule(self, monkeypatch, capsys):
+        # the expansion oracle, one batched mode sum per radius (3) and the
+        # rates oracle's two tails in one call; Theta of 36 modes at 64 and 128 nodes
+        calls = {"accelerate": 0, "theta": 0}
+        accelerate, theta = cli.specfun.accelerate, cli.lens._theta_lm
+
+        def counted_accelerate(partial_sums):
+            calls["accelerate"] += 1
+            return accelerate(partial_sums)
+
+        def counted_theta(l, m, u):
+            calls["theta"] += 1
+            return theta(l, m, u)
+
+        for module in (cli.specfun, cli.greens, cli.qed):
+            monkeypatch.setattr(module, "accelerate", counted_accelerate)
+        monkeypatch.setattr(cli.lens, "_theta_lm", counted_theta)
+        assert _run(["validate"]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+        assert calls["accelerate"] <= 5
+        assert calls["theta"] <= 72
+
+
 class TestDdiSweep:
     def test_csv_contract(self, tmp_path):
         out = tmp_path / "ddi.csv"
@@ -431,6 +454,15 @@ class TestConfigFile:
         assert capsys.readouterr().err == from_config
         assert not out.exists()
 
+    def test_bad_float_list_is_named_readably(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("radii = 3.34,x\n", encoding="utf-8")
+        for argv in (["ddi-sweep", "--radii", "3.34,x"], ["ddi-sweep", "--config", str(config)]):
+            assert _exit_code(argv + ["--out", str(tmp_path / "out.csv")]) == 2
+            err = capsys.readouterr().err
+            assert "argument --radii: expected a comma list of floats, got '3.34,x'" in err
+            assert "_float_list" not in err
+
     @pytest.mark.parametrize("value, simulated", [("no", False), ("on", True), ("1", True), ("off", False)])
     def test_on_off_values(self, tmp_path, value, simulated):
         config = tmp_path / "run.cfg"
@@ -480,6 +512,22 @@ class TestArgparseContract:
         assert _exit_code(argv) == 2
         assert "error:" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [(["--R0", "2", "estimate"], "--R0"), (["--eps-metal=-20+1j", "index-sweep"], "--eps-metal")],
+    )
+    def test_plasmon_flag_before_the_action_is_named(self, tmp_path, monkeypatch, capsys, argv, flag):
+        monkeypatch.chdir(tmp_path)
+        assert _exit_code(["plasmon"] + argv) == 2
+        err = capsys.readouterr().err
+        assert f"{flag} comes before the action" in err and "flags follow it" in err
+        assert "invalid choice" not in err
+        assert not list(tmp_path.iterdir())
+
+    def test_plasmon_help_still_works(self, capsys):
+        assert _exit_code(["plasmon", "--help"]) == 0
+        assert "index-sweep" in capsys.readouterr().out
 
     def test_benchmark_command_lines_still_parse(self, monkeypatch):
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))

@@ -12,6 +12,7 @@ from fisheye.greens import (
     _check_order,
     _xi_w,
     greens_modesum,
+    greens_modesum_points,
     greens_zz,
     greens_zz_orders,
     greens_zz_points,
@@ -21,7 +22,7 @@ from fisheye.greens import (
     xi,
 )
 from fisheye.lens import OMEGA0, DiskPoint, LensConfig, order_parameter, radius_for_order
-from fisheye.specfun import EULER_GAMMA, digamma, legendre_nu
+from fisheye.specfun import EULER_GAMMA, accelerate, digamma, legendre_nu, legendre_poly_table
 
 
 def _random_pair(rng, keep_apart=0.05):
@@ -355,6 +356,53 @@ class TestModeSum:
         p2 = DiskPoint(0.5001, 0.0)
         with pytest.raises(CoincidentPointsError):
             greens_modesum(lens_20p5, p1, p2, OMEGA0)
+
+
+def _modesum_reference(cfg, p1, p2, omega, l_max, tol):
+    """One pair's mode sum with scalar Legendre tables and a 1-D Wynn call per l_max: (value, l_max, error)."""
+    nu = order_parameter(cfg, omega)
+    xi_src = xi(p1.alpha, p2.alpha)
+    xi_img = xi(p1.alpha, 1.0 / np.conj(p2.alpha)) if p2.rho else (1.0 - p1.rho**2) / (1.0 + p1.rho**2)
+    while True:
+        ls = np.arange(l_max + 1, dtype=float)
+        terms = (-1.0) ** ls * (2.0 * ls + 1.0) * (legendre_poly_table(l_max, xi_src) - legendre_poly_table(l_max, xi_img))
+        value, err = accelerate(np.cumsum(terms / (nu * (nu + 1.0) - ls * (ls + 1.0)))[1:])
+        value, err = value * -1.0 / (4.0 * math.pi * cfg.b), err / (4.0 * math.pi * cfg.b)
+        if err <= tol * abs(value):
+            return value, l_max, err
+        l_max *= 2
+
+
+class TestModeSumPoints:
+    """greens_modesum_points over a batch of pairs, each doubling l_max on its own."""
+
+    PAIRS = [(0.3, 0.1, 0.6, 2.0), (0.5, 1.0, 0.2, 3.1), (0.7, 2.0, 0.4, 0.3), (0.2, 3.0, 0.8, 1.2),
+             (0.45, 4.0, 0.55, 5.5), (0.6, 5.0, 0.3, 4.4), (0.8, 0.5, 0.25, 3.3), (0.35, 2.5, 0.0, 0.0)]
+
+    @pytest.mark.parametrize("omega", [OMEGA0, OMEGA0 * (1 + 5e-4j)])
+    def test_each_pair_equals_the_one_pair_call(self, omega):
+        # from l_max = 32 the pairs stop at 32, 64 and 128
+        cfg = LensConfig(radius=radius_for_order(10.5))
+        rho1, phi1, rho2, phi2 = np.array(self.PAIRS).T
+        got = greens_modesum_points(cfg, rho1, phi1, rho2, phi2, omega, l_max=32, tol=1e-9)
+        assert len(set(got.l_max.tolist())) == 3
+        for i, (r1, f1, r2, f2) in enumerate(self.PAIRS):
+            one = greens_modesum(cfg, DiskPoint(r1, f1), DiskPoint(r2, f2), omega, l_max=32, tol=1e-9)
+            assert type(one.value) is complex and type(one.l_max) is int and type(one.converged) is bool
+            assert (one.value, one.l_max, one.tail_estimate, one.converged) == (
+                complex(got.value[i]), int(got.l_max[i]), float(got.tail_estimate[i]), bool(got.converged[i])
+            )
+            want = _modesum_reference(cfg, DiskPoint(r1, f1), DiskPoint(r2, f2), omega, 32, 1e-9)
+            assert abs(one.value - want[0]) <= 1e-13 * abs(want[0]) and one.l_max == want[1]
+
+    def test_a_pair_near_its_source_raises_for_the_batch(self, lens_20p5):
+        rho1, phi1, rho2, phi2 = np.array(self.PAIRS[:3] + [(0.5, 0.0, 0.5001, 0.0)]).T
+        with pytest.raises(CoincidentPointsError, match="near the source point"):
+            greens_modesum_points(lens_20p5, rho1, phi1, rho2, phi2, OMEGA0)
+
+    def test_rho_outside_the_disk_rejected(self, lens_20p5):
+        with pytest.raises(DomainError):
+            greens_modesum_points(lens_20p5, 0.3, 0.0, 1.2, 1.0, OMEGA0)
 
 
 class TestImagePointValue:

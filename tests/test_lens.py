@@ -15,6 +15,7 @@ from fisheye.lens import (
     mode_function,
     order_parameter,
     orthonormality_check,
+    orthonormality_matrix,
     radial_mean_index,
     radius_for_order,
     refractive_index,
@@ -196,6 +197,22 @@ class TestOrthonormality:
                 got = orthonormality_check(cfg, ma, mb, quadrature_n=64)
                 worst = max(worst, abs(got - want))
         assert worst < 1e-6
+
+    def test_matrix_equals_the_pairwise_check_entry_by_entry(self):
+        cfg = LensConfig(radius=2.0)
+        modes = [ModeIndex(l, m) for l in range(1, 7) for m in allowed_m(l)]
+        matrix = orthonormality_matrix(cfg, modes, quadrature_n=64)
+        assert matrix.shape == (len(modes), len(modes))
+        for i, ma in enumerate(modes):
+            for j, mb in enumerate(modes):
+                got = orthonormality_check(cfg, ma, mb, quadrature_n=64)
+                assert type(got) is complex and got == complex(matrix[i, j]), (ma, mb)
+        assert np.max(np.abs(matrix - np.eye(len(modes)))) < 1e-12
+
+    def test_matrix_raises_for_an_unsettled_pair(self):
+        cfg = LensConfig(radius=2.0)
+        with pytest.raises(NonConvergenceError, match="ModeIndex\\(l=80, m=1\\)"):
+            orthonormality_matrix(cfg, [ModeIndex(2, 1), ModeIndex(80, 1)], quadrature_n=64)
 
     def test_matches_per_node_quadrature(self):
         # the batched integrand on the cached rule is the old per-node sum, bit for bit

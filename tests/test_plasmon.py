@@ -98,6 +98,58 @@ class TestSolveEffectiveIndex:
             assert solve_effective_index(d, stack).n_eff == sweep[d]
 
 
+def _newton_reference(stack, d_nm, seed):
+    """The damped Newton iteration evaluating every residual afresh, from k0 and eps k0^2 formed per call."""
+
+    def residual(n_eff):
+        k0 = 2.0 * math.pi / stack.lambda0_nm
+        nk2 = (n_eff * k0) ** 2
+        k_air = plasmon._decay_root(nk2 - k0**2)
+        k_d = plasmon._decay_root(nk2 - stack.eps_dielectric * k0**2) / stack.eps_dielectric
+        k_m = plasmon._decay_root(nk2 - stack.eps_metal * k0**2) / stack.eps_metal
+        z = k_d * stack.eps_dielectric * d_nm
+        t_over_kd = stack.eps_dielectric * d_nm * (1.0 - z * z / 3.0) if abs(z) < 1e-6 else np.tanh(z) / k_d
+        return t_over_kd * (k_d * k_d + k_air * k_m) + (k_air + k_m)
+
+    z = complex(seed)
+    for _ in range(plasmon.NEWTON_MAX_ITER):
+        f = residual(z)
+        if abs(f) < 1e-13 * stack.k0:
+            return z
+        h = 1e-7 * max(1.0, abs(z))
+        step = f / ((residual(z + h) - f) / h)
+        damping = 1.0
+        while damping > 1.0 / 64.0 and not abs(residual(z - damping * step)) < abs(f):
+            damping *= 0.5
+        z = z - damping * step
+        if abs(step) * damping < plasmon.NEWTON_TOL * max(1.0, abs(z)):
+            return z
+    raise AssertionError("reference iteration did not converge")
+
+
+class TestNewton:
+    def test_equals_the_reference_iteration_bit_for_bit(self, stack):
+        z = stack.flat_interface_index
+        for d in np.arange(0.5, 300.0, 0.5).tolist():
+            got = _newton(stack, d, z)
+            assert got == _newton_reference(stack, d, z), d
+            z = got
+
+    def test_accepted_trial_residual_is_reused(self, stack, monkeypatch):
+        # 3,905 residual evaluations when every iterate's residual is formed afresh
+        calls = 0
+        residual = plasmon._residual_smooth
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return residual(*args)
+
+        monkeypatch.setattr(plasmon, "_residual_smooth", counted)
+        sweep_effective_index(200.0, stack)
+        assert calls <= 2757
+
+
 class TestNewtonBatch:
     def test_matches_scalar_newton(self, stack):
         heights = np.array([0.0, 0.3, 7.5, 41.0, 120.0, 190.0])

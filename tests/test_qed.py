@@ -142,8 +142,8 @@ class TestModeSumOracle:
         assert oracle.delta_omega == pytest.approx(exact.delta_omega, rel=1e-6)
 
     def test_unconverged_wynn_estimate_raises(self, antipodal_027, monkeypatch):
-        def loose(partial_sums):
-            return complex(partial_sums[-1]), 1.0
+        def loose(partial_sums):  # both tails in one 2-D call, each with a large error
+            return partial_sums[:, -1].astype(complex), np.ones(len(partial_sums))
         monkeypatch.setattr(qed, "accelerate", loose)
         with pytest.raises(NonConvergenceError, match="not converged"):
             rates_modesum_oracle(_cfg(20.5, alpha=1e-3), antipodal_027)

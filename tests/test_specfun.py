@@ -83,6 +83,20 @@ class TestLegendrePoly:
         for l in (0, 3, 17, 30):
             assert table[l] == pytest.approx(legendre_poly(l, x), abs=1e-14)
 
+    @pytest.mark.parametrize("l_max", [0, 1, 2, 40])
+    def test_table_over_an_array_is_the_numpy_recurrence_bit_for_bit(self, rng, l_max):
+        x = np.concatenate([rng.uniform(-1.0, 1.0, 4), [-1.0, 0.0]]).reshape(3, 2)
+        want = np.empty((l_max + 1,) + x.shape)  # the recurrence as numpy steps over all of x
+        want[0] = 1.0
+        if l_max >= 1:
+            want[1] = x
+        for k in range(1, l_max):
+            want[k + 1] = ((2 * k + 1) * x * want[k] - k * want[k - 1]) / (k + 1)
+        got = legendre_poly_table(l_max, x)
+        assert got.shape == want.shape and got.tobytes() == np.ascontiguousarray(want).tobytes()
+        for i, xi in enumerate(x.ravel().tolist()):
+            assert legendre_poly_table(l_max, xi).tobytes() == want.reshape(l_max + 1, -1)[:, i].tobytes()
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             legendre_poly(-1, 0.0)
@@ -545,6 +559,78 @@ class TestLegendreNuAccuracyEnvelope:
         else:  # the whole grid in one call, a degree per element
             got = legendre_nu(np.concatenate(nus), np.concatenate(xs), tol=tol)
         assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) <= bound
+
+
+def _wynn_reference(partial_sums):
+    """Wynn epsilon acceleration of one sequence, one epsilon column per step: the reference for accelerate."""
+    s = np.asarray(partial_sums, dtype=complex)
+    if s.size > 1:
+        keep = np.ones(s.size, dtype=bool)
+        keep[1:] = s[1:] != s[:-1]
+        s = s[keep]
+    if s.size == 1:
+        return complex(s[0]), 0.0
+    best, best_err = complex(s[-1]), abs(complex(s[-1]) - complex(s[-2]))
+    prev2, prev1 = np.zeros(s.size + 1, dtype=complex), s.copy()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for col in range(1, min(s.size - 2, 120) + 1):
+            diffs = prev1[1:] - prev1[:-1]
+            zero = diffs == 0.0
+            recip = 1.0 / np.where(zero, 1.0, diffs)
+            recip[zero] = np.inf
+            prev2, prev1 = prev1, prev2[1 : prev1.size] + recip
+            if col % 2 == 0:
+                a, b = complex(prev1[-1]), complex(prev1[-2])
+                if np.isfinite(a) and np.isfinite(b) and abs(a - b) < best_err:
+                    best, best_err = a, abs(a - b)
+    return best, float(best_err)
+
+
+def _bits(value, err):
+    return np.complex128(value).tobytes(), np.float64(err).tobytes()
+
+
+class TestAccelerateRows:
+    """accelerate over the rows of a 2-D array, against one-row calls and the column-loop reference."""
+
+    def test_rows_of_different_collapsed_lengths(self, rng):
+        k = np.arange(1, 301)
+        alternating = (-1.0) ** k / k**1.5
+        rows = np.cumsum(
+            [
+                alternating,  # 300 distinct sums, cut to the last 122
+                np.where(k % 2 == 0, alternating, 0.0),  # 150
+                np.where(k <= 40, alternating, 0.0),  # 41: fewer columns than the others
+                np.where(k <= 60, (-1.0) ** k / np.sqrt(k) * np.exp(1j * rng.uniform(0, 6, 300)), 0.0),
+                np.where(k == 1, 2.5, 0.0),  # one distinct sum
+                np.where(k <= 2, 1.0, 0.0),  # two
+                np.where(k <= 3, (-0.5) ** k, 0.0),  # three
+                rng.integers(-1, 2, 300).astype(float),  # runs of equal sums, zero differences
+            ],
+            axis=1,
+        )
+        values, errors = accelerate(rows)
+        assert values.shape == errors.shape == (len(rows),)
+        for i, row in enumerate(rows):
+            one = accelerate(row)
+            assert type(one[0]) is complex and type(one[1]) is float
+            assert _bits(values[i], errors[i]) == _bits(*one) == _bits(*_wynn_reference(row)), i
+
+    @pytest.mark.parametrize("length", [1, 2, 3])
+    def test_rows_of_one_to_three_sums(self, rng, length):
+        rows = rng.standard_normal((5, length)) + 1j * rng.standard_normal((5, length))
+        rows[0] = rows[0, 0]  # all equal
+        values, errors = accelerate(rows)
+        for i, row in enumerate(rows):
+            assert _bits(values[i], errors[i]) == _bits(*_wynn_reference(row)), i
+
+    def test_random_sequences_match_the_reference(self, rng):
+        for n in (4, 5, 10, 121, 122, 123, 200):
+            for _ in range(20):
+                terms = rng.standard_normal(n) * (-1.0) ** np.arange(n) / np.arange(1, n + 1)
+                terms[rng.uniform(size=n) < 0.2] = 0.0
+                seq = np.cumsum(terms)
+                assert _bits(*accelerate(seq)) == _bits(*_wynn_reference(seq)), n
 
 
 class TestAccelerate:
