@@ -51,7 +51,7 @@ from .qed import (
     trajectory,
 )
 from .plasmon import EffectiveIndexSample, PlasmonStack, end_to_end_estimate, solve_effective_index
-from .schrodinger import BlockModel, SimResult, build_blocks, compare_to_analytics, evolve
+from .schrodinger import BlockModel, SimResult, build_blocks, compare_losses, compare_to_analytics, evolve
 
 __version__ = "0.1.0"
 
@@ -82,6 +82,7 @@ __all__ = [
     "SimResult",
     "build_blocks",
     "evolve",
+    "compare_losses",
     "compare_to_analytics",
     "PlasmonStack",
     "EffectiveIndexSample",

@@ -143,12 +143,15 @@ def cmd_validate(args: argparse.Namespace) -> int:
     dev = abs(val - est) / abs(val)
     _check("degree-expansion oracle agreement", dev < 1e-6, f"rel dev {dev:.2e}", results)
 
-    # addition-theorem sum rule
+    # addition-theorem sum rule: Theta_l^-m = (-1)^m Theta_l^m, the sign
+    # _theta_lm gives m < 0, so each angle takes one recurrence per m >= 0
     worst = 0.0
     for l in (3, 11, 30):
         t1, p1, t2, p2 = rng.uniform(0.1, 3.0, 2)[0], rng.uniform(0, 6.28), rng.uniform(0.1, 3.0), rng.uniform(0, 6.28)
+        theta = [(specfun._theta_lm(l, m, math.cos(t1)), specfun._theta_lm(l, m, math.cos(t2))) for m in range(l + 1)]
         lhs = sum(
-            np.conj(specfun.spherical_harmonic(l, m, t1, p1)) * specfun.spherical_harmonic(l, m, t2, p2)
+            np.conj(theta[abs(m)][0] * (-1.0) ** max(-m, 0) * np.exp(1j * m * p1))
+            * (theta[abs(m)][1] * (-1.0) ** max(-m, 0) * np.exp(1j * m * p2))
             for m in range(-l, l + 1)
         )
         c12 = math.cos(t1) * math.cos(t2) + math.sin(t1) * math.sin(t2) * math.cos(p1 - p2)
@@ -299,14 +302,17 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
         columns = (np.full(x.size, r0), x, 1.0 - qed.fidelity_from_rates(*rates))
         if not args.simulate:
             return columns
-        radius, alpha = np.broadcast_arrays(radius, alpha)
-        numeric = [
-            1.0 - schrodinger.compare_to_analytics(
-                lens.LensConfig(radius=r, b=args.b, alpha=a), atoms, qed.CouplingRates(*v), l_range=_l_range(args)
-            ).F_numeric
-            for r, a, *v in zip(radius.tolist(), alpha.tolist(), *(c.tolist() for c in rates))
-        ]
-        return columns + (np.array(numeric),)
+        points = [qed.CouplingRates(*v) for v in zip(*(c.tolist() for c in rates))]
+        if np.ndim(radius) == 0:  # vs-loss: the losses share the radius's blocks and secular data
+            cmps = schrodinger.compare_losses(
+                lens.LensConfig(radius=radius, b=args.b), atoms, alpha.tolist(), points, l_range=_l_range(args)
+            )
+        else:  # vs-detuning: every point has a radius of its own
+            cmps = [
+                schrodinger.compare_to_analytics(lens.LensConfig(radius=r, b=args.b, alpha=alpha), atoms, v, l_range=_l_range(args))
+                for r, v in zip(radius.tolist(), points)
+            ]
+        return columns + (np.array([1.0 - c.F_numeric for c in cmps]),)
 
     blocks: list[tuple[np.ndarray, ...]] = []
     if mode == "vs-loss":
@@ -317,12 +323,11 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
         dnus = np.linspace(-args.dnu_span, args.dnu_span, samples if samples % 2 else samples + 1)
         for r0 in args.radii:
             nu_center = round(lens.order_parameter(lens.LensConfig(radius=r0), lens.OMEGA0).real * 2) / 2
-            rs = np.array([lens.radius_for_order(nu_center + d) for d in dnus.tolist()])
-            blocks.append(block(r0, dnus, rs, args.alpha))
+            blocks.append(block(r0, dnus, lens.radius_for_order(nu_center + dnus), args.alpha))
         header = ["R0_over_lambda", "delta_nu", "one_minus_F_analytic"]
     elif mode == "vs-radius":
         # no numeric column here, so --simulate runs no simulation
-        r0s = np.array([lens.radius_for_order(float(nu)) for nu in np.arange(args.nu_min, args.nu_max + 0.5, 1.0)])
+        r0s = lens.radius_for_order(np.arange(args.nu_min, args.nu_max + 0.5, 1.0))
         approx = [qed.fidelity_approx(r0, args.alpha) for r0 in r0s.tolist()]
         blocks.append((r0s, qed.entangling_error(atoms, r0s, args.alpha, b=args.b), np.array(approx)))
         header = ["R0_over_lambda", "one_minus_F_analytic", "F_approx"]

@@ -166,15 +166,19 @@ def order_parameters(
     return 0.5 * (np.sqrt(4.0 * k**2 + 1.0) - 1.0)
 
 
-def radius_for_order(nu_real: float, n0: float = 1.0) -> float:
+def radius_for_order(nu_real: float | np.ndarray, n0: float = 1.0) -> float | np.ndarray:
     """Lens radius (in lambda0) that places Re nu at `nu_real` for omega = OMEGA0.
 
     Inverse of order_parameter at real frequency; used to pin half-integer
-    working points, e.g. nu_real = 10.5 -> R0 = 1.7489.
+    working points, e.g. nu_real = 10.5 -> R0 = 1.7489.  An array of orders
+    gives an array of radii, each the float call's bit for bit (the square
+    is libm's pow, as Python's ** 2 is).
     """
-    if nu_real <= 0:
+    nu = np.asarray(nu_real, dtype=float)
+    if np.any(nu <= 0):
         raise DomainError("nu_real must be positive")
-    return math.sqrt(((2.0 * nu_real + 1.0) ** 2 - 1.0) / (16.0 * math.pi**2)) / n0
+    radius = np.sqrt((np.float_power(2.0 * nu + 1.0, 2.0) - 1.0) / (16.0 * math.pi**2)) / n0
+    return float(radius) if radius.ndim == 0 else radius
 
 
 def allowed_m(l: int) -> list[int]:

@@ -36,8 +36,13 @@ EigensolveError is raised if that fails too.  The time grid is uniform from
 0, so the phases exp(-i z_k j dt) factor into two ~sqrt(T) x n tables and
 the atomic amplitude on all T times is one GEMM; the full block state and
 its weights x_k / f'(z_k) are built only when SimResult.state_norm is read.
-Blocks hold their modes as arrays, and the Newton evaluations of one solve
-share work arrays allocated once.
+Blocks hold their modes as arrays.  A flat loss cancels from the gaps
+d_l - d_m, so the deflation set, those gaps, the starting guess's sums over
+the modes and the Newton work arrays are formed once per block and shared
+by every loss of a sweep (compare_losses); each loss adds its atom row.
+The Bell peak and the first population crossing are bracketed on a phase
+table (SEARCH_POINTS times in compare_losses, the caller's grid in evolve)
+and refined from the roots and residues, at O(n) per time.
 
 The absolute coupling scale G_l is proportional to sqrt(gamma0), the
 free-space emission rate in internal units; it drops out of every reported
@@ -55,7 +60,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .errors import DomainError, EigensolveError
+from .errors import DomainError, EigensolveError, NonConvergenceError
 from .lens import OMEGA0, LensConfig, order_parameter, stereo_theta
 from .qed import AtomPairConfig, CouplingRates, entanglement_fidelity
 from .qed import coupling_rates  # noqa: F401  (stays importable from this module)
@@ -82,6 +87,13 @@ ROOT_SEPARATION_TOL = 1e-12
 
 #: Uniform-grid tolerance of evolve, |t_k - k dt| <= GRID_TOL * t_end.
 GRID_TOL = 1e-14
+
+#: Peak search: points of the phase table that brackets the Bell peak and the
+#: first population crossing, the step (relative to the window) taken as
+#: converged, and the evaluation cap.
+SEARCH_POINTS = 64
+SEARCH_STEP_TOL = 1e-7
+SEARCH_MAX_ITER = 100
 
 #: Machine epsilon; f is known to about 4 EPS times the size of its terms, which floors a Newton step.
 EPS = float(np.finfo(float).eps)
@@ -198,24 +210,6 @@ def _small_root(c: np.ndarray, g2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return 2.0 * g2 / big, -0.5 * big
 
 
-def _secular_guess(base: np.ndarray, gaps: np.ndarray, g2: np.ndarray, pull: np.ndarray) -> np.ndarray:
-    """Starting offsets u_k: each root from the 2 x 2 problem with its nearest partner.
-
-    Root j next to pole d_j sees the atom at the shift the other modes give
-    it there, u^2 + (d_j - s_j) u - g_j^2 = 0 with s_j = sum_m!=j g_m^2 / (d_j - d_m);
-    its small root is the mode-like one.  The atom-like root is the large
-    root of the same problem for the most strongly mixed mode, the other
-    modes taken at z = 0.  pull is a zeroed work array of the shape of gaps.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(g2, gaps, out=pull, where=gaps != 0.0)
-        u_modes, _ = _small_root(base[1:] - pull[1:].sum(axis=1), g2)
-        star = int(np.argmax(g2 / np.abs(base[1:]) ** 2))
-    shift = pull[0].sum() - pull[0, star]
-    _, w_atom = _small_root(base[1 + star] - shift, g2[star])
-    return np.concatenate(([base[1 + star] + w_atom], u_modes))
-
-
 def _secular_terms(base, gaps, g2, u, inv, pull, size):
     """f(z), f'(z) and the size |z| + sum |g^2 / (z - d)| of f's terms.
 
@@ -230,44 +224,97 @@ def _secular_terms(base, gaps, g2, u, inv, pull, size):
     return f, fp, np.abs(z) + np.abs(inv, out=size) @ g2
 
 
-def _secular_roots(base: np.ndarray, gaps: np.ndarray, g2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets u of the roots z = base + u and residues 1 / f'(z), checked as _secular_spectrum says."""
-    inv, pull, size = np.empty_like(gaps), np.zeros_like(gaps), np.empty(gaps.shape)
-    u = _secular_guess(base, gaps, g2, pull)
-    with np.errstate(all="ignore"):
-        f, fp, scale = _secular_terms(base, gaps, g2, u, inv, pull, size)
-        for _ in range(SECULAR_MAX_ITER):
-            step = f / fp
-            floor = 4.0 * EPS * scale / np.abs(fp)
-            u = u - step
-            f, fp, scale = _secular_terms(base, gaps, g2, u, inv, pull, size)
-            if not np.all(np.isfinite(u)) or np.all(np.abs(step) <= SECULAR_STEP_TOL * np.abs(u) + floor):
-                break
-        else:
-            raise EigensolveError(f"secular Newton did not converge in {SECULAR_MAX_ITER} iterations")
-        res = 1.0 / fp
-        residual = float(np.max(np.abs(f) / scale))
-        sum_dev = abs(complex(res.sum()) - 1.0)
-        # the separation tolerance is far above the rounding of z itself;
-        # |z_k - z_j| over all k and j >= 1 covers every pair, z_j - z_j masked
-        z = base + u
-        sep = np.abs(np.subtract(z[:, None], z[None, 1:], out=inv), out=size)
-        sep.reshape(-1)[g2.size :: g2.size + 1] = np.inf
-        distinct = bool(sep.min() > ROOT_SEPARATION_TOL * np.abs(z).max())
-    if not (residual <= SECULAR_RESIDUAL_TOL and sum_dev <= RESIDUE_SUM_TOL and distinct):
-        raise EigensolveError(
-            f"secular roots failed their checks: relative residual {residual:.2e}, "
-            f"|sum res - 1| = {sum_dev:.2e}, distinct roots: {distinct}"
-        )
-    return u, res
-
-
-def _secular_weights(size, rows, gaps, u, res, g) -> np.ndarray:
+def _secular_weights(size, rows, base, u, res, g) -> np.ndarray:
     """W[k] = res_k (1, g / (z_k - d)) on rows, zero elsewhere; 1 / (gaps + u) as in Newton, bit for bit."""
     weights = np.zeros((size, size), dtype=complex)
     weights[rows, 0] = res
+    gaps = base[:, None] - base[None, 1:]
     weights[np.ix_(rows, rows[1:])] = (res[:, None] * g) * (1.0 / (gaps + u[:, None]))
     return weights
+
+
+class _SecularSolver:
+    """Secular spectra of H = [[0, g^T], [g, diag(diag0 - i kappa)]] for any flat loss kappa.
+
+    The loss cancels from the gaps d_j - d_m among the modes, so the
+    deflation set, those gap rows, the guess's pull sums
+    s_j = sum_m!=j g_m^2 / (d_j - d_m) and the Newton work arrays are formed
+    once; each loss adds only its atom row of gaps, 0 - (d_m - i kappa), and
+    runs Newton.  Every spectrum is bit for bit the one a solver built for
+    that loss alone returns.
+    """
+
+    def __init__(self, diag0: np.ndarray, g: np.ndarray):
+        g2 = g * g
+        live = np.flatnonzero(g2 > DEFLATION_TOL * g2.max(initial=0.0))
+        self.diag0, self.g, self.g2 = diag0, g[live], g2[live]
+        self.rows = np.concatenate(([0], 1 + live))
+        modes = np.asarray(diag0, dtype=complex)[live]
+        self.gaps = np.empty((live.size + 1, live.size), dtype=complex)
+        np.subtract(modes[:, None], modes[None, :], out=self.gaps[1:])
+        self.inv, self.pull, self.size = np.empty_like(self.gaps), np.zeros_like(self.gaps), np.empty(self.gaps.shape)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(self.g2, self.gaps[1:], out=self.pull[1:], where=self.gaps[1:] != 0.0)
+        self.pull_sums = self.pull[1:].sum(axis=1)
+
+    def spectrum(self, kappa: float) -> Spectrum:
+        """Roots z, residues W[:, 0] and a builder of the weights W at loss kappa, as _secular_spectrum says."""
+        z = np.concatenate(([0.0], self.diag0 - 1j * kappa)).astype(complex)
+        base = z[self.rows]
+        u, res = self._roots(base) if self.g2.size else (np.zeros(1), np.ones(1))
+        z[self.rows] = base + u
+        residues = np.zeros(z.size, dtype=complex)
+        residues[self.rows] = res
+        return z, residues, partial(_secular_weights, z.size, self.rows, base, u, res, self.g)
+
+    def _guess(self, base: np.ndarray) -> np.ndarray:
+        """Starting offsets u_k: each root from the 2 x 2 problem with its nearest partner.
+
+        Root j next to pole d_j sees the atom at the shift the other modes give
+        it there, u^2 + (d_j - s_j) u - g_j^2 = 0; its small root is the
+        mode-like one.  The atom-like root is the large root of the same
+        problem for the most strongly mixed mode, the other modes taken at z = 0.
+        """
+        g2, gaps = self.g2, self.gaps
+        pull = np.zeros(g2.size, dtype=complex)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(g2, gaps[0], out=pull, where=gaps[0] != 0.0)
+            u_modes, _ = _small_root(base[1:] - self.pull_sums, g2)
+            star = int(np.argmax(g2 / np.abs(base[1:]) ** 2))
+        _, w_atom = _small_root(base[1 + star] - (pull.sum() - pull[star]), g2[star])
+        return np.concatenate(([base[1 + star] + w_atom], u_modes))
+
+    def _roots(self, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Offsets u of the roots z = base + u and residues 1 / f'(z), checked as _secular_spectrum says."""
+        g2, gaps, inv, pull, size = self.g2, self.gaps, self.inv, self.pull, self.size
+        np.subtract(base[0], base[1:], out=gaps[0])
+        u = self._guess(base)
+        with np.errstate(all="ignore"):
+            f, fp, scale = _secular_terms(base, gaps, g2, u, inv, pull, size)
+            for _ in range(SECULAR_MAX_ITER):
+                step = f / fp
+                floor = 4.0 * EPS * scale / np.abs(fp)
+                u = u - step
+                f, fp, scale = _secular_terms(base, gaps, g2, u, inv, pull, size)
+                if not np.all(np.isfinite(u)) or np.all(np.abs(step) <= SECULAR_STEP_TOL * np.abs(u) + floor):
+                    break
+            else:
+                raise EigensolveError(f"secular Newton did not converge in {SECULAR_MAX_ITER} iterations")
+            res = 1.0 / fp
+            residual = float(np.max(np.abs(f) / scale))
+            sum_dev = abs(complex(res.sum()) - 1.0)
+            # the separation tolerance is far above the rounding of z itself;
+            # |z_k - z_j| over all k and j >= 1 covers every pair, z_j - z_j masked
+            z = base + u
+            sep = np.abs(np.subtract(z[:, None], z[None, 1:], out=inv), out=size)
+            sep.reshape(-1)[g2.size :: g2.size + 1] = np.inf
+            distinct = bool(sep.min() > ROOT_SEPARATION_TOL * np.abs(z).max())
+        if not (residual <= SECULAR_RESIDUAL_TOL and sum_dev <= RESIDUE_SUM_TOL and distinct):
+            raise EigensolveError(
+                f"secular roots failed their checks: relative residual {residual:.2e}, "
+                f"|sum res - 1| = {sum_dev:.2e}, distinct roots: {distinct}"
+            )
+        return u, res
 
 
 def _secular_spectrum(diag: np.ndarray, g: np.ndarray) -> Spectrum:
@@ -284,19 +331,22 @@ def _secular_spectrum(diag: np.ndarray, g: np.ndarray) -> Spectrum:
     g_j^2 <= DEFLATION_TOL * max g^2 keep the root diag_j with zero weight.
     Raises EigensolveError if Newton misses its cap, a relative residual
     |f(z)| / (|z| + sum |g^2 / (z - diag)|) exceeds SECULAR_RESIDUAL_TOL,
-    |sum res - 1| > RESIDUE_SUM_TOL, or two roots coincide.
+    |sum res - 1| > RESIDUE_SUM_TOL, or two roots coincide.  The one-loss
+    call of _SecularSolver.
     """
-    g2 = g * g
-    live = np.flatnonzero(g2 > DEFLATION_TOL * g2.max(initial=0.0))
-    rows = np.concatenate(([0], 1 + live))
-    z = np.concatenate(([0.0], diag)).astype(complex)
-    base = z[rows]
-    gaps = base[:, None] - base[None, 1:]
-    u, res = _secular_roots(base, gaps, g2[live]) if live.size else (np.zeros(1), np.ones(1))
-    z[rows] = base + u
-    residues = np.zeros(z.size, dtype=complex)
-    residues[rows] = res
-    return z, residues, partial(_secular_weights, z.size, rows, gaps, u, res, g[live])
+    return _SecularSolver(diag, g).spectrum(0.0)
+
+
+def _block_spectra(block: BlockModel, kappas: list[float]) -> list[Spectrum]:
+    """Spectrum of one block at each loss kappa: secular, or dense eig / eigh where a secular check fails."""
+    secular = _SecularSolver(block.detuning, block.coupling)
+    spectra = []
+    for kappa in kappas:
+        try:
+            spectra.append(secular.spectrum(kappa))
+        except EigensolveError:
+            spectra.append(_dense_spectrum(block.hamiltonian(kappa), hermitian=(kappa == 0.0)))
+    return spectra
 
 
 def _dense_spectrum(h: np.ndarray, hermitian: bool) -> Spectrum:
@@ -349,36 +399,131 @@ def _full_state(z: np.ndarray, weights: Callable[[], np.ndarray], dt: float, n_t
     return _phase_sum(z, weights(), dt, n_times)
 
 
-def _propagate(
-    block: BlockModel, kappa: float, dt: float, n_times: int
-) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
+def _propagate(spectrum: Spectrum, dt: float, n_times: int) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
     """Atomic amplitude <0|exp(-i H t)|0> on t = k dt, and a callable for the full state.
 
-    The roots and residues come from the secular equation, or from the dense
-    eigensolver if a secular check fails.  The atomic row is one GEMM; the
-    full state and its weights are built only when the returned partial of
-    module-level functions is called, so results pickle.
+    The atomic row is one GEMM; the full state and its weights are built
+    only when the returned partial of module-level functions is called, so
+    results pickle.
     """
-    diag, border = block.arrowhead(kappa)
-    try:
-        z, residues, weights = _secular_spectrum(diag, border)
-    except EigensolveError:
-        z, residues, weights = _dense_spectrum(block.hamiltonian(kappa), hermitian=(kappa == 0.0))
-    atomic = _phase_sum(z, residues, dt, n_times)
-    return atomic, partial(_full_state, z, weights, dt, n_times)
+    z, residues, weights = spectrum
+    return _phase_sum(z, residues, dt, n_times), partial(_full_state, z, weights, dt, n_times)
 
 
-def _refine_peak(t: np.ndarray, f: np.ndarray) -> float:
-    """Grid maximum refined by local quadratic interpolation."""
-    i = int(np.argmax(f))
-    if 0 < i < len(f) - 1:
-        y0, y1, y2 = f[i - 1], f[i], f[i + 1]
-        denom = y0 - 2.0 * y1 + y2
-        if denom < 0:
-            delta = 0.5 * (y0 - y2) / denom
-            if abs(delta) <= 1.0:
-                return float(y1 - 0.25 * (y0 - y2) * delta)
-    return float(f[i])
+def _pair_tables(atom_o: np.ndarray, atom_e: np.ndarray) -> tuple[np.ndarray, ...]:
+    """amp_a, amp_b, the Bell fidelities of branch +1 and -1, and pop1 - pop2, from the block amplitudes."""
+    amp_a = 0.5 * (atom_o + atom_e)
+    amp_b = 0.5 * (atom_o - atom_e)
+    f_minus = 0.5 * np.abs(amp_a - 1j * amp_b) ** 2
+    f_plus = 0.5 * np.abs(amp_a + 1j * amp_b) ** 2
+    return amp_a, amp_b, f_minus, f_plus, np.abs(amp_a) ** 2 - np.abs(amp_b) ** 2
+
+
+def _bracketed_newton(fun, lo: np.ndarray, hi: np.ndarray, x: np.ndarray, tol: float):
+    """Zeros of g in the brackets [lo, hi], one per element, where g(lo) > 0 > g(hi).
+
+    fun(x) returns (g, s, aux), s an estimate of g'.  Each element steps by
+    -g / s, and bisects where a step would leave its bracket or fails to
+    halve the step before it.  An element has converged when its step or
+    its bracket is at most tol (the bracket collapses onto an end where g
+    keeps one sign), and then stays put.  Returns the points after their
+    last step, kept in their brackets, and aux at the last points
+    evaluated; raises NonConvergenceError after SEARCH_MAX_ITER evaluations.
+    """
+    last = hi - lo
+    for _ in range(SEARCH_MAX_ITER):
+        g, slope, aux = fun(x)
+        lo = np.where(g > 0.0, x, lo)
+        hi = np.where(g < 0.0, x, hi)
+        step = np.where(g == 0.0, 0.0, -g / slope)
+        done = (np.abs(step) <= tol) | (hi - lo <= tol)
+        if done.all():
+            return np.clip(x + step, lo, hi), aux
+        newton = (x + step > lo) & (x + step < hi) & (np.abs(step) < 0.5 * np.abs(last))
+        last = np.where(newton, step, 0.5 * (lo + hi) - x)
+        x = np.where(done, x, x + last)
+    raise NonConvergenceError(f"peak search did not converge in {SEARCH_MAX_ITER} evaluations")
+
+
+def _bell_search(spectra: list[Spectrum], t: np.ndarray, f_minus, f_plus, pop_diff) -> tuple[float, int, float | None]:
+    """(largest Bell fidelity on [0, t[-1]], its branch, first pop1 = pop2 crossing time or None).
+
+    t is a uniform table from 0 and f_minus, f_plus, pop_diff the pair
+    observables on it (_pair_tables).  The table brackets the interior local
+    maxima of either branch and the first sign change of pop_diff after
+    t[1]; each is then refined from the block roots z and residues r, since
+    o(t) = sum r exp(-i z t) and its derivative cost O(n) at any t.  With
+    A = ((1 - i b) o + (1 + i b) e) / 2 on branch b, F = |A|^2 / 2 has
+    F' = Re(conj(A) A'), and pop1 - pop2 = Re(o conj(e)).
+
+    A peak between t[j - 1] and t[j + 1] rises about |c| / 8 above f[j],
+    c = f[j - 1] - 2 f[j] + f[j + 1], so only maxima that may pass the best
+    sample are refined, from the parabola's vertex.  F' is solved by chord
+    steps of slope c / dt^2: the far-detuned modes add fast terms to F''
+    that can outweigh the exchange curvature near the peak, though not to
+    F'.  The crossing takes Newton steps on pop1 - pop2.  Each stops at a
+    step of SEARCH_STEP_TOL t[-1], which leaves F within a few 1e-12 of its peak.
+    The result is the best of F(0) = 1/2 (the initial state, exact on both
+    branches), the table's samples after t = 0 and the refined peaks; ties
+    go to the first of these, branch +1 first.
+    """
+    h = t[1] - t[0]
+    values, branches = [0.5, float(f_minus[1:].max()), float(f_plus[1:].max())], [1, 1, -1]
+    lo, hi, x, slope, branch = [], [], [], [], []
+    for b, f in ((1, f_minus), (-1, f_plus)):
+        j = 1 + np.flatnonzero((f[1:-1] > f[:-2]) & (f[1:-1] >= f[2:]))
+        curv = f[j - 1] - 2.0 * f[j] + f[j + 1]
+        keep = f[j] - 0.25 * curv >= max(values)
+        j, curv = j[keep], curv[keep]
+        lo.append(t[j - 1])
+        hi.append(t[j + 1])
+        x.append(t[j] + 0.5 * h * (f[j - 1] - f[j + 1]) / curv)
+        slope.append(curv / (h * h))
+        branch.append(np.full(j.size, b))
+    crossings = np.flatnonzero(pop_diff[:-1] * pop_diff[1:] <= 0.0)
+    crossings = crossings[crossings > 0]
+    sign = 1.0
+    if crossings.size:
+        i = int(crossings[0])
+        d0, d1 = pop_diff[i], pop_diff[i + 1]
+        sign = 1.0 if d0 >= 0.0 else -1.0
+        lo.append([t[i]])
+        hi.append([t[i + 1]])
+        x.append([t[i] if d1 == d0 else t[i] - d0 * h / (d1 - d0)])
+        slope.append([0.0])
+        branch.append([0])
+    branch, slope = np.concatenate(branch), np.concatenate(slope)
+    peak, t_cross = branch != 0, None
+    if branch.size:
+        (z_o, r_o, _), (z_e, r_e, _) = spectra
+        z, r = np.concatenate((z_o[r_o != 0.0], z_e[r_e != 0.0])), np.concatenate((r_o[r_o != 0.0], r_e[r_e != 0.0]))
+        # rows o, o', e, e': coefficients r and -i z r, block-diagonal in the two blocks' roots
+        n_o = int(np.count_nonzero(r_o))
+        coeff = np.zeros((4, z.size), dtype=complex)
+        coeff[0, :n_o], coeff[1, :n_o] = r[:n_o], -1j * z[:n_o] * r[:n_o]
+        coeff[2, n_o:], coeff[3, n_o:] = r[n_o:], -1j * z[n_o:] * r[n_o:]
+        p, q = (1.0 - 1j * branch) / 2.0, (1.0 + 1j * branch) / 2.0
+
+        def fun(times):
+            """g, its slope and F on every row: F' and the table's slope on a peak, sign (pop1 - pop2) and its derivative on the crossing."""
+            o0, o1, e0, e1 = coeff @ np.exp(-1j * np.outer(z, times))
+            a0 = p * o0 + q * e0
+            g = np.where(peak, (np.conj(a0) * (p * o1 + q * e1)).real, sign * (o0 * np.conj(e0)).real)
+            s = np.where(peak, slope, sign * (o1 * np.conj(e0) + o0 * np.conj(e1)).real)
+            return g, s, 0.5 * (np.conj(a0) * a0).real
+
+        with np.errstate(divide="ignore", invalid="ignore"):
+            times, fid = _bracketed_newton(fun, *map(np.concatenate, (lo, hi, x)), SEARCH_STEP_TOL * float(t[-1]))
+        values += fid[peak].tolist()
+        branches += branch[peak].tolist()
+        t_cross = float(times[-1]) if crossings.size else None
+    best = int(np.argmax(values))
+    return values[best], branches[best], t_cross
+
+
+def _extracted_rate(t_cross: float | None) -> float | None:
+    """Exchange rate |delta_omega| in Gamma0 units from the first crossing, pi / (4 t_cross)."""
+    return 0.25 * math.pi / (t_cross * DEFAULT_GAMMA0) if t_cross else None
 
 
 def evolve(blocks: tuple[BlockModel, BlockModel], kappa: float, t_grid: np.ndarray) -> SimResult:
@@ -397,6 +542,8 @@ def evolve(blocks: tuple[BlockModel, BlockModel], kappa: float, t_grid: np.ndarr
     The Bell fidelity is computed against both (|a> -+ i|b>)/sqrt2 partners;
     the branch reaching the larger peak is reported (which of the two is
     approached first depends on the sign of the effective exchange rate).
+    The peak and the first population crossing are bracketed on t_grid and
+    refined from the spectra (_bell_search).
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 2:
@@ -406,36 +553,18 @@ def evolve(blocks: tuple[BlockModel, BlockModel], kappa: float, t_grid: np.ndarr
     offgrid = np.abs(t_grid - dt * np.arange(n_times))
     if not (t_grid[0] == 0.0 and dt > 0.0 and np.all(offgrid <= GRID_TOL * t_grid[-1])):
         raise DomainError("t_grid must be uniform and increasing from 0, t_k = k dt")
-    block_o, block_e = blocks
-    atom_o, full_o = _propagate(block_o, kappa, dt, n_times)
-    atom_e, full_e = _propagate(block_e, kappa, dt, n_times)
-    amp_a = 0.5 * (atom_o + atom_e)
-    amp_b = 0.5 * (atom_o - atom_e)
-    f_minus = 0.5 * np.abs(amp_a - 1j * amp_b) ** 2
-    f_plus = 0.5 * np.abs(amp_a + 1j * amp_b) ** 2
-    if f_minus.max() >= f_plus.max():
-        branch, fid = 1, f_minus
-    else:
-        branch, fid = -1, f_plus
-    pop_diff = np.abs(amp_a) ** 2 - np.abs(amp_b) ** 2
-    crossings = np.nonzero(pop_diff[:-1] * pop_diff[1:] <= 0.0)[0]
-    crossings = crossings[crossings > 0]
-    dw_extracted = None
-    if crossings.size:
-        i = int(crossings[0])
-        t0, t1 = t_grid[i], t_grid[i + 1]
-        d0, d1 = pop_diff[i], pop_diff[i + 1]
-        t_cross = t0 if d1 == d0 else t0 - d0 * (t1 - t0) / (d1 - d0)
-        if t_cross > 0:
-            dw_extracted = 0.25 * math.pi / (t_cross * DEFAULT_GAMMA0)
+    spectra = [_block_spectra(block, [kappa])[0] for block in blocks]
+    (atom_o, full_o), (atom_e, full_e) = (_propagate(s, dt, n_times) for s in spectra)
+    amp_a, amp_b, f_minus, f_plus, pop_diff = _pair_tables(atom_o, atom_e)
+    peak, branch, t_cross = _bell_search(spectra, t_grid, f_minus, f_plus, pop_diff)
     return SimResult(
         times=t_grid * DEFAULT_GAMMA0,
         amp_a=amp_a,
         amp_b=amp_b,
-        bell_fidelity=fid,
+        bell_fidelity=f_minus if branch == 1 else f_plus,
         bell_branch=branch,
-        max_fidelity=_refine_peak(t_grid, fid),
-        extracted_delta_omega=dw_extracted,
+        max_fidelity=peak,
+        extracted_delta_omega=_extracted_rate(t_cross),
         _full_states=(full_o, full_e),
     )
 
@@ -452,6 +581,50 @@ class AnalyticsComparison:
     rates: CouplingRates
 
 
+def compare_losses(
+    cfg: LensConfig,
+    atoms: AtomPairConfig,
+    alphas: list[float],
+    rates: list[CouplingRates],
+    l_range: range | None = None,
+) -> list[AnalyticsComparison]:
+    """Run the block simulation at each loss ratio of alphas on the lens cfg and compare it with the closed-form rates there.
+
+    alphas replace cfg.alpha; rates[k] are coupling_rates at alphas[k], or
+    one element each of qed.coupling_rate_arrays for a caller that sweeps
+    many points.  Requires antipodal atoms (the parity reduction assumes
+    them).  The blocks are built once, and each block's loss-independent
+    secular data is formed once for all losses (_SecularSolver).  Each
+    point searches the window [0, 3 pi / |delta_omega|], a few exchange
+    cycles, with a SEARCH_POINTS phase table refined from the spectra
+    (_bell_search).  The relative deviation is on the entangling error
+    |(1 - F_num) - (1 - F_ana)| / (1 - F_ana), F_ana = entanglement_fidelity(rates).
+    """
+    if not atoms.is_antipodal:
+        raise DomainError("the parity-reduced simulator requires antipodal atoms")
+    if len(rates) != len(alphas):
+        raise DomainError("compare_losses takes one CouplingRates per loss ratio")
+    blocks = build_blocks(cfg, stereo_theta(atoms.p1.rho), l_range=l_range)
+    kappas = [alpha * OMEGA0 for alpha in alphas]
+    out = []
+    for spectra, point in zip(zip(*(_block_spectra(block, kappas) for block in blocks)), rates):
+        dt = 3.0 * math.pi / (abs(point.delta_omega) * DEFAULT_GAMMA0) / (SEARCH_POINTS - 1)
+        atom_o, atom_e = (_phase_sum(z, res, dt, SEARCH_POINTS) for z, res, _ in spectra)
+        _, _, f_minus, f_plus, pop_diff = _pair_tables(atom_o, atom_e)
+        peak, _, t_cross = _bell_search(list(spectra), dt * np.arange(SEARCH_POINTS), f_minus, f_plus, pop_diff)
+        f_ana = entanglement_fidelity(point)
+        err_ana = 1.0 - f_ana
+        out.append(AnalyticsComparison(
+            F_numeric=peak,
+            F_analytic=f_ana,
+            relative_deviation=abs((1.0 - peak) - err_ana) / err_ana if err_ana > 0 else math.inf,
+            extracted_delta_omega=_extracted_rate(t_cross),
+            delta_omega_analytic=point.delta_omega,
+            rates=point,
+        ))
+    return out
+
+
 def compare_to_analytics(
     cfg: LensConfig,
     atoms: AtomPairConfig,
@@ -460,30 +633,6 @@ def compare_to_analytics(
 ) -> AnalyticsComparison:
     """Run the block simulation at cfg and compare it with the closed-form rates there.
 
-    rates are coupling_rates(cfg, atoms), or one element of
-    qed.coupling_rate_arrays for a caller that sweeps many points.  Requires
-    antipodal atoms (the parity reduction assumes them).  The time grid is
-    2000 uniform points on [0, 3 pi / |delta_omega|], a few exchange
-    cycles.  The relative deviation is on the entangling error
-    |(1 - F_num) - (1 - F_ana)| / (1 - F_ana), F_ana = entanglement_fidelity(rates).
+    rates are coupling_rates(cfg, atoms); the one-loss call of compare_losses.
     """
-    if not atoms.is_antipodal:
-        raise DomainError("the parity-reduced simulator requires antipodal atoms")
-    f_ana = entanglement_fidelity(rates)
-    theta = stereo_theta(atoms.p1.rho)
-    blocks = build_blocks(cfg, theta, l_range=l_range)
-    dw_internal = abs(rates.delta_omega) * DEFAULT_GAMMA0
-    t_grid = np.linspace(0.0, 3.0 * math.pi / dw_internal, 2000)
-    sim = evolve(blocks, cfg.kappa, t_grid)
-    err_ana = 1.0 - f_ana
-    deviation = (
-        abs((1.0 - sim.max_fidelity) - err_ana) / err_ana if err_ana > 0 else math.inf
-    )
-    return AnalyticsComparison(
-        F_numeric=sim.max_fidelity,
-        F_analytic=f_ana,
-        relative_deviation=deviation,
-        extracted_delta_omega=sim.extracted_delta_omega,
-        delta_omega_analytic=rates.delta_omega,
-        rates=rates,
-    )
+    return compare_losses(cfg, atoms, [cfg.alpha], [rates], l_range=l_range)[0]

@@ -103,6 +103,26 @@ class TestValidate:
         assert calls["accelerate"] <= 5
         assert calls["theta"] <= 72
 
+    def test_addition_theorem_takes_one_recurrence_per_m_and_angle(self, monkeypatch, capsys):
+        # Theta_l^-m comes from Theta_l^m: l + 1 calls per angle for l = 3, 11, 30
+        # (the mirror check's mode functions take l = 1, 4, 7, 10)
+        calls = []
+        theta = cli.specfun._theta_lm
+
+        def counted(l, m, u):
+            if l in (3, 11, 30):
+                calls.append(m)
+            return theta(l, m, u)
+
+        def refuse(*args):
+            raise AssertionError("scalar spherical harmonic called")
+
+        monkeypatch.setattr(cli.specfun, "_theta_lm", counted)
+        monkeypatch.setattr(cli.specfun, "spherical_harmonic", refuse)
+        assert _run(["validate", "--quick"]) == 0
+        assert "addition-theorem sum rule          PASS" in capsys.readouterr().out
+        assert len(calls) == 2 * (4 + 12 + 31) and min(calls) == 0
+
 
 class TestDdiSweep:
     def test_csv_contract(self, tmp_path):
@@ -211,7 +231,8 @@ class TestFidelity:
 
     def test_each_simulated_point_uses_its_own_rates(self, tmp_path):
         # the rates come from one batched chain per radius; each point must
-        # get its own element (the scalar chain agrees to the last bits)
+        # get its own element (the scalar chain agrees to the last bits), and
+        # the losses sharing one radius's blocks must not change a digit
         out = tmp_path / "f.csv"
         assert _run(["fidelity", "--mode", "vs-loss", "--simulate", "--radii", "3.34", "--samples", "3",
                      "--out", str(out)]) == 0
@@ -220,7 +241,20 @@ class TestFidelity:
         for r in rows:
             cfg = cli.lens.LensConfig(radius=3.34, b=0.1, alpha=float(r[1]))
             cmp = cli.schrodinger.compare_to_analytics(cfg, atoms, cli.qed.coupling_rates(cfg, atoms))
-            assert float(r[3]) == pytest.approx(1.0 - cmp.F_numeric, rel=1e-10)
+            assert r[3] == _fmt_per_value(1.0 - cmp.F_numeric)
+
+    def test_loss_sweep_builds_each_radius_once(self, monkeypatch, tmp_path):
+        calls = []
+        build = cli.schrodinger.build_blocks
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].radius)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(cli.schrodinger, "build_blocks", counted)
+        argv = ["fidelity", "--mode", "vs-loss", "--simulate", "--radii", "1.749,3.34", "--samples", "4"]
+        assert _run(argv + ["--out", str(tmp_path / "f.csv")]) == 0
+        assert calls == [1.749, 3.34]
 
     @pytest.mark.parametrize("mode", ["vs-loss", "vs-detuning"])
     def test_simulate_keeps_the_analytic_columns(self, mode, tmp_path):

@@ -132,6 +132,24 @@ class TestOrderParameter:
             r0 = radius_for_order(want)
             assert order_parameter(LensConfig(radius=r0), OMEGA0).real == pytest.approx(want, abs=1e-12)
 
+    def test_radius_for_order_over_an_array_is_the_float_formula_bit_for_bit(self):
+        # the fidelity grids: vs-detuning around the four centres, vs-radius 10.5 .. 90.5
+        dnus = np.linspace(-0.45, 0.45, 801)
+        orders = np.concatenate([c + dnus for c in (10.5, 20.5, 50.5, 90.5)] + [np.arange(10.5, 91.0, 1.0)])
+        orders = np.concatenate([orders, np.random.default_rng(3).uniform(1e-6, 500.0, 20000)])
+        for n0 in (1.0, 1.5):
+            got = radius_for_order(orders, n0)
+            want = [math.sqrt(((2.0 * nu + 1.0) ** 2 - 1.0) / (16.0 * math.pi**2)) / n0 for nu in orders.tolist()]
+            assert np.array_equal(got, np.array(want))
+        assert type(radius_for_order(20.5)) is float
+        assert radius_for_order(np.array(20.5)) == radius_for_order(20.5)
+
+    def test_radius_for_order_rejects_a_non_positive_order_anywhere(self):
+        with pytest.raises(DomainError):
+            radius_for_order(np.array([10.5, 0.0, 20.5]))
+        with pytest.raises(DomainError):
+            radius_for_order(-1.0)
+
 
 class TestAllowedM:
     def test_published_examples(self):

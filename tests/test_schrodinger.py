@@ -15,6 +15,7 @@ from fisheye.schrodinger import (
     build_blocks,
     compare_to_analytics,
     evolve,
+    _block_spectra,
     _propagate,
     _secular_spectrum,
 )
@@ -195,7 +196,7 @@ class TestAtomicRow:
         dt = t[-1] / (len(t) - 1)
         kappa = alpha * OMEGA0
         for block in build_blocks(cfg, stereo_theta(0.27)):
-            atomic, full_state = _propagate(block, kappa, dt, len(t))
+            atomic, full_state = _propagate(_block_spectra(block, [kappa])[0], dt, len(t))
             full = full_state()
             assert float(np.max(np.abs(atomic - full[:, 0]))) <= 1e-13
             ref = _expm_states(block.hamiltonian(kappa), dt, len(t))
@@ -286,7 +287,7 @@ class TestSecularSpectrum:
         )
         with pytest.raises(EigensolveError, match="distinct roots: False"):
             _secular_spectrum(*block.arrowhead(1e-3))
-        atomic, full_state = _propagate(block, 1e-3, 5.0, 200)
+        atomic, full_state = _propagate(_block_spectra(block, [1e-3])[0], 5.0, 200)
         ref = _expm_states(block.hamiltonian(1e-3), 5.0, 200)
         assert float(np.max(np.abs(atomic - ref[:, 0]))) <= 1e-12
         assert float(np.max(np.abs(full_state() - ref))) <= 1e-12
@@ -313,7 +314,7 @@ class TestSecularSpectrum:
         kappa = alpha * OMEGA0
         dt, n = 2e3, 300
         for block in build_blocks(cfg, stereo_theta(0.27)):
-            atomic, full_state = _propagate(block, kappa, dt, n)
+            atomic, full_state = _propagate(_block_spectra(block, [kappa])[0], dt, n)
             ref = _expm_states(block.hamiltonian(kappa), dt, n)
             assert float(np.max(np.abs(atomic - ref[:, 0]))) <= 1e-9
             assert float(np.max(np.abs(full_state() - ref))) <= 1e-8
@@ -464,3 +465,145 @@ class TestCompareToAnalytics:
         atoms = AtomPairConfig(DiskPoint(0.3, 0.0), DiskPoint(0.4, math.pi))
         with pytest.raises(DomainError):
             _compare(_reference_cfg(), atoms, 5e-4)
+
+
+def _bits(a):
+    """The raw bits of a float or complex array, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestSharedSecularData:
+    """compare_losses forms each block's loss-independent secular data once
+    (_SecularSolver); every loss must still get the spectrum its own solve gives."""
+
+    KAPPAS = [a * OMEGA0 for a in np.logspace(-4, -2, 5).tolist()]
+
+    @pytest.mark.parametrize("r0", [1.749, 3.34, 8.11, 14.48])
+    def test_per_radius_solve_equals_per_point_solve_bit_for_bit(self, r0):
+        for block in build_blocks(LensConfig(radius=r0), stereo_theta(0.27)):
+            shared = _block_spectra(block, self.KAPPAS)
+            # in reverse order every loss meets work arrays another loss left
+            reverse = _block_spectra(block, self.KAPPAS[::-1])[::-1]
+            for kappa, (z, res, _), (z_rev, res_rev, _) in zip(self.KAPPAS, shared, reverse):
+                z_one, res_one, _ = _secular_spectrum(*block.arrowhead(kappa))
+                for got_z, got_res in ((z, res), (z_rev, res_rev)):
+                    assert np.array_equal(_bits(got_z), _bits(z_one))
+                    assert np.array_equal(_bits(got_res), _bits(res_one))
+
+    def test_lossless_block_and_weights_bit_for_bit(self):
+        for block in build_blocks(LensConfig(radius=3.34), stereo_theta(0.27)):
+            shared = _block_spectra(block, [0.0, self.KAPPAS[2], 0.0])
+            z_one, res_one, weights_one = _secular_spectrum(*block.arrowhead(0.0))
+            for k in (0, 2):
+                z, res, weights = shared[k]
+                assert np.array_equal(_bits(z), _bits(z_one))
+                assert np.array_equal(_bits(res), _bits(res_one))
+                assert np.array_equal(_bits(weights()), _bits(weights_one()))
+            lossy = _secular_spectrum(*block.arrowhead(self.KAPPAS[2]))[2]
+            assert np.array_equal(_bits(shared[1][2]()), _bits(lossy()))
+
+    def test_compare_losses_is_the_per_point_comparison(self, antipodal_027):
+        cfg = LensConfig(radius=3.34)
+        alphas = [1e-4, 1e-3, 1e-2]
+        rates = [coupling_rates(replace(cfg, alpha=a), antipodal_027) for a in alphas]
+        swept = schrodinger.compare_losses(cfg, antipodal_027, alphas, rates)
+        for alpha, point, got in zip(alphas, rates, swept):
+            assert got == compare_to_analytics(replace(cfg, alpha=alpha), antipodal_027, point)
+        with pytest.raises(DomainError, match="one CouplingRates per loss"):
+            schrodinger.compare_losses(cfg, antipodal_027, alphas, rates[:2])
+
+
+def _expm_reference(cfg, atoms, n=600, fine=2000):
+    """Largest Bell fidelity and exchange rate from the first pop1 = pop2 crossing, from expm alone.
+
+    On [0, 3 pi / |delta_omega|] a grid of n times stepped with expm(-i H dt)
+    brackets every local maximum of either branch and the first sign change
+    of pop1 - pop2.  Each bracket is stepped again with expm(-i H dt / fine);
+    a peak is the vertex of the parabola through the best fine sample and its
+    neighbours, the crossing the linear interpolation of its fine sign change.
+    """
+    rates = coupling_rates(cfg, atoms)
+    hs = [b.hamiltonian(cfg.kappa) for b in build_blocks(cfg, stereo_theta(atoms.p1.rho))]
+    t_end = 3.0 * math.pi / (abs(rates.delta_omega) * DEFAULT_GAMMA0)
+    dt = t_end / (n - 1)
+    states = [_expm_states(h, dt, n) for h in hs]
+    steps = [expm(-1j * h * (dt / fine)) for h in hs]
+
+    def pair(j, cells):
+        """(a, b) at t_j + k dt / fine, k = 0 .. cells * fine."""
+        amps = []
+        for state, step in zip(states, steps):
+            psi, amp = state[j], np.empty(cells * fine + 1, dtype=complex)
+            for k in range(amp.size):
+                amp[k] = psi[0]
+                psi = step @ psi
+            amps.append(amp)
+        o, e = amps
+        return 0.5 * (o + e), 0.5 * (o - e)
+
+    a, b = (0.5 * (states[0][:, 0] + states[1][:, 0]), 0.5 * (states[0][:, 0] - states[1][:, 0]))
+    best = 0.5
+    for branch in (1, -1):
+        f = 0.5 * np.abs(a - 1j * branch * b) ** 2
+        best = max(best, float(f[1:].max()))
+        for j in 1 + np.flatnonzero((f[1:-1] > f[:-2]) & (f[1:-1] >= f[2:])):
+            fa, fb = pair(j - 1, 2)
+            g = 0.5 * np.abs(fa - 1j * branch * fb) ** 2
+            k = int(np.argmax(g))
+            y0, y1, y2 = g[k - 1], g[k], g[k + 1]
+            best = max(best, float(y1 - (y0 - y2) ** 2 / (8.0 * (y0 - 2.0 * y1 + y2))))
+    pop_diff = np.abs(a) ** 2 - np.abs(b) ** 2
+    i = 1 + int(np.flatnonzero(pop_diff[1:-1] * pop_diff[2:] <= 0.0)[0])
+    fa, fb = pair(i, 1)
+    d = np.abs(fa) ** 2 - np.abs(fb) ** 2
+    k = int(np.flatnonzero(d[:-1] * d[1:] <= 0.0)[0])
+    t_cross = i * dt + (k + d[k] / (d[k] - d[k + 1])) * dt / fine
+    return best, 0.25 * math.pi / (t_cross * DEFAULT_GAMMA0)
+
+
+class TestPeakSearch:
+    """The Bell peak and the exchange crossing come from a coarse phase table
+    refined from the roots and residues (_bell_search)."""
+
+    def test_interior_peak_and_crossing_match_expm(self, antipodal_027):
+        cfg = LensConfig(radius=3.34, alpha=1e-3)
+        cmp = compare_to_analytics(cfg, antipodal_027, coupling_rates(cfg, antipodal_027))
+        peak, dw = _expm_reference(cfg, antipodal_027)
+        assert 0.5 < peak < 1.0
+        # both sides within ~1e-11; the 2,000-point grid maximum was 1.2e-9 off here
+        assert abs(cmp.F_numeric - peak) <= 1e-10
+        assert cmp.extracted_delta_omega == pytest.approx(dw, rel=1e-10)
+
+    def test_peak_at_t0_is_one_half_exactly(self, antipodal_027):
+        # at alpha = 1e-2 the exchange never lifts the overlap above its start
+        cfg = LensConfig(radius=14.48, alpha=1e-2)
+        rates = coupling_rates(cfg, antipodal_027)
+        cmp = compare_to_analytics(cfg, antipodal_027, rates)
+        assert cmp.F_numeric == 0.5
+        t_end = 3.0 * math.pi / (abs(rates.delta_omega) * DEFAULT_GAMMA0)
+        n = 400
+        o, e = (_expm_states(b.hamiltonian(cfg.kappa), t_end / (n - 1), n)[:, 0]
+                for b in build_blocks(cfg, stereo_theta(0.27)))
+        a, b = 0.5 * (o + e), 0.5 * (o - e)
+        for branch in (1, -1):
+            f = 0.5 * np.abs(a - 1j * branch * b) ** 2
+            assert f[0] == pytest.approx(0.5, abs=1e-15)
+            assert float(f[1:].max()) < 0.5 - 1e-3
+
+    def test_evolve_refines_the_same_peak(self, antipodal_027):
+        # evolve brackets on its own grid; the refined peak and crossing agree
+        cfg = LensConfig(radius=8.11, alpha=3e-4)
+        rates = coupling_rates(cfg, antipodal_027)
+        cmp = compare_to_analytics(cfg, antipodal_027, rates)
+        t_end = 3.0 * math.pi / (abs(rates.delta_omega) * DEFAULT_GAMMA0)
+        sim = evolve(build_blocks(cfg, stereo_theta(0.27)), cfg.kappa, np.linspace(0.0, t_end, 2000))
+        assert sim.max_fidelity >= float(sim.bell_fidelity.max())
+        assert abs(sim.max_fidelity - cmp.F_numeric) <= 1e-11
+        assert sim.extracted_delta_omega == pytest.approx(cmp.extracted_delta_omega, rel=1e-9)
+
+    def test_flat_fidelity_has_no_search(self):
+        # atoms on the mirror never exchange: F stays 1/2 and pop1 - pop2 = 1
+        blocks = build_blocks(_reference_cfg(), math.pi / 2.0, l_range=range(1, 21))
+        sim = evolve(blocks, 1e-3, np.linspace(0.0, 1e5, 64))
+        assert sim.max_fidelity == 0.5 and sim.bell_branch == 1
+        assert sim.extracted_delta_omega is None
