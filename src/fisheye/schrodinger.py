@@ -224,6 +224,28 @@ def _secular_terms(base, gaps, g2, u, inv, pull, size):
     return f, fp, np.abs(z) + np.abs(inv, out=size) @ g2
 
 
+def _distinct_roots(z: np.ndarray) -> bool:
+    """Whether every two roots lie more than ROOT_SEPARATION_TOL * max|z| apart (never, if one is not finite).
+
+    Only roots whose real parts lie within that distance can be that close,
+    so the roots are sorted by real part and each is compared with those
+    after it whose real part is within twice the distance (a margin over
+    the rounding of the sort keys): O(n log n) for well separated roots, and
+    the same outcome as comparing all n^2 pairs.
+    """
+    limit = ROOT_SEPARATION_TOL * np.abs(z).max()
+    if not np.isfinite(limit):
+        return False
+    z = z[np.argsort(z.real, kind="stable")]
+    # the ahead[i] - 1 roots after root i have real parts within 2 limit of its own
+    ahead = np.searchsorted(z.real, z.real + 2.0 * limit, side="right") - np.arange(z.size)
+    for step in range(1, int(ahead.max())):
+        i = np.flatnonzero(ahead > step)
+        if np.any(np.abs(z[i + step] - z[i]) <= limit):
+            return False
+    return True
+
+
 def _secular_weights(size, rows, base, u, res, g) -> np.ndarray:
     """W[k] = res_k (1, g / (z_k - d)) on rows, zero elsewhere; 1 / (gaps + u) as in Newton, bit for bit."""
     weights = np.zeros((size, size), dtype=complex)
@@ -303,12 +325,8 @@ class _SecularSolver:
             res = 1.0 / fp
             residual = float(np.max(np.abs(f) / scale))
             sum_dev = abs(complex(res.sum()) - 1.0)
-            # the separation tolerance is far above the rounding of z itself;
-            # |z_k - z_j| over all k and j >= 1 covers every pair, z_j - z_j masked
-            z = base + u
-            sep = np.abs(np.subtract(z[:, None], z[None, 1:], out=inv), out=size)
-            sep.reshape(-1)[g2.size :: g2.size + 1] = np.inf
-            distinct = bool(sep.min() > ROOT_SEPARATION_TOL * np.abs(z).max())
+            # the separation tolerance is far above the rounding of z itself
+            distinct = _distinct_roots(base + u)
         if not (residual <= SECULAR_RESIDUAL_TOL and sum_dev <= RESIDUE_SUM_TOL and distinct):
             raise EigensolveError(
                 f"secular roots failed their checks: relative residual {residual:.2e}, "

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from itertools import accumulate
 
 import numpy as np
 
@@ -183,83 +184,173 @@ def _quotient(num: complex | np.ndarray, den: complex | np.ndarray) -> complex |
     return num * (1.0 / den)
 
 
+def _log_start(d: complex | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a_0 and the prefactor sin(pi d)/pi of the logarithmic seed series, one per degree (1-D).
+
+    a_0 = psi(-d) + psi(d+1) + 2 gamma_E is formed with the reflection
+    psi(-d) = psi(d+1) + pi cot(pi d), so one digamma serves it.  The sine
+    and cotangent are taken at pi r, r = d - k with k the integer nearest
+    Re d (r is exact): pi d itself would carry an absolute rounding error
+    that costs ~1e-13 relative where d is within 1e-3 of an integer.  The
+    prefactor divides each part of the sine by pi, as Python's complex /
+    float does it (numpy would multiply by 1/pi).  A real d takes the real
+    parts of the complex sine and cotangent, as _digamma_array does with the
+    log, so its values are the real parts of the complex evaluation.
+    """
+    d = np.ravel(d)
+    k = np.round(d.real)
+    z = np.pi * (d - k).astype(complex)
+    sin = np.sin(z)
+    cot = np.cos(z) / sin
+    sin[k % 2 == 1] *= -1.0  # sin(pi d) = (-1)^k sin(pi r)
+    scale = (sin.view(float) / math.pi).view(complex)
+    if not np.iscomplexobj(d):
+        cot, scale = cot.real, scale.real
+    return 2.0 * _digamma_array(d + 1.0) + np.pi * cot + 2.0 * EULER_GAMMA, scale
+
+
 def _series_array(
-    d: complex | np.ndarray, x: np.ndarray, w: np.ndarray, hyp: bool, tol: float, max_terms: int
+    d: complex | np.ndarray,
+    x: np.ndarray,
+    w: np.ndarray,
+    hyp: bool,
+    tol: float,
+    max_terms: int,
+    start: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Seed series for P_d(x) over many x: hypergeometric (hyp=True) or logarithmic.
 
-    With c_0 = 1, c_{n+1} = c_n (n-d)(n+d+1) y/(n+1)^2, the Gauss
-    hypergeometric series is P_d(x) = sum_n c_n, y = (1-x)/2, and the
+    With p_n = (n-d)(n+d+1), c_0 = 1 and c_{n+1} = c_n p_n y/(n+1)^2, the
+    Gauss hypergeometric series is P_d(x) = sum_n c_n, y = (1-x)/2, and the
     logarithmic connection expansion about x = -1 (not usable for d within
     ~1e-3 of an integer: digamma poles) is, with y = w = (1+x)/2,
 
         P_d(x) = sin(pi d)/pi * sum_n c_n [ln w + a_n],
         a_0 = psi(-d) + psi(d+1) + 2 gamma_E,
-        a_{n+1} = a_n + 1/(n-d) + 1/(n+d+1) - 2/(n+1).
+        a_{n+1} = a_n + 1/(n-d) + 1/(n+d+1) - 2/(n+1) = a_n + (2n+1)/p_n - 2/(n+1).
 
-    d is one degree for all x or an array with the degree of each x.  Terms
-    are formed a block at a time (cumulative products and sums along a
-    block).  An element stops at the second consecutive term whose
-    geometric tail bound |term| r/(1-r) is within tol of the partial sum (of
-    1 at least, on the hypergeometric branch); a single term can dip when n
-    passes Re d.  A real d (a float or a float array) is summed in float64,
-    with the bits of the complex sum's real parts.
+    `start` is (a_0, sin(pi d)/pi) as _log_start gives them, if the caller
+    has them.  d is one degree for all x or an array with the degree of
+    each x.  Terms are formed a block at a time (cumulative products and
+    sums along a block), in work arrays allocated for the call and filled in
+    place; p_n, formed once per term, serves the coefficient, the increment
+    of a_n and the tail ratio.  An element stops at the second consecutive
+    term whose geometric tail bound |term| r/(1-r), r = y |p_{n+1}|/(n+2)^2,
+    is within tol of the partial sum (of 1 at least, on the hypergeometric
+    branch); a single term can dip when n passes Re d.  A real d (a float or
+    a float array) is summed in float64, with the bits of the complex sum's
+    real parts.  Every element's arithmetic is its own, in a fixed operand
+    order (numpy's complex product is not commutative to the last bit), so
+    its value does not depend on the other elements of the call.
     """
     dtype = complex if np.iscomplexobj(d) else float
     y = (1.0 - x) / 2.0 if hyp else w
-    c = np.ones(y.shape, dtype=dtype)
+    # one row per degree: a (1, 1) column broadcasts one degree over every x
+    dv = np.reshape(np.asarray(d, dtype=dtype), (-1, 1))
+    yc = y.astype(dtype)[:, None]
+    c = None  # c_n at the start of the block; None for c_0 = 1
     if hyp:
         floor = 1.0
-        total = c.copy()
+        total = np.ones(y.shape, dtype=dtype)
     else:
-        lw, floor = np.log(y), 1e-300
-        psi = _digamma_array(np.stack([-np.asarray(d), np.asarray(d) + 1.0]))
-        a = psi[0] + psi[1] + 2.0 * EULER_GAMMA
+        floor = 1e-300
+        a, scale = _log_start(d) if start is None else start
+        lw = np.log(y).astype(dtype)
         total = lw + a
-        a = np.reshape(a, (-1, 1))
-        # sin(pi d)/pi with each part divided by pi, as Python's complex / float
-        # does it (numpy would multiply by 1/pi); a real d takes the real part
-        # of the complex sine, as _digamma_array does with the log
-        sin = np.sin(np.pi * np.ravel(d).astype(complex))
-        scale = (sin.view(float) / math.pi).view(complex)
-        if dtype is float:
-            scale = scale.real
+
+    def take(slot: np.ndarray, rows: int, cols: int) -> np.ndarray:
+        return slot[: rows * cols].reshape(rows, cols)
+
+    def per_degree(slot: np.ndarray, rows: int, cols: int) -> np.ndarray | None:
+        """A work array with a row per degree; one degree's single row is allocated apart."""
+        return take(slot, rows, cols) if kd == k else None
+
+    # the block's work arrays: three of dtype, two real, two boolean
+    kinds = (dtype,) * 3 + (float,) * 2 + (bool,) * 2
+    itemsize = np.dtype(dtype).itemsize
+    arena = np.empty(0, dtype=np.uint8)
     out = np.empty(y.shape, dtype=dtype)
     live = np.arange(y.size)
     prev_hit = np.zeros(y.size, dtype=bool)
     n0 = 0
     while n0 < max_terms:
         size = min(max(_BLOCK_FIRST, n0), _BLOCK_CAP, max_terms - n0)
-        n = np.arange(n0, n0 + size, dtype=float)
+        n = np.arange(n0, n0 + size + 1, dtype=float)
         n0 += size
-        dc = d[:, None] if isinstance(d, np.ndarray) else d
-        cs = c[:, None] * np.cumprod(_quotient((n - dc) * (n + dc + 1.0), (n + 1.0) ** 2) * y[:, None], axis=1)
+        k, kd, width = live.size, dv.shape[0], size + 1
+        # the work arrays are cut from one buffer per call: a single
+        # allocation, which the heap reuses from call to call instead of
+        # mapping fresh pages for each array
+        nbytes = (itemsize * k * width,) * 3 + (8 * k * size,) * 2 + (k * width, k * size)
+        ends = list(accumulate(nbytes, initial=0))
+        if arena.size < ends[-1]:
+            arena = np.empty(ends[-1], dtype=np.uint8)
+        U, V, W, R, B, H, S = (arena[a:b].view(t) for t, a, b in zip(kinds, ends, ends[1:]))
+        # p_n for n0 <= n <= n0 + size, and the tail ratios r_n = y |p_{n+1}|/(n+2)^2
+        p = np.multiply(
+            np.subtract(n.astype(dtype), dv, out=per_degree(U, kd, width)),
+            np.add((n + 1.0).astype(dtype), dv, out=per_degree(V, kd, width)),
+            out=per_degree(W, kd, width),
+        )
+        ratio = np.abs(p[:, 1:], out=per_degree(R, kd, size))
+        ratio *= 1.0 / (n[1:] + 1.0) ** 2
+        ratio = np.multiply(ratio, y[:, None], out=take(R, k, size))
+        np.minimum(ratio, 0.999, out=ratio)
+        if not hyp:
+            # a_{n+1} = a_n + (2n+1)/p_n - 2/(n+1), a_n folded into the first
+            # increment; 1/p_n times 2n+1 is one division, rounded for a real d
+            # as the complex path's real part (see _quotient)
+            a_n = np.divide(1.0, p[:, :size], out=per_degree(U, kd, size))
+            a_n *= (2.0 * n[:size] + 1.0).astype(dtype)
+            a_n -= (2.0 / (n[:size] + 1.0)).astype(dtype)
+            a_n[:, 0] += a
+            np.cumsum(a_n, axis=1, out=a_n)
+            a = a_n[:, -1].copy()
+        # c_{n+1} = c_n p_n y/(n+1)^2, c_n folded into the block's first factor.
+        # No product of two complex arrays is written over one of its factors:
+        # numpy rounds an in-place product of one element differently.
+        cs = np.multiply(p[:, :size], (1.0 / (n[:size] + 1.0) ** 2).astype(dtype), out=take(V, k, size))
+        cs *= yc
+        if c is not None:
+            cs[:, 0] = cs[:, 0] * c
+        np.cumprod(cs, axis=1, out=cs)
+        c = cs[:, -1].copy()  # the hypergeometric terms become the partial sums below
         if hyp:
             terms = cs
         else:
-            a_n = a + np.cumsum(1.0 / (n - dc) + 1.0 / (n + dc + 1.0) - 2.0 / (n + 1.0), axis=-1)
-            terms = cs * (lw[:, None] + a_n)
-            a = a_n[:, -1:]
-        totals = total[:, None] + np.cumsum(terms, axis=1)
-        ratio = np.minimum(y[:, None] * (np.abs((n + 1 - dc) * (n + dc + 2.0)) / (n + 2.0) ** 2), 0.999)
-        hit = np.abs(terms) * ratio / (1.0 - ratio) <= tol * np.maximum(np.abs(totals), floor)
-        stop = hit & np.concatenate([prev_hit[:, None], hit[:, :-1]], axis=1)
+            terms = np.multiply(cs, np.add(lw[:, None], a_n, out=take(U, k, size)), out=take(W, k, size))
+        # the tail bound |term| r/(1-r), then the partial sums in place of the terms
+        bound = np.abs(terms, out=take(B, k, size))
+        bound *= ratio
+        bound /= np.subtract(1.0, ratio, out=ratio)
+        # the block's sum is added to the total apart, which keeps the rounding
+        # of a long series to the blocks' count instead of its terms'
+        totals = np.cumsum(terms, axis=1, out=terms)
+        totals += total[:, None]
+        limit = np.abs(totals, out=ratio)
+        np.maximum(limit, floor, out=limit)
+        limit *= tol
+        hit = take(H, k, width)
+        hit[:, 0] = prev_hit
+        np.less_equal(bound, limit, out=hit[:, 1:])
+        stop = np.logical_and(hit[:, 1:], hit[:, :-1], out=take(S, k, size))
         done = stop.any(axis=1)
         rows = np.flatnonzero(done)
         out[live[rows]] = totals[rows, stop[rows].argmax(axis=1)]
         keep = ~done
         if not keep.any():
             return out if hyp else scale * out
-        live, y, c, total, prev_hit = live[keep], y[keep], cs[keep, -1], totals[keep, -1], hit[keep, -1]
+        live, y, yc = live[keep], y[keep], yc[keep]
+        c, total, prev_hit = c[keep], totals[keep, -1], hit[keep, -1]
         if not hyp:
             lw = lw[keep]
-        if isinstance(d, np.ndarray):
-            d = d[keep]
+        if kd > 1:
+            dv = dv[keep]
             if not hyp:
                 a = a[keep]
     name = "hypergeometric" if hyp else "logarithmic"
     raise NonConvergenceError(
-        f"{name} series for P_nu(nu={np.ravel(d)[0]}, x={x[live[0]]}) exceeded {max_terms} terms"
+        f"{name} series for P_nu(nu={dv[0, 0]}, x={x[live[0]]}) exceeded {max_terms} terms"
     )
 
 
@@ -288,20 +379,37 @@ def _legendre_nu_array(
     s = nus - n
     lift = n > 1
 
-    def seed(d: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    def seeds(d: np.ndarray, x: np.ndarray, w: np.ndarray, up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """P_d(x) at every element, and P_{d+1}(x) at the elements where up, in their order.
+
+        Both seeds of an element take the branch that d picks.  On the
+        logarithmic branch the d + 1 series starts from the a_0 and sine of
+        d: a_0(d+1) = a_0(d) + 2/(d+1) and sin(pi (d+1)) = -sin(pi d).
+        """
         near_integer = np.minimum(np.abs(d - np.round(d.real)), 1.0) < 1e-3
         hyp = near_integer | (x >= 0.0)
-        p = np.empty(x.shape, dtype=d.dtype)
+        p, p1 = np.empty(x.shape, dtype=d.dtype), np.empty(np.count_nonzero(up), dtype=d.dtype)
         for is_hyp, branch in ((True, hyp), (False, ~hyp)):
-            if branch.any():
-                db = d[branch]
-                if np.all(db == db[0]):  # one degree for all (a sweep over x)
-                    db = db[0].item()
-                p[branch] = _series_array(db, x[branch], w[branch], is_hyp, tol, max_terms)
-        return p
+            if not branch.any():
+                continue
+            db, xb, wb, ub = d[branch], x[branch], w[branch], up[branch]
+            one = bool(np.all(db == db[0]))  # one degree for all (a sweep over x)
+            if one:
+                db = db[:1]
+            start = None if is_hyp else _log_start(db)
+            p[branch] = _series_array(db, xb, wb, is_hyp, tol, max_terms, start)
+            if ub.any():
+                if not one:
+                    db = db[ub]
+                db = db + 1.0
+                if start is not None:
+                    a0, scale = start if one else (start[0][ub], start[1][ub])
+                    start = (a0 + _quotient(2.0, db), -scale)
+                p1[branch[up]] = _series_array(db, xb[ub], wb[ub], is_hyp, tol, max_terms, start)
+        return p, p1
 
     # nu itself where no recurrence is needed, else s, and s + 1 below
-    vals = seed(np.where(lift, s, nus), xs, ws)
+    vals, vals1 = seeds(np.where(lift, s, nus), xs, ws, lift)
     if lift.any():
         # run the recurrence with the elements sorted by their step count,
         # longest first; an element is recorded, and dropped, at its count
@@ -309,14 +417,15 @@ def _legendre_nu_array(
         order = np.argsort(-steps, kind="stable")
         steps = steps[order]
         running = np.searchsorted(-steps, -np.arange(1, steps[0] + 1))
-        p0, p1 = vals[lift][order], seed(s[lift] + 1.0, xs[lift], ws[lift])[order]
+        p0, p1 = vals[lift][order], vals1[order]
         xl, k = xs[lift][order].astype(nu.dtype), s[lift][order] + 1.0
         if np.all(k == k[0]):  # one fractional degree for all (a sweep over x)
             k = k[0].item()
         lifted = np.empty(p1.shape, dtype=nu.dtype)
         for live in running:
-            p0, p1 = p1, _quotient((2.0 * k + 1.0) * xl * p1 - k * p0, k + 1.0)
-            k = k + 1.0
+            k1 = k + 1.0
+            p0, p1 = p1, _quotient((2.0 * k + 1.0) * xl * p1 - k * p0, k1)
+            k = k1
             if live < p1.size:
                 lifted[live : p1.size] = p1[live:]
                 p0, p1, xl = p0[:live], p1[:live], xl[:live]
@@ -357,7 +466,7 @@ def legendre_nu(
     Im nu <= 0.9 and x in [-0.99999, 0.99999], as the error relative to
     max(1, |P_nu(x)|): at the default tol = 1e-10 at most 3.1e-11, and
     1.8e-10 for nu within 1e-3 of an integer at x = -0.999; tol = 1e-13
-    brings these to 9.0e-14 and 1.9e-13 for ~20% more time per call.
+    brings these to 3.9e-14 and 1.9e-13 for ~20% more time per call.
     Relative to |P_nu(x)| alone the error grows near its zeros (3.8e-11 at
     nu = 50.459, x = 0.2, where |P| = 0.11).
 
@@ -389,20 +498,25 @@ def legendre_nu(
     the broadcast shape is returned; otherwise the result is a Python
     complex, computed as a one-element array.  The seed series and the
     recurrence run as numpy operations over all elements.  Each element
-    keeps its own degree split, branch (including the near-integer rule)
-    and stopping rule, and leaves the recurrence at its own n.  So a sweep
-    over frequency or lens radius at fixed points (one x, many nu) costs
-    one call, like a sweep over points at one degree.  Every call costs
-    about 0.5 ms of numpy overhead, a one-element call included, so a loop
-    over points or degrees should pass them as one array.  When every
-    degree is real (the lossless cavity at real frequency), the seeds and
-    the recurrence run in float64 instead of complex128, with the bits of
-    the complex arithmetic's real parts: numpy
-    divides complex numbers by multiplying with the divisor's reciprocal,
-    and the float path does the same (an exact zero may differ in sign).
-    Its logarithm (in the digamma) and sine are the real parts of the
-    complex ones, so a SIMD float64 kernel cannot move a last bit.  The
-    result is complex either way.
+    keeps its own degree split, branch (including the near-integer rule,
+    which s decides for both seeds) and stopping rule, and leaves the
+    recurrence at its own n.  An element's value does not depend on the
+    other elements of the call: a sweep evaluated in one call or split
+    over several gives the same bits.  So a sweep over frequency or lens
+    radius at fixed points (one x, many nu) costs one call, like a sweep
+    over points at one degree.  Measured on a 2-core machine with one BLAS
+    thread, a one-element call takes about 0.1-0.2 ms (a real degree below 2
+    at x >= 0) to 0.9 ms (nu = 20.5 + 0.02i at x < 0), and 801 complex
+    degrees at one x take about 2.5 ms at Re nu = 10.5 and 5 ms at 90.5
+    (the difference is the recurrence); so a loop over points or degrees
+    should pass them as one array.  When every degree is real (the lossless
+    cavity at real frequency), the seeds and the recurrence run in float64
+    instead of complex128, with the bits of the complex arithmetic's real
+    parts: numpy divides complex numbers by multiplying with the divisor's
+    reciprocal, and the float path does the same (an exact zero may differ
+    in sign).  Its logarithm (in the digamma), sine and cotangent are the
+    real parts of the complex ones, so a SIMD float64 kernel cannot move a
+    last bit.  The result is complex either way.
 
     Raises
     ------

@@ -155,6 +155,15 @@ class TestDdiSweep:
         code = _run(["ddi-sweep", "--radii", "4.93", "--offset", "-1", "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
+    def test_order_near_an_integer_exits_3(self, tmp_path, capsys):
+        # ROADMAP item 3's known limit: this radius puts nu at 30.0005, whose
+        # hypergeometric seeds near the source exceed max_terms; the command
+        # must report it, not write a value (item 3's fix turns this into exit 0)
+        out = tmp_path / "ddi.csv"
+        assert _run(["ddi-sweep", "--radii", "4.8536530342826705", "--out", str(out)]) == 3
+        assert "exceeded 100000 terms" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDynamics:
     def test_columns_and_t0_marker(self, tmp_path):

@@ -393,6 +393,85 @@ class TestSecularSpectrum:
         assert not out.exists()
 
 
+def _distinct_all_pairs(z):
+    """The O(n^2) reference: the least distance over all pairs against ROOT_SEPARATION_TOL * max|z|."""
+    with np.errstate(all="ignore"):
+        sep = np.abs(z[:, None] - z[None, :])
+        np.fill_diagonal(sep, np.inf)
+        return bool(sep.min() > schrodinger.ROOT_SEPARATION_TOL * np.abs(z).max())
+
+
+class TestDistinctRoots:
+    """The sorted window scan of the secular solve decides as the all-pairs check does."""
+
+    @staticmethod
+    def _roots(rng, n=60):
+        # lossy spectrum: real parts spread over a few units, small negative imaginary parts
+        return rng.uniform(-3.0, 3.0, n) - 1j * rng.uniform(0.0, 1e-2, n)
+
+    @pytest.mark.parametrize("angle", [0.0, math.pi / 2, math.pi / 4, 3 * math.pi / 4])
+    @pytest.mark.parametrize("factor", [0.5, 0.999999, 1.0, 1.000001, 1.5, 1.999999, 2.0, 2.000001, 4.0])
+    def test_pair_just_inside_and_outside_the_tolerance(self, rng, angle, factor):
+        z = self._roots(rng)
+        z[0] = 5.0  # fixes max|z|, so the added root leaves the limit as it is
+        limit = schrodinger.ROOT_SEPARATION_TOL * 5.0
+        z[-1] = z[7] + factor * limit * complex(math.cos(angle), math.sin(angle))
+        got = schrodinger._distinct_roots(z)
+        assert got == _distinct_all_pairs(z)
+        if factor < 0.9:
+            assert not got
+        if factor > 1.1:
+            assert got
+
+    def test_pair_exactly_at_the_tolerance_is_not_distinct(self, rng):
+        # a separation of exactly the limit (formed without rounding) counts as coincident
+        z = self._roots(rng)
+        z[0] = 5.0
+        limit = schrodinger.ROOT_SEPARATION_TOL * 5.0
+        z[7] = z[7].real
+        z[-1] = complex(z[7].real, limit)
+        assert abs(z[-1] - z[7]) == limit
+        assert not schrodinger._distinct_roots(z)
+        assert not _distinct_all_pairs(z)
+
+    @pytest.mark.parametrize("imag_gap", [1e-3, 0.0])
+    def test_close_pair_with_a_third_root_between_them_in_real_order(self, rng, imag_gap):
+        z = self._roots(rng)
+        z[0] = 5.0
+        limit = schrodinger.ROOT_SEPARATION_TOL * 5.0
+        base = z[11]
+        z[-1] = base + 0.6 * limit                      # close to z[11], right of it
+        z[-2] = base + 0.3 * limit - 1j * imag_gap      # between them in real part
+        order = np.argsort(z.real, kind="stable")
+        where = {int(j): k for k, j in enumerate(order)}
+        assert where[11] < where[z.size - 2] < where[z.size - 1]
+        assert not schrodinger._distinct_roots(z)
+        assert not _distinct_all_pairs(z)
+
+    def test_clusters_of_equal_real_parts(self, rng):
+        for _ in range(200):
+            z = self._roots(rng, 30)
+            limit = schrodinger.ROOT_SEPARATION_TOL * float(np.abs(z).max())
+            for j in rng.integers(0, z.size, 4):
+                # a stack of roots on one real part, 0.5 to 2.5 limits apart
+                z[rng.integers(0, z.size, 3)] = z[j].real + 1j * (z[j].imag + limit * rng.uniform(0.5, 2.5, 3))
+            assert schrodinger._distinct_roots(z) == _distinct_all_pairs(z)
+
+    def test_secular_spectra(self):
+        # the roots of the simulated radii's blocks (183 rows each at R0 = 14.48)
+        for radius in (1.749, 3.34, 8.11, 14.48):
+            for block in build_blocks(LensConfig(radius=radius), stereo_theta(0.27)):
+                z, _, _ = _secular_spectrum(*block.arrowhead(1e-3 * OMEGA0))
+                assert schrodinger._distinct_roots(z) and _distinct_all_pairs(z)
+
+    @pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), complex(1.0, float("-inf"))])
+    def test_a_root_that_is_not_finite_is_never_distinct(self, rng, bad):
+        z = self._roots(rng)
+        z[3] = bad
+        assert not schrodinger._distinct_roots(z)
+        assert not _distinct_all_pairs(z)
+
+
 class TestFullBasisCrossCheck:
     """Validate the parity-reduced collective-mode blocks against the raw
     (l, m) single-excitation Hamiltonian built directly from the mode

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from fisheye.specfun import (
     EULER_GAMMA,
     _digamma_array,
     _legendre_nu_array,
+    _log_start,
     _series_array,
     _theta_lm,
     accelerate,
@@ -427,6 +429,97 @@ class TestLegendreNuDegreeArray:
     def test_nonconvergence_with_tiny_max_terms(self):
         with pytest.raises(NonConvergenceError):
             legendre_nu(np.array([0.5, 10.5, 20.5 + 0.3j]), -0.4, max_terms=3)
+
+
+#: The source argument of the benchmark's fidelity scans (rho = 0.27), w = (1 + x)/2 given as greens gives it.
+SCAN_W = 0.25331973734913113
+SCAN_X = 2.0 * SCAN_W - 1.0
+
+
+def _scan_degrees(re_nu: float) -> np.ndarray:
+    """The fidelity-scan shape: 801 orders at losses alpha from 1e-4 to 1e-2 around one radius's Re nu."""
+    return re_nu * (1.0 + 1j * np.linspace(1e-4, 1e-2, 801))
+
+
+class TestSeedSeriesKernel:
+    """The seed series' start values, its work arrays across growing blocks, and its batching."""
+
+    @pytest.mark.parametrize("im", [0.0, 0.3, 0.9, 5.0])
+    def test_reflection_start_equals_two_digammas(self, im):
+        # a_0 = 2 psi(d+1) + pi cot(pi d) + 2 gamma_E against psi(-d) + psi(d+1) + 2 gamma_E,
+        # over the log branch's degrees (1e-3 or more from an integer), real and complex
+        re = np.concatenate([np.linspace(-0.999, 1.999, 3001), np.linspace(-100.999, -99.001, 201)])
+        re = re[np.abs(re - np.round(re)) >= 1e-3]
+        d = re + 1j * im if im else re
+        a0, _ = _log_start(d)
+        want = _digamma_array(-d) + _digamma_array(d + 1.0) + 2.0 * EULER_GAMMA
+        assert a0.dtype == d.dtype
+        assert np.max(np.abs(a0 - want) / np.maximum(1.0, np.abs(want))) <= 1e-14
+
+    def test_the_lifted_seed_starts_from_its_partner(self):
+        # a_0(d+1) = a_0(d) + 2/(d+1) and sin(pi (d+1)) = -sin(pi d), against
+        # mpmath at the exact d + 1 (d + 1.0 itself rounds, which moves a start
+        # 1e-3 from an integer by ~1e-13)
+        mpmath = pytest.importorskip("mpmath")
+        d = np.concatenate([np.linspace(0.001, 0.999, 100), np.linspace(0.001, 0.999, 100) + 0.4j])
+        a0, scale = _log_start(d)
+        lifted, lifted_scale = a0 + 2.0 / (d + 1.0), -scale
+        with mpmath.workdps(30):
+            up = [mpmath.mpc(v.real, v.imag) + 1 for v in d.tolist()]
+            want = np.array([complex(mpmath.digamma(-u) + mpmath.digamma(u + 1) + 2 * mpmath.euler) for u in up])
+            want_scale = np.array([complex(mpmath.sinpi(u) / mpmath.pi) for u in up])
+        assert np.max(np.abs(lifted - want) / np.maximum(1.0, np.abs(want))) <= 1e-14
+        assert np.max(np.abs(lifted_scale - want_scale) / np.abs(want_scale)) <= 1e-14
+
+    @pytest.mark.parametrize("re_nu", [10.5, 90.5])
+    def test_fidelity_scan_shape_against_mpmath(self, re_nu):
+        nu = _scan_degrees(re_nu)
+        got = legendre_nu(nu, SCAN_X, w=SCAN_W)
+        want = _mpmath_legendre(nu, SCAN_X)
+        assert np.all(np.abs(got - want) <= ENVELOPE * np.maximum(1.0, np.abs(want)))
+
+    def test_batching_does_not_change_the_bits(self):
+        # one call over the four radii's scan degrees is the four per-radius
+        # calls, and a one-element call, bit for bit: every element's arithmetic
+        # is its own, whatever the size of the call
+        nus = [_scan_degrees(re_nu) for re_nu in (10.5, 20.5, 50.5, 90.5)]
+        every = np.concatenate(nus)
+        one = legendre_nu(every, SCAN_X, w=SCAN_W)
+        assert np.array_equal(one, np.concatenate([legendre_nu(nu, SCAN_X, w=SCAN_W) for nu in nus]))
+        for i in (0, 1000, 2500, 3203):
+            assert legendre_nu(every[i : i + 1], SCAN_X, w=SCAN_W)[0] == one[i]
+
+    def test_series_past_the_first_blocks(self):
+        # degrees within 1e-3 of an integer take the hypergeometric seeds at any x:
+        # at x = -0.99 they need thousands of terms, in blocks that grow to 256
+        # terms, while at x = 0.3 they stop in the first block and at -0.7 a few
+        # blocks later; so rows leave the call while the blocks, and the work
+        # arrays, grow
+        k = np.arange(0.0, 60.0, 3.0)
+        nu = np.tile(np.concatenate([k + 7e-4, k + 1.0 - 4e-4 + 1e-5j]), 3)
+        x = np.repeat([-0.99, 0.3, -0.7], nu.size // 3)
+        with pytest.raises(NonConvergenceError):
+            legendre_nu(nu, x, max_terms=1000)
+        got = legendre_nu(nu, x)
+        want = _mpmath_legendre(nu, x)
+        assert np.all(np.abs(got - want) <= ENVELOPE * np.maximum(1.0, np.abs(want)))
+
+
+class TestNearIntegerLimitNearMinusOne:
+    """The known limit that ROADMAP item 3 (Legendre accuracy near an integer degree) is to remove.
+
+    With nu within 1e-3 of an integer, the seeds take the hypergeometric
+    series at every x, which at x = -0.99979 needs more than max_terms terms.
+    The call must raise NonConvergenceError, and soon, never return a value.
+    Item 3's fix (the logarithmic series for these degrees) turns this test
+    into a check against mpmath.
+    """
+
+    def test_raises_instead_of_returning_a_value(self):
+        start = time.perf_counter()
+        with pytest.raises(NonConvergenceError, match="exceeded 100000 terms"):
+            legendre_nu(30.0005, -0.99979)
+        assert time.perf_counter() - start < 10.0  # about 0.03 s: the term cap ends it
 
 
 def _same_bits(real: np.ndarray, cplx: np.ndarray) -> bool:
