@@ -177,23 +177,24 @@ def cmd_validate(args: argparse.Namespace) -> int:
         apart = np.abs(greens.xi(rho1 * np.exp(1j * phi1), rho2 * np.exp(1j * phi2)) + 1.0) >= keep_apart
         return drawn[apart].T
 
-    # closed form vs eigenmode sum (one call each per radius), real
-    # frequency midway between resonances
+    # closed form vs eigenmode sum (one mode sum per radius), real frequency
+    # midway between resonances, and reciprocity: G(p1, p2) and G(p2, p1) at
+    # R0 = 3.34; every closed-form value of both checks comes from one call,
+    # with the order of each pair
+    cfgs = [lens.LensConfig(radius=r0) for r0 in ((1.749, 3.34) if quick else (1.749, 3.34, 8.11))]
+    pairs = [random_pairs(4 if quick else 8, 0.05) for _ in cfgs]
+    forward = random_pairs(3 if quick else 8, 0.02)
+    counts = [p.shape[1] for p in pairs] + [forward.shape[1]] * 2
+    orders = [lens.order_parameter(cfg, lens.OMEGA0) for cfg in cfgs + [lens.LensConfig(radius=3.34)] * 2]
+    points = np.concatenate(pairs + [forward, forward[[2, 3, 0, 1]]], axis=1)
+    g = np.split(greens.greens_zz_orders(cfgs[0].b, np.repeat(orders, counts), *points), np.cumsum(counts)[:-1])
     worst = 0.0
-    radii = (1.749, 3.34) if quick else (1.749, 3.34, 8.11)
-    for r0 in radii:
-        cfg = lens.LensConfig(radius=r0)
-        rho1, phi1, rho2, phi2 = random_pairs(4 if quick else 8, 0.05)
-        g = greens.greens_zz_points(cfg, rho1, phi1, rho2, phi2, lens.OMEGA0)
+    for cfg, (rho1, phi1, rho2, phi2), gc in zip(cfgs, pairs, g):
         gm = greens.greens_modesum_points(cfg, rho1, phi1, rho2, phi2, lens.OMEGA0, tol=1e-9).value
-        worst = max(worst, float(np.max(np.abs(g - gm) / np.abs(g), initial=0.0)))
+        worst = max(worst, float(np.max(np.abs(gc - gm) / np.abs(gc), initial=0.0)))
     _check("closed form vs mode sum", worst < 1e-6, f"max rel dev {worst:.2e}", results)
 
-    # reciprocity: G(p1, p2) and G(p2, p1) in one call
-    cfg = lens.LensConfig(radius=3.34)
-    rho1, phi1, rho2, phi2 = random_pairs(3 if quick else 8, 0.02)
-    rho, phi = np.stack([rho1, rho2]), np.stack([phi1, phi2])
-    a, b = greens.greens_zz_points(cfg, rho, phi, rho[::-1], phi[::-1], lens.OMEGA0)
+    a, b = g[-2:]
     worst = float(np.max(np.abs(a - b) / np.abs(a), initial=0.0))
     _check("reciprocity", worst < 1e-10, f"max rel dev {worst:.2e}", results)
 
@@ -291,56 +292,63 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
     mode = args.mode
     samples = _samples(args)
     atoms = qed.AtomPairConfig.antipodal(args.rho)
+    r0s = np.array(args.radii, dtype=float)
 
-    def block(r0: float, x: np.ndarray, radius: float | np.ndarray, alpha: float | np.ndarray) -> tuple:
-        """Rows of one radius: R0, the swept x, 1 - F analytic, and with --simulate 1 - F simulated.
-
-        One batched rate chain (one legendre_nu call) gives the analytic
-        column and the rates each simulated point is compared with.
-        """
-        rates = qed.coupling_rate_arrays(atoms, radius, alpha, b=args.b)
-        columns = (np.full(x.size, r0), x, 1.0 - qed.fidelity_from_rates(*rates))
-        if not args.simulate:
-            return columns
-        points = [qed.CouplingRates(*v) for v in zip(*(c.tolist() for c in rates))]
-        if np.ndim(radius) == 0:  # vs-loss: the losses share the radius's blocks and secular data
-            cmps = schrodinger.compare_losses(
-                lens.LensConfig(radius=radius, b=args.b), atoms, alpha.tolist(), points, l_range=_l_range(args)
-            )
-        else:  # vs-detuning: every point has a radius of its own
-            cmps = [
-                schrodinger.compare_to_analytics(lens.LensConfig(radius=r, b=args.b, alpha=alpha), atoms, v, l_range=_l_range(args))
-                for r, v in zip(radius.tolist(), points)
-            ]
-        return columns + (np.array([1.0 - c.F_numeric for c in cmps]),)
-
-    blocks: list[tuple[np.ndarray, ...]] = []
     if mode == "vs-loss":
-        alphas = np.logspace(math.log10(args.alpha_min), math.log10(args.alpha_max), samples)
-        blocks = [block(r0, alphas, r0, alphas) for r0 in args.radii]
+        x = np.logspace(math.log10(args.alpha_min), math.log10(args.alpha_max), samples)
+        radius, alpha = r0s[:, None], x
         header = ["R0_over_lambda", "alpha", "one_minus_F_analytic"]
     elif mode == "vs-detuning":
-        dnus = np.linspace(-args.dnu_span, args.dnu_span, samples if samples % 2 else samples + 1)
-        for r0 in args.radii:
-            nu_center = round(lens.order_parameter(lens.LensConfig(radius=r0), lens.OMEGA0).real * 2) / 2
-            blocks.append(block(r0, dnus, lens.radius_for_order(nu_center + dnus), args.alpha))
+        x = np.linspace(-args.dnu_span, args.dnu_span, samples if samples % 2 else samples + 1)
+        centers = [round(lens.order_parameter(lens.LensConfig(radius=r0), lens.OMEGA0).real * 2) / 2 for r0 in args.radii]
+        radius, alpha = lens.radius_for_order(np.reshape(centers, (-1, 1)) + x), args.alpha
         header = ["R0_over_lambda", "delta_nu", "one_minus_F_analytic"]
     elif mode == "vs-radius":
         # no numeric column here, so --simulate runs no simulation
         r0s = lens.radius_for_order(np.arange(args.nu_min, args.nu_max + 0.5, 1.0))
         approx = [qed.fidelity_approx(r0, args.alpha) for r0 in r0s.tolist()]
-        blocks.append((r0s, qed.entangling_error(atoms, r0s, args.alpha, b=args.b), np.array(approx)))
+        columns = (r0s, qed.entangling_error(atoms, r0s, args.alpha, b=args.b), np.array(approx))
         header = ["R0_over_lambda", "one_minus_F_analytic", "F_approx"]
     else:  # pragma: no cover - argparse restricts choices
         raise DomainError(f"unknown fidelity mode {mode}")
 
-    if args.simulate and mode in ("vs-loss", "vs-detuning"):
-        header.append("one_minus_F_numeric")
-    _write_csv(args.out, header, _sorted_blocks(blocks))
+    if mode != "vs-radius":
+        # one batched rate chain (one legendre_nu call) over (radius, x) gives
+        # the analytic column and the rates each simulated point is compared with
+        rates = qed.coupling_rate_arrays(atoms, radius, alpha, b=args.b)
+        columns = (np.repeat(r0s, x.size), np.tile(x, r0s.size), 1.0 - qed.fidelity_from_rates(*rates).ravel())
+        if args.simulate:
+            header.append("one_minus_F_numeric")
+            columns += (_simulated_error(args, atoms, radius, x, rates),)
+    _write_csv(args.out, header, _sorted_blocks([columns]))
     if args.plot_script:
         xcol = header[0] if mode == "vs-radius" else header[1]
         _write_plot_script(args.plot_script, args.out, xcol, ["one_minus_F_analytic"], f"entangling error {mode}")
     return 0
+
+
+def _simulated_error(args: argparse.Namespace, atoms: qed.AtomPairConfig, radius: np.ndarray, x: np.ndarray,
+                     rates: tuple) -> np.ndarray:
+    """1 - F of the simulator at every (radius, x) point of a fidelity sweep, radius by radius.
+
+    Each point is compared with its own element of the batched rates.
+    """
+    points = [qed.CouplingRates(*v) for v in zip(*(np.ravel(c).tolist() for c in rates))]
+    if args.mode == "vs-loss":  # the losses of a radius share its blocks and secular data
+        cmps = [
+            cmp
+            for i, r0 in enumerate(args.radii)
+            for cmp in schrodinger.compare_losses(
+                lens.LensConfig(radius=r0, b=args.b), atoms, x.tolist(), points[i * x.size : (i + 1) * x.size],
+                l_range=_l_range(args),
+            )
+        ]
+    else:  # vs-detuning: every point has a radius of its own
+        cmps = [
+            schrodinger.compare_to_analytics(lens.LensConfig(radius=r, b=args.b, alpha=args.alpha), atoms, v, l_range=_l_range(args))
+            for r, v in zip(radius.ravel().tolist(), points)
+        ]
+    return np.array([1.0 - c.F_numeric for c in cmps])
 
 
 # ----------------------------------------------------------------- plasmon

@@ -166,9 +166,33 @@ W_TOL = 1e-12
 #: _BLOCK_FIRST terms, each later one as many as were done before it, up to
 #: _BLOCK_CAP.  Elements that need thousands of terms (x near -1 on the
 #: hypergeometric branch) would otherwise pay numpy's per-call overhead once
-#: per term; the cap bounds the memory of a block.
+#: per term; the cap bounds the width of a block.
 _BLOCK_FIRST = 16
 _BLOCK_CAP = 256
+
+#: Bytes of block work arrays the seed series may hold at once: a call's
+#: elements are summed in groups of _group_rows, as many as fit at the
+#: widest block.  A buffer for every element at once would take ~1.1 KB
+#: per element at the fidelity degrees, 56 MB for 50,000 of them.
+_WORK_BYTES = 1 << 25
+
+
+def _work_bytes(rows: int, size: int, itemsize: int) -> tuple[int, ...]:
+    """Bytes of each work array of a _series_array block of size terms over rows, items of itemsize bytes.
+
+    Three of the item type and one boolean are size + 1 wide, two real and one boolean size wide.
+    """
+    width = size + 1
+    return (itemsize * rows * width,) * 3 + (8 * rows * size,) * 2 + (rows * width, rows * size)
+
+
+def _group_rows(itemsize: int) -> int:
+    """The rows whose work arrays fit within _WORK_BYTES at the widest block: 1,980 complex, 3,113 real.
+
+    A ddi-sweep call (2 x 1,201 arguments at one real degree) is one group,
+    as are a fidelity radius's 801 complex degrees.
+    """
+    return _WORK_BYTES // sum(_work_bytes(1, _BLOCK_CAP, itemsize))
 
 
 def _quotient(num: complex | np.ndarray, den: complex | np.ndarray) -> complex | np.ndarray:
@@ -232,31 +256,27 @@ def _series_array(
     `start` is (a_0, sin(pi d)/pi) as _log_start gives them, if the caller
     has them.  d is one degree for all x or an array with the degree of
     each x.  Terms are formed a block at a time (cumulative products and
-    sums along a block), in work arrays allocated for the call and filled in
+    sums along a block), in work arrays cut from one buffer and filled in
     place; p_n, formed once per term, serves the coefficient, the increment
-    of a_n and the tail ratio.  An element stops at the second consecutive
-    term whose geometric tail bound |term| r/(1-r), r = y |p_{n+1}|/(n+2)^2,
-    is within tol of the partial sum (of 1 at least, on the hypergeometric
-    branch); a single term can dip when n passes Re d.  A real d (a float or
-    a float array) is summed in float64, with the bits of the complex sum's
-    real parts.  Every element's arithmetic is its own, in a fixed operand
-    order (numpy's complex product is not commutative to the last bit), so
-    its value does not depend on the other elements of the call.
+    of a_n and the tail ratio.  The elements (rows) are summed in groups of
+    _group_rows, so the buffer stays within _WORK_BYTES however large the
+    call.  An element stops at the second consecutive term whose geometric
+    tail bound |term| r/(1-r), r = y |p_{n+1}|/(n+2)^2, is within tol of the
+    partial sum (of 1 at least, on the hypergeometric branch); a single term
+    can dip when n passes Re d.  A real d (a float or a float array) is
+    summed in float64, with the bits of the complex sum's real parts.  Every
+    element's arithmetic is its own, in a fixed operand order (numpy's
+    complex product is not commutative to the last bit), so its value does
+    not depend on the other elements of the call or on their grouping.
     """
     dtype = complex if np.iscomplexobj(d) else float
-    y = (1.0 - x) / 2.0 if hyp else w
     # one row per degree: a (1, 1) column broadcasts one degree over every x
-    dv = np.reshape(np.asarray(d, dtype=dtype), (-1, 1))
-    yc = y.astype(dtype)[:, None]
-    c = None  # c_n at the start of the block; None for c_0 = 1
+    d_all = np.reshape(np.asarray(d, dtype=dtype), (-1, 1))
     if hyp:
         floor = 1.0
-        total = np.ones(y.shape, dtype=dtype)
     else:
         floor = 1e-300
-        a, scale = _log_start(d) if start is None else start
-        lw = np.log(y).astype(dtype)
-        total = lw + a
+        a_all, scale = _log_start(d) if start is None else start
 
     def take(slot: np.ndarray, rows: int, cols: int) -> np.ndarray:
         return slot[: rows * cols].reshape(rows, cols)
@@ -265,93 +285,108 @@ def _series_array(
         """A work array with a row per degree; one degree's single row is allocated apart."""
         return take(slot, rows, cols) if kd == k else None
 
-    # the block's work arrays: three of dtype, two real, two boolean
+    # the block's work arrays (see _work_bytes): three of dtype, two real, two boolean
     kinds = (dtype,) * 3 + (float,) * 2 + (bool,) * 2
     itemsize = np.dtype(dtype).itemsize
+    group = _group_rows(itemsize)
+    # the work arrays are cut from one buffer per call: a single allocation,
+    # which serves every group and which the heap reuses from call to call
+    # instead of mapping fresh pages for each array
     arena = np.empty(0, dtype=np.uint8)
-    out = np.empty(y.shape, dtype=dtype)
-    live = np.arange(y.size)
-    prev_hit = np.zeros(y.size, dtype=bool)
-    n0 = 0
-    while n0 < max_terms:
-        size = min(max(_BLOCK_FIRST, n0), _BLOCK_CAP, max_terms - n0)
-        n = np.arange(n0, n0 + size + 1, dtype=float)
-        n0 += size
-        k, kd, width = live.size, dv.shape[0], size + 1
-        # the work arrays are cut from one buffer per call: a single
-        # allocation, which the heap reuses from call to call instead of
-        # mapping fresh pages for each array
-        nbytes = (itemsize * k * width,) * 3 + (8 * k * size,) * 2 + (k * width, k * size)
-        ends = list(accumulate(nbytes, initial=0))
-        if arena.size < ends[-1]:
-            arena = np.empty(ends[-1], dtype=np.uint8)
-        U, V, W, R, B, H, S = (arena[a:b].view(t) for t, a, b in zip(kinds, ends, ends[1:]))
-        # p_n for n0 <= n <= n0 + size, and the tail ratios r_n = y |p_{n+1}|/(n+2)^2
-        p = np.multiply(
-            np.subtract(n.astype(dtype), dv, out=per_degree(U, kd, width)),
-            np.add((n + 1.0).astype(dtype), dv, out=per_degree(V, kd, width)),
-            out=per_degree(W, kd, width),
-        )
-        ratio = np.abs(p[:, 1:], out=per_degree(R, kd, size))
-        ratio *= 1.0 / (n[1:] + 1.0) ** 2
-        ratio = np.multiply(ratio, y[:, None], out=take(R, k, size))
-        np.minimum(ratio, 0.999, out=ratio)
-        if not hyp:
-            # a_{n+1} = a_n + (2n+1)/p_n - 2/(n+1), a_n folded into the first
-            # increment; 1/p_n times 2n+1 is one division, rounded for a real d
-            # as the complex path's real part (see _quotient)
-            a_n = np.divide(1.0, p[:, :size], out=per_degree(U, kd, size))
-            a_n *= (2.0 * n[:size] + 1.0).astype(dtype)
-            a_n -= (2.0 / (n[:size] + 1.0)).astype(dtype)
-            a_n[:, 0] += a
-            np.cumsum(a_n, axis=1, out=a_n)
-            a = a_n[:, -1].copy()
-        # c_{n+1} = c_n p_n y/(n+1)^2, c_n folded into the block's first factor.
-        # No product of two complex arrays is written over one of its factors:
-        # numpy rounds an in-place product of one element differently.
-        cs = np.multiply(p[:, :size], (1.0 / (n[:size] + 1.0) ** 2).astype(dtype), out=take(V, k, size))
-        cs *= yc
-        if c is not None:
-            cs[:, 0] = cs[:, 0] * c
-        np.cumprod(cs, axis=1, out=cs)
-        c = cs[:, -1].copy()  # the hypergeometric terms become the partial sums below
+    out = np.empty(x.shape, dtype=dtype)
+    for g0 in range(0, x.size, group):
+        rows_g = slice(g0, g0 + group)
+        y = (1.0 - x[rows_g]) / 2.0 if hyp else w[rows_g]
+        dv = d_all[rows_g] if d_all.shape[0] > 1 else d_all
+        yc = y.astype(dtype)[:, None]
+        c = None  # c_n at the start of the block; None for c_0 = 1
         if hyp:
-            terms = cs
+            total = np.ones(y.shape, dtype=dtype)
         else:
-            terms = np.multiply(cs, np.add(lw[:, None], a_n, out=take(U, k, size)), out=take(W, k, size))
-        # the tail bound |term| r/(1-r), then the partial sums in place of the terms
-        bound = np.abs(terms, out=take(B, k, size))
-        bound *= ratio
-        bound /= np.subtract(1.0, ratio, out=ratio)
-        # the block's sum is added to the total apart, which keeps the rounding
-        # of a long series to the blocks' count instead of its terms'
-        totals = np.cumsum(terms, axis=1, out=terms)
-        totals += total[:, None]
-        limit = np.abs(totals, out=ratio)
-        np.maximum(limit, floor, out=limit)
-        limit *= tol
-        hit = take(H, k, width)
-        hit[:, 0] = prev_hit
-        np.less_equal(bound, limit, out=hit[:, 1:])
-        stop = np.logical_and(hit[:, 1:], hit[:, :-1], out=take(S, k, size))
-        done = stop.any(axis=1)
-        rows = np.flatnonzero(done)
-        out[live[rows]] = totals[rows, stop[rows].argmax(axis=1)]
-        keep = ~done
-        if not keep.any():
-            return out if hyp else scale * out
-        live, y, yc = live[keep], y[keep], yc[keep]
-        c, total, prev_hit = c[keep], totals[keep, -1], hit[keep, -1]
-        if not hyp:
-            lw = lw[keep]
-        if kd > 1:
-            dv = dv[keep]
+            a = a_all[rows_g] if d_all.shape[0] > 1 else a_all
+            lw = np.log(y).astype(dtype)
+            total = lw + a
+        out_g = out[rows_g]
+        live = np.arange(y.size)
+        prev_hit = np.zeros(y.size, dtype=bool)
+        n0 = 0
+        while n0 < max_terms:
+            size = min(max(_BLOCK_FIRST, n0), _BLOCK_CAP, max_terms - n0)
+            n = np.arange(n0, n0 + size + 1, dtype=float)
+            n0 += size
+            k, kd, width = live.size, dv.shape[0], size + 1
+            ends = list(accumulate(_work_bytes(k, size, itemsize), initial=0))
+            if arena.size < ends[-1]:
+                arena = np.empty(ends[-1], dtype=np.uint8)
+            U, V, W, R, B, H, S = (arena[a:b].view(t) for t, a, b in zip(kinds, ends, ends[1:]))
+            # p_n for n0 <= n <= n0 + size, and the tail ratios r_n = y |p_{n+1}|/(n+2)^2
+            p = np.multiply(
+                np.subtract(n.astype(dtype), dv, out=per_degree(U, kd, width)),
+                np.add((n + 1.0).astype(dtype), dv, out=per_degree(V, kd, width)),
+                out=per_degree(W, kd, width),
+            )
+            ratio = np.abs(p[:, 1:], out=per_degree(R, kd, size))
+            ratio *= 1.0 / (n[1:] + 1.0) ** 2
+            ratio = np.multiply(ratio, y[:, None], out=take(R, k, size))
+            np.minimum(ratio, 0.999, out=ratio)
             if not hyp:
-                a = a[keep]
-    name = "hypergeometric" if hyp else "logarithmic"
-    raise NonConvergenceError(
-        f"{name} series for P_nu(nu={dv[0, 0]}, x={x[live[0]]}) exceeded {max_terms} terms"
-    )
+                # a_{n+1} = a_n + (2n+1)/p_n - 2/(n+1), a_n folded into the first
+                # increment; 1/p_n times 2n+1 is one division, rounded for a real d
+                # as the complex path's real part (see _quotient)
+                a_n = np.divide(1.0, p[:, :size], out=per_degree(U, kd, size))
+                a_n *= (2.0 * n[:size] + 1.0).astype(dtype)
+                a_n -= (2.0 / (n[:size] + 1.0)).astype(dtype)
+                a_n[:, 0] += a
+                np.cumsum(a_n, axis=1, out=a_n)
+                a = a_n[:, -1].copy()
+            # c_{n+1} = c_n p_n y/(n+1)^2, c_n folded into the block's first factor.
+            # No product of two complex arrays is written over one of its factors:
+            # numpy rounds an in-place product of one element differently.
+            cs = np.multiply(p[:, :size], (1.0 / (n[:size] + 1.0) ** 2).astype(dtype), out=take(V, k, size))
+            cs *= yc
+            if c is not None:
+                cs[:, 0] = cs[:, 0] * c
+            np.cumprod(cs, axis=1, out=cs)
+            c = cs[:, -1].copy()  # the hypergeometric terms become the partial sums below
+            if hyp:
+                terms = cs
+            else:
+                terms = np.multiply(cs, np.add(lw[:, None], a_n, out=take(U, k, size)), out=take(W, k, size))
+            # the tail bound |term| r/(1-r), then the partial sums in place of the terms
+            bound = np.abs(terms, out=take(B, k, size))
+            bound *= ratio
+            bound /= np.subtract(1.0, ratio, out=ratio)
+            # the block's sum is added to the total apart, which keeps the rounding
+            # of a long series to the blocks' count instead of its terms'
+            totals = np.cumsum(terms, axis=1, out=terms)
+            totals += total[:, None]
+            limit = np.abs(totals, out=ratio)
+            np.maximum(limit, floor, out=limit)
+            limit *= tol
+            hit = take(H, k, width)
+            hit[:, 0] = prev_hit
+            np.less_equal(bound, limit, out=hit[:, 1:])
+            stop = np.logical_and(hit[:, 1:], hit[:, :-1], out=take(S, k, size))
+            done = stop.any(axis=1)
+            rows = np.flatnonzero(done)
+            out_g[live[rows]] = totals[rows, stop[rows].argmax(axis=1)]
+            keep = ~done
+            if not keep.any():
+                break
+            live, y, yc = live[keep], y[keep], yc[keep]
+            c, total, prev_hit = c[keep], totals[keep, -1], hit[keep, -1]
+            if not hyp:
+                lw = lw[keep]
+            if kd > 1:
+                dv = dv[keep]
+                if not hyp:
+                    a = a[keep]
+        else:
+            name = "hypergeometric" if hyp else "logarithmic"
+            raise NonConvergenceError(
+                f"{name} series for P_nu(nu={dv[0, 0]}, x={x[g0 + live[0]]}) exceeded {max_terms} terms"
+            )
+    return out if hyp else scale * out
 
 
 def _legendre_nu_array(
@@ -509,7 +544,11 @@ def legendre_nu(
     at x >= 0) to 0.9 ms (nu = 20.5 + 0.02i at x < 0), and 801 complex
     degrees at one x take about 2.5 ms at Re nu = 10.5 and 5 ms at 90.5
     (the difference is the recurrence); so a loop over points or degrees
-    should pass them as one array.  When every degree is real (the lossless
+    should pass them as one array.  The seed series hold their work arrays
+    for at most 1,980 complex (3,113 real) elements at a time, within
+    32 MiB; the rest of a call takes a few hundred bytes per element.  A
+    100,000-degree call at one x raises peak RSS by ~33 MB and takes
+    3.5-4 us per element.  When every degree is real (the lossless
     cavity at real frequency), the seeds and the recurrence run in float64
     instead of complex128, with the bits of the complex arithmetic's real
     parts: numpy divides complex numbers by multiplying with the divisor's

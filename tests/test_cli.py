@@ -71,12 +71,12 @@ class TestValidate:
 
     def test_sign_flip_mutation_fails(self, monkeypatch, capsys):
         # flipping the closed-form sign must break the mode-sum equivalence
-        original = cli.greens.greens_zz_points
+        original = cli.greens.greens_zz_orders
 
         def flipped(*args):
             return -original(*args)
 
-        monkeypatch.setattr(cli.greens, "greens_zz_points", flipped)
+        monkeypatch.setattr(cli.greens, "greens_zz_orders", flipped)
         assert _run(["validate", "--quick"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
@@ -239,8 +239,8 @@ class TestFidelity:
         assert simulated.read_bytes() == plain.read_bytes()
 
     def test_each_simulated_point_uses_its_own_rates(self, tmp_path):
-        # the rates come from one batched chain per radius; each point must
-        # get its own element (the scalar chain agrees to the last bits), and
+        # the rates come from one batched chain over every (radius, loss); each
+        # point must get its own element (the scalar chain agrees to the last bits), and
         # the losses sharing one radius's blocks must not change a digit
         out = tmp_path / "f.csv"
         assert _run(["fidelity", "--mode", "vs-loss", "--simulate", "--radii", "3.34", "--samples", "3",
@@ -299,7 +299,9 @@ class TestFidelity:
         assert "above 1" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_one_legendre_call_per_radius(self, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("simulate", [[], ["--simulate"]], ids=["plain", "simulate"])
+    @pytest.mark.parametrize("mode", ["vs-loss", "vs-detuning"])
+    def test_one_legendre_call_per_command(self, mode, simulate, monkeypatch, tmp_path):
         calls = []
         real = cli.greens.legendre_nu
 
@@ -309,10 +311,24 @@ class TestFidelity:
 
         monkeypatch.setattr(cli.greens, "legendre_nu", counting)
         assert _run(
-            ["fidelity", "--mode", "vs-loss", "--radii", "1.749,3.34", "--samples", "11",
-             "--out", str(tmp_path / "f.csv")]
+            ["fidelity", "--mode", mode, "--radii", "1.749,3.34", "--samples", "11",
+             "--out", str(tmp_path / "f.csv")] + simulate
         ) == 0
-        assert calls == [(11, 1), (11, 1)]
+        assert calls == [(2, 11, 1)]
+
+    @pytest.mark.parametrize("simulate", [[], ["--simulate"]], ids=["plain", "simulate"])
+    @pytest.mark.parametrize("mode", ["vs-loss", "vs-detuning"])
+    def test_radii_in_one_call_give_the_single_radius_rows(self, mode, simulate, tmp_path):
+        # the rows of a two-radius sweep are those of the two one-radius sweeps, byte for byte
+        def rows(radii):
+            out = tmp_path / f"{radii}.csv"
+            assert _run(["fidelity", "--mode", mode, "--radii", radii, "--samples", "5",
+                         "--out", str(out)] + simulate) == 0
+            return out.read_text(encoding="utf-8").splitlines()
+
+        both, first, second = rows("1.749,3.34"), rows("1.749"), rows("3.34")
+        assert both[0] == first[0] == second[0]
+        assert both[1:] == first[1:] + second[1:]
 
     def test_mode_required(self):
         with pytest.raises(SystemExit) as exc:

@@ -10,6 +10,7 @@ from fisheye.lens import _gauss_rule, allowed_m
 from fisheye.specfun import (
     EULER_GAMMA,
     _digamma_array,
+    _group_rows,
     _legendre_nu_array,
     _log_start,
     _series_array,
@@ -488,6 +489,32 @@ class TestSeedSeriesKernel:
         assert np.array_equal(one, np.concatenate([legendre_nu(nu, SCAN_X, w=SCAN_W) for nu in nus]))
         for i in (0, 1000, 2500, 3203):
             assert legendre_nu(every[i : i + 1], SCAN_X, w=SCAN_W)[0] == one[i]
+        # a call of more rows than one group of the seed series, over both
+        # branches, near-integer degrees and real ones, is its parts
+        rows = _group_rows(16)
+        rng = np.random.default_rng(18)
+        nu = np.concatenate([rng.uniform(0.0, 95.0, 2 * rows) + 1j * rng.uniform(0.0, 0.9, 2 * rows),
+                             np.arange(300.0) % 40.0 + 7e-4, rng.uniform(0.0, 95.0, 300)])
+        x = rng.uniform(-0.99, 0.99, nu.size)
+        big = legendre_nu(nu, x)
+        cuts = [0, 7, rows - 1, rows + 500, nu.size - 450, nu.size]
+        assert np.array_equal(big, np.concatenate([legendre_nu(nu[a:b], x[a:b]) for a, b in zip(cuts, cuts[1:])]))
+
+    def test_work_arrays_do_not_grow_with_the_call(self):
+        # the seed series sum a large call in groups of rows, so the call's peak
+        # memory is its own per-element arrays and a bounded buffer; a buffer
+        # for every row at once would take ~56 MB here
+        import tracemalloc
+
+        nu = np.concatenate([_scan_degrees(re_nu)[::16] for re_nu in (10.5, 20.5, 50.5, 90.5)])
+        nu = np.resize(nu, 50_000)
+        tracemalloc.start()
+        try:
+            legendre_nu(nu, SCAN_X, w=SCAN_W)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 28 * 2**20
 
     def test_series_past_the_first_blocks(self):
         # degrees within 1e-3 of an integer take the hypergeometric seeds at any x:
