@@ -166,28 +166,15 @@ def greens_zz_points(
     return greens_zz_orders(cfg.b, order_parameter(cfg, omega), rho1, phi1, rho2, phi2)
 
 
-def modesum_xi(rho1, phi1, rho2, phi2) -> np.ndarray:
-    """(xi_src, xi_img) of each pair of broadcast points, on a last axis: the arguments of the mode sums.
-
-    Raises CoincidentPointsError if any pair has |xi_src + 1| < SOURCE_EXCLUSION:
-    near the source the logarithmic divergence makes the term count explode.
-    """
-    xi = _source_image(rho1, phi1, rho2, phi2)[0]
-    if np.any(xi[..., 0] + 1.0 < SOURCE_EXCLUSION):
-        raise CoincidentPointsError(
-            f"mode sum unreliable near the source point (|xi + 1| < {SOURCE_EXCLUSION})"
-        )
-    return xi
-
-
 def modesum_terms(xi: np.ndarray, l_max: int) -> np.ndarray:
     """(-1)^l (2l+1)(P_l(xi_src) - P_l(xi_img)) for l = 0..l_max; the l = 0 entry vanishes.
 
-    xi is the (2,) or (pairs, 2) modesum_xi result, and the terms come back
-    with shape (l_max + 1,) or (pairs, l_max + 1).  The spherical-harmonic
-    addition theorem collapses the m sum of the TE modes at fixed l to these
-    two Legendre polynomials; both mode sums (greens_modesum_points,
-    qed.rates_modesum_oracle) weight them per l.
+    xi holds (xi_src, xi_img) on its last axis, shape (2,) or (pairs, 2), and
+    the terms come back with shape (l_max + 1,) or (pairs, l_max + 1).  The
+    spherical-harmonic addition theorem collapses the m sum of the TE modes
+    at fixed l to these two Legendre polynomials; greens_modesum_points
+    weights them per l, and the rates oracle (qed.rates_modesum_oracle)
+    takes its sum at the lossy frequency.
     """
     ls = np.arange(l_max + 1, dtype=float)
     p = legendre_poly_table(l_max, xi)
@@ -222,7 +209,9 @@ def greens_modesum_points(
         raise DomainError("rho must lie in [0, 1]")
     nu = order_parameter(cfg, omega)
     _check_order(nu)
-    xi = modesum_xi(rho1, phi1, rho2, phi2)
+    xi = _source_image(rho1, phi1, rho2, phi2)[0]
+    if np.any(xi[..., 0] + 1.0 < SOURCE_EXCLUSION):  # the log divergence makes the term count explode
+        raise CoincidentPointsError(f"mode sum unreliable near the source point (|xi + 1| < {SOURCE_EXCLUSION})")
     if l_max is None:
         l_max = max(64, MODESUM_LMAX_FACTOR * math.ceil(nu.real))
     nn = nu * (nu + 1.0)

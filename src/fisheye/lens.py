@@ -135,11 +135,13 @@ def stereo_theta(rho: float) -> float:
     return math.acos((rho * rho - 1.0) / (rho * rho + 1.0))
 
 
-def eigenfrequency(cfg: LensConfig, l: int) -> float:
-    """Cavity eigenfrequency omega_l = sqrt(l(l+1)) / (R0 n0), c = 1."""
-    if l < 1:
+def eigenfrequency(cfg: LensConfig, l: int | np.ndarray) -> float | np.ndarray:
+    """Cavity eigenfrequency omega_l = sqrt(l(l+1)) / (R0 n0), c = 1; an array of l gives an array."""
+    l = np.asarray(l)
+    if np.any(l < 1):
         raise DomainError("l must be >= 1")
-    return math.sqrt(l * (l + 1.0)) / (cfg.radius * cfg.n0)
+    w = np.sqrt(l * (l + 1.0)) / (cfg.radius * cfg.n0)
+    return float(w) if w.ndim == 0 else w
 
 
 def order_parameter(cfg: LensConfig, omega: complex) -> complex:

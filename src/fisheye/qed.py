@@ -16,7 +16,7 @@ imaginary part -Im F(nu)/(4 pi b) carries the decay.  The kappa << omega0
 prefactor omega0^2 is used for gamma because the exact prefactor multiplies
 the divergent real log.
 
-Two closed-form levels coexist and are both exposed:
+Three closed-form levels coexist and are all exposed:
 
   * coupling_rate_arrays - exact evaluation of the full Green's function
                           over arrays of lens radii and losses, including
@@ -32,7 +32,8 @@ Two closed-form levels coexist and are both exposed:
                           image model.
 
 The mode-sum oracle (rates_modesum_oracle) cross-validates coupling_rates
-from the cavity spectrum without touching the closed form.
+from the cavity spectrum without touching the closed form: the same
+Re/Im of (omega0 + i kappa)^2 G_zz, with G_zz the eigenmode sum.
 """
 
 from __future__ import annotations
@@ -43,10 +44,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError, RangeOverflowError, UnphysicalRatesError, ZeroCouplingError
-from .greens import MODESUM_TOL, greens_zz_orders, image_point_value, modesum_terms, modesum_xi, source_offset
+from .greens import MODESUM_TOL, greens_modesum_points, greens_zz_orders, image_point_value, source_offset
 from .greens import greens_zz  # noqa: F401  (the benchmark tracer wraps this binding)
 from .lens import OMEGA0, DiskPoint, LensConfig, check_lens, order_parameter, order_parameters
-from .specfun import accelerate
 
 #: delta_omega / Gamma0 per unit Re{(omega0+i kappa)^2 G}
 _DW_PREF = 3.0 * math.pi / OMEGA0**3
@@ -225,61 +225,36 @@ def rates_modesum_oracle(
 ) -> CouplingRates:
     """Pair rates summed directly over the lossy cavity spectrum (test oracle).
 
-    Per mode weight, with omega_l the eigenfrequencies and kappa the mode
-    decay rate:
+    delta_omega and gamma_coop are Re/Im of (omega0 + i kappa)^2 G_zz at
+    omega0 + i kappa, as in coupling_rates, with G_zz the eigenmode sum
+    greens_modesum_points: per mode, Im{omega^2 / (omega^2 - omega_l^2)} =
+    -(kappa/2)(L_l^+ + L_l^-), L_l^{+-} = -+ omega_l / (kappa^2 + (omega_l +- omega0)^2).
+    The on-site gamma has no convergent mode representation (flat kappa
+    gives a logarithmically divergent on-site sum), so the returned gamma
+    is the shared closed-form regularization.
 
-        Gamma:        kappa (L_l^+ + L_l^-),
-                      L_l^{+-} = -+ omega_l / (kappa^2 + (omega_l +- omega0)^2)
-        delta_omega:  (omega_l / 2)(D_l^+ + D_l^-),
-                      D_l^{+-} = (omega_l +- omega0) / (kappa^2 + (omega_l +- omega0)^2)
-
-    The m sum collapses through the addition theorem to two Legendre
-    polynomials per l.  The delta_omega weight contains the mode-completeness
-    (delta-function) term, which vanishes at distinct points and is dropped
-    analytically via (omega_l/2)(D^+ + D^-) = Re{1 + (omega0^2 + kappa^2 +
-    i kappa omega_l) / ((omega_l - i kappa)^2 - omega0^2)}; both remaining
-    tails fall off like l^{-3/2} with oscillating sign and are resummed by
-    Wynn epsilon acceleration.  The on-site gamma has no convergent mode
-    representation (flat kappa gives a logarithmically divergent on-site sum),
-    so the returned gamma is the shared closed-form regularization.
-
-    Raises CoincidentPointsError within the mode sums' source exclusion,
-    and NonConvergenceError when either Wynn error estimate exceeds
-    MODESUM_TOL relative, as greens_modesum would report unconverged.
+    The Wynn estimate bounds the complex sum, of which gamma_coop can be a
+    small part; where it misses that part, a second sum resumes at the
+    first one's l_max with the tolerance scaled by it.  l_max is where the
+    doubling starts.  Raises CoincidentPointsError within the mode sum's
+    source exclusion, ResonanceError, and NonConvergenceError when the
+    estimate exceeds MODESUM_TOL of delta_omega or of a nonzero gamma_coop.
     """
-    if atoms.p1 == atoms.p2:
-        raise DomainError("atom positions must be distinct")
     omega = OMEGA0 * (1.0 + 1j * cfg.alpha)
-    nu = order_parameter(cfg, omega)
-    kappa = cfg.kappa
-    if l_max is None:
-        l_max = max(256, 40 * math.ceil(nu.real))
-    ls = np.arange(l_max + 1, dtype=float)
-    # sum over m in M_l of f*(r1) f(r2)
-    xi = modesum_xi(atoms.p1.rho, atoms.p1.phi, atoms.p2.rho, atoms.p2.phi)
-    s_l = modesum_terms(xi, l_max) / (4.0 * math.pi * cfg.b * (cfg.radius * cfg.n0) ** 2)
-    w_l = np.sqrt(ls * (ls + 1.0)) / (cfg.radius * cfg.n0)
-    lp = -w_l / (kappa**2 + (w_l + OMEGA0) ** 2)
-    lm = w_l / (kappa**2 + (w_l - OMEGA0) ** 2)
-    gamma_terms = kappa * (lp + lm) * s_l
-    dw_weights = (
-        (OMEGA0**2 + kappa**2 + 1j * kappa * w_l)
-        / ((w_l - 1j * kappa) ** 2 - OMEGA0**2)
-    ).real
-    dw_terms = dw_weights * s_l
-    values, errors = accelerate(np.cumsum(np.stack([gamma_terms, dw_terms]), axis=-1)[:, 1:])
-    (gcoop, dw), (gcoop_err, dw_err) = values.tolist(), errors.tolist()
-    for name, value, err in (("gamma_coop", gcoop, gcoop_err), ("delta_omega", dw, dw_err)):
-        if not err <= MODESUM_TOL * max(abs(value), 1e-300):
-            raise NonConvergenceError(
-                f"{name} mode sum not converged at l_max = {l_max} "
-                f"(Wynn error {err:.3g}, value {abs(value):.3g})"
-            )
-    return CouplingRates(
-        delta_omega=_DW_PREF * dw.real,
-        gamma=_onsite_gamma(cfg.b, nu),
-        gamma_coop=_DW_PREF * gcoop.real,
-    )
+    points = (atoms.p1.rho, atoms.p1.phi, atoms.p2.rho, atoms.p2.phi)
+    r = greens_modesum_points(cfg, *points, omega, l_max)
+    pref = omega * omega * complex(r.value[0])
+    smaller = min(abs(pref.real), abs(pref.imag))  # exactly 0 at real omega, where every term is real
+    if r.converged[0] and abs(omega) ** 2 * r.tail_estimate[0] > MODESUM_TOL * smaller > 0.0:
+        r = greens_modesum_points(cfg, *points, omega, int(r.l_max[0]), MODESUM_TOL * smaller / abs(pref))
+        pref = omega * omega * complex(r.value[0])
+    err = abs(omega) ** 2 * float(r.tail_estimate[0])
+    for name, part in (("delta_omega", pref.real), ("gamma_coop", pref.imag)):
+        if part and not err <= MODESUM_TOL * abs(part):
+            raise NonConvergenceError(f"{name} mode sum not converged at l_max = {r.l_max[0]} "
+                                      f"(Wynn error {err:.3g}, value {abs(part):.3g})")
+    gamma = float(_onsite_gamma(cfg.b, order_parameter(cfg, omega)))
+    return CouplingRates(_DW_PREF * pref.real, gamma, _G_PREF * pref.imag)
 
 
 def scaling_rates(cfg: LensConfig, R0_over_lambda: float, alpha: float) -> CouplingRates:

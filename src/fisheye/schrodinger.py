@@ -61,7 +61,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import DomainError, EigensolveError, NonConvergenceError
-from .lens import OMEGA0, LensConfig, order_parameter, stereo_theta
+from .lens import OMEGA0, LensConfig, eigenfrequency, order_parameter, stereo_theta
 from .qed import AtomPairConfig, CouplingRates, entanglement_fidelity
 from .qed import coupling_rates  # noqa: F401  (stays importable from this module)
 from .specfun import legendre_poly_table
@@ -187,7 +187,7 @@ def build_blocks(
     l_roll = l_max * (1.0 - edge_taper)
     pl = legendre_poly_table(l_max, math.cos(math.pi - 2.0 * theta))
     c0sq = 3.0 * math.pi * DEFAULT_GAMMA0 / (OMEGA0**3 * cfg.b * (cfg.radius * cfg.n0) ** 2)
-    w_l = np.sqrt(l * (l + 1.0)) / (cfg.radius * cfg.n0)
+    w_l = eigenfrequency(cfg, l)
     g_sq = c0sq * w_l * (2 * l + 1) * np.maximum(0.0, 1.0 - pl[l]) / (4.0 * math.pi)
     window = np.ones(l.size)
     if edge_taper > 0.0:

@@ -83,7 +83,7 @@ class TestValidate:
 
     def test_one_accelerate_call_per_mode_sum_and_one_theta_per_mode_and_rule(self, monkeypatch, capsys):
         # the expansion oracle, one batched mode sum per radius (3) and the
-        # rates oracle's two tails in one call; Theta of 36 modes at 64 and 128 nodes
+        # rates oracle's Green's-function mode sum; Theta of 36 modes at 64 and 128 nodes
         calls = {"accelerate": 0, "theta": 0}
         accelerate, theta = cli.specfun.accelerate, cli.lens._theta_lm
 
@@ -95,7 +95,7 @@ class TestValidate:
             calls["theta"] += 1
             return theta(l, m, u)
 
-        for module in (cli.specfun, cli.greens, cli.qed):
+        for module in (cli.specfun, cli.greens):
             monkeypatch.setattr(module, "accelerate", counted_accelerate)
         monkeypatch.setattr(cli.lens, "_theta_lm", counted_theta)
         assert _run(["validate"]) == 0

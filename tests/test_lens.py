@@ -95,6 +95,19 @@ class TestEigenfrequency:
         assert gap_below > 0 and gap_above > 0
         assert gap_below == pytest.approx(gap_above, rel=5e-3)
 
+    def test_array_equals_scalar_calls_bit_for_bit(self):
+        cfg = LensConfig(radius=14.48, n0=1.3)
+        ls = np.arange(1, 400)
+        scalars = [eigenfrequency(cfg, int(l)) for l in ls]
+        assert all(type(w) is float for w in scalars)
+        assert scalars == [math.sqrt(l * (l + 1.0)) / (cfg.radius * cfg.n0) for l in ls.tolist()]
+        assert eigenfrequency(cfg, ls).tolist() == scalars
+
+    @pytest.mark.parametrize("l", [0, -3, np.array([1, 2, 0])])
+    def test_l_below_one_rejected(self, l):
+        with pytest.raises(DomainError):
+            eigenfrequency(LensConfig(radius=1.0), l)
+
 
 class TestOrderParameter:
     @pytest.mark.parametrize(

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fisheye import qed
+from fisheye import greens, qed
 from fisheye.errors import (
     CoincidentPointsError,
     DomainError,
@@ -142,11 +142,35 @@ class TestModeSumOracle:
         assert oracle.delta_omega == pytest.approx(exact.delta_omega, rel=1e-6)
 
     def test_unconverged_wynn_estimate_raises(self, antipodal_027, monkeypatch):
-        def loose(partial_sums):  # both tails in one 2-D call, each with a large error
+        def loose(partial_sums):  # every pair of the Green's-function mode sum with a large error
             return partial_sums[:, -1].astype(complex), np.ones(len(partial_sums))
-        monkeypatch.setattr(qed, "accelerate", loose)
+        monkeypatch.setattr(greens, "accelerate", loose)
         with pytest.raises(NonConvergenceError, match="not converged"):
             rates_modesum_oracle(_cfg(20.5, alpha=1e-3), antipodal_027)
+
+    def test_short_start_doubles_until_converged(self, antipodal_027):
+        # l_max = 32 is where the doubling starts, not a fixed truncation
+        cfg = _cfg(20.5, alpha=1e-3)
+        exact = coupling_rates(cfg, antipodal_027)
+        oracle = rates_modesum_oracle(cfg, antipodal_027, l_max=32)
+        assert oracle.delta_omega == pytest.approx(exact.delta_omega, rel=1e-8)
+        assert oracle.gamma_coop == pytest.approx(exact.gamma_coop, rel=1e-8)
+
+    def test_small_coop_part_meets_its_own_tolerance(self):
+        # gamma_coop / delta_omega ~ -1.7e-5 here: a tolerance relative to the
+        # complex sum alone leaves gamma_coop ~4e-7 off
+        cfg = LensConfig(radius=1.749, alpha=1e-4)
+        atoms = AtomPairConfig.antipodal(0.12)
+        exact = coupling_rates(cfg, atoms)
+        oracle = rates_modesum_oracle(cfg, atoms)
+        assert abs(exact.gamma_coop / exact.delta_omega) < 1e-4
+        assert oracle.gamma_coop == pytest.approx(exact.gamma_coop, rel=1e-8)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1e-3])
+    def test_fields_are_python_floats(self, alpha, antipodal_027):
+        oracle = rates_modesum_oracle(_cfg(20.5, alpha=alpha), antipodal_027)
+        fields = (oracle.delta_omega, oracle.gamma, oracle.gamma_coop, oracle.beta)
+        assert all(type(v) is float for v in fields)
 
     def test_source_exclusion_is_the_mode_sum_one(self):
         # the same check as greens_modesum: a DomainError subclass
