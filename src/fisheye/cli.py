@@ -106,11 +106,6 @@ def _samples(args: argparse.Namespace) -> int:
     return args.samples
 
 
-def _l_range(args: argparse.Namespace) -> range | None:
-    """The simulator's mode ladder 1 .. --l-max, or None for its default."""
-    return None if args.l_max is None else range(1, args.l_max + 1)
-
-
 def _sorted_blocks(blocks: list[tuple[np.ndarray, ...]]) -> list[np.ndarray]:
     """Concatenate per-radius column blocks (R0, x, ...) and order the rows by (R0, x), stably."""
     columns = [np.concatenate(parts) for parts in zip(*blocks)]
@@ -133,7 +128,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
     # integer-degree reduction of the complex-degree evaluator
     xs = np.linspace(-0.98, 1.0, 17 if quick else 50)
-    want = np.array([[specfun.legendre_poly(l, x) for x in xs.tolist()] for l in range(9)])
+    want = specfun.legendre_poly_table(8, xs)
     worst = float(np.max(np.abs(specfun.legendre_nu(np.arange(9.0)[:, None], xs) - want)))
     _check("legendre integer-degree reduction", worst < 1e-10, f"max dev {worst:.2e}", results)
 
@@ -276,7 +271,7 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
     header = ["t_Gamma0", "pop1", "pop2", "bell_fidelity", "t0_marker"]
     columns = [t_grid, traj.pop1, traj.pop2, traj.bell_fidelity, marker]
     if args.simulate:
-        blocks = schrodinger.build_blocks(cfg, lens.stereo_theta(args.rho), l_range=_l_range(args))
+        blocks = schrodinger.build_blocks(cfg, lens.stereo_theta(args.rho), l_max=args.l_max)
         sim = schrodinger.evolve(blocks, cfg.kappa, t_grid / schrodinger.DEFAULT_GAMMA0)
         header += ["sim_pop1", "sim_pop2", "sim_bell_fidelity"]
         columns += [np.abs(sim.amp_a) ** 2, np.abs(sim.amp_b) ** 2, sim.bell_fidelity]
@@ -295,6 +290,9 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
     r0s = np.array(args.radii, dtype=float)
 
     if mode == "vs-loss":
+        for flag, value in (("--alpha-min", args.alpha_min), ("--alpha-max", args.alpha_max)):
+            if not value > 0:
+                raise DomainError(f"{flag} must be positive, got {value}")
         x = np.logspace(math.log10(args.alpha_min), math.log10(args.alpha_max), samples)
         radius, alpha = r0s[:, None], x
         header = ["R0_over_lambda", "alpha", "one_minus_F_analytic"]
@@ -319,7 +317,7 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
         columns = (np.repeat(r0s, x.size), np.tile(x, r0s.size), 1.0 - qed.fidelity_from_rates(*rates).ravel())
         if args.simulate:
             header.append("one_minus_F_numeric")
-            columns += (_simulated_error(args, atoms, radius, x, rates),)
+            columns += (_simulated_error(args, atoms, radius, alpha, rates),)
     _write_csv(args.out, header, _sorted_blocks([columns]))
     if args.plot_script:
         xcol = header[0] if mode == "vs-radius" else header[1]
@@ -327,28 +325,16 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
     return 0
 
 
-def _simulated_error(args: argparse.Namespace, atoms: qed.AtomPairConfig, radius: np.ndarray, x: np.ndarray,
-                     rates: tuple) -> np.ndarray:
-    """1 - F of the simulator at every (radius, x) point of a fidelity sweep, radius by radius.
+def _simulated_error(args: argparse.Namespace, atoms: qed.AtomPairConfig, radius: np.ndarray,
+                     alpha: float | np.ndarray, rates: tuple) -> np.ndarray:
+    """1 - F of the simulator at every point of the broadcast (radius, alpha) grid of a fidelity sweep.
 
     Each point is compared with its own element of the batched rates.
     """
+    grid = zip(*(np.ravel(a).tolist() for a in np.broadcast_arrays(radius, alpha)))
+    cfgs = [lens.LensConfig(radius=r, b=args.b, alpha=a) for r, a in grid]
     points = [qed.CouplingRates(*v) for v in zip(*(np.ravel(c).tolist() for c in rates))]
-    if args.mode == "vs-loss":  # the losses of a radius share its blocks and secular data
-        cmps = [
-            cmp
-            for i, r0 in enumerate(args.radii)
-            for cmp in schrodinger.compare_losses(
-                lens.LensConfig(radius=r0, b=args.b), atoms, x.tolist(), points[i * x.size : (i + 1) * x.size],
-                l_range=_l_range(args),
-            )
-        ]
-    else:  # vs-detuning: every point has a radius of its own
-        cmps = [
-            schrodinger.compare_to_analytics(lens.LensConfig(radius=r, b=args.b, alpha=args.alpha), atoms, v, l_range=_l_range(args))
-            for r, v in zip(radius.ravel().tolist(), points)
-        ]
-    return np.array([1.0 - c.F_numeric for c in cmps])
+    return np.array([1.0 - c.F_numeric for c in schrodinger.compare_losses(cfgs, atoms, points, args.l_max)])
 
 
 # ----------------------------------------------------------------- plasmon

@@ -59,9 +59,11 @@ def check_lens(
 ) -> None:
     """The checks of LensConfig; radius and alpha may be arrays, checked element by element.
 
-    Raises DomainError; warns ThinDiskWarning (pointing at the caller of the
-    function that called this) when b admits higher transverse bands.
+    Raises DomainError (NaN and inf included); warns ThinDiskWarning, pointing
+    at the caller's caller, when b admits higher transverse bands.
     """
+    if not (np.all(np.isfinite(radius)) and math.isfinite(n0) and math.isfinite(b) and np.all(np.isfinite(alpha))):
+        raise DomainError("radius, n0, b and alpha must be finite")
     if np.any(radius <= 0) or b <= 0:
         raise DomainError("radius and thickness must be positive")
     if n0 < 1:

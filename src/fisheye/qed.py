@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError, RangeOverflowError, UnphysicalRatesError, ZeroCouplingError
-from .greens import MODESUM_TOL, greens_modesum_points, greens_zz_orders, image_point_value, source_offset
+from .greens import MODESUM_LMAX_CAP, MODESUM_TOL, greens_modesum_points, greens_zz_orders, image_point_value, source_offset
 from .greens import greens_zz  # noqa: F401  (the benchmark tracer wraps this binding)
 from .lens import OMEGA0, DiskPoint, LensConfig, check_lens, order_parameter, order_parameters
 
@@ -234,9 +234,9 @@ def rates_modesum_oracle(
     is the shared closed-form regularization.
 
     The Wynn estimate bounds the complex sum, of which gamma_coop can be a
-    small part; where it misses that part, a second sum resumes at the
-    first one's l_max with the tolerance scaled by it.  l_max is where the
-    doubling starts.  Raises CoincidentPointsError within the mode sum's
+    small part; where it misses that part, a second sum at the tolerance
+    scaled by it goes on doubling from the first one's l_max.  l_max is where
+    the doubling starts.  Raises CoincidentPointsError within the mode sum's
     source exclusion, ResonanceError, and NonConvergenceError when the
     estimate exceeds MODESUM_TOL of delta_omega or of a nonzero gamma_coop.
     """
@@ -246,7 +246,8 @@ def rates_modesum_oracle(
     pref = omega * omega * complex(r.value[0])
     smaller = min(abs(pref.real), abs(pref.imag))  # exactly 0 at real omega, where every term is real
     if r.converged[0] and abs(omega) ** 2 * r.tail_estimate[0] > MODESUM_TOL * smaller > 0.0:
-        r = greens_modesum_points(cfg, *points, omega, int(r.l_max[0]), MODESUM_TOL * smaller / abs(pref))
+        l_next = min(2 * int(r.l_max[0]), MODESUM_LMAX_CAP)
+        r = greens_modesum_points(cfg, *points, omega, l_next, MODESUM_TOL * smaller / abs(pref))
         pref = omega * omega * complex(r.value[0])
     err = abs(omega) ** 2 * float(r.tail_estimate[0])
     for name, part in (("delta_omega", pref.real), ("gamma_coop", pref.imag)):

@@ -39,7 +39,7 @@ its weights x_k / f'(z_k) are built only when SimResult.state_norm is read.
 Blocks hold their modes as arrays.  A flat loss cancels from the gaps
 d_l - d_m, so the deflation set, those gaps, the starting guess's sums over
 the modes and the Newton work arrays are formed once per block and shared
-by every loss of a sweep (compare_losses); each loss adds its atom row.
+by lenses that differ only in loss (compare_losses); each loss adds its atom row.
 The Bell peak and the first population crossing are bracketed on a phase
 table (SEARCH_POINTS times in compare_losses, the caller's grid in evolve)
 and refined from the roots and residues, at O(n) per time.
@@ -153,7 +153,7 @@ class SimResult:
 def build_blocks(
     cfg: LensConfig,
     theta: float,
-    l_range: range | None = None,
+    l_max: int | None = None,
     edge_taper: float = 0.25,
 ) -> tuple[BlockModel, BlockModel]:
     """Build the odd and even parity blocks for antipodal atoms at polar angle theta.
@@ -163,27 +163,26 @@ def build_blocks(
 
     which is sqrt(2) g_l N_l squared with the dipole prefactor expressed
     through gamma0.  Atoms on the mirror (theta = pi/2) decouple from every
-    mode since P_l(1) = 1.  Default l_range is 1 .. 4 ceil(Re nu), covering
-    detunings to a few omega0.
+    mode since P_l(1) = 1.  The ladder is l = 1 .. l_max, by default
+    l_max = 4 ceil(Re nu), covering detunings to a few omega0; l_max < 1
+    raises DomainError.
 
     The couplings grow like l, so a hard cut at l_max leaves an oscillating
     alternating-series artifact of order l_max in the exchange splitting
     (extracted rates flip by several percent between adjacent cuts).  The
     top `edge_taper` fraction of the ladder is therefore rolled off with a
-    cos^2 window, which restores convergence under l_range doubling to the
+    cos^2 window, which restores convergence under l_max doubling to the
     sub-percent level; set edge_taper = 0 for the raw cut.
     """
     if not 0.0 <= theta <= math.pi:
         raise DomainError("theta must lie in [0, pi]")
     if not 0.0 <= edge_taper < 1.0:
         raise DomainError("edge_taper must lie in [0, 1)")
-    if l_range is None:
-        l_range = range(1, 4 * math.ceil(order_parameter(cfg, OMEGA0).real) + 1)
-    l = np.array(l_range, dtype=int)
-    l = l[l >= 1]
-    if not l.size:
-        raise DomainError("l_range selects no modes")
-    l_max = int(l.max())
+    if l_max is None:
+        l_max = 4 * math.ceil(order_parameter(cfg, OMEGA0).real)
+    if l_max < 1:
+        raise DomainError(f"l_max must be at least 1, got {l_max}")
+    l = np.arange(1, l_max + 1)
     l_roll = l_max * (1.0 - edge_taper)
     pl = legendre_poly_table(l_max, math.cos(math.pi - 2.0 * theta))
     c0sq = 3.0 * math.pi * DEFAULT_GAMMA0 / (OMEGA0**3 * cfg.b * (cfg.radius * cfg.n0) ** 2)
@@ -600,46 +599,50 @@ class AnalyticsComparison:
 
 
 def compare_losses(
-    cfg: LensConfig,
+    cfgs: list[LensConfig],
     atoms: AtomPairConfig,
-    alphas: list[float],
     rates: list[CouplingRates],
-    l_range: range | None = None,
+    l_max: int | None = None,
 ) -> list[AnalyticsComparison]:
-    """Run the block simulation at each loss ratio of alphas on the lens cfg and compare it with the closed-form rates there.
+    """Run the block simulation on each lens of cfgs and compare it with the closed-form rates there.
 
-    alphas replace cfg.alpha; rates[k] are coupling_rates at alphas[k], or
-    one element each of qed.coupling_rate_arrays for a caller that sweeps
-    many points.  Requires antipodal atoms (the parity reduction assumes
-    them).  The blocks are built once, and each block's loss-independent
-    secular data is formed once for all losses (_SecularSolver).  Each
-    point searches the window [0, 3 pi / |delta_omega|], a few exchange
-    cycles, with a SEARCH_POINTS phase table refined from the spectra
-    (_bell_search).  The relative deviation is on the entangling error
+    rates[k] are coupling_rates(cfgs[k], atoms), or one element each of
+    qed.coupling_rate_arrays for a caller that sweeps many points.  Requires
+    antipodal atoms (the parity reduction assumes them).  Lenses equal but
+    for alpha share their blocks (build_blocks with l_max) and each block's
+    loss-independent secular data (_SecularSolver); the results keep the
+    order of cfgs.  Each point searches the window [0, 3 pi / |delta_omega|],
+    a few exchange cycles, with a SEARCH_POINTS phase table refined from the
+    spectra (_bell_search).  The relative deviation is on the entangling error
     |(1 - F_num) - (1 - F_ana)| / (1 - F_ana), F_ana = entanglement_fidelity(rates).
     """
     if not atoms.is_antipodal:
         raise DomainError("the parity-reduced simulator requires antipodal atoms")
-    if len(rates) != len(alphas):
-        raise DomainError("compare_losses takes one CouplingRates per loss ratio")
-    blocks = build_blocks(cfg, stereo_theta(atoms.p1.rho), l_range=l_range)
-    kappas = [alpha * OMEGA0 for alpha in alphas]
-    out = []
-    for spectra, point in zip(zip(*(_block_spectra(block, kappas) for block in blocks)), rates):
-        dt = 3.0 * math.pi / (abs(point.delta_omega) * DEFAULT_GAMMA0) / (SEARCH_POINTS - 1)
-        atom_o, atom_e = (_phase_sum(z, res, dt, SEARCH_POINTS) for z, res, _ in spectra)
-        _, _, f_minus, f_plus, pop_diff = _pair_tables(atom_o, atom_e)
-        peak, _, t_cross = _bell_search(list(spectra), dt * np.arange(SEARCH_POINTS), f_minus, f_plus, pop_diff)
-        f_ana = entanglement_fidelity(point)
-        err_ana = 1.0 - f_ana
-        out.append(AnalyticsComparison(
-            F_numeric=peak,
-            F_analytic=f_ana,
-            relative_deviation=abs((1.0 - peak) - err_ana) / err_ana if err_ana > 0 else math.inf,
-            extracted_delta_omega=_extracted_rate(t_cross),
-            delta_omega_analytic=point.delta_omega,
-            rates=point,
-        ))
+    if len(rates) != len(cfgs):
+        raise DomainError("compare_losses takes one CouplingRates per lens")
+    lossless: dict[tuple[float, float, float], list[int]] = {}
+    for k, cfg in enumerate(cfgs):
+        lossless.setdefault((cfg.radius, cfg.n0, cfg.b), []).append(k)
+    out: list[AnalyticsComparison] = [None] * len(cfgs)
+    for ks in lossless.values():
+        blocks = build_blocks(cfgs[ks[0]], stereo_theta(atoms.p1.rho), l_max)
+        kappas = [cfgs[k].kappa for k in ks]
+        for k, spectra in zip(ks, zip(*(_block_spectra(block, kappas) for block in blocks))):
+            point = rates[k]
+            dt = 3.0 * math.pi / (abs(point.delta_omega) * DEFAULT_GAMMA0) / (SEARCH_POINTS - 1)
+            atom_o, atom_e = (_phase_sum(z, res, dt, SEARCH_POINTS) for z, res, _ in spectra)
+            _, _, f_minus, f_plus, pop_diff = _pair_tables(atom_o, atom_e)
+            peak, _, t_cross = _bell_search(list(spectra), dt * np.arange(SEARCH_POINTS), f_minus, f_plus, pop_diff)
+            f_ana = entanglement_fidelity(point)
+            err_ana = 1.0 - f_ana
+            out[k] = AnalyticsComparison(
+                F_numeric=peak,
+                F_analytic=f_ana,
+                relative_deviation=abs((1.0 - peak) - err_ana) / err_ana if err_ana > 0 else math.inf,
+                extracted_delta_omega=_extracted_rate(t_cross),
+                delta_omega_analytic=point.delta_omega,
+                rates=point,
+            )
     return out
 
 
@@ -647,10 +650,10 @@ def compare_to_analytics(
     cfg: LensConfig,
     atoms: AtomPairConfig,
     rates: CouplingRates,
-    l_range: range | None = None,
+    l_max: int | None = None,
 ) -> AnalyticsComparison:
     """Run the block simulation at cfg and compare it with the closed-form rates there.
 
-    rates are coupling_rates(cfg, atoms); the one-loss call of compare_losses.
+    rates are coupling_rates(cfg, atoms); the one-lens call of compare_losses.
     """
-    return compare_losses(cfg, atoms, [cfg.alpha], [rates], l_range=l_range)[0]
+    return compare_losses([cfg], atoms, [rates], l_max)[0]

@@ -85,17 +85,10 @@ def _digamma_array(z: np.ndarray) -> np.ndarray:
 
 
 def legendre_poly(l: int, x: float) -> float:
-    """Legendre polynomial P_l(x) by the three-term recurrence."""
-    if l < 0:
-        raise DomainError("degree l must be >= 0")
-    if abs(x) > 1.0:
-        raise DomainError("argument x must lie in [-1, 1]")
-    p_prev, p = 1.0, x
-    if l == 0:
-        return 1.0
-    for k in range(1, l):
-        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
-    return p
+    """Legendre polynomial P_l(x): row l of legendre_poly_table, for l >= 0 and x in [-1, 1]."""
+    if l < 0 or abs(x) > 1.0:
+        raise DomainError(f"need degree l >= 0 and x in [-1, 1], got l = {l}, x = {x}")
+    return float(legendre_poly_table(l, x)[l])
 
 
 def legendre_poly_table(l_max: int, x: float | np.ndarray) -> np.ndarray:

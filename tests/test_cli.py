@@ -1,4 +1,7 @@
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -234,6 +237,7 @@ class TestFidelity:
         def forbidden(*args, **kwargs):
             raise AssertionError("vs-radius has no numeric column to simulate")
 
+        monkeypatch.setattr(cli.schrodinger, "compare_losses", forbidden)
         monkeypatch.setattr(cli.schrodinger, "compare_to_analytics", forbidden)
         assert _run(argv + ["--simulate", "--out", str(simulated)]) == 0
         assert simulated.read_bytes() == plain.read_bytes()
@@ -264,6 +268,32 @@ class TestFidelity:
         argv = ["fidelity", "--mode", "vs-loss", "--simulate", "--radii", "1.749,3.34", "--samples", "4"]
         assert _run(argv + ["--out", str(tmp_path / "f.csv")]) == 0
         assert calls == [1.749, 3.34]
+
+    def test_detuning_sweep_simulates_each_point_on_its_own_lens(self, monkeypatch, tmp_path):
+        # every point of a detuning sweep has a radius of its own; a repeated
+        # --radii entry repeats those lenses, which share their blocks
+        calls = []
+        build = cli.schrodinger.build_blocks
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].radius)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(cli.schrodinger, "build_blocks", counted)
+        out = tmp_path / "f.csv"
+        assert _run(["fidelity", "--mode", "vs-detuning", "--simulate", "--radii", "3.34,1.749,3.34",
+                     "--samples", "3", "--out", str(out)]) == 0
+        assert len(calls) == len(set(calls)) == 6
+        monkeypatch.setattr(cli.schrodinger, "build_blocks", build)
+        _, rows = _read_csv(out)
+        atoms = cli.qed.AtomPairConfig.antipodal(0.27)
+        dnu = dict(zip((f"{x:.12g}" for x in np.linspace(-0.45, 0.45, 3)), np.linspace(-0.45, 0.45, 3).tolist()))
+        assert len(rows) == 9
+        for r in rows:
+            center = {"3.34": 20.5, "1.749": 10.5}[r[0]]
+            cfg = cli.lens.LensConfig(radius=cli.lens.radius_for_order(center + dnu[r[1]]), alpha=5e-4)
+            cmp = cli.schrodinger.compare_to_analytics(cfg, atoms, cli.qed.coupling_rates(cfg, atoms))
+            assert r[3] == _fmt_per_value(1.0 - cmp.F_numeric)
 
     @pytest.mark.parametrize("mode", ["vs-loss", "vs-detuning"])
     def test_simulate_keeps_the_analytic_columns(self, mode, tmp_path):
@@ -393,6 +423,51 @@ class TestSweepGrids:
         assert not out.exists()
 
 
+class TestNonFiniteAndNonPositiveInputs:
+    """Inputs that once escaped as a ValueError traceback and exit 1: each is a usage error."""
+
+    @pytest.mark.parametrize("mode", ["vs-detuning", "vs-loss"])
+    @pytest.mark.parametrize("radius", ["inf", "nan", "1e400"])
+    def test_non_finite_radius_is_usage_error(self, tmp_path, capsys, mode, radius):
+        out = tmp_path / "out.csv"
+        assert _exit_code(["fidelity", "--mode", mode, "--radii", radius, "--samples", "3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "bad arguments" in err and "must be finite" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("key, value", [("alpha-min", "0"), ("alpha-min", "-1e-4"), ("alpha-max", "0"),
+                                            ("alpha-max", "-0.01")])
+    def test_non_positive_loss_bound_names_its_flag(self, tmp_path, capsys, key, value, source):
+        argv = ["fidelity", "--mode", "vs-loss", "--samples", "3", "--out", str(tmp_path / "out.csv")]
+        if source == "flag":
+            argv += [f"--{key}={value}"]
+        else:
+            config = tmp_path / "run.cfg"
+            config.write_text(f"{key.replace('-', '_')} = {value}\n", encoding="utf-8")
+            argv += ["--config", str(config)]
+        assert _exit_code(argv) == 2
+        err = capsys.readouterr().err
+        assert f"bad arguments: --{key} must be positive" in err and "Traceback" not in err
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fidelity", "--mode", "vs-detuning", "--radii", "inf"],
+            ["fidelity", "--mode", "vs-loss", "--alpha-min", "0"],
+        ],
+        ids=" ".join,
+    )
+    def test_process_exits_2_without_traceback(self, argv):
+        src = Path(cli.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-m", "fisheye.cli", *argv], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+        assert proc.returncode == 2
+        assert "bad arguments" in proc.stderr and "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+
 class TestSimulatorOptions:
     """--l-max (or the config key l_max) and the exit code of the simulator path."""
 
@@ -416,13 +491,13 @@ class TestSimulatorOptions:
         build = cli.schrodinger.build_blocks
         seen = []
 
-        def recording(*args, l_range=None, **kwargs):
-            seen.append(l_range)
-            return build(*args, l_range=l_range, **kwargs)
+        def recording(cfg, theta, l_max=None, **kwargs):
+            seen.append(l_max)
+            return build(cfg, theta, l_max, **kwargs)
 
         monkeypatch.setattr(cli.schrodinger, "build_blocks", recording)
         assert _run(self._argv(tmp_path, command, "7", source) + ["--out", str(tmp_path / "out.csv")]) == 0
-        assert seen and all(l_range == range(1, 8) for l_range in seen)
+        assert seen and all(l_max == 7 for l_max in seen)
 
     @pytest.mark.parametrize("l_max", ["0", "-2"])
     @pytest.mark.parametrize("source", ["flag", "config"])
@@ -430,7 +505,7 @@ class TestSimulatorOptions:
     def test_empty_mode_ladder_is_usage_error(self, tmp_path, capsys, command, source, l_max):
         out = tmp_path / "out.csv"
         assert _run(self._argv(tmp_path, command, l_max, source) + ["--out", str(out)]) == 2
-        assert "l_range selects no modes" in capsys.readouterr().err
+        assert f"l_max must be at least 1, got {l_max}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["dynamics", "fidelity"])

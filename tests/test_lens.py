@@ -11,6 +11,7 @@ from fisheye.lens import (
     LensConfig,
     ModeIndex,
     allowed_m,
+    check_lens,
     eigenfrequency,
     mode_function,
     order_parameter,
@@ -34,6 +35,18 @@ class TestLensConfig:
             LensConfig(radius=1.0, n0=0.5)
         with pytest.raises(DomainError):
             LensConfig(radius=1.0, alpha=-1e-4)
+
+    @pytest.mark.parametrize("field", ["radius", "n0", "b", "alpha"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, float("1e400")])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(DomainError, match="must be finite"):
+            LensConfig(**{"radius": 2.0, field: value})
+
+    def test_non_finite_array_elements_rejected(self):
+        with pytest.raises(DomainError, match="must be finite"):
+            check_lens(np.array([2.0, math.nan]), 1.0, 0.1, 0.0)
+        with pytest.raises(DomainError, match="must be finite"):
+            check_lens(2.0, 1.0, 0.1, np.array([1e-3, math.inf]))
 
     def test_thin_disk_warning(self):
         with pytest.warns(ThinDiskWarning):

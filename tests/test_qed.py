@@ -156,6 +156,25 @@ class TestModeSumOracle:
         assert oracle.delta_omega == pytest.approx(exact.delta_omega, rel=1e-8)
         assert oracle.gamma_coop == pytest.approx(exact.gamma_coop, rel=1e-8)
 
+    def test_second_sum_continues_the_doubling(self, monkeypatch):
+        # the tighter second sum starts at twice the first one's l_max instead
+        # of repeating its last round
+        sizes = []
+        resum = greens.accelerate
+
+        def counted(partial_sums):
+            sizes.append(partial_sums.shape[-1])
+            return resum(partial_sums)
+
+        monkeypatch.setattr(greens, "accelerate", counted)
+        oracle = rates_modesum_oracle(LensConfig(radius=1.749, alpha=1e-4), AtomPairConfig.antipodal(0.12))
+        assert len(sizes) == 2 and sizes[1] == 2 * sizes[0]
+        monkeypatch.setattr(greens, "accelerate", resum)
+        first = greens.greens_modesum_points(LensConfig(radius=1.749, alpha=1e-4), 0.12, 0.0, 0.12, math.pi,
+                                             OMEGA0 * (1.0 + 1e-4j))
+        assert first.converged[0] and int(first.l_max[0]) == sizes[0]
+        assert oracle.gamma_coop != 0.0
+
     def test_small_coop_part_meets_its_own_tolerance(self):
         # gamma_coop / delta_omega ~ -1.7e-5 here: a tolerance relative to the
         # complex sum alone leaves gamma_coop ~4e-7 off

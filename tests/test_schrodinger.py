@@ -67,7 +67,7 @@ class TestBuildBlocks:
         cfg = _reference_cfg()
         theta = stereo_theta(0.27)
         g0 = DEFAULT_GAMMA0
-        bo, be = build_blocks(cfg, theta, l_range=range(1, 31), edge_taper=0.0)
+        bo, be = build_blocks(cfg, theta, l_max=30, edge_taper=0.0)
         c0sq = 3.0 * math.pi * g0 / (OMEGA0**3 * cfg.b * cfg.radius**2)
         for block in (bo, be):
             for l, coupling in zip(block.l.tolist(), block.coupling.tolist()):
@@ -86,7 +86,7 @@ class TestBuildBlocks:
         cfg = LensConfig(radius=14.48)
         theta = stereo_theta(0.27)
         kappa = 2e-3
-        blocks = build_blocks(cfg, theta, l_range=range(-2, l_max + 1), edge_taper=edge_taper)
+        blocks = build_blocks(cfg, theta, l_max=l_max, edge_taper=edge_taper)
         l_roll = l_max * (1.0 - edge_taper)
         pl = legendre_poly_table(l_max, math.cos(math.pi - 2.0 * theta))
         c0sq = 3.0 * math.pi * DEFAULT_GAMMA0 / (OMEGA0**3 * cfg.b * (cfg.radius * cfg.n0) ** 2)
@@ -106,29 +106,30 @@ class TestBuildBlocks:
             assert np.array_equal(diag, block.detuning - 1j * kappa)
 
     def test_mirror_atoms_decouple(self):
-        bo, be = build_blocks(_reference_cfg(), math.pi / 2.0, l_range=range(1, 21))
+        bo, be = build_blocks(_reference_cfg(), math.pi / 2.0, l_max=20)
         assert bo.coupling.size + be.coupling.size == 20
         assert np.all(bo.coupling == 0.0) and np.all(be.coupling == 0.0)
 
     def test_parity_split(self):
-        bo, be = build_blocks(_reference_cfg(), stereo_theta(0.27), l_range=range(1, 11))
+        bo, be = build_blocks(_reference_cfg(), stereo_theta(0.27), l_max=10)
         assert bo.l.tolist() == [1, 3, 5, 7, 9]
         assert be.l.tolist() == [2, 4, 6, 8, 10]
         assert bo.parity == "odd" and be.parity == "even"
 
     def test_empty_range_rejected(self):
-        with pytest.raises(DomainError):
-            build_blocks(_reference_cfg(), 2.0, l_range=range(0, 0))
+        for l_max in (0, -2):
+            with pytest.raises(DomainError, match=f"l_max must be at least 1, got {l_max}"):
+                build_blocks(_reference_cfg(), 2.0, l_max=l_max)
 
     def test_detuning_is_mode_frequency_minus_omega0(self):
         cfg = _reference_cfg()
-        bo, _ = build_blocks(cfg, 2.0, l_range=range(1, 6))
+        bo, _ = build_blocks(cfg, 2.0, l_max=5)
         for l, detuning in zip(bo.l.tolist(), bo.detuning.tolist()):
             want = math.sqrt(l * (l + 1.0)) / cfg.radius - OMEGA0
             assert detuning == pytest.approx(want, rel=1e-14)
 
     def test_hamiltonian_shape(self):
-        bo, _ = build_blocks(_reference_cfg(), 2.0, l_range=range(1, 9))
+        bo, _ = build_blocks(_reference_cfg(), 2.0, l_max=8)
         h = bo.hamiltonian(0.01)
         assert h.shape == (bo.dim, bo.dim)
         assert h[1, 1] == pytest.approx(bo.detuning[0] - 0.01j)
@@ -175,8 +176,7 @@ class TestEvolve:
         theta = stereo_theta(0.27)
         extracted = []
         for fac in (4, 8):
-            l_range = range(1, fac * 21 + 1)
-            sim = evolve(build_blocks(cfg, theta, l_range=l_range), 0.0, t)
+            sim = evolve(build_blocks(cfg, theta, l_max=fac * 21), 0.0, t)
             extracted.append(sim.extracted_delta_omega)
         assert abs(extracted[1] - extracted[0]) / extracted[1] < 0.01
 
@@ -233,7 +233,7 @@ class TestAtomicRow:
         assert cli.main(argv + ["--out", str(out)]) == 0
         # both patches are on the path state_norm takes
         cfg = _reference_cfg(nu_re=5.5)
-        blocks = build_blocks(cfg, stereo_theta(0.3), l_range=range(1, 13))
+        blocks = build_blocks(cfg, stereo_theta(0.3), l_max=12)
         sim = evolve(blocks, 0.0, np.linspace(0.0, 40.0, 60))
         with pytest.raises(AssertionError, match="full state built"):
             sim.state_norm
@@ -294,7 +294,7 @@ class TestSecularSpectrum:
 
     def test_decoupled_atoms_stay_excited(self):
         # atoms on the mirror couple to no mode: every block is deflated
-        blocks = build_blocks(_reference_cfg(), math.pi / 2.0, l_range=range(1, 21))
+        blocks = build_blocks(_reference_cfg(), math.pi / 2.0, l_max=20)
         sim = evolve(blocks, 0.0, np.linspace(0.0, 1e5, 50))
         assert np.all(sim.amp_a == 1.0) and np.all(sim.amp_b == 0.0)
         assert np.all(sim.state_norm == 1.0)
@@ -330,13 +330,13 @@ class TestSecularSpectrum:
         ],
     )
     def test_non_uniform_grid_rejected(self, grid):
-        blocks = build_blocks(_reference_cfg(nu_re=5.5), stereo_theta(0.3), l_range=range(1, 13))
+        blocks = build_blocks(_reference_cfg(nu_re=5.5), stereo_theta(0.3), l_max=12)
         with pytest.raises(DomainError, match="uniform"):
             evolve(blocks, 0.0, grid)
 
     def test_rescaled_linspace_grid_accepted(self):
         # dynamics passes np.linspace(0, T, n) / gamma0, uniform to a few ulps
-        blocks = build_blocks(_reference_cfg(nu_re=5.5), stereo_theta(0.3), l_range=range(1, 13))
+        blocks = build_blocks(_reference_cfg(nu_re=5.5), stereo_theta(0.3), l_max=12)
         t = np.linspace(0.0, 3.0 * math.pi / 0.0123, 2000) / DEFAULT_GAMMA0
         sim = evolve(blocks, 0.0, t)
         assert np.array_equal(sim.times, t * DEFAULT_GAMMA0)
@@ -354,7 +354,7 @@ class TestSecularSpectrum:
     def test_failed_secular_check_takes_the_eig_path(self, monkeypatch, check, value):
         kappa = 0.01
         cfg = _reference_cfg(nu_re=5.5)
-        blocks = build_blocks(cfg, stereo_theta(0.3), l_range=range(1, 13))
+        blocks = build_blocks(cfg, stereo_theta(0.3), l_max=12)
         t = np.linspace(0.0, 40.0, 60)
         secular = evolve(blocks, kappa, t)
         calls = []
@@ -384,7 +384,7 @@ class TestSecularSpectrum:
         else:
             monkeypatch.setattr(schrodinger, "RESIDUAL_TOL", -1.0)
         kappa = 0.01
-        blocks = build_blocks(_reference_cfg(nu_re=5.5), stereo_theta(0.3), l_range=range(1, 13))
+        blocks = build_blocks(_reference_cfg(nu_re=5.5), stereo_theta(0.3), l_max=12)
         with pytest.raises(EigensolveError):
             evolve(blocks, kappa, np.linspace(0.0, 40.0, 60))
         out = tmp_path / "dyn.csv"
@@ -489,7 +489,7 @@ class TestFullBasisCrossCheck:
         psi0[0] = 1.0
         coeff = v.conj().T @ psi0
         full = (np.exp(-1j * np.outer(t, w)) * coeff[None, :]) @ v.T
-        blocks = build_blocks(cfg, stereo_theta(rho), l_range=l_range, edge_taper=0.0)
+        blocks = build_blocks(cfg, stereo_theta(rho), l_max=22, edge_taper=0.0)
         sim = evolve(blocks, 0.0, t)
         assert float(np.max(np.abs(full[:, 0] - sim.amp_a))) < 1e-9
         assert float(np.max(np.abs(full[:, 1] - sim.amp_b))) < 1e-9
@@ -581,15 +581,29 @@ class TestSharedSecularData:
             lossy = _secular_spectrum(*block.arrowhead(self.KAPPAS[2]))[2]
             assert np.array_equal(_bits(shared[1][2]()), _bits(lossy()))
 
-    def test_compare_losses_is_the_per_point_comparison(self, antipodal_027):
-        cfg = LensConfig(radius=3.34)
-        alphas = [1e-4, 1e-3, 1e-2]
-        rates = [coupling_rates(replace(cfg, alpha=a), antipodal_027) for a in alphas]
-        swept = schrodinger.compare_losses(cfg, antipodal_027, alphas, rates)
-        for alpha, point, got in zip(alphas, rates, swept):
-            assert got == compare_to_analytics(replace(cfg, alpha=alpha), antipodal_027, point)
-        with pytest.raises(DomainError, match="one CouplingRates per loss"):
-            schrodinger.compare_losses(cfg, antipodal_027, alphas, rates[:2])
+    def test_compare_losses_is_the_per_point_comparison(self, antipodal_027, monkeypatch):
+        # a mixed list: one radius at two losses, another radius, and the first
+        # radius on a thinner disk; each lossless lens builds its blocks once
+        cfgs = [LensConfig(radius=3.34, alpha=1e-4), LensConfig(radius=1.749, alpha=1e-3),
+                LensConfig(radius=3.34, alpha=1e-2), LensConfig(radius=3.34, b=0.12, alpha=1e-3)]
+        rates = [coupling_rates(cfg, antipodal_027) for cfg in cfgs]
+        built = []
+        build = schrodinger.build_blocks
+
+        def counted(cfg, *args, **kwargs):
+            built.append((cfg.radius, cfg.n0, cfg.b))
+            return build(cfg, *args, **kwargs)
+
+        monkeypatch.setattr(schrodinger, "build_blocks", counted)
+        swept = schrodinger.compare_losses(cfgs, antipodal_027, rates)
+        assert built == [(3.34, 1.0, 0.1), (1.749, 1.0, 0.1), (3.34, 1.0, 0.12)]
+        monkeypatch.setattr(schrodinger, "build_blocks", build)
+        assert len(swept) == len(cfgs)
+        for cfg, point, got in zip(cfgs, rates, swept):
+            assert got.rates is point
+            assert got == compare_to_analytics(cfg, antipodal_027, point)
+        with pytest.raises(DomainError, match="one CouplingRates per lens"):
+            schrodinger.compare_losses(cfgs, antipodal_027, rates[:2])
 
 
 def _expm_reference(cfg, atoms, n=600, fine=2000):
@@ -682,7 +696,7 @@ class TestPeakSearch:
 
     def test_flat_fidelity_has_no_search(self):
         # atoms on the mirror never exchange: F stays 1/2 and pop1 - pop2 = 1
-        blocks = build_blocks(_reference_cfg(), math.pi / 2.0, l_range=range(1, 21))
+        blocks = build_blocks(_reference_cfg(), math.pi / 2.0, l_max=20)
         sim = evolve(blocks, 1e-3, np.linspace(0.0, 1e5, 64))
         assert sim.max_fidelity == 0.5 and sim.bell_branch == 1
         assert sim.extracted_delta_omega is None

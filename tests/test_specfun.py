@@ -80,6 +80,24 @@ class TestLegendrePoly:
         explicit = (63.0 * x**5 - 70.0 * x**3 + 15.0 * x) / 8.0
         assert legendre_poly(5, x) == pytest.approx(explicit, abs=1e-15)
 
+    def test_scalar_is_the_scalar_recurrence_bit_for_bit(self, rng):
+        # P_l(x) is row l of the table; it keeps the three-term recurrence on
+        # Python floats, the sign of a zero included
+        def recurrence(l, x):
+            p_prev, p = 1.0, x
+            if l == 0:
+                return 1.0
+            for k in range(1, l):
+                p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+            return p
+
+        pairs = [(int(l), float(x)) for l, x in zip(rng.integers(0, 200, 400), rng.uniform(-1.0, 1.0, 400))]
+        pairs += [(l, x) for l in range(60) for x in (1.0, -1.0, 0.0, -0.0)]
+        for l, x in pairs:
+            got = legendre_poly(l, x)
+            assert type(got) is float
+            assert math.copysign(1.0, got) == math.copysign(1.0, recurrence(l, x)) and got == recurrence(l, x)
+
     def test_table_matches_scalar(self, rng):
         x = float(rng.uniform(-1, 1))
         table = legendre_poly_table(30, x)
@@ -105,6 +123,8 @@ class TestLegendrePoly:
             legendre_poly(-1, 0.0)
         with pytest.raises(DomainError):
             legendre_poly(3, 1.5)
+        with pytest.raises(DomainError):
+            legendre_poly(2, -1.0000001)
 
 
 class TestSphericalHarmonic:
