@@ -35,7 +35,7 @@ def main():
 
     cmp = compare(cfg, atoms, 5e-4)
     print(f"\nexchange rate: simulator {cmp.extracted_delta_omega:.4f} vs "
-          f"analytic {abs(cmp.delta_omega_analytic):.4f} /Gamma0")
+          f"analytic {abs(cmp.rates.delta_omega):.4f} /Gamma0")
 
     print("\ndetuning scan (alpha = 5e-4): error is smallest midway between resonances")
     for dnu in (-0.45, -0.2, 0.0, 0.2, 0.45):

@@ -42,7 +42,6 @@ from .qed import (
     CouplingRates,
     TwoAtomTrajectory,
     coupling_rates,
-    entangling_error,
     entanglement_fidelity,
     fidelity_approx,
     fidelity_with_freespace,
@@ -75,7 +74,6 @@ __all__ = [
     "scaling_rates",
     "trajectory",
     "entanglement_fidelity",
-    "entangling_error",
     "fidelity_approx",
     "fidelity_with_freespace",
     "BlockModel",

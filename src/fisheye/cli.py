@@ -302,19 +302,23 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
         radius, alpha = lens.radius_for_order(np.reshape(centers, (-1, 1)) + x), args.alpha
         header = ["R0_over_lambda", "delta_nu", "one_minus_F_analytic"]
     elif mode == "vs-radius":
-        # no numeric column here, so --simulate runs no simulation
-        r0s = lens.radius_for_order(np.arange(args.nu_min, args.nu_max + 0.5, 1.0))
-        approx = [qed.fidelity_approx(r0, args.alpha) for r0 in r0s.tolist()]
-        columns = (r0s, qed.entangling_error(atoms, r0s, args.alpha, b=args.b), np.array(approx))
+        if not (math.isfinite(args.nu_min) and math.isfinite(args.nu_max)):
+            raise DomainError(f"--nu-min and --nu-max must be finite, got {args.nu_min} and {args.nu_max}")
+        radius, alpha = lens.radius_for_order(np.arange(args.nu_min, args.nu_max + 0.5, 1.0)), args.alpha
+        approx = np.array([qed.fidelity_approx(r0, alpha) for r0 in radius.tolist()])
         header = ["R0_over_lambda", "one_minus_F_analytic", "F_approx"]
     else:  # pragma: no cover - argparse restricts choices
         raise DomainError(f"unknown fidelity mode {mode}")
 
-    if mode != "vs-radius":
-        # one batched rate chain (one legendre_nu call) over (radius, x) gives
-        # the analytic column and the rates each simulated point is compared with
-        rates = qed.coupling_rate_arrays(atoms, radius, alpha, b=args.b)
-        columns = (np.repeat(r0s, x.size), np.tile(x, r0s.size), 1.0 - qed.fidelity_from_rates(*rates).ravel())
+    # one batched rate chain (one legendre_nu call) over the whole grid gives every
+    # mode's analytic column and the rates each simulated point is compared with
+    rates = qed.coupling_rate_arrays(atoms, radius, alpha, b=args.b)
+    error = 1.0 - qed.fidelity_from_rates(*rates).ravel()
+    if mode == "vs-radius":
+        # no numeric column here, so --simulate runs no simulation
+        columns = (radius, error, approx)
+    else:
+        columns = (np.repeat(r0s, x.size), np.tile(x, r0s.size), error)
         if args.simulate:
             header.append("one_minus_F_numeric")
             columns += (_simulated_error(args, atoms, radius, alpha, rates),)

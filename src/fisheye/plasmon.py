@@ -68,6 +68,8 @@ class PlasmonStack:
     lambda0_nm: float = 737.0
 
     def __post_init__(self):
+        if not (cmath.isfinite(self.eps_metal) and math.isfinite(self.eps_dielectric) and math.isfinite(self.lambda0_nm)):
+            raise DomainError("eps_metal, eps_dielectric and lambda0_nm must be finite")
         if self.eps_metal.real >= -1.0:
             raise DomainError("need Re(eps_metal) < -1 for a bound surface mode")
         if self.eps_dielectric <= 1.0:
@@ -320,7 +322,7 @@ def sweep_effective_index(
     step_nm only sets the reported grid: _track still advances by at most
     CONTINUATION_STEP_NM, so branch-jump detection stays calibrated.
     """
-    if d_max_nm <= 0 or step_nm <= 0:
+    if not (0 < d_max_nm < math.inf and 0 < step_nm < math.inf):
         raise DomainError("need positive sweep range and step")
     grid = [i * step_nm for i in range(int(math.floor(d_max_nm / step_nm)) + 1)]
     if grid[-1] < d_max_nm - 1e-9:

@@ -24,7 +24,7 @@ Three closed-form levels coexist and are all exposed:
                           P_nu(xi_src) (10-25% of the antipodal peak at
                           typical geometries); coupling_rates is its
                           one-element call, so both carry the same bits,
-                          and entangling_error takes it on to 1 - F;
+                          and fidelity_from_rates takes either on to F;
   * image_rates         - the image-point model (P_nu(xi_src) dropped),
                           whose half-integer magnitude is 3 lambda/(8b)
                           / cosh(2 pi^2 R0 alpha / lambda);
@@ -52,6 +52,8 @@ from .lens import OMEGA0, DiskPoint, LensConfig, check_lens, order_parameter, or
 _DW_PREF = 3.0 * math.pi / OMEGA0**3
 #: Gamma / Gamma0 per unit Im{(omega0+i kappa)^2 G}
 _G_PREF = 6.0 * math.pi / OMEGA0**3
+#: Share of gamma0 that still leaks into free space near the surface (fidelity_with_freespace)
+_FREESPACE_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -185,20 +187,6 @@ def coupling_rate_arrays(
     return _DW_PREF * pref.real, _onsite_gamma(b, nu), _G_PREF * pref.imag
 
 
-def entangling_error(
-    atoms: AtomPairConfig,
-    radius: float | np.ndarray,
-    alpha: float | np.ndarray,
-    *,
-    b: float,
-) -> np.ndarray:
-    """1 - F of coupling_rate_arrays: the array form of 1 - entanglement_fidelity(coupling_rates(cfg, atoms)).
-
-    Raises what those two raise, if any element is bad.
-    """
-    return 1.0 - fidelity_from_rates(*coupling_rate_arrays(atoms, radius, alpha, b=b))
-
-
 def image_rates(cfg: LensConfig) -> CouplingRates:
     """Image-point model of the antipodal rates (source fringe dropped).
 
@@ -258,8 +246,8 @@ def rates_modesum_oracle(
     return CouplingRates(_DW_PREF * pref.real, gamma, _G_PREF * pref.imag)
 
 
-def scaling_rates(cfg: LensConfig, R0_over_lambda: float, alpha: float) -> CouplingRates:
-    """Small-alpha scaling laws at half-integer Re nu (antipodal atoms).
+def scaling_rates(cfg: LensConfig) -> CouplingRates:
+    """Small-alpha scaling laws at half-integer Re nu (antipodal atoms), at R0 = cfg.radius and alpha = cfg.alpha.
 
         delta_omega ~ -+ (3 lambda / 8b) / (1 + (2 pi^2 R0 alpha / lambda)^2)
         gamma       ~ (3/2) pi^2 R0 alpha / b
@@ -269,15 +257,11 @@ def scaling_rates(cfg: LensConfig, R0_over_lambda: float, alpha: float) -> Coupl
     odd, carried explicitly.  Caller is responsible for Re nu actually being
     half-integer and alpha << 1.
     """
-    if R0_over_lambda <= 0 or alpha < 0:
-        raise DomainError("need R0 > 0 and alpha >= 0")
-    cfg_r = LensConfig(radius=R0_over_lambda, n0=cfg.n0, b=cfg.b, alpha=alpha)
-    nu_re = order_parameter(cfg_r, OMEGA0).real
-    m = round(nu_re - 0.5)
+    m = round(order_parameter(cfg, OMEGA0).real - 0.5)
     sign = -1.0 if m % 2 == 0 else 1.0
-    x = 2.0 * math.pi**2 * R0_over_lambda * alpha
+    x = 2.0 * math.pi**2 * cfg.radius * cfg.alpha
     dw = sign * (3.0 / (8.0 * cfg.b)) / (1.0 + x * x)
-    gamma = 1.5 * math.pi**2 * R0_over_lambda * alpha / cfg.b
+    gamma = 1.5 * math.pi**2 * cfg.radius * cfg.alpha / cfg.b
     return CouplingRates(delta_omega=dw, gamma=gamma, gamma_coop=0.0)
 
 
@@ -294,12 +278,24 @@ def trajectory(rates: CouplingRates, t_grid: np.ndarray) -> TwoAtomTrajectory:
 
     which is the (|e,g> - i |g,e>)/sqrt(2) overlap for delta_omega > 0 and
     the +i partner for delta_omega < 0; F(0) = 1/2 for any sign.
+    Raises what fidelity_from_rates raises for such values of
+    pop1 + pop2 = e^{-gamma t} cosh(gamma_coop t): UnphysicalRatesError where
+    it exceeds 1 by more than rounding, which needs |gamma_coop| > gamma, and
+    RangeOverflowError where it is not finite (cosh overflows at
+    |gamma_coop t| > ~710, as near an integer Re nu, where |delta_omega| is small).
     """
     if not all(np.isfinite([rates.delta_omega, rates.gamma, rates.gamma_coop])):
         raise DomainError("rates must be finite")
     t = np.asarray(t_grid, dtype=float)
-    envelope = np.exp(-rates.gamma * t)
-    ch = np.cosh(rates.gamma_coop * t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        envelope = np.exp(-rates.gamma * t)
+        ch = np.cosh(rates.gamma_coop * t)
+        total = envelope * ch
+    values = f"gamma = {rates.gamma:.6g}, gamma_coop = {rates.gamma_coop:.6g}, t up to {np.max(t, initial=0.0):.6g}"
+    if np.any(total > 1.0 + 1e-12):
+        raise UnphysicalRatesError(f"pop1 + pop2 above 1: |gamma_coop| exceeds gamma ({values})")
+    if not np.all(np.isfinite(total)):
+        raise RangeOverflowError(f"pop1 + pop2 = exp(-gamma t) cosh(gamma_coop t) is not finite ({values})")
     osc = np.cos(2.0 * rates.delta_omega * t)
     pop1 = 0.5 * envelope * (ch + osc)
     pop2 = 0.5 * envelope * (ch - osc)
@@ -329,22 +325,13 @@ def fidelity_approx(R0_over_lambda: float, alpha: float) -> float:
     return math.exp(-math.pi**3 * R0_over_lambda * alpha)
 
 
-def fidelity_with_freespace(
-    R0_over_lambda: float,
-    alpha: float,
-    eta: float,
-    freespace_fraction: float = 0.5,
-) -> float:
+def fidelity_with_freespace(R0_over_lambda: float, alpha: float, eta: float) -> float:
     """Fidelity including residual free-space leakage, gamma -> gamma + f gamma0.
 
     F = exp(-pi^3 (1 + f/eta) R0 alpha / lambda) with Purcell ratio
-    eta = gamma/gamma0 and near-surface free-space fraction f (default 1/2).
+    eta = gamma/gamma0 and near-surface free-space fraction f = _FREESPACE_FRACTION.
     Reduces to fidelity_approx as eta -> infinity.
     """
-    if eta <= 0:
+    if not eta > 0:
         raise DomainError("eta must be positive")
-    if freespace_fraction < 0:
-        raise DomainError("freespace_fraction must be >= 0")
-    return math.exp(
-        -math.pi**3 * (1.0 + freespace_fraction / eta) * R0_over_lambda * alpha
-    )
+    return math.exp(-math.pi**3 * (1.0 + _FREESPACE_FRACTION / eta) * R0_over_lambda * alpha)

@@ -40,9 +40,10 @@ Blocks hold their modes as arrays.  A flat loss cancels from the gaps
 d_l - d_m, so the deflation set, those gaps, the starting guess's sums over
 the modes and the Newton work arrays are formed once per block and shared
 by lenses that differ only in loss (compare_losses); each loss adds its atom row.
-The Bell peak and the first population crossing are bracketed on a phase
-table (SEARCH_POINTS times in compare_losses, the caller's grid in evolve)
-and refined from the roots and residues, at O(n) per time.
+evolve and compare_losses observe the pair through _observe: its atomic
+rows give the pair tables, which bracket the Bell peak and the first
+population crossing (SEARCH_POINTS times in compare_losses, the caller's
+grid in evolve), refined from the roots and residues at O(n) per time.
 
 The absolute coupling scale G_l is proportional to sqrt(gamma0), the
 free-space emission rate in internal units; it drops out of every reported
@@ -279,7 +280,17 @@ class _SecularSolver:
         self.pull_sums = self.pull[1:].sum(axis=1)
 
     def spectrum(self, kappa: float) -> Spectrum:
-        """Roots z, residues W[:, 0] and a builder of the weights W at loss kappa, as _secular_spectrum says."""
+        """Roots z, residues W[:, 0] and a builder of the weights W of H at loss kappa.
+
+        exp(-i H t) e_0 = sum_k exp(-i z_k t) W[k], and H is complex symmetric,
+        so W[k] = x_k / f'(z_k), x_k = (1, g / (z_k - d)), d = diag0 - i kappa;
+        the builder, a picklable partial, forms W only when called.  Root 0 is
+        the atom-like root, root j = d_j + u_j sits next to pole j, and a mode
+        with g_j^2 <= DEFLATION_TOL * max g^2 keeps the root d_j with zero
+        weight.  Raises EigensolveError if Newton misses its cap, a relative
+        residual |f(z)| / (|z| + sum |g^2 / (z - d)|) exceeds
+        SECULAR_RESIDUAL_TOL, |sum res - 1| > RESIDUE_SUM_TOL, or two roots coincide.
+        """
         z = np.concatenate(([0.0], self.diag0 - 1j * kappa)).astype(complex)
         base = z[self.rows]
         u, res = self._roots(base) if self.g2.size else (np.zeros(1), np.ones(1))
@@ -306,7 +317,7 @@ class _SecularSolver:
         return np.concatenate(([base[1 + star] + w_atom], u_modes))
 
     def _roots(self, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Offsets u of the roots z = base + u and residues 1 / f'(z), checked as _secular_spectrum says."""
+        """Offsets u of the roots z = base + u and residues 1 / f'(z), checked as spectrum says."""
         g2, gaps, inv, pull, size = self.g2, self.gaps, self.inv, self.pull, self.size
         np.subtract(base[0], base[1:], out=gaps[0])
         u = self._guess(base)
@@ -332,26 +343,6 @@ class _SecularSolver:
                 f"|sum res - 1| = {sum_dev:.2e}, distinct roots: {distinct}"
             )
         return u, res
-
-
-def _secular_spectrum(diag: np.ndarray, g: np.ndarray) -> Spectrum:
-    """Roots z, residues W[:, 0] and a builder of the weights W of H = [[0, g^T], [g, diag(diag)]].
-
-    exp(-i H t) e_0 = sum_k exp(-i z_k t) W[k].  The roots solve
-    f(z) = z - sum_j g_j^2 / (z - diag_j) = 0, and H is complex symmetric, so
-    W[k] = x_k / f'(z_k) with x_k = (1, g / (z_k - diag)); W[:, 0] are the
-    atomic residues.  The full W is formed only when the returned builder,
-    a picklable partial, is called.  Root 0 is the atom-like root and root
-    j sits next to pole j.  Newton runs on the offsets u (z_0 = u_0,
-    z_j = diag_j + u_j) with the gaps diag_j - diag_m formed exactly, so
-    z - diag keeps full relative accuracy.  Modes with
-    g_j^2 <= DEFLATION_TOL * max g^2 keep the root diag_j with zero weight.
-    Raises EigensolveError if Newton misses its cap, a relative residual
-    |f(z)| / (|z| + sum |g^2 / (z - diag)|) exceeds SECULAR_RESIDUAL_TOL,
-    |sum res - 1| > RESIDUE_SUM_TOL, or two roots coincide.  The one-loss
-    call of _SecularSolver.
-    """
-    return _SecularSolver(diag, g).spectrum(0.0)
 
 
 def _block_spectra(block: BlockModel, kappas: list[float]) -> list[Spectrum]:
@@ -416,26 +407,6 @@ def _full_state(z: np.ndarray, weights: Callable[[], np.ndarray], dt: float, n_t
     return _phase_sum(z, weights(), dt, n_times)
 
 
-def _propagate(spectrum: Spectrum, dt: float, n_times: int) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
-    """Atomic amplitude <0|exp(-i H t)|0> on t = k dt, and a callable for the full state.
-
-    The atomic row is one GEMM; the full state and its weights are built
-    only when the returned partial of module-level functions is called, so
-    results pickle.
-    """
-    z, residues, weights = spectrum
-    return _phase_sum(z, residues, dt, n_times), partial(_full_state, z, weights, dt, n_times)
-
-
-def _pair_tables(atom_o: np.ndarray, atom_e: np.ndarray) -> tuple[np.ndarray, ...]:
-    """amp_a, amp_b, the Bell fidelities of branch +1 and -1, and pop1 - pop2, from the block amplitudes."""
-    amp_a = 0.5 * (atom_o + atom_e)
-    amp_b = 0.5 * (atom_o - atom_e)
-    f_minus = 0.5 * np.abs(amp_a - 1j * amp_b) ** 2
-    f_plus = 0.5 * np.abs(amp_a + 1j * amp_b) ** 2
-    return amp_a, amp_b, f_minus, f_plus, np.abs(amp_a) ** 2 - np.abs(amp_b) ** 2
-
-
 def _bracketed_newton(fun, lo: np.ndarray, hi: np.ndarray, x: np.ndarray, tol: float):
     """Zeros of g in the brackets [lo, hi], one per element, where g(lo) > 0 > g(hi).
 
@@ -466,7 +437,7 @@ def _bell_search(spectra: list[Spectrum], t: np.ndarray, f_minus, f_plus, pop_di
     """(largest Bell fidelity on [0, t[-1]], its branch, first pop1 = pop2 crossing time or None).
 
     t is a uniform table from 0 and f_minus, f_plus, pop_diff the pair
-    observables on it (_pair_tables).  The table brackets the interior local
+    observables on it (_observe).  The table brackets the interior local
     maxima of either branch and the first sign change of pop_diff after
     t[1]; each is then refined from the block roots z and residues r, since
     o(t) = sum r exp(-i z t) and its derivative cost O(n) at any t.  With
@@ -538,9 +509,22 @@ def _bell_search(spectra: list[Spectrum], t: np.ndarray, f_minus, f_plus, pop_di
     return values[best], branches[best], t_cross
 
 
-def _extracted_rate(t_cross: float | None) -> float | None:
-    """Exchange rate |delta_omega| in Gamma0 units from the first crossing, pi / (4 t_cross)."""
-    return 0.25 * math.pi / (t_cross * DEFAULT_GAMMA0) if t_cross else None
+def _observe(spectra: list[Spectrum], dt: float, t: np.ndarray) -> tuple:
+    """amp_a, amp_b, the Bell fidelity of the reported branch, its peak, the branch and the extracted rate.
+
+    t is the uniform table t_j = j dt from 0.  Each block's atomic amplitude
+    on t is one _phase_sum row; _bell_search refines the peak and the first
+    pop1 = pop2 crossing from them, and the exchange rate |delta_omega| in
+    Gamma0 units is pi / (4 t_cross), or None without a crossing.
+    """
+    atom_o, atom_e = (_phase_sum(z, res, dt, t.size) for z, res, _ in spectra)
+    amp_a = 0.5 * (atom_o + atom_e)
+    amp_b = 0.5 * (atom_o - atom_e)
+    f_minus = 0.5 * np.abs(amp_a - 1j * amp_b) ** 2
+    f_plus = 0.5 * np.abs(amp_a + 1j * amp_b) ** 2
+    peak, branch, t_cross = _bell_search(spectra, t, f_minus, f_plus, np.abs(amp_a) ** 2 - np.abs(amp_b) ** 2)
+    rate = 0.25 * math.pi / (t_cross * DEFAULT_GAMMA0) if t_cross else None
+    return amp_a, amp_b, f_minus if branch == 1 else f_plus, peak, branch, rate
 
 
 def evolve(blocks: tuple[BlockModel, BlockModel], kappa: float, t_grid: np.ndarray) -> SimResult:
@@ -571,18 +555,16 @@ def evolve(blocks: tuple[BlockModel, BlockModel], kappa: float, t_grid: np.ndarr
     if not (t_grid[0] == 0.0 and dt > 0.0 and np.all(offgrid <= GRID_TOL * t_grid[-1])):
         raise DomainError("t_grid must be uniform and increasing from 0, t_k = k dt")
     spectra = [_block_spectra(block, [kappa])[0] for block in blocks]
-    (atom_o, full_o), (atom_e, full_e) = (_propagate(s, dt, n_times) for s in spectra)
-    amp_a, amp_b, f_minus, f_plus, pop_diff = _pair_tables(atom_o, atom_e)
-    peak, branch, t_cross = _bell_search(spectra, t_grid, f_minus, f_plus, pop_diff)
+    amp_a, amp_b, fidelity, peak, branch, rate = _observe(spectra, dt, t_grid)
     return SimResult(
         times=t_grid * DEFAULT_GAMMA0,
         amp_a=amp_a,
         amp_b=amp_b,
-        bell_fidelity=f_minus if branch == 1 else f_plus,
+        bell_fidelity=fidelity,
         bell_branch=branch,
         max_fidelity=peak,
-        extracted_delta_omega=_extracted_rate(t_cross),
-        _full_states=(full_o, full_e),
+        extracted_delta_omega=rate,
+        _full_states=tuple(partial(_full_state, z, weights, dt, n_times) for z, _, weights in spectra),
     )
 
 
@@ -594,7 +576,6 @@ class AnalyticsComparison:
     F_analytic: float
     relative_deviation: float   # on the error 1 - F
     extracted_delta_omega: float | None
-    delta_omega_analytic: float
     rates: CouplingRates
 
 
@@ -630,17 +611,14 @@ def compare_losses(
         for k, spectra in zip(ks, zip(*(_block_spectra(block, kappas) for block in blocks))):
             point = rates[k]
             dt = 3.0 * math.pi / (abs(point.delta_omega) * DEFAULT_GAMMA0) / (SEARCH_POINTS - 1)
-            atom_o, atom_e = (_phase_sum(z, res, dt, SEARCH_POINTS) for z, res, _ in spectra)
-            _, _, f_minus, f_plus, pop_diff = _pair_tables(atom_o, atom_e)
-            peak, _, t_cross = _bell_search(list(spectra), dt * np.arange(SEARCH_POINTS), f_minus, f_plus, pop_diff)
+            *_, peak, _, rate = _observe(spectra, dt, dt * np.arange(SEARCH_POINTS))
             f_ana = entanglement_fidelity(point)
             err_ana = 1.0 - f_ana
             out[k] = AnalyticsComparison(
                 F_numeric=peak,
                 F_analytic=f_ana,
                 relative_deviation=abs((1.0 - peak) - err_ana) / err_ana if err_ana > 0 else math.inf,
-                extracted_delta_omega=_extracted_rate(t_cross),
-                delta_omega_analytic=point.delta_omega,
+                extracted_delta_omega=rate,
                 rates=point,
             )
     return out

@@ -137,7 +137,7 @@ def test_criterion_5_scaling_laws(antipodal_027):
             cfg = LensConfig(radius=r0, alpha=alpha)
             exact = qed.coupling_rates(cfg, antipodal_027)
             image = qed.image_rates(cfg)
-            model = qed.scaling_rates(cfg, r0, alpha)
+            model = qed.scaling_rates(cfg)
             gamma_devs.append(abs(exact.gamma - model.gamma) / exact.gamma)
             dw_devs.append(abs(image.delta_omega - model.delta_omega) / abs(image.delta_omega))
             coop_ratios.append(abs(image.gamma_coop) / image.gamma)

@@ -198,6 +198,20 @@ class TestDynamics:
         mid = len(rows) // 3
         assert float(rows[mid][5]) == pytest.approx(float(rows[mid][1]), abs=0.05)
 
+    @pytest.mark.parametrize("argv, message", [
+        # Re nu = 21: gamma = 222.3, gamma_coop = 181.4 and |delta_omega| = 0.14,
+        # so cosh(gamma_coop t) overflows on the window and NaN filled the CSV
+        (["--nu-center", "21", "--samples", "5"], "is not finite"),
+        # Re nu = 20: |gamma_coop| = 250.8 exceeds gamma = 233.1
+        (["--nu-center", "20"], "above 1"),
+    ], ids=["overflow", "unphysical"])
+    def test_near_integer_order_is_a_clean_error(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "dyn.csv"
+        assert _run(["dynamics", *argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestFidelity:
     def test_vs_loss(self, tmp_path):
@@ -347,6 +361,22 @@ class TestFidelity:
         assert calls == [(2, 11, 1)]
 
     @pytest.mark.parametrize("simulate", [[], ["--simulate"]], ids=["plain", "simulate"])
+    @pytest.mark.parametrize("mode", ["vs-loss", "vs-detuning", "vs-radius"])
+    def test_one_rate_chain_per_mode(self, mode, simulate, monkeypatch, tmp_path):
+        # every mode takes its analytic column from one coupling_rate_arrays call
+        calls = []
+        real = cli.qed.coupling_rate_arrays
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli.qed, "coupling_rate_arrays", counting)
+        assert _run(["fidelity", "--mode", mode, "--radii", "1.749,3.34", "--samples", "3",
+                     "--out", str(tmp_path / "f.csv")] + simulate) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("simulate", [[], ["--simulate"]], ids=["plain", "simulate"])
     @pytest.mark.parametrize("mode", ["vs-loss", "vs-detuning"])
     def test_radii_in_one_call_give_the_single_radius_rows(self, mode, simulate, tmp_path):
         # the rows of a two-radius sweep are those of the two one-radius sweeps, byte for byte
@@ -450,6 +480,28 @@ class TestNonFiniteAndNonPositiveInputs:
         err = capsys.readouterr().err
         assert f"bad arguments: --{key} must be positive" in err and "Traceback" not in err
         assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fidelity", "--mode", "vs-radius", "--nu-max", "inf"],
+            ["fidelity", "--mode", "vs-radius", "--nu-min", "nan"],
+            ["plasmon", "index-sweep", "--d-max", "nan"],
+            ["plasmon", "index-sweep", "--d-max", "inf"],
+            ["plasmon", "index-sweep", "--step", "inf"],
+            ["plasmon", "index-sweep", "--lambda0-nm", "nan"],
+            ["plasmon", "estimate", "--eta", "nan"],
+            ["plasmon", "estimate", "--eps-dielectric", "nan"],
+        ],
+        ids=" ".join,
+    )
+    def test_non_finite_number_is_usage_error(self, tmp_path, capsys, argv):
+        # each of these died with a traceback, printed NaN, or ran into exit 3
+        out = tmp_path / "out.csv"
+        assert _exit_code(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "bad arguments" in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv",

@@ -50,6 +50,15 @@ class TestStack:
         with pytest.raises(DomainError):
             PlasmonStack(eps_dielectric=0.9)
 
+    @pytest.mark.parametrize("field", ["eps_metal", "eps_dielectric", "lambda0_nm"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(DomainError, match="must be finite"):
+            PlasmonStack(**{field: value})
+        if field == "eps_metal":
+            with pytest.raises(DomainError, match="must be finite"):
+                PlasmonStack(eps_metal=complex(-25.23, value))
+
     def test_limit_indices(self, stack):
         assert stack.flat_interface_index.real == pytest.approx(1.0204, abs=2e-4)
         assert stack.thick_film_index.real == pytest.approx(2.049, abs=2e-3)
@@ -187,6 +196,12 @@ class TestSweep:
     def test_grid_includes_endpoint(self, stack):
         sweep = sweep_effective_index(10.3, stack, step_nm=0.5)
         assert sweep[-1].height_nm == pytest.approx(10.3)
+
+    @pytest.mark.parametrize("d_max, step", [(math.nan, 0.5), (math.inf, 0.5), (200.0, math.nan), (200.0, math.inf),
+                                             (0.0, 0.5), (200.0, -0.5)])
+    def test_non_finite_or_non_positive_grid_rejected(self, stack, d_max, step):
+        with pytest.raises(DomainError, match="positive sweep range and step"):
+            sweep_effective_index(d_max, stack, step)
 
 
 class TestHeightForIndex:

@@ -18,10 +18,11 @@ from fisheye.lens import OMEGA0, DiskPoint, LensConfig, radius_for_order
 from fisheye.qed import (
     AtomPairConfig,
     CouplingRates,
+    coupling_rate_arrays,
     coupling_rates,
-    entangling_error,
     entanglement_fidelity,
     fidelity_approx,
+    fidelity_from_rates,
     fidelity_with_freespace,
     image_rates,
     rates_modesum_oracle,
@@ -201,19 +202,16 @@ class TestModeSumOracle:
 class TestScalingRates:
     def test_lossless_reduction(self):
         cfg = _cfg(30.5)
-        rates = scaling_rates(cfg, cfg.radius, 0.0)
+        rates = scaling_rates(cfg)
         assert abs(rates.delta_omega) == pytest.approx(3.75, abs=1e-12)
         assert rates.gamma == 0.0 and rates.gamma_coop == 0.0
 
     def test_sign_convention(self):
-        cfg = _cfg(20.5)
-        assert scaling_rates(cfg, radius_for_order(20.5), 1e-4).delta_omega < 0
-        assert scaling_rates(cfg, radius_for_order(21.5), 1e-4).delta_omega > 0
+        assert scaling_rates(_cfg(20.5, alpha=1e-4)).delta_omega < 0
+        assert scaling_rates(_cfg(21.5, alpha=1e-4)).delta_omega > 0
 
     def test_gamma_linear_in_alpha(self):
-        cfg = _cfg(20.5)
-        r0 = cfg.radius
-        slopes = [scaling_rates(cfg, r0, a).gamma / a for a in (1e-5, 1e-3)]
+        slopes = [scaling_rates(_cfg(20.5, alpha=a)).gamma / a for a in (1e-5, 1e-3)]
         assert slopes[0] == pytest.approx(slopes[1], rel=1e-2)
 
     def test_loss_ratio_feeds_fidelity_exponent(self, antipodal_027):
@@ -221,7 +219,7 @@ class TestScalingRates:
         # multiple is the fidelity exponent, matching the exact-chain error
         # at the reference point up to the source fringe
         alpha, r0 = 5e-4, radius_for_order(20.5)
-        model = scaling_rates(_cfg(20.5), r0, alpha)
+        model = scaling_rates(_cfg(20.5, alpha=alpha))
         x = 2.0 * math.pi**2 * r0 * alpha
         want = 4.0 * math.pi**2 * r0 * alpha * (1.0 + x * x)
         assert model.gamma / abs(model.delta_omega) == pytest.approx(want, rel=1e-12)
@@ -235,7 +233,7 @@ class TestScalingRates:
     def test_gamma_matches_exact_within_5pc(self, nu_re, alpha, antipodal_027):
         cfg = _cfg(nu_re, alpha=alpha)
         exact = coupling_rates(cfg, antipodal_027)
-        model = scaling_rates(cfg, cfg.radius, alpha)
+        model = scaling_rates(cfg)
         assert model.gamma == pytest.approx(exact.gamma, rel=0.05)
 
     @pytest.mark.parametrize("nu_re", FOUR_ORDERS)
@@ -245,7 +243,7 @@ class TestScalingRates:
         # worst corner (nu = 90.5, alpha = 1e-3) is the cosh-vs-Lorentzian
         # difference ~3.9%
         cfg = _cfg(nu_re, alpha=alpha)
-        model = scaling_rates(cfg, cfg.radius, alpha)
+        model = scaling_rates(cfg)
         image = image_rates(cfg)
         assert model.delta_omega == pytest.approx(image.delta_omega, rel=0.05)
 
@@ -287,6 +285,20 @@ class TestTrajectory:
         t = np.linspace(0.0, 4.0, 300)
         traj = trajectory(rates, t)
         assert np.all(np.diff(traj.pop1 + traj.pop2) <= 1e-12)
+
+    def test_growing_populations_rejected(self):
+        # |gamma_coop| > gamma: pop1 + pop2 = e^{-gamma t} cosh(gamma_coop t) rises above 1
+        with pytest.raises(UnphysicalRatesError, match="above 1"):
+            trajectory(CouplingRates(3.3, 0.2, -0.3), np.linspace(0.0, 10.0, 50))
+        # equal rates keep the total at 1 within rounding
+        traj = trajectory(CouplingRates(3.3, 0.2, 0.2), np.linspace(0.0, 10.0, 50))
+        assert np.all(traj.pop1 + traj.pop2 <= 1.0 + 1e-12)
+
+    def test_overflowing_cosh_is_a_range_error(self):
+        # gamma_coop t = 1,000 overflows cosh while e^{-gamma t} underflows:
+        # the product is NaN, so the trajectory fails instead of returning it
+        with pytest.raises(RangeOverflowError, match="not finite"):
+            trajectory(CouplingRates(0.1, 1.2, 1.0), np.array([0.0, 1000.0]))
 
     def test_published_operating_point_shows_several_cycles(self, antipodal_027):
         # reference dynamics: around five visible exchange cycles before decay
@@ -406,8 +418,9 @@ class TestFidelityWithFreespace:
         assert fidelity_with_freespace(1.749, 0.0, 3.0) == 1.0
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            fidelity_with_freespace(1.749, 1e-3, -1.0)
+        for eta in (-1.0, 0.0, math.nan):
+            with pytest.raises(DomainError):
+                fidelity_with_freespace(1.749, 1e-3, eta)
 
 
 class TestAtomPairConfig:
@@ -426,20 +439,25 @@ def _scalar_error(r0: float, alpha: float, atoms: AtomPairConfig) -> float:
     return 1.0 - entanglement_fidelity(coupling_rates(LensConfig(radius=r0, alpha=alpha), atoms))
 
 
+def _batched_error(atoms: AtomPairConfig, radius, alpha) -> np.ndarray:
+    """1 - F of the batched chain as the fidelity command forms it: coupling_rate_arrays, then fidelity_from_rates."""
+    return 1.0 - fidelity_from_rates(*coupling_rate_arrays(atoms, radius, alpha, b=0.1))
+
+
 class TestEntanglingError:
     """The batched rate chain against the scalar one, point by point."""
 
     def test_loss_grid(self, antipodal_027):
         radii = np.array([1.749, 3.34, 8.11, 14.48])
         alphas = np.logspace(-4, -2, 9)
-        got = entangling_error(antipodal_027, radii[:, None], alphas, b=0.1)
+        got = _batched_error(antipodal_027, radii[:, None], alphas)
         assert got.shape == (4, 9)
         want = np.array([[_scalar_error(r, a, antipodal_027) for a in alphas] for r in radii])
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
     def test_detuning_grid(self, antipodal_027):
         radii = np.array([radius_for_order(v + d) for v in (10.5, 50.5) for d in np.linspace(-0.45, 0.45, 9)])
-        got = entangling_error(antipodal_027, radii, 5e-4, b=0.1)
+        got = _batched_error(antipodal_027, radii, 5e-4)
         want = np.array([_scalar_error(r, 5e-4, antipodal_027) for r in radii])
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
@@ -447,7 +465,7 @@ class TestEntanglingError:
         # recurrence lengths n = 10 .. 90 in one call, off-axis atom pair
         atoms = AtomPairConfig(DiskPoint(0.3, 0.4), DiskPoint(0.55, 2.9))
         radii = np.array([radius_for_order(v) for v in np.arange(10.5, 91.0, 4.0)])
-        got = entangling_error(atoms, radii, 5e-4, b=0.1)
+        got = _batched_error(atoms, radii, 5e-4)
         want = np.array([_scalar_error(r, 5e-4, atoms) for r in radii])
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
@@ -456,25 +474,25 @@ class TestEntanglingError:
         with pytest.raises(ResonanceError):
             _scalar_error(on_resonance, 0.0, antipodal_027)
         with pytest.raises(ResonanceError):
-            entangling_error(antipodal_027, np.array([1.749, on_resonance, 3.34]), 0.0, b=0.1)
+            _batched_error(antipodal_027, np.array([1.749, on_resonance, 3.34]), 0.0)
 
     def test_coincident_atoms_raise_like_the_scalar_chain(self):
         same = AtomPairConfig(DiskPoint(0.3, 0.5), DiskPoint(0.3, 0.5))
         with pytest.raises(DomainError):
             _scalar_error(3.34, 5e-4, same)
         with pytest.raises(DomainError):
-            entangling_error(same, np.array([1.749, 3.34]), 5e-4, b=0.1)
+            _batched_error(same, np.array([1.749, 3.34]), 5e-4)
         # the same point under another azimuth label: the Green's function diverges
         wrapped = AtomPairConfig(DiskPoint(0.3, 0.5), DiskPoint(0.3, 0.5 + 2.0 * math.pi))
         with pytest.raises(CoincidentPointsError):
             _scalar_error(3.34, 5e-4, wrapped)
         with pytest.raises(CoincidentPointsError):
-            entangling_error(wrapped, np.array([1.749, 3.34]), 5e-4, b=0.1)
+            _batched_error(wrapped, np.array([1.749, 3.34]), 5e-4)
 
     @pytest.mark.parametrize("radius, alpha", [(np.array([3.34, -1.0]), 5e-4), (3.34, np.array([1e-3, -1e-4]))])
     def test_bad_lens_element_is_a_domain_error(self, radius, alpha, antipodal_027):
         with pytest.raises(DomainError):
-            entangling_error(antipodal_027, radius, alpha, b=0.1)
+            _batched_error(antipodal_027, radius, alpha)
 
     def test_zero_coupling_element_rejected(self, monkeypatch, antipodal_027):
         real = qed.greens_zz_orders
@@ -486,7 +504,7 @@ class TestEntanglingError:
 
         monkeypatch.setattr(qed, "greens_zz_orders", one_zero)
         with pytest.raises(ZeroCouplingError):
-            entangling_error(antipodal_027, 3.34, np.array([1e-4, 1e-3, 1e-2]), b=0.1)
+            _batched_error(antipodal_027, 3.34, np.array([1e-4, 1e-3, 1e-2]))
 
     def test_overflowing_element_raises_like_the_scalar_chain(self, antipodal_027, monkeypatch):
         # just below the integer order 21, |delta_omega| is small enough that,
@@ -497,7 +515,7 @@ class TestEntanglingError:
         with pytest.raises(RangeOverflowError):
             _scalar_error(near_integer, 5e-4, antipodal_027)
         with pytest.raises(RangeOverflowError):
-            entangling_error(antipodal_027, np.array([3.34, near_integer, 1.749]), 5e-4, b=0.1)
+            _batched_error(antipodal_027, np.array([3.34, near_integer, 1.749]), 5e-4)
 
     def test_rates_above_the_on_site_decay_raise_like_the_scalar_chain(self, antipodal_027):
         # just above the integer order 20, |gamma_coop| / |gamma| ~ 1.076 and
@@ -506,14 +524,14 @@ class TestEntanglingError:
         with pytest.raises(UnphysicalRatesError):
             _scalar_error(above_integer, 5e-4, antipodal_027)
         with pytest.raises(UnphysicalRatesError):
-            entangling_error(antipodal_027, np.array([3.34, above_integer, 1.749]), 5e-4, b=0.1)
+            _batched_error(antipodal_027, np.array([3.34, above_integer, 1.749]), 5e-4)
 
     def test_near_integer_order_is_finite_like_the_scalar_chain(self, antipodal_027):
         # q |gamma_coop| ~ 2,500 there, but |gamma_coop| < |gamma|: F is a
         # representable ~0, not an overflow
         near_integer = radius_for_order(20.99999)
         radii = np.array([3.34, near_integer, 1.749])
-        got = entangling_error(antipodal_027, radii, 5e-4, b=0.1)
+        got = _batched_error(antipodal_027, radii, 5e-4)
         want = [_scalar_error(r, 5e-4, antipodal_027) for r in radii]
         assert np.all(np.isfinite(got))
         assert got[1] == 1.0
