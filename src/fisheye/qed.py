@@ -278,28 +278,30 @@ def trajectory(rates: CouplingRates, t_grid: np.ndarray) -> TwoAtomTrajectory:
 
     which is the (|e,g> - i |g,e>)/sqrt(2) overlap for delta_omega > 0 and
     the +i partner for delta_omega < 0; F(0) = 1/2 for any sign.
-    Raises what fidelity_from_rates raises for such values of
-    pop1 + pop2 = e^{-gamma t} cosh(gamma_coop t): UnphysicalRatesError where
-    it exceeds 1 by more than rounding, which needs |gamma_coop| > gamma, and
-    RangeOverflowError where it is not finite (cosh overflows at
-    |gamma_coop t| > ~710, as near an integer Re nu, where |delta_omega| is small).
+    pop1 + pop2 = e^{-gamma t} cosh(gamma_coop t) is formed as fidelity_from_rates
+    forms F, (e^{-(gamma - |gamma_coop|) t} + e^{-(gamma + |gamma_coop|) t})/2,
+    which stays finite where cosh alone overflows (|gamma_coop t| > ~710, as
+    near an integer Re nu, where |delta_omega| is small and the window long).
+    Raises UnphysicalRatesError where it exceeds 1 by more than rounding,
+    which needs |gamma_coop| > gamma, and RangeOverflowError where it is not
+    finite (a non-finite t).
     """
     if not all(np.isfinite([rates.delta_omega, rates.gamma, rates.gamma_coop])):
         raise DomainError("rates must be finite")
     t = np.asarray(t_grid, dtype=float)
+    g, gc = rates.gamma, abs(rates.gamma_coop)
     with np.errstate(over="ignore", invalid="ignore"):
-        envelope = np.exp(-rates.gamma * t)
-        ch = np.cosh(rates.gamma_coop * t)
-        total = envelope * ch
-    values = f"gamma = {rates.gamma:.6g}, gamma_coop = {rates.gamma_coop:.6g}, t up to {np.max(t, initial=0.0):.6g}"
+        envelope = np.exp(-g * t)
+        total = 0.5 * (np.exp(-(g - gc) * t) + np.exp(-(g + gc) * t))
+    values = f"gamma = {g:.6g}, gamma_coop = {rates.gamma_coop:.6g}, t up to {np.max(t, initial=0.0):.6g}"
     if np.any(total > 1.0 + 1e-12):
         raise UnphysicalRatesError(f"pop1 + pop2 above 1: |gamma_coop| exceeds gamma ({values})")
     if not np.all(np.isfinite(total)):
         raise RangeOverflowError(f"pop1 + pop2 = exp(-gamma t) cosh(gamma_coop t) is not finite ({values})")
-    osc = np.cos(2.0 * rates.delta_omega * t)
-    pop1 = 0.5 * envelope * (ch + osc)
-    pop2 = 0.5 * envelope * (ch - osc)
-    fid = 0.5 * envelope * (ch + np.sin(2.0 * abs(rates.delta_omega) * t))
+    osc = envelope * np.cos(2.0 * rates.delta_omega * t)
+    pop1 = 0.5 * (total + osc)
+    pop2 = 0.5 * (total - osc)
+    fid = 0.5 * (total + envelope * np.sin(2.0 * abs(rates.delta_omega) * t))
     return TwoAtomTrajectory(times=t, pop1=pop1, pop2=pop2, bell_fidelity=fid)
 
 

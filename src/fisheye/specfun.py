@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from itertools import accumulate
 
 import numpy as np
 
@@ -165,27 +164,23 @@ _BLOCK_CAP = 256
 
 #: Bytes of block work arrays the seed series may hold at once: a call's
 #: elements are summed in groups of _group_rows, as many as fit at the
-#: widest block.  A buffer for every element at once would take ~1.1 KB
-#: per element at the fidelity degrees, 56 MB for 50,000 of them.
+#: widest block.  A buffer for every element at once would take 816 bytes
+#: per element at the fidelity degrees, 41 MB for 50,000 of them.
 _WORK_BYTES = 1 << 25
 
 
-def _work_bytes(rows: int, size: int, itemsize: int) -> tuple[int, ...]:
-    """Bytes of each work array of a _series_array block of size terms over rows, items of itemsize bytes.
-
-    Three of the item type and one boolean are size + 1 wide, two real and one boolean size wide.
-    """
-    width = size + 1
-    return (itemsize * rows * width,) * 3 + (8 * rows * size,) * 2 + (rows * width, rows * size)
+def _work_bytes(rows: int, size: int, itemsize: int) -> int:
+    """Bytes of a _series_array block's work arrays, size terms over rows: three of size + 1 items of itemsize bytes."""
+    return 3 * itemsize * rows * (size + 1)
 
 
 def _group_rows(itemsize: int) -> int:
-    """The rows whose work arrays fit within _WORK_BYTES at the widest block: 1,980 complex, 3,113 real.
+    """The rows whose work arrays fit within _WORK_BYTES at the widest block: 2,720 complex, 5,440 real.
 
     A ddi-sweep call (2 x 1,201 arguments at one real degree) is one group,
     as are a fidelity radius's 801 complex degrees.
     """
-    return _WORK_BYTES // sum(_work_bytes(1, _BLOCK_CAP, itemsize))
+    return _WORK_BYTES // _work_bytes(1, _BLOCK_CAP, itemsize)
 
 
 def _quotient(num: complex | np.ndarray, den: complex | np.ndarray) -> complex | np.ndarray:
@@ -253,14 +248,17 @@ def _series_array(
     place; p_n, formed once per term, serves the coefficient, the increment
     of a_n and the tail ratio.  The elements (rows) are summed in groups of
     _group_rows, so the buffer stays within _WORK_BYTES however large the
-    call.  An element stops at the second consecutive term whose geometric
-    tail bound |term| r/(1-r), r = y |p_{n+1}|/(n+2)^2, is within tol of the
-    partial sum (of 1 at least, on the hypergeometric branch); a single term
-    can dip when n passes Re d.  A real d (a float or a float array) is
-    summed in float64, with the bits of the complex sum's real parts.  Every
-    element's arithmetic is its own, in a fixed operand order (numpy's
-    complex product is not commutative to the last bit), so its value does
-    not depend on the other elements of the call or on their grouping.
+    call.  An element is tested only at the end of a block, which it pays
+    for whole: it stops there, with the block-end partial sum, if each of
+    the block's last two terms has a geometric tail bound |term| r/(1-r),
+    r = y |p_{n+1}|/(n+2)^2, within tol of its partial sum (of 1 at least,
+    on the hypergeometric branch); a single term can dip when n passes
+    Re d.  The partial sums are a sequential cumsum, so a real d (a float
+    or a float array), summed in float64, keeps the bits of the complex
+    sum's real parts.  Every element's arithmetic is its own, in a fixed
+    operand order (numpy's complex product is not commutative to the last
+    bit), so its value does not depend on the other elements of the call or
+    on their grouping.
     """
     dtype = complex if np.iscomplexobj(d) else float
     # one row per degree: a (1, 1) column broadcasts one degree over every x
@@ -278,8 +276,6 @@ def _series_array(
         """A work array with a row per degree; one degree's single row is allocated apart."""
         return take(slot, rows, cols) if kd == k else None
 
-    # the block's work arrays (see _work_bytes): three of dtype, two real, two boolean
-    kinds = (dtype,) * 3 + (float,) * 2 + (bool,) * 2
     itemsize = np.dtype(dtype).itemsize
     group = _group_rows(itemsize)
     # the work arrays are cut from one buffer per call: a single allocation,
@@ -301,27 +297,28 @@ def _series_array(
             total = lw + a
         out_g = out[rows_g]
         live = np.arange(y.size)
-        prev_hit = np.zeros(y.size, dtype=bool)
         n0 = 0
         while n0 < max_terms:
             size = min(max(_BLOCK_FIRST, n0), _BLOCK_CAP, max_terms - n0)
             n = np.arange(n0, n0 + size + 1, dtype=float)
             n0 += size
             k, kd, width = live.size, dv.shape[0], size + 1
-            ends = list(accumulate(_work_bytes(k, size, itemsize), initial=0))
-            if arena.size < ends[-1]:
-                arena = np.empty(ends[-1], dtype=np.uint8)
-            U, V, W, R, B, H, S = (arena[a:b].view(t) for t, a, b in zip(kinds, ends, ends[1:]))
-            # p_n for n0 <= n <= n0 + size, and the tail ratios r_n = y |p_{n+1}|/(n+2)^2
+            need = _work_bytes(k, size, itemsize)
+            if arena.size < need:
+                arena = np.empty(need, dtype=np.uint8)
+            U, V, W = arena[:need].view(dtype).reshape(3, -1)
+            # p_n for n0 <= n <= n0 + size
             p = np.multiply(
                 np.subtract(n.astype(dtype), dv, out=per_degree(U, kd, width)),
                 np.add((n + 1.0).astype(dtype), dv, out=per_degree(V, kd, width)),
                 out=per_degree(W, kd, width),
             )
-            ratio = np.abs(p[:, 1:], out=per_degree(R, kd, size))
-            ratio *= 1.0 / (n[1:] + 1.0) ** 2
-            ratio = np.multiply(ratio, y[:, None], out=take(R, k, size))
-            np.minimum(ratio, 0.999, out=ratio)
+            # the tail ratios r_n = y |p_{n+1}|/(n+2)^2 of the block's last two
+            # terms (of its one term, in a block of one), before p's buffer holds the terms
+            last = slice(max(size - 1, 1), None)
+            ratio = np.abs(p[:, last])
+            ratio *= 1.0 / (n[last] + 1.0) ** 2
+            ratio = np.minimum(ratio * y[:, None], 0.999)
             if not hyp:
                 # a_{n+1} = a_n + (2n+1)/p_n - 2/(n+1), a_n folded into the first
                 # increment; 1/p_n times 2n+1 is one division, rounded for a real d
@@ -345,29 +342,23 @@ def _series_array(
                 terms = cs
             else:
                 terms = np.multiply(cs, np.add(lw[:, None], a_n, out=take(U, k, size)), out=take(W, k, size))
-            # the tail bound |term| r/(1-r), then the partial sums in place of the terms
-            bound = np.abs(terms, out=take(B, k, size))
+            # the tail bound |term| r/(1-r) of the last two terms, then their partial
+            # sums; the block's sum is added to the total apart, which keeps the
+            # rounding of a long series to the blocks' count instead of its terms'
+            bound = np.abs(terms[:, -2:])
             bound *= ratio
-            bound /= np.subtract(1.0, ratio, out=ratio)
-            # the block's sum is added to the total apart, which keeps the rounding
-            # of a long series to the blocks' count instead of its terms'
-            totals = np.cumsum(terms, axis=1, out=terms)
-            totals += total[:, None]
-            limit = np.abs(totals, out=ratio)
-            np.maximum(limit, floor, out=limit)
+            bound /= 1.0 - ratio
+            sums = np.cumsum(terms, axis=1, out=terms)[:, -2:] + total[:, None]
+            limit = np.maximum(np.abs(sums), floor)
             limit *= tol
-            hit = take(H, k, width)
-            hit[:, 0] = prev_hit
-            np.less_equal(bound, limit, out=hit[:, 1:])
-            stop = np.logical_and(hit[:, 1:], hit[:, :-1], out=take(S, k, size))
-            done = stop.any(axis=1)
+            done = np.all(bound <= limit, axis=1)
             rows = np.flatnonzero(done)
-            out_g[live[rows]] = totals[rows, stop[rows].argmax(axis=1)]
+            out_g[live[rows]] = sums[rows, -1]
             keep = ~done
             if not keep.any():
                 break
             live, y, yc = live[keep], y[keep], yc[keep]
-            c, total, prev_hit = c[keep], totals[keep, -1], hit[keep, -1]
+            c, total = c[keep], sums[keep, -1]
             if not hyp:
                 lw = lw[keep]
             if kd > 1:
@@ -492,11 +483,12 @@ def legendre_nu(
 
     Accuracy, measured against mpmath (40 digits) over Re nu <= 90.5,
     Im nu <= 0.9 and x in [-0.99999, 0.99999], as the error relative to
-    max(1, |P_nu(x)|): at the default tol = 1e-10 at most 3.1e-11, and
-    1.8e-10 for nu within 1e-3 of an integer at x = -0.999; tol = 1e-13
-    brings these to 3.9e-14 and 1.9e-13 for ~20% more time per call.
-    Relative to |P_nu(x)| alone the error grows near its zeros (3.8e-11 at
-    nu = 50.459, x = 0.2, where |P| = 0.11).
+    max(1, |P_nu(x)|): at the default tol = 1e-10 at most 2.1e-11, and
+    1.7e-10 for nu within 1e-3 of an integer at x = -0.999; tol = 1e-13
+    brings these to 3.9e-14 and 1.7e-13 for ~30% (801 degrees at Re nu =
+    90.5) to ~70% (at 10.5) more time per array call.
+    Relative to |P_nu(x)| alone the error grows near its zeros (1.2e-10 at
+    nu = 90.5, x = 0.4215, where |P| = 0.039).
 
     Integer nu reduces exactly: the seed series terminate and the recurrence
     reproduces the Legendre polynomial.  For nu within ~1e-3 of an integer and
@@ -533,15 +525,15 @@ def legendre_nu(
     over several gives the same bits.  So a sweep over frequency or lens
     radius at fixed points (one x, many nu) costs one call, like a sweep
     over points at one degree.  Measured on a 2-core machine with one BLAS
-    thread, a one-element call takes about 0.1-0.2 ms (a real degree below 2
-    at x >= 0) to 0.9 ms (nu = 20.5 + 0.02i at x < 0), and 801 complex
-    degrees at one x take about 2.5 ms at Re nu = 10.5 and 5 ms at 90.5
-    (the difference is the recurrence); so a loop over points or degrees
-    should pass them as one array.  The seed series hold their work arrays
-    for at most 1,980 complex (3,113 real) elements at a time, within
-    32 MiB; the rest of a call takes a few hundred bytes per element.  A
-    100,000-degree call at one x raises peak RSS by ~33 MB and takes
-    3.5-4 us per element.  When every degree is real (the lossless
+    thread, a one-element call takes about 0.1 ms (a real degree below 2 at
+    x >= 0) to 0.6 ms (nu = 20.5 + 0.02i at x < 0), and 801 complex degrees
+    at one x take about 2 ms at Re nu = 10.5 and 3.5 ms at 90.5 (the
+    difference is the recurrence); so a loop over points or degrees should
+    pass them as one array.  The seed series hold their work arrays for at
+    most 2,720 complex (5,440 real) elements at a time, within 32 MiB; the
+    rest of a call takes a few hundred bytes per element.  A 100,000-degree
+    call at one x raises peak RSS by ~34 MB and takes about 3.3 us per
+    element.  When every degree is real (the lossless
     cavity at real frequency), the seeds and the recurrence run in float64
     instead of complex128, with the bits of the complex arithmetic's real
     parts: numpy divides complex numbers by multiplying with the divisor's

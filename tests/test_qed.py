@@ -294,11 +294,13 @@ class TestTrajectory:
         traj = trajectory(CouplingRates(3.3, 0.2, 0.2), np.linspace(0.0, 10.0, 50))
         assert np.all(traj.pop1 + traj.pop2 <= 1.0 + 1e-12)
 
-    def test_overflowing_cosh_is_a_range_error(self):
-        # gamma_coop t = 1,000 overflows cosh while e^{-gamma t} underflows:
-        # the product is NaN, so the trajectory fails instead of returning it
-        with pytest.raises(RangeOverflowError, match="not finite"):
-            trajectory(CouplingRates(0.1, 1.2, 1.0), np.array([0.0, 1000.0]))
+    def test_overflowing_cosh_stays_finite(self):
+        # gamma_coop t = 1,000 overflows cosh while e^{-gamma t} underflows; their
+        # product, (e^{-200} + e^{-2200})/2, is representable and is what comes out
+        traj = trajectory(CouplingRates(0.1, 1.2, 1.0), np.array([0.0, 1000.0]))
+        assert traj.pop1[0] == 1.0 and traj.pop2[0] == 0.0 and traj.bell_fidelity[0] == 0.5
+        for values in (traj.pop1, traj.pop2, traj.bell_fidelity):
+            assert values[1] == pytest.approx(0.25 * math.exp(-200.0), rel=1e-14)
 
     def test_published_operating_point_shows_several_cycles(self, antipodal_027):
         # reference dynamics: around five visible exchange cycles before decay

@@ -6,7 +6,7 @@ import pytest
 import scipy.special as sp
 
 from fisheye.errors import DomainError, NonConvergenceError, PoleError
-from fisheye.lens import _gauss_rule, allowed_m
+from fisheye.lens import OMEGA0, LensConfig, _gauss_rule, allowed_m, order_parameter
 from fisheye.specfun import (
     EULER_GAMMA,
     _digamma_array,
@@ -523,7 +523,7 @@ class TestSeedSeriesKernel:
     def test_work_arrays_do_not_grow_with_the_call(self):
         # the seed series sum a large call in groups of rows, so the call's peak
         # memory is its own per-element arrays and a bounded buffer; a buffer
-        # for every row at once would take ~56 MB here
+        # for every row at once would take ~41 MB here
         import tracemalloc
 
         nu = np.concatenate([_scan_degrees(re_nu)[::16] for re_nu in (10.5, 20.5, 50.5, 90.5)])
@@ -541,15 +541,31 @@ class TestSeedSeriesKernel:
         # at x = -0.99 they need thousands of terms, in blocks that grow to 256
         # terms, while at x = 0.3 they stop in the first block and at -0.7 a few
         # blocks later; so rows leave the call while the blocks, and the work
-        # arrays, grow
+        # arrays, grow.  max_terms = 17 ends on a block of one term.
         k = np.arange(0.0, 60.0, 3.0)
         nu = np.tile(np.concatenate([k + 7e-4, k + 1.0 - 4e-4 + 1e-5j]), 3)
         x = np.repeat([-0.99, 0.3, -0.7], nu.size // 3)
-        with pytest.raises(NonConvergenceError):
-            legendre_nu(nu, x, max_terms=1000)
+        for max_terms in (17, 1000):
+            with pytest.raises(NonConvergenceError):
+                legendre_nu(nu, x, max_terms=max_terms)
         got = legendre_nu(nu, x)
         want = _mpmath_legendre(nu, x)
         assert np.all(np.abs(got - want) <= ENVELOPE * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("shape, bound", [("diameter-sweep", 1e-11), ("fidelity-scan", 1e-12)])
+    def test_benchmark_shapes_against_mpmath(self, shape, bound):
+        # the series stop at a block's end, so each seed sums the whole block the
+        # stopping test ran on: 6.4e-12 and 5.5e-13 here; each bound lies below
+        # what a sum stopped at the first passing term pair gives (1.34e-11, 2.3e-12)
+        if shape == "diameter-sweep":  # the R0 = 4.93 degree (Re nu = 30.48) over x
+            nu = complex(order_parameter(LensConfig(radius=4.93), OMEGA0)).real
+            x = np.linspace(-0.999, 0.999, 241)
+            got = legendre_nu(nu, x)
+        else:
+            nu, x = _scan_degrees(10.5)[::8], SCAN_X
+            got = legendre_nu(nu, x, w=SCAN_W)
+        want = _mpmath_legendre(nu, x)
+        assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= bound
 
 
 class TestNearIntegerLimitNearMinusOne:
@@ -686,8 +702,8 @@ def mpmath_grid():
 
 
 class TestLegendreNuAccuracyEnvelope:
-    # worst error relative to max(1, |P|) on this grid: 1.8e-10 at tol=1e-10
-    # and 1.9e-13 at tol=1e-13 (nu = 7.0005, x = -0.999); bounds keep >= 3x
+    # worst error relative to max(1, |P|) on this grid: 1.7e-10 at tol=1e-10
+    # and 1.7e-13 at tol=1e-13 (nu = 7.0005, x = -0.999); bounds keep >= 3x
     @pytest.mark.parametrize("tol, bound", [(1e-10, 6e-10), (1e-13, 6e-13)])
     @pytest.mark.parametrize("path", ["array", "pairs"])
     def test_against_mpmath(self, mpmath_grid, path, tol, bound):
