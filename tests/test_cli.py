@@ -509,6 +509,15 @@ class TestNonFiniteAndNonPositiveInputs:
         assert "bad arguments" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("nu_max", ["1e30", "1e9", "100010.5"])
+    def test_oversized_order_grid_names_nu_max(self, tmp_path, capsys, nu_max):
+        # 1e30 died in np.arange with a traceback; 100010.5 is one order over the limit from 10.5
+        out = tmp_path / "out.csv"
+        assert _exit_code(["fidelity", "--mode", "vs-radius", "--nu-max", nu_max, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "bad arguments: --nu-max" in err and "more than 100,000" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv",
         [
