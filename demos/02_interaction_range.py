@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from fisheye.greens import greens_zz_points
-from fisheye.lens import OMEGA0, LensConfig
+from fisheye.greens import greens_zz_orders
+from fisheye.lens import OMEGA0, LensConfig, order_parameter
 from fisheye.qed import image_rates
 
 OUT = Path(__file__).with_name("interaction_range.csv")
@@ -33,7 +33,8 @@ def main():
         x1 = -(r0 - 1.0)  # one wavelength from the mirror
         xs = np.linspace(-0.999 * r0, 0.999 * r0, 1401)
         xs = xs[np.abs(xs - x1) >= 1e-9]  # the source point itself (log divergence)
-        g = greens_zz_points(cfg, abs(x1) / r0, math.pi, np.abs(xs) / r0, np.where(xs >= 0, 0.0, math.pi), OMEGA0)
+        nu = order_parameter(cfg, OMEGA0)
+        g = greens_zz_orders(cfg.b, nu, abs(x1) / r0, math.pi, np.abs(xs) / r0, np.where(xs >= 0, 0.0, math.pi))
         ddi = 3.0 * math.pi / OMEGA0 * g.real
         rows += [f"{r0:.12g},{x:.12g},{v:.12g}" for x, v in zip(xs.tolist(), ddi.tolist())]
         # the image region; the x < 0 side holds the source divergence

@@ -5,7 +5,8 @@ a mediator of effectively infinite-range dipole-dipole interactions between
 embedded two-level emitters.  This package provides:
 
   specfun      - Legendre polynomials / functions of complex degree,
-                 spherical harmonics, digamma, series acceleration
+                 spherical harmonics, digamma, sin(pi nu) and the
+                 near-source offset a_0(nu), series acceleration
   lens         - index profile, stereographic map, TE eigenmodes, spectrum
   greens       - closed-form and eigenmode-sum Green's functions
   qed          - pair coupling rates (lossless and lossy), exchange
@@ -36,7 +37,7 @@ from .errors import (
     ZeroCouplingError,
 )
 from .lens import OMEGA0, DiskPoint, LensConfig, ModeIndex, order_parameter, radius_for_order
-from .greens import ModeSumResult, greens_modesum, greens_modesum_points, greens_zz, greens_zz_points
+from .greens import ModeSumResult, greens_modesum, greens_modesum_points, greens_zz, greens_zz_orders
 from .qed import (
     AtomPairConfig,
     CouplingRates,
@@ -63,7 +64,7 @@ __all__ = [
     "radius_for_order",
     "ModeSumResult",
     "greens_zz",
-    "greens_zz_points",
+    "greens_zz_orders",
     "greens_modesum",
     "greens_modesum_points",
     "AtomPairConfig",

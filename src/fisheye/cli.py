@@ -249,7 +249,8 @@ def cmd_ddi_sweep(args: argparse.Namespace) -> int:
         p1 = lens.DiskPoint(abs(x1) / r0, math.pi if x1 < 0 else 0.0)
         xs = np.linspace(-r0 * 0.999, r0 * 0.999, samples)
         xs = xs[np.abs(xs - x1) >= 1e-9]
-        g = greens.greens_zz_points(cfg, p1.rho, p1.phi, np.abs(xs) / r0, np.where(xs < 0, math.pi, 0.0), lens.OMEGA0)
+        nu = lens.order_parameter(cfg, lens.OMEGA0)
+        g = greens.greens_zz_orders(cfg.b, nu, p1.rho, p1.phi, np.abs(xs) / r0, np.where(xs < 0, math.pi, 0.0))
         blocks.append((np.full(xs.size, r0), xs, 3.0 * math.pi / lens.OMEGA0 * g.real))
     _write_csv(args.out, ["R0_over_lambda", "x_over_lambda", "ddi_over_Gamma0"], _sorted_blocks(blocks))
     if args.plot_script:

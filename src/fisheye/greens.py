@@ -16,9 +16,10 @@ first term carries the source (xi -> -1, log divergence) and the second the
 mirror image (xi -> +1 at the antipode).  Near the source 1 + xi cancels, so
 each xi comes with w = (1 + xi)/2 = |zeta|^2/(|zeta|^2 + 1), formed directly,
 for legendre_nu's logarithmic seeds.  One array kernel, greens_zz_orders,
-evaluates this over broadcast orders and points; greens_zz_points (one
-frequency) and greens_zz (one pair, a Python complex) are that kernel at
-order_parameter(omega), so every closed-form value shares its bits.  An
+evaluates this over broadcast orders and points; greens_zz (one pair, a
+Python complex) is that kernel at order_parameter(omega), so every
+closed-form value shares its bits.  sin(pi nu) and the near-source offset
+a_0(nu) come from specfun (sin_pi, source_offset).  An
 eigenmode sum over the cavity spectrum provides an independent
 representation used as a cross-validation oracle (greens_modesum_points
 over pairs, greens_modesum for one): the two agree to ~1e-12 away from the
@@ -37,7 +38,7 @@ import numpy as np
 
 from .errors import CoincidentPointsError, DomainError, ResonanceError
 from .lens import DiskPoint, LensConfig, order_parameter
-from .specfun import EULER_GAMMA, accelerate, digamma, legendre_nu, legendre_poly_table
+from .specfun import accelerate, legendre_nu, legendre_poly_table, sin_pi, source_offset
 
 #: |sin(pi nu)| below this is treated as sitting on a cavity resonance.
 RESONANCE_EPS = 1e-8
@@ -101,8 +102,8 @@ def _source_image(rho1, phi1, rho2, phi2) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_order(nu: complex | np.ndarray) -> np.ndarray:
-    """sin(pi nu); ResonanceError where it vanishes numerically (any element)."""
-    s = np.sin(np.pi * np.asarray(nu))
+    """sin(pi nu) (specfun.sin_pi); ResonanceError where it vanishes numerically (any element)."""
+    s = sin_pi(nu)
     resonant = np.abs(s) < RESONANCE_EPS
     if np.any(resonant):
         raise ResonanceError(
@@ -118,7 +119,7 @@ def greens_zz(cfg: LensConfig, p1: DiskPoint, p2: DiskPoint, omega: complex) -> 
     CoincidentPointsError at p1 = p2 (source-point log divergence) and
     ResonanceError when sin(pi nu) vanishes numerically.
     """
-    return complex(greens_zz_points(cfg, p1.rho, p1.phi, p2.rho, p2.phi, omega))
+    return complex(greens_zz_orders(cfg.b, order_parameter(cfg, omega), p1.rho, p1.phi, p2.rho, p2.phi))
 
 
 def greens_zz_orders(
@@ -149,21 +150,6 @@ def greens_zz_orders(
         raise CoincidentPointsError("greens_zz diverges at coincident points")
     p = legendre_nu(np.asarray(nu)[..., None], xi, w=w)
     return -(p[..., 0] - p[..., 1]) / (4.0 * b * s)
-
-
-def greens_zz_points(
-    cfg: LensConfig,
-    rho1: float | np.ndarray,
-    phi1: float | np.ndarray,
-    rho2: float | np.ndarray,
-    phi2: float | np.ndarray,
-    omega: complex,
-) -> np.ndarray:
-    """Closed-form G_zz(p1, p2, omega) over broadcast arrays of points.
-
-    greens_zz_orders at order_parameter(cfg, omega), with its limits and errors.
-    """
-    return greens_zz_orders(cfg.b, order_parameter(cfg, omega), rho1, phi1, rho2, phi2)
 
 
 def modesum_terms(xi: np.ndarray, l_max: int) -> np.ndarray:
@@ -254,28 +240,14 @@ def image_point_value(cfg: LensConfig, nu: complex) -> complex:
     return -1.0 / (4.0 * cfg.b * s)
 
 
-def source_offset(nu: complex | np.ndarray) -> complex | np.ndarray:
-    """Additive constant of the near-source log expansion.
-
-    F(nu) = 2 gamma_E + 2 psi(nu + 1) + pi cot(pi nu), i.e. the n = 0
-    coefficient psi(-nu) + psi(nu+1) + 2 gamma_E of the logarithmic
-    connection series after the digamma reflection.  (A commonly printed
-    variant carries a single gamma_E; the doubled value is what P_nu
-    actually approaches, cf. the asymptotic-match tests.)  Its imaginary
-    part at lossy (complex) nu sets the regularized on-site decay rate;
-    gamma_E is real, so that part is insensitive to the variant.
-    An ndarray nu returns an array of F(nu) element by element.
-    """
-    return 2.0 * EULER_GAMMA + 2.0 * digamma(nu + 1.0) + math.pi / np.tan(math.pi * nu)
-
-
-def source_asymptote(cfg: LensConfig, nu: complex, xi_near: float) -> complex:
-    """Leading near-source behavior (sin(pi nu)/pi) [log((1+xi)/2) + F(nu)].
+def source_asymptote(nu: complex, xi_near: float) -> complex:
+    """Leading near-source behavior (sin(pi nu)/pi) [log((1+xi)/2) + F(nu)], F = specfun.source_offset.
 
     Valid for xi -> -1; the spec window is xi in (-1, -0.99).  Models the
     log divergence of P_nu and, through Im F(nu), the single-atom decay
-    scaling in the lossy cavity.
+    scaling in the lossy cavity.  ResonanceError where sin(pi nu) vanishes
+    numerically: F has its pole there.
     """
     if not -1.0 < xi_near < -0.99:
         raise DomainError("source asymptote expects xi in (-1, -0.99)")
-    return np.sin(np.pi * nu) / math.pi * (math.log((1.0 + xi_near) / 2.0) + source_offset(nu))
+    return _check_order(nu) / math.pi * (math.log((1.0 + xi_near) / 2.0) + source_offset(nu))

@@ -44,9 +44,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError, RangeOverflowError, UnphysicalRatesError, ZeroCouplingError
-from .greens import MODESUM_LMAX_CAP, MODESUM_TOL, greens_modesum_points, greens_zz_orders, image_point_value, source_offset
+from .greens import MODESUM_LMAX_CAP, MODESUM_TOL, greens_modesum_points, greens_zz_orders, image_point_value
 from .greens import greens_zz  # noqa: F401  (the benchmark tracer wraps this binding)
 from .lens import OMEGA0, DiskPoint, LensConfig, check_lens, order_parameter, order_parameters
+from .specfun import source_offset
 
 #: delta_omega / Gamma0 per unit Re{(omega0+i kappa)^2 G}
 _DW_PREF = 3.0 * math.pi / OMEGA0**3
@@ -107,7 +108,7 @@ class TwoAtomTrajectory:
 
 
 def _onsite_gamma(b: float, nu: complex | np.ndarray) -> float | np.ndarray:
-    """Regularized single-atom decay: -(6 pi / omega0) Im F(nu) / (4 pi b)."""
+    """Regularized single-atom decay: -(6 pi / omega0) Im F(nu) / (4 pi b), F = specfun.source_offset."""
     return -_G_PREF * OMEGA0**2 * source_offset(nu).imag / (4.0 * math.pi * b)
 
 

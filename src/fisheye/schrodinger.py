@@ -31,7 +31,7 @@ every other root as d_l plus a small offset, with the gaps d_l - d_m formed
 exactly), which keeps z - d to full relative accuracy; modes with vanishing
 coupling are deflated.  Every solve checks Newton's convergence, the
 relative secular residual, sum res = 1 and distinct roots; a block that
-fails falls back to dense eig / eigh with its residual check, and
+fails falls back to dense eig with its residual check, and
 EigensolveError is raised if that fails too.  The time grid is uniform from
 0, so the phases exp(-i z_k j dt) factor into two ~sqrt(T) x n tables and
 the atomic amplitude on all T times is one GEMM; the full block state and
@@ -69,6 +69,9 @@ from .specfun import legendre_poly_table
 
 #: Free-space rate (internal units): the coupling scale and the unit of reported times and rates.
 DEFAULT_GAMMA0 = 1e-5
+
+#: Top fraction of each mode ladder that build_blocks rolls off with a cos^2 window.
+EDGE_TAPER = 0.25
 
 #: Residual threshold of the dense fallback, ||H v - w v|| <= RESIDUAL_TOL * ||H||.
 RESIDUAL_TOL = 1e-8
@@ -155,7 +158,6 @@ def build_blocks(
     cfg: LensConfig,
     theta: float,
     l_max: int | None = None,
-    edge_taper: float = 0.25,
 ) -> tuple[BlockModel, BlockModel]:
     """Build the odd and even parity blocks for antipodal atoms at polar angle theta.
 
@@ -171,26 +173,24 @@ def build_blocks(
     The couplings grow like l, so a hard cut at l_max leaves an oscillating
     alternating-series artifact of order l_max in the exchange splitting
     (extracted rates flip by several percent between adjacent cuts).  The
-    top `edge_taper` fraction of the ladder is therefore rolled off with a
+    top EDGE_TAPER fraction of the ladder is therefore rolled off with a
     cos^2 window, which restores convergence under l_max doubling to the
-    sub-percent level; set edge_taper = 0 for the raw cut.
+    sub-percent level; EDGE_TAPER = 0 is the raw cut.
     """
     if not 0.0 <= theta <= math.pi:
         raise DomainError("theta must lie in [0, pi]")
-    if not 0.0 <= edge_taper < 1.0:
-        raise DomainError("edge_taper must lie in [0, 1)")
     if l_max is None:
         l_max = 4 * math.ceil(order_parameter(cfg, OMEGA0).real)
     if l_max < 1:
         raise DomainError(f"l_max must be at least 1, got {l_max}")
     l = np.arange(1, l_max + 1)
-    l_roll = l_max * (1.0 - edge_taper)
+    l_roll = l_max * (1.0 - EDGE_TAPER)
     pl = legendre_poly_table(l_max, math.cos(math.pi - 2.0 * theta))
     c0sq = 3.0 * math.pi * DEFAULT_GAMMA0 / (OMEGA0**3 * cfg.b * (cfg.radius * cfg.n0) ** 2)
     w_l = eigenfrequency(cfg, l)
     g_sq = c0sq * w_l * (2 * l + 1) * np.maximum(0.0, 1.0 - pl[l]) / (4.0 * math.pi)
     window = np.ones(l.size)
-    if edge_taper > 0.0:
+    if EDGE_TAPER > 0.0:
         top = l > l_roll
         # float_power is libm's pow, so the window is the scalar cos(x) ** 2 bit for bit
         window[top] = np.float_power(np.cos(0.5 * math.pi * (l[top] - l_roll) / (l_max - l_roll)), 2.0)
@@ -346,19 +346,19 @@ class _SecularSolver:
 
 
 def _block_spectra(block: BlockModel, kappas: list[float]) -> list[Spectrum]:
-    """Spectrum of one block at each loss kappa: secular, or dense eig / eigh where a secular check fails."""
+    """Spectrum of one block at each loss kappa: secular, or dense eig where a secular check fails."""
     secular = _SecularSolver(block.detuning, block.coupling)
     spectra = []
     for kappa in kappas:
         try:
             spectra.append(secular.spectrum(kappa))
         except EigensolveError:
-            spectra.append(_dense_spectrum(block.hamiltonian(kappa), hermitian=(kappa == 0.0)))
+            spectra.append(_dense_spectrum(block.hamiltonian(kappa)))
     return spectra
 
 
-def _dense_spectrum(h: np.ndarray, hermitian: bool) -> Spectrum:
-    """Eigenvalues w, atomic residues and weights W[k] = c_k v_k of exp(-i H t) e_0 from eig / eigh.
+def _dense_spectrum(h: np.ndarray) -> Spectrum:
+    """Eigenvalues w, atomic residues and weights W[k] = c_k v_k of exp(-i H t) e_0 from eig.
 
     Raises EigensolveError if the eigensolver fails or misses its residual
     check ||H v - w v|| <= RESIDUAL_TOL * ||H||.
@@ -366,12 +366,8 @@ def _dense_spectrum(h: np.ndarray, hermitian: bool) -> Spectrum:
     e0 = np.zeros(h.shape[0])
     e0[0] = 1.0
     try:
-        if hermitian:
-            w, v = np.linalg.eigh(h.real)
-            coeff = v[0]
-        else:
-            w, v = np.linalg.eig(h)
-            coeff = np.linalg.solve(v, e0)
+        w, v = np.linalg.eig(h)
+        coeff = np.linalg.solve(v, e0)
     except np.linalg.LinAlgError as exc:
         raise EigensolveError(f"dense eigendecomposition failed: {exc}") from exc
     residual = np.linalg.norm(h @ v - v * w[None, :])
@@ -380,7 +376,7 @@ def _dense_spectrum(h: np.ndarray, hermitian: bool) -> Spectrum:
             f"eigendecomposition residual {residual:.2e} exceeds {RESIDUAL_TOL:.0e} * ||H||"
         )
     weights = coeff[:, None] * v.T
-    return w.astype(complex), weights[:, 0], partial(np.asarray, weights)
+    return w, weights[:, 0], partial(np.asarray, weights)
 
 
 def _phase_sum(z: np.ndarray, weights: np.ndarray, dt: float, n_times: int) -> np.ndarray:

@@ -154,6 +154,9 @@ def spherical_harmonic(l: int, m: int, theta: float, phi: float) -> complex:
 #: How far 2w - 1 may lie from x when legendre_nu is given w = (1+x)/2.
 W_TOL = 1e-12
 
+#: Terms a seed series may take before legendre_nu raises NonConvergenceError.
+MAX_TERMS = 100_000
+
 #: Series terms per numpy pass in the array path: the first block has
 #: _BLOCK_FIRST terms, each later one as many as were done before it, up to
 #: _BLOCK_CAP.  Elements that need thousands of terms (x near -1 on the
@@ -196,29 +199,56 @@ def _quotient(num: complex | np.ndarray, den: complex | np.ndarray) -> complex |
     return num * (1.0 / den)
 
 
-def _log_start(d: complex | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """a_0 and the prefactor sin(pi d)/pi of the logarithmic seed series, one per degree (1-D).
+def _trig_pi(f, nu: complex | np.ndarray) -> np.ndarray:
+    """f(pi nu) for f = np.sin or np.cos, in the shape of nu (0-d for a scalar), real for a real nu.
 
-    a_0 = psi(-d) + psi(d+1) + 2 gamma_E is formed with the reflection
-    psi(-d) = psi(d+1) + pi cot(pi d), so one digamma serves it.  The sine
-    and cotangent are taken at pi r, r = d - k with k the integer nearest
-    Re d (r is exact): pi d itself would carry an absolute rounding error
-    that costs ~1e-13 relative where d is within 1e-3 of an integer.  The
-    prefactor divides each part of the sine by pi, as Python's complex /
-    float does it (numpy would multiply by 1/pi).  A real d takes the real
-    parts of the complex sine and cotangent, as _digamma_array does with the
+    Taken as (-1)^k f(pi r), r = nu - k with k the integer nearest Re nu
+    (r is exact): pi nu itself would carry an absolute rounding error of
+    ~1e-16 |nu|, ~1e-16 |nu| / |sin(pi nu)| relative in the sine (1e-12 at
+    Re nu = 90.5 +- 0.49, 1e-8 at 1e-6 from an integer).  A real nu takes
+    the real part of the complex function, as _digamma_array does with the
     log, so its values are the real parts of the complex evaluation.
     """
+    nu = np.asarray(nu)
+    k = np.round(nu.real)
+    v = f(np.pi * np.asarray(nu - k, dtype=complex))
+    # k is odd where k/2 is not an integer; times -1.0, not negated, to sign a zero part as a complex product does
+    v = np.where(np.floor(0.5 * k) != 0.5 * k, v * -1.0, v)
+    return v if np.iscomplexobj(nu) else v.real
+
+
+def sin_pi(nu: complex | np.ndarray) -> np.ndarray:
+    """sin(pi nu) in the shape of nu, real for a real nu, to full relative accuracy near an integer nu (_trig_pi)."""
+    return _trig_pi(np.sin, nu)
+
+
+def source_offset(nu: complex | np.ndarray) -> np.ndarray:
+    """a_0(nu) = psi(-nu) + psi(nu+1) + 2 gamma_E in the shape of nu, real for a real nu.
+
+    The constant of the logarithmic expansion about x = -1,
+    P_nu(x) ~ sin(pi nu)/pi [ln((1+x)/2) + a_0(nu)]: the n = 0 coefficient
+    of the log seed series (_log_start) and the near-source offset F(nu) of
+    the Green's function, whose imaginary part at a lossy (complex) degree
+    sets the on-site decay.  (A commonly printed variant carries a single
+    gamma_E; the doubled value is what P_nu approaches.)
+    """
+    return _log_start(nu)[0].reshape(np.shape(nu))
+
+
+def _log_start(d: complex | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a_0 (source_offset) and the prefactor sin(pi d)/pi of the logarithmic seed series, one per degree (1-D).
+
+    a_0 is formed with the reflection psi(-d) = psi(d+1) + pi cot(pi d), so
+    one digamma serves it; the cotangent is cos(pi d)/sin(pi d), both at the
+    reduced argument (_trig_pi), divided as numpy divides complex numbers.
+    The prefactor divides each part of the sine by pi, as Python's complex
+    / float does it (numpy would multiply by 1/pi).
+    """
     d = np.ravel(d)
-    k = np.round(d.real)
-    z = np.pi * (d - k).astype(complex)
-    sin = np.sin(z)
-    cot = np.cos(z) / sin
-    sin[k % 2 == 1] *= -1.0  # sin(pi d) = (-1)^k sin(pi r)
-    scale = (sin.view(float) / math.pi).view(complex)
-    if not np.iscomplexobj(d):
-        cot, scale = cot.real, scale.real
-    return 2.0 * _digamma_array(d + 1.0) + np.pi * cot + 2.0 * EULER_GAMMA, scale
+    sin = sin_pi(d)
+    cot = _quotient(_trig_pi(np.cos, d), sin)
+    a0 = 2.0 * _digamma_array(d + 1.0) + np.pi * cot + 2.0 * EULER_GAMMA
+    return a0, (sin.view(float) / math.pi).view(sin.dtype)
 
 
 def _series_array(
@@ -227,7 +257,6 @@ def _series_array(
     w: np.ndarray,
     hyp: bool,
     tol: float,
-    max_terms: int,
     start: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Seed series for P_d(x) over many x: hypergeometric (hyp=True) or logarithmic.
@@ -298,8 +327,8 @@ def _series_array(
         out_g = out[rows_g]
         live = np.arange(y.size)
         n0 = 0
-        while n0 < max_terms:
-            size = min(max(_BLOCK_FIRST, n0), _BLOCK_CAP, max_terms - n0)
+        while n0 < MAX_TERMS:
+            size = min(max(_BLOCK_FIRST, n0), _BLOCK_CAP, MAX_TERMS - n0)
             n = np.arange(n0, n0 + size + 1, dtype=float)
             n0 += size
             k, kd, width = live.size, dv.shape[0], size + 1
@@ -368,14 +397,12 @@ def _series_array(
         else:
             name = "hypergeometric" if hyp else "logarithmic"
             raise NonConvergenceError(
-                f"{name} series for P_nu(nu={dv[0, 0]}, x={x[g0 + live[0]]}) exceeded {max_terms} terms"
+                f"{name} series for P_nu(nu={dv[0, 0]}, x={x[g0 + live[0]]}) exceeded {MAX_TERMS} terms"
             )
     return out if hyp else scale * out
 
 
-def _legendre_nu_array(
-    nu: np.ndarray, x: np.ndarray, w: np.ndarray | None, tol: float, max_terms: int
-) -> np.ndarray:
+def _legendre_nu_array(nu: np.ndarray, x: np.ndarray, w: np.ndarray | None, tol: float) -> np.ndarray:
     """legendre_nu over broadcast arrays (or 0-d arrays) of nu and x, element by element.
 
     The work runs in the dtype of nu: float64 for a real array, complex128
@@ -416,7 +443,7 @@ def _legendre_nu_array(
             if one:
                 db = db[:1]
             start = None if is_hyp else _log_start(db)
-            p[branch] = _series_array(db, xb, wb, is_hyp, tol, max_terms, start)
+            p[branch] = _series_array(db, xb, wb, is_hyp, tol, start)
             if ub.any():
                 if not one:
                     db = db[ub]
@@ -424,7 +451,7 @@ def _legendre_nu_array(
                 if start is not None:
                     a0, scale = start if one else (start[0][ub], start[1][ub])
                     start = (a0 + _quotient(2.0, db), -scale)
-                p1[branch[up]] = _series_array(db, xb[ub], wb[ub], is_hyp, tol, max_terms, start)
+                p1[branch[up]] = _series_array(db, xb[ub], wb[ub], is_hyp, tol, start)
         return p, p1
 
     # nu itself where no recurrence is needed, else s, and s + 1 below
@@ -461,7 +488,6 @@ def legendre_nu(
     *,
     w: float | np.ndarray | None = None,
     tol: float = 1e-10,
-    max_terms: int = 100_000,
 ) -> complex | np.ndarray:
     """Legendre function P_nu(x) for arbitrary complex degree nu, x in (-1, 1].
 
@@ -506,7 +532,7 @@ def legendre_nu(
     w in [1e-14, 1e-3] and Re nu <= 90.5 is at most 4.3e-13 relative.
 
     Known limits: with nu within ~1e-3 of an integer, x below about -0.9998
-    needs more than max_terms hypergeometric terms and raises
+    needs more than MAX_TERMS hypergeometric terms and raises
     NonConvergenceError.  Outside the range above, large Im nu with x < 0
     loses accuracy (the log-series seeds and the forward recurrence head for
     a subdominant solution): 1.7e-9 relative at nu = 200.5+5j, x = -0.01,
@@ -549,14 +575,14 @@ def legendre_nu(
         singularity), a given w is not (1+x)/2 to within W_TOL, or a
         degree is not finite.
     NonConvergenceError
-        If a seed series does not reach `tol` within `max_terms` terms
-        (for any element).
+        If a seed series does not reach `tol` within MAX_TERMS terms (for
+        any element).
     """
     scalar = not (isinstance(nu, np.ndarray) or isinstance(x, np.ndarray))
     nu = np.asarray(nu)
     if np.iscomplexobj(nu) and not nu.imag.any():
         nu = nu.real  # real degrees: the float64 path
-    p = _legendre_nu_array(nu, x, w, tol, max_terms)
+    p = _legendre_nu_array(nu, x, w, tol)
     return complex(p[()]) if scalar else p
 
 

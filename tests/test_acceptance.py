@@ -83,7 +83,7 @@ def test_criterion_3_interaction_range_figure():
         cfg = LensConfig(radius=r0, b=0.1)
         x1 = -(r0 - 1.0)
         xs = np.linspace(r0 - 2.2, r0 - 1e-3, 1601)
-        g = greens.greens_zz_points(cfg, abs(x1) / r0, math.pi, xs / r0, 0.0, OMEGA0)
+        g = greens.greens_zz_orders(cfg.b, lens.order_parameter(cfg, OMEGA0), abs(x1) / r0, math.pi, xs / r0, 0.0)
         vals = np.abs(3.0 * math.pi / OMEGA0 * g.real)
         i = int(np.argmax(vals))
         half = vals[i] / 2.0

@@ -160,7 +160,7 @@ class TestDdiSweep:
 
     def test_order_near_an_integer_exits_3(self, tmp_path, capsys):
         # ROADMAP item 3's known limit: this radius puts nu at 30.0005, whose
-        # hypergeometric seeds near the source exceed max_terms; the command
+        # hypergeometric seeds near the source exceed MAX_TERMS; the command
         # must report it, not write a value (item 3's fix turns this into exit 0)
         out = tmp_path / "ddi.csv"
         assert _run(["ddi-sweep", "--radii", "4.8536530342826705", "--out", str(out)]) == 3

@@ -15,14 +15,12 @@ from fisheye.greens import (
     greens_modesum_points,
     greens_zz,
     greens_zz_orders,
-    greens_zz_points,
     image_point_value,
     source_asymptote,
-    source_offset,
     xi,
 )
 from fisheye.lens import OMEGA0, DiskPoint, LensConfig, order_parameter, radius_for_order
-from fisheye.specfun import EULER_GAMMA, accelerate, digamma, legendre_nu, legendre_poly_table
+from fisheye.specfun import EULER_GAMMA, accelerate, digamma, legendre_nu, legendre_poly_table, source_offset
 
 
 def _random_pair(rng, keep_apart=0.05):
@@ -133,7 +131,7 @@ class TestGreensZZPoints:
         p1 = DiskPoint(0.27, 0.4)
         rho2 = np.concatenate([rng.uniform(0.0, 0.999, 40), [0.0, 0.27, 1.0]])
         phi2 = np.concatenate([rng.uniform(0.0, 2 * math.pi, 40), [0.0, 0.4 + math.pi, 2.0]])
-        got = greens_zz_points(cfg, p1.rho, p1.phi, rho2, phi2, OMEGA0)
+        got = greens_zz_orders(cfg.b, order_parameter(cfg, OMEGA0), p1.rho, p1.phi, rho2, phi2)
         want = np.array(
             [greens_zz(cfg, p1, DiskPoint(r, f), OMEGA0) for r, f in zip(rho2, phi2)]
         )
@@ -145,7 +143,7 @@ class TestGreensZZPoints:
         cfg = LensConfig(radius=radius_for_order(20.5), alpha=5e-4)
         rho1, phi1 = rng.uniform(0.0, 0.999, (3, 1)), rng.uniform(0.0, 2 * math.pi, (3, 1))
         rho2, phi2 = rng.uniform(0.0, 0.999, 5), np.array([0.0, 1.0, 2.0, 3.0, 4.0])
-        got = greens_zz_points(cfg, rho1, phi1, rho2, phi2, OMEGA0)
+        got = greens_zz_orders(cfg.b, order_parameter(cfg, OMEGA0), rho1, phi1, rho2, phi2)
         assert got.shape == (3, 5)
         want = np.array(
             [[greens_zz(cfg, DiskPoint(r1, f1), DiskPoint(r2, f2), OMEGA0) for r2, f2 in zip(rho2, phi2)]
@@ -153,12 +151,13 @@ class TestGreensZZPoints:
         )
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
         with pytest.raises(DomainError):
-            greens_zz_points(cfg, np.array([0.3, 1.2]), 0.0, 0.5, 1.0, OMEGA0)
+            greens_zz_orders(cfg.b, order_parameter(cfg, OMEGA0), np.array([0.3, 1.2]), 0.0, 0.5, 1.0)
 
     def test_coincident_point_rejected(self, lens_20p5):
         p1 = DiskPoint(0.3, 1.0)
+        nu = order_parameter(lens_20p5, OMEGA0)
         with pytest.raises(CoincidentPointsError):
-            greens_zz_points(lens_20p5, p1.rho, p1.phi, np.array([0.5, 0.3]), np.array([0.0, 1.0]), OMEGA0)
+            greens_zz_orders(lens_20p5.b, nu, p1.rho, p1.phi, np.array([0.5, 0.3]), np.array([0.0, 1.0]))
 
     @staticmethod
     def _closed_form_mpmath(r0, rho1, rho2):
@@ -188,7 +187,8 @@ class TestGreensZZPoints:
         assert x2 == -13.4047152
         cfg, p1 = LensConfig(radius=r0, b=0.1), DiskPoint(abs(x1) / r0, math.pi)
         want = self._closed_form_mpmath(r0, abs(x1) / r0, abs(x2) / r0)
-        got = greens_zz_points(cfg, p1.rho, p1.phi, np.array([abs(x2) / r0]), np.array([math.pi]), OMEGA0)[0]
+        nu = order_parameter(cfg, OMEGA0)
+        got = greens_zz_orders(cfg.b, nu, p1.rho, p1.phi, np.array([abs(x2) / r0]), np.array([math.pi]))[0]
         assert abs(got - want) <= 1e-12 * abs(want)
         scalar = greens_zz(cfg, p1, DiskPoint(abs(x2) / r0, math.pi), OMEGA0)
         assert abs(scalar - want) <= 1e-12 * abs(want)
@@ -199,13 +199,13 @@ class TestGreensZZPoints:
         rho1 = (r0 - 1.074) / r0
         rho2 = rho1 - np.logspace(-6.5, -1.5, 11)
         cfg, p1 = LensConfig(radius=r0, b=0.1), DiskPoint(rho1, math.pi)
-        got = greens_zz_points(cfg, p1.rho, p1.phi, rho2, np.full(rho2.size, math.pi), OMEGA0)
+        got = greens_zz_orders(cfg.b, order_parameter(cfg, OMEGA0), p1.rho, p1.phi, rho2, np.full(rho2.size, math.pi))
         want = np.array([self._closed_form_mpmath(r0, rho1, r) for r in rho2.tolist()])
         assert np.all(np.abs(got - want) <= 1e-11 * np.abs(want))
 
     def test_radius_outside_disk_rejected(self, lens_20p5):
         with pytest.raises(DomainError):
-            greens_zz_points(lens_20p5, 0.3, 1.0, np.array([0.5, 1.2]), 0.0, OMEGA0)
+            greens_zz_orders(lens_20p5.b, order_parameter(lens_20p5, OMEGA0), 0.3, 1.0, np.array([0.5, 1.2]), 0.0)
 
     @pytest.mark.parametrize("offset", [1.0, 1.074])
     @pytest.mark.parametrize("r0", [4.93, 8.11, 11.3, 14.48])
@@ -220,7 +220,7 @@ class TestGreensZZPoints:
         xs = np.linspace(-r0 * 0.999, r0 * 0.999, 1201)
         xs = xs[np.abs(xs - x1) >= 1e-9]
         rho2, phi2 = np.abs(xs) / r0, np.where(xs < 0, math.pi, 0.0)
-        got = greens_zz_points(cfg, p1.rho, p1.phi, rho2, phi2, OMEGA0)
+        got = greens_zz_orders(cfg.b, order_parameter(cfg, OMEGA0), p1.rho, p1.phi, rho2, phi2)
 
         nu = order_parameter(cfg, OMEGA0)
         a2 = rho2 * np.exp(1j * phi2)
@@ -268,7 +268,7 @@ class TestGreensZZOrders:
         got = greens_zz_orders(0.1, nu, p1.rho, p1.phi, rho2, phi2)
         assert got.shape == (radii.size, rho2.size)
         for row, r in zip(got, radii):
-            want = greens_zz_points(LensConfig(radius=r), p1.rho, p1.phi, rho2, phi2, OMEGA0)
+            want = greens_zz_orders(0.1, order_parameter(LensConfig(radius=r), OMEGA0), p1.rho, p1.phi, rho2, phi2)
             assert row.tobytes() == want.tobytes()
 
     def test_scalar_order_gives_greens_zz(self, lens_20p5, rng):
@@ -292,7 +292,7 @@ class TestGreensZZOrders:
         rho1, phi1 = rng.uniform(0.0, 0.999, 60), rng.uniform(0.0, 2 * math.pi, 60)
         rho2, phi2 = rng.uniform(0.0, 0.999, 60), rng.uniform(0.0, 2 * math.pi, 60)
         rho2[:2] = 0.0  # the center limit of the image argument
-        got = greens_zz_points(cfg, rho1, phi1, rho2, phi2, omega)
+        got = greens_zz_orders(cfg.b, order_parameter(cfg, omega), rho1, phi1, rho2, phi2)
         for i in range(rho1.size):
             one = greens_zz(cfg, DiskPoint(rho1[i], phi1[i]), DiskPoint(rho2[i], phi2[i]), omega)
             assert type(one) is complex
@@ -442,10 +442,10 @@ class TestImagePointValue:
 
 
 class TestSourceAsymptote:
-    def test_matches_legendre_near_singularity(self, lens_20p5):
+    def test_matches_legendre_near_singularity(self):
         nu = 10.5
         x = -1.0 + 1e-5
-        model = source_asymptote(lens_20p5, nu, x)
+        model = source_asymptote(nu, x)
         direct = legendre_nu(nu, x)
         assert abs(model - direct) / abs(direct) < 1e-3
 
@@ -457,8 +457,13 @@ class TestSourceAsymptote:
 
     def test_real_degree_has_real_offset(self):
         assert source_offset(10.5).imag == 0.0
-        assert source_asymptote(LensConfig(radius=2.0), 10.5, -0.995).imag == 0.0
+        assert source_asymptote(10.5, -0.995).imag == 0.0
 
-    def test_domain_window(self, lens_20p5):
+    def test_domain_window(self):
         with pytest.raises(DomainError):
-            source_asymptote(lens_20p5, 10.5, -0.5)
+            source_asymptote(10.5, -0.5)
+
+    def test_resonance_guard(self):
+        # F(nu) has a pole at an integer degree, where sin(pi nu) is exactly 0
+        with pytest.raises(ResonanceError):
+            source_asymptote(7.0, -0.995)

@@ -62,13 +62,14 @@ def _expm_norm(blocks, kappa, t):
 
 
 class TestBuildBlocks:
-    def test_coupling_matches_both_printed_forms(self):
+    def test_coupling_matches_both_printed_forms(self, monkeypatch):
         # G_l^2 = prefactor (2l+1) sqrt(l(l+1)) [1 - P_l(cos(pi-2theta))]/(4pi)
         #       = 2 g_l^2 N_l^2 with N_l^2 = (2l+1)[1 - P_l(cos(pi-2theta))]/(8pi)
         cfg = _reference_cfg()
         theta = stereo_theta(0.27)
         g0 = DEFAULT_GAMMA0
-        bo, be = build_blocks(cfg, theta, l_max=30, edge_taper=0.0)
+        monkeypatch.setattr(schrodinger, "EDGE_TAPER", 0.0)
+        bo, be = build_blocks(cfg, theta, l_max=30)
         c0sq = 3.0 * math.pi * g0 / (OMEGA0**3 * cfg.b * cfg.radius**2)
         for block in (bo, be):
             for l, coupling in zip(block.l.tolist(), block.coupling.tolist()):
@@ -81,13 +82,14 @@ class TestBuildBlocks:
 
     # each tapered ladder has a window value whose libm pow(x, 2) differs from x * x
     @pytest.mark.parametrize("edge_taper, l_max", [(0.0, 365), (0.1, 273), (0.25, 75), (0.5, 251), (0.9, 66)])
-    def test_arrays_equal_the_per_mode_formula(self, edge_taper, l_max):
+    def test_arrays_equal_the_per_mode_formula(self, monkeypatch, edge_taper, l_max):
         # the array build reproduces the scalar formula of the docstring bit
         # for bit, the cos^2 window included
         cfg = LensConfig(radius=14.48)
         theta = stereo_theta(0.27)
         kappa = 2e-3
-        blocks = build_blocks(cfg, theta, l_max=l_max, edge_taper=edge_taper)
+        monkeypatch.setattr(schrodinger, "EDGE_TAPER", edge_taper)
+        blocks = build_blocks(cfg, theta, l_max=l_max)
         l_roll = l_max * (1.0 - edge_taper)
         pl = legendre_poly_table(l_max, math.cos(math.pi - 2.0 * theta))
         c0sq = 3.0 * math.pi * DEFAULT_GAMMA0 / (OMEGA0**3 * cfg.b * (cfg.radius * cfg.n0) ** 2)
@@ -343,17 +345,24 @@ class TestSecularSpectrum:
         assert np.array_equal(sim.times, t * DEFAULT_GAMMA0)
 
     @pytest.mark.parametrize(
-        "check, value",
+        "check, value, kappa",
         [
-            ("SECULAR_MAX_ITER", 0),
-            ("SECULAR_RESIDUAL_TOL", -1.0),
-            ("RESIDUE_SUM_TOL", -1.0),
-            ("ROOT_SEPARATION_TOL", math.inf),
+            (check, value, kappa)
+            for kappa in (0.01, 0.0)  # the lossless fallback is eig too
+            for check, value in (
+                ("SECULAR_MAX_ITER", 0),
+                ("SECULAR_RESIDUAL_TOL", -1.0),
+                ("RESIDUE_SUM_TOL", -1.0),
+                ("ROOT_SEPARATION_TOL", math.inf),
+            )
         ],
-        ids=["newton cap", "secular residual", "residue sum", "root separation"],
+        ids=[
+            name + suffix
+            for suffix in ("", ", lossless")
+            for name in ("newton cap", "secular residual", "residue sum", "root separation")
+        ],
     )
-    def test_failed_secular_check_takes_the_eig_path(self, monkeypatch, check, value):
-        kappa = 0.01
+    def test_failed_secular_check_takes_the_eig_path(self, monkeypatch, check, value, kappa):
         cfg = _reference_cfg(nu_re=5.5)
         blocks = build_blocks(cfg, stereo_theta(0.3), l_max=12)
         t = np.linspace(0.0, 40.0, 60)
@@ -478,7 +487,7 @@ class TestFullBasisCrossCheck:
     (l, m) single-excitation Hamiltonian built directly from the mode
     functions (no collective-mode reduction)."""
 
-    def test_block_reduction_reproduces_full_dynamics(self, full_basis_hamiltonian):
+    def test_block_reduction_reproduces_full_dynamics(self, monkeypatch, full_basis_hamiltonian):
         cfg = _reference_cfg(nu_re=5.5)
         rho = 0.3
         l_range = range(1, 23)
@@ -490,7 +499,8 @@ class TestFullBasisCrossCheck:
         psi0[0] = 1.0
         coeff = v.conj().T @ psi0
         full = (np.exp(-1j * np.outer(t, w)) * coeff[None, :]) @ v.T
-        blocks = build_blocks(cfg, stereo_theta(rho), l_max=22, edge_taper=0.0)
+        monkeypatch.setattr(schrodinger, "EDGE_TAPER", 0.0)
+        blocks = build_blocks(cfg, stereo_theta(rho), l_max=22)
         sim = evolve(blocks, 0.0, t)
         assert float(np.max(np.abs(full[:, 0] - sim.amp_a))) < 1e-9
         assert float(np.max(np.abs(full[:, 1] - sim.amp_b))) < 1e-9

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
+from fisheye import specfun
 from fisheye.errors import DomainError, NonConvergenceError, PoleError
 from fisheye.lens import OMEGA0, LensConfig, _gauss_rule, allowed_m, order_parameter
 from fisheye.specfun import (
@@ -21,6 +22,8 @@ from fisheye.specfun import (
     legendre_nu_expansion,
     legendre_poly,
     legendre_poly_table,
+    sin_pi,
+    source_offset,
     spherical_harmonic,
 )
 
@@ -67,6 +70,79 @@ class TestDigamma:
     def test_array_pole_error_on_one_element(self):
         with pytest.raises(PoleError):
             digamma(np.array([2.5 + 0.1j, -3.0, 7.0]))
+
+
+#: Degrees of the constants' envelope: the half-integer fidelity radii swept
+#: by +-0.49 (the vs-detuning span), lossless, at loss ratios 1e-4 and 3e-3
+#: (nu = Re nu (1 + i alpha)) and at Im nu = 0.9; and degrees 1e-3, 1e-4 and
+#: 1e-6 from every integer up to 90, real and complex.
+_OFFSETS = np.linspace(-0.49, 0.49, 33)
+_CENTERS = np.array([10.5, 20.5, 50.5, 90.5])[:, None]
+_INTEGERS = np.arange(1.0, 91.0)
+CONSTANT_DEGREES = {
+    "lossless": np.ravel(_CENTERS + _OFFSETS),
+    "alpha 1e-4": np.ravel((_CENTERS + _OFFSETS) * (1.0 + 1e-4j)),
+    "alpha 3e-3": np.ravel((_CENTERS + _OFFSETS) * (1.0 + 3e-3j)),
+    "Im nu 0.9": np.ravel(_CENTERS + _OFFSETS + 0.9j),
+    "near an integer": np.concatenate([_INTEGERS + 1e-3, _INTEGERS - 1e-4, _INTEGERS + 1e-6]),
+    "near an integer, complex": np.concatenate([_INTEGERS - 1e-3 + 1e-4j, _INTEGERS + 1e-4 + 0.9j]),
+}
+#: A few ulps: the worst measured on these grids is 1.9 ulps for the sine,
+#: 1.4 for a_0 (of its terms' size) and 2.8 for Im a_0.
+CONSTANT_ULPS = 4.0 * 2.0**-52
+
+
+def _mpmath_constants(nu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sin(pi nu), a_0(nu) and the size of a_0's terms, 2|psi(nu+1)| + |pi cot(pi nu)| + 2 gamma_E, at 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    sin, a0, size = [], [], []
+    with mpmath.workdps(40):
+        for v in nu.tolist():
+            z = mpmath.mpmathify(v)
+            psi2, cot = 2 * mpmath.digamma(z + 1), mpmath.pi * mpmath.cot(mpmath.pi * z)
+            sin.append(complex(mpmath.sinpi(z)))
+            a0.append(complex(psi2 + cot + 2 * mpmath.euler))
+            size.append(float(abs(psi2) + abs(cot) + 2 * mpmath.euler))
+    return np.array(sin), np.array(a0), np.array(size)
+
+
+class TestDegreeConstants:
+    """sin(pi nu) and a_0(nu), the one evaluation behind 1/(4b sin(pi nu)), the log seeds and gamma."""
+
+    @pytest.mark.parametrize("grid", list(CONSTANT_DEGREES))
+    def test_envelope_against_mpmath(self, grid):
+        # taken at pi (nu - k), the constants keep full relative accuracy; at
+        # pi nu the sine lost up to 1e-12 on these grids (1e-8 at 1e-6 from an integer)
+        nu = CONSTANT_DEGREES[grid]
+        sin, a0, size = _mpmath_constants(nu)
+        got_sin, got_a0 = sin_pi(nu), source_offset(nu)
+        assert got_sin.shape == got_a0.shape == nu.shape
+        assert np.max(np.abs(got_sin - sin) / np.abs(sin)) <= CONSTANT_ULPS
+        assert np.max(np.abs(got_a0 - a0) / size) <= CONSTANT_ULPS
+        if np.iscomplexobj(nu):  # the part that sets the on-site decay
+            assert np.max(np.abs(got_a0.imag - a0.imag) / np.abs(a0.imag)) <= CONSTANT_ULPS
+
+    def test_real_degrees_give_the_real_parts_of_the_complex_evaluation(self):
+        nu = np.concatenate([CONSTANT_DEGREES["lossless"], CONSTANT_DEGREES["near an integer"]])
+        for f in (sin_pi, source_offset):
+            got = f(nu)
+            assert got.dtype == float
+            assert _same_bits(got, f(nu.astype(complex)))
+
+    @pytest.mark.parametrize("nu", [20.5, 20.5 + 0.01j, np.array(90.49), np.full((4, 3), 10.5 - 0.3 + 1e-3j)])
+    def test_shape_of_nu(self, nu):
+        assert np.shape(sin_pi(nu)) == np.shape(source_offset(nu)) == np.shape(nu)
+
+    def test_greens_and_qed_take_them_from_here(self):
+        # the chain's sine (1/(4b sin(pi nu)), the resonance test) and its
+        # on-site gamma (Im a_0) meet the same envelope
+        from fisheye import greens, qed
+
+        nu = np.concatenate([CONSTANT_DEGREES["alpha 1e-4"], CONSTANT_DEGREES["near an integer, complex"]])
+        sin, a0, _ = _mpmath_constants(nu)
+        assert np.max(np.abs(greens._check_order(nu) - sin) / np.abs(sin)) <= CONSTANT_ULPS
+        gamma = -6.0 * math.pi / OMEGA0 * a0.imag / (4.0 * math.pi * 0.1)
+        assert np.max(np.abs(qed._onsite_gamma(0.1, nu) - gamma) / np.abs(gamma)) <= 2.0 * CONSTANT_ULPS
 
 
 class TestLegendrePoly:
@@ -287,8 +363,6 @@ class TestLegendreNu:
         # The exact next-order w*ln(w) remainder is ~6e-3 at w = 5e-5, so the
         # 1e-3 tolerance is asserted at the innermost point together with the
         # approach itself.
-        from fisheye.greens import source_offset
-
         nu = 10.5
         slope = math.sin(math.pi * nu) / math.pi
         limit = slope * source_offset(nu)
@@ -351,9 +425,10 @@ class TestLegendreNuArray:
         with pytest.raises(DomainError):
             legendre_nu(10.5, np.array([0.2, bad, 0.5]))
 
-    def test_nonconvergence_with_tiny_max_terms(self):
-        with pytest.raises(NonConvergenceError):
-            legendre_nu(10.5, np.array([0.9, 0.1, -0.4]), max_terms=3)
+    def test_nonconvergence_with_tiny_max_terms(self, monkeypatch):
+        monkeypatch.setattr(specfun, "MAX_TERMS", 3)
+        with pytest.raises(NonConvergenceError, match="exceeded 3 terms"):
+            legendre_nu(10.5, np.array([0.9, 0.1, -0.4]))
 
 
 class TestScalarCalls:
@@ -447,9 +522,10 @@ class TestLegendreNuDegreeArray:
         with pytest.raises(DomainError):
             legendre_nu(bad, 0.2)
 
-    def test_nonconvergence_with_tiny_max_terms(self):
-        with pytest.raises(NonConvergenceError):
-            legendre_nu(np.array([0.5, 10.5, 20.5 + 0.3j]), -0.4, max_terms=3)
+    def test_nonconvergence_with_tiny_max_terms(self, monkeypatch):
+        monkeypatch.setattr(specfun, "MAX_TERMS", 3)
+        with pytest.raises(NonConvergenceError, match="exceeded 3 terms"):
+            legendre_nu(np.array([0.5, 10.5, 20.5 + 0.3j]), -0.4)
 
 
 #: The source argument of the benchmark's fidelity scans (rho = 0.27), w = (1 + x)/2 given as greens gives it.
@@ -536,18 +612,20 @@ class TestSeedSeriesKernel:
             tracemalloc.stop()
         assert peak < 28 * 2**20
 
-    def test_series_past_the_first_blocks(self):
+    def test_series_past_the_first_blocks(self, monkeypatch):
         # degrees within 1e-3 of an integer take the hypergeometric seeds at any x:
         # at x = -0.99 they need thousands of terms, in blocks that grow to 256
         # terms, while at x = 0.3 they stop in the first block and at -0.7 a few
         # blocks later; so rows leave the call while the blocks, and the work
-        # arrays, grow.  max_terms = 17 ends on a block of one term.
+        # arrays, grow.  MAX_TERMS = 17 ends on a block of one term.
         k = np.arange(0.0, 60.0, 3.0)
         nu = np.tile(np.concatenate([k + 7e-4, k + 1.0 - 4e-4 + 1e-5j]), 3)
         x = np.repeat([-0.99, 0.3, -0.7], nu.size // 3)
         for max_terms in (17, 1000):
-            with pytest.raises(NonConvergenceError):
-                legendre_nu(nu, x, max_terms=max_terms)
+            with monkeypatch.context() as patch:
+                patch.setattr(specfun, "MAX_TERMS", max_terms)
+                with pytest.raises(NonConvergenceError):
+                    legendre_nu(nu, x)
         got = legendre_nu(nu, x)
         want = _mpmath_legendre(nu, x)
         assert np.all(np.abs(got - want) <= ENVELOPE * np.maximum(1.0, np.abs(want)))
@@ -572,7 +650,7 @@ class TestNearIntegerLimitNearMinusOne:
     """The known limit that ROADMAP item 3 (Legendre accuracy near an integer degree) is to remove.
 
     With nu within 1e-3 of an integer, the seeds take the hypergeometric
-    series at every x, which at x = -0.99979 needs more than max_terms terms.
+    series at every x, which at x = -0.99979 needs more than MAX_TERMS terms.
     The call must raise NonConvergenceError, and soon, never return a value.
     Item 3's fix (the logarithmic series for these degrees) turns this test
     into a check against mpmath.
@@ -602,31 +680,31 @@ class TestRealDegreePath:
     @pytest.mark.parametrize("d", [0.2718, 0.5, 0.9, 1.5, 1.0007])
     def test_series_matches_zero_imaginary_part(self, d, hyp):
         x = self.X[self.X >= 0.0] if hyp else self.X[self.X < 0.0]
-        got = _series_array(d, x, (1.0 + x) / 2.0, hyp, 1e-10, 100_000)
+        got = _series_array(d, x, (1.0 + x) / 2.0, hyp, 1e-10)
         assert got.dtype == float
-        assert _same_bits(got, _series_array(complex(d), x, (1.0 + x) / 2.0, hyp, 1e-10, 100_000))
+        assert _same_bits(got, _series_array(complex(d), x, (1.0 + x) / 2.0, hyp, 1e-10))
 
     @pytest.mark.parametrize("hyp", [True, False])
     def test_series_over_a_degree_array(self, rng, hyp):
         d = rng.uniform(0.01, 1.99, 300)
         x = rng.uniform(0.0, 0.999, d.size) if hyp else rng.uniform(-0.9999, -0.01, d.size)
-        got = _series_array(d, x, (1.0 + x) / 2.0, hyp, 1e-10, 100_000)
+        got = _series_array(d, x, (1.0 + x) / 2.0, hyp, 1e-10)
         assert got.dtype == float
-        assert _same_bits(got, _series_array(d.astype(complex), x, (1.0 + x) / 2.0, hyp, 1e-10, 100_000))
+        assert _same_bits(got, _series_array(d.astype(complex), x, (1.0 + x) / 2.0, hyp, 1e-10))
 
     @pytest.mark.parametrize("nu", [0.3, 1.7, 3.0, 10.5, 20.5, 50.459, 90.5, 59.8, 76.9993])
     def test_series_and_recurrence_over_x(self, nu):
         x = self.X if abs(nu - round(nu)) >= 1e-3 or nu == round(nu) else self.X[self.X > -0.999]
         nu = np.array(nu)
-        got = _legendre_nu_array(nu, x, None, 1e-10, 100_000)
-        assert _same_bits(got.real, _legendre_nu_array(nu.astype(complex), x, None, 1e-10, 100_000))
+        got = _legendre_nu_array(nu, x, None, 1e-10)
+        assert _same_bits(got.real, _legendre_nu_array(nu.astype(complex), x, None, 1e-10))
         assert np.all(got.imag == 0.0)
 
     @pytest.mark.parametrize("x", [-0.99, -0.49, 0.0, 0.35, 0.9])
     def test_series_and_recurrence_over_degrees(self, rng, x):
         nu = np.concatenate([rng.uniform(0.0, 95.0, 400), np.arange(95.0), np.arange(95.0) + 7e-4])
-        got = _legendre_nu_array(nu, x, None, 1e-10, 100_000)
-        assert _same_bits(got.real, _legendre_nu_array(nu.astype(complex), x, None, 1e-10, 100_000))
+        got = _legendre_nu_array(nu, x, None, 1e-10)
+        assert _same_bits(got.real, _legendre_nu_array(nu.astype(complex), x, None, 1e-10))
 
     def test_digamma_matches_zero_imaginary_part(self):
         # dense enough that numpy's float64 log would miss the complex log's
@@ -642,7 +720,7 @@ class TestRealDegreePath:
         x = np.linspace(-0.999, 0.999, 31)
         got = legendre_nu(nu, x)
         assert got.dtype == complex
-        assert np.array_equal(got, _legendre_nu_array(np.array(20.5), x, None, 1e-10, 100_000))
+        assert np.array_equal(got, _legendre_nu_array(np.array(20.5), x, None, 1e-10))
         assert legendre_nu(np.full(3, nu), 0.3).dtype == complex
 
     def test_complex_degrees_keep_the_complex_path(self):
@@ -650,7 +728,7 @@ class TestRealDegreePath:
         nu = np.array([20.5, 30.5 + 1e-3j])
         got = legendre_nu(nu, -0.4)
         assert got[1].imag != 0.0
-        assert np.array_equal(got, _legendre_nu_array(nu, -0.4, None, 1e-10, 100_000))
+        assert np.array_equal(got, _legendre_nu_array(nu, -0.4, None, 1e-10))
 
 
 class TestLegendreNuNearMinusOne:
@@ -685,7 +763,7 @@ def mpmath_grid():
     """Reference P_nu(x) at 40 digits over the paper's range of degrees.
 
     Degrees within 1e-3 of an integer skip x = -0.99999, where the
-    hypergeometric seed needs more than max_terms terms and raises.
+    hypergeometric seed needs more than MAX_TERMS terms and raises.
     """
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 40
