@@ -29,17 +29,21 @@ so the atomic residues are 1 / f'(z_k) and sum to one.  One vectorised
 Newton iteration finds all roots in offset form (the atom-like root itself,
 every other root as d_l plus a small offset, with the gaps d_l - d_m formed
 exactly), which keeps z - d to full relative accuracy; modes with vanishing
-coupling are deflated.  Every solve checks Newton's convergence, the
-relative secular residual, sum res = 1 and distinct roots; a block that
-fails falls back to dense eig with its residual check, and
-EigensolveError is raised if that fails too.  The time grid is uniform from
-0, so the phases exp(-i z_k j dt) factor into two ~sqrt(T) x n tables and
-the atomic amplitude on all T times is one GEMM; the full block state and
-its weights x_k / f'(z_k) are built only when SimResult.state_norm is read.
+coupling are deflated.  Newton returns the first iterate whose own step is
+within SECULAR_STEP_TOL (relative, plus a rounding floor): each root lies
+within one such step of the refined root, after 2-3 O(n^2) evaluations.
+The checks run on that iterate: Newton's cap, the relative secular
+residual, sum res = 1 and distinct roots; a block that fails falls back to
+dense eig with its residual check, and EigensolveError is raised if that
+fails too.  The time grid is uniform from 0, so the phases exp(-i z_k j dt)
+factor into two ~sqrt(T) x n tables and the atomic amplitude on all T times
+is one GEMM; the full block state and its weights x_k / f'(z_k) are built
+only when SimResult.state_norm is read.
 Blocks hold their modes as arrays.  A flat loss cancels from the gaps
-d_l - d_m, so the deflation set, those gaps, the starting guess's sums over
-the modes and the Newton work arrays are formed once per block and shared
-by lenses that differ only in loss (compare_losses); each loss adds its atom row.
+d_l - d_m, so the deflation set, those (real) gaps and the starting guess's
+sums over the modes are formed once per block and shared by lenses that
+differ only in loss (compare_losses); each loss adds its atom row.  The
+work arrays of one compare_losses or evolve call are cut from one buffer.
 evolve and compare_losses observe the pair through _observe: its atomic
 rows give the pair tables, which bracket the Bell peak and the first
 population crossing (SEARCH_POINTS times in compare_losses, the caller's
@@ -79,7 +83,8 @@ RESIDUAL_TOL = 1e-8
 #: Modes with G_l^2 <= DEFLATION_TOL * max G^2 keep their pole as a root, with zero weight.
 DEFLATION_TOL = 1e-30
 
-#: Secular Newton: iteration cap and the relative step taken as converged.
+#: Secular Newton: iteration cap, and the relative step at or below which the
+#: iterate it was computed at is returned (so within one such step of the root).
 SECULAR_MAX_ITER = 40
 SECULAR_STEP_TOL = 1e-12
 
@@ -255,29 +260,47 @@ def _secular_weights(size, rows, base, u, res, g) -> np.ndarray:
     return weights
 
 
+class _Workspace:
+    """One buffer per compare_losses or evolve call, grown on demand, for the secular solvers' work arrays."""
+
+    def __init__(self) -> None:
+        self.buffer = np.empty(0)
+
+    def arrays(self, rows: int, cols: int) -> tuple[np.ndarray, ...]:
+        """gaps, inv, pull (complex) and size (float), rows x cols each; fresh ones (1.9 MB at n = 182) map new pages."""
+        cells = rows * cols
+        if self.buffer.size < 7 * cells:
+            self.buffer = np.empty(7 * cells)
+        gaps, inv, pull = self.buffer[: 6 * cells].view(complex).reshape(3, rows, cols)
+        return gaps, inv, pull, self.buffer[6 * cells : 7 * cells].reshape(rows, cols)
+
+
 class _SecularSolver:
     """Secular spectra of H = [[0, g^T], [g, diag(diag0 - i kappa)]] for any flat loss kappa.
 
     The loss cancels from the gaps d_j - d_m among the modes, so the
-    deflation set, those gap rows, the guess's pull sums
-    s_j = sum_m!=j g_m^2 / (d_j - d_m) and the Newton work arrays are formed
-    once; each loss adds only its atom row of gaps, 0 - (d_m - i kappa), and
-    runs Newton.  Every spectrum is bit for bit the one a solver built for
-    that loss alone returns.
+    deflation set, those gap rows and the guess's pull sums
+    s_j = sum_m!=j g_m^2 / (d_j - d_m) are formed once, in real arithmetic
+    (diag0's imaginary parts must be equal, else DomainError), in work
+    arrays cut from work (a fresh _Workspace if None); each loss adds only
+    its atom row of gaps, 0 - (d_m - i kappa), and runs Newton.  Every
+    spectrum is bit for bit the one a solver built for that loss alone returns.
     """
 
-    def __init__(self, diag0: np.ndarray, g: np.ndarray):
+    def __init__(self, diag0: np.ndarray, g: np.ndarray, work: _Workspace | None = None):
+        if np.any(np.imag(diag0) != np.imag(diag0)[:1]):
+            raise DomainError("the secular solver takes one flat loss: every imaginary part of diag0 must be equal")
         g2 = g * g
         live = np.flatnonzero(g2 > DEFLATION_TOL * g2.max(initial=0.0))
         self.diag0, self.g, self.g2 = diag0, g[live], g2[live]
         self.rows = np.concatenate(([0], 1 + live))
-        modes = np.asarray(diag0, dtype=complex)[live]
-        self.gaps = np.empty((live.size + 1, live.size), dtype=complex)
-        np.subtract(modes[:, None], modes[None, :], out=self.gaps[1:])
-        self.inv, self.pull, self.size = np.empty_like(self.gaps), np.zeros_like(self.gaps), np.empty(self.gaps.shape)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(self.g2, self.gaps[1:], out=self.pull[1:], where=self.gaps[1:] != 0.0)
-        self.pull_sums = self.pull[1:].sum(axis=1)
+        modes = np.real(diag0)[live]
+        self.gaps, self.inv, self.pull, self.size = (work or _Workspace()).arrays(live.size + 1, live.size)
+        recip = np.subtract(modes[:, None], modes[None, :], out=self.size[1:])
+        self.gaps[1:] = recip
+        # 1 / gap, a zero gap left at 0; times g^2 it is numpy's complex g^2 / (gap + 0j) bit for bit
+        np.divide(1.0, recip, out=recip, where=recip != 0.0)
+        self.pull_sums = np.multiply(self.g2, recip, out=self.pull[1:]).sum(axis=1)
 
     def spectrum(self, kappa: float) -> Spectrum:
         """Roots z, residues W[:, 0] and a builder of the weights W of H at loss kappa.
@@ -287,7 +310,9 @@ class _SecularSolver:
         the builder, a picklable partial, forms W only when called.  Root 0 is
         the atom-like root, root j = d_j + u_j sits next to pole j, and a mode
         with g_j^2 <= DEFLATION_TOL * max g^2 keeps the root d_j with zero
-        weight.  Raises EigensolveError if Newton misses its cap, a relative
+        weight; nothing returned refers to the work arrays.  The roots are
+        Newton's first iterate whose step is within SECULAR_STEP_TOL.  Raises
+        EigensolveError if Newton misses its cap, a relative
         residual |f(z)| / (|z| + sum |g^2 / (z - d)|) exceeds
         SECULAR_RESIDUAL_TOL, |sum res - 1| > RESIDUE_SUM_TOL, or two roots coincide.
         """
@@ -318,18 +343,16 @@ class _SecularSolver:
 
     def _roots(self, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Offsets u of the roots z = base + u and residues 1 / f'(z), checked as spectrum says."""
-        g2, gaps, inv, pull, size = self.g2, self.gaps, self.inv, self.pull, self.size
-        np.subtract(base[0], base[1:], out=gaps[0])
+        np.subtract(base[0], base[1:], out=self.gaps[0])
         u = self._guess(base)
         with np.errstate(all="ignore"):
-            f, fp, scale = _secular_terms(base, gaps, g2, u, inv, pull, size)
             for _ in range(SECULAR_MAX_ITER):
+                f, fp, scale = _secular_terms(base, self.gaps, self.g2, u, self.inv, self.pull, self.size)
                 step = f / fp
                 floor = 4.0 * EPS * scale / np.abs(fp)
-                u = u - step
-                f, fp, scale = _secular_terms(base, gaps, g2, u, inv, pull, size)
                 if not np.all(np.isfinite(u)) or np.all(np.abs(step) <= SECULAR_STEP_TOL * np.abs(u) + floor):
                     break
+                u = u - step
             else:
                 raise EigensolveError(f"secular Newton did not converge in {SECULAR_MAX_ITER} iterations")
             res = 1.0 / fp
@@ -345,9 +368,9 @@ class _SecularSolver:
         return u, res
 
 
-def _block_spectra(block: BlockModel, kappas: list[float]) -> list[Spectrum]:
-    """Spectrum of one block at each loss kappa: secular, or dense eig where a secular check fails."""
-    secular = _SecularSolver(block.detuning, block.coupling)
+def _block_spectra(block: BlockModel, kappas: list[float], work: _Workspace | None = None) -> list[Spectrum]:
+    """Spectrum of one block at each loss kappa: secular (work arrays from work), or eig where a secular check fails."""
+    secular = _SecularSolver(block.detuning, block.coupling, work)
     spectra = []
     for kappa in kappas:
         try:
@@ -550,7 +573,8 @@ def evolve(blocks: tuple[BlockModel, BlockModel], kappa: float, t_grid: np.ndarr
     offgrid = np.abs(t_grid - dt * np.arange(n_times))
     if not (t_grid[0] == 0.0 and dt > 0.0 and np.all(offgrid <= GRID_TOL * t_grid[-1])):
         raise DomainError("t_grid must be uniform and increasing from 0, t_k = k dt")
-    spectra = [_block_spectra(block, [kappa])[0] for block in blocks]
+    work = _Workspace()
+    spectra = [_block_spectra(block, [kappa], work)[0] for block in blocks]
     amp_a, amp_b, fidelity, peak, branch, rate = _observe(spectra, dt, t_grid)
     return SimResult(
         times=t_grid * DEFAULT_GAMMA0,
@@ -601,10 +625,11 @@ def compare_losses(
     for k, cfg in enumerate(cfgs):
         lossless.setdefault((cfg.radius, cfg.n0, cfg.b), []).append(k)
     out: list[AnalyticsComparison] = [None] * len(cfgs)
+    work = _Workspace()
     for ks in lossless.values():
         blocks = build_blocks(cfgs[ks[0]], stereo_theta(atoms.p1.rho), l_max)
         kappas = [cfgs[k].kappa for k in ks]
-        for k, spectra in zip(ks, zip(*(_block_spectra(block, kappas) for block in blocks))):
+        for k, spectra in zip(ks, zip(*(_block_spectra(block, kappas, work) for block in blocks))):
             point = rates[k]
             dt = 3.0 * math.pi / (abs(point.delta_omega) * DEFAULT_GAMMA0) / (SEARCH_POINTS - 1)
             *_, peak, _, rate = _observe(spectra, dt, dt * np.arange(SEARCH_POINTS))

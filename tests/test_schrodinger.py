@@ -617,6 +617,127 @@ class TestSharedSecularData:
             schrodinger.compare_losses(cfgs, antipodal_027, rates[:2])
 
 
+def _full_step_iterates(solver, kappa):
+    """The Newton iterates of a loop that applies each step and tests it only after evaluating f at the new iterate.
+
+    It evaluates f at the guess and at every iterate, and stops at the first
+    step below SECULAR_STEP_TOL |u| + 4 EPS scale / |f'|, with u the iterate
+    that step produced.  Returns every iterate, the guess first.
+    """
+    base = np.concatenate(([0.0], solver.diag0 - 1j * kappa)).astype(complex)[solver.rows]
+    np.subtract(base[0], base[1:], out=solver.gaps[0])
+
+    def evaluate(u):
+        return schrodinger._secular_terms(base, solver.gaps, solver.g2, u, solver.inv, solver.pull, solver.size)
+
+    iterates = [solver._guess(base)]
+    with np.errstate(all="ignore"):
+        f, fp, scale = evaluate(iterates[-1])
+        for _ in range(schrodinger.SECULAR_MAX_ITER):
+            step = f / fp
+            floor = 4.0 * schrodinger.EPS * scale / np.abs(fp)
+            iterates.append(iterates[-1] - step)
+            f, fp, scale = evaluate(iterates[-1])
+            if np.all(np.abs(step) <= schrodinger.SECULAR_STEP_TOL * np.abs(iterates[-1]) + floor):
+                return iterates
+    raise AssertionError("the full-step loop did not converge")
+
+
+class TestSecularSolveCost:
+    """Each secular solve stops at the iterate whose step it has just tested,
+    in work arrays cut from one buffer per compare_losses / evolve call."""
+
+    # the fidelity radii at their half-integer centres and at dnu = +-0.45
+    GRID = [(centre, dnu, alpha) for centre in (10.5, 20.5, 50.5, 90.5) for dnu in (-0.45, 0.0, 0.45)
+            for alpha in (1e-4, 5e-4, 1e-2)]
+
+    def test_one_evaluation_fewer_than_the_full_step_loop(self, monkeypatch):
+        calls = []
+        terms = schrodinger._secular_terms
+
+        def counted(*args):
+            calls.append(1)
+            return terms(*args)
+
+        monkeypatch.setattr(schrodinger, "_secular_terms", counted)
+        for centre, dnu, alpha in self.GRID:
+            cfg = LensConfig(radius=radius_for_order(centre + dnu), alpha=alpha)
+            for block in build_blocks(cfg, stereo_theta(0.27)):
+                solver = _SecularSolver(block.detuning, block.coupling)
+                calls.clear()
+                z, _, _ = solver.spectrum(cfg.kappa)
+                solve = len(calls)
+                iterates = _full_step_iterates(solver, cfg.kappa)
+                full = len(calls) - solve  # one evaluation per iterate
+                assert full == len(iterates) and solve == full - 1
+                assert (solve == 2) if dnu == 0.0 else (solve <= 3)
+                # the same iterates: the root returned is the full-step loop's last but one
+                base = np.concatenate(([0.0], block.detuning - 1j * cfg.kappa))[solver.rows]
+                assert np.array_equal(_bits(z[solver.rows]), _bits(base + iterates[-2]))
+
+    def test_one_buffer_per_call_grows_and_is_reused(self, antipodal_027, monkeypatch):
+        # 3.34 then 14.48 grows the buffer (blocks of 42, then 182 modes); 1.749 (22) reuses it
+        cfgs = [LensConfig(radius=r0, alpha=alpha) for r0 in (3.34, 14.48, 1.749) for alpha in (1e-4, 1e-2)]
+        rates = [coupling_rates(cfg, antipodal_027) for cfg in cfgs]
+        buffers = []
+        arrays = schrodinger._Workspace.arrays
+
+        def recorded(work, rows, cols):
+            out = arrays(work, rows, cols)
+            buffers.append(work.buffer)
+            return out
+
+        monkeypatch.setattr(schrodinger._Workspace, "arrays", recorded)
+        swept = schrodinger.compare_losses(cfgs, antipodal_027, rates)
+        assert len(buffers) == 6  # two blocks at each radius
+        assert all(buf is buffers[0] for buf in buffers[:2]) and all(buf is buffers[2] for buf in buffers[2:])
+        assert buffers[2] is not buffers[0]
+        for cfg, point, got in zip(cfgs, rates, swept):
+            alone = schrodinger.compare_losses([cfg], antipodal_027, [point])[0]
+            assert np.array_equal(_bits(got.F_numeric), _bits(alone.F_numeric))
+
+    def test_spectra_do_not_alias_the_buffer(self, antipodal_027):
+        kappa = 1e-3 * OMEGA0
+        work = schrodinger._Workspace()
+        block = build_blocks(LensConfig(radius=3.34), stereo_theta(0.27))[0]
+        z, res, weights = _block_spectra(block, [kappa], work)[0]
+        kept = z.copy(), res.copy(), weights()
+        # blocks as large or smaller reuse the buffer; 14.48 grows it
+        for r0 in (3.34, 1.749, 14.48, 3.34):
+            for later in build_blocks(LensConfig(radius=r0), stereo_theta(0.27)):
+                _block_spectra(later, [kappa, 0.0], work)
+        for before, after in zip(kept, (z, res, weights())):
+            assert np.array_equal(_bits(after), _bits(before))
+        # the full state behind state_norm is built only when read: here after a later call
+        blocks = build_blocks(_reference_cfg(nu_re=10.5), stereo_theta(0.27))
+        t = np.linspace(0.0, 40.0, 60) / DEFAULT_GAMMA0
+        norm = evolve(blocks, kappa, t).state_norm
+        sim = evolve(blocks, kappa, t)
+        evolve(build_blocks(LensConfig(radius=14.48), stereo_theta(0.27)), kappa, t)
+        assert np.array_equal(_bits(sim.state_norm), _bits(norm))
+
+    @pytest.mark.parametrize("kappa", [0.0, 1e-3])
+    def test_real_pull_sums_equal_the_complex_quotient(self, kappa):
+        # coincident detunings put a zero gap off the diagonal as well; the
+        # larger blocks run numpy's pairwise sums over many complex terms
+        blocks = [schrodinger.BlockModel("odd", np.arange(1, 6), np.array([-0.3, 0.1, 0.1, 0.5, -0.7]),
+                                         np.array([0.02, 0.03, 0.01, 0.02, 0.04]))]
+        blocks += build_blocks(LensConfig(radius=14.48), stereo_theta(0.27))
+        for block in blocks:
+            diag, border = block.arrowhead(kappa)
+            solver = _SecularSolver(diag, border)
+            modes = diag.astype(complex)[solver.rows[1:] - 1]  # the modes deflation keeps
+            gaps = modes[:, None] - modes[None, :]
+            pull = np.zeros_like(gaps)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.divide(solver.g2, gaps, out=pull, where=gaps != 0.0)
+            assert np.array_equal(_bits(solver.pull_sums), _bits(pull.sum(axis=1)))
+
+    def test_unequal_mode_losses_are_rejected(self):
+        with pytest.raises(DomainError, match="one flat loss"):
+            _SecularSolver(np.array([0.1 - 1e-3j, 0.2 - 2e-3j]), np.array([0.01, 0.02]))
+
+
 def _expm_reference(cfg, atoms, n=600, fine=2000):
     """Largest Bell fidelity and exchange rate from the first pop1 = pop2 crossing, from expm alone.
 
