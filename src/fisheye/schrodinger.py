@@ -25,17 +25,22 @@ and since H is complex symmetric,
 
     exp(-i H t)|atom> = sum_k exp(-i z_k t) x_k / f'(z_k),   x_k = (1, G / (z_k - d)),
 
-so the atomic residues are 1 / f'(z_k) and sum to one.  One vectorised
-Newton iteration finds all roots in offset form (the atom-like root itself,
-every other root as d_l plus a small offset, with the gaps d_l - d_m formed
-exactly), which keeps z - d to full relative accuracy; modes with vanishing
-coupling are deflated.  Newton returns the first iterate whose own step is
-within SECULAR_STEP_TOL (relative, plus a rounding floor): each root lies
-within one such step of the refined root, after 2-3 O(n^2) evaluations.
-The checks run on that iterate: Newton's cap, the relative secular
-residual, sum res = 1 and distinct roots; a block that fails falls back to
-dense eig with its residual check, and EigensolveError is raised if that
-fails too.  The time grid is uniform from 0, so the phases exp(-i z_k j dt)
+so the atomic residues are 1 / f'(z_k) and sum to one.  Newton finds all
+roots in offset form (the atom-like root itself, every other root as d_j
+plus a small offset u, with the gaps d_j - d_m formed exactly), which keeps
+z - d to full relative accuracy; modes with vanishing coupling are
+deflated.  Root j starts from (1 + t_j) u^2 + (d_j - s_j) u - g_j^2 = 0,
+f(d_j + u) = 0 with the other modes' pull S_j(d_j + u) ~ s_j - u t_j,
+s_j = sum_m!=j g_m^2 / (d_j - d_m), t_j = sum_m!=j g_m^2 / (d_j - d_m)^2.
+Each root is a scalar Newton that returns its first iterate whose step is
+within SECULAR_STEP_TOL (relative, plus a rounding floor), so within one
+such step of the refined root.  On the fidelity radii the guess passes on
+every row but the atom's and at most one mode's, so a solve costs one
+O(n^2) evaluation plus O(n) per step of those rows.  The checks run on
+the returned iterates: Newton's cap, the relative secular residual,
+sum res = 1 and distinct roots; a block that fails falls back to dense eig
+with its residual check, and EigensolveError is raised if that fails too.
+The time grid is uniform from 0, so the phases exp(-i z_k j dt)
 factor into two ~sqrt(T) x n tables and the atomic amplitude on all T times
 is one GEMM; the full block state and its weights x_k / f'(z_k) are built
 only when SimResult.state_norm is read.
@@ -44,16 +49,20 @@ d_l - d_m, so the deflation set, those (real) gaps and the starting guess's
 sums over the modes are formed once per block and shared by lenses that
 differ only in loss (compare_losses); each loss adds its atom row.  The
 work arrays of one compare_losses or evolve call are cut from one buffer.
-evolve and compare_losses observe the pair through _observe: its atomic
-rows give the pair tables, which bracket the Bell peak and the first
-population crossing (SEARCH_POINTS times in compare_losses, the caller's
-grid in evolve), refined from the roots and residues at O(n) per time.
+compare_losses observes the lenses of a loss group together (_observe;
+evolve is its one-lens call): their atomic rows give stacked pair tables
+(SEARCH_POINTS times in compare_losses, the caller's grid in evolve) that
+bracket each Bell peak and first population crossing, and one search
+refines all brackets from their roots and residues at O(n) per time.
 
 The absolute coupling scale G_l is proportional to sqrt(gamma0), the
 free-space emission rate in internal units; it drops out of every reported
 ratio and controls only the size of non-Markovian corrections.  One value,
 DEFAULT_GAMMA0 = 1e-5, scales the couplings and converts times and rates to
-Gamma0 units, and keeps those corrections at the percent level.
+Gamma0 units.  There the simulated 1 - F lies above its gamma0 -> 0 limit
+by 1.3% at (Re nu, alpha) = (20.5, 5e-4), 1.7% at (20.8, 5e-4) and 0.2% at
+(20.5, 3e-3), and by 8.4% at (90.3, 1e-4) with a mode-cutoff counterterm
+(not applied here); the shift falls in proportion to gamma0.
 """
 
 from __future__ import annotations
@@ -182,6 +191,11 @@ def build_blocks(
     cos^2 window, which restores convergence under l_max doubling to the
     sub-percent level; EDGE_TAPER = 0 is the raw cut.
     """
+    return _build_blocks(cfg, theta, l_max, {})
+
+
+def _build_blocks(cfg: LensConfig, theta: float, l_max: int | None, tables: dict) -> tuple[BlockModel, BlockModel]:
+    """build_blocks with the tables P_l(cos(pi - 2 theta)) of one theta kept in tables by l_max, formed there once."""
     if not 0.0 <= theta <= math.pi:
         raise DomainError("theta must lie in [0, pi]")
     if l_max is None:
@@ -190,7 +204,9 @@ def build_blocks(
         raise DomainError(f"l_max must be at least 1, got {l_max}")
     l = np.arange(1, l_max + 1)
     l_roll = l_max * (1.0 - EDGE_TAPER)
-    pl = legendre_poly_table(l_max, math.cos(math.pi - 2.0 * theta))
+    if l_max not in tables:
+        tables[l_max] = legendre_poly_table(l_max, math.cos(math.pi - 2.0 * theta))
+    pl = tables[l_max]
     c0sq = 3.0 * math.pi * DEFAULT_GAMMA0 / (OMEGA0**3 * cfg.b * (cfg.radius * cfg.n0) ** 2)
     w_l = eigenfrequency(cfg, l)
     g_sq = c0sq * w_l * (2 * l + 1) * np.maximum(0.0, 1.0 - pl[l]) / (4.0 * math.pi)
@@ -208,11 +224,11 @@ def build_blocks(
     )
 
 
-def _small_root(c: np.ndarray, g2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Small and large roots of u^2 + c u - g2 = 0, without cancellation."""
-    r = np.sqrt(c * c + 4.0 * g2)
+def _small_root(a: float | np.ndarray, c: np.ndarray, g2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Small and large roots of a u^2 + c u - g2 = 0, without cancellation."""
+    r = np.sqrt(c * c + 4.0 * a * g2)
     big = np.where((np.conj(c) * r).real >= 0.0, c + r, c - r)
-    return 2.0 * g2 / big, -0.5 * big
+    return 2.0 * g2 / big, -0.5 * big / a
 
 
 def _secular_terms(base, gaps, g2, u, inv, pull, size):
@@ -279,8 +295,9 @@ class _SecularSolver:
     """Secular spectra of H = [[0, g^T], [g, diag(diag0 - i kappa)]] for any flat loss kappa.
 
     The loss cancels from the gaps d_j - d_m among the modes, so the
-    deflation set, those gap rows and the guess's pull sums
-    s_j = sum_m!=j g_m^2 / (d_j - d_m) are formed once, in real arithmetic
+    deflation set, those gap rows, the guess's pull sums
+    s_j = sum_m!=j g_m^2 / (d_j - d_m) and their slopes
+    t_j = sum_m!=j g_m^2 / (d_j - d_m)^2 are formed once, in real arithmetic
     (diag0's imaginary parts must be equal, else DomainError), in work
     arrays cut from work (a fresh _Workspace if None); each loss adds only
     its atom row of gaps, 0 - (d_m - i kappa), and runs Newton.  Every
@@ -301,6 +318,7 @@ class _SecularSolver:
         # 1 / gap, a zero gap left at 0; times g^2 it is numpy's complex g^2 / (gap + 0j) bit for bit
         np.divide(1.0, recip, out=recip, where=recip != 0.0)
         self.pull_sums = np.multiply(self.g2, recip, out=self.pull[1:]).sum(axis=1)
+        self.pull_slopes = np.square(recip, out=recip) @ self.g2
 
     def spectrum(self, kappa: float) -> Spectrum:
         """Roots z, residues W[:, 0] and a builder of the weights W of H at loss kappa.
@@ -310,8 +328,8 @@ class _SecularSolver:
         the builder, a picklable partial, forms W only when called.  Root 0 is
         the atom-like root, root j = d_j + u_j sits next to pole j, and a mode
         with g_j^2 <= DEFLATION_TOL * max g^2 keeps the root d_j with zero
-        weight; nothing returned refers to the work arrays.  The roots are
-        Newton's first iterate whose step is within SECULAR_STEP_TOL.  Raises
+        weight; nothing returned refers to the work arrays.  Each root is its
+        row's first Newton iterate whose step is within SECULAR_STEP_TOL.  Raises
         EigensolveError if Newton misses its cap, a relative
         residual |f(z)| / (|z| + sum |g^2 / (z - d)|) exceeds
         SECULAR_RESIDUAL_TOL, |sum res - 1| > RESIDUE_SUM_TOL, or two roots coincide.
@@ -325,34 +343,44 @@ class _SecularSolver:
         return z, residues, partial(_secular_weights, z.size, self.rows, base, u, res, self.g)
 
     def _guess(self, base: np.ndarray) -> np.ndarray:
-        """Starting offsets u_k: each root from the 2 x 2 problem with its nearest partner.
+        """Starting offsets u_k: each root from its pole's quadratic, the atom's from its most mixed mode.
 
-        Root j next to pole d_j sees the atom at the shift the other modes give
-        it there, u^2 + (d_j - s_j) u - g_j^2 = 0; its small root is the
-        mode-like one.  The atom-like root is the large root of the same
-        problem for the most strongly mixed mode, the other modes taken at z = 0.
+        Root j = d_j + u sees the atom and the other modes' pull
+        S_j(d_j + u) ~ s_j - u t_j, so f = 0 reads (1 + t_j) u^2 + (d_j - s_j) u
+        - g_j^2 = 0, whose small root is the mode-like one.  The atom-like root
+        is the large root of u^2 + (d_j - S_j(0)) u - g_j^2 = 0 for the most
+        strongly mixed mode j.
         """
         g2, gaps = self.g2, self.gaps
         pull = np.zeros(g2.size, dtype=complex)
         with np.errstate(divide="ignore", invalid="ignore"):
             np.divide(g2, gaps[0], out=pull, where=gaps[0] != 0.0)
-            u_modes, _ = _small_root(base[1:] - self.pull_sums, g2)
+            u_modes, _ = _small_root(1.0 + self.pull_slopes, base[1:] - self.pull_sums, g2)
             star = int(np.argmax(g2 / np.abs(base[1:]) ** 2))
-        _, w_atom = _small_root(base[1 + star] - (pull.sum() - pull[star]), g2[star])
+        _, w_atom = _small_root(1.0, base[1 + star] - (pull.sum() - pull[star]), g2[star])
         return np.concatenate(([base[1 + star] + w_atom], u_modes))
 
     def _roots(self, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Offsets u of the roots z = base + u and residues 1 / f'(z), checked as spectrum says."""
+        """Offsets u of the roots z = base + u and residues 1 / f'(z), checked as spectrum says.
+
+        Each row is its own Newton from _guess: one evaluation covers all rows, later ones only the rows still moving.
+        """
         np.subtract(base[0], base[1:], out=self.gaps[0])
         u = self._guess(base)
+        moving = np.arange(u.size)
         with np.errstate(all="ignore"):
+            f, fp, scale = _secular_terms(base, self.gaps, self.g2, u, self.inv, self.pull, self.size)
             for _ in range(SECULAR_MAX_ITER):
-                f, fp, scale = _secular_terms(base, self.gaps, self.g2, u, self.inv, self.pull, self.size)
-                step = f / fp
-                floor = 4.0 * EPS * scale / np.abs(fp)
-                if not np.all(np.isfinite(u)) or np.all(np.abs(step) <= SECULAR_STEP_TOL * np.abs(u) + floor):
+                step = f[moving] / fp[moving]
+                # a row stops at the first iterate whose step passes (a NaN step never moves it)
+                go = np.abs(step) > SECULAR_STEP_TOL * np.abs(u[moving]) + 4.0 * EPS * scale[moving] / np.abs(fp[moving])
+                if not go.any():
                     break
-                u = u - step
+                moving = moving[go]
+                u[moving] -= step[go]
+                m = moving.size
+                f[moving], fp[moving], scale[moving] = _secular_terms(
+                    base[moving], self.gaps[moving], self.g2, u[moving], self.inv[:m], self.pull[:m], self.size[:m])
             else:
                 raise EigensolveError(f"secular Newton did not converge in {SECULAR_MAX_ITER} iterations")
             res = 1.0 / fp
@@ -402,22 +430,24 @@ def _dense_spectrum(h: np.ndarray) -> Spectrum:
     return w, weights[:, 0], partial(np.asarray, weights)
 
 
-def _phase_sum(z: np.ndarray, weights: np.ndarray, dt: float, n_times: int) -> np.ndarray:
+def _phase_sum(z: np.ndarray, weights: np.ndarray, dt: float | np.ndarray, n_times: int) -> np.ndarray:
     """sum_k exp(-i z_k t_j) weights[k] on t_j = j dt, j = 0 .. n_times - 1.
 
     With B = ceil(sqrt(n_times)), t_j = (B m + b) dt splits every phase into
     an outer and an inner table of about sqrt(n_times) x n exponentials.  A
     weight vector makes the sum one GEMM, (outer * weights) @ inner^T; a
     weight matrix (the full state) contracts the product of the two tables.
+    z and weights of one shape (K, n) with dt (K,) stack K sums, (K, n_times).
     """
     n_inner = math.isqrt(n_times - 1) + 1
     n_outer = -(-n_times // n_inner)
-    inner = np.exp(-1j * dt * np.outer(np.arange(n_inner), z))
-    outer = np.exp(-1j * (n_inner * dt) * np.outer(np.arange(n_outer), z))
-    if weights.ndim == 1:
-        out = (outer * weights) @ inner.T
-    else:
-        out = (outer[:, None, :] * inner[None, :, :]) @ weights
+    dt = np.asarray(dt)[..., None, None]
+    inner = np.exp(-1j * dt * (np.arange(n_inner)[:, None] * z[..., None, :]))
+    outer = np.exp(-1j * (n_inner * dt) * (np.arange(n_outer)[:, None] * z[..., None, :]))
+    if weights.shape == z.shape:
+        out = (outer * weights[..., None, :]) @ np.swapaxes(inner, -1, -2)
+        return out.reshape(*z.shape[:-1], -1)[..., :n_times]
+    out = (outer[:, None, :] * inner[None, :, :]) @ weights
     return out.reshape(n_outer * n_inner, *weights.shape[1:])[:n_times]
 
 
@@ -426,13 +456,13 @@ def _full_state(z: np.ndarray, weights: Callable[[], np.ndarray], dt: float, n_t
     return _phase_sum(z, weights(), dt, n_times)
 
 
-def _bracketed_newton(fun, lo: np.ndarray, hi: np.ndarray, x: np.ndarray, tol: float):
+def _bracketed_newton(fun, lo: np.ndarray, hi: np.ndarray, x: np.ndarray, tol: np.ndarray):
     """Zeros of g in the brackets [lo, hi], one per element, where g(lo) > 0 > g(hi).
 
     fun(x) returns (g, s, aux), s an estimate of g'.  Each element steps by
     -g / s, and bisects where a step would leave its bracket or fails to
     halve the step before it.  An element has converged when its step or
-    its bracket is at most tol (the bracket collapses onto an end where g
+    its bracket is at most its tol (the bracket collapses onto an end where g
     keeps one sign), and then stays put.  Returns the points after their
     last step, kept in their brackets, and aux at the last points
     evaluated; raises NonConvergenceError after SEARCH_MAX_ITER evaluations.
@@ -452,16 +482,19 @@ def _bracketed_newton(fun, lo: np.ndarray, hi: np.ndarray, x: np.ndarray, tol: f
     raise NonConvergenceError(f"peak search did not converge in {SEARCH_MAX_ITER} evaluations")
 
 
-def _bell_search(spectra: list[Spectrum], t: np.ndarray, f_minus, f_plus, pop_diff) -> tuple[float, int, float | None]:
-    """(largest Bell fidelity on [0, t[-1]], its branch, first pop1 = pop2 crossing time or None).
+def _bell_search(roots: list[tuple[np.ndarray, np.ndarray]], t: np.ndarray, fid: np.ndarray, pop_diff: np.ndarray) -> tuple:
+    """Largest Bell fidelity on [0, t[k, -1]], its branch and the first pop1 = pop2 crossing time (or None) of each point k.
 
-    t is a uniform table from 0 and f_minus, f_plus, pop_diff the pair
-    observables on it (_observe).  The table brackets the interior local
-    maxima of either branch and the first sign change of pop_diff after
-    t[1]; each is then refined from the block roots z and residues r, since
-    o(t) = sum r exp(-i z t) and its derivative cost O(n) at any t.  With
-    A = ((1 - i b) o + (1 + i b) e) / 2 on branch b, F = |A|^2 / 2 has
-    F' = Re(conj(A) A'), and pop1 - pop2 = Re(o conj(e)).
+    roots are the odd and even blocks' (z, r), row k for point k; row k of
+    t is that point's uniform table from 0, fid[0, k] and fid[1, k] its
+    Bell fidelity on branch +1 and -1 there, and pop_diff[k] its pop1 - pop2
+    (_observe).  Each table brackets the interior local maxima of either
+    branch and the first sign change of pop_diff after t[k, 1]; every
+    bracket of every point is then refined in one search from its point's
+    roots z and residues r, since o(t) = sum r exp(-i z t) and its
+    derivative cost O(n) at any t.  With A = ((1 - i b) o + (1 + i b) e) / 2
+    on branch b, F = |A|^2 / 2 has F' = Re(conj(A) A'), and
+    pop1 - pop2 = Re(o conj(e)).
 
     A peak between t[j - 1] and t[j + 1] rises about |c| / 8 above f[j],
     c = f[j - 1] - 2 f[j] + f[j + 1], so only maxima that may pass the best
@@ -469,81 +502,87 @@ def _bell_search(spectra: list[Spectrum], t: np.ndarray, f_minus, f_plus, pop_di
     steps of slope c / dt^2: the far-detuned modes add fast terms to F''
     that can outweigh the exchange curvature near the peak, though not to
     F'.  The crossing takes Newton steps on pop1 - pop2.  Each stops at a
-    step of SEARCH_STEP_TOL t[-1], which leaves F within a few 1e-12 of its peak.
-    The result is the best of F(0) = 1/2 (the initial state, exact on both
-    branches), the table's samples after t = 0 and the refined peaks; ties
-    go to the first of these, branch +1 first.
+    step of SEARCH_STEP_TOL t[k, -1], which leaves F within a few 1e-12 of its peak.
+    A point's result is the best of F(0) = 1/2 (the initial state, exact on
+    both branches), the table's samples after t = 0 and the refined peaks;
+    ties go to the first of these, branch +1 first.
     """
-    h = t[1] - t[0]
-    values, branches = [0.5, float(f_minus[1:].max()), float(f_plus[1:].max())], [1, 1, -1]
-    lo, hi, x, slope, branch = [], [], [], [], []
-    for b, f in ((1, f_minus), (-1, f_plus)):
-        j = 1 + np.flatnonzero((f[1:-1] > f[:-2]) & (f[1:-1] >= f[2:]))
-        curv = f[j - 1] - 2.0 * f[j] + f[j + 1]
-        keep = f[j] - 0.25 * curv >= max(values)
-        j, curv = j[keep], curv[keep]
-        lo.append(t[j - 1])
-        hi.append(t[j + 1])
-        x.append(t[j] + 0.5 * h * (f[j - 1] - f[j + 1]) / curv)
-        slope.append(curv / (h * h))
-        branch.append(np.full(j.size, b))
-    crossings = np.flatnonzero(pop_diff[:-1] * pop_diff[1:] <= 0.0)
-    crossings = crossings[crossings > 0]
-    sign = 1.0
-    if crossings.size:
-        i = int(crossings[0])
-        d0, d1 = pop_diff[i], pop_diff[i + 1]
-        sign = 1.0 if d0 >= 0.0 else -1.0
-        lo.append([t[i]])
-        hi.append([t[i + 1]])
-        x.append([t[i] if d1 == d0 else t[i] - d0 * h / (d1 - d0)])
-        slope.append([0.0])
-        branch.append([0])
-    branch, slope = np.concatenate(branch), np.concatenate(slope)
-    peak, t_cross = branch != 0, None
-    if branch.size:
-        (z_o, r_o, _), (z_e, r_e, _) = spectra
-        z, r = np.concatenate((z_o[r_o != 0.0], z_e[r_e != 0.0])), np.concatenate((r_o[r_o != 0.0], r_e[r_e != 0.0]))
-        # rows o, o', e, e': coefficients r and -i z r, block-diagonal in the two blocks' roots
-        n_o = int(np.count_nonzero(r_o))
-        coeff = np.zeros((4, z.size), dtype=complex)
-        coeff[0, :n_o], coeff[1, :n_o] = r[:n_o], -1j * z[:n_o] * r[:n_o]
-        coeff[2, n_o:], coeff[3, n_o:] = r[n_o:], -1j * z[n_o:] * r[n_o:]
-        p, q = (1.0 - 1j * branch) / 2.0, (1.0 + 1j * branch) / 2.0
+    h, sampled = t[:, 1], fid[:, :, 1:].max(axis=2)  # t[:, 0] = 0
+    peak = np.maximum(0.5, sampled[0])
+    peak, branch = np.maximum(peak, sampled[1]), np.where(sampled[1] > peak, -1, 1)
+    # interior local maxima of every row (branch +1 rows, then -1), as flat indices c into fid
+    f, tf, n_t = fid.reshape(-1), t.reshape(-1), t.shape[1]
+    c = 1 + np.flatnonzero((f[1:-1] > f[:-2]) & (f[1:-1] >= f[2:]))
+    c = c[(c + 1) % n_t > 1]  # not a row's first or last sample, which the flat shifts pair across rows
+    tc = c % t.size  # the same sample of t
+    k = tc // n_t
+    curv = f[c - 1] - 2.0 * f[c] + f[c + 1]
+    keep = f[c] - 0.25 * curv >= peak[k]
+    c, tc, k, curv = c[keep], tc[keep], k[keep], curv[keep]
+    # each row's first sign change of pop1 - pop2 after t[1], where there is one, at flat index i
+    d = pop_diff.reshape(-1)
+    i = 1 + np.flatnonzero(d[1:-1] * d[2:] <= 0.0)
+    i = i[(i + 1) % n_t > 1]
+    i = i[np.diff(i // n_t, prepend=-1) != 0]
+    kc, d0, d1 = i // n_t, d[i], d[i + 1]
+    # a peak's branch, or the sign that makes pop1 - pop2 fall through the crossing
+    pt, kind = np.concatenate((k, kc)), np.concatenate((1.0 - 2.0 * (c >= t.size), np.where(d0 >= 0.0, 1.0, -1.0)))
+    t_cross = [None] * t.shape[0]
+    if pt.size:
+        lo, hi = tf[np.concatenate((tc - 1, i))], tf[np.concatenate((tc + 1, i + 1))]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = np.concatenate((tf[tc] + 0.5 * h[k] * (f[c - 1] - f[c + 1]) / curv,
+                                np.where(d1 == d0, tf[i], tf[i] - d0 * h[kc] / (d1 - d0))))
+        slope = np.concatenate((curv / (h[k] * h[k]), np.zeros(kc.size)))
+        # per point: roots o then e, rows o, o', e, e' with coefficients r and -i z r
+        (z_o, r_o), (z_e, r_e) = roots
+        n_o = z_o.shape[1]
+        z = np.concatenate((z_o, z_e), axis=1)
+        coeff = np.zeros((t.shape[0], 4, z.shape[1]), dtype=complex)
+        coeff[:, 0, :n_o], coeff[:, 1, :n_o] = r_o, -1j * z_o * r_o
+        coeff[:, 2, n_o:], coeff[:, 3, n_o:] = r_e, -1j * z_e * r_e
+        z, coeff, on_peak = z[pt], coeff[pt], np.arange(pt.size) < k.size
+        p = 0.5 - 0.5j * kind
+        q = np.conj(p)
 
         def fun(times):
             """g, its slope and F on every row: F' and the table's slope on a peak, sign (pop1 - pop2) and its derivative on the crossing."""
-            o0, o1, e0, e1 = coeff @ np.exp(-1j * np.outer(z, times))
+            o0, o1, e0, e1 = (coeff @ np.exp(-1j * (z * times[:, None]))[:, :, None])[:, :, 0].T
             a0 = p * o0 + q * e0
-            g = np.where(peak, (np.conj(a0) * (p * o1 + q * e1)).real, sign * (o0 * np.conj(e0)).real)
-            s = np.where(peak, slope, sign * (o1 * np.conj(e0) + o0 * np.conj(e1)).real)
+            g = np.where(on_peak, (np.conj(a0) * (p * o1 + q * e1)).real, kind * (o0 * np.conj(e0)).real)
+            s = np.where(on_peak, slope, kind * (o1 * np.conj(e0) + o0 * np.conj(e1)).real)
             return g, s, 0.5 * (np.conj(a0) * a0).real
 
         with np.errstate(divide="ignore", invalid="ignore"):
-            times, fid = _bracketed_newton(fun, *map(np.concatenate, (lo, hi, x)), SEARCH_STEP_TOL * float(t[-1]))
-        values += fid[peak].tolist()
-        branches += branch[peak].tolist()
-        t_cross = float(times[-1]) if crossings.size else None
-    best = int(np.argmax(values))
-    return values[best], branches[best], t_cross
+            times, refined = _bracketed_newton(fun, lo, hi, x, SEARCH_STEP_TOL * t[pt, -1])
+        # in each point's order of candidates, so that ties go to the first
+        for point, value, side in zip(k.tolist(), refined[:k.size].tolist(), kind[:k.size].astype(int).tolist()):
+            if value > peak[point]:
+                peak[point], branch[point] = value, side
+        for point, time in zip(kc.tolist(), times[k.size:].tolist()):
+            t_cross[point] = time
+    return peak, branch, t_cross
 
 
-def _observe(spectra: list[Spectrum], dt: float, t: np.ndarray) -> tuple:
-    """amp_a, amp_b, the Bell fidelity of the reported branch, its peak, the branch and the extracted rate.
+def _observe(spectra: list[tuple[Spectrum, Spectrum]], dt: np.ndarray, t: np.ndarray) -> tuple:
+    """amp_a, amp_b and the Bell fidelity of branch +1 and -1 on t, then the peak, the branch and the extracted rate of each point.
 
-    t is the uniform table t_j = j dt from 0.  Each block's atomic amplitude
-    on t is one _phase_sum row; _bell_search refines the peak and the first
-    pop1 = pop2 crossing from them, and the exchange rate |delta_omega| in
-    Gamma0 units is pi / (4 t_cross), or None without a crossing.
+    spectra[k] are the odd and even spectra of point k, every point with the
+    same block sizes, and row k of t its uniform table t_j = j dt[k] from 0.
+    The atomic amplitudes of all points on t are one stacked _phase_sum per
+    block; _bell_search refines every point's peak and first pop1 = pop2
+    crossing in one search, and the exchange rate |delta_omega| in Gamma0
+    units is pi / (4 t_cross), or None without a crossing.
     """
-    atom_o, atom_e = (_phase_sum(z, res, dt, t.size) for z, res, _ in spectra)
+    roots = [(np.array([point[b][0] for point in spectra]), np.array([point[b][1] for point in spectra])) for b in (0, 1)]
+    atom_o, atom_e = (_phase_sum(z, r, dt, t.shape[1]) for z, r in roots)
     amp_a = 0.5 * (atom_o + atom_e)
     amp_b = 0.5 * (atom_o - atom_e)
-    f_minus = 0.5 * np.abs(amp_a - 1j * amp_b) ** 2
-    f_plus = 0.5 * np.abs(amp_a + 1j * amp_b) ** 2
-    peak, branch, t_cross = _bell_search(spectra, t, f_minus, f_plus, np.abs(amp_a) ** 2 - np.abs(amp_b) ** 2)
-    rate = 0.25 * math.pi / (t_cross * DEFAULT_GAMMA0) if t_cross else None
-    return amp_a, amp_b, f_minus if branch == 1 else f_plus, peak, branch, rate
+    # Bell fidelity against (|a> -+ i|b>)/sqrt2: branch +1, then -1
+    fid = 0.5 * np.abs(amp_a + np.multiply.outer([-1j, 1j], amp_b)) ** 2
+    peak, branch, t_cross = _bell_search(roots, t, fid, np.abs(amp_a) ** 2 - np.abs(amp_b) ** 2)
+    rate = [0.25 * math.pi / (tc * DEFAULT_GAMMA0) if tc else None for tc in t_cross]
+    return amp_a, amp_b, fid, peak, branch, rate
 
 
 def evolve(blocks: tuple[BlockModel, BlockModel], kappa: float, t_grid: np.ndarray) -> SimResult:
@@ -575,15 +614,16 @@ def evolve(blocks: tuple[BlockModel, BlockModel], kappa: float, t_grid: np.ndarr
         raise DomainError("t_grid must be uniform and increasing from 0, t_k = k dt")
     work = _Workspace()
     spectra = [_block_spectra(block, [kappa], work)[0] for block in blocks]
-    amp_a, amp_b, fidelity, peak, branch, rate = _observe(spectra, dt, t_grid)
+    amp_a, amp_b, fid, peak, branch, rate = _observe([spectra], np.array([dt]), t_grid[None])
+    branch = int(branch[0])
     return SimResult(
         times=t_grid * DEFAULT_GAMMA0,
-        amp_a=amp_a,
-        amp_b=amp_b,
-        bell_fidelity=fidelity,
+        amp_a=amp_a[0],
+        amp_b=amp_b[0],
+        bell_fidelity=fid[(1 - branch) // 2, 0],
         bell_branch=branch,
-        max_fidelity=peak,
-        extracted_delta_omega=rate,
+        max_fidelity=float(peak[0]),
+        extracted_delta_omega=rate[0],
         _full_states=tuple(partial(_full_state, z, weights, dt, n_times) for z, _, weights in spectra),
     )
 
@@ -610,10 +650,11 @@ def compare_losses(
     rates[k] are coupling_rates(cfgs[k], atoms), or one element each of
     qed.coupling_rate_arrays for a caller that sweeps many points.  Requires
     antipodal atoms (the parity reduction assumes them).  Lenses equal but
-    for alpha share their blocks (build_blocks with l_max) and each block's
-    loss-independent secular data (_SecularSolver); the results keep the
-    order of cfgs.  Each point searches the window [0, 3 pi / |delta_omega|],
-    a few exchange cycles, with a SEARCH_POINTS phase table refined from the
+    for alpha share their blocks (build_blocks with l_max; one Legendre
+    table per l_max and call) and each block's loss-independent secular data
+    (_SecularSolver), and are observed together; the results keep the order
+    of cfgs.  Each point searches the window [0, 3 pi / |delta_omega|], a few
+    exchange cycles, with a SEARCH_POINTS phase table refined from the
     spectra (_bell_search).  The relative deviation is on the entangling error
     |(1 - F_num) - (1 - F_ana)| / (1 - F_ana), F_ana = entanglement_fidelity(rates).
     """
@@ -625,14 +666,15 @@ def compare_losses(
     for k, cfg in enumerate(cfgs):
         lossless.setdefault((cfg.radius, cfg.n0, cfg.b), []).append(k)
     out: list[AnalyticsComparison] = [None] * len(cfgs)
-    work = _Workspace()
+    work, theta, tables = _Workspace(), stereo_theta(atoms.p1.rho), {}
     for ks in lossless.values():
-        blocks = build_blocks(cfgs[ks[0]], stereo_theta(atoms.p1.rho), l_max)
+        blocks = _build_blocks(cfgs[ks[0]], theta, l_max, tables)
         kappas = [cfgs[k].kappa for k in ks]
-        for k, spectra in zip(ks, zip(*(_block_spectra(block, kappas, work) for block in blocks))):
+        spectra = list(zip(*(_block_spectra(block, kappas, work) for block in blocks)))
+        dt = np.array([3.0 * math.pi / (abs(rates[k].delta_omega) * DEFAULT_GAMMA0) / (SEARCH_POINTS - 1) for k in ks])
+        *_, peaks, _, found = _observe(spectra, dt, dt[:, None] * np.arange(SEARCH_POINTS))
+        for k, peak, rate in zip(ks, peaks.tolist(), found):
             point = rates[k]
-            dt = 3.0 * math.pi / (abs(point.delta_omega) * DEFAULT_GAMMA0) / (SEARCH_POINTS - 1)
-            *_, peak, _, rate = _observe(spectra, dt, dt * np.arange(SEARCH_POINTS))
             f_ana = entanglement_fidelity(point)
             err_ana = 1.0 - f_ana
             out[k] = AnalyticsComparison(

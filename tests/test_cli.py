@@ -278,13 +278,13 @@ class TestFidelity:
 
     def test_loss_sweep_builds_each_radius_once(self, monkeypatch, tmp_path):
         calls = []
-        build = cli.schrodinger.build_blocks
+        build = cli.schrodinger._build_blocks
 
-        def counted(*args, **kwargs):
+        def counted(*args):
             calls.append(args[0].radius)
-            return build(*args, **kwargs)
+            return build(*args)
 
-        monkeypatch.setattr(cli.schrodinger, "build_blocks", counted)
+        monkeypatch.setattr(cli.schrodinger, "_build_blocks", counted)
         argv = ["fidelity", "--mode", "vs-loss", "--simulate", "--radii", "1.749,3.34", "--samples", "4"]
         assert _run(argv + ["--out", str(tmp_path / "f.csv")]) == 0
         assert calls == [1.749, 3.34]
@@ -293,18 +293,18 @@ class TestFidelity:
         # every point of a detuning sweep has a radius of its own; a repeated
         # --radii entry repeats those lenses, which share their blocks
         calls = []
-        build = cli.schrodinger.build_blocks
+        build = cli.schrodinger._build_blocks
 
-        def counted(*args, **kwargs):
+        def counted(*args):
             calls.append(args[0].radius)
-            return build(*args, **kwargs)
+            return build(*args)
 
-        monkeypatch.setattr(cli.schrodinger, "build_blocks", counted)
+        monkeypatch.setattr(cli.schrodinger, "_build_blocks", counted)
         out = tmp_path / "f.csv"
         assert _run(["fidelity", "--mode", "vs-detuning", "--simulate", "--radii", "3.34,1.749,3.34",
                      "--samples", "3", "--out", str(out)]) == 0
         assert len(calls) == len(set(calls)) == 6
-        monkeypatch.setattr(cli.schrodinger, "build_blocks", build)
+        monkeypatch.setattr(cli.schrodinger, "_build_blocks", build)
         _, rows = _read_csv(out)
         atoms = cli.qed.AtomPairConfig.antipodal(0.27)
         dnu = dict(zip((f"{x:.12g}" for x in np.linspace(-0.45, 0.45, 3)), np.linspace(-0.45, 0.45, 3).tolist()))
@@ -555,14 +555,15 @@ class TestSimulatorOptions:
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("command", ["dynamics", "fidelity"])
     def test_l_max_sets_the_mode_ladder(self, monkeypatch, tmp_path, command, source):
-        build = cli.schrodinger.build_blocks
+        # dynamics builds through build_blocks, the fidelity sweeps through compare_losses; both reach _build_blocks
+        build = cli.schrodinger._build_blocks
         seen = []
 
-        def recording(cfg, theta, l_max=None, **kwargs):
+        def recording(cfg, theta, l_max, tables):
             seen.append(l_max)
-            return build(cfg, theta, l_max, **kwargs)
+            return build(cfg, theta, l_max, tables)
 
-        monkeypatch.setattr(cli.schrodinger, "build_blocks", recording)
+        monkeypatch.setattr(cli.schrodinger, "_build_blocks", recording)
         assert _run(self._argv(tmp_path, command, "7", source) + ["--out", str(tmp_path / "out.csv")]) == 0
         assert seen and all(l_max == 7 for l_max in seen)
 

@@ -251,12 +251,20 @@ class TestSecularSpectrum:
     dense eigensolver as the one fallback."""
 
     @pytest.mark.parametrize("alpha", [0.0, 1e-4, 1e-3, 1e-2])
-    @pytest.mark.parametrize("r0", [1.749, 3.34, 8.11, 14.48])
+    # the fidelity radii, then each centre at dnu = -+0.49, next to resonance, where the guess is hardest
+    @pytest.mark.parametrize("r0", [1.749, 3.34, 8.11, 14.48] + [radius_for_order(centre + dnu) for centre in
+                                                                 (10.5, 20.5, 50.5, 90.5) for dnu in (-0.49, 0.49)])
     def test_roots_and_residues_match_eig(self, r0, alpha):
         kappa = alpha * OMEGA0
         for block in build_blocks(LensConfig(radius=r0, alpha=alpha), stereo_theta(0.27)):
             z, res, weights = _SecularSolver(*block.arrowhead(kappa)).spectrum(0.0)
-            w, v = np.linalg.eig(block.hamiltonian(kappa))
+            h = block.hamiltonian(kappa)
+            w, v = np.linalg.eig(h)
+            # eig's vectors err by ~ EPS ||H|| / gap, 7e-12 at dnu = -0.49 (gap 3.7e-3): one
+            # inverse-iteration step sharpens those of close pairs to the 1e-12 asked below
+            gap = np.sort(np.abs(w[:, None] - w[None, :]), axis=1)[:, 1]
+            for k in np.flatnonzero(gap < 0.1).tolist():
+                v[:, k] = np.linalg.solve(h - w[k] * np.eye(len(w)), v[:, k])
             residues = v[0] * np.linalg.solve(v, np.eye(len(w))[:, 0])
             match = np.argmin(np.abs(z[:, None] - w[None, :]), axis=1)
             assert sorted(match) == list(range(len(w)))  # one eigenvalue per root
@@ -599,16 +607,16 @@ class TestSharedSecularData:
                 LensConfig(radius=3.34, alpha=1e-2), LensConfig(radius=3.34, b=0.12, alpha=1e-3)]
         rates = [coupling_rates(cfg, antipodal_027) for cfg in cfgs]
         built = []
-        build = schrodinger.build_blocks
+        build = schrodinger._build_blocks
 
         def counted(cfg, *args, **kwargs):
             built.append((cfg.radius, cfg.n0, cfg.b))
             return build(cfg, *args, **kwargs)
 
-        monkeypatch.setattr(schrodinger, "build_blocks", counted)
+        monkeypatch.setattr(schrodinger, "_build_blocks", counted)
         swept = schrodinger.compare_losses(cfgs, antipodal_027, rates)
         assert built == [(3.34, 1.0, 0.1), (1.749, 1.0, 0.1), (3.34, 1.0, 0.12)]
-        monkeypatch.setattr(schrodinger, "build_blocks", build)
+        monkeypatch.setattr(schrodinger, "_build_blocks", build)
         assert len(swept) == len(cfgs)
         for cfg, point, got in zip(cfgs, rates, swept):
             assert got.rates is point
@@ -616,64 +624,97 @@ class TestSharedSecularData:
         with pytest.raises(DomainError, match="one CouplingRates per lens"):
             schrodinger.compare_losses(cfgs, antipodal_027, rates[:2])
 
+    def test_one_legendre_table_per_ladder(self, antipodal_027, monkeypatch):
+        # as in a vs-detuning sweep: a radius of its own at every point, one l_max = 4 ceil(Re nu) per centre
+        cfgs = [LensConfig(radius=radius_for_order(centre + dnu), alpha=5e-4)
+                for centre in (10.5, 20.5) for dnu in (-0.4, 0.0, 0.4)]
+        rates = [coupling_rates(cfg, antipodal_027) for cfg in cfgs]
+        tables = []
+        table = schrodinger.legendre_poly_table
 
-def _full_step_iterates(solver, kappa):
-    """The Newton iterates of a loop that applies each step and tests it only after evaluating f at the new iterate.
+        def counted(l_max, x):
+            tables.append(l_max)
+            return table(l_max, x)
 
-    It evaluates f at the guess and at every iterate, and stops at the first
-    step below SECULAR_STEP_TOL |u| + 4 EPS scale / |f'|, with u the iterate
-    that step produced.  Returns every iterate, the guess first.
+        monkeypatch.setattr(schrodinger, "legendre_poly_table", counted)
+        swept = schrodinger.compare_losses(cfgs, antipodal_027, rates)
+        assert tables == [44, 84]
+        monkeypatch.setattr(schrodinger, "legendre_poly_table", table)
+        for cfg, point, got in zip(cfgs, rates, swept):
+            assert got == compare_to_analytics(cfg, antipodal_027, point)
+
+
+def _per_row_iterates(solver, kappa):
+    """The Newton iterates of every row, from a loop that evaluates f on all rows at every pass.
+
+    Each row steps from the guess on its own and stops at the first iterate
+    whose step is within SECULAR_STEP_TOL |u| + 4 EPS scale / |f'|; a stopped
+    row keeps its iterate.  Returns one list of iterates per row, the guess first.
     """
     base = np.concatenate(([0.0], solver.diag0 - 1j * kappa)).astype(complex)[solver.rows]
     np.subtract(base[0], base[1:], out=solver.gaps[0])
-
-    def evaluate(u):
-        return schrodinger._secular_terms(base, solver.gaps, solver.g2, u, solver.inv, solver.pull, solver.size)
-
-    iterates = [solver._guess(base)]
+    u = solver._guess(base)
+    iterates = [[x] for x in u.tolist()]
+    moving = np.ones(u.size, dtype=bool)
     with np.errstate(all="ignore"):
-        f, fp, scale = evaluate(iterates[-1])
         for _ in range(schrodinger.SECULAR_MAX_ITER):
+            f, fp, scale = schrodinger._secular_terms(base, solver.gaps, solver.g2, u, solver.inv, solver.pull, solver.size)
             step = f / fp
-            floor = 4.0 * schrodinger.EPS * scale / np.abs(fp)
-            iterates.append(iterates[-1] - step)
-            f, fp, scale = evaluate(iterates[-1])
-            if np.all(np.abs(step) <= schrodinger.SECULAR_STEP_TOL * np.abs(iterates[-1]) + floor):
+            moving &= ~(np.abs(step) <= schrodinger.SECULAR_STEP_TOL * np.abs(u) + 4.0 * schrodinger.EPS * scale / np.abs(fp))
+            if not moving.any():
                 return iterates
-    raise AssertionError("the full-step loop did not converge")
+            u = np.where(moving, u - step, u)
+            for j in np.flatnonzero(moving).tolist():
+                iterates[j].append(u[j])
+    raise AssertionError("the per-row loop did not converge")
 
 
 class TestSecularSolveCost:
-    """Each secular solve stops at the iterate whose step it has just tested,
-    in work arrays cut from one buffer per compare_losses / evolve call."""
+    """Each secular solve makes one full O(n^2) evaluation and then evaluates
+    only the rows whose step still misses its test, in work arrays cut from
+    one buffer per compare_losses / evolve call."""
 
+    CENTRES = (10.5, 20.5, 50.5, 90.5)
     # the fidelity radii at their half-integer centres and at dnu = +-0.45
-    GRID = [(centre, dnu, alpha) for centre in (10.5, 20.5, 50.5, 90.5) for dnu in (-0.45, 0.0, 0.45)
-            for alpha in (1e-4, 5e-4, 1e-2)]
+    GRID = [(centre, dnu, alpha) for centre in CENTRES for dnu in (-0.45, 0.0, 0.45) for alpha in (1e-4, 5e-4, 1e-2)]
 
     def test_one_evaluation_fewer_than_the_full_step_loop(self, monkeypatch):
-        calls = []
+        cells = []
         terms = schrodinger._secular_terms
 
-        def counted(*args):
-            calls.append(1)
-            return terms(*args)
+        def counted(base, gaps, *args):
+            cells.append(gaps.shape)
+            return terms(base, gaps, *args)
 
         monkeypatch.setattr(schrodinger, "_secular_terms", counted)
         for centre, dnu, alpha in self.GRID:
             cfg = LensConfig(radius=radius_for_order(centre + dnu), alpha=alpha)
             for block in build_blocks(cfg, stereo_theta(0.27)):
                 solver = _SecularSolver(block.detuning, block.coupling)
-                calls.clear()
+                cells.clear()
                 z, _, _ = solver.spectrum(cfg.kappa)
-                solve = len(calls)
-                iterates = _full_step_iterates(solver, cfg.kappa)
-                full = len(calls) - solve  # one evaluation per iterate
-                assert full == len(iterates) and solve == full - 1
-                assert (solve == 2) if dnu == 0.0 else (solve <= 3)
-                # the same iterates: the root returned is the full-step loop's last but one
+                solve = list(cells)
+                iterates = _per_row_iterates(solver, cfg.kappa)
+                # one full evaluation, then one row per step a missed row takes
+                n = solver.g2.size
+                assert solve[0] == (n + 1, n) and all(cols == n for _, cols in solve[1:])
+                assert sum(rows for rows, _ in solve[1:]) == sum(len(row) - 1 for row in iterates)
+                assert len(solve) <= 3
+                # the same iterates: each row returns its own first iterate that passed its step test
                 base = np.concatenate(([0.0], block.detuning - 1j * cfg.kappa))[solver.rows]
-                assert np.array_equal(_bits(z[solver.rows]), _bits(base + iterates[-2]))
+                last = np.array([row[-1] for row in iterates])
+                assert np.array_equal(_bits(z[solver.rows]), _bits(base + last))
+
+    def test_guess_misses_the_step_test_on_at_most_two_rows(self):
+        # the atom row and at most one mode row need a step, next to resonance and without loss too
+        for centre in self.CENTRES:
+            for dnu in (-0.49, -0.45, 0.0, 0.45, 0.49):
+                for alpha in (0.0, 1e-4, 5e-4, 1e-2):
+                    cfg = LensConfig(radius=radius_for_order(centre + dnu), alpha=alpha)
+                    for block in build_blocks(cfg, stereo_theta(0.27)):
+                        solver = _SecularSolver(block.detuning, block.coupling)
+                        iterates = _per_row_iterates(solver, cfg.kappa)
+                        assert sum(len(row) > 1 for row in iterates) <= 2, (centre, dnu, alpha, block.parity)
 
     def test_one_buffer_per_call_grows_and_is_reused(self, antipodal_027, monkeypatch):
         # 3.34 then 14.48 grows the buffer (blocks of 42, then 182 modes); 1.749 (22) reuses it
@@ -825,6 +866,18 @@ class TestPeakSearch:
         assert sim.max_fidelity >= float(sim.bell_fidelity.max())
         assert abs(sim.max_fidelity - cmp.F_numeric) <= 1e-11
         assert sim.extracted_delta_omega == pytest.approx(cmp.extracted_delta_omega, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_shortest_grids(self, antipodal_027, n):
+        # two times bracket nothing; three bracket one interior sample, here the first crossing
+        blocks = build_blocks(LensConfig(radius=3.34, alpha=1e-3), stereo_theta(0.27))
+        sim = evolve(blocks, 1e-3 * OMEGA0, np.linspace(0.0, 1e5, n))
+        assert sim.max_fidelity >= max(0.5, float(sim.bell_fidelity[1:].max()))
+        if n == 2:
+            assert sim.max_fidelity == max(0.5, float(sim.bell_fidelity[1]))
+            assert sim.extracted_delta_omega is None
+        else:
+            assert sim.extracted_delta_omega > 0.0
 
     def test_flat_fidelity_has_no_search(self):
         # atoms on the mirror never exchange: F stays 1/2 and pop1 - pop2 = 1
