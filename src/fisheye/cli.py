@@ -32,9 +32,9 @@ from .errors import DomainError, FisheyeError, NonConvergenceError
 RANGE_SWEEP_RADII = (4.93, 8.11, 11.3, 14.48)
 #: Lens radii of the published fidelity curves (Re nu = 10.5, 20.5, 50.5, 90.5).
 FIDELITY_RADII = (1.749, 3.34, 8.11, 14.48)
-#: Most orders in a vs-radius grid: the largest legendre_nu call its docstring
-#: measures (~34 MB); --nu-max 1e9 would ask numpy for an ~8 GB grid.
-MAX_RADIUS_ORDERS = 100_000
+#: Most --samples and vs-radius orders: the largest legendre_nu call its
+#: docstring measures (~34 MB); --nu-max 1e9 would ask numpy for an ~8 GB grid.
+MAX_GRID_POINTS = 100_000
 
 
 def _write_csv(out: str | None, header: list[str], columns: list[np.ndarray]) -> None:
@@ -104,8 +104,8 @@ class _CommandParser(argparse.ArgumentParser):
 
 
 def _samples(args: argparse.Namespace) -> int:
-    if args.samples < 1:
-        raise DomainError(f"--samples must be at least 1, got {args.samples}")
+    if not 1 <= args.samples <= MAX_GRID_POINTS:
+        raise DomainError(f"--samples must lie in [1, {MAX_GRID_POINTS:,}], got {args.samples}")
     return args.samples
 
 
@@ -309,9 +309,9 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
         if not (math.isfinite(args.nu_min) and math.isfinite(args.nu_max)):
             raise DomainError(f"--nu-min and --nu-max must be finite, got {args.nu_min} and {args.nu_max}")
         orders = math.ceil(args.nu_max + 0.5 - args.nu_min)
-        if orders > MAX_RADIUS_ORDERS:
+        if orders > MAX_GRID_POINTS:
             raise DomainError(f"--nu-max {args.nu_max:g} asks for {orders:.3g} orders above --nu-min {args.nu_min:g}, "
-                              f"more than {MAX_RADIUS_ORDERS:,}")
+                              f"more than {MAX_GRID_POINTS:,}")
         radius, alpha = lens.radius_for_order(np.arange(args.nu_min, args.nu_max + 0.5, 1.0)), args.alpha
         approx = np.array([qed.fidelity_approx(r0, alpha) for r0 in radius.tolist()])
         header = ["R0_over_lambda", "one_minus_F_analytic", "F_approx"]
@@ -369,7 +369,7 @@ def cmd_plasmon_index_sweep(args: argparse.Namespace) -> int:
 def cmd_plasmon_estimate(args: argparse.Namespace) -> int:
     cfg = lens.LensConfig(radius=args.R0)
     report = plasmon.end_to_end_estimate(
-        cfg, _stack(args), reflectivity_sq=args.r2, eta=args.eta, n_radial_samples=args.samples
+        cfg, _stack(args), reflectivity_sq=args.r2, eta=args.eta, n_radial_samples=_samples(args)
     )
     headline = report.fidelity_computed if args.recomputed_mirror_loss else report.fidelity_nominal
     lines = [

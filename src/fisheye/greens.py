@@ -227,19 +227,6 @@ def greens_modesum(
     return ModeSumResult(complex(r.value[0]), int(r.l_max[0]), float(r.tail_estimate[0]), bool(r.converged[0]))
 
 
-def image_point_value(cfg: LensConfig, nu: complex) -> complex:
-    """Image-point approximation -1/(4 b sin(pi nu)).
-
-    Position- and radius-independent height of the Green's-function peak at
-    the antipode; maximal in magnitude at half-integer Re nu.  Sign as
-    printed in the source derivation; the exact image-term limit of
-    greens_zz has the opposite sign, and every observable built on this
-    quantity uses magnitudes (see qed).
-    """
-    s = _check_order(nu)
-    return -1.0 / (4.0 * cfg.b * s)
-
-
 def source_asymptote(nu: complex, xi_near: float) -> complex:
     """Leading near-source behavior (sin(pi nu)/pi) [log((1+xi)/2) + F(nu)], F = specfun.source_offset.
 

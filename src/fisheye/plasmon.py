@@ -46,11 +46,15 @@ CONTINUATION_STEP_NM = 0.5
 #: Adjacent-sample jump in Re ntilde that flags a branch change.
 BRANCH_JUMP_TOL = 0.05
 
-#: Height cap of the lattice walks that bracket a target index (nm).  Re
-#: ntilde closes on the thick-film ceiling exponentially (within 6e-8 at
-#: 1,200 nm for the default stack), so only targets within rounding of the
-#: ceiling run into it.
+#: Height cap of the lattice walk that brackets a profile's target indices,
+#: and of a sweep's d_max (nm).  Re ntilde closes on the thick-film ceiling
+#: exponentially (within 6e-8 at 1,200 nm for the default stack), so only
+#: targets within rounding of the ceiling run into it.
 MAX_HEIGHT_NM = 10_000.0
+
+#: Most steps d_max / step_nm of a sweep grid; each step shorter than
+#: CONTINUATION_STEP_NM is a solve of its own.
+MAX_SWEEP_STEPS = 100_000
 
 #: Sub-steps of the continuation walk solved per _newton_batch call, counted
 #: from d = 0.  Swept to 400 nm over 75 stacks (eps_m in {-25.23+0.589i,
@@ -287,15 +291,6 @@ def _track(stack: PlasmonStack, heights: Iterable[float], n_stop: float = math.i
     return samples
 
 
-def _lattice_walk(stack: PlasmonStack, n_stop: float) -> list[EffectiveIndexSample]:
-    """_track over the CONTINUATION_STEP_NM lattice from d = 0 to the first height with Re ntilde >= n_stop."""
-    steps = int(MAX_HEIGHT_NM / CONTINUATION_STEP_NM)
-    table = _track(stack, (i * CONTINUATION_STEP_NM for i in range(steps + 1)), n_stop)
-    if table[-1].n < n_stop:
-        raise DomainError(f"index {n_stop} not reached below d = {MAX_HEIGHT_NM} nm")
-    return table
-
-
 def solve_effective_index(d_nm: float, stack: PlasmonStack) -> EffectiveIndexSample:
     """Complex effective index ntilde(d) of the bound mode at height d, tracked by _track from d = 0."""
     if d_nm < 0:
@@ -311,36 +306,17 @@ def sweep_effective_index(
     """Continuation sweep of ntilde(d) on a uniform height grid from 0 to d_max.
 
     step_nm only sets the reported grid: _track still advances by at most
-    CONTINUATION_STEP_NM, so branch-jump detection stays calibrated.
+    CONTINUATION_STEP_NM, so branch-jump detection stays calibrated.  Raises
+    DomainError unless d_max is in (0, MAX_HEIGHT_NM] and the grid has at
+    most MAX_SWEEP_STEPS steps.
     """
-    if not (0 < d_max_nm < math.inf and 0 < step_nm < math.inf):
-        raise DomainError("need positive sweep range and step")
+    if not (0 < d_max_nm <= MAX_HEIGHT_NM and 0 < step_nm < math.inf and d_max_nm / step_nm <= MAX_SWEEP_STEPS):
+        raise DomainError(f"need positive sweep range and step, d_max <= {MAX_HEIGHT_NM:,.0f} nm and at most "
+                          f"{MAX_SWEEP_STEPS:,} steps; got d_max = {d_max_nm:g} nm, step = {step_nm:g} nm")
     grid = [i * step_nm for i in range(int(math.floor(d_max_nm / step_nm)) + 1)]
     if grid[-1] < d_max_nm - 1e-9:
         grid.append(d_max_nm)
     return _track(stack, grid)
-
-
-def height_for_index(n_target: float, stack: PlasmonStack) -> float:
-    """Invert Re ntilde(d) = n_target: a lattice walk to the bracket, then a secant solve.
-
-    Raises DomainError for targets outside [n(0), ceiling); the ceiling is
-    the thick-film limit sqrt(eps_m eps_d/(eps_m + eps_d)).
-    """
-    n0 = stack.flat_interface_index.real
-    if n_target < n0:
-        raise DomainError(
-            f"target index {n_target} below the bare-interface value {n0:.4f}"
-        )
-    if n_target >= stack.thick_film_index.real:
-        raise DomainError(
-            f"target index {n_target} at or above the thick-film ceiling "
-            f"{stack.thick_film_index.real:.4f}"
-        )
-    if n_target == n0:
-        return 0.0
-    lo, hi = _lattice_walk(stack, n_target)[-2:]
-    return float(_invert_height(stack, lo.height_nm, hi.height_nm, lo.n_eff, n_target)[0][0])
 
 
 def _invert_height(
@@ -429,9 +405,12 @@ def _profile_samples(
             f"profile needs index {center_target:.3f}, above the stack "
             f"ceiling {ceiling:.3f}"
         )
-    # one lattice walk bracketing the largest target, then one batched
-    # secant inversion over all radii (monotone table)
-    table = _lattice_walk(stack, center_target)
+    # one walk over the CONTINUATION_STEP_NM lattice to the largest target,
+    # then one batched secant inversion over all radii (monotone table)
+    steps = int(MAX_HEIGHT_NM / CONTINUATION_STEP_NM)
+    table = _track(stack, (i * CONTINUATION_STEP_NM for i in range(steps + 1)), center_target)
+    if table[-1].n < center_target:
+        raise DomainError(f"index {center_target} not reached below d = {MAX_HEIGHT_NM} nm")
     table_d = np.array([s.height_nm for s in table])
     table_z = np.array([s.n_eff for s in table])
     rhos = np.linspace(0.0, 1.0, n_radial_samples)

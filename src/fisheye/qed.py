@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError, RangeOverflowError, UnphysicalRatesError, ZeroCouplingError
-from .greens import MODESUM_LMAX_CAP, MODESUM_TOL, greens_modesum_points, greens_zz_orders, image_point_value
+from .greens import MODESUM_LMAX_CAP, MODESUM_TOL, _check_order, greens_modesum_points, greens_zz_orders
 from .greens import greens_zz  # noqa: F401  (the benchmark tracer wraps this binding)
 from .lens import OMEGA0, DiskPoint, LensConfig, check_lens, order_parameter, order_parameters
 from .specfun import source_offset
@@ -192,14 +192,17 @@ def image_rates(cfg: LensConfig) -> CouplingRates:
     """Image-point model of the antipodal rates (source fringe dropped).
 
     Uses the kappa << omega0 prefactor omega0^2, the chain that yields the
-    published scaling laws: delta_omega from Re of the image-point value at
-    the exact complex order, gamma_coop from its Im (identically zero at
-    half-integer Re nu), gamma from the regularized on-site rule.  Valid at
-    any detuning; position independent by construction.
+    published scaling laws: delta_omega from Re of the image-point value
+    -1/(4 b sin(pi nu)) at the exact complex order, gamma_coop from its Im
+    (identically zero at half-integer Re nu), gamma from the regularized
+    on-site rule.  Valid at any detuning; position independent by
+    construction.  The sign is the source derivation's, opposite to the exact
+    image-term limit of greens_zz: delta_omega is opposite in sign to
+    coupling_rates' (-3.749 against +3.348 at R0 = 3.34, alpha = 5e-4).
     """
     omega = OMEGA0 * (1.0 + 1j * cfg.alpha)
     nu = order_parameter(cfg, omega)
-    g_img = image_point_value(cfg, nu)
+    g_img = -1.0 / (4.0 * cfg.b * _check_order(nu))
     return CouplingRates(
         delta_omega=_DW_PREF * OMEGA0**2 * g_img.real,
         gamma=_onsite_gamma(cfg.b, nu),

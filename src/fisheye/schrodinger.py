@@ -47,8 +47,7 @@ only when SimResult.state_norm is read.
 Blocks hold their modes as arrays.  A flat loss cancels from the gaps
 d_l - d_m, so the deflation set, those (real) gaps and the starting guess's
 sums over the modes are formed once per block and shared by lenses that
-differ only in loss (compare_losses); each loss adds its atom row.  The
-work arrays of one compare_losses or evolve call are cut from one buffer.
+differ only in loss (compare_losses); each loss adds its atom row.
 compare_losses observes the lenses of a loss group together (_observe;
 evolve is its one-lens call): their atomic rows give stacked pair tables
 (SEARCH_POINTS times in compare_losses, the caller's grid in evolve) that
@@ -276,21 +275,6 @@ def _secular_weights(size, rows, base, u, res, g) -> np.ndarray:
     return weights
 
 
-class _Workspace:
-    """One buffer per compare_losses or evolve call, grown on demand, for the secular solvers' work arrays."""
-
-    def __init__(self) -> None:
-        self.buffer = np.empty(0)
-
-    def arrays(self, rows: int, cols: int) -> tuple[np.ndarray, ...]:
-        """gaps, inv, pull (complex) and size (float), rows x cols each; fresh ones (1.9 MB at n = 182) map new pages."""
-        cells = rows * cols
-        if self.buffer.size < 7 * cells:
-            self.buffer = np.empty(7 * cells)
-        gaps, inv, pull = self.buffer[: 6 * cells].view(complex).reshape(3, rows, cols)
-        return gaps, inv, pull, self.buffer[6 * cells : 7 * cells].reshape(rows, cols)
-
-
 class _SecularSolver:
     """Secular spectra of H = [[0, g^T], [g, diag(diag0 - i kappa)]] for any flat loss kappa.
 
@@ -298,13 +282,13 @@ class _SecularSolver:
     deflation set, those gap rows, the guess's pull sums
     s_j = sum_m!=j g_m^2 / (d_j - d_m) and their slopes
     t_j = sum_m!=j g_m^2 / (d_j - d_m)^2 are formed once, in real arithmetic
-    (diag0's imaginary parts must be equal, else DomainError), in work
-    arrays cut from work (a fresh _Workspace if None); each loss adds only
-    its atom row of gaps, 0 - (d_m - i kappa), and runs Newton.  Every
-    spectrum is bit for bit the one a solver built for that loss alone returns.
+    (diag0's imaginary parts must be equal, else DomainError), in the
+    solver's own work arrays; each loss adds only its atom row of gaps,
+    0 - (d_m - i kappa), and runs Newton.  Every spectrum is bit for bit the
+    one a solver built for that loss alone returns.
     """
 
-    def __init__(self, diag0: np.ndarray, g: np.ndarray, work: _Workspace | None = None):
+    def __init__(self, diag0: np.ndarray, g: np.ndarray):
         if np.any(np.imag(diag0) != np.imag(diag0)[:1]):
             raise DomainError("the secular solver takes one flat loss: every imaginary part of diag0 must be equal")
         g2 = g * g
@@ -312,7 +296,8 @@ class _SecularSolver:
         self.diag0, self.g, self.g2 = diag0, g[live], g2[live]
         self.rows = np.concatenate(([0], 1 + live))
         modes = np.real(diag0)[live]
-        self.gaps, self.inv, self.pull, self.size = (work or _Workspace()).arrays(live.size + 1, live.size)
+        self.gaps, self.inv, self.pull = np.empty((3, live.size + 1, live.size), dtype=complex)
+        self.size = np.empty((live.size + 1, live.size))
         recip = np.subtract(modes[:, None], modes[None, :], out=self.size[1:])
         self.gaps[1:] = recip
         # 1 / gap, a zero gap left at 0; times g^2 it is numpy's complex g^2 / (gap + 0j) bit for bit
@@ -396,9 +381,9 @@ class _SecularSolver:
         return u, res
 
 
-def _block_spectra(block: BlockModel, kappas: list[float], work: _Workspace | None = None) -> list[Spectrum]:
-    """Spectrum of one block at each loss kappa: secular (work arrays from work), or eig where a secular check fails."""
-    secular = _SecularSolver(block.detuning, block.coupling, work)
+def _block_spectra(block: BlockModel, kappas: list[float]) -> list[Spectrum]:
+    """Spectrum of one block at each loss kappa: secular, or eig where a secular check fails."""
+    secular = _SecularSolver(block.detuning, block.coupling)
     spectra = []
     for kappa in kappas:
         try:
@@ -612,8 +597,7 @@ def evolve(blocks: tuple[BlockModel, BlockModel], kappa: float, t_grid: np.ndarr
     offgrid = np.abs(t_grid - dt * np.arange(n_times))
     if not (t_grid[0] == 0.0 and dt > 0.0 and np.all(offgrid <= GRID_TOL * t_grid[-1])):
         raise DomainError("t_grid must be uniform and increasing from 0, t_k = k dt")
-    work = _Workspace()
-    spectra = [_block_spectra(block, [kappa], work)[0] for block in blocks]
+    spectra = [_block_spectra(block, [kappa])[0] for block in blocks]
     amp_a, amp_b, fid, peak, branch, rate = _observe([spectra], np.array([dt]), t_grid[None])
     branch = int(branch[0])
     return SimResult(
@@ -666,11 +650,11 @@ def compare_losses(
     for k, cfg in enumerate(cfgs):
         lossless.setdefault((cfg.radius, cfg.n0, cfg.b), []).append(k)
     out: list[AnalyticsComparison] = [None] * len(cfgs)
-    work, theta, tables = _Workspace(), stereo_theta(atoms.p1.rho), {}
+    theta, tables = stereo_theta(atoms.p1.rho), {}
     for ks in lossless.values():
         blocks = _build_blocks(cfgs[ks[0]], theta, l_max, tables)
         kappas = [cfgs[k].kappa for k in ks]
-        spectra = list(zip(*(_block_spectra(block, kappas, work) for block in blocks)))
+        spectra = list(zip(*(_block_spectra(block, kappas) for block in blocks)))
         dt = np.array([3.0 * math.pi / (abs(rates[k].delta_omega) * DEFAULT_GAMMA0) / (SEARCH_POINTS - 1) for k in ks])
         *_, peaks, _, found = _observe(spectra, dt, dt[:, None] * np.arange(SEARCH_POINTS))
         for k, peak, rate in zip(ks, peaks.tolist(), found):

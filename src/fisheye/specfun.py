@@ -157,6 +157,9 @@ W_TOL = 1e-12
 #: Terms a seed series may take before legendre_nu raises NonConvergenceError.
 MAX_TERMS = 100_000
 
+#: Tail bound, relative to the partial sum, at which a seed series of legendre_nu stops.
+SERIES_TOL = 1e-10
+
 #: Series terms per numpy pass in the array path: the first block has
 #: _BLOCK_FIRST terms, each later one as many as were done before it, up to
 #: _BLOCK_CAP.  Elements that need thousands of terms (x near -1 on the
@@ -256,7 +259,6 @@ def _series_array(
     x: np.ndarray,
     w: np.ndarray,
     hyp: bool,
-    tol: float,
     start: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Seed series for P_d(x) over many x: hypergeometric (hyp=True) or logarithmic.
@@ -280,7 +282,7 @@ def _series_array(
     call.  An element is tested only at the end of a block, which it pays
     for whole: it stops there, with the block-end partial sum, if each of
     the block's last two terms has a geometric tail bound |term| r/(1-r),
-    r = y |p_{n+1}|/(n+2)^2, within tol of its partial sum (of 1 at least,
+    r = y |p_{n+1}|/(n+2)^2, within SERIES_TOL of its partial sum (of 1 at least,
     on the hypergeometric branch); a single term can dip when n passes
     Re d.  The partial sums are a sequential cumsum, so a real d (a float
     or a float array), summed in float64, keeps the bits of the complex
@@ -379,7 +381,7 @@ def _series_array(
             bound /= 1.0 - ratio
             sums = np.cumsum(terms, axis=1, out=terms)[:, -2:] + total[:, None]
             limit = np.maximum(np.abs(sums), floor)
-            limit *= tol
+            limit *= SERIES_TOL
             done = np.all(bound <= limit, axis=1)
             rows = np.flatnonzero(done)
             out_g[live[rows]] = sums[rows, -1]
@@ -402,7 +404,7 @@ def _series_array(
     return out if hyp else scale * out
 
 
-def _legendre_nu_array(nu: np.ndarray, x: np.ndarray, w: np.ndarray | None, tol: float) -> np.ndarray:
+def _legendre_nu_array(nu: np.ndarray, x: np.ndarray, w: np.ndarray | None) -> np.ndarray:
     """legendre_nu over broadcast arrays (or 0-d arrays) of nu and x, element by element.
 
     The work runs in the dtype of nu: float64 for a real array, complex128
@@ -443,7 +445,7 @@ def _legendre_nu_array(nu: np.ndarray, x: np.ndarray, w: np.ndarray | None, tol:
             if one:
                 db = db[:1]
             start = None if is_hyp else _log_start(db)
-            p[branch] = _series_array(db, xb, wb, is_hyp, tol, start)
+            p[branch] = _series_array(db, xb, wb, is_hyp, start)
             if ub.any():
                 if not one:
                     db = db[ub]
@@ -451,7 +453,7 @@ def _legendre_nu_array(nu: np.ndarray, x: np.ndarray, w: np.ndarray | None, tol:
                 if start is not None:
                     a0, scale = start if one else (start[0][ub], start[1][ub])
                     start = (a0 + _quotient(2.0, db), -scale)
-                p1[branch[up]] = _series_array(db, xb[ub], wb[ub], is_hyp, tol, start)
+                p1[branch[up]] = _series_array(db, xb[ub], wb[ub], is_hyp, start)
         return p, p1
 
     # nu itself where no recurrence is needed, else s, and s + 1 below
@@ -487,7 +489,6 @@ def legendre_nu(
     x: float | np.ndarray,
     *,
     w: float | np.ndarray | None = None,
-    tol: float = 1e-10,
 ) -> complex | np.ndarray:
     """Legendre function P_nu(x) for arbitrary complex degree nu, x in (-1, 1].
 
@@ -509,8 +510,8 @@ def legendre_nu(
 
     Accuracy, measured against mpmath (40 digits) over Re nu <= 90.5,
     Im nu <= 0.9 and x in [-0.99999, 0.99999], as the error relative to
-    max(1, |P_nu(x)|): at the default tol = 1e-10 at most 2.1e-11, and
-    1.7e-10 for nu within 1e-3 of an integer at x = -0.999; tol = 1e-13
+    max(1, |P_nu(x)|): at SERIES_TOL = 1e-10 at most 2.1e-11, and
+    1.7e-10 for nu within 1e-3 of an integer at x = -0.999; SERIES_TOL = 1e-13
     brings these to 3.9e-14 and 1.7e-13 for ~30% (801 degrees at Re nu =
     90.5) to ~70% (at 10.5) more time per array call.
     Relative to |P_nu(x)| alone the error grows near its zeros (1.2e-10 at
@@ -575,14 +576,14 @@ def legendre_nu(
         singularity), a given w is not (1+x)/2 to within W_TOL, or a
         degree is not finite.
     NonConvergenceError
-        If a seed series does not reach `tol` within MAX_TERMS terms (for
+        If a seed series does not reach SERIES_TOL within MAX_TERMS terms (for
         any element).
     """
     scalar = not (isinstance(nu, np.ndarray) or isinstance(x, np.ndarray))
     nu = np.asarray(nu)
     if np.iscomplexobj(nu) and not nu.imag.any():
         nu = nu.real  # real degrees: the float64 path
-    p = _legendre_nu_array(nu, x, w, tol)
+    p = _legendre_nu_array(nu, x, w)
     return complex(p[()]) if scalar else p
 
 

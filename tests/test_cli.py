@@ -159,9 +159,9 @@ class TestDdiSweep:
         assert code == 2
 
     def test_order_near_an_integer_exits_3(self, tmp_path, capsys):
-        # ROADMAP item 3's known limit: this radius puts nu at 30.0005, whose
+        # ROADMAP [legendre-edges]'s known limit: this radius puts nu at 30.0005, whose
         # hypergeometric seeds near the source exceed MAX_TERMS; the command
-        # must report it, not write a value (item 3's fix turns this into exit 0)
+        # must report it, not write a value ([legendre-edges]'s fix turns this into exit 0)
         out = tmp_path / "ddi.csv"
         assert _run(["ddi-sweep", "--radii", "4.8536530342826705", "--out", str(out)]) == 3
         assert "exceeded 100000 terms" in capsys.readouterr().err
@@ -516,6 +516,41 @@ class TestNonFiniteAndNonPositiveInputs:
         assert _exit_code(["fidelity", "--mode", "vs-radius", "--nu-max", nu_max, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "bad arguments: --nu-max" in err and "more than 100,000" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ddi-sweep"],
+            ["dynamics"],
+            ["fidelity", "--mode", "vs-loss"],
+            ["fidelity", "--mode", "vs-detuning"],
+            ["fidelity", "--mode", "vs-radius"],
+            ["plasmon", "estimate"],
+        ],
+        ids=" ".join,
+    )
+    def test_samples_above_the_cap_name_the_flag(self, tmp_path, capsys, argv):
+        out = tmp_path / "out.csv"
+        assert _exit_code(argv + ["--samples", "100001", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "bad arguments: --samples must lie in [1, 100,000], got 100001" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--d-max", "10001"], "got d_max = 10001 nm, step = 0.5 nm"),
+            (["--d-max", "97.6572265625", "--step", "0.0009765625"], "got d_max = 97.6572 nm, step = 0.000976562 nm"),
+        ],
+        ids=["d-max", "step"],
+    )
+    def test_oversized_height_grid_is_usage_error(self, tmp_path, capsys, flags, message):
+        # 1 nm above the height cap, and a grid of exactly 100,001 steps
+        out = tmp_path / "out.csv"
+        assert _exit_code(["plasmon", "index-sweep", *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "bad arguments: " in err and message in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -15,7 +15,6 @@ from fisheye.greens import (
     greens_modesum_points,
     greens_zz,
     greens_zz_orders,
-    image_point_value,
     source_asymptote,
     xi,
 )
@@ -403,42 +402,6 @@ class TestModeSumPoints:
     def test_rho_outside_the_disk_rejected(self, lens_20p5):
         with pytest.raises(DomainError):
             greens_modesum_points(lens_20p5, 0.3, 0.0, 1.2, 1.0, OMEGA0)
-
-
-class TestImagePointValue:
-    def test_half_integer_lossless(self):
-        cfg = LensConfig(radius=radius_for_order(20.5), b=0.1)
-        val = image_point_value(cfg, 20.5)
-        assert val == pytest.approx(-2.5, rel=1e-9)
-
-    def test_lossy_magnitude_matches_lorentzian_model(self):
-        # |G_img| ~ 1/(4b (1 + (2 pi^2 R0 alpha)^2)) for small alpha
-        alpha = 1e-3
-        r0 = radius_for_order(20.5)
-        cfg = LensConfig(radius=r0, alpha=alpha)
-        nu = order_parameter(cfg, OMEGA0 * (1 + 1j * alpha))
-        got = abs(image_point_value(cfg, nu))
-        model = 1.0 / (4.0 * cfg.b * (1.0 + (2.0 * math.pi**2 * r0 * alpha) ** 2))
-        assert got == pytest.approx(model, rel=1e-2)
-
-    def test_lossless_limit_reduction(self):
-        cfg = LensConfig(radius=radius_for_order(20.5))
-        nu0 = order_parameter(cfg, OMEGA0)
-        assert image_point_value(cfg, nu0).imag == pytest.approx(0.0, abs=1e-12)
-
-    def test_radius_independence(self):
-        # the image-term height depends on R0 only through |sin(pi nu(R0))|
-        vals = []
-        for r0 in (3.34, 8.11):
-            cfg = LensConfig(radius=r0)
-            nu = order_parameter(cfg, OMEGA0)
-            vals.append(abs(image_point_value(cfg, nu)))
-        assert abs(vals[0] - vals[1]) / vals[0] < 0.01
-
-    def test_resonance_guard(self):
-        cfg = LensConfig(radius=2.0)
-        with pytest.raises(ResonanceError):
-            image_point_value(cfg, 7.0 + 1e-12)
 
 
 class TestSourceAsymptote:

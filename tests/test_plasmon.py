@@ -11,10 +11,10 @@ from fisheye.plasmon import (
     PlasmonStack,
     _invert_height,
     _newton_batch,
+    _track,
     average_absorption,
     dispersion_residual,
     end_to_end_estimate,
-    height_for_index,
     lens_height_profile,
     mirror_loss,
     solve_effective_index,
@@ -209,39 +209,52 @@ class TestSweep:
         with pytest.raises(DomainError, match="positive sweep range and step"):
             sweep_effective_index(d_max, stack, step)
 
+    def test_range_above_the_height_cap_rejected(self, stack):
+        with pytest.raises(DomainError, match="d_max <= 10,000 nm .*; got d_max = 10001 nm"):
+            sweep_effective_index(plasmon.MAX_HEIGHT_NM + 1.0, stack, 1.0)
 
-class TestHeightForIndex:
+    def test_grid_above_the_step_cap_rejected(self, stack):
+        # d_max / step is exactly MAX_SWEEP_STEPS + 1 (a power-of-two step)
+        step = 2.0**-10
+        with pytest.raises(DomainError, match="at most 100,000 steps; got d_max = 97.6572 nm, step = 0.000976562 nm"):
+            sweep_effective_index((plasmon.MAX_SWEEP_STEPS + 1) * step, stack, step)
+
+
+def _height_at(stack, n_target):
+    """Height with Re ntilde = n_target: the lattice walk to its bracket and the secant, as lens_height_profile runs them."""
+    steps = int(plasmon.MAX_HEIGHT_NM / plasmon.CONTINUATION_STEP_NM)
+    lo, hi = _track(stack, (i * plasmon.CONTINUATION_STEP_NM for i in range(steps + 1)), n_target)[-2:]
+    return float(_invert_height(stack, lo.height_nm, hi.height_nm, lo.n_eff, n_target)[0][0])
+
+
+class TestHeightInversion:
     def test_floor_maps_to_zero(self, stack):
-        assert height_for_index(stack.flat_interface_index.real, stack) == 0.0
+        # a rim target of exactly the bare-interface index takes d = 0
+        floor = stack.flat_interface_index.real
+        assert lens_height_profile(LensConfig(radius=1.749, n0=floor), stack, 11)[-1] == (1.0, 0.0)
 
     def test_mid_target(self, stack):
-        d = height_for_index(1.5, stack)
+        d = _height_at(stack, 1.5)
         assert 0.0 < d < 200.0
         assert solve_effective_index(d, stack).n == pytest.approx(1.5, abs=1e-4)
 
-    def test_bracket_walk_checks_branch_jumps(self, stack, monkeypatch):
+    def test_bracket_walk_checks_branch_jumps(self, stack, lens_cfg, monkeypatch):
         monkeypatch.setattr(plasmon, "BRANCH_JUMP_TOL", 1e-6)
         with pytest.raises(BranchJumpError):
-            height_for_index(1.5, stack)
+            lens_height_profile(lens_cfg, stack, 11)
 
     def test_bracket_reached_before_a_failing_sub_step(self):
         # no root past ~20 nm on this stack: the first block (0-31.5 nm) fails
         # at 27 nm, after the walk has bracketed n = 1.3 at ~17 nm
         stack = PlasmonStack(-25.23 + 0.589j, 10.0, 500.0)
-        assert height_for_index(1.3, stack) == pytest.approx(17.041325637096882, rel=1e-12)
-
-    def test_out_of_range_targets(self, stack):
-        with pytest.raises(DomainError):
-            height_for_index(2.5, stack)
-        with pytest.raises(DomainError):
-            height_for_index(0.99, stack)
+        assert _height_at(stack, 1.3) == pytest.approx(17.041325637096882, rel=1e-12)
 
     def test_bracket_without_target_raises(self, stack):
         # Re ntilde stays well below 1.9 on [10, 20] nm: the secant stalls
         with pytest.raises(RootNotFoundError):
             _invert_height(stack, 10.0, 20.0, stack.flat_interface_index, 1.9)
         # in a batch, the reachable target does not hide the unreachable one
-        d_mid = height_for_index(1.5, stack)
+        d_mid = _height_at(stack, 1.5)
         z_mid = solve_effective_index(d_mid, stack).n_eff
         with pytest.raises(RootNotFoundError, match=r"\[10\.0, 20\.0\] nm gives index 1\.9 "):
             _invert_height(
@@ -286,9 +299,11 @@ class TestLensProfile:
         assert [rho for rho, _ in profile] == pytest.approx(np.linspace(0.0, 1.0, 11).tolist(), abs=0)
         np.testing.assert_allclose([d for _, d in profile], PINNED_HEIGHTS_1749, rtol=0, atol=1e-9)
 
-    def test_unreachable_center_rejected(self, stack):
-        with pytest.raises(DomainError):
-            lens_height_profile(LensConfig(radius=1.0, n0=1.2), stack, 11)
+    @pytest.mark.parametrize("n0", [1.2, 1.25])
+    def test_unreachable_center_rejected(self, stack, n0):
+        # centre targets 2.4 and 2.5, above the thick-film ceiling 2.049
+        with pytest.raises(DomainError, match="above the stack ceiling"):
+            lens_height_profile(LensConfig(radius=1.0, n0=n0), stack, 11)
 
 
 class TestAverageAbsorption:

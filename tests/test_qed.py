@@ -95,7 +95,42 @@ class TestCouplingRates:
         assert coupling_rates(LensConfig(radius=3.34, n0=2.0, alpha=5e-4), antipodal_027) == one
 
 
+def _image_value(rates: CouplingRates) -> complex:
+    """The image-point value -1/(4 b sin(pi nu)) behind image_rates: delta_omega is 1.5 Re of it, gamma_coop 3 Im."""
+    return complex(rates.delta_omega / 1.5, rates.gamma_coop / 3.0)
+
+
 class TestImageRates:
+    def test_half_integer_lossless(self):
+        assert _image_value(image_rates(_cfg(20.5))) == pytest.approx(-2.5, rel=1e-9)
+
+    def test_lossy_magnitude_matches_lorentzian_model(self):
+        # |G_img| ~ 1/(4b (1 + (2 pi^2 R0 alpha)^2)) for small alpha
+        alpha = 1e-3
+        cfg = _cfg(20.5, alpha=alpha)
+        model = 1.0 / (4.0 * cfg.b * (1.0 + (2.0 * math.pi**2 * cfg.radius * alpha) ** 2))
+        assert abs(_image_value(image_rates(cfg))) == pytest.approx(model, rel=1e-2)
+
+    def test_lossless_limit_reduction(self):
+        assert _image_value(image_rates(_cfg(20.5))).imag == pytest.approx(0.0, abs=1e-12)
+
+    def test_radius_independence(self):
+        # the image-term height depends on R0 only through |sin(pi nu(R0))|
+        vals = [abs(_image_value(image_rates(LensConfig(radius=r0)))) for r0 in (3.34, 8.11)]
+        assert abs(vals[0] - vals[1]) / vals[0] < 0.01
+
+    def test_resonance_guard(self):
+        with pytest.raises(ResonanceError):
+            image_rates(_cfg(7.0))
+
+    @pytest.mark.parametrize("r0", [1.749, 3.34, 8.11, 14.48])
+    @pytest.mark.parametrize("alpha", [0.0, 5e-4, 1e-2])
+    def test_sign_opposite_to_the_exact_rates(self, antipodal_027, r0, alpha):
+        # the image model keeps the source derivation's sign, the exact image
+        # term the other: -3.749 against +3.348 at R0 = 3.34, alpha = 5e-4
+        cfg = LensConfig(radius=r0, alpha=alpha)
+        assert image_rates(cfg).delta_omega < 0.0 < coupling_rates(cfg, antipodal_027).delta_omega
+
     def test_peak_height_three_lambda_over_8b(self):
         # image model at Re nu = 30.5 (R0 = 4.93): |dw|/Gamma0 = 3 lambda/(8 b)
         rates = image_rates(_cfg(30.5))

@@ -601,10 +601,13 @@ class TestSharedSecularData:
             assert np.array_equal(_bits(shared[1][2]()), _bits(lossy()))
 
     def test_compare_losses_is_the_per_point_comparison(self, antipodal_027, monkeypatch):
-        # a mixed list: one radius at two losses, another radius, and the first
-        # radius on a thinner disk; each lossless lens builds its blocks once
+        # a mixed list: 3.34 (blocks of 42 modes), 1.749 (22) and 14.48 (182) at
+        # two losses each, and 3.34 on a thinner disk; each lossless lens builds
+        # its blocks once
         cfgs = [LensConfig(radius=3.34, alpha=1e-4), LensConfig(radius=1.749, alpha=1e-3),
-                LensConfig(radius=3.34, alpha=1e-2), LensConfig(radius=3.34, b=0.12, alpha=1e-3)]
+                LensConfig(radius=3.34, alpha=1e-2), LensConfig(radius=14.48, alpha=1e-4),
+                LensConfig(radius=14.48, alpha=1e-2), LensConfig(radius=1.749, alpha=1e-4),
+                LensConfig(radius=3.34, b=0.12, alpha=1e-3)]
         rates = [coupling_rates(cfg, antipodal_027) for cfg in cfgs]
         built = []
         build = schrodinger._build_blocks
@@ -615,12 +618,14 @@ class TestSharedSecularData:
 
         monkeypatch.setattr(schrodinger, "_build_blocks", counted)
         swept = schrodinger.compare_losses(cfgs, antipodal_027, rates)
-        assert built == [(3.34, 1.0, 0.1), (1.749, 1.0, 0.1), (3.34, 1.0, 0.12)]
+        assert built == [(3.34, 1.0, 0.1), (1.749, 1.0, 0.1), (14.48, 1.0, 0.1), (3.34, 1.0, 0.12)]
         monkeypatch.setattr(schrodinger, "_build_blocks", build)
         assert len(swept) == len(cfgs)
         for cfg, point, got in zip(cfgs, rates, swept):
             assert got.rates is point
-            assert got == compare_to_analytics(cfg, antipodal_027, point)
+            alone = compare_to_analytics(cfg, antipodal_027, point)
+            assert got == alone
+            assert np.array_equal(_bits(got.F_numeric), _bits(alone.F_numeric))
         with pytest.raises(DomainError, match="one CouplingRates per lens"):
             schrodinger.compare_losses(cfgs, antipodal_027, rates[:2])
 
@@ -671,8 +676,7 @@ def _per_row_iterates(solver, kappa):
 
 class TestSecularSolveCost:
     """Each secular solve makes one full O(n^2) evaluation and then evaluates
-    only the rows whose step still misses its test, in work arrays cut from
-    one buffer per compare_losses / evolve call."""
+    only the rows whose step still misses its test."""
 
     CENTRES = (10.5, 20.5, 50.5, 90.5)
     # the fidelity radii at their half-integer centres and at dnu = +-0.45
@@ -716,37 +720,15 @@ class TestSecularSolveCost:
                         iterates = _per_row_iterates(solver, cfg.kappa)
                         assert sum(len(row) > 1 for row in iterates) <= 2, (centre, dnu, alpha, block.parity)
 
-    def test_one_buffer_per_call_grows_and_is_reused(self, antipodal_027, monkeypatch):
-        # 3.34 then 14.48 grows the buffer (blocks of 42, then 182 modes); 1.749 (22) reuses it
-        cfgs = [LensConfig(radius=r0, alpha=alpha) for r0 in (3.34, 14.48, 1.749) for alpha in (1e-4, 1e-2)]
-        rates = [coupling_rates(cfg, antipodal_027) for cfg in cfgs]
-        buffers = []
-        arrays = schrodinger._Workspace.arrays
-
-        def recorded(work, rows, cols):
-            out = arrays(work, rows, cols)
-            buffers.append(work.buffer)
-            return out
-
-        monkeypatch.setattr(schrodinger._Workspace, "arrays", recorded)
-        swept = schrodinger.compare_losses(cfgs, antipodal_027, rates)
-        assert len(buffers) == 6  # two blocks at each radius
-        assert all(buf is buffers[0] for buf in buffers[:2]) and all(buf is buffers[2] for buf in buffers[2:])
-        assert buffers[2] is not buffers[0]
-        for cfg, point, got in zip(cfgs, rates, swept):
-            alone = schrodinger.compare_losses([cfg], antipodal_027, [point])[0]
-            assert np.array_equal(_bits(got.F_numeric), _bits(alone.F_numeric))
-
     def test_spectra_do_not_alias_the_buffer(self, antipodal_027):
         kappa = 1e-3 * OMEGA0
-        work = schrodinger._Workspace()
         block = build_blocks(LensConfig(radius=3.34), stereo_theta(0.27))[0]
-        z, res, weights = _block_spectra(block, [kappa], work)[0]
+        z, res, weights = _block_spectra(block, [kappa])[0]
         kept = z.copy(), res.copy(), weights()
-        # blocks as large or smaller reuse the buffer; 14.48 grows it
+        # later blocks as large, smaller and larger
         for r0 in (3.34, 1.749, 14.48, 3.34):
             for later in build_blocks(LensConfig(radius=r0), stereo_theta(0.27)):
-                _block_spectra(later, [kappa, 0.0], work)
+                _block_spectra(later, [kappa, 0.0])
         for before, after in zip(kept, (z, res, weights())):
             assert np.array_equal(_bits(after), _bits(before))
         # the full state behind state_norm is built only when read: here after a later call

@@ -314,11 +314,12 @@ class TestLegendreNu:
             assert got.real == pytest.approx(want, rel=1e-8, abs=1e-10)
 
     @pytest.mark.parametrize("nu", [0.5, 20.5, 90.5])
-    def test_tight_tolerance_reaches_machine_accuracy(self, nu):
+    def test_tight_tolerance_reaches_machine_accuracy(self, nu, monkeypatch):
         mpmath = pytest.importorskip("mpmath")
+        monkeypatch.setattr(specfun, "SERIES_TOL", 1e-15)
         for x in (-0.77, 0.31):
             want = complex(mpmath.legenp(nu, 0, x))
-            got = legendre_nu(nu, x, tol=1e-15)
+            got = legendre_nu(nu, x)
             assert got.real == pytest.approx(want.real, rel=1e-12)
 
     @pytest.mark.parametrize("nu", [10.5 + 0.02j, 20.5 * (1 + 1e-3j), 90.5 * (1 + 1e-2j)])
@@ -397,7 +398,7 @@ def _mpmath_legendre(nu, x) -> np.ndarray:
     return np.array(ref, dtype=complex).reshape(x.shape)
 
 
-#: Worst error relative to max(1, |P|) at the default tol, from the accuracy envelope below.
+#: Worst error relative to max(1, |P|) at the default SERIES_TOL, from the accuracy envelope below.
 ENVELOPE = 6e-10
 
 
@@ -647,7 +648,7 @@ class TestSeedSeriesKernel:
 
 
 class TestNearIntegerLimitNearMinusOne:
-    """The known limit that ROADMAP item 3 (Legendre accuracy near an integer degree) is to remove.
+    """The known limit that ROADMAP [legendre-edges] (Legendre accuracy near an integer degree) is to remove.
 
     With nu within 1e-3 of an integer, the seeds take the hypergeometric
     series at every x, which at x = -0.99979 needs more than MAX_TERMS terms.
@@ -680,31 +681,31 @@ class TestRealDegreePath:
     @pytest.mark.parametrize("d", [0.2718, 0.5, 0.9, 1.5, 1.0007])
     def test_series_matches_zero_imaginary_part(self, d, hyp):
         x = self.X[self.X >= 0.0] if hyp else self.X[self.X < 0.0]
-        got = _series_array(d, x, (1.0 + x) / 2.0, hyp, 1e-10)
+        got = _series_array(d, x, (1.0 + x) / 2.0, hyp)
         assert got.dtype == float
-        assert _same_bits(got, _series_array(complex(d), x, (1.0 + x) / 2.0, hyp, 1e-10))
+        assert _same_bits(got, _series_array(complex(d), x, (1.0 + x) / 2.0, hyp))
 
     @pytest.mark.parametrize("hyp", [True, False])
     def test_series_over_a_degree_array(self, rng, hyp):
         d = rng.uniform(0.01, 1.99, 300)
         x = rng.uniform(0.0, 0.999, d.size) if hyp else rng.uniform(-0.9999, -0.01, d.size)
-        got = _series_array(d, x, (1.0 + x) / 2.0, hyp, 1e-10)
+        got = _series_array(d, x, (1.0 + x) / 2.0, hyp)
         assert got.dtype == float
-        assert _same_bits(got, _series_array(d.astype(complex), x, (1.0 + x) / 2.0, hyp, 1e-10))
+        assert _same_bits(got, _series_array(d.astype(complex), x, (1.0 + x) / 2.0, hyp))
 
     @pytest.mark.parametrize("nu", [0.3, 1.7, 3.0, 10.5, 20.5, 50.459, 90.5, 59.8, 76.9993])
     def test_series_and_recurrence_over_x(self, nu):
         x = self.X if abs(nu - round(nu)) >= 1e-3 or nu == round(nu) else self.X[self.X > -0.999]
         nu = np.array(nu)
-        got = _legendre_nu_array(nu, x, None, 1e-10)
-        assert _same_bits(got.real, _legendre_nu_array(nu.astype(complex), x, None, 1e-10))
+        got = _legendre_nu_array(nu, x, None)
+        assert _same_bits(got.real, _legendre_nu_array(nu.astype(complex), x, None))
         assert np.all(got.imag == 0.0)
 
     @pytest.mark.parametrize("x", [-0.99, -0.49, 0.0, 0.35, 0.9])
     def test_series_and_recurrence_over_degrees(self, rng, x):
         nu = np.concatenate([rng.uniform(0.0, 95.0, 400), np.arange(95.0), np.arange(95.0) + 7e-4])
-        got = _legendre_nu_array(nu, x, None, 1e-10)
-        assert _same_bits(got.real, _legendre_nu_array(nu.astype(complex), x, None, 1e-10))
+        got = _legendre_nu_array(nu, x, None)
+        assert _same_bits(got.real, _legendre_nu_array(nu.astype(complex), x, None))
 
     def test_digamma_matches_zero_imaginary_part(self):
         # dense enough that numpy's float64 log would miss the complex log's
@@ -720,7 +721,7 @@ class TestRealDegreePath:
         x = np.linspace(-0.999, 0.999, 31)
         got = legendre_nu(nu, x)
         assert got.dtype == complex
-        assert np.array_equal(got, _legendre_nu_array(np.array(20.5), x, None, 1e-10))
+        assert np.array_equal(got, _legendre_nu_array(np.array(20.5), x, None))
         assert legendre_nu(np.full(3, nu), 0.3).dtype == complex
 
     def test_complex_degrees_keep_the_complex_path(self):
@@ -728,7 +729,7 @@ class TestRealDegreePath:
         nu = np.array([20.5, 30.5 + 1e-3j])
         got = legendre_nu(nu, -0.4)
         assert got[1].imag != 0.0
-        assert np.array_equal(got, _legendre_nu_array(nu, -0.4, None, 1e-10))
+        assert np.array_equal(got, _legendre_nu_array(nu, -0.4, None))
 
 
 class TestLegendreNuNearMinusOne:
@@ -780,18 +781,19 @@ def mpmath_grid():
 
 
 class TestLegendreNuAccuracyEnvelope:
-    # worst error relative to max(1, |P|) on this grid: 1.7e-10 at tol=1e-10
-    # and 1.7e-13 at tol=1e-13 (nu = 7.0005, x = -0.999); bounds keep >= 3x
+    # worst error relative to max(1, |P|) on this grid: 1.7e-10 at SERIES_TOL = 1e-10
+    # and 1.7e-13 at 1e-13 (nu = 7.0005, x = -0.999); bounds keep >= 3x
     @pytest.mark.parametrize("tol, bound", [(1e-10, 6e-10), (1e-13, 6e-13)])
     @pytest.mark.parametrize("path", ["array", "pairs"])
-    def test_against_mpmath(self, mpmath_grid, path, tol, bound):
+    def test_against_mpmath(self, mpmath_grid, path, tol, bound, monkeypatch):
+        monkeypatch.setattr(specfun, "SERIES_TOL", tol)
         nus = [np.full(xs.size, nu) for nu, xs, _ in mpmath_grid]
         xs = [xs for _, xs, _ in mpmath_grid]
         ref = np.concatenate([ref for _, _, ref in mpmath_grid])
         if path == "array":  # one call per degree, over its x
-            got = np.concatenate([legendre_nu(complex(nu[0]), x, tol=tol) for nu, x in zip(nus, xs)])
+            got = np.concatenate([legendre_nu(complex(nu[0]), x) for nu, x in zip(nus, xs)])
         else:  # the whole grid in one call, a degree per element
-            got = legendre_nu(np.concatenate(nus), np.concatenate(xs), tol=tol)
+            got = legendre_nu(np.concatenate(nus), np.concatenate(xs))
         assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) <= bound
 
 
