@@ -392,97 +392,102 @@ def cmd_plasmon_estimate(args: argparse.Namespace) -> int:
 
 # ------------------------------------------------------------------ parser
 
-def _leaf(sub, name: str, func, summary: str) -> argparse.ArgumentParser:
-    """A leaf command's parser: --config, and the function that runs it."""
-    p = sub.add_parser(name, help=summary)
+def _add_flags(p: argparse.ArgumentParser, path: tuple[str, ...]) -> None:
+    """The flags of the leaf command at path, with their defaults: output, plasmon stack, then its own."""
+    if path == ("validate",):  # writes no file
+        p.add_argument("--quick", action="store_true", help="reduced grids")
+        return
+    p.add_argument("--out", help="output path (default: stdout)")
+    if path != ("plasmon", "estimate"):  # prints text, no CSV to plot
+        p.add_argument("--plot-script", help="also write a matplotlib script to this path")
+    if path[0] == "plasmon":
+        p.add_argument(
+            "--eps-metal",
+            type=complex,
+            default=-25.23 + 0.589j,
+            help="metal permittivity; pass as --eps-metal=-25.23+0.589j (leading minus)",
+        )
+        p.add_argument("--eps-dielectric", type=float, default=3.6, help="dielectric permittivity")
+        p.add_argument("--lambda0-nm", type=float, default=737.0, help="free-space wavelength in nm")
+    match path:
+        case ("ddi-sweep",):
+            p.add_argument("--radii", type=_float_list, default=list(RANGE_SWEEP_RADII), help="comma list of R0/lambda0")
+            p.add_argument("--b", type=float, default=lens.LensConfig.b, help="disk thickness in lambda0")
+            p.add_argument("--offset", type=float, default=1.0, help="fixed-atom distance from the mirror (lambda0)")
+            p.add_argument("--samples", type=int, default=1201, help="points along the diameter per radius")
+            p.add_argument("--workers", type=int, help="ignored: the sweep runs serially (kept so older command lines parse)")
+        case ("dynamics",):
+            p.add_argument("--R0", type=float, default=3.34, help="lens radius in lambda0")
+            p.add_argument("--nu-center", type=float, help="derive R0 from this Re nu instead")
+            p.add_argument("--alpha", type=float, default=5e-4, help="loss ratio kappa/omega0")
+            p.add_argument("--rho", type=float, default=0.27, help="antipodal atom radius fraction")
+            p.add_argument("--b", type=float, default=lens.LensConfig.b, help="disk thickness in lambda0")
+            p.add_argument("--samples", type=int, default=2000, help="time points")
+            p.add_argument("--simulate", action="store_true", help="add spectral-simulation columns")
+            p.add_argument("--l-max", type=int, help="simulator mode ladder 1 .. l_max (default: 4 ceil(Re nu))")
+        case ("fidelity",):
+            p.add_argument("--mode", required=True, choices=["vs-loss", "vs-detuning", "vs-radius"])
+            p.add_argument("--radii", type=_float_list, default=list(FIDELITY_RADII), help="comma list of R0/lambda0")
+            p.add_argument("--rho", type=float, default=0.27, help="antipodal atom radius fraction")
+            p.add_argument("--b", type=float, default=lens.LensConfig.b, help="disk thickness in lambda0")
+            p.add_argument("--samples", type=int, default=25, help="points per radius")
+            p.add_argument("--alpha", type=float, default=5e-4, help="loss ratio (vs-detuning / vs-radius)")
+            p.add_argument("--alpha-min", type=float, default=1e-4, help="first loss ratio (vs-loss)")
+            p.add_argument("--alpha-max", type=float, default=1e-2, help="last loss ratio (vs-loss)")
+            p.add_argument("--dnu-span", type=float, default=0.45, help="detuning half-range in nu (vs-detuning)")
+            p.add_argument("--nu-min", type=float, default=10.5, help="first half-integer Re nu (vs-radius)")
+            p.add_argument("--nu-max", type=float, default=90.5, help="last half-integer Re nu (vs-radius)")
+            p.add_argument("--simulate", action="store_true", help="add spectral-simulation column")
+            p.add_argument("--l-max", type=int, help="simulator mode ladder 1 .. l_max (default: 4 ceil(Re nu))")
+        case ("plasmon", "index-sweep"):
+            p.add_argument("--d-max", type=float, default=200.0, help="sweep ceiling in nm")
+            p.add_argument("--step", type=float, default=0.5, help="sweep step in nm")
+        case ("plasmon", "estimate"):
+            p.add_argument("--R0", type=float, default=1.749, help="lens radius in lambda0")
+            p.add_argument("--eta", type=float, default=3.0, help="Purcell ratio gamma/gamma0")
+            p.add_argument("--r2", type=float, default=0.95, help="mirror reflectivity r^2")
+            p.add_argument("--samples", type=int, default=1000, help="radial samples of the absorption average")
+            p.add_argument(
+                "--recomputed-mirror-loss",
+                action="store_true",
+                help="headline fidelity from the computed loss budget instead of the nominal one",
+            )
+
+
+#: Every leaf command, by its path after `fisheye`: (function, summary); _add_flags declares its flags.
+COMMANDS = {
+    ("validate",): (cmd_validate, "run the cross-validation oracle suite"),
+    ("ddi-sweep",): (cmd_ddi_sweep, "dipole-dipole interaction along the diameter"),
+    ("dynamics",): (cmd_dynamics, "two-atom exchange dynamics time series"),
+    ("fidelity",): (cmd_fidelity, "entangling-error sweeps"),
+    ("plasmon", "index-sweep"): (cmd_plasmon_index_sweep, "effective index against dielectric height"),
+    ("plasmon", "estimate"): (cmd_plasmon_estimate, "end-to-end loss and fidelity estimate"),
+}
+
+
+def _leaf(path: tuple[str, ...], p: argparse.ArgumentParser | None = None) -> argparse.ArgumentParser:
+    """The leaf command at path on p, or on a parser of its own: --config, its flags, and the function that runs it."""
+    p = _CommandParser(prog=" ".join(("fisheye",) + path)) if p is None else p
     p.add_argument("--config", help="plain-text config file (key = value, '#' comments)")
-    p.set_defaults(func=func, leaf=p)
+    _add_flags(p, path)
+    p.set_defaults(func=COMMANDS[path][0], leaf=p)
     return p
 
 
-def _add_output(p: argparse.ArgumentParser, plot_script: bool = True) -> None:
-    p.add_argument("--out", help="output path (default: stdout)")
-    if plot_script:
-        p.add_argument("--plot-script", help="also write a matplotlib script to this path")
-
-
-def _add_stack(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--eps-metal",
-        type=complex,
-        default=-25.23 + 0.589j,
-        help="metal permittivity; pass as --eps-metal=-25.23+0.589j (leading minus)",
-    )
-    p.add_argument("--eps-dielectric", type=float, default=3.6, help="dielectric permittivity")
-    p.add_argument("--lambda0-nm", type=float, default=737.0, help="free-space wavelength in nm")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """The whole command tree: every leaf of COMMANDS under its path."""
     parser = argparse.ArgumentParser(
         prog="fisheye",
         description="Gradient-index cavity quantum optics: figure data, validation, loss estimates.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
-
-    p = _leaf(sub, "validate", cmd_validate, "run the cross-validation oracle suite")
-    p.add_argument("--quick", action="store_true", help="reduced grids")
-
-    p = _leaf(sub, "ddi-sweep", cmd_ddi_sweep, "dipole-dipole interaction along the diameter")
-    _add_output(p)
-    p.add_argument("--radii", type=_float_list, default=list(RANGE_SWEEP_RADII), help="comma list of R0/lambda0")
-    p.add_argument("--b", type=float, default=lens.LensConfig.b, help="disk thickness in lambda0")
-    p.add_argument("--offset", type=float, default=1.0, help="fixed-atom distance from the mirror (lambda0)")
-    p.add_argument("--samples", type=int, default=1201, help="points along the diameter per radius")
-    p.add_argument("--workers", type=int, help="ignored: the sweep runs serially (kept so older command lines parse)")
-
-    p = _leaf(sub, "dynamics", cmd_dynamics, "two-atom exchange dynamics time series")
-    _add_output(p)
-    p.add_argument("--R0", type=float, default=3.34, help="lens radius in lambda0")
-    p.add_argument("--nu-center", type=float, help="derive R0 from this Re nu instead")
-    p.add_argument("--alpha", type=float, default=5e-4, help="loss ratio kappa/omega0")
-    p.add_argument("--rho", type=float, default=0.27, help="antipodal atom radius fraction")
-    p.add_argument("--b", type=float, default=lens.LensConfig.b, help="disk thickness in lambda0")
-    p.add_argument("--samples", type=int, default=2000, help="time points")
-    p.add_argument("--simulate", action="store_true", help="add spectral-simulation columns")
-    p.add_argument("--l-max", type=int, help="simulator mode ladder 1 .. l_max (default: 4 ceil(Re nu))")
-
-    p = _leaf(sub, "fidelity", cmd_fidelity, "entangling-error sweeps")
-    _add_output(p)
-    p.add_argument("--mode", required=True, choices=["vs-loss", "vs-detuning", "vs-radius"])
-    p.add_argument("--radii", type=_float_list, default=list(FIDELITY_RADII), help="comma list of R0/lambda0")
-    p.add_argument("--rho", type=float, default=0.27, help="antipodal atom radius fraction")
-    p.add_argument("--b", type=float, default=lens.LensConfig.b, help="disk thickness in lambda0")
-    p.add_argument("--samples", type=int, default=25, help="points per radius")
-    p.add_argument("--alpha", type=float, default=5e-4, help="loss ratio (vs-detuning / vs-radius)")
-    p.add_argument("--alpha-min", type=float, default=1e-4, help="first loss ratio (vs-loss)")
-    p.add_argument("--alpha-max", type=float, default=1e-2, help="last loss ratio (vs-loss)")
-    p.add_argument("--dnu-span", type=float, default=0.45, help="detuning half-range in nu (vs-detuning)")
-    p.add_argument("--nu-min", type=float, default=10.5, help="first half-integer Re nu (vs-radius)")
-    p.add_argument("--nu-max", type=float, default=90.5, help="last half-integer Re nu (vs-radius)")
-    p.add_argument("--simulate", action="store_true", help="add spectral-simulation column")
-    p.add_argument("--l-max", type=int, help="simulator mode ladder 1 .. l_max (default: 4 ceil(Re nu))")
-
-    actions = sub.add_parser("plasmon", help="surface-plasmon realization").add_subparsers(
-        dest="plasmon_command", required=True
-    )
-    p = _leaf(actions, "index-sweep", cmd_plasmon_index_sweep, "effective index against dielectric height")
-    _add_output(p)
-    _add_stack(p)
-    p.add_argument("--d-max", type=float, default=200.0, help="sweep ceiling in nm")
-    p.add_argument("--step", type=float, default=0.5, help="sweep step in nm")
-
-    p = _leaf(actions, "estimate", cmd_plasmon_estimate, "end-to-end loss and fidelity estimate")
-    _add_output(p, plot_script=False)
-    _add_stack(p)
-    p.add_argument("--R0", type=float, default=1.749, help="lens radius in lambda0")
-    p.add_argument("--eta", type=float, default=3.0, help="Purcell ratio gamma/gamma0")
-    p.add_argument("--r2", type=float, default=0.95, help="mirror reflectivity r^2")
-    p.add_argument("--samples", type=int, default=1000, help="radial samples of the absorption average")
-    p.add_argument(
-        "--recomputed-mirror-loss",
-        action="store_true",
-        help="headline fidelity from the computed loss budget instead of the nominal one",
-    )
+    actions = None
+    for path, (_, summary) in COMMANDS.items():
+        if len(path) == 2 and actions is None:
+            actions = sub.add_parser("plasmon", help="surface-plasmon realization").add_subparsers(
+                dest="plasmon_command", required=True
+            )
+        _leaf(path, (actions if len(path) == 2 else sub).add_parser(path[-1], help=summary))
     return parser
 
 
@@ -501,12 +506,19 @@ def _config_defaults(leaf: argparse.ArgumentParser, path: str) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a leaf command builds only its own parser; any other command line and a
+    # leaf's leftover arguments go through the whole tree, which words the error
+    path = tuple(argv[:2] if argv[:1] == ["plasmon"] else argv[:1])
+    parser, rest = (_leaf(path), argv[len(path):]) if path in COMMANDS else (build_parser(), argv)
+    args, extra = parser.parse_known_args(rest)
+    if extra:
+        parser, rest = build_parser(), argv
+        args = parser.parse_args(rest)
     try:
         if args.config:
             args.leaf.set_defaults(**_config_defaults(args.leaf, args.config))
-            args = parser.parse_args(argv)
+            args = parser.parse_args(rest)
         return args.func(args)
     except NonConvergenceError as exc:
         print(f"fisheye: numerical non-convergence: {exc}", file=sys.stderr)

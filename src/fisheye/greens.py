@@ -129,6 +129,7 @@ def greens_zz_orders(
     phi1: float | np.ndarray,
     rho2: float | np.ndarray,
     phi2: float | np.ndarray,
+    sin: np.ndarray | None = None,
 ) -> np.ndarray:
     """Closed-form G_zz(p1, p2) at the orders nu: the kernel behind every closed-form value.
 
@@ -139,12 +140,13 @@ def greens_zz_orders(
     source and the image arguments of every element.  b is the disk
     thickness.  Raises DomainError for rho outside [0, 1],
     CoincidentPointsError at coincident points and ResonanceError where
-    sin(pi nu) vanishes numerically, if any element is bad.
+    sin(pi nu) vanishes numerically, if any element is bad.  sin is
+    _check_order(nu), if the caller has taken it.
     """
     rho1, phi1, rho2, phi2 = (np.asarray(v, dtype=float) for v in (rho1, phi1, rho2, phi2))
     if not (np.all((rho1 >= 0.0) & (rho1 <= 1.0)) and np.all((rho2 >= 0.0) & (rho2 <= 1.0))):
         raise DomainError("rho must lie in [0, 1]")
-    s = _check_order(nu)
+    s = _check_order(nu) if sin is None else sin
     xi, w = _source_image(rho1, phi1, rho2, phi2)
     if np.any(xi[..., 0] <= -1.0 + 1e-14):
         raise CoincidentPointsError("greens_zz diverges at coincident points")

@@ -323,42 +323,41 @@ def _invert_height(
     stack: PlasmonStack,
     d_lo: float | np.ndarray,
     d_hi: float | np.ndarray,
-    z_seed: complex | np.ndarray,
+    z_lo: complex | np.ndarray,
+    z_hi: complex | np.ndarray,
     n_target: float | np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Secant iteration for Re ntilde(d) = n_target inside a bracket, over a batch of brackets.
 
-    The arguments broadcast to one 1-D batch, which is solved together: each
-    element runs its own secant, warm-started from its last index, and is
-    retired once Re ntilde is within INVERT_TOL of its target.  Returns the
-    heights and the indices solved there.  Raises RootNotFoundError naming
-    the first element whose secant stalls or whose 80 iterations do not
-    converge.
+    z_lo and z_hi are the indices solved at d_lo and d_hi.  The arguments
+    broadcast to one 1-D batch, which is solved together: each element runs
+    its own secant, each new height's index seeded by interpolating linearly
+    between the last two heights' indices, and is retired once Re ntilde is
+    within INVERT_TOL of its target.  Returns the heights and the indices
+    solved there.  Raises RootNotFoundError naming the first element whose
+    secant stalls or whose 80 iterations do not converge.
     """
     d_lo, d_hi, n_target = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (d_lo, d_hi, n_target))
-    d_lo, d_hi, n_target, z_seed = np.broadcast_arrays(d_lo, d_hi, n_target, np.asarray(z_seed, dtype=complex))
+    d_lo, d_hi, n_target, z_lo, z_hi = np.broadcast_arrays(d_lo, d_hi, n_target, z_lo, z_hi)
     lo, hi = np.minimum(d_lo, d_hi), np.maximum(d_lo, d_hi)
-    a, b = d_lo.copy(), d_hi.copy()
-    za = _newton_batch(stack, a, z_seed)
-    fa = za.real - n_target
-    zb = _newton_batch(stack, b, za)
-    fb = zb.real - n_target
+    a, b, za, zb = d_lo.copy(), d_hi.copy(), z_lo.astype(complex), z_hi.astype(complex)
+    fa, fb = za.real - n_target, zb.real - n_target
     exact = fa == 0.0
     d_out = np.where(exact, a, np.nan)
     z_out = np.where(exact, za, np.nan)
     live = np.flatnonzero(~exact)
     failed = np.zeros(a.size, dtype=bool)
     for _ in range(80):
-        stalled = fb[live] == fa[live]
+        stalled = (fb[live] == fa[live]) | (b[live] == a[live])
         failed[live[stalled]] = True
         live = live[~stalled]
         if live.size == 0:
             break
         c = b[live] - fb[live] * (b[live] - a[live]) / (fb[live] - fa[live])
         c = np.minimum(np.maximum(c, lo[live]), hi[live])
-        zc = _newton_batch(stack, c, zb[live])
+        zc = _newton_batch(stack, c, za[live] + (zb[live] - za[live]) * ((c - a[live]) / (b[live] - a[live])))
         fc = zc.real - n_target[live]
-        a[live], fa[live] = b[live], fb[live]
+        a[live], fa[live], za[live] = b[live], fb[live], zb[live]
         b[live], fb[live], zb[live] = c, fc, zc
         done = np.abs(fc) < INVERT_TOL
         d_out[live[done]], z_out[live[done]] = c[done], zc[done]
@@ -420,7 +419,7 @@ def _profile_samples(
     inner = targets > n_floor
     i = np.clip(np.searchsorted(table_z.real, targets[inner]), 1, len(table) - 1)
     heights[inner], indices[inner] = _invert_height(
-        stack, table_d[i - 1], table_d[i], table_z[i - 1], targets[inner]
+        stack, table_d[i - 1], table_d[i], table_z[i - 1], table_z[i], targets[inner]
     )
     return rhos, heights, indices
 

@@ -107,9 +107,9 @@ class TwoAtomTrajectory:
     bell_fidelity: np.ndarray
 
 
-def _onsite_gamma(b: float, nu: complex | np.ndarray) -> float | np.ndarray:
-    """Regularized single-atom decay: -(6 pi / omega0) Im F(nu) / (4 pi b), F = specfun.source_offset."""
-    return -_G_PREF * OMEGA0**2 * source_offset(nu).imag / (4.0 * math.pi * b)
+def _onsite_gamma(b: float, nu: complex | np.ndarray, sin: np.ndarray | None = None) -> float | np.ndarray:
+    """Regularized single-atom decay: -(6 pi / omega0) Im F(nu) / (4 pi b), F = specfun.source_offset(nu, sin)."""
+    return -_G_PREF * OMEGA0**2 * source_offset(nu, sin).imag / (4.0 * math.pi * b)
 
 
 def fidelity_from_rates(delta_omega, gamma, gamma_coop):
@@ -184,8 +184,9 @@ def coupling_rate_arrays(
         raise DomainError("atom positions must be distinct")
     omega = OMEGA0 * (1.0 + 1j * alpha)
     nu = order_parameters(radius, omega)
-    pref = omega * omega * greens_zz_orders(b, nu, atoms.p1.rho, atoms.p1.phi, atoms.p2.rho, atoms.p2.phi)
-    return _DW_PREF * pref.real, _onsite_gamma(b, nu), _G_PREF * pref.imag
+    s = _check_order(nu)  # one sine for the Green's function and the on-site rate
+    pref = omega * omega * greens_zz_orders(b, nu, atoms.p1.rho, atoms.p1.phi, atoms.p2.rho, atoms.p2.phi, s)
+    return _DW_PREF * pref.real, _onsite_gamma(b, nu, s), _G_PREF * pref.imag
 
 
 def image_rates(cfg: LensConfig) -> CouplingRates:

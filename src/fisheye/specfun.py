@@ -225,7 +225,7 @@ def sin_pi(nu: complex | np.ndarray) -> np.ndarray:
     return _trig_pi(np.sin, nu)
 
 
-def source_offset(nu: complex | np.ndarray) -> np.ndarray:
+def source_offset(nu: complex | np.ndarray, sin: np.ndarray | None = None) -> np.ndarray:
     """a_0(nu) = psi(-nu) + psi(nu+1) + 2 gamma_E in the shape of nu, real for a real nu.
 
     The constant of the logarithmic expansion about x = -1,
@@ -233,25 +233,25 @@ def source_offset(nu: complex | np.ndarray) -> np.ndarray:
     of the log seed series (_log_start) and the near-source offset F(nu) of
     the Green's function, whose imaginary part at a lossy (complex) degree
     sets the on-site decay.  (A commonly printed variant carries a single
-    gamma_E; the doubled value is what P_nu approaches.)
+    gamma_E; the doubled value is what P_nu approaches.)  One digamma
+    serves it, by the reflection psi(-nu) = psi(nu+1) + pi cot(pi nu), with
+    cot = cos/sin at the reduced argument (_trig_pi), divided as numpy
+    divides complex numbers; sin is sin_pi(nu), if the caller has it.
     """
-    return _log_start(nu)[0].reshape(np.shape(nu))
+    d = np.ravel(nu)
+    cot = _quotient(_trig_pi(np.cos, d), sin_pi(d) if sin is None else np.ravel(sin))
+    return (2.0 * _digamma_array(d + 1.0) + np.pi * cot + 2.0 * EULER_GAMMA).reshape(np.shape(nu))
 
 
 def _log_start(d: complex | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """a_0 (source_offset) and the prefactor sin(pi d)/pi of the logarithmic seed series, one per degree (1-D).
 
-    a_0 is formed with the reflection psi(-d) = psi(d+1) + pi cot(pi d), so
-    one digamma serves it; the cotangent is cos(pi d)/sin(pi d), both at the
-    reduced argument (_trig_pi), divided as numpy divides complex numbers.
     The prefactor divides each part of the sine by pi, as Python's complex
     / float does it (numpy would multiply by 1/pi).
     """
     d = np.ravel(d)
     sin = sin_pi(d)
-    cot = _quotient(_trig_pi(np.cos, d), sin)
-    a0 = 2.0 * _digamma_array(d + 1.0) + np.pi * cot + 2.0 * EULER_GAMMA
-    return a0, (sin.view(float) / math.pi).view(sin.dtype)
+    return source_offset(d, sin), (sin.view(float) / math.pi).view(sin.dtype)
 
 
 def _series_array(

@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import os
 import subprocess
@@ -329,7 +330,7 @@ class TestFidelity:
     def test_overflowing_fidelity_is_a_clean_error(self, tmp_path, capsys, monkeypatch):
         # delta_nu = +-0.49999 around Re nu = 20.5 at alpha = 5e-4 without the
         # on-site decay: cosh(q |gamma_coop|) overflows in F
-        monkeypatch.setattr(cli.qed, "_onsite_gamma", lambda b, nu: 0.0 * np.real(nu))
+        monkeypatch.setattr(cli.qed, "_onsite_gamma", lambda b, nu, sin=None: 0.0 * np.real(nu))
         out = tmp_path / "f.csv"
         assert _run(
             ["fidelity", "--mode", "vs-detuning", "--radii", "3.34", "--samples", "3",
@@ -765,6 +766,58 @@ class TestArgparseContract:
     def test_plasmon_help_still_works(self, capsys):
         assert _exit_code(["plasmon", "--help"]) == 0
         assert "index-sweep" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [leaf + tail for leaf, bad in (
+            (["validate"], ["--quick=1"]), (["ddi-sweep"], ["--samples", "x"]), (["dynamics"], ["--R0", "x"]),
+            (["fidelity"], ["--mode", "vs-nothing"]), (["plasmon", "index-sweep"], ["--d-max", "x"]),
+            (["plasmon", "estimate"], ["--eta", "x"]),
+        ) for tail in (["--help"], ["--frobnicate"], bad, ["--quick", "--frobnicate=1"], ["stray"])]
+        + [[], ["--help"], ["frobnicate"], ["plasmon"], ["plasmon", "--help"], ["plasmon", "--R0", "2", "estimate"]],
+        ids=lambda argv: " ".join(argv) or "no arguments",
+    )
+    def test_main_prints_what_the_whole_tree_prints(self, capsys, argv):
+        # a leaf command parses with its own parser, which must word its help
+        # and usage errors as the leaf of the full tree does
+        def outcome(call):
+            with pytest.raises(SystemExit) as exc:
+                call()
+            return (exc.value.code,) + capsys.readouterr()
+
+        assert outcome(lambda: cli.main(argv)) == outcome(lambda: cli.build_parser().parse_args(argv))
+
+    def test_plasmon_flag_before_the_action_message(self, capsys):
+        assert _exit_code(["plasmon", "--R0", "2", "estimate"]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "fisheye plasmon: error: --R0 comes before the action: "
+            "fisheye plasmon flags follow it (fisheye plasmon ACTION --R0 ...)"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["validate", "--quick"], ["ddi-sweep", "--radii", "4.93", "--samples", "5"],
+         ["dynamics", "--samples", "5"], ["fidelity", "--mode", "vs-loss", "--samples", "2", "--radii", "3.34"],
+         ["plasmon", "index-sweep", "--d-max", "2"], ["plasmon", "estimate", "--samples", "20"]],
+        ids=" ".join,
+    )
+    def test_a_leaf_command_builds_one_parser(self, tmp_path, monkeypatch, capsys, argv):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        out = [] if argv[0] == "validate" else ["--out", str(tmp_path / "out")]
+        config = tmp_path / "run.cfg"
+        config.write_text("# no keys\n", encoding="utf-8")
+        # a config writes into the leaf's defaults, so each call builds its parser afresh
+        for extra in (["--config", str(config)], []):
+            built.clear()
+            assert _run(argv + extra + out) == 0
+            assert built == ["fisheye " + " ".join(argv[: 2 if argv[0] == "plasmon" else 1])]
 
     def test_benchmark_command_lines_still_parse(self, monkeypatch):
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))

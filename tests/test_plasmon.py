@@ -224,7 +224,7 @@ def _height_at(stack, n_target):
     """Height with Re ntilde = n_target: the lattice walk to its bracket and the secant, as lens_height_profile runs them."""
     steps = int(plasmon.MAX_HEIGHT_NM / plasmon.CONTINUATION_STEP_NM)
     lo, hi = _track(stack, (i * plasmon.CONTINUATION_STEP_NM for i in range(steps + 1)), n_target)[-2:]
-    return float(_invert_height(stack, lo.height_nm, hi.height_nm, lo.n_eff, n_target)[0][0])
+    return float(_invert_height(stack, lo.height_nm, hi.height_nm, lo.n_eff, hi.n_eff, n_target)[0][0])
 
 
 class TestHeightInversion:
@@ -251,25 +251,26 @@ class TestHeightInversion:
 
     def test_bracket_without_target_raises(self, stack):
         # Re ntilde stays well below 1.9 on [10, 20] nm: the secant stalls
+        z_10, z_20 = (solve_effective_index(d, stack).n_eff for d in (10.0, 20.0))
         with pytest.raises(RootNotFoundError):
-            _invert_height(stack, 10.0, 20.0, stack.flat_interface_index, 1.9)
+            _invert_height(stack, 10.0, 20.0, z_10, z_20, 1.9)
         # in a batch, the reachable target does not hide the unreachable one
         d_mid = _height_at(stack, 1.5)
-        z_mid = solve_effective_index(d_mid, stack).n_eff
+        z_below, z_above = (solve_effective_index(d, stack).n_eff for d in (d_mid - 0.5, d_mid + 0.5))
         with pytest.raises(RootNotFoundError, match=r"\[10\.0, 20\.0\] nm gives index 1\.9 "):
             _invert_height(
                 stack, np.array([d_mid - 0.5, 10.0]), np.array([d_mid + 0.5, 20.0]),
-                np.array([z_mid, stack.flat_interface_index]), np.array([1.5, 1.9]),
+                np.array([z_below, z_10]), np.array([z_above, z_20]), np.array([1.5, 1.9]),
             )
 
     def test_batch_matches_one_target_at_a_time(self, stack):
         targets = np.array([1.05, 1.3, 1.6, 1.95])
         lo = np.array([0.0, 20.0, 40.0, 120.0])
         hi = np.array([40.0, 80.0, 120.0, 250.0])
-        seeds = np.array([stack.flat_interface_index] + [solve_effective_index(d, stack).n_eff for d in lo[1:]])
-        heights, indices = _invert_height(stack, lo, hi, seeds, targets)
+        z_lo, z_hi = (np.array([solve_effective_index(d, stack).n_eff for d in ends]) for ends in (lo, hi))
+        heights, indices = _invert_height(stack, lo, hi, z_lo, z_hi, targets)
         for i, target in enumerate(targets):
-            d_one, z_one = _invert_height(stack, lo[i], hi[i], seeds[i], target)
+            d_one, z_one = _invert_height(stack, lo[i], hi[i], z_lo[i], z_hi[i], target)
             assert heights[i] == pytest.approx(d_one[0], abs=1e-9)
             assert indices[i] == pytest.approx(z_one[0], abs=1e-12)
             assert abs(indices[i].real - target) < 1e-10

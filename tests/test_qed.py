@@ -548,7 +548,7 @@ class TestEntanglingError:
         # without the on-site decay, cosh(pi |gamma_coop| / (4 |delta_omega|))
         # overflows
         near_integer = radius_for_order(20.99999)
-        monkeypatch.setattr(qed, "_onsite_gamma", lambda b, nu: 0.0 * np.real(nu))
+        monkeypatch.setattr(qed, "_onsite_gamma", lambda b, nu, sin=None: 0.0 * np.real(nu))
         with pytest.raises(RangeOverflowError):
             _scalar_error(near_integer, 5e-4, antipodal_027)
         with pytest.raises(RangeOverflowError):
