@@ -33,8 +33,12 @@ RANGE_SWEEP_RADII = (4.93, 8.11, 11.3, 14.48)
 #: Lens radii of the published fidelity curves (Re nu = 10.5, 20.5, 50.5, 90.5).
 FIDELITY_RADII = (1.749, 3.34, 8.11, 14.48)
 #: Most --samples and vs-radius orders: the largest legendre_nu call its
-#: docstring measures (~34 MB); --nu-max 1e9 would ask numpy for an ~8 GB grid.
+#: docstring measures (~32 MB); --nu-max 1e9 would ask numpy for an ~8 GB grid.
 MAX_GRID_POINTS = 100_000
+#: Largest --l-max.  The simulator's blocks grow as l_max^2: `dynamics
+#: --simulate` peaks at ~57 MB at 1,344 (an l_max doubling from the default
+#: 84 at Re nu = 20.5) and ~86 MB at 2,000, in 0.1-0.2 s.
+MAX_L_MAX = 2_000
 
 
 def _write_csv(out: str | None, header: list[str], columns: list[np.ndarray]) -> None:
@@ -107,6 +111,12 @@ def _samples(args: argparse.Namespace) -> int:
     if not 1 <= args.samples <= MAX_GRID_POINTS:
         raise DomainError(f"--samples must lie in [1, {MAX_GRID_POINTS:,}], got {args.samples}")
     return args.samples
+
+
+def _check_l_max(args: argparse.Namespace) -> None:
+    """--l-max within MAX_L_MAX, checked before any table or block is built (its lower bound is build_blocks')."""
+    if args.l_max is not None and args.l_max > MAX_L_MAX:
+        raise DomainError(f"--l-max must be at most {MAX_L_MAX:,}, got {args.l_max}")
 
 
 def _sorted_blocks(blocks: list[tuple[np.ndarray, ...]]) -> list[np.ndarray]:
@@ -263,6 +273,7 @@ def cmd_ddi_sweep(args: argparse.Namespace) -> int:
 def cmd_dynamics(args: argparse.Namespace) -> int:
     r0 = args.R0 if args.nu_center is None else lens.radius_for_order(args.nu_center)
     samples = _samples(args)
+    _check_l_max(args)
 
     cfg = lens.LensConfig(radius=r0, b=args.b, alpha=args.alpha)
     atoms = qed.AtomPairConfig.antipodal(args.rho)
@@ -290,6 +301,7 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
 def cmd_fidelity(args: argparse.Namespace) -> int:
     mode = args.mode
     samples = _samples(args)
+    _check_l_max(args)
     atoms = qed.AtomPairConfig.antipodal(args.rho)
     r0s = np.array(args.radii, dtype=float)
 
@@ -424,7 +436,8 @@ def _add_flags(p: argparse.ArgumentParser, path: tuple[str, ...]) -> None:
             p.add_argument("--b", type=float, default=lens.LensConfig.b, help="disk thickness in lambda0")
             p.add_argument("--samples", type=int, default=2000, help="time points")
             p.add_argument("--simulate", action="store_true", help="add spectral-simulation columns")
-            p.add_argument("--l-max", type=int, help="simulator mode ladder 1 .. l_max (default: 4 ceil(Re nu))")
+            p.add_argument("--l-max", type=int,
+                           help=f"simulator mode ladder 1 .. l_max, at most {MAX_L_MAX:,} (default: 4 ceil(Re nu))")
         case ("fidelity",):
             p.add_argument("--mode", required=True, choices=["vs-loss", "vs-detuning", "vs-radius"])
             p.add_argument("--radii", type=_float_list, default=list(FIDELITY_RADII), help="comma list of R0/lambda0")
@@ -438,7 +451,8 @@ def _add_flags(p: argparse.ArgumentParser, path: tuple[str, ...]) -> None:
             p.add_argument("--nu-min", type=float, default=10.5, help="first half-integer Re nu (vs-radius)")
             p.add_argument("--nu-max", type=float, default=90.5, help="last half-integer Re nu (vs-radius)")
             p.add_argument("--simulate", action="store_true", help="add spectral-simulation column")
-            p.add_argument("--l-max", type=int, help="simulator mode ladder 1 .. l_max (default: 4 ceil(Re nu))")
+            p.add_argument("--l-max", type=int,
+                           help=f"simulator mode ladder 1 .. l_max, at most {MAX_L_MAX:,} (default: 4 ceil(Re nu))")
         case ("plasmon", "index-sweep"):
             p.add_argument("--d-max", type=float, default=200.0, help="sweep ceiling in nm")
             p.add_argument("--step", type=float, default=0.5, help="sweep step in nm")

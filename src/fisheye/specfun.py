@@ -160,11 +160,12 @@ MAX_TERMS = 100_000
 #: Tail bound, relative to the partial sum, at which a seed series of legendre_nu stops.
 SERIES_TOL = 1e-10
 
-#: Series terms per numpy pass in the array path: the first block has
+#: Series terms per block of the array path: the first block has
 #: _BLOCK_FIRST terms, each later one as many as were done before it, up to
-#: _BLOCK_CAP.  Elements that need thousands of terms (x near -1 on the
-#: hypergeometric branch) would otherwise pay numpy's per-call overhead once
-#: per term; the cap bounds the width of a block.
+#: _BLOCK_CAP.  A block's set-up and stopping test are paid once per block;
+#: elements that need thousands of terms (x near -1 on the hypergeometric
+#: branch) would otherwise pay them once per term.  The cap bounds the
+#: length of a block, and so its work arrays.
 _BLOCK_FIRST = 16
 _BLOCK_CAP = 256
 
@@ -274,26 +275,41 @@ def _series_array(
 
     `start` is (a_0, sin(pi d)/pi) as _log_start gives them, if the caller
     has them.  d is one degree for all x or an array with the degree of
-    each x.  Terms are formed a block at a time (cumulative products and
-    sums along a block), in work arrays cut from one buffer and filled in
-    place; p_n, formed once per term, serves the coefficient, the increment
-    of a_n and the tail ratio.  The elements (rows) are summed in groups of
-    _group_rows, so the buffer stays within _WORK_BYTES however large the
-    call.  An element is tested only at the end of a block, which it pays
-    for whole: it stops there, with the block-end partial sum, if each of
-    the block's last two terms has a geometric tail bound |term| r/(1-r),
-    r = y |p_{n+1}|/(n+2)^2, within SERIES_TOL of its partial sum (of 1 at least,
-    on the hypergeometric branch); a single term can dip when n passes
-    Re d.  The partial sums are a sequential cumsum, so a real d (a float
-    or a float array), summed in float64, keeps the bits of the complex
-    sum's real parts.  Every element's arithmetic is its own, in a fixed
-    operand order (numpy's complex product is not commutative to the last
-    bit), so its value does not depend on the other elements of the call or
-    on their grouping.
+    each x.  Terms are formed a block at a time, in work arrays cut from one
+    buffer and filled in place; p_n, formed once per term, serves the
+    coefficient, the increment of a_n and the tail ratio.  The work arrays
+    are term-major: row j of a block holds term n0 + j of every live
+    element (of every degree, for p_n and a_n), so each row is contiguous,
+    and c_{n+1} = c_n f_n, the running a_n and the block's partial sums are
+    carried down the rows with one elementwise call per term.  numpy's
+    cumprod and cumsum along a block cost ~5 ns per element, several times
+    a product over a contiguous row (a 1,201 x 17 float cumprod 101 us, the
+    rows' products 38 us); a single column (one degree's a_n, or a call's
+    last live element) is summed by one cumsum down it instead.  The
+    elements are summed in groups of _group_rows, so the buffer stays
+    within _WORK_BYTES however large the call.  An element is
+    tested only at the end of a block, which it pays for whole: it stops
+    there, with the block-end partial sum, if each of the block's last two
+    terms has a geometric tail bound |term| r/(1-r),
+    r = y |p_{n+1}|/(n+2)^2, within SERIES_TOL of its partial sum (of 1 at
+    least, on the hypergeometric branch); a single term can dip when n
+    passes Re d.
+
+    Every element's arithmetic is its own, in a fixed operand order
+    (numpy's complex product fuses a multiply-add, so it is not commutative
+    to the last bit), so its value does not depend on the other elements
+    of the call or on their grouping.  Two roundings of numpy would break
+    that, and are avoided.  np.add.reduce down the term axis adds row after
+    row when a row holds many elements but sums pairwise when it holds one,
+    so the partial sums are carried term by term.  A complex product of one
+    element written over one of its own factors is rounded without the
+    fused multiply-add, so no product is written in place.  The sums being
+    sequential, a real d (a float or a float array), summed in float64,
+    keeps the bits of the complex sum's real parts.
     """
     dtype = complex if np.iscomplexobj(d) else float
-    # one row per degree: a (1, 1) column broadcasts one degree over every x
-    d_all = np.reshape(np.asarray(d, dtype=dtype), (-1, 1))
+    # a column per degree: one degree broadcasts over every x
+    d_all = np.ravel(np.asarray(d, dtype=dtype))
     if hyp:
         floor = 1.0
     else:
@@ -303,9 +319,17 @@ def _series_array(
     def take(slot: np.ndarray, rows: int, cols: int) -> np.ndarray:
         return slot[: rows * cols].reshape(rows, cols)
 
-    def per_degree(slot: np.ndarray, rows: int, cols: int) -> np.ndarray | None:
-        """A work array with a row per degree; one degree's single row is allocated apart."""
-        return take(slot, rows, cols) if kd == k else None
+    def per_degree(slot: np.ndarray, rows: int) -> np.ndarray | None:
+        """A work array with a column per degree; one degree's single column is allocated apart."""
+        return take(slot, rows, kd) if kd == k else None
+
+    def running_sum(rows: np.ndarray) -> None:
+        """rows[j] = rows[j - 1] + rows[j] down the term axis, in order; a single column by one cumsum, in the same order."""
+        if rows.shape[1] == 1:
+            np.cumsum(rows, axis=0, out=rows)
+        else:
+            for prev, row in zip(rows, rows[1:]):
+                np.add(prev, row, row)
 
     itemsize = np.dtype(dtype).itemsize
     group = _group_rows(itemsize)
@@ -317,13 +341,13 @@ def _series_array(
     for g0 in range(0, x.size, group):
         rows_g = slice(g0, g0 + group)
         y = (1.0 - x[rows_g]) / 2.0 if hyp else w[rows_g]
-        dv = d_all[rows_g] if d_all.shape[0] > 1 else d_all
-        yc = y.astype(dtype)[:, None]
+        dv = d_all[rows_g] if d_all.size > 1 else d_all
+        yc = y.astype(dtype)
         c = None  # c_n at the start of the block; None for c_0 = 1
         if hyp:
             total = np.ones(y.shape, dtype=dtype)
         else:
-            a = a_all[rows_g] if d_all.shape[0] > 1 else a_all
+            a = a_all[rows_g] if d_all.size > 1 else a_all
             lw = np.log(y).astype(dtype)
             total = lw + a
         out_g = out[rows_g]
@@ -331,65 +355,71 @@ def _series_array(
         n0 = 0
         while n0 < MAX_TERMS:
             size = min(max(_BLOCK_FIRST, n0), _BLOCK_CAP, MAX_TERMS - n0)
-            n = np.arange(n0, n0 + size + 1, dtype=float)
+            n = np.arange(n0, n0 + size + 1, dtype=float)[:, None]
             n0 += size
-            k, kd, width = live.size, dv.shape[0], size + 1
+            k, kd, width = live.size, dv.size, size + 1
             need = _work_bytes(k, size, itemsize)
             if arena.size < need:
                 arena = np.empty(need, dtype=np.uint8)
             U, V, W = arena[:need].view(dtype).reshape(3, -1)
             # p_n for n0 <= n <= n0 + size
             p = np.multiply(
-                np.subtract(n.astype(dtype), dv, out=per_degree(U, kd, width)),
-                np.add((n + 1.0).astype(dtype), dv, out=per_degree(V, kd, width)),
-                out=per_degree(W, kd, width),
+                np.subtract(n.astype(dtype), dv, out=per_degree(U, width)),
+                np.add((n + 1.0).astype(dtype), dv, out=per_degree(V, width)),
+                out=per_degree(W, width),
             )
             # the tail ratios r_n = y |p_{n+1}|/(n+2)^2 of the block's last two
-            # terms (of its one term, in a block of one), before p's buffer holds the terms
+            # terms (of its one term, in a block of one), before p's buffer is reused
             last = slice(max(size - 1, 1), None)
-            ratio = np.abs(p[:, last])
+            ratio = np.abs(p[last])
             ratio *= 1.0 / (n[last] + 1.0) ** 2
-            ratio = np.minimum(ratio * y[:, None], 0.999)
+            ratio = np.minimum(ratio * y, 0.999)
             if not hyp:
                 # a_{n+1} = a_n + (2n+1)/p_n - 2/(n+1), a_n folded into the first
                 # increment; 1/p_n times 2n+1 is one division, rounded for a real d
                 # as the complex path's real part (see _quotient)
-                a_n = np.divide(1.0, p[:, :size], out=per_degree(U, kd, size))
-                a_n *= (2.0 * n[:size] + 1.0).astype(dtype)
+                a_n = np.multiply(
+                    np.divide(1.0, p[:size], out=per_degree(V, size)),
+                    (2.0 * n[:size] + 1.0).astype(dtype),
+                    out=per_degree(U, size),
+                )
                 a_n -= (2.0 / (n[:size] + 1.0)).astype(dtype)
-                a_n[:, 0] += a
-                np.cumsum(a_n, axis=1, out=a_n)
-                a = a_n[:, -1].copy()
-            # c_{n+1} = c_n p_n y/(n+1)^2, c_n folded into the block's first factor.
-            # No product of two complex arrays is written over one of its factors:
-            # numpy rounds an in-place product of one element differently.
-            cs = np.multiply(p[:, :size], (1.0 / (n[:size] + 1.0) ** 2).astype(dtype), out=take(V, k, size))
-            cs *= yc
-            if c is not None:
-                cs[:, 0] = cs[:, 0] * c
-            np.cumprod(cs, axis=1, out=cs)
-            c = cs[:, -1].copy()  # the hypergeometric terms become the partial sums below
+                a_n[0] += a
+                running_sum(a_n)
+                a = a_n[-1].copy()
+            # c_{n+1} = c_n f_n, f_n = p_n y/(n+1)^2, c_n folded into the block's first factor
+            cs = take(V, size, k)
+            f = np.multiply(np.multiply(p[:size], (1.0 / (n[:size] + 1.0) ** 2).astype(dtype), out=cs), yc,
+                            out=take(W, size, k))
+            if c is None:
+                cs[0] = f[0]
+            else:
+                np.multiply(f[0], c, out=cs[0])
+            for prev, f_n, row in zip(cs, f[1:], cs[1:]):
+                np.multiply(prev, f_n, row)
+            c = cs[-1].copy()  # the hypergeometric terms become the partial sums below
             if hyp:
                 terms = cs
             else:
-                terms = np.multiply(cs, np.add(lw[:, None], a_n, out=take(U, k, size)), out=take(W, k, size))
+                terms = np.multiply(cs, np.add(lw, a_n, out=take(U, size, k)), out=take(W, size, k))
             # the tail bound |term| r/(1-r) of the last two terms, then their partial
             # sums; the block's sum is added to the total apart, which keeps the
             # rounding of a long series to the blocks' count instead of its terms'
-            bound = np.abs(terms[:, -2:])
+            bound = np.abs(terms[-2:])
             bound *= ratio
             bound /= 1.0 - ratio
-            sums = np.cumsum(terms, axis=1, out=terms)[:, -2:] + total[:, None]
+            running_sum(terms)
+            sums = terms[-2:] + total
             limit = np.maximum(np.abs(sums), floor)
             limit *= SERIES_TOL
-            done = np.all(bound <= limit, axis=1)
+            done = np.all(bound <= limit, axis=0)
             rows = np.flatnonzero(done)
-            out_g[live[rows]] = sums[rows, -1]
+            out_g[live[rows]] = sums[-1, rows]
             keep = ~done
             if not keep.any():
                 break
             live, y, yc = live[keep], y[keep], yc[keep]
-            c, total = c[keep], sums[keep, -1]
+            c, total = c[keep], sums[-1, keep]
             if not hyp:
                 lw = lw[keep]
             if kd > 1:
@@ -399,7 +429,7 @@ def _series_array(
         else:
             name = "hypergeometric" if hyp else "logarithmic"
             raise NonConvergenceError(
-                f"{name} series for P_nu(nu={dv[0, 0]}, x={x[g0 + live[0]]}) exceeded {MAX_TERMS} terms"
+                f"{name} series for P_nu(nu={dv[0]}, x={x[g0 + live[0]]}) exceeded {MAX_TERMS} terms"
             )
     return out if hyp else scale * out
 
@@ -551,16 +581,18 @@ def legendre_nu(
     other elements of the call: a sweep evaluated in one call or split
     over several gives the same bits.  So a sweep over frequency or lens
     radius at fixed points (one x, many nu) costs one call, like a sweep
-    over points at one degree.  Measured on a 2-core machine with one BLAS
-    thread, a one-element call takes about 0.1 ms (a real degree below 2 at
-    x >= 0) to 0.6 ms (nu = 20.5 + 0.02i at x < 0), and 801 complex degrees
-    at one x take about 2 ms at Re nu = 10.5 and 3.5 ms at 90.5 (the
-    difference is the recurrence); so a loop over points or degrees should
-    pass them as one array.  The seed series hold their work arrays for at
-    most 2,720 complex (5,440 real) elements at a time, within 32 MiB; the
-    rest of a call takes a few hundred bytes per element.  A 100,000-degree
-    call at one x raises peak RSS by ~34 MB and takes about 3.3 us per
-    element.  When every degree is real (the lossless
+    over points at one degree.  Measured on a shared 2-core machine with
+    one BLAS thread (a loaded machine reads up to twice these), a
+    one-element call takes about 0.1 ms (a real degree below 2 at x >= 0)
+    to 0.4 ms (nu = 20.5 + 0.02i at x < 0), most of it numpy's per-call
+    cost (the seed series carry their terms a call per term), and 801
+    complex degrees at one x take about 2.0 ms at Re nu = 10.5 and 2.7 ms at
+    90.5 (the difference is the recurrence); so a loop over points or
+    degrees should pass them as one array.  The seed series hold their work
+    arrays for at most 2,720 complex (5,440 real) elements at a time, within
+    32 MiB; the rest of a call takes a few hundred bytes per element.  A
+    100,000-degree call at one x raises peak RSS by ~32 MB and takes about
+    2.2 us per element.  When every degree is real (the lossless
     cavity at real frequency), the seeds and the recurrence run in float64
     instead of complex128, with the bits of the complex arithmetic's real
     parts: numpy divides complex numbers by multiplying with the divisor's

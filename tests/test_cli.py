@@ -603,14 +603,38 @@ class TestSimulatorOptions:
         assert _run(self._argv(tmp_path, command, "7", source) + ["--out", str(tmp_path / "out.csv")]) == 0
         assert seen and all(l_max == 7 for l_max in seen)
 
-    @pytest.mark.parametrize("l_max", ["0", "-2"])
+    @pytest.mark.parametrize("l_max", ["0", "-2", str(cli.MAX_L_MAX + 1)])
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("command", ["dynamics", "fidelity"])
-    def test_empty_mode_ladder_is_usage_error(self, tmp_path, capsys, command, source, l_max):
+    def test_empty_mode_ladder_is_usage_error(self, monkeypatch, tmp_path, capsys, command, source, l_max):
+        # an empty ladder, or one above MAX_L_MAX, which must be refused before any table or block is built
+        if int(l_max) < 1:
+            message = f"l_max must be at least 1, got {l_max}"
+        else:
+            message = f"--l-max must be at most {cli.MAX_L_MAX:,}, got {l_max}"
+            def built(*args, **kwargs):
+                pytest.fail("built at an --l-max over the bound")
+
+            monkeypatch.setattr(cli.schrodinger, "_build_blocks", built)
+            monkeypatch.setattr(cli.schrodinger, "legendre_poly_table", built)
         out = tmp_path / "out.csv"
         assert _run(self._argv(tmp_path, command, l_max, source) + ["--out", str(out)]) == 2
-        assert f"l_max must be at least 1, got {l_max}" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["dynamics", "fidelity"])
+    def test_largest_mode_ladder_is_accepted(self, monkeypatch, tmp_path, command):
+        # the bound itself passes the check and reaches the simulator (stopped there, before it builds)
+        seen = []
+
+        def stop(cfg, theta, l_max, tables):
+            seen.append(l_max)
+            raise NonConvergenceError("stopped before building")
+
+        monkeypatch.setattr(cli.schrodinger, "_build_blocks", stop)
+        argv = self._argv(tmp_path, command, str(cli.MAX_L_MAX), "flag") + ["--out", str(tmp_path / "out.csv")]
+        assert _run(argv) == 3
+        assert seen == [cli.MAX_L_MAX]
 
     @pytest.mark.parametrize("command", ["dynamics", "fidelity"])
     def test_failed_eigensolve_exits_3(self, monkeypatch, tmp_path, capsys, command):

@@ -647,6 +647,94 @@ class TestSeedSeriesKernel:
         assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= bound
 
 
+def _seed_reference(d, y: float, hyp: bool, lw: float = 0.0, a: float = 0.0):
+    """One element of _series_array in Python arithmetic: the documented recurrences, term by term.
+
+    The sum stops where _series_array stops, at the end of a block that
+    passes the stopping test on its last two terms.  d, y, lw = ln w and
+    a = a_0 are Python floats or complex numbers; the log branch's
+    prefactor is left to the caller.
+    """
+    def ratio(m):  # c_{m+1} / c_m in modulus, capped as the code caps it
+        return min(abs((m - d) * (m + 1.0 + d)) * (1.0 / (m + 1.0) ** 2) * y, 0.999)
+
+    floor = 1.0 if hyp else 1e-300
+    total, c, n0 = (1.0 if hyp else lw + a), 1.0, 0
+    while n0 < specfun.MAX_TERMS:
+        size = min(max(specfun._BLOCK_FIRST, n0), specfun._BLOCK_CAP, specfun.MAX_TERMS - n0)
+        block, tail = 0.0, []
+        for n in range(n0, n0 + size):
+            p = (n - d) * (n + 1.0 + d)
+            if not hyp:
+                a = a + ((1.0 / p) * (2.0 * n + 1.0) - 2.0 / (n + 1.0))
+            c = c * (p * (1.0 / (n + 1.0) ** 2) * y)
+            term = c if hyp else c * (lw + a)
+            block = term if n == n0 else block + term
+            if n >= n0 + size - 2:
+                r = ratio(n + 1)
+                tail.append((abs(term) * r / (1.0 - r), block + total))
+        n0 += size
+        total = tail[-1][1]
+        if all(bound <= max(abs(s), floor) * specfun.SERIES_TOL for bound, s in tail):
+            return total
+    raise NonConvergenceError("reference series exceeded MAX_TERMS")
+
+
+def _series_reference(d, x: np.ndarray, hyp: bool) -> np.ndarray:
+    """_series_array(d, x, (1 + x)/2, hyp) by _seed_reference, one element at a time.
+
+    ln w, a_0 and the prefactor are taken from numpy and _log_start.
+    """
+    dtype = complex if np.iscomplexobj(d) else float
+    w = (1.0 + x) / 2.0
+    ds = np.broadcast_to(np.asarray(d, dtype=dtype), x.shape).tolist()
+    if hyp:
+        out = [_seed_reference(dj, yj, True) for dj, yj in zip(ds, ((1.0 - x) / 2.0).tolist())]
+        return np.array(out, dtype=dtype)
+    a0, scale = (np.broadcast_to(v, x.shape).tolist() for v in _log_start(d))
+    lw = np.log(w).astype(dtype).tolist()
+    out = [sj * _seed_reference(dj, wj, False, lj, aj) for dj, wj, lj, aj, sj in zip(ds, w.tolist(), lw, a0, scale)]
+    return np.array(out, dtype=dtype)
+
+
+class TestSeriesReference:
+    """_series_array against a scalar loop of its recurrences that stops at the same block ends."""
+
+    # complex products and quotients may round differently in numpy and in
+    # Python (numpy's complex kernels can fuse a multiply-add); over these
+    # cases the worst deviation is 1.2e-15 of max(1, |P|), whether a block's
+    # products and sums are numpy's cumulative ufuncs or carried term by
+    # term, and the bound keeps a factor of three over it
+    COMPLEX_BOUND = 4e-15
+
+    @staticmethod
+    def _cases(hyp: bool) -> list[tuple]:
+        """(d, x) pairs: one degree over x, and a degree per element, for real and complex degrees."""
+        rng = np.random.default_rng(29)
+        x = rng.uniform(0.0, 0.999, 40) if hyp else rng.uniform(-0.9999, -0.01, 40)
+        near = np.array([7e-4, 1.0 - 4e-4, 0.9996, 1.0007])  # the hypergeometric branch at any x
+        x_far = np.array([-0.99, -0.9, -0.7, -0.3])  # thousands of terms at x = -0.99
+        d = rng.uniform(0.01, 1.99, x.size)
+        cases = [(0.2718, x), (0.5 + 0.3j, x), (d, x), (d + 1j * rng.uniform(0.0, 0.9, x.size), x)]
+        if hyp:
+            cases += [(np.repeat(near, 4), np.tile(x_far, 4)), (np.repeat(near, 4) + 1e-5j, np.tile(x_far, 4))]
+        return cases
+
+    @pytest.mark.parametrize("grouped", [False, True])
+    @pytest.mark.parametrize("hyp", [True, False])
+    def test_series_equals_the_scalar_loop(self, monkeypatch, hyp, grouped):
+        if grouped:  # a buffer of three complex (six real) rows at the widest block: each call takes several groups
+            monkeypatch.setattr(specfun, "_WORK_BYTES", specfun._work_bytes(3, specfun._BLOCK_CAP, 16))
+            assert _group_rows(16) == 3
+        for d, x in self._cases(hyp):
+            got = _series_array(d, x, (1.0 + x) / 2.0, hyp)
+            want = _series_reference(d, x, hyp)
+            if np.iscomplexobj(d):
+                assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= self.COMPLEX_BOUND
+            else:
+                assert got.dtype == float and np.array_equal(got, want)
+
+
 class TestNearIntegerLimitNearMinusOne:
     """The known limit that ROADMAP [legendre-edges] (Legendre accuracy near an integer degree) is to remove.
 
@@ -661,7 +749,7 @@ class TestNearIntegerLimitNearMinusOne:
         start = time.perf_counter()
         with pytest.raises(NonConvergenceError, match="exceeded 100000 terms"):
             legendre_nu(30.0005, -0.99979)
-        assert time.perf_counter() - start < 10.0  # about 0.03 s: the term cap ends it
+        assert time.perf_counter() - start < 10.0  # about 0.07 s: the term cap ends it, at a numpy call per term
 
 
 def _same_bits(real: np.ndarray, cplx: np.ndarray) -> bool:
