@@ -41,15 +41,127 @@ MAX_GRID_POINTS = 100_000
 MAX_L_MAX = 2_000
 
 
+#: Cells of a _write_csv block: its largest work array, nine table words a cell, is 288 KiB.
+_CSV_BLOCK_CELLS = 4096
+
+
+def _csv_tables() -> tuple[np.ndarray, ...]:
+    """_write_csv's tables, texts as little-endian uint64 words: by x = X + 11 the exact powers of ten
+    that scale |v| to 12 digits; by 4-digit group its ASCII and trailing zeros (4 for 0000); by (z, x), z
+    the trailing zeros of the 12 digits, a cell's three words of masks of the digits printed before and
+    after the point, and of its fill (prefix, point, exponent suffix)."""
+    X = np.arange(-11, 34)
+    ten = np.array([float(10**k) for k in range(23)])
+    c = np.arange(48, 58, dtype="<u8")  # "0" .. "9"
+    zeros4 = np.zeros(10_000, dtype=np.intp)
+    for step in (10, 100, 1000, 10_000):
+        zeros4[::step] += 1
+    fixed = (-4 <= X) & (X < 12)
+    whole = np.where(fixed, np.maximum(X + 1, 0), 1)  # the integer digits %g prints
+    point = np.where(fixed & (X < 0), 12, whole)  # the digits before the point
+    keep = np.maximum(12 - np.arange(13)[:, None], whole)[..., None]  # the digits printed, by (z, x)
+    cut = np.minimum(point[:, None], keep)
+    j = np.arange(24) - 6  # byte 6 + j holds digit j, or digit j - 1 after the point
+    text = "".join(("0." + "0" * (-x - 1) if f and x < 0 else "").rjust(6, "\0").ljust(19, "\0")
+                   + ("" if f else f"e{x:+03d}").ljust(5, "\0") for x, f in zip(X.tolist(), fixed.tolist()))
+    fill = np.tile(np.frombuffer(text.encode(), np.uint8).reshape(45, 24), (13, 1, 1))
+    z, x = np.nonzero(keep[..., 0] > point)
+    fill[z, x, 6 + point[x]] = ord(".")
+    digits = np.concatenate([(0 <= j) & (j < cut), (cut <= j) & (j < keep)], axis=-1).view(np.uint8) * np.uint8(255)
+    return (np.stack([ten[np.maximum(11 - X, 0)], ten[np.maximum(X - 11, 0)]]),
+            (c[:, None, None, None] | c[:, None, None] << 8 | c[:, None] << 16 | c << 24).ravel(), zeros4,
+            np.concatenate([digits, fill], axis=-1).view("<u8").reshape(-1, 9).T.copy())
+
+
+_SCALE, _ASCII4, _ZEROS4, _MASKS = _csv_tables()
+
+
+def _csv_block(v: np.ndarray, cells: list[np.ndarray], ints: np.ndarray, seps: np.ndarray) -> bytes:
+    """The CSV lines of the float64 cells v (rows, columns): cells are its columns in their own dtypes,
+    ints marks the integer columns, seps holds each column's separator at byte 23 of its cells."""
+    a = np.abs(v)
+    fall = ~(a < np.inf)  # the cells left to %
+    np.copyto(a, 0.0, where=fall)
+    nonzero = a > 0.0
+    x = np.zeros(a.shape)
+    np.log10(a, out=x, where=nonzero)
+    x = np.clip(np.floor(x, out=x) + 11.0, 0, 44).astype(np.intp)
+    s = a * _SCALE[0].take(x)
+    s /= _SCALE[1].take(x)
+    r = np.rint(s)
+    # a half within 1e-3, or 12 digits not in [1e11, 1e12): a wrong exponent, or one out of range
+    fall |= np.abs(s - r) > 0.499
+    fall |= (np.abs(r - 549_999_999_999.5) > 449_999_999_999.5) & nonzero
+    if ints.any():
+        fall |= ints & (a >= 1e12)
+    np.copyto(r, 0.0, where=fall)
+    r = r.astype(np.int64)
+    top = r // 10_000
+    low, high = r - top * 10_000, top // 10_000
+    mid = top - high * 10_000
+    zeros = _ZEROS4.take(low)
+    empty = low == 0
+    if empty.any():
+        zeros += empty * (_ZEROS4.take(mid) + (mid == 0) * _ZEROS4.take(high))
+    k0, k1, k2, m0, m1, m2, f0, f1, f2 = _MASKS.take(zeros * 45 + x, axis=1)
+    # the digits at bytes 6-17, those after the point a byte up, carried across words
+    a_high, a_mid, a_low = _ASCII4.take(high), _ASCII4.take(mid), _ASCII4.take(low)
+    carry = 0
+    for k, m, f, d in ((k0, m0, f0, a_high << 48), (k1, m1, f1, a_high >> 16 | a_mid << 16 | a_low << 48),
+                       (k2, m2, f2, a_low >> 16)):
+        k &= d
+        m &= d
+        f |= k | m << 8 | carry
+        carry = m >> 56
+    f0 |= np.signbit(v) * np.uint64(ord("-"))
+    f2 |= seps
+    words = np.stack([f0, f1, f2], axis=-1)
+    if fall.any():
+        rows, cols = np.nonzero(fall)
+        text = ["%d" % cells[j][i] if ints[j] else "%.12g" % v[i, j] for i, j in zip(rows.tolist(), cols.tolist())]
+        words[rows, cols] = np.array(text, dtype="S24").view("<u8").reshape(-1, 3)
+        words[rows, cols, 2] |= seps[cols]
+    return words.tobytes().translate(None, b"\0")
+
+
 def _write_csv(out: str | None, header: list[str], columns: list[np.ndarray]) -> None:
-    """Header line, then one row per index of the equal-length 1-D columns: integers %d, the rest %.12g."""
-    fmt = ",".join("%d" if c.dtype.kind in "iu" else "%.12g" for c in columns)
-    rows = zip(*(c.tolist() for c in columns), strict=True)
-    text = "\n".join([",".join(header)] + [fmt % row for row in rows]) + "\n"
+    """Header line, then one row per index of the equal-length 1-D columns: integers %d, the rest %.12g.
+
+    numpy writes the bytes of Python's %, every cell as float64 (an integer
+    below 1e12 prints the same by %.12g as by %d).  With X = floor(log10|v|),
+    s = |v| 10^(11 - X) takes one multiply or divide by an exact power of ten
+    (|11 - X| <= 22), so it is correctly rounded, within half an ulp
+    (2^-14 < 6.2e-5 below 2^40) of the exact value: rint(s) is the correctly
+    rounded 12-digit integer unless s lies within 1e-3 of a half.  Such cells
+    (exact ties among them) go to %, as do those whose rint(s) is not in
+    [1e11, 1e12) (X off by one next to a power of ten, a cell that rounds up
+    to one, |v| below ~1e-11 or from ~1e34), nan, inf and integers from 1e12.
+    A cell is 24 bytes: %g's prefix at bytes 0-5 (sign, '0.' and the zeros of
+    -4 <= X < 0), from byte 6 its digits less trailing zeros with the point
+    among them, the exponent suffix at bytes 19-22 and the separator at byte
+    23, padded with NUL bytes that one bytes.translate call deletes.  Rows go
+    in blocks of _CSV_BLOCK_CELLS cells, each written as it is made (text to
+    stdout, bytes to out), so the work arrays stay within ~1 MB.
+    """
+    size = len(columns[0]) if columns else 0
+    if any(len(c) != size for c in columns):
+        raise ValueError(f"columns of unequal lengths {[len(c) for c in columns]}")
+    ints = np.array([c.dtype.kind in "iu" for c in columns])
+    seps = np.array([ord(",") << 56] * (len(columns) - 1) + [ord("\n") << 56], dtype="<u8")
+    rows = max(1, _CSV_BLOCK_CELLS // max(1, len(columns)))
+
+    def chunks():
+        yield (",".join(header) + "\n").encode("utf-8")
+        for r0 in range(0, size, rows):
+            cells = [c[r0:r0 + rows] for c in columns]
+            yield _csv_block(np.stack(cells, axis=1, dtype=float), cells, ints, seps)
+
     if out is None:
-        sys.stdout.write(text)
+        for chunk in chunks():
+            sys.stdout.write(chunk.decode("utf-8"))
     else:
-        Path(out).write_text(text, encoding="utf-8", newline="\n")
+        with open(out, "wb") as fh:
+            fh.writelines(chunks())
 
 
 def _write_plot_script(path: str, csv_out: str | None, xcol: str, ycols: list[str], title: str) -> None:

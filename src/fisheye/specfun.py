@@ -395,8 +395,13 @@ def _series_array(
                 cs[0] = f[0]
             else:
                 np.multiply(f[0], c, out=cs[0])
-            for prev, f_n, row in zip(cs, f[1:], cs[1:]):
-                np.multiply(prev, f_n, row)
+            if k == 1 and dtype is float:
+                # one real column: cumprod rounds each product once, in the same order
+                cs[1:] = f[1:]
+                np.cumprod(cs, axis=0, out=cs)
+            else:
+                for prev, f_n, row in zip(cs, f[1:], cs[1:]):
+                    np.multiply(prev, f_n, row)
             c = cs[-1].copy()  # the hypergeometric terms become the partial sums below
             if hyp:
                 terms = cs

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import importlib
 import os
 import subprocess
@@ -61,6 +62,75 @@ class TestWriteCsv:
     def test_unequal_columns_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             cli._write_csv(str(tmp_path / "rows.csv"), ["a", "b"], [np.zeros(3), np.zeros(2)])
+
+    @staticmethod
+    def _regimes(rows: int) -> list[np.ndarray]:
+        """Six seeded columns of rows cells over every regime of %.12g and %d."""
+        rng = np.random.default_rng(30)
+        # every binary exponent, so every decade from the subnormals to 1.8e308, of both signs
+        exponents = np.resize(np.arange(-1074, 1024), rows)
+        decades = np.ldexp(rng.uniform(0.5, 1.0, rows), exponents) * rng.choice([-1.0, 1.0], rows)
+        # 12 digits and a half, then within 1e-3 of the half, at decimal exponents -11 .. 33;
+        # exact ties (2N + 1) 5^j 2^(j - 1) = (N + 0.5) 10^j, j = 0 .. 5; integral floats 1e11 .. 1e17
+        digits = rng.integers(10**11, 10**12, rows)
+        near = (digits + 0.5 + rng.uniform(-1e-3, 1e-3, rows)) * 10.0 ** rng.integers(-22, 23, rows)
+        ties = [(2 * n + 1) * 5**j * 2.0 ** (j - 1) for n, j in zip(digits[:240].tolist(), list(range(6)) * 40)]
+        whole = np.floor(10.0 ** rng.uniform(11.0, 17.0, rows // 10))
+        special = [0.0, -0.0, float("nan"), float("inf"), -float("inf"), 1e11, 1e12, 1e17, 123456789012.5]
+        halves = np.resize(np.concatenate([near, ties, whole, special]), rows)
+        rng.shuffle(halves)
+        single = (rng.normal(size=rows) * 10.0 ** rng.uniform(-44.0, 37.0, rows)).astype(np.float32)
+        edge = np.array([0, 1, -1, 10**12 - 1, 10**12, -(10**12), 10**15 + 1, 2**53 + 1, 2**63 - 1, -(2**63)])
+        signed = np.where(rng.random(rows) < 0.5, rng.integers(-(10**13), 10**13, rows), np.resize(edge, rows))
+        unsigned = np.where(rng.random(rows) < 0.5, rng.integers(0, 2**64, rows, dtype=np.uint64),
+                            np.resize(np.array([0, 7, 10**12 - 1, 10**12, 2**63, 2**64 - 1], dtype=np.uint64), rows))
+        # grid-like decimals (few digits, some halved) and dyadic fractions
+        places = 10.0 ** rng.integers(0, 6, rows)
+        decimals = np.rint(rng.uniform(-20.0, 20.0, rows) * places) / places / 2.0 ** rng.integers(0, 4, rows)
+        return [decades, halves, single, signed.astype(np.int64), unsigned, decimals]
+
+    def test_formatter_matches_percent_over_every_regime(self, tmp_path):
+        # 240,000 cells in 59 blocks of 682 rows
+        columns = self._regimes(40_000)
+        assert len(columns[0]) * len(columns) >= 200_000
+        assert len(columns[0]) > 30 * cli._CSV_BLOCK_CELLS // len(columns)
+        out = tmp_path / "rows.csv"
+        cli._write_csv(str(out), list("abcdef"), columns)
+        lines = out.read_bytes().decode("utf-8").split("\n")
+        assert lines[0] == "a,b,c,d,e,f" and lines[-1] == ""
+        assert len(lines) == len(columns[0]) + 2
+        for r, (line, row) in enumerate(zip(lines[1:], zip(*columns))):
+            assert line == ",".join(_fmt_per_value(v) for v in row), f"row {r}"
+
+    @pytest.mark.parametrize("sink", ["out", "stdout"])
+    def test_memory_is_bounded_by_the_output(self, tmp_path, sink):
+        # blocks written as they are made; a writer that joins every row's text first peaks at ~4.4 x the file
+        import tracemalloc
+
+        rows = 400_000
+        t = np.linspace(0.0, 40.0, rows)
+        columns = [t, np.sin(t) * np.exp(-0.01 * t), np.random.default_rng(5).normal(size=rows)]
+        path = tmp_path / "rows.csv"
+
+        def traced_peak(out):
+            tracemalloc.start()
+            try:
+                cli._write_csv(out, ["t", "y", "z"], columns)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        if sink == "out":
+            peak = traced_peak(str(path))
+        else:
+            with open(path, "w", encoding="utf-8", newline="") as fh, contextlib.redirect_stdout(fh):
+                peak = traced_peak(None)
+        size = path.stat().st_size
+        assert size > 12_000_000
+        assert peak <= 3 * size
+        with open(path, "rb") as fh:
+            assert fh.readline() == b"t,y,z\n"
+            assert fh.readline() == f"0,{_fmt_per_value(columns[1][0])},{_fmt_per_value(columns[2][0])}\n".encode()
 
 
 class TestValidate:
