@@ -23,7 +23,6 @@ from fisheye.qed import (
     coupling_rates,
     entanglement_fidelity,
     fidelity_approx,
-    fidelity_with_freespace,
     trajectory,
 )
 
@@ -50,7 +49,7 @@ def main():
     f36 = fidelity_approx(cfg.radius, cfg.alpha)
     print(f"Bell fidelity at t0 = {t0:.3f}/Gamma0: exact {f33:.4f}, scaling law {f36:.4f}")
     print(f"with free-space leakage (eta = 3): "
-          f"{fidelity_with_freespace(cfg.radius, cfg.alpha, 3.0):.4f}")
+          f"{fidelity_approx(cfg.radius, cfg.alpha, 3.0):.4f}")
 
     rows = ["t_Gamma0,pop1,pop2,bell_fidelity"]
     for i in range(len(t)):

@@ -31,15 +31,15 @@ def main():
     print(f"bare-interface index {stack.flat_interface_index.real:.4f}, "
           f"thick-film ceiling {stack.thick_film_index.real:.4f}")
 
-    sweep = sweep_effective_index(200.0, stack, step_nm=1.0)
+    heights, n_eff = sweep_effective_index(200.0, stack, step_nm=1.0)
     rows = ["d_nm,n_eff,chi"]
-    rows += [f"{s.height_nm:.12g},{s.n:.12g},{s.chi:.12g}" for s in sweep]
+    rows += [f"{d:.12g},{z.real:.12g},{z.imag:.12g}" for d, z in zip(heights.tolist(), n_eff.tolist())]
     OUT.write_text("\n".join(rows) + "\n", encoding="utf-8", newline="\n")
-    print(f"swept 0-200 nm: n {sweep[0].n:.3f} -> {sweep[-1].n:.3f}; wrote {OUT.name}")
+    print(f"swept 0-200 nm: n {n_eff[0].real:.3f} -> {n_eff[-1].real:.3f}; wrote {OUT.name}")
 
     cfg = LensConfig(radius=1.749)
-    profile = lens_height_profile(cfg, stack, 200)
-    print(f"wedge profile: d(center) = {profile[0][1]:.0f} nm -> d(rim) = {profile[-1][1]:.1f} nm")
+    _, d_profile, _ = lens_height_profile(cfg, stack, 200)
+    print(f"wedge profile: d(center) = {d_profile[0]:.0f} nm -> d(rim) = {d_profile[-1]:.1f} nm")
 
     report = end_to_end_estimate(cfg, stack, reflectivity_sq=0.95, eta=3.0,
                                  n_radial_samples=400)

@@ -4,8 +4,8 @@ The cavity images any interior point onto its antipode, which turns it into
 a mediator of effectively infinite-range dipole-dipole interactions between
 embedded two-level emitters.  This package provides:
 
-  specfun      - Legendre polynomials / functions of complex degree,
-                 spherical harmonics, digamma, sin(pi nu) and the
+  specfun      - Legendre polynomial tables / functions of complex degree,
+                 Y_l^m's colatitude part, digamma, sin(pi nu) and the
                  near-source offset a_0(nu), series acceleration
   lens         - index profile, stereographic map, TE eigenmodes, spectrum
   greens       - closed-form and eigenmode-sum Green's functions
@@ -13,8 +13,8 @@ embedded two-level emitters.  This package provides:
                  trajectories, entanglement fidelities
   schrodinger  - parity-reduced single-excitation simulator used to verify
                  the rate formulas
-  plasmon      - metal/dielectric dispersion solver, lens height profile,
-                 loss budget, end-to-end fidelity estimate
+  plasmon      - metal/dielectric dispersion solver (array sweeps), lens
+                 height profile, loss budget, end-to-end fidelity estimate
   cli          - ``fisheye`` command-line front end (CSV figure data)
 
 Internal units: c = lambda0 = 1 (so omega0 = 2 pi); rates in units of the
@@ -45,12 +45,11 @@ from .qed import (
     coupling_rates,
     entanglement_fidelity,
     fidelity_approx,
-    fidelity_with_freespace,
     image_rates,
     scaling_rates,
     trajectory,
 )
-from .plasmon import EffectiveIndexSample, PlasmonStack, end_to_end_estimate, solve_effective_index
+from .plasmon import PlasmonStack, end_to_end_estimate, solve_effective_index
 from .schrodinger import BlockModel, SimResult, build_blocks, compare_losses, compare_to_analytics, evolve
 
 __version__ = "0.1.0"
@@ -76,7 +75,6 @@ __all__ = [
     "trajectory",
     "entanglement_fidelity",
     "fidelity_approx",
-    "fidelity_with_freespace",
     "BlockModel",
     "SimResult",
     "build_blocks",
@@ -84,7 +82,6 @@ __all__ = [
     "compare_losses",
     "compare_to_analytics",
     "PlasmonStack",
-    "EffectiveIndexSample",
     "solve_effective_index",
     "end_to_end_estimate",
     "FisheyeError",

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError, ThinDiskWarning
-from .specfun import spherical_harmonic, _theta_lm
+from .specfun import _theta_lm
 
 #: Atomic transition frequency in internal units (c = lambda0 = 1).
 OMEGA0 = 2.0 * math.pi
@@ -195,13 +195,14 @@ def allowed_m(l: int) -> list[int]:
 def mode_function(cfg: LensConfig, mode: ModeIndex, p: DiskPoint) -> complex:
     """z-component amplitude of the TE eigenmode (l, m) at a disk point.
 
-    f_{l,m} = sqrt(2 / (b R0^2 n0^2)) Y_l^m(theta(rho), phi).  The mirror
-    boundary is automatic: at rho = 1 the polar angle is pi/2 and P_l^m(0) = 0
-    for the allowed (l - m odd) modes.  Condon-Shortley phase as in
-    spherical_harmonic; it cancels in all conjugate-pair observables.
+    f_{l,m} = sqrt(2 / (b R0^2 n0^2)) Y_l^m(theta(rho), phi), with
+    Y_l^m = _theta_lm(cos theta) e^{i m phi} (Condon-Shortley phase; it
+    cancels in all conjugate-pair observables).  The mirror boundary is
+    automatic: at rho = 1 the polar angle is pi/2 and P_l^m(0) = 0 for the
+    allowed (l - m odd) modes.
     """
     norm = math.sqrt(2.0 / (cfg.b * cfg.radius**2 * cfg.n0**2))
-    return norm * spherical_harmonic(mode.l, mode.m, stereo_theta(p.rho), p.phi)
+    return norm * (_theta_lm(mode.l, mode.m, math.cos(stereo_theta(p.rho))) * cmath.exp(1j * mode.m * p.phi))
 
 
 @functools.lru_cache(maxsize=16)

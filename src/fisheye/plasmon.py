@@ -21,9 +21,9 @@ height map d(rho).  ntilde(d) is tracked from the analytic d = 0 root in
 sub-steps of at most 0.5 nm, solved in batched blocks of 64 by the one
 damped Newton iteration; each block is seeded by the secant predictor
 through the last two roots, and every 0.5 nm sub-step is checked for a
-branch jump.  The absorption loss ratio is kappa_abs/omega0 = chi/n
-averaged over the lens radius; mirror leakage adds t^2 lambda0 /
-(4 pi nbar R0).
+branch jump.  Sweeps and the height map return arrays.  The absorption
+loss ratio kappa_abs/omega0 = chi/n is averaged over the lens radius;
+mirror leakage adds t^2 lambda0 / (4 pi nbar R0).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import BranchJumpError, DomainError, RootNotFoundError
 from .lens import LensConfig, radial_mean_index, refractive_index
-from .qed import fidelity_with_freespace
+from .qed import fidelity_approx
 
 #: Continuation step for root tracking along the height sweep (nm).
 CONTINUATION_STEP_NM = 0.5
@@ -119,22 +119,6 @@ class PlasmonStack:
             * self.eps_dielectric
             / (self.eps_metal + self.eps_dielectric)
         )
-
-
-@dataclass(frozen=True)
-class EffectiveIndexSample:
-    """Solved guided-mode index at one dielectric height."""
-
-    height_nm: float
-    n_eff: complex
-
-    @property
-    def n(self) -> float:
-        return self.n_eff.real
-
-    @property
-    def chi(self) -> float:
-        return self.n_eff.imag
 
 
 def _decay_root(z: np.ndarray) -> np.ndarray:
@@ -252,7 +236,7 @@ def _substeps(heights: Iterable[float]) -> Iterator[tuple[float, float | None]]:
         d_prev = d
 
 
-def _track(stack: PlasmonStack, heights: Iterable[float], n_stop: float = math.inf) -> list[EffectiveIndexSample]:
+def _track(stack: PlasmonStack, heights: Iterable[float], n_stop: float = math.inf) -> tuple[np.ndarray, np.ndarray]:
     """Continuation of ntilde(d) from the analytic d = 0 root through heights increasing from 0.
 
     The gap to each height is split into equal sub-steps of at most
@@ -261,13 +245,13 @@ def _track(stack: PlasmonStack, heights: Iterable[float], n_stop: float = math.i
     by one _newton_batch call per block; each is seeded by the last root
     plus the secant predictor through the last two (the first block by the
     analytic root), which keeps the iteration on the bound branch.  Returns
-    the root at every height, stopping after the first where
-    Re ntilde >= n_stop.  Raises BranchJumpError if Re ntilde moves by more
-    than BRANCH_JUMP_TOL over one sub-step, the last of the previous block
-    included, and RootNotFoundError at the first sub-step the walk reaches
-    without a root.
+    the heights and the roots there as arrays, stopping after the first
+    where Re ntilde >= n_stop.  Raises BranchJumpError if Re ntilde moves by
+    more than BRANCH_JUMP_TOL over one sub-step, the last of the previous
+    block included, and RootNotFoundError at the first sub-step the walk
+    reaches without a root.
     """
-    samples = []
+    d_out, z_out = [], []
     steps = _substeps(heights)
     z, d_last, slope = stack.flat_interface_index, 0.0, 0.0
     while block := list(itertools.islice(steps, CONTINUATION_BLOCK)):
@@ -281,29 +265,30 @@ def _track(stack: PlasmonStack, heights: Iterable[float], n_stop: float = math.i
                 raise BranchJumpError(f"guided branch lost near d = {d_i} nm ({z.real:.4f} -> {z_next.real:.4f})")
             z = z_next
             if d is not None:
-                samples.append(EffectiveIndexSample(d, z))
+                d_out.append(d)
+                z_out.append(z)
                 if z.real >= n_stop:
-                    return samples
+                    return np.array(d_out, dtype=float), np.array(z_out, dtype=complex)
         if error:
             raise error
         if len(block) == CONTINUATION_BLOCK:  # another block may follow
             d_last, slope = d_block[-1], (roots[-1] - roots[-2]) / (d_block[-1] - d_block[-2])
-    return samples
+    return np.array(d_out, dtype=float), np.array(z_out, dtype=complex)
 
 
-def solve_effective_index(d_nm: float, stack: PlasmonStack) -> EffectiveIndexSample:
+def solve_effective_index(d_nm: float, stack: PlasmonStack) -> complex:
     """Complex effective index ntilde(d) of the bound mode at height d, tracked by _track from d = 0."""
     if d_nm < 0:
         raise DomainError("height must be >= 0")
-    return _track(stack, [0.0, d_nm])[-1]
+    return complex(_track(stack, [0.0, d_nm])[1][-1])
 
 
 def sweep_effective_index(
     d_max_nm: float,
     stack: PlasmonStack,
     step_nm: float = CONTINUATION_STEP_NM,
-) -> list[EffectiveIndexSample]:
-    """Continuation sweep of ntilde(d) on a uniform height grid from 0 to d_max.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Continuation sweep of ntilde(d) on a uniform height grid from 0 to d_max: the heights and indices.
 
     step_nm only sets the reported grid: _track still advances by at most
     CONTINUATION_STEP_NM, so branch-jump detection stays calibrated.  Raises
@@ -376,24 +361,15 @@ def lens_height_profile(
     cfg: LensConfig,
     stack: PlasmonStack,
     n_radial_samples: int = 1000,
-) -> list[tuple[float, float]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dielectric height map d(rho) realizing n_eff(rho) = 2 n0/(1 + rho^2).
 
-    Returns (rho, d_nm) pairs on a uniform radial grid; d decreases
-    monotonically outward (conical shape).  Targets below the bare-interface
-    index (the rim for n0 = 1, where the profile asks for exactly 1 but the
-    flat surface already gives ~1.02) are clamped to d = 0.
+    Returns (rho, d_nm, ntilde) arrays on a uniform radial grid, with the
+    index solved at each height; d decreases monotonically outward (conical
+    shape).  Targets below the bare-interface index (the rim for n0 = 1,
+    where the profile asks for exactly 1 but the flat surface already gives
+    ~1.02) are clamped to d = 0.
     """
-    rhos, heights, _ = _profile_samples(cfg, stack, n_radial_samples)
-    return list(zip(rhos.tolist(), heights.tolist()))
-
-
-def _profile_samples(
-    cfg: LensConfig,
-    stack: PlasmonStack,
-    n_radial_samples: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rho, d_nm, ntilde) arrays of lens_height_profile, with the index solved at each height."""
     if n_radial_samples < 2:
         raise DomainError("need at least two radial samples")
     n_floor = stack.flat_interface_index.real
@@ -407,17 +383,15 @@ def _profile_samples(
     # one walk over the CONTINUATION_STEP_NM lattice to the largest target,
     # then one batched secant inversion over all radii (monotone table)
     steps = int(MAX_HEIGHT_NM / CONTINUATION_STEP_NM)
-    table = _track(stack, (i * CONTINUATION_STEP_NM for i in range(steps + 1)), center_target)
-    if table[-1].n < center_target:
+    table_d, table_z = _track(stack, (i * CONTINUATION_STEP_NM for i in range(steps + 1)), center_target)
+    if table_z[-1].real < center_target:
         raise DomainError(f"index {center_target} not reached below d = {MAX_HEIGHT_NM} nm")
-    table_d = np.array([s.height_nm for s in table])
-    table_z = np.array([s.n_eff for s in table])
     rhos = np.linspace(0.0, 1.0, n_radial_samples)
     targets = refractive_index(cfg, rhos)
     heights = np.zeros(n_radial_samples)
-    indices = np.full(n_radial_samples, table[0].n_eff)
+    indices = np.full(n_radial_samples, table_z[0])
     inner = targets > n_floor
-    i = np.clip(np.searchsorted(table_z.real, targets[inner]), 1, len(table) - 1)
+    i = np.clip(np.searchsorted(table_z.real, targets[inner]), 1, len(table_z) - 1)
     heights[inner], indices[inner] = _invert_height(
         stack, table_d[i - 1], table_d[i], table_z[i - 1], table_z[i], targets[inner]
     )
@@ -434,7 +408,7 @@ def average_absorption(
     chi and n are those of the mode the height inversion solved at d(rho);
     the average is uniform in r (trapezoid over the rho grid).
     """
-    rhos, _, indices = _profile_samples(cfg, stack, n_radial_samples)
+    rhos, _, indices = lens_height_profile(cfg, stack, n_radial_samples)
     return float(np.trapezoid(indices.imag / indices.real, rhos))
 
 
@@ -488,6 +462,6 @@ def end_to_end_estimate(
         alpha_mirror_formula=a_mirror,
         alpha_mirror_reference=NOMINAL_MIRROR_LOSS,
         alpha_total_computed=a_total,
-        fidelity_computed=fidelity_with_freespace(cfg.radius, a_total, eta),
-        fidelity_nominal=fidelity_with_freespace(cfg.radius, NOMINAL_TOTAL_LOSS, eta),
+        fidelity_computed=fidelity_approx(cfg.radius, a_total, eta),
+        fidelity_nominal=fidelity_approx(cfg.radius, NOMINAL_TOTAL_LOSS, eta),
     )

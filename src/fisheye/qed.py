@@ -53,7 +53,7 @@ from .specfun import source_offset
 _DW_PREF = 3.0 * math.pi / OMEGA0**3
 #: Gamma / Gamma0 per unit Im{(omega0+i kappa)^2 G}
 _G_PREF = 6.0 * math.pi / OMEGA0**3
-#: Share of gamma0 that still leaks into free space near the surface (fidelity_with_freespace)
+#: Share of gamma0 that still leaks into free space near the surface (fidelity_approx at a finite eta)
 _FREESPACE_FRACTION = 0.5
 
 
@@ -321,24 +321,15 @@ def entanglement_fidelity(rates: CouplingRates) -> float:
     return float(fidelity_from_rates(rates.delta_omega, rates.gamma, rates.gamma_coop))
 
 
-def fidelity_approx(R0_over_lambda: float, alpha: float) -> float:
-    """Scaling-law fidelity F = exp(-pi^3 R0 alpha / lambda).
+def fidelity_approx(R0_over_lambda: float, alpha: float, eta: float = math.inf) -> float:
+    """Scaling-law fidelity F = exp(-pi^3 (1 + f/eta) R0 alpha / lambda).
 
     Follows from the half-integer scaling rates; caller keeps Re nu at
-    m + 0.5 (antipodal atoms assumed).
+    m + 0.5 (antipodal atoms assumed).  A finite Purcell ratio
+    eta = gamma/gamma0 adds the free-space leakage gamma -> gamma + f gamma0,
+    f = _FREESPACE_FRACTION; eta = inf gives exp(-pi^3 R0 alpha / lambda)
+    bit for bit.  Raises DomainError unless R0 > 0, alpha >= 0 and eta > 0.
     """
-    if R0_over_lambda <= 0 or alpha < 0:
-        raise DomainError("need R0 > 0 and alpha >= 0")
-    return math.exp(-math.pi**3 * R0_over_lambda * alpha)
-
-
-def fidelity_with_freespace(R0_over_lambda: float, alpha: float, eta: float) -> float:
-    """Fidelity including residual free-space leakage, gamma -> gamma + f gamma0.
-
-    F = exp(-pi^3 (1 + f/eta) R0 alpha / lambda) with Purcell ratio
-    eta = gamma/gamma0 and near-surface free-space fraction f = _FREESPACE_FRACTION.
-    Reduces to fidelity_approx as eta -> infinity.
-    """
-    if not eta > 0:
-        raise DomainError("eta must be positive")
+    if not (R0_over_lambda > 0 and alpha >= 0 and eta > 0):
+        raise DomainError(f"need R0 > 0, alpha >= 0 and eta > 0, got {R0_over_lambda}, {alpha} and {eta}")
     return math.exp(-math.pi**3 * (1.0 + _FREESPACE_FRACTION / eta) * R0_over_lambda * alpha)

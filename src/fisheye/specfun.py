@@ -1,14 +1,15 @@
 """Special functions for the fish-eye cavity model.
 
 Everything downstream (mode functions, Green's functions, coupling rates)
-reduces to Legendre polynomials, spherical harmonics, the digamma function,
-and Legendre functions of arbitrary complex degree.  All evaluators here are
-pure functions of their arguments and are safe to call concurrently.
+reduces to Legendre polynomial tables, the colatitude part of Y_l^m, the
+digamma function, and Legendre functions of arbitrary complex degree, one
+array evaluator each.  All evaluators here are pure functions of their
+arguments and are safe to call concurrently.
 
-Conventions: spherical harmonics carry the Condon-Shortley phase.  The phase
-drops out of every physical observable in this package (they all involve
-conjugate pairs or the phase-free addition theorem), and the choice is
-pinned by the test suite.
+Conventions: _theta_lm carries the Condon-Shortley phase, as does the Y_l^m
+of lens.mode_function.  The phase drops out of every physical observable
+in this package (they all involve conjugate pairs or the phase-free
+addition theorem), and the choice is pinned by the test suite.
 """
 
 from __future__ import annotations
@@ -34,31 +35,18 @@ _DIGAMMA_ASYMP = (
 )
 
 
-def digamma(z: complex | np.ndarray) -> complex | np.ndarray:
-    """Digamma function psi(z) for complex z.
+def digamma(z: complex | np.ndarray) -> np.ndarray:
+    """Digamma function psi(z), element by element, in the shape of z; real for a real z.
 
     Upward recurrence psi(z) = psi(z+1) - 1/z is applied until Re z >= 10,
     then the standard asymptotic series ln z - 1/(2z) - sum B_2n/(2n z^2n)
-    is summed.  Accurate to ~1e-13 relative for |z| <= 1e3.
-
-    An ndarray z returns a complex array of its shape; a scalar z returns a
-    Python complex, computed as a one-element array.  Each call costs up to
-    ~0.2 ms of numpy overhead, so loops should pass an array.
+    is summed.  Accurate to ~1e-13 relative for |z| <= 1e3.  A real z is
+    worked in float64 and gives the real parts of the complex result bit
+    for bit (see _quotient); its logarithm is the real part of the complex
+    one, which numpy's float64 log (a SIMD kernel on some CPUs) can miss by
+    an ulp.  Each call costs numpy overhead, so loops should pass an array.
 
     Raises PoleError within 1e-12 of a non-positive integer (any element).
-    """
-    if isinstance(z, np.ndarray):
-        return np.asarray(_digamma_array(z), dtype=complex)
-    return complex(_digamma_array(np.asarray(z))[()])
-
-
-def _digamma_array(z: np.ndarray) -> np.ndarray:
-    """digamma over an array (or a 0-d array), element by element.
-
-    A real array is worked in float64 and gives the real parts of the
-    complex result bit for bit (see _quotient); its logarithm is the real
-    part of the complex one, which numpy's float64 log (a SIMD kernel on
-    some CPUs) can miss by an ulp.
     """
     z = np.array(z, dtype=complex if np.iscomplexobj(z) else float)
     nearest = np.round(z.real)
@@ -81,13 +69,6 @@ def _digamma_array(z: np.ndarray) -> np.ndarray:
         total -= coeff * power
         power = power * inv2
     return acc + total
-
-
-def legendre_poly(l: int, x: float) -> float:
-    """Legendre polynomial P_l(x): row l of legendre_poly_table, for l >= 0 and x in [-1, 1]."""
-    if l < 0 or abs(x) > 1.0:
-        raise DomainError(f"need degree l >= 0 and x in [-1, 1], got l = {l}, x = {x}")
-    return float(legendre_poly_table(l, x)[l])
 
 
 def legendre_poly_table(l_max: int, x: float | np.ndarray) -> np.ndarray:
@@ -136,19 +117,6 @@ def _theta_lm(l: int, m: int, u: float | np.ndarray) -> float | np.ndarray:
     if m < 0:
         t = t * (-1.0) ** m_abs
     return t
-
-
-def spherical_harmonic(l: int, m: int, theta: float, phi: float) -> complex:
-    """Spherical harmonic Y_l^m(theta, phi), Condon-Shortley phase.
-
-    Normalization sqrt((2l+1)/(4 pi) (l-m)!/(l+m)!) P_l^m(cos theta) e^{i m phi},
-    evaluated through a normalized recurrence (no raw factorials).
-    """
-    if l < 0 or abs(m) > l:
-        raise DomainError("need 0 <= |m| <= l")
-    if not 0.0 <= theta <= math.pi:
-        raise DomainError("theta must lie in [0, pi]")
-    return _theta_lm(l, m, math.cos(theta)) * cmath.exp(1j * m * phi)
 
 
 #: How far 2w - 1 may lie from x when legendre_nu is given w = (1+x)/2.
@@ -210,7 +178,7 @@ def _trig_pi(f, nu: complex | np.ndarray) -> np.ndarray:
     (r is exact): pi nu itself would carry an absolute rounding error of
     ~1e-16 |nu|, ~1e-16 |nu| / |sin(pi nu)| relative in the sine (1e-12 at
     Re nu = 90.5 +- 0.49, 1e-8 at 1e-6 from an integer).  A real nu takes
-    the real part of the complex function, as _digamma_array does with the
+    the real part of the complex function, as digamma does with the
     log, so its values are the real parts of the complex evaluation.
     """
     nu = np.asarray(nu)
@@ -241,7 +209,7 @@ def source_offset(nu: complex | np.ndarray, sin: np.ndarray | None = None) -> np
     """
     d = np.ravel(nu)
     cot = _quotient(_trig_pi(np.cos, d), sin_pi(d) if sin is None else np.ravel(sin))
-    return (2.0 * _digamma_array(d + 1.0) + np.pi * cot + 2.0 * EULER_GAMMA).reshape(np.shape(nu))
+    return (2.0 * digamma(d + 1.0) + np.pi * cot + 2.0 * EULER_GAMMA).reshape(np.shape(nu))
 
 
 def _log_start(d: complex | np.ndarray) -> tuple[np.ndarray, np.ndarray]:

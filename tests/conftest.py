@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from fisheye import lens, qed
 from fisheye.lens import OMEGA0, allowed_m, stereo_theta
-from fisheye.specfun import spherical_harmonic
+from fisheye.specfun import _theta_lm
 
 
 @pytest.fixture
@@ -47,8 +48,10 @@ def full_basis_hamiltonian():
             w_l = math.sqrt(l * (l + 1.0)) / cfg.radius
             h[j, j] = w_l - OMEGA0
             g_l = math.sqrt(c0sq * w_l)
-            h[0, j] = g_l * spherical_harmonic(l, m, theta, phi)
-            h[1, j] = g_l * spherical_harmonic(l, m, theta, -phi)
+            # Y_l^m(theta, +-phi) = _theta_lm(cos theta) e^{+-i m phi}
+            theta_lm = _theta_lm(l, m, math.cos(theta))
+            h[0, j] = g_l * (theta_lm * cmath.exp(1j * m * phi))
+            h[1, j] = g_l * (theta_lm * cmath.exp(-1j * m * phi))
             h[j, 0] = np.conj(h[0, j])
             h[j, 1] = np.conj(h[1, j])
         return h, labels

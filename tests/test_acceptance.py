@@ -222,8 +222,7 @@ def test_criterion_7_born_markov_validation(antipodal_027):
 
 def test_criterion_8_plasmonic_estimate():
     stack = plasmon.PlasmonStack()
-    sweep = plasmon.sweep_effective_index(200.0, stack, step_nm=2.0)
-    n = [s.n for s in sweep]
+    n = plasmon.sweep_effective_index(200.0, stack, step_nm=2.0)[1].real
     span_ok = abs(n[0] - 1.02) < 0.01 and 1.9 <= n[-1] <= 2.05
     cfg = LensConfig(radius=1.749)
     report = plasmon.end_to_end_estimate(cfg, stack, n_radial_samples=500)
@@ -245,7 +244,7 @@ def test_criterion_8_plasmonic_estimate():
 def test_criterion_9_property_suites(tmp_path, rng, full_basis_hamiltonian):
     # specfun integer-degree reduction at 1e-10
     xs = np.linspace(-0.98, 1.0, 50)
-    want = np.array([[specfun.legendre_poly(l, x) for x in xs.tolist()] for l in range(9)])
+    want = specfun.legendre_poly_table(8, xs)
     worst_reduction = float(np.max(np.abs(specfun.legendre_nu(np.arange(9.0)[:, None] + 0j, xs) - want)))
     red_ok = worst_reduction < 1e-10
     # orthonormality identity for l <= 8 at 1e-6

@@ -86,9 +86,9 @@ class TestDispersionResidual:
 
 class TestSolveEffectiveIndex:
     def test_zero_height(self, stack):
-        sample = solve_effective_index(0.0, stack)
-        assert sample.n == pytest.approx(1.020, abs=1e-3)
-        assert sample.chi > 0.0
+        n_eff = solve_effective_index(0.0, stack)
+        assert n_eff.real == pytest.approx(1.020, abs=1e-3)
+        assert n_eff.imag > 0.0
 
     def test_negative_height_rejected(self, stack):
         with pytest.raises(DomainError):
@@ -96,9 +96,9 @@ class TestSolveEffectiveIndex:
 
     def test_lattice_heights_equal_sweep_entries(self, stack):
         # both run the one continuation walk through the same 0.5 nm heights
-        sweep = {s.height_nm: s.n_eff for s in sweep_effective_index(200.0, stack)}
+        sweep = dict(zip(*(a.tolist() for a in sweep_effective_index(200.0, stack))))
         for d in (0.5, 40.0, 120.0):
-            assert solve_effective_index(d, stack).n_eff == sweep[d]
+            assert solve_effective_index(d, stack) == sweep[d]
 
 
 def _newton_reference(stack, d_nm, seed):
@@ -179,15 +179,28 @@ class TestBlockedWalk:
         # blocks of 64 sub-steps seeded by the secant predictor give the roots
         # of the walk that seeds each sub-step by the root before
         stack = PlasmonStack(eps_metal, eps_dielectric, lambda0_nm)
-        got = [s.n_eff for s in sweep_effective_index(200.0, stack)]
+        _, got = sweep_effective_index(200.0, stack)
         np.testing.assert_allclose(got, _reference_walk(stack, 200.0), rtol=1e-11, atol=0)
+
+    def test_branch_jump_before_a_failing_sub_step_is_raised_first(self, stack, monkeypatch):
+        # the walk checks a block's roots in order: a jump at the third sub-step
+        # (d = 1 nm) is raised, not the failure at the fifth that follows it
+        def failing(stack, d_nm, seed):
+            roots = seed[:4].copy()
+            roots[2] += 0.5
+            error = RootNotFoundError(f"injected at d = {d_nm[4]} nm")
+            error.roots = roots
+            raise error
+
+        monkeypatch.setattr(plasmon, "_newton_batch", failing)
+        with pytest.raises(BranchJumpError, match=r"near d = 1\.0 nm"):
+            sweep_effective_index(10.0, stack)
 
 
 class TestSweep:
     def test_published_range(self, stack):
-        sweep = sweep_effective_index(200.0, stack)
-        n = np.array([s.n for s in sweep])
-        chi = np.array([s.chi for s in sweep])
+        _, n_eff = sweep_effective_index(200.0, stack)
+        n, chi = n_eff.real, n_eff.imag
         assert n[0] == pytest.approx(1.020, abs=1e-3)
         assert 1.9 < n[-1] < 2.05
         assert np.all(np.diff(n) > -1e-6)  # monotone rise
@@ -195,13 +208,13 @@ class TestSweep:
         assert chi[-1] > chi[0]  # losses grow with confinement
 
     def test_residuals_below_k0_scale(self, stack):
-        sweep = sweep_effective_index(120.0, stack, step_nm=2.0)
-        worst = max(abs(dispersion_residual(s.n_eff, s.height_nm, stack)) for s in sweep)
+        heights, n_eff = sweep_effective_index(120.0, stack, step_nm=2.0)
+        worst = max(abs(dispersion_residual(z, d, stack)) for d, z in zip(heights.tolist(), n_eff.tolist()))
         assert worst < 1e-10 * stack.k0
 
     def test_grid_includes_endpoint(self, stack):
-        sweep = sweep_effective_index(10.3, stack, step_nm=0.5)
-        assert sweep[-1].height_nm == pytest.approx(10.3)
+        heights, _ = sweep_effective_index(10.3, stack, step_nm=0.5)
+        assert heights[-1] == pytest.approx(10.3)
 
     @pytest.mark.parametrize("d_max, step", [(math.nan, 0.5), (math.inf, 0.5), (200.0, math.nan), (200.0, math.inf),
                                              (0.0, 0.5), (200.0, -0.5)])
@@ -223,20 +236,21 @@ class TestSweep:
 def _height_at(stack, n_target):
     """Height with Re ntilde = n_target: the lattice walk to its bracket and the secant, as lens_height_profile runs them."""
     steps = int(plasmon.MAX_HEIGHT_NM / plasmon.CONTINUATION_STEP_NM)
-    lo, hi = _track(stack, (i * plasmon.CONTINUATION_STEP_NM for i in range(steps + 1)), n_target)[-2:]
-    return float(_invert_height(stack, lo.height_nm, hi.height_nm, lo.n_eff, hi.n_eff, n_target)[0][0])
+    d, z = _track(stack, (i * plasmon.CONTINUATION_STEP_NM for i in range(steps + 1)), n_target)
+    return float(_invert_height(stack, d[-2], d[-1], z[-2], z[-1], n_target)[0][0])
 
 
 class TestHeightInversion:
     def test_floor_maps_to_zero(self, stack):
         # a rim target of exactly the bare-interface index takes d = 0
         floor = stack.flat_interface_index.real
-        assert lens_height_profile(LensConfig(radius=1.749, n0=floor), stack, 11)[-1] == (1.0, 0.0)
+        rho, d, _ = lens_height_profile(LensConfig(radius=1.749, n0=floor), stack, 11)
+        assert (rho[-1], d[-1]) == (1.0, 0.0)
 
     def test_mid_target(self, stack):
         d = _height_at(stack, 1.5)
         assert 0.0 < d < 200.0
-        assert solve_effective_index(d, stack).n == pytest.approx(1.5, abs=1e-4)
+        assert solve_effective_index(d, stack).real == pytest.approx(1.5, abs=1e-4)
 
     def test_bracket_walk_checks_branch_jumps(self, stack, lens_cfg, monkeypatch):
         monkeypatch.setattr(plasmon, "BRANCH_JUMP_TOL", 1e-6)
@@ -251,12 +265,12 @@ class TestHeightInversion:
 
     def test_bracket_without_target_raises(self, stack):
         # Re ntilde stays well below 1.9 on [10, 20] nm: the secant stalls
-        z_10, z_20 = (solve_effective_index(d, stack).n_eff for d in (10.0, 20.0))
+        z_10, z_20 = (solve_effective_index(d, stack) for d in (10.0, 20.0))
         with pytest.raises(RootNotFoundError):
             _invert_height(stack, 10.0, 20.0, z_10, z_20, 1.9)
         # in a batch, the reachable target does not hide the unreachable one
         d_mid = _height_at(stack, 1.5)
-        z_below, z_above = (solve_effective_index(d, stack).n_eff for d in (d_mid - 0.5, d_mid + 0.5))
+        z_below, z_above = (solve_effective_index(d, stack) for d in (d_mid - 0.5, d_mid + 0.5))
         with pytest.raises(RootNotFoundError, match=r"\[10\.0, 20\.0\] nm gives index 1\.9 "):
             _invert_height(
                 stack, np.array([d_mid - 0.5, 10.0]), np.array([d_mid + 0.5, 20.0]),
@@ -267,7 +281,7 @@ class TestHeightInversion:
         targets = np.array([1.05, 1.3, 1.6, 1.95])
         lo = np.array([0.0, 20.0, 40.0, 120.0])
         hi = np.array([40.0, 80.0, 120.0, 250.0])
-        z_lo, z_hi = (np.array([solve_effective_index(d, stack).n_eff for d in ends]) for ends in (lo, hi))
+        z_lo, z_hi = (np.array([solve_effective_index(d, stack) for d in ends]) for ends in (lo, hi))
         heights, indices = _invert_height(stack, lo, hi, z_lo, z_hi, targets)
         for i, target in enumerate(targets):
             d_one, z_one = _invert_height(stack, lo[i], hi[i], z_lo[i], z_hi[i], target)
@@ -278,27 +292,25 @@ class TestHeightInversion:
 
 class TestLensProfile:
     def test_conical_shape(self, stack, lens_cfg):
-        profile = lens_height_profile(lens_cfg, stack, 101)
-        rhos = [p[0] for p in profile]
-        ds = [p[1] for p in profile]
+        rhos, ds, _ = (a.tolist() for a in lens_height_profile(lens_cfg, stack, 101))
         assert rhos[0] == 0.0 and rhos[-1] == 1.0
         assert ds[-1] == 0.0  # rim target n = 1 clamps to bare interface
         assert 150.0 < ds[0] < 250.0  # center needs index 2
         assert all(b <= a + 1e-9 for a, b in zip(ds, ds[1:]))
 
     def test_profile_realizes_index(self, stack, lens_cfg):
-        profile = lens_height_profile(lens_cfg, stack, 21)
-        for rho, d in profile[:-2]:
+        rhos, ds, _ = lens_height_profile(lens_cfg, stack, 21)
+        for rho, d in zip(rhos[:-2].tolist(), ds[:-2].tolist()):
             target = 2.0 / (1.0 + rho * rho)
             if target >= stack.flat_interface_index.real:
-                got = solve_effective_index(d, stack).n
+                got = solve_effective_index(d, stack).real
                 assert got == pytest.approx(target, abs=1e-6)
 
     def test_heights_pinned(self, stack, lens_cfg):
         # heights of the per-radius secant loop this batched inversion replaced
-        profile = lens_height_profile(lens_cfg, stack, 11)
-        assert [rho for rho, _ in profile] == pytest.approx(np.linspace(0.0, 1.0, 11).tolist(), abs=0)
-        np.testing.assert_allclose([d for _, d in profile], PINNED_HEIGHTS_1749, rtol=0, atol=1e-9)
+        rhos, ds, _ = lens_height_profile(lens_cfg, stack, 11)
+        assert rhos.tolist() == pytest.approx(np.linspace(0.0, 1.0, 11).tolist(), abs=0)
+        np.testing.assert_allclose(ds, PINNED_HEIGHTS_1749, rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("n0", [1.2, 1.25])
     def test_unreachable_center_rejected(self, stack, n0):
@@ -324,12 +336,11 @@ class TestAverageAbsorption:
     def test_matches_resolving_each_profile_height(self, stack, lens_cfg):
         # chi/n comes from the index the inversion solved; re-solving every
         # height from its outer neighbour, as before, must agree
-        profile = lens_height_profile(lens_cfg, stack, 400)
-        rhos = np.array([rho for rho, _ in profile])
+        rhos, heights, _ = lens_height_profile(lens_cfg, stack, 400)
         ratios = np.empty_like(rhos)
         z = stack.flat_interface_index
-        for i in reversed(range(len(profile))):
-            z = complex(_newton_batch(stack, np.array([profile[i][1]]), np.array([z]))[0])
+        for i in reversed(range(rhos.size)):
+            z = complex(_newton_batch(stack, heights[i:i + 1], np.array([z]))[0])
             ratios[i] = z.imag / z.real
         resolved = float(np.trapezoid(ratios, rhos))
         assert average_absorption(lens_cfg, stack, 400) == pytest.approx(resolved, rel=1e-12)

@@ -23,7 +23,6 @@ from fisheye.qed import (
     entanglement_fidelity,
     fidelity_approx,
     fidelity_from_rates,
-    fidelity_with_freespace,
     image_rates,
     rates_modesum_oracle,
     scaling_rates,
@@ -443,21 +442,28 @@ class TestFidelityApprox:
 
 class TestFidelityWithFreespace:
     def test_published_estimate(self):
-        assert fidelity_with_freespace(1.749, 3.4e-3, 3.0) == pytest.approx(0.806, abs=5e-3)
+        assert fidelity_approx(1.749, 3.4e-3, 3.0) == pytest.approx(0.806, abs=5e-3)
 
     def test_eta_infinity_reduces_to_approx(self):
         a, r0 = 1e-3, 3.34
-        assert fidelity_with_freespace(r0, a, 1e12) == pytest.approx(
+        assert fidelity_approx(r0, a, 1e12) == pytest.approx(
             fidelity_approx(r0, a), rel=1e-9
         )
 
+    def test_default_eta_is_the_scaling_law_bit_for_bit(self, rng):
+        for r0, a in zip(rng.uniform(0.1, 20.0, 20_000).tolist(), rng.uniform(0.0, 1e-2, 20_000).tolist()):
+            assert fidelity_approx(r0, a) == math.exp(-math.pi**3 * r0 * a)
+
     def test_lossless(self):
-        assert fidelity_with_freespace(1.749, 0.0, 3.0) == 1.0
+        assert fidelity_approx(1.749, 0.0, 3.0) == 1.0
 
     def test_domain(self):
         for eta in (-1.0, 0.0, math.nan):
             with pytest.raises(DomainError):
-                fidelity_with_freespace(1.749, 1e-3, eta)
+                fidelity_approx(1.749, 1e-3, eta)
+        for r0, a in ((0.0, 1e-3), (math.nan, 1e-3), (1.749, -1e-3), (1.749, math.nan)):
+            with pytest.raises(DomainError):
+                fidelity_approx(r0, a)
 
 
 class TestAtomPairConfig:

@@ -20,7 +20,7 @@ from fisheye.schrodinger import (
     _full_state,
     _phase_sum,
 )
-from fisheye.specfun import legendre_poly, legendre_poly_table
+from fisheye.specfun import legendre_poly_table
 
 
 def _reference_cfg(nu_re=20.5, alpha=0.0):
@@ -73,7 +73,7 @@ class TestBuildBlocks:
         c0sq = 3.0 * math.pi * g0 / (OMEGA0**3 * cfg.b * cfg.radius**2)
         for block in (bo, be):
             for l, coupling in zip(block.l.tolist(), block.coupling.tolist()):
-                pl = legendre_poly(l, math.cos(math.pi - 2.0 * theta))
+                pl = legendre_poly_table(l, math.cos(math.pi - 2.0 * theta))[l]
                 direct = c0sq / cfg.radius * (2 * l + 1) * math.sqrt(l * (l + 1.0)) * (1.0 - pl) / (4.0 * math.pi)
                 g_sq = c0sq * math.sqrt(l * (l + 1.0)) / cfg.radius
                 n_sq = (2 * l + 1) * (1.0 - pl) / (8.0 * math.pi)

@@ -1,3 +1,4 @@
+import cmath
 import math
 import time
 
@@ -10,7 +11,6 @@ from fisheye.errors import DomainError, NonConvergenceError, PoleError
 from fisheye.lens import OMEGA0, LensConfig, _gauss_rule, allowed_m, order_parameter
 from fisheye.specfun import (
     EULER_GAMMA,
-    _digamma_array,
     _group_rows,
     _legendre_nu_array,
     _log_start,
@@ -20,11 +20,9 @@ from fisheye.specfun import (
     digamma,
     legendre_nu,
     legendre_nu_expansion,
-    legendre_poly,
     legendre_poly_table,
     sin_pi,
     source_offset,
-    spherical_harmonic,
 )
 
 
@@ -147,18 +145,18 @@ class TestDegreeConstants:
 
 class TestLegendrePoly:
     def test_low_degrees(self):
-        assert legendre_poly(0, 0.7) == 1.0
-        assert legendre_poly(1, -0.4) == -0.4
+        assert legendre_poly_table(0, 0.7)[0] == 1.0
+        assert legendre_poly_table(1, -0.4)[1] == -0.4
 
     def test_degree_five_against_explicit_coefficients(self):
         # P5(x) = (63 x^5 - 70 x^3 + 15 x)/8
         x = 0.3
         explicit = (63.0 * x**5 - 70.0 * x**3 + 15.0 * x) / 8.0
-        assert legendre_poly(5, x) == pytest.approx(explicit, abs=1e-15)
+        assert legendre_poly_table(5, x)[5] == pytest.approx(explicit, abs=1e-15)
 
     def test_scalar_is_the_scalar_recurrence_bit_for_bit(self, rng):
-        # P_l(x) is row l of the table; it keeps the three-term recurrence on
-        # Python floats, the sign of a zero included
+        # P_l(x) at a scalar x, row l of the table, keeps the three-term
+        # recurrence on Python floats, the sign of a zero included
         def recurrence(l, x):
             p_prev, p = 1.0, x
             if l == 0:
@@ -170,15 +168,8 @@ class TestLegendrePoly:
         pairs = [(int(l), float(x)) for l, x in zip(rng.integers(0, 200, 400), rng.uniform(-1.0, 1.0, 400))]
         pairs += [(l, x) for l in range(60) for x in (1.0, -1.0, 0.0, -0.0)]
         for l, x in pairs:
-            got = legendre_poly(l, x)
-            assert type(got) is float
+            got = float(legendre_poly_table(l, x)[l])
             assert math.copysign(1.0, got) == math.copysign(1.0, recurrence(l, x)) and got == recurrence(l, x)
-
-    def test_table_matches_scalar(self, rng):
-        x = float(rng.uniform(-1, 1))
-        table = legendre_poly_table(30, x)
-        for l in (0, 3, 17, 30):
-            assert table[l] == pytest.approx(legendre_poly(l, x), abs=1e-14)
 
     @pytest.mark.parametrize("l_max", [0, 1, 2, 40])
     def test_table_over_an_array_is_the_numpy_recurrence_bit_for_bit(self, rng, l_max):
@@ -196,11 +187,12 @@ class TestLegendrePoly:
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            legendre_poly(-1, 0.0)
-        with pytest.raises(DomainError):
-            legendre_poly(3, 1.5)
-        with pytest.raises(DomainError):
-            legendre_poly(2, -1.0000001)
+            legendre_poly_table(-1, 0.0)
+
+
+def spherical_harmonic(l, m, theta, phi):
+    """Y_l^m(theta, phi) as lens.mode_function forms it: _theta_lm(cos theta) e^{i m phi}."""
+    return _theta_lm(l, m, math.cos(theta)) * cmath.exp(1j * m * phi)
 
 
 class TestSphericalHarmonic:
@@ -234,7 +226,7 @@ class TestSphericalHarmonic:
             for m in range(-l, l + 1)
         )
         c12 = math.cos(t1) * math.cos(t2) + math.sin(t1) * math.sin(t2) * math.cos(p1 - p2)
-        rhs = (2 * l + 1) / (4.0 * math.pi) * legendre_poly(l, c12)
+        rhs = (2 * l + 1) / (4.0 * math.pi) * legendre_poly_table(l, c12)[l]
         assert complex(lhs) == pytest.approx(rhs, abs=1e-10)
 
     @pytest.mark.parametrize("l,m", [(3, 2), (9, -7), (25, 13)])
@@ -301,7 +293,7 @@ class TestLegendreNu:
     @pytest.mark.parametrize("l", range(0, 9))
     def test_integer_degree_reduction_grid(self, l):
         x = np.linspace(-0.98, 1.0, 50)
-        want = np.array([legendre_poly(l, v) for v in x.tolist()])
+        want = legendre_poly_table(l, x)[l]
         assert np.all(np.abs(legendre_nu(complex(l), x) - want) < 1e-10)
 
     @pytest.mark.parametrize("nu", [0.5, 7.25, 10.5, 20.5, 50.5, 90.5, 33.17])
@@ -354,7 +346,8 @@ class TestLegendreNu:
         direct = legendre_nu(nu, x)
         if abs(complex(nu) - round(complex(nu).real)) < 1e-6:
             # oracle denominators vanish at integer degree; exact polynomial instead
-            reference = complex(legendre_poly(int(round(complex(nu).real)), x))
+            l = int(round(complex(nu).real))
+            reference = complex(legendre_poly_table(l, x)[l])
         else:
             reference, _ = accelerate(legendre_nu_expansion(nu, x, 500))
         assert abs(direct - reference) / max(abs(direct), 1e-30) < 1e-6
@@ -433,7 +426,7 @@ class TestLegendreNuArray:
 
 
 class TestScalarCalls:
-    """A scalar call is the one-element array call, returned as a Python complex."""
+    """A scalar call is the one-element array call; legendre_nu returns it as a Python complex."""
 
     @pytest.mark.parametrize(
         "nu, x", [(20.5, 0.3), (3, -0.4), (10.5 + 0.02j, -0.7), (20.5 + 0j, -0.999), (7.0005, -0.9), (0.3, 1.0)]
@@ -457,7 +450,6 @@ class TestScalarCalls:
     @pytest.mark.parametrize("z", [1.0, 0.3, 7, 250.0, 3.7 + 2.1j, -4.3 + 0.5j, 0.5 - 80.0j])
     def test_digamma(self, z):
         got = digamma(z)
-        assert type(got) is complex
         assert np.array([got]).tobytes() == digamma(np.array([z])).tobytes()
 
     @pytest.mark.parametrize("z", [0, -2.0, -5.0 + 1e-13j])
@@ -550,7 +542,7 @@ class TestSeedSeriesKernel:
         re = re[np.abs(re - np.round(re)) >= 1e-3]
         d = re + 1j * im if im else re
         a0, _ = _log_start(d)
-        want = _digamma_array(-d) + _digamma_array(d + 1.0) + 2.0 * EULER_GAMMA
+        want = digamma(-d) + digamma(d + 1.0) + 2.0 * EULER_GAMMA
         assert a0.dtype == d.dtype
         assert np.max(np.abs(a0 - want) / np.maximum(1.0, np.abs(want))) <= 1e-14
 
@@ -801,10 +793,9 @@ class TestRealDegreePath:
         # dense enough that numpy's float64 log would miss the complex log's
         # real part on some elements, where it is a SIMD kernel
         z = np.concatenate([np.linspace(-95.0, 95.0, 100_001) + 1e-6, np.linspace(10.0, 2000.0, 100_001)])
-        got = _digamma_array(z)
+        got = digamma(z)
         assert got.dtype == float
-        assert _same_bits(got, _digamma_array(z.astype(complex)))
-        assert digamma(z).dtype == complex
+        assert _same_bits(got, digamma(z.astype(complex)))
 
     @pytest.mark.parametrize("nu", [20.5, 20.5 + 0j, np.array(20.5), np.array(20.5 + 0j)])
     def test_legendre_nu_returns_complex_for_real_degrees(self, nu):
