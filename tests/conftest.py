@@ -27,7 +27,17 @@ def antipodal_027():
 
 
 @pytest.fixture
-def full_basis_hamiltonian():
+def spherical_harmonic():
+    """Y_l^m(theta, phi) = _theta_lm(cos theta) e^{i m phi}, Condon-Shortley phase, any |m| <= l."""
+
+    def y(l, m, theta, phi):
+        return _theta_lm(l, m, math.cos(theta)) * cmath.exp(1j * m * phi)
+
+    return y
+
+
+@pytest.fixture
+def full_basis_hamiltonian(spherical_harmonic):
     """Factory for the raw (l, m) single-excitation Hamiltonian.
 
     Builds the two-atom-plus-modes matrix directly from the mode functions,
@@ -48,10 +58,8 @@ def full_basis_hamiltonian():
             w_l = math.sqrt(l * (l + 1.0)) / cfg.radius
             h[j, j] = w_l - OMEGA0
             g_l = math.sqrt(c0sq * w_l)
-            # Y_l^m(theta, +-phi) = _theta_lm(cos theta) e^{+-i m phi}
-            theta_lm = _theta_lm(l, m, math.cos(theta))
-            h[0, j] = g_l * (theta_lm * cmath.exp(1j * m * phi))
-            h[1, j] = g_l * (theta_lm * cmath.exp(-1j * m * phi))
+            h[0, j] = g_l * spherical_harmonic(l, m, theta, phi)
+            h[1, j] = g_l * spherical_harmonic(l, m, theta, -phi)
             h[j, 0] = np.conj(h[0, j])
             h[j, 1] = np.conj(h[1, j])
         return h, labels

@@ -158,8 +158,9 @@ class TestValidate:
     def test_one_accelerate_call_per_mode_sum_and_one_theta_per_mode_and_rule(self, monkeypatch, capsys):
         # the expansion oracle, one batched mode sum per radius (3) and the
         # rates oracle's Green's-function mode sum; Theta of 36 modes at 64 and 128 nodes
-        # (over node arrays; the mirror check's mode functions take one point each)
-        calls = {"accelerate": 0, "theta": 0}
+        # over node arrays, and one scalar Theta per mirror-check mode function
+        # (l = 1, 4, ..., 40 with the first two allowed m: 1 + 13 * 2 = 27)
+        calls = {"accelerate": 0, "theta": 0, "theta_scalar": 0}
         accelerate, theta = cli.specfun.accelerate, cli.lens._theta_lm
 
         def counted_accelerate(partial_sums):
@@ -167,7 +168,7 @@ class TestValidate:
             return accelerate(partial_sums)
 
         def counted_theta(l, m, u):
-            calls["theta"] += isinstance(u, np.ndarray)
+            calls["theta" if isinstance(u, np.ndarray) else "theta_scalar"] += 1
             return theta(l, m, u)
 
         for module in (cli.specfun, cli.greens):
@@ -177,6 +178,7 @@ class TestValidate:
         assert "FAIL" not in capsys.readouterr().out
         assert calls["accelerate"] <= 5
         assert calls["theta"] <= 72
+        assert calls["theta_scalar"] == 27
 
     def test_addition_theorem_takes_one_recurrence_per_m_and_angle(self, monkeypatch, capsys):
         # Theta_l^-m comes from Theta_l^m: l + 1 calls per angle for l = 3, 11, 30

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.special as sp
 
 from fisheye.errors import DomainError, NonConvergenceError, ThinDiskWarning
 from fisheye.lens import (
@@ -210,6 +211,16 @@ class TestModeFunction:
         got = mode_function(cfg, ModeIndex(1, 0), DiskPoint(0.0, 0.0))
         want = -math.sqrt(2.0 / (cfg.b * cfg.radius**2)) * math.sqrt(3.0 / (4.0 * math.pi))
         assert got == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("l,m", [(2, 1), (6, -3), (9, 4), (24, -13)])
+    def test_against_scipy(self, l, m):
+        # f / norm is Y_l^m(theta(rho), phi), phase e^{i m phi} included
+        cfg = LensConfig(radius=2.0, b=0.1)
+        norm = math.sqrt(2.0 / (cfg.b * cfg.radius**2 * cfg.n0**2))
+        for rho, phi in [(0.27, 0.9), (0.6, -2.3), (0.85, 4.1)]:
+            got = mode_function(cfg, ModeIndex(l, m), DiskPoint(rho, phi)) / norm
+            want = complex(sp.sph_harm_y(l, m, stereo_theta(rho), phi))
+            assert got == pytest.approx(want, rel=1e-11)
 
 
 class TestOrthonormality:

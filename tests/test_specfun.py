@@ -1,4 +1,3 @@
-import cmath
 import math
 import time
 
@@ -190,35 +189,30 @@ class TestLegendrePoly:
             legendre_poly_table(-1, 0.0)
 
 
-def spherical_harmonic(l, m, theta, phi):
-    """Y_l^m(theta, phi) as lens.mode_function forms it: _theta_lm(cos theta) e^{i m phi}."""
-    return _theta_lm(l, m, math.cos(theta)) * cmath.exp(1j * m * phi)
-
-
 class TestSphericalHarmonic:
-    def test_y00(self):
+    def test_y00(self, spherical_harmonic):
         assert spherical_harmonic(0, 0, 1.2, 0.3) == pytest.approx(
             1.0 / math.sqrt(4.0 * math.pi), abs=1e-15
         )
 
-    def test_y11_convention_fixture(self):
+    def test_y11_convention_fixture(self, spherical_harmonic):
         # Y_1^1(pi/2, 0) = -sqrt(3/8pi) under Condon-Shortley
         want = -math.sqrt(3.0 / (8.0 * math.pi))
         assert spherical_harmonic(1, 1, math.pi / 2, 0.0) == pytest.approx(want, abs=1e-14)
 
-    def test_zero_separation_sum_rule(self):
+    def test_zero_separation_sum_rule(self, spherical_harmonic):
         l, theta, phi = 7, 1.1, 0.4
         total = sum(abs(spherical_harmonic(l, m, theta, phi)) ** 2 for m in range(-l, l + 1))
         assert total == pytest.approx((2 * l + 1) / (4.0 * math.pi), rel=1e-13)
 
-    def test_parity_reflection(self):
+    def test_parity_reflection(self, spherical_harmonic):
         l, m, theta, phi = 6, 3, 0.7, 1.9
         lhs = spherical_harmonic(l, m, math.pi - theta, phi)
         rhs = (-1.0) ** (l - m) * spherical_harmonic(l, m, theta, phi)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     @pytest.mark.parametrize("l", [1, 5, 13, 30])
-    def test_addition_theorem_randomized(self, l, rng):
+    def test_addition_theorem_randomized(self, spherical_harmonic, l, rng):
         t1, t2 = rng.uniform(0.05, math.pi - 0.05, 2)
         p1, p2 = rng.uniform(0.0, 2.0 * math.pi, 2)
         lhs = sum(
@@ -230,7 +224,7 @@ class TestSphericalHarmonic:
         assert complex(lhs) == pytest.approx(rhs, abs=1e-10)
 
     @pytest.mark.parametrize("l,m", [(3, 2), (9, -7), (25, 13)])
-    def test_against_scipy(self, l, m, rng):
+    def test_against_scipy(self, spherical_harmonic, l, m, rng):
         theta = float(rng.uniform(0.1, math.pi - 0.1))
         phi = float(rng.uniform(0.0, 2.0 * math.pi))
         want = complex(sp.sph_harm_y(l, m, theta, phi))
