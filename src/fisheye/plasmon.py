@@ -277,9 +277,12 @@ def _track(stack: PlasmonStack, heights: Iterable[float], n_stop: float = math.i
 
 
 def solve_effective_index(d_nm: float, stack: PlasmonStack) -> complex:
-    """Complex effective index ntilde(d) of the bound mode at height d, tracked by _track from d = 0."""
-    if d_nm < 0:
-        raise DomainError("height must be >= 0")
+    """Complex effective index ntilde(d) of the bound mode at height d, tracked by _track from d = 0.
+
+    Raises DomainError unless d is finite and >= 0 (NaN fails the check).
+    """
+    if not 0 <= d_nm < math.inf:
+        raise DomainError(f"height must be finite and >= 0, got {d_nm:g} nm")
     return complex(_track(stack, [0.0, d_nm])[1][-1])
 
 

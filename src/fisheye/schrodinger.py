@@ -29,25 +29,27 @@ so the atomic residues are 1 / f'(z_k) and sum to one.  Newton finds all
 roots in offset form (the atom-like root itself, every other root as d_j
 plus a small offset u, with the gaps d_j - d_m formed exactly), which keeps
 z - d to full relative accuracy; modes with vanishing coupling are
-deflated.  Root j starts from (1 + t_j) u^2 + (d_j - s_j) u - g_j^2 = 0,
-f(d_j + u) = 0 with the other modes' pull S_j(d_j + u) ~ s_j - u t_j,
-s_j = sum_m!=j g_m^2 / (d_j - d_m), t_j = sum_m!=j g_m^2 / (d_j - d_m)^2.
-Each root is a scalar Newton that returns its first iterate whose step is
-within SECULAR_STEP_TOL (relative, plus a rounding floor), so within one
-such step of the refined root.  On the fidelity radii the guess passes on
-every row but the atom's and at most one mode's, so a solve costs one
-O(n^2) evaluation plus O(n) per step of those rows.  The checks run on
-the returned iterates: Newton's cap, the relative secular residual,
-sum res = 1 and distinct roots; a block that fails falls back to dense eig
-with its residual check, and EigensolveError is raised if that fails too.
+deflated.  Root j starts from (1 + M_1,j) u^2 + (d_j - M_0,j) u - g_j^2 = 0,
+f(d_j + u) = 0 with the other modes' pull to first order in u, from the pull
+moments M_k,j = sum_m!=j g_m^2 / (d_j - d_m)^(k+1).  Each root is a scalar
+Newton that returns its first iterate whose step is within SECULAR_STEP_TOL
+(relative, plus a rounding floor), so within one such step of the refined
+root.  A mode row sums its pull as the series sum_k (-u)^k M_k,j near its
+pole, in O(1); the atom row, whose gaps change with the loss, and a mode row
+beyond the series radius are summed directly, in O(n).  On the fidelity
+radii the guess passes on every row but the atom's and at most one mode's,
+so a loss costs O(n) after an O(K n^2) set-up per block.  The checks run on
+the returned iterates: Newton's cap, the relative secular residual, sum res =
+1 and distinct roots; a loss that fails falls back to dense eig with its
+residual check, and EigensolveError is raised if that fails too.
 The time grid is uniform from 0, so the phases exp(-i z_k j dt)
 factor into two ~sqrt(T) x n tables and the atomic amplitude on all T times
 is one GEMM; the full block state and its weights x_k / f'(z_k) are built
 only when SimResult.state_norm is read.
 Blocks hold their modes as arrays.  A flat loss cancels from the gaps
-d_l - d_m, so the deflation set, those (real) gaps and the starting guess's
-sums over the modes are formed once per block and shared by lenses that
-differ only in loss (compare_losses); each loss adds its atom row.
+d_l - d_m, so the deflation set and the pull moments are formed once per
+block and shared by lenses that differ only in loss (compare_losses), whose
+rows run in one Newton; each loss adds its atom row.
 compare_losses observes the lenses of a loss group together (_observe;
 evolve is its one-lens call): their atomic rows give stacked pair tables
 (SEARCH_POINTS times in compare_losses, the caller's grid in evolve) that
@@ -114,6 +116,12 @@ SEARCH_MAX_ITER = 100
 
 #: Machine epsilon; f is known to about 4 EPS times the size of its terms, which floors a Newton step.
 EPS = float(np.finfo(float).eps)
+
+#: Pull series of a mode row (_SecularSolver): it serves offsets |u| <= SERIES_RADIUS times the
+#: row's nearest gap (the mode roots of the fidelity radii lie within 3.5e-4), through the term
+#: K = SERIES_ORDER, the least K whose remainder factor r^(K+1) / (1 - r) is below EPS there.
+SERIES_RADIUS = 5e-4
+SERIES_ORDER = math.ceil(math.log(EPS * (1.0 - SERIES_RADIUS)) / math.log(SERIES_RADIUS)) - 1
 
 #: Roots z_k, atomic residues W[:, 0] and a builder of the weight matrix W of one block.
 Spectrum = tuple[np.ndarray, np.ndarray, Callable[[], np.ndarray]]
@@ -223,27 +231,6 @@ def _build_blocks(cfg: LensConfig, theta: float, l_max: int | None, tables: dict
     )
 
 
-def _small_root(a: float | np.ndarray, c: np.ndarray, g2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Small and large roots of a u^2 + c u - g2 = 0, without cancellation."""
-    r = np.sqrt(c * c + 4.0 * a * g2)
-    big = np.where((np.conj(c) * r).real >= 0.0, c + r, c - r)
-    return 2.0 * g2 / big, -0.5 * big / a
-
-
-def _secular_terms(base, gaps, g2, u, inv, pull, size):
-    """f(z), f'(z) and the size |z| + sum |g^2 / (z - d)| of f's terms.
-
-    Evaluated at the roots z = base + u, with z - d = gaps + u, in the work
-    arrays inv (left holding 1 / (z - d)), pull and size of gaps' shape.
-    """
-    np.divide(1.0, np.add(gaps, u[:, None], out=inv), out=inv)
-    np.multiply(g2, inv, out=pull)
-    z = base + u
-    f = z - pull.sum(axis=1)
-    fp = 1.0 + np.multiply(pull, inv, out=pull).sum(axis=1)
-    return f, fp, np.abs(z) + np.abs(inv, out=size) @ g2
-
-
 def _distinct_roots(z: np.ndarray) -> bool:
     """Whether every two roots lie more than ROOT_SEPARATION_TOL * max|z| apart (never, if one is not finite).
 
@@ -278,14 +265,20 @@ def _secular_weights(size, rows, base, u, res, g) -> np.ndarray:
 class _SecularSolver:
     """Secular spectra of H = [[0, g^T], [g, diag(diag0 - i kappa)]] for any flat loss kappa.
 
-    The loss cancels from the gaps d_j - d_m among the modes, so the
-    deflation set, those gap rows, the guess's pull sums
-    s_j = sum_m!=j g_m^2 / (d_j - d_m) and their slopes
-    t_j = sum_m!=j g_m^2 / (d_j - d_m)^2 are formed once, in real arithmetic
-    (diag0's imaginary parts must be equal, else DomainError), in the
-    solver's own work arrays; each loss adds only its atom row of gaps,
-    0 - (d_m - i kappa), and runs Newton.  Every spectrum is bit for bit the
-    one a solver built for that loss alone returns.
+    The loss cancels from the gaps d_j - d_m among the modes, so the deflation
+    set and, per mode row j, the pull moments M_k,j = sum_m!=j g_m^2 / (d_j - d_m)^(k+1),
+    k = 0 .. K + 1 (K = SERIES_ORDER), the spread A_j = sum_m!=j g_m^2 / |d_j - d_m|
+    and the nearest gap gap_j are formed once, in real arithmetic (diag0's
+    imaginary parts must be equal, else DomainError), at O(K n^2).  Mode row j
+    at z = d_j + u then takes f(z) = z - g_j^2 / u - sum_k (-u)^k M_k,j and
+    f'(z) = 1 + g_j^2 / u^2 + sum_k (k + 1) (-u)^k M_k+1,j (k = 0 .. K), and the
+    size |z| + g_j^2 / |u| + A_j, in O(1).  With r = |u| / gap_j the terms
+    dropped from f sum to at most A_j r^(K+1) / (1 - r), those from f' to at most
+    A_j r^(K+1) (K + 2 - (K + 1) r) / (gap_j (1 - r)^2); a row takes the series
+    only while r <= SERIES_RADIUS, where the first bound is below EPS A_j.  The
+    atom rows, whose gaps 0 - (d_m - i kappa) change with the loss, and the mode
+    rows beyond that radius are summed directly, O(n) each: no loss holds an
+    n^2 array.
     """
 
     def __init__(self, diag0: np.ndarray, g: np.ndarray):
@@ -295,102 +288,171 @@ class _SecularSolver:
         live = np.flatnonzero(g2 > DEFLATION_TOL * g2.max(initial=0.0))
         self.diag0, self.g, self.g2 = diag0, g[live], g2[live]
         self.rows = np.concatenate(([0], 1 + live))
-        modes = np.real(diag0)[live]
-        self.gaps, self.inv, self.pull = np.empty((3, live.size + 1, live.size), dtype=complex)
-        self.size = np.empty((live.size + 1, live.size))
-        recip = np.subtract(modes[:, None], modes[None, :], out=self.size[1:])
-        self.gaps[1:] = recip
+        self.modes = modes = np.real(diag0)[live]
+        recip = modes[:, None] - modes
         # 1 / gap, a zero gap left at 0; times g^2 it is numpy's complex g^2 / (gap + 0j) bit for bit
         np.divide(1.0, recip, out=recip, where=recip != 0.0)
-        self.pull_sums = np.multiply(self.g2, recip, out=self.pull[1:]).sum(axis=1)
-        self.pull_slopes = np.square(recip, out=recip) @ self.g2
+        self.moments = moments = np.empty((SERIES_ORDER + 2, live.size))
+        moments[0] = np.multiply(self.g2, recip, out=np.empty(recip.shape, dtype=complex)).sum(axis=1).real
+        power = recip.copy()
+        for row in moments[1:]:
+            np.matmul(np.multiply(power, recip, out=power), self.g2, out=row)
+        # the spread A, then the reach SERIES_RADIUS gap from the ordered modes' nearest neighbours
+        self.bound = np.empty((2, live.size))
+        np.matmul(np.abs(recip, out=power), self.g2, out=self.bound[0])
+        order = np.argsort(modes)
+        ends = np.concatenate(([-np.inf], modes[order], [np.inf]))
+        side = ends[1:] - ends[:-1]
+        self.bound[1, order] = SERIES_RADIUS * np.minimum(side[:-1], side[1:])
+        # Horner rows from k = K down to 0: M_k for f beside (k + 1) M_k+1 for f' (with its 1 at k = 0)
+        factor = np.arange(SERIES_ORDER + 1.0, 0.0, -1.0)[:, None]
+        self.coef = np.concatenate((moments[-2::-1], factor * moments[:0:-1]), axis=1).astype(complex)
+        self.coef[-1, live.size:] += 1.0
+        self.g2c = self.g2.astype(complex)
 
     def spectrum(self, kappa: float) -> Spectrum:
-        """Roots z, residues W[:, 0] and a builder of the weights W of H at loss kappa.
+        """spectra([kappa])'s spectrum; raises its EigensolveError."""
+        (out,) = self.spectra([kappa])
+        if isinstance(out, EigensolveError):
+            raise out
+        return out
+
+    def spectra(self, kappas: list[float]) -> list[Spectrum | EigensolveError]:
+        """Per loss kappa: the roots z, residues W[:, 0] and a builder of the weights W of H, or the EigensolveError of its checks.
 
         exp(-i H t) e_0 = sum_k exp(-i z_k t) W[k], and H is complex symmetric,
         so W[k] = x_k / f'(z_k), x_k = (1, g / (z_k - d)), d = diag0 - i kappa;
         the builder, a picklable partial, forms W only when called.  Root 0 is
         the atom-like root, root j = d_j + u_j sits next to pole j, and a mode
         with g_j^2 <= DEFLATION_TOL * max g^2 keeps the root d_j with zero
-        weight; nothing returned refers to the work arrays.  Each root is its
-        row's first Newton iterate whose step is within SECULAR_STEP_TOL.  Raises
-        EigensolveError if Newton misses its cap, a relative
-        residual |f(z)| / (|z| + sum |g^2 / (z - d)|) exceeds
-        SECULAR_RESIDUAL_TOL, |sum res - 1| > RESIDUE_SUM_TOL, or two roots coincide.
+        weight.  Each root is its row's first Newton iterate whose step is
+        within SECULAR_STEP_TOL.  A loss gets an EigensolveError instead if
+        Newton misses its cap on one of its rows, a relative residual
+        |f(z)| / (|z| + sum |g^2 / (z - d)|) exceeds SECULAR_RESIDUAL_TOL,
+        |sum res - 1| > RESIDUE_SUM_TOL, or two of its roots coincide.  Every
+        loss is solved row by row, so its spectrum is bit for bit the one a
+        call for that loss alone returns.
         """
-        z = np.concatenate(([0.0], self.diag0 - 1j * kappa)).astype(complex)
-        base = z[self.rows]
-        u, res = self._roots(base) if self.g2.size else (np.zeros(1), np.ones(1))
-        z[self.rows] = base + u
-        residues = np.zeros(z.size, dtype=complex)
-        residues[self.rows] = res
-        return z, residues, partial(_secular_weights, z.size, self.rows, base, u, res, self.g)
+        z = np.zeros((len(kappas), self.diag0.size + 1), dtype=complex)
+        z[:, 1:] = self.diag0 - 1j * np.asarray(kappas, dtype=float)[:, None]
+        base = z.take(self.rows, axis=1)
+        if self.g2.size:
+            with np.errstate(all="ignore"):
+                u, res, failed = self._roots(base)
+        else:
+            u, res, failed = np.zeros(base.shape), np.ones(base.shape), [None] * len(kappas)
+        z[:, self.rows] = base + u
+        residues = np.zeros(z.shape, dtype=complex)
+        residues[:, self.rows] = res
+        return [error or (z[k], residues[k], partial(_secular_weights, z.shape[1], self.rows, base[k], u[k], res[k], self.g))
+                for k, error in enumerate(failed)]
 
-    def _guess(self, base: np.ndarray) -> np.ndarray:
-        """Starting offsets u_k: each root from its pole's quadratic, the atom's from its most mixed mode.
+    def _guess(self, base: np.ndarray, atom_gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Starting offsets of every loss's atom row and mode rows: each mode root from its pole's quadratic, the atom's from its most mixed mode.
 
         Root j = d_j + u sees the atom and the other modes' pull
-        S_j(d_j + u) ~ s_j - u t_j, so f = 0 reads (1 + t_j) u^2 + (d_j - s_j) u
-        - g_j^2 = 0, whose small root is the mode-like one.  The atom-like root
-        is the large root of u^2 + (d_j - S_j(0)) u - g_j^2 = 0 for the most
-        strongly mixed mode j.
+        S_j(d_j + u) ~ M_0,j - u M_1,j, so f = 0 reads (1 + M_1,j) u^2
+        + (d_j - M_0,j) u - g_j^2 = 0, whose small root is the mode-like one.
+        The atom-like root is the large root of u^2 + (d_j - S_j(0)) u - g_j^2 = 0
+        for the loss's most strongly mixed mode j; atom_gaps are the atom rows' 0 - d.
         """
-        g2, gaps = self.g2, self.gaps
-        pull = np.zeros(g2.size, dtype=complex)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(g2, gaps[0], out=pull, where=gaps[0] != 0.0)
-            u_modes, _ = _small_root(1.0 + self.pull_slopes, base[1:] - self.pull_sums, g2)
-            star = int(np.argmax(g2 / np.abs(base[1:]) ** 2))
-        _, w_atom = _small_root(1.0, base[1 + star] - (pull.sum() - pull[star]), g2[star])
-        return np.concatenate(([base[1 + star] + w_atom], u_modes))
+        g2, losses = self.g2, np.arange(base.shape[0])
+        pull = np.zeros(atom_gaps.shape, dtype=complex)
+        np.divide(g2, atom_gaps, out=pull, where=atom_gaps != 0.0)
+        u_modes = 2.0 * g2 / _big_root(base[:, 1:] - self.moments[0], 4.0 * (1.0 + self.moments[1]) * g2)
+        star = np.argmax(g2 / np.abs(base[:, 1:]) ** 2, axis=1)
+        pole = base[losses, 1 + star]
+        return pole - 0.5 * _big_root(pole - (pull.sum(axis=1) - pull[losses, star]), 4.0 * g2[star]), u_modes
 
-    def _roots(self, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Offsets u of the roots z = base + u and residues 1 / f'(z), checked as spectrum says.
+    def _roots(self, base: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[EigensolveError | None]]:
+        """Offsets u of the roots z = base + u, residues 1 / f'(z) and each loss's failed check (or None), as spectra says.
 
-        Each row is its own Newton from _guess: one evaluation covers all rows, later ones only the rows still moving.
+        Every row of every loss is its own Newton from _guess (_newton): the
+        atom rows summed directly, the mode rows from _mode_terms.
         """
-        np.subtract(base[0], base[1:], out=self.gaps[0])
-        u = self._guess(base)
-        moving = np.arange(u.size)
-        with np.errstate(all="ignore"):
-            f, fp, scale = _secular_terms(base, self.gaps, self.g2, u, self.inv, self.pull, self.size)
-            for _ in range(SECULAR_MAX_ITER):
-                step = f[moving] / fp[moving]
-                # a row stops at the first iterate whose step passes (a NaN step never moves it)
-                go = np.abs(step) > SECULAR_STEP_TOL * np.abs(u[moving]) + 4.0 * EPS * scale[moving] / np.abs(fp[moving])
-                if not go.any():
-                    break
-                moving = moving[go]
-                u[moving] -= step[go]
-                m = moving.size
-                f[moving], fp[moving], scale[moving] = _secular_terms(
-                    base[moving], self.gaps[moving], self.g2, u[moving], self.inv[:m], self.pull[:m], self.size[:m])
-            else:
-                raise EigensolveError(f"secular Newton did not converge in {SECULAR_MAX_ITER} iterations")
-            res = 1.0 / fp
-            residual = float(np.max(np.abs(f) / scale))
-            sum_dev = abs(complex(res.sum()) - 1.0)
+        n_loss, n = base.shape[0], self.g2.size
+        atom_gaps = base[:, :1] - base[:, 1:]
+        u_atom, u_modes = self._guess(base, atom_gaps)
+        poles, cols = base[:, 1:].reshape(-1), np.arange(n_loss * n) % n
+        *atom, stuck_atom = _newton(lambda c, w: self._direct_terms(atom_gaps[c], w, w), u_atom)
+        *modes, stuck_modes = _newton(lambda c, w: self._mode_terms(poles[c] + w, w, cols[c]), u_modes.reshape(-1))
+        u, f, fp, size = (np.concatenate((a[:, None], m.reshape(n_loss, n)), axis=1)
+                          for a, m in zip((u_atom, *atom), (u_modes, *modes)))
+        res = 1.0 / fp
+        residual = np.max(np.abs(f) / size, axis=1)
+        sum_dev = np.abs(res.sum(axis=1) - 1.0)
+        capped = set(stuck_atom.tolist()) | set((stuck_modes // n).tolist())
+        failed = []
+        for k in range(n_loss):
+            if k in capped:
+                failed.append(EigensolveError(f"secular Newton did not converge in {SECULAR_MAX_ITER} iterations"))
+                continue
             # the separation tolerance is far above the rounding of z itself
-            distinct = _distinct_roots(base + u)
-        if not (residual <= SECULAR_RESIDUAL_TOL and sum_dev <= RESIDUE_SUM_TOL and distinct):
-            raise EigensolveError(
-                f"secular roots failed their checks: relative residual {residual:.2e}, "
-                f"|sum res - 1| = {sum_dev:.2e}, distinct roots: {distinct}"
-            )
-        return u, res
+            distinct = _distinct_roots(base[k] + u[k])
+            passed = residual[k] <= SECULAR_RESIDUAL_TOL and sum_dev[k] <= RESIDUE_SUM_TOL and distinct
+            failed.append(None if passed else EigensolveError(
+                f"secular roots failed their checks: relative residual {residual[k]:.2e}, "
+                f"|sum res - 1| = {sum_dev[k]:.2e}, distinct roots: {distinct}"))
+        return u, res, failed
+
+    def _mode_terms(self, z: np.ndarray, u: np.ndarray, j: np.ndarray):
+        """f(z), f'(z) and the size of f's terms on mode rows j at z = d_j + u: by the series, or summed directly beyond its radius."""
+        n, m = self.g2.size, u.size
+        coef = self.coef[:, np.concatenate((j, j + n))]
+        both = np.concatenate((u, u))
+        acc = coef[0]
+        for row in coef[1:]:
+            acc = row - both * acc
+        pole = self.g2c[j] / u
+        spread, reach = self.bound[:, j]
+        f, fp, size = z - pole - acc[:m], pole / u + acc[m:], np.abs(z) + np.abs(pole) + spread
+        far = ~(np.abs(u) <= reach)
+        if far.any():
+            f[far], fp[far], size[far] = self._direct_terms(self.modes[j[far], None] - self.modes, z[far], u[far])
+        return f, fp, size
+
+    def _direct_terms(self, gaps: np.ndarray, z: np.ndarray, u: np.ndarray):
+        """f(z), f'(z) and the size |z| + sum |g^2 / (z - d)| of f's terms on rows z - d = gaps + u, summed over every mode."""
+        inv = 1.0 / (gaps + u[:, None])
+        pull = self.g2c * inv
+        return z - pull.sum(axis=1), 1.0 + (pull * inv).sum(axis=1), np.abs(z) + np.abs(pull).sum(axis=1)
+
+
+def _big_root(c: np.ndarray, four_ag2: np.ndarray) -> np.ndarray:
+    """c + sqrt(c^2 + 4 a g2) or c - sqrt(...), whichever is larger, of a u^2 + c u - g2 = 0: its roots are 2 g2 / big and -big / (2 a), without cancellation."""
+    r = np.sqrt(c * c + four_ag2)
+    np.negative(r, out=r, where=(np.conj(c) * r).real < 0.0)
+    return c + r
+
+
+def _newton(terms: Callable, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Run every element of u as its own Newton on terms(cells, u[cells]) = f, f' and size there, updating u in place.
+
+    The first evaluation covers every element, later ones the elements still
+    moving; an element keeps its first iterate whose step is within
+    SECULAR_STEP_TOL |u| + 4 EPS size / |f'| (a NaN step never moves it).
+    Returns f, f' and size at the iterates kept, and the elements still
+    moving at SECULAR_MAX_ITER.
+    """
+    out = f, fp, size = terms(slice(None), u)
+    cells, at = np.arange(u.size), u
+    for _ in range(SECULAR_MAX_ITER):
+        step = f / fp
+        go = np.abs(step) > SECULAR_STEP_TOL * np.abs(at) + 4.0 * EPS * size / np.abs(fp)
+        cells = cells[go]
+        if not cells.size:
+            break
+        u[cells] = at = u[cells] - step[go]
+        f, fp, size = terms(cells, at)
+        out[0][cells], out[1][cells], out[2][cells] = f, fp, size
+    return (*out, cells)
 
 
 def _block_spectra(block: BlockModel, kappas: list[float]) -> list[Spectrum]:
-    """Spectrum of one block at each loss kappa: secular, or eig where a secular check fails."""
-    secular = _SecularSolver(block.detuning, block.coupling)
-    spectra = []
-    for kappa in kappas:
-        try:
-            spectra.append(secular.spectrum(kappa))
-        except EigensolveError:
-            spectra.append(_dense_spectrum(block.hamiltonian(kappa)))
-    return spectra
+    """Spectrum of one block at each loss kappa: all losses in one secular solve, and eig for each loss whose checks fail."""
+    secular = _SecularSolver(block.detuning, block.coupling).spectra(kappas)
+    return [_dense_spectrum(block.hamiltonian(kappa)) if isinstance(out, EigensolveError) else out
+            for kappa, out in zip(kappas, secular)]
 
 
 def _dense_spectrum(h: np.ndarray) -> Spectrum:

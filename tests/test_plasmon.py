@@ -94,6 +94,12 @@ class TestSolveEffectiveIndex:
         with pytest.raises(DomainError):
             solve_effective_index(-1.0, stack)
 
+    @pytest.mark.parametrize("d_nm", [math.nan, math.inf, -1.0])
+    def test_height_outside_finite_range_is_a_domain_error(self, stack, d_nm):
+        # NaN and inf once passed the check and raised ValueError / OverflowError in _substeps
+        with pytest.raises(DomainError, match="finite and >= 0"):
+            solve_effective_index(d_nm, stack)
+
     def test_lattice_heights_equal_sweep_entries(self, stack):
         # both run the one continuation walk through the same 0.5 nm heights
         sweep = dict(zip(*(a.tolist() for a in sweep_effective_index(200.0, stack))))

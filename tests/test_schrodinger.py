@@ -391,6 +391,34 @@ class TestSecularSpectrum:
         assert float(np.max(np.abs(fallback.state_norm - secular.state_norm))) < 1e-10
         assert np.array_equal(pickle.loads(pickle.dumps(fallback)).state_norm, fallback.state_norm)
 
+    def test_one_failing_loss_alone_takes_the_eig_path(self, monkeypatch):
+        # the loss group is one Newton, but each loss keeps its own checks and fallback
+        block = build_blocks(LensConfig(radius=3.34), stereo_theta(0.27))[0]
+        kappas = [a * OMEGA0 for a in (1e-4, 1e-3, 1e-2)]
+        secular = _block_spectra(block, kappas)
+        distinct, dense, checked, eig_calls = schrodinger._distinct_roots, schrodinger._dense_spectrum, [], []
+
+        def second_loss_fails(z):
+            checked.append(z)
+            return distinct(z) and len(checked) != 2
+
+        def counting(h):
+            eig_calls.append(h)
+            return dense(h)
+
+        monkeypatch.setattr(schrodinger, "_distinct_roots", second_loss_fails)
+        monkeypatch.setattr(schrodinger, "_dense_spectrum", counting)
+        mixed = _block_spectra(block, kappas)
+        assert len(checked) == 3 and len(eig_calls) == 1
+        assert np.array_equal(eig_calls[0], block.hamiltonian(kappas[1]))
+        eig_z, eig_res, eig_weights = dense(block.hamiltonian(kappas[1]))
+        assert np.array_equal(mixed[1][0], eig_z) and np.array_equal(mixed[1][1], eig_res)
+        assert np.array_equal(mixed[1][2](), eig_weights())
+        for k in (0, 2):
+            for got, want in zip(mixed[k][:2], secular[k][:2]):
+                assert np.array_equal(_bits(got), _bits(want))
+            assert np.array_equal(_bits(mixed[k][2]()), _bits(secular[k][2]()))
+
     @pytest.mark.parametrize("failure", ["eig raises", "residual check fails"])
     def test_failed_eig_raises_eigensolve_error(self, monkeypatch, tmp_path, capsys, failure):
         def broken_eig(h):
@@ -652,18 +680,22 @@ class TestSharedSecularData:
 def _per_row_iterates(solver, kappa):
     """The Newton iterates of every row, from a loop that evaluates f on all rows at every pass.
 
-    Each row steps from the guess on its own and stops at the first iterate
-    whose step is within SECULAR_STEP_TOL |u| + 4 EPS scale / |f'|; a stopped
-    row keeps its iterate.  Returns one list of iterates per row, the guess first.
+    The rows take the solver's own terms (the atom row summed directly, the
+    mode rows from _mode_terms).  Each row steps from the guess on its own
+    and stops at the first iterate whose step is within SECULAR_STEP_TOL |u|
+    + 4 EPS size / |f'|; a stopped row keeps its iterate.  Returns one list of
+    iterates per row, the guess first.
     """
-    base = np.concatenate(([0.0], solver.diag0 - 1j * kappa)).astype(complex)[solver.rows]
-    np.subtract(base[0], base[1:], out=solver.gaps[0])
-    u = solver._guess(base)
+    base = np.concatenate(([0.0], solver.diag0 - 1j * kappa)).astype(complex)[solver.rows][None]
+    atom_gaps = base[:, :1] - base[:, 1:]
+    u_atom, u_modes = solver._guess(base, atom_gaps)
+    u, modes = np.concatenate((u_atom, u_modes[0])), np.arange(solver.g2.size)
     iterates = [[x] for x in u.tolist()]
     moving = np.ones(u.size, dtype=bool)
     with np.errstate(all="ignore"):
         for _ in range(schrodinger.SECULAR_MAX_ITER):
-            f, fp, scale = schrodinger._secular_terms(base, solver.gaps, solver.g2, u, solver.inv, solver.pull, solver.size)
+            rows = solver._direct_terms(atom_gaps, u[:1], u[:1]), solver._mode_terms(base[0, 1:] + u[1:], u[1:], modes)
+            f, fp, scale = (np.concatenate(parts) for parts in zip(*rows))
             step = f / fp
             moving &= ~(np.abs(step) <= schrodinger.SECULAR_STEP_TOL * np.abs(u) + 4.0 * schrodinger.EPS * scale / np.abs(fp))
             if not moving.any():
@@ -675,35 +707,50 @@ def _per_row_iterates(solver, kappa):
 
 
 class TestSecularSolveCost:
-    """Each secular solve makes one full O(n^2) evaluation and then evaluates
-    only the rows whose step still misses its test."""
+    """A secular solve holds no n^2 array per loss: the mode rows take the pull
+    series, only the atom rows and the mode rows beyond the series radius are
+    summed directly (O(n) each), and after the first evaluation only the rows
+    whose step still misses its test are evaluated again."""
 
     CENTRES = (10.5, 20.5, 50.5, 90.5)
     # the fidelity radii at their half-integer centres and at dnu = +-0.45
     GRID = [(centre, dnu, alpha) for centre in CENTRES for dnu in (-0.45, 0.0, 0.45) for alpha in (1e-4, 5e-4, 1e-2)]
 
     def test_one_evaluation_fewer_than_the_full_step_loop(self, monkeypatch):
-        cells = []
-        terms = schrodinger._secular_terms
+        direct, series = [], []
+        direct_terms, mode_terms = _SecularSolver._direct_terms, _SecularSolver._mode_terms
 
-        def counted(base, gaps, *args):
-            cells.append(gaps.shape)
-            return terms(base, gaps, *args)
+        def counted_direct(self, gaps, *args):
+            direct.append(gaps.shape)
+            return direct_terms(self, gaps, *args)
 
-        monkeypatch.setattr(schrodinger, "_secular_terms", counted)
+        def counted_series(self, z, u, j):
+            series.append(j.tolist())
+            return mode_terms(self, z, u, j)
+
+        monkeypatch.setattr(_SecularSolver, "_direct_terms", counted_direct)
+        monkeypatch.setattr(_SecularSolver, "_mode_terms", counted_series)
         for centre, dnu, alpha in self.GRID:
             cfg = LensConfig(radius=radius_for_order(centre + dnu), alpha=alpha)
             for block in build_blocks(cfg, stereo_theta(0.27)):
                 solver = _SecularSolver(block.detuning, block.coupling)
-                cells.clear()
-                z, _, _ = solver.spectrum(cfg.kappa)
-                solve = list(cells)
-                iterates = _per_row_iterates(solver, cfg.kappa)
-                # one full evaluation, then one row per step a missed row takes
                 n = solver.g2.size
-                assert solve[0] == (n + 1, n) and all(cols == n for _, cols in solve[1:])
-                assert sum(rows for rows, _ in solve[1:]) == sum(len(row) - 1 for row in iterates)
-                assert len(solve) <= 3
+                # the loss-independent data are O(n) numbers per row: moments, Horner rows, spread and reach
+                assert max(np.size(value) for value in vars(solver).values()) < n * n
+                iterates = _per_row_iterates(solver, cfg.kappa)
+                direct.clear()
+                series.clear()
+                z, _, _ = solver.spectrum(cfg.kappa)
+                # the series once on every mode row, then on each mode row per step it takes
+                assert series[0] == list(range(n))
+                assert sorted(j for call in series[1:] for j in call) == sorted(
+                    j for j in range(n) for _ in iterates[1 + j][1:])
+                # summed directly: the atom row at each of its iterates, and a mode row at each iterate beyond its reach
+                reach = solver.bound[1]
+                beyond = sum(abs(x) > reach[j] for j in range(n) for x in iterates[1 + j])
+                assert all(cols == n for _, cols in direct)
+                assert sum(rows for rows, _ in direct) == len(iterates[0]) + beyond
+                assert len(iterates[0]) <= 3 and len(series) <= 3
                 # the same iterates: each row returns its own first iterate that passed its step test
                 base = np.concatenate(([0.0], block.detuning - 1j * cfg.kappa))[solver.rows]
                 last = np.array([row[-1] for row in iterates])
@@ -754,11 +801,53 @@ class TestSecularSolveCost:
             pull = np.zeros_like(gaps)
             with np.errstate(divide="ignore", invalid="ignore"):
                 np.divide(solver.g2, gaps, out=pull, where=gaps != 0.0)
-            assert np.array_equal(_bits(solver.pull_sums), _bits(pull.sum(axis=1)))
+            total = pull.sum(axis=1)
+            assert np.array_equal(_bits(solver.moments[0]), _bits(total.real)) and not total.imag.any()
 
     def test_unequal_mode_losses_are_rejected(self):
         with pytest.raises(DomainError, match="one flat loss"):
             _SecularSolver(np.array([0.1 - 1e-3j, 0.2 - 2e-3j]), np.array([0.01, 0.02]))
+
+
+class TestPullSeries:
+    """The mode rows' pull series (_SecularSolver) against the direct row sum at every root."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 1e-4, 1e-2])
+    # the fidelity radii, and Re nu = 30.99 and 50.01, where a mode root sits beyond the series radius
+    @pytest.mark.parametrize("nu", [10.5, 20.5, 50.5, 90.5, 30.99, 50.01])
+    def test_series_within_its_remainder_bound(self, nu, alpha):
+        cfg = LensConfig(radius=radius_for_order(nu), alpha=alpha)
+        order, eps = schrodinger.SERIES_ORDER, schrodinger.EPS
+        beyond = {}
+        for block in build_blocks(cfg, stereo_theta(0.27)):
+            solver = _SecularSolver(block.detuning, block.coupling)
+            z = solver.spectrum(cfg.kappa)[0][solver.rows[1:]]
+            modes, g2, moments = solver.modes, solver.g2, solver.moments
+            u = z - (modes - 1j * cfg.kappa)
+            gaps = modes[:, None] - modes
+            inv = 1.0 / (gaps + u[:, None])
+            f_sum, fp_sum = z - inv @ g2, 1.0 + (inv * inv) @ g2
+            scale, fp_scale = np.abs(z) + np.abs(inv) @ g2, 1.0 + np.abs(inv) ** 2 @ g2
+            f_series = z - g2 / u - sum(moments[k] * (-u) ** k for k in range(order + 1))
+            fp_series = 1.0 + g2 / u**2 + sum((k + 1) * moments[k + 1] * (-u) ** k for k in range(order + 1))
+            spread = np.abs(1.0 / np.where(gaps == 0.0, np.inf, gaps)) @ g2
+            gap = np.min(np.abs(gaps) + np.diag(np.full(modes.size, np.inf)), axis=1)
+            r = np.abs(u) / gap
+            f_bound = spread * r ** (order + 1) / (1.0 - r)
+            fp_bound = spread * r ** (order + 1) * (order + 2 - (order + 1) * r) / (gap * (1.0 - r) ** 2)
+            assert np.all(r < 0.01)
+            # rounding: a few EPS of f's terms; f' is dominated by g^2 / u^2, formed from u^2 or 1 / u squared
+            assert np.all(np.abs(f_series - f_sum) <= f_bound + 8.0 * eps * scale)
+            assert np.all(np.abs(fp_series - fp_sum) <= fp_bound + 32.0 * eps * fp_scale)
+            # the rows beyond the series radius are summed directly, bit for bit as _direct_terms sums them
+            far = np.flatnonzero(r > schrodinger.SERIES_RADIUS)
+            got = solver._mode_terms(z, u, np.arange(modes.size))
+            want = solver._direct_terms(gaps[far], z[far], u[far])
+            for got_part, want_part in zip(got, want):
+                assert np.array_equal(_bits(got_part[far]), _bits(want_part))
+            beyond[block.parity] = far.size
+        lossy = alpha >= 1e-2
+        assert beyond == {"odd": int(nu == 30.99 and not lossy), "even": int(nu == 50.01 and not lossy)}
 
 
 def _expm_reference(cfg, atoms, n=600, fine=2000):
