@@ -35,9 +35,9 @@ FIDELITY_RADII = (1.749, 3.34, 8.11, 14.48)
 #: Most --samples and vs-radius orders: the largest legendre_nu call its
 #: docstring measures (~32 MB); --nu-max 1e9 would ask numpy for an ~8 GB grid.
 MAX_GRID_POINTS = 100_000
-#: Largest --l-max.  The simulator's blocks grow as l_max^2: `dynamics
-#: --simulate` peaks at ~57 MB at 1,344 (an l_max doubling from the default
-#: 84 at Re nu = 20.5) and ~86 MB at 2,000, in 0.1-0.2 s.
+#: Largest --l-max.  The simulator's set-up grows as l_max^2: `dynamics
+#: --simulate` peaks at ~42 MB at 1,344 (an l_max doubling from the default
+#: 84 at Re nu = 20.5) and ~55 MB at 2,000, in 0.03-0.06 s.
 MAX_L_MAX = 2_000
 
 
