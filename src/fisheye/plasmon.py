@@ -96,10 +96,10 @@ class PlasmonStack:
             raise DomainError("eps_dielectric must exceed 1")
         if self.lambda0_nm <= 0:
             raise DomainError("wavelength must be positive")
-        # constants of transverse_wavenumbers, which a Newton solve calls ~10 times
+        # constants of transverse_wavenumbers, which a Newton solve calls ~5 times
         k0_sq = self.k0**2
-        constants = (self.k0, k0_sq, self.eps_dielectric * k0_sq, self.eps_metal * k0_sq)
-        object.__setattr__(self, "_wavenumber_constants", constants)
+        shifts = np.array([k0_sq, self.eps_dielectric * k0_sq, self.eps_metal * k0_sq], dtype=complex)
+        object.__setattr__(self, "_wavenumber_constants", (self.k0, k0_sq, shifts))
 
     @property
     def k0(self) -> float:
@@ -121,20 +121,14 @@ class PlasmonStack:
         )
 
 
-def _decay_root(z: np.ndarray) -> np.ndarray:
-    """Square root on the Re >= 0 branch (Im >= 0 tie-break on the cut), elementwise."""
-    r = np.sqrt(z)
-    return np.where((r.real < 0.0) | ((r.real == 0.0) & (r.imag < 0.0)), -r, r)
-
-
 def transverse_wavenumbers(n_eff: complex, stack: PlasmonStack) -> tuple[complex, complex, complex]:
-    """(k_air, k_d, k_m) for a trial index (or an array of them); decay-branch square roots."""
-    k0, k0_sq, eps_d_k0_sq, eps_m_k0_sq = stack._wavenumber_constants
+    """(k_air, k_d, k_m) for a trial index (or an array of them): one np.sqrt of
+    nk^2 - (k0^2, eps_d k0^2, eps_m k0^2), on the Re >= 0 branch (Im >= 0 tie-break on the cut)."""
+    k0, _, shifts = stack._wavenumber_constants
     nk2 = (n_eff * k0) ** 2
-    k_air = _decay_root(nk2 - k0_sq)
-    k_d = _decay_root(nk2 - eps_d_k0_sq) / stack.eps_dielectric
-    k_m = _decay_root(nk2 - eps_m_k0_sq) / stack.eps_metal
-    return k_air, k_d, k_m
+    r = np.sqrt(nk2 - shifts.reshape((3,) + (1,) * np.ndim(nk2)))
+    r = np.where((r.real < 0.0) | ((r.real == 0.0) & (r.imag < 0.0)), -r, r)
+    return r[0], r[1] / stack.eps_dielectric, r[2] / stack.eps_metal
 
 
 def dispersion_residual(n_eff: complex, d_nm: float, stack: PlasmonStack) -> complex:
@@ -145,44 +139,56 @@ def dispersion_residual(n_eff: complex, d_nm: float, stack: PlasmonStack) -> com
     ) / (k_d**2 + k_air * k_m)
 
 
-def _residual_smooth(n_eff: np.ndarray, d_nm: np.ndarray, stack: PlasmonStack) -> np.ndarray:
-    """Desingularized residual used by the Newton iteration.
+def _residual_smooth(n_eff: np.ndarray, d_nm: np.ndarray, stack: PlasmonStack) -> tuple[np.ndarray, np.ndarray]:
+    """Desingularized residual used by the Newton iteration, and its slope in n_eff.
 
     The printed equation carries an overall factor k_d / (k_d^2 + k_air k_m):
     both sides vanish like k_d when the tracked mode crosses the dielectric
     light line (n_eff = sqrt(eps_d)), where k_d has a branch point and the
     physical root collides with that spurious sqrt zero.  Multiplying through
-    by (k_d^2 + k_air k_m)/k_d gives
+    by (k_d^2 + k_air k_m)/k_d gives, with z = k_d eps_d d,
 
-        R = tanh(k_d eps_d d)/k_d * (k_d^2 + k_air k_m) + (k_air + k_m),
+        R = t (k_d^2 + k_air k_m) + (k_air + k_m),   t = tanh(z)/k_d = eps_d d tanh(z)/z,
 
     which has the same roots, is analytic in k_d^2 (tanh(z)/z is even), and
-    stays well-behaved through the crossing.  n_eff and d_nm are arrays of
-    one shape.
+    stays well-behaved through the crossing.  Returns (R, dR/dn_eff), both
+    from the same roots and tanh: dk/dn = n k0^2/(eps^2 k) for each root,
+    d(k_d^2)/dn = 2 n k0^2/eps_d^2 is finite at the light line, and dt/dn =
+    eps_d d^3 n k0^2 h(z), h = (z sech^2 z - tanh z)/z^3.  Where |z| < 1e-6,
+    t and h take their series eps_d d (1 - z^2/3) and -2/3 + 8 z^2/15.
+    n_eff and d_nm are arrays of one shape.
     """
     k_air, k_d, k_m = transverse_wavenumbers(n_eff, stack)
-    z = k_d * stack.eps_dielectric * d_nm
-    series = stack.eps_dielectric * d_nm * (1.0 - z * z / 3.0)
+    eps_d = stack.eps_dielectric
+    z = k_d * eps_d * d_nm
+    zz, small = z * z, np.abs(z) < 1e-6
     with np.errstate(divide="ignore", invalid="ignore"):
-        t_over_kd = np.where(np.abs(z) < 1e-6, series, np.tanh(z) / k_d)
-    return t_over_kd * (k_d * k_d + k_air * k_m) + (k_air + k_m)
+        th = np.tanh(z)
+        t_over_kd = np.where(small, eps_d * d_nm * (1.0 - zz / 3.0), th / k_d)
+        h = np.where(small, 8.0 / 15.0 * zz - 2.0 / 3.0, (z * (1.0 - th * th) - th) / (zz * z))
+    nk0_sq = n_eff * stack._wavenumber_constants[1]
+    dk_air, dk_m = nk0_sq / k_air, nk0_sq / (stack.eps_metal**2 * k_m)
+    q = k_d * k_d + k_air * k_m
+    dq = 2.0 / eps_d**2 * nk0_sq + dk_air * k_m + k_air * dk_m
+    return t_over_kd * q + (k_air + k_m), eps_d * d_nm**3 * h * nk0_sq * q + t_over_kd * dq + dk_air + dk_m
 
 
 def _newton_batch(stack: PlasmonStack, d_nm: np.ndarray, seed: np.ndarray) -> np.ndarray:
     """Damped Newton iteration on the desingularized residual over 1-D arrays of heights and seeds.
 
-    All elements iterate at once, each with its own numeric derivative and
-    damping halvings (down to 1/64), and each is retired once its residual
-    falls below 1e-13 k0 or its step below NEWTON_TOL.  An accepted damping
-    trial's residual is the next iterate's.  An element that stalls or runs
-    out of iterations is accepted at |f| < 1e-8 k0.  Raises
-    RootNotFoundError naming the first height that does not converge; its
-    `roots` holds the elements before that one.
+    All elements iterate at once, each with its own analytic slope (from
+    _residual_smooth, with the residual) and damping halvings (down to
+    1/64), and each is retired once its residual falls below 1e-13 k0 or its
+    step below NEWTON_TOL.  An accepted damping trial's residual and slope
+    are the next iterate's, so each iterate costs one evaluation.  An element
+    that stalls or runs out of iterations is accepted at |f| < 1e-8 k0.
+    Raises RootNotFoundError naming the first height that does not converge;
+    its `roots` holds the elements before that one.
     """
     z = np.array(seed, dtype=complex)
     d = np.asarray(d_nm, dtype=float)
     f_scale = stack.k0
-    f = _residual_smooth(z, d, stack)
+    f, df = _residual_smooth(z, d, stack)
     live = np.arange(z.size)
     stuck = np.zeros(z.size, dtype=bool)
     for _ in range(NEWTON_MAX_ITER):
@@ -190,26 +196,24 @@ def _newton_batch(stack: PlasmonStack, d_nm: np.ndarray, seed: np.ndarray) -> np
         live = live[~(np.abs(f[live]) < 1e-13 * f_scale)]
         if live.size == 0:
             break
-        zl, dl, fl = z[live], d[live], f[live]
-        h = 1e-7 * np.maximum(1.0, np.abs(zl))
-        df = (_residual_smooth(zl + h, dl, stack) - fl) / h
-        flat = df == 0
+        flat = df[live] == 0
         stuck[live[flat]] = True
-        live, zl, dl, fl, df = live[~flat], zl[~flat], dl[~flat], fl[~flat], df[~flat]
-        step = fl / df
+        live = live[~flat]
+        zl, dl, fl, dfl = z[live], d[live], f[live], df[live]
+        step = fl / dfl
         damping = np.ones(live.size)
         trying = np.arange(live.size)
         while trying.size and damping[trying[0]] > 1.0 / 64.0:
-            f_trial = _residual_smooth(zl[trying] - damping[trying] * step[trying], dl[trying], stack)
+            f_trial, df_trial = _residual_smooth(zl[trying] - damping[trying] * step[trying], dl[trying], stack)
             better = np.abs(f_trial) < np.abs(fl[trying])
-            fl[trying[better]] = f_trial[better]
+            fl[trying[better]], dfl[trying[better]] = f_trial[better], df_trial[better]
             trying = trying[~better]
             damping[trying] *= 0.5
         zl = zl - damping * step
         # the last halving of an element that found no better trial was not evaluated
         if trying.size:
-            fl[trying] = _residual_smooth(zl[trying], dl[trying], stack)
-        z[live], f[live] = zl, fl
+            fl[trying], dfl[trying] = _residual_smooth(zl[trying], dl[trying], stack)
+        z[live], f[live], df[live] = zl, fl, dfl
         live = live[~(np.abs(step) * damping < NEWTON_TOL * np.maximum(1.0, np.abs(zl)))]
     stuck[live] = True
     failed = np.flatnonzero(stuck & ~(np.abs(f) < 1e-8 * f_scale))

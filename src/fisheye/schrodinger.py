@@ -570,7 +570,7 @@ def _bell_search(roots: list[tuple[np.ndarray, np.ndarray]], t: np.ndarray, fid:
     d = pop_diff.reshape(-1)
     i = 1 + np.flatnonzero(d[1:-1] * d[2:] <= 0.0)
     i = i[(i + 1) % n_t > 1]
-    i = i[np.diff(i // n_t, prepend=-1) != 0]
+    i = i[i // n_t != np.concatenate(([-1], i[:-1] // n_t))]  # each row's first crossing
     kc, d0, d1 = i // n_t, d[i], d[i + 1]
     # a peak's branch, or the sign that makes pop1 - pop2 fall through the crossing
     pt, kind = np.concatenate((k, kc)), np.concatenate((1.0 - 2.0 * (c >= t.size), np.where(d0 >= 0.0, 1.0, -1.0)))

@@ -625,10 +625,15 @@ def accelerate(partial_sums: np.ndarray) -> tuple[complex, float] | tuple[np.nda
 
     A 2-D input returns arrays (values, errors), one per row, each as the
     1-D call on that row would give it; a 1-D input is the one-row call.
+    Real sums (float, or complex with every imaginary part +0.0) run the table
+    in float64 with the complex table's bits: numpy divides by a zero-imaginary
+    complex through its real reciprocal, and hypot(re, 0) = |re|.
     """
-    s = np.asarray(partial_sums, dtype=complex)
+    s = np.asarray(partial_sums, dtype=complex if np.iscomplexobj(partial_sums) else float)
     if s.size == 0:
         raise DomainError("empty partial-sum sequence")
+    if s.dtype == complex and not s.imag.view(np.uint64).any():  # every imaginary part +0.0
+        s = s.real
     rows = np.atleast_2d(s)
     # collapse runs of equal sums (zero terms, e.g. vanishing odd-l Legendre
     # values at x = 0) that would fill the epsilon table with zero divisors
@@ -642,19 +647,25 @@ def accelerate(partial_sums: np.ndarray) -> tuple[complex, float] | tuple[np.nda
     width = max(int(cols.max()), 0) + 2
     from_end = np.cumsum(keep[:, ::-1], axis=1)[:, ::-1] - 1
     r, c = np.nonzero(keep & (from_end < width))
-    prev1 = np.zeros((len(rows), width), dtype=complex)  # epsilon_0 column
-    prev1[r, width - 1 - from_end[r, c]] = rows[r, c]
-    prev2 = np.zeros((len(rows), width + 1), dtype=complex)  # epsilon_{-1} column
-    ends = [prev1[:, -2:]]  # the last two entries of epsilon_0 and each even column
+    # entry-major table (entry i of every row is one contiguous line) in three rotating buffers
+    prev2, prev1, spare = np.zeros((3, width + 1, len(rows)), dtype=s.dtype)
+    prev1[width - 1 - from_end[r, c], r] = rows[r, c]
+    ends = [prev1[width - 2 : width].copy()]  # the last two entries of epsilon_0 and each even column
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for col in range(1, width - 1):
-            diffs = prev1[:, 1:] - prev1[:, :-1]
-            recip = 1.0 / diffs
-            np.copyto(recip, np.inf, where=diffs == 0.0)
-            prev2, prev1 = prev1, prev2[:, 1 : prev1.shape[1]] + recip
-            if col % 2 == 0:
-                ends.append(prev1[:, -2:])
-        b, a = np.moveaxis(np.stack(ends, axis=1), -1, 0)
+        for w in range(width - 1, 1, -1):  # the w entries of column width - w
+            new = spare[:w]
+            np.subtract(prev1[1 : w + 1], prev1[:w], out=new)
+            np.divide(1.0, new, out=new)
+            # 1/0 is +inf in both tables; a real 1/d that overflows is inf + nan j, so nan, in the complex one
+            inf = np.isinf(new)
+            if inf.any():
+                zero = (prev1[1 : w + 1] == prev1[:w])[inf]
+                new[inf] = np.where(zero, np.inf, new[inf] if s.dtype == complex else np.nan)
+            np.add(prev2[1 : w + 1], new, out=new)
+            spare, prev2, prev1 = prev2, prev1, spare
+            if (width - w) % 2 == 0:
+                ends.append(prev1[w - 2 : w].copy())
+        b, a = np.stack(ends, axis=-1)
         # the error is hypot(re, im), Python's complex abs (numpy's complex abs can
         # differ by an ulp); of the columns with finite entries within the row's
         # cutoff, the first with the least error is the one "err < best" keeps
@@ -664,7 +675,7 @@ def accelerate(partial_sums: np.ndarray) -> tuple[complex, float] | tuple[np.nda
         usable[:, 0] = True
         err[~usable] = np.inf
     pick = (np.arange(len(rows)), np.argmin(err, axis=1))
-    best, best_err = a[pick], err[pick]
+    best, best_err = a[pick].astype(complex), err[pick]
     if s.ndim == 1:
         return complex(best[0]), float(best_err[0])
     return best, best_err

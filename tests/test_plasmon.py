@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -107,28 +108,41 @@ class TestSolveEffectiveIndex:
             assert solve_effective_index(d, stack) == sweep[d]
 
 
+def _decay_root(w):
+    """Square root on the Re >= 0 branch (Im >= 0 tie-break on the cut)."""
+    r = cmath.sqrt(w)
+    return -r if r.real < 0.0 or (r.real == 0.0 and r.imag < 0.0) else r
+
+
 def _newton_reference(stack, d_nm, seed):
-    """The damped Newton iteration evaluating every residual afresh, from k0 and eps k0^2 formed per call."""
+    """The damped Newton iteration on the analytic slope, evaluating every residual afresh from k0 formed per call."""
 
     def residual(n_eff):
         k0 = 2.0 * math.pi / stack.lambda0_nm
+        eps_d, eps_m = stack.eps_dielectric, stack.eps_metal
         nk2 = (n_eff * k0) ** 2
-        k_air = plasmon._decay_root(nk2 - k0**2)
-        k_d = plasmon._decay_root(nk2 - stack.eps_dielectric * k0**2) / stack.eps_dielectric
-        k_m = plasmon._decay_root(nk2 - stack.eps_metal * k0**2) / stack.eps_metal
-        z = k_d * stack.eps_dielectric * d_nm
-        t_over_kd = stack.eps_dielectric * d_nm * (1.0 - z * z / 3.0) if abs(z) < 1e-6 else np.tanh(z) / k_d
-        return t_over_kd * (k_d * k_d + k_air * k_m) + (k_air + k_m)
+        k_air = _decay_root(nk2 - k0**2)
+        k_d = _decay_root(nk2 - eps_d * k0**2) / eps_d
+        k_m = _decay_root(nk2 - eps_m * k0**2) / eps_m
+        z = k_d * eps_d * d_nm
+        if abs(z) < 1e-6:
+            t, h = eps_d * d_nm * (1.0 - z * z / 3.0), -2.0 / 3.0 + 8.0 * z * z / 15.0
+        else:
+            t, h = cmath.tanh(z) / k_d, (z / cmath.cosh(z) ** 2 - cmath.tanh(z)) / z**3
+        # dk/dn = n k0^2 / (eps^2 k) for each root k; dt/dn = eps_d d^3 n k0^2 h(z)
+        dk_air, dk_m = (n_eff * k0**2 / (eps**2 * k) for eps, k in ((1.0, k_air), (eps_m, k_m)))
+        q = k_d**2 + k_air * k_m
+        dq = 2.0 * n_eff * k0**2 / eps_d**2 + dk_air * k_m + k_air * dk_m
+        return t * q + (k_air + k_m), eps_d * d_nm**3 * n_eff * k0**2 * h * q + t * dq + dk_air + dk_m
 
     z = complex(seed)
     for _ in range(plasmon.NEWTON_MAX_ITER):
-        f = residual(z)
+        f, df = residual(z)
         if abs(f) < 1e-13 * stack.k0:
             return z
-        h = 1e-7 * max(1.0, abs(z))
-        step = f / ((residual(z + h) - f) / h)
+        step = f / df
         damping = 1.0
-        while damping > 1.0 / 64.0 and not abs(residual(z - damping * step)) < abs(f):
+        while damping > 1.0 / 64.0 and not abs(residual(z - damping * step)[0]) < abs(f):
             damping *= 0.5
         z = z - damping * step
         if abs(step) * damping < plasmon.NEWTON_TOL * max(1.0, abs(z)):
@@ -154,18 +168,54 @@ class TestNewton:
             z = got
 
     def test_accepted_trial_residual_is_reused(self, stack, monkeypatch):
-        # 4,214 residual elements when every iterate's residual is formed afresh
-        elements = 0
+        # 2,957 residual elements in 59 calls when each iterate paid a second
+        # evaluation for a forward-difference slope (4,214 before that, when
+        # every iterate's residual was formed afresh as well)
+        calls = elements = 0
         residual = plasmon._residual_smooth
 
         def counted(n_eff, *args):
-            nonlocal elements
+            nonlocal calls, elements
+            calls += 1
             elements += n_eff.size
             return residual(n_eff, *args)
 
         monkeypatch.setattr(plasmon, "_residual_smooth", counted)
         sweep_effective_index(200.0, stack)
-        assert elements <= 2957
+        assert calls <= 33
+        assert elements <= 1698
+
+
+class TestResidualSlope:
+    """The analytic slope of _residual_smooth against a central difference of its residual."""
+
+    @staticmethod
+    def _assert_slope(stack, n_eff, d_nm):
+        n_eff, d_nm = np.broadcast_arrays(np.asarray(n_eff, dtype=complex), np.asarray(d_nm, dtype=float))
+        _, slope = plasmon._residual_smooth(n_eff, d_nm, stack)
+        up, down = (plasmon._residual_smooth(n_eff + h, d_nm, stack)[0] for h in (1e-6, -1e-6))
+        # the difference is good to ~4e-10 here; a sign flipped in any term of the slope misses by far more
+        np.testing.assert_allclose(slope, (up - down) / 2e-6, rtol=1e-8, atol=0)
+
+    def test_at_the_index_sweep_roots(self, stack):
+        heights, roots = sweep_effective_index(200.0, stack)
+        self._assert_slope(stack, roots, heights)
+
+    def test_at_the_zero_height_root(self, stack):
+        self._assert_slope(stack, stack.flat_interface_index, 0.0)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-14, -1e-14j, 3e-15 + 1e-15j])
+    def test_at_the_dielectric_light_line(self, stack, offset):
+        # n_eff = sqrt(eps_d) makes k_d vanish: the |z| < 1e-6 series of t and its slope
+        n_eff = np.full(3, math.sqrt(stack.eps_dielectric) + offset)
+        d_nm = np.array([20.0, 100.0, 200.0])
+        z = transverse_wavenumbers(n_eff, stack)[1] * stack.eps_dielectric * d_nm
+        assert np.all(np.abs(z) < 1e-6)
+        self._assert_slope(stack, n_eff, d_nm)
+
+    def test_in_the_thick_film_limit(self, stack):
+        n_eff = stack.thick_film_index
+        self._assert_slope(stack, [n_eff, n_eff, n_eff * (1 + 1e-3j)], [1000.0, 4000.0, 10_000.0])
 
 
 class TestNewtonBatch:

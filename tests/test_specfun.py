@@ -943,6 +943,36 @@ class TestAccelerateRows:
                 seq = np.cumsum(terms)
                 assert _bits(*accelerate(seq)) == _bits(*_wynn_reference(seq)), n
 
+    @staticmethod
+    def _real_rows(rng):
+        k = np.arange(1, 201)
+        terms = rng.standard_normal((40, 200)) * (-1.0) ** k / k ** rng.uniform(0.5, 2.0, (40, 1))
+        terms[rng.uniform(size=terms.shape) < 0.2] = 0.0
+        terms[0] = np.round(terms[0] * 3.0) / 3.0  # exact cancellations: zero differences
+        terms[20:] *= 10.0 ** rng.uniform(-310, -290, (20, 1))  # differences whose reciprocals overflow
+        return np.cumsum(terms, axis=1)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_real_rows(self, rng, dtype):
+        # float64 rows, and complex rows whose imaginary parts are all zero, give the complex reference's bits
+        rows = self._real_rows(rng).astype(dtype)
+        with np.errstate(over="ignore"):
+            values, errors = accelerate(rows)
+            assert values.dtype == complex
+            for i, row in enumerate(rows):
+                assert _bits(values[i], errors[i]) == _bits(*accelerate(row)) == _bits(*_wynn_reference(row)), i
+
+    def test_real_rows_beside_a_complex_row(self, rng):
+        # a row with a nonzero imaginary part keeps the complex table for the whole call, and so does a -0.0
+        rows = self._real_rows(rng) + 0j
+        rows[3] += 1j * np.cumsum(rng.standard_normal(rows.shape[1]) / np.arange(1, rows.shape[1] + 1) ** 2)
+        negated = -self._real_rows(rng).astype(complex)  # -(x + 0j) = -x - 0j
+        for call in (rows, negated):
+            with np.errstate(over="ignore"):
+                values, errors = accelerate(call)
+                for i, row in enumerate(call):
+                    assert _bits(values[i], errors[i]) == _bits(*_wynn_reference(row)), i
+
 
 class TestAccelerate:
     def test_alternating_log2_series(self):
