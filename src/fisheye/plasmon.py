@@ -155,17 +155,19 @@ def _residual_smooth(n_eff: np.ndarray, d_nm: np.ndarray, stack: PlasmonStack) -
     from the same roots and tanh: dk/dn = n k0^2/(eps^2 k) for each root,
     d(k_d^2)/dn = 2 n k0^2/eps_d^2 is finite at the light line, and dt/dn =
     eps_d d^3 n k0^2 h(z), h = (z sech^2 z - tanh z)/z^3.  Where |z| < 1e-6,
-    t and h take their series eps_d d (1 - z^2/3) and -2/3 + 8 z^2/15.
+    t takes its series eps_d d (1 - z^2/3), and where |z| < 1e-3 h takes
+    -2/3 + 8 z^2/15 (good to ~5e-13 there; the closed form loses ~EPS/|z|^2
+    to cancellation below it).
     n_eff and d_nm are arrays of one shape.
     """
     k_air, k_d, k_m = transverse_wavenumbers(n_eff, stack)
     eps_d = stack.eps_dielectric
     z = k_d * eps_d * d_nm
-    zz, small = z * z, np.abs(z) < 1e-6
+    zz, size = z * z, np.abs(z)
     with np.errstate(divide="ignore", invalid="ignore"):
         th = np.tanh(z)
-        t_over_kd = np.where(small, eps_d * d_nm * (1.0 - zz / 3.0), th / k_d)
-        h = np.where(small, 8.0 / 15.0 * zz - 2.0 / 3.0, (z * (1.0 - th * th) - th) / (zz * z))
+        t_over_kd = np.where(size < 1e-6, eps_d * d_nm * (1.0 - zz / 3.0), th / k_d)
+        h = np.where(size < 1e-3, 8.0 / 15.0 * zz - 2.0 / 3.0, (z * (1.0 - th * th) - th) / (zz * z))
     nk0_sq = n_eff * stack._wavenumber_constants[1]
     dk_air, dk_m = nk0_sq / k_air, nk0_sq / (stack.eps_metal**2 * k_m)
     q = k_d * k_d + k_air * k_m

@@ -42,19 +42,22 @@ so a loss costs O(n) after an O(K n^2) set-up per block.  The checks run on
 the returned iterates: Newton's cap, the relative secular residual, sum res =
 1 and distinct roots; a loss that fails falls back to dense eig with its
 residual check, and EigensolveError is raised if that fails too.
-The time grid is uniform from 0, so the phases exp(-i z_k j dt)
-factor into two ~sqrt(T) x n tables and the atomic amplitude on all T times
-is one GEMM; the full block state and its weights x_k / f'(z_k) are built
-only when SimResult.state_norm is read.
+The time grid is uniform from 0, so the phases exp(-i z_k j dt) factor
+into two ~sqrt(T) x n tables, each the powers of one exponential per root,
+and the atomic amplitude on all T times is one GEMM; the full block state
+and its weights x_k / f'(z_k) are built only when SimResult.state_norm is
+read.
 Blocks hold their modes as arrays.  A flat loss cancels from the gaps
 d_l - d_m, so the deflation set and the pull moments are formed once per
-block and shared by lenses that differ only in loss (compare_losses), whose
-rows run in one Newton; each loss adds its atom row.
-compare_losses observes the lenses of a loss group together (_observe;
-evolve is its one-lens call): their atomic rows give stacked pair tables
-(SEARCH_POINTS times in compare_losses, the caller's grid in evolve) that
-bracket each Bell peak and first population crossing, and one search
-refines all brackets from their roots and residues at O(n) per time.
+block and shared by lenses that differ only in loss (compare_losses).  A
+compare_losses or evolve call is one pass: the mode rows of every block,
+lens and loss run in one Newton, each block and loss adding its atom row,
+and every point is observed together (_observe).  The atomic rows give
+pair tables (SEARCH_POINTS times in compare_losses, the caller's grid in
+evolve), the blocks of one width in one batched GEMM, that bracket each
+Bell peak and first population crossing, and one search refines all
+brackets from their roots and residues at O(n) per time.  A point's sums
+run over its own roots only, so it gets the same bits alone or batched.
 
 The absolute coupling scale G_l is proportional to sqrt(gamma0), the
 free-space emission rate in internal units; it drops out of every reported
@@ -113,6 +116,10 @@ GRID_TOL = 1e-14
 SEARCH_POINTS = 64
 SEARCH_STEP_TOL = 1e-7
 SEARCH_MAX_ITER = 100
+
+#: Roots of one compare_losses pass (solve and observation): whole lens groups fill passes of up to this
+#: many, which bounds a long sweep's work arrays (~45 MB at this size) and holds the default sweeps.
+PASS_ROOTS = 1 << 15
 
 #: Machine epsilon; f is known to about 4 EPS times the size of its terms, which floors a Newton step.
 EPS = float(np.finfo(float).eps)
@@ -306,8 +313,8 @@ class _SecularSolver:
         self.bound[1, order] = SERIES_RADIUS * np.minimum(side[:-1], side[1:])
         # Horner rows from k = K down to 0: M_k for f beside (k + 1) M_k+1 for f' (with its 1 at k = 0)
         factor = np.arange(SERIES_ORDER + 1.0, 0.0, -1.0)[:, None]
-        self.coef = np.concatenate((moments[-2::-1], factor * moments[:0:-1]), axis=1).astype(complex)
-        self.coef[-1, live.size:] += 1.0
+        self.coef = np.concatenate((moments[-2::-1, None], (factor * moments[:0:-1])[:, None]), axis=1).astype(complex)
+        self.coef[-1, 1] += 1.0
         self.g2c = self.g2.astype(complex)
 
     def spectrum(self, kappa: float) -> Spectrum:
@@ -331,21 +338,9 @@ class _SecularSolver:
         |f(z)| / (|z| + sum |g^2 / (z - d)|) exceeds SECULAR_RESIDUAL_TOL,
         |sum res - 1| > RESIDUE_SUM_TOL, or two of its roots coincide.  Every
         loss is solved row by row, so its spectrum is bit for bit the one a
-        call for that loss alone returns.
+        call for that loss alone returns (_secular_spectra).
         """
-        z = np.zeros((len(kappas), self.diag0.size + 1), dtype=complex)
-        z[:, 1:] = self.diag0 - 1j * np.asarray(kappas, dtype=float)[:, None]
-        base = z.take(self.rows, axis=1)
-        if self.g2.size:
-            with np.errstate(all="ignore"):
-                u, res, failed = self._roots(base)
-        else:
-            u, res, failed = np.zeros(base.shape), np.ones(base.shape), [None] * len(kappas)
-        z[:, self.rows] = base + u
-        residues = np.zeros(z.shape, dtype=complex)
-        residues[:, self.rows] = res
-        return [error or (z[k], residues[k], partial(_secular_weights, z.shape[1], self.rows, base[k], u[k], res[k], self.g))
-                for k, error in enumerate(failed)]
+        return _secular_spectra([(self, kappas)])[0]
 
     def _guess(self, base: np.ndarray, atom_gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Starting offsets of every loss's atom row and mode rows: each mode root from its pole's quadratic, the atom's from its most mixed mode.
@@ -364,58 +359,78 @@ class _SecularSolver:
         pole = base[losses, 1 + star]
         return pole - 0.5 * _big_root(pole - (pull.sum(axis=1) - pull[losses, star]), 4.0 * g2[star]), u_modes
 
-    def _roots(self, base: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[EigensolveError | None]]:
-        """Offsets u of the roots z = base + u, residues 1 / f'(z) and each loss's failed check (or None), as spectra says.
+    def _checked(self, z: np.ndarray, base: np.ndarray, rows: list | None) -> list[Spectrum | EigensolveError]:
+        """Each loss's spectrum, or the EigensolveError of its checks (spectra), from its rows' Newton results.
 
-        Every row of every loss is its own Newton from _guess (_newton): the
-        atom rows summed directly, the mode rows from _mode_terms.
+        z holds every loss's poles (root 0 at 0) and base its kept rows; rows
+        are the atom rows' and the mode rows' u, f, f', size and still-moving
+        flag at the iterates kept (_newton), or None without a live mode.
         """
-        n_loss, n = base.shape[0], self.g2.size
-        atom_gaps = base[:, :1] - base[:, 1:]
-        u_atom, u_modes = self._guess(base, atom_gaps)
-        poles, cols = base[:, 1:].reshape(-1), np.arange(n_loss * n) % n
-        *atom, stuck_atom = _newton(lambda c, w: self._direct_terms(atom_gaps[c], w, w), u_atom)
-        *modes, stuck_modes = _newton(lambda c, w: self._mode_terms(poles[c] + w, w, cols[c]), u_modes.reshape(-1))
-        u, f, fp, size = (np.concatenate((a[:, None], m.reshape(n_loss, n)), axis=1)
-                          for a, m in zip((u_atom, *atom), (u_modes, *modes)))
-        res = 1.0 / fp
-        residual = np.max(np.abs(f) / size, axis=1)
-        sum_dev = np.abs(res.sum(axis=1) - 1.0)
-        capped = set(stuck_atom.tolist()) | set((stuck_modes // n).tolist())
-        failed = []
-        for k in range(n_loss):
-            if k in capped:
-                failed.append(EigensolveError(f"secular Newton did not converge in {SECULAR_MAX_ITER} iterations"))
-                continue
-            # the separation tolerance is far above the rounding of z itself
-            distinct = _distinct_roots(base[k] + u[k])
-            passed = residual[k] <= SECULAR_RESIDUAL_TOL and sum_dev[k] <= RESIDUE_SUM_TOL and distinct
-            failed.append(None if passed else EigensolveError(
-                f"secular roots failed their checks: relative residual {residual[k]:.2e}, "
-                f"|sum res - 1| = {sum_dev[k]:.2e}, distinct roots: {distinct}"))
-        return u, res, failed
-
-    def _mode_terms(self, z: np.ndarray, u: np.ndarray, j: np.ndarray):
-        """f(z), f'(z) and the size of f's terms on mode rows j at z = d_j + u: by the series, or summed directly beyond its radius."""
-        n, m = self.g2.size, u.size
-        coef = self.coef[:, np.concatenate((j, j + n))]
-        both = np.concatenate((u, u))
-        acc = coef[0]
-        for row in coef[1:]:
-            acc = row - both * acc
-        pole = self.g2c[j] / u
-        spread, reach = self.bound[:, j]
-        f, fp, size = z - pole - acc[:m], pole / u + acc[m:], np.abs(z) + np.abs(pole) + spread
-        far = ~(np.abs(u) <= reach)
-        if far.any():
-            f[far], fp[far], size[far] = self._direct_terms(self.modes[j[far], None] - self.modes, z[far], u[far])
-        return f, fp, size
+        n_loss = base.shape[0]
+        if rows is None:
+            u, res, failed = np.zeros(base.shape), np.ones(base.shape), [None] * n_loss
+        else:
+            u, f, fp, size, moving = (np.concatenate((a.reshape(n_loss, -1), m.reshape(n_loss, -1)), axis=1)
+                                      for a, m in zip(*rows))
+            res = 1.0 / fp
+            residual = np.max(np.abs(f) / size, axis=1)
+            sum_dev = np.abs(res.sum(axis=1) - 1.0)
+            failed = []
+            for k, capped in enumerate(moving.any(axis=1).tolist()):
+                if capped:
+                    failed.append(EigensolveError(f"secular Newton did not converge in {SECULAR_MAX_ITER} iterations"))
+                    continue
+                # the separation tolerance is far above the rounding of z itself
+                distinct = _distinct_roots(base[k] + u[k])
+                passed = residual[k] <= SECULAR_RESIDUAL_TOL and sum_dev[k] <= RESIDUE_SUM_TOL and distinct
+                failed.append(None if passed else EigensolveError(
+                    f"secular roots failed their checks: relative residual {residual[k]:.2e}, "
+                    f"|sum res - 1| = {sum_dev[k]:.2e}, distinct roots: {distinct}"))
+        z[:, self.rows] = base + u
+        residues = np.zeros(z.shape, dtype=complex)
+        residues[:, self.rows] = res
+        return [error or (z[k], residues[k], partial(_secular_weights, z.shape[1], self.rows, base[k], u[k], res[k], self.g))
+                for k, error in enumerate(failed)]
 
     def _direct_terms(self, gaps: np.ndarray, z: np.ndarray, u: np.ndarray):
         """f(z), f'(z) and the size |z| + sum |g^2 / (z - d)| of f's terms on rows z - d = gaps + u, summed over every mode."""
         inv = 1.0 / (gaps + u[:, None])
         pull = self.g2c * inv
         return z - pull.sum(axis=1), 1.0 + (pull * inv).sum(axis=1), np.abs(z) + np.abs(pull).sum(axis=1)
+
+
+class _ModeRows:
+    """The mode rows of several secular solvers as one table: column offsets[s] + j is mode row j of solvers[s].
+
+    Each solver's Horner rows, g^2, spread and reach are concatenated, so that
+    one _mode_terms call, and one Newton, serves the mode rows of every block
+    and loss of a call; a row beyond its series radius is summed directly
+    over the modes of its own solver.
+    """
+
+    def __init__(self, solvers: list[_SecularSolver]):
+        self.solvers = solvers
+        self.offsets = np.cumsum([0] + [solver.g2.size for solver in solvers])
+        self.coef, self.g2c, self.bound = (np.concatenate([getattr(solver, name) for solver in solvers], axis=-1)
+                                           for name in ("coef", "g2c", "bound"))
+
+    def _mode_terms(self, z: np.ndarray, u: np.ndarray, j: np.ndarray):
+        """f(z), f'(z) and the size of f's terms on mode rows j at z = d_j + u: by the series, or summed directly beyond its radius."""
+        coef = self.coef[:, :, j]
+        acc = coef[0]
+        for row in coef[1:]:
+            acc = row - u * acc
+        pole = self.g2c[j] / u
+        spread, reach = self.bound[:, j]
+        f, fp, size = z - pole - acc[0], pole / u + acc[1], np.abs(z) + np.abs(pole) + spread
+        far = np.flatnonzero(~(np.abs(u) <= reach))
+        if far.size:
+            owner = np.searchsorted(self.offsets, j[far], side="right") - 1
+            for s in np.unique(owner).tolist():
+                rows, solver = far[owner == s], self.solvers[s]
+                local = j[rows] - self.offsets[s]
+                f[rows], fp[rows], size[rows] = solver._direct_terms(solver.modes[local, None] - solver.modes, z[rows], u[rows])
+        return f, fp, size
 
 
 def _big_root(c: np.ndarray, four_ag2: np.ndarray) -> np.ndarray:
@@ -425,14 +440,14 @@ def _big_root(c: np.ndarray, four_ag2: np.ndarray) -> np.ndarray:
     return c + r
 
 
-def _newton(terms: Callable, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _newton(terms: Callable, u: np.ndarray) -> tuple[np.ndarray, ...]:
     """Run every element of u as its own Newton on terms(cells, u[cells]) = f, f' and size there, updating u in place.
 
     The first evaluation covers every element, later ones the elements still
     moving; an element keeps its first iterate whose step is within
     SECULAR_STEP_TOL |u| + 4 EPS size / |f'| (a NaN step never moves it).
-    Returns f, f' and size at the iterates kept, and the elements still
-    moving at SECULAR_MAX_ITER.
+    Returns u, then f, f' and size at the iterates kept, and whether each
+    element is still moving at SECULAR_MAX_ITER.
     """
     out = f, fp, size = terms(slice(None), u)
     cells, at = np.arange(u.size), u
@@ -445,14 +460,52 @@ def _newton(terms: Callable, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
         u[cells] = at = u[cells] - step[go]
         f, fp, size = terms(cells, at)
         out[0][cells], out[1][cells], out[2][cells] = f, fp, size
-    return (*out, cells)
+    moving = np.zeros(u.size, dtype=bool)
+    moving[cells] = True
+    return (u, *out, moving)
 
 
-def _block_spectra(block: BlockModel, kappas: list[float]) -> list[Spectrum]:
-    """Spectrum of one block at each loss kappa: all losses in one secular solve, and eig for each loss whose checks fail."""
-    secular = _SecularSolver(block.detuning, block.coupling).spectra(kappas)
-    return [_dense_spectrum(block.hamiltonian(kappa)) if isinstance(out, EigensolveError) else out
-            for kappa, out in zip(kappas, secular)]
+def _secular_spectra(jobs: list[tuple[_SecularSolver, list[float]]]) -> list[list[Spectrum | EigensolveError]]:
+    """solver.spectra(kappas) for every job (solver, kappas), with the mode rows of every job in one Newton.
+
+    A mode row costs O(1) (_ModeRows), so the mode rows of every block and
+    loss of a call run in a single _newton.  _guess, the atom rows (one
+    Newton per solver: their O(n) sums have the solver's own length) and
+    each loss's checks run per solver.  Every row is its own Newton, so each
+    root and residue has the bits of a solve of its block and loss alone.
+    """
+    poles, bases, rows, guesses = [], [], [None] * len(jobs), {}
+    for solver, kappas in jobs:
+        z = np.zeros((len(kappas), solver.diag0.size + 1), dtype=complex)
+        z[:, 1:] = solver.diag0 - 1j * np.asarray(kappas, dtype=float)[:, None]
+        poles.append(z)
+        bases.append(z.take(solver.rows, axis=1))
+    live = [k for k, (solver, _) in enumerate(jobs) if solver.g2.size]
+    with np.errstate(all="ignore"):
+        for k in live:
+            solver, base = jobs[k][0], bases[k]
+            gaps = base[:, :1] - base[:, 1:]
+            u_atom, guesses[k] = solver._guess(base, gaps)
+            rows[k] = [_newton(lambda c, w, s=solver, gaps=gaps: s._direct_terms(gaps[c], w, w), u_atom)]
+        if live:
+            # every mode row of the call: its pole, its column of the table and its guess
+            table = _ModeRows([jobs[k][0] for k in live])
+            pole = np.concatenate([bases[k][:, 1:].reshape(-1) for k in live])
+            cols = np.concatenate([np.arange(guesses[k].size) % guesses[k].shape[1] + table.offsets[i]
+                                   for i, k in enumerate(live)])
+            modes = _newton(lambda c, w: table._mode_terms(pole[c] + w, w, cols[c]), np.concatenate(
+                [guesses[k].reshape(-1) for k in live]))
+            ends = np.cumsum([0] + [guesses[k].size for k in live]).tolist()
+            for i, k in enumerate(live):
+                rows[k].append([m[ends[i]:ends[i + 1]] for m in modes])
+        return [solver._checked(poles[k], bases[k], rows[k]) for k, (solver, _) in enumerate(jobs)]
+
+
+def _spectra(jobs: list[tuple[BlockModel, list[float]]]) -> list[list[Spectrum]]:
+    """Spectrum of every (block, kappas) job at each of its losses: one secular solve for all, and eig for each loss whose checks fail."""
+    solved = _secular_spectra([(_SecularSolver(block.detuning, block.coupling), kappas) for block, kappas in jobs])
+    return [[_dense_spectrum(block.hamiltonian(kappa)) if isinstance(out, EigensolveError) else out
+             for kappa, out in zip(kappas, outs)] for (block, kappas), outs in zip(jobs, solved)]
 
 
 def _dense_spectrum(h: np.ndarray) -> Spectrum:
@@ -477,25 +530,62 @@ def _dense_spectrum(h: np.ndarray) -> Spectrum:
     return w, weights[:, 0], partial(np.asarray, weights)
 
 
-def _phase_sum(z: np.ndarray, weights: np.ndarray, dt: float | np.ndarray, n_times: int) -> np.ndarray:
+def _powers(w: np.ndarray, count: int) -> np.ndarray:
+    """Rows w^0 .. w^(count - 1) of every element of w.
+
+    Each pass multiplies the rows so far by the next power, w^done = w^(done - 1) w,
+    so row j is a product of about j factors w in log2(count) passes.
+    """
+    table = np.empty((count, w.size), dtype=complex)
+    table[0] = 1.0
+    done = 1
+    while done < count:
+        more = min(done, count - done)
+        np.multiply(table[:more], table[done - 1] * w, out=table[done:done + more])
+        done += more
+    return table
+
+
+def _phase_sum(z: np.ndarray, weights: np.ndarray, dt: float | np.ndarray, n_times: int,
+               widths: list[int] | None = None) -> np.ndarray:
     """sum_k exp(-i z_k t_j) weights[k] on t_j = j dt, j = 0 .. n_times - 1.
 
     With B = ceil(sqrt(n_times)), t_j = (B m + b) dt splits every phase into
-    an outer and an inner table of about sqrt(n_times) x n exponentials.  A
-    weight vector makes the sum one GEMM, (outer * weights) @ inner^T; a
-    weight matrix (the full state) contracts the product of the two tables.
-    z and weights of one shape (K, n) with dt (K,) stack K sums, (K, n_times).
+    an inner table exp(-i z b dt), b < B, and an outer table exp(-i z B m dt),
+    each about sqrt(n_times) rows of powers of one exponential per root
+    (_powers): 2 complex exponentials per root, and an entry within ~B EPS
+    relative of the exponential it stands for.  A weight matrix (n, c), the
+    full state of one root set, contracts the product of the two tables:
+    (n_times, c), at the scalar dt.  A weight vector comes with z of its
+    length split into consecutive segments of widths, and dt one per
+    segment; it gives each segment's sum over its own roots, (segments,
+    n_times): the segments of one width are one batched GEMM,
+    (outer * weights) @ inner^T, so a segment's sum has the same bits
+    whatever other segments the call holds.
     """
     n_inner = math.isqrt(n_times - 1) + 1
     n_outer = -(-n_times // n_inner)
-    dt = np.asarray(dt)[..., None, None]
-    inner = np.exp(-1j * dt * (np.arange(n_inner)[:, None] * z[..., None, :]))
-    outer = np.exp(-1j * (n_inner * dt) * (np.arange(n_outer)[:, None] * z[..., None, :]))
-    if weights.shape == z.shape:
-        out = (outer * weights[..., None, :]) @ np.swapaxes(inner, -1, -2)
-        return out.reshape(*z.shape[:-1], -1)[..., :n_times]
-    out = (outer[:, None, :] * inner[None, :, :]) @ weights
-    return out.reshape(n_outer * n_inner, *weights.shape[1:])[:n_times]
+    if weights.ndim == 2:
+        inner, outer = _powers(np.exp(-1j * dt * z), n_inner), _powers(np.exp(-1j * (n_inner * dt) * z), n_outer)
+        out = (outer[:, None, :] * inner[None, :, :]) @ weights
+        return out.reshape(n_outer * n_inner, -1)[:n_times]
+    widths = np.asarray(widths)
+    # the segments in order of width, so that the roots of each width lie side by side
+    order = np.argsort(widths, kind="stable")
+    size = widths[order]
+    end = size.cumsum()
+    at = ((widths.cumsum() - widths)[order] - (end - size)).repeat(size) + np.arange(z.size)
+    z, dt = z[at], np.asarray(dt)[order].repeat(size)
+    inner, outer = _powers(np.exp(-1j * dt * z), n_inner), _powers(np.exp(-1j * (n_inner * dt) * z), n_outer)
+    outer *= weights[at]
+    out = np.empty((widths.size, n_outer * n_inner), dtype=complex)
+    firsts = [0] + (1 + np.flatnonzero(size[1:] != size[:-1])).tolist()
+    for first, last in zip(firsts, firsts[1:] + [size.size]):
+        count, width = last - first, int(size[first])
+        roots = slice(int(end[first]) - width, int(end[last - 1]))
+        table = outer[:, roots].reshape(n_outer, count, width).transpose(1, 0, 2)
+        out[order[first:last]] = (table @ inner[:, roots].reshape(n_inner, count, width).transpose(1, 2, 0)).reshape(count, -1)
+    return out[:, :n_times]
 
 
 def _full_state(z: np.ndarray, weights: Callable[[], np.ndarray], dt: float, n_times: int) -> np.ndarray:
@@ -506,40 +596,49 @@ def _full_state(z: np.ndarray, weights: Callable[[], np.ndarray], dt: float, n_t
 def _bracketed_newton(fun, lo: np.ndarray, hi: np.ndarray, x: np.ndarray, tol: np.ndarray):
     """Zeros of g in the brackets [lo, hi], one per element, where g(lo) > 0 > g(hi).
 
-    fun(x) returns (g, s, aux), s an estimate of g'.  Each element steps by
-    -g / s, and bisects where a step would leave its bracket or fails to
-    halve the step before it.  An element has converged when its step or
-    its bracket is at most its tol (the bracket collapses onto an end where g
-    keeps one sign), and then stays put.  Returns the points after their
-    last step, kept in their brackets, and aux at the last points
-    evaluated; raises NonConvergenceError after SEARCH_MAX_ITER evaluations.
+    fun(x, cells) returns (g, s, aux) of the elements cells at their points x,
+    s an estimate of g'; cells is the same array until an element converges.  Each element steps by -g / s, and bisects where a
+    step would leave its bracket or fails to halve the step before it.  An
+    element has converged when its step or its bracket is at most its tol
+    (the bracket collapses onto an end where g keeps one sign), and is not
+    evaluated again.  Returns the points after their last step, kept in
+    their brackets, and aux at the last points evaluated; raises
+    NonConvergenceError after SEARCH_MAX_ITER evaluations.
     """
-    last = hi - lo
+    out, aux = np.empty(x.size), np.empty(x.size)
+    cells, last = np.arange(x.size), hi - lo
     for _ in range(SEARCH_MAX_ITER):
-        g, slope, aux = fun(x)
+        g, slope, aux[cells] = fun(x, cells)
         lo = np.where(g > 0.0, x, lo)
         hi = np.where(g < 0.0, x, hi)
         step = np.where(g == 0.0, 0.0, -g / slope)
         done = (np.abs(step) <= tol) | (hi - lo <= tol)
-        if done.all():
-            return np.clip(x + step, lo, hi), aux
+        if done.any():
+            out[cells[done]] = np.clip(x + step, lo, hi)[done]
+            if done.all():
+                return out, aux
+            cells, lo, hi, x, step, tol, last = (a[~done] for a in (cells, lo, hi, x, step, tol, last))
         newton = (x + step > lo) & (x + step < hi) & (np.abs(step) < 0.5 * np.abs(last))
         last = np.where(newton, step, 0.5 * (lo + hi) - x)
-        x = np.where(done, x, x + last)
+        x = x + last
     raise NonConvergenceError(f"peak search did not converge in {SEARCH_MAX_ITER} evaluations")
 
 
-def _bell_search(roots: list[tuple[np.ndarray, np.ndarray]], t: np.ndarray, fid: np.ndarray, pop_diff: np.ndarray) -> tuple:
+def _bell_search(roots: tuple[np.ndarray, np.ndarray, np.ndarray], t: np.ndarray, fid: np.ndarray,
+                 pop_diff: np.ndarray) -> tuple:
     """Largest Bell fidelity on [0, t[k, -1]], its branch and the first pop1 = pop2 crossing time (or None) of each point k.
 
-    roots are the odd and even blocks' (z, r), row k for point k; row k of
-    t is that point's uniform table from 0, fid[0, k] and fid[1, k] its
-    Bell fidelity on branch +1 and -1 there, and pop_diff[k] its pop1 - pop2
-    (_observe).  Each table brackets the interior local maxima of either
-    branch and the first sign change of pop_diff after t[k, 1]; every
-    bracket of every point is then refined in one search from its point's
-    roots z and residues r, since o(t) = sum r exp(-i z t) and its
-    derivative cost O(n) at any t.  With A = ((1 - i b) o + (1 + i b) e) / 2
+    roots are the roots z and residues r of every point, flat, with bounds
+    s: point k's odd block is s[2k]:s[2k + 1], its even block
+    s[2k + 1]:s[2k + 2].  Row k of t is that point's uniform table from 0,
+    fid[0, k] and fid[1, k] its Bell fidelity on branch +1 and -1 there, and
+    pop_diff[k] its pop1 - pop2 (_observe).  Each table brackets the
+    interior local maxima of either branch and the first sign change of
+    pop_diff after t[k, 1]; every bracket of every point is then refined in
+    one search from its point's roots z and residues r, since
+    o(t) = sum r exp(-i z t) and its derivative cost O(n) at any t; a
+    candidate's sums run over its own point's roots (np.add.reduceat), and
+    only the candidates still moving are evaluated again.  With A = ((1 - i b) o + (1 + i b) e) / 2
     on branch b, F = |A|^2 / 2 has F' = Re(conj(A) A'), and
     pop1 - pop2 = Re(o conj(e)).
 
@@ -581,23 +680,33 @@ def _bell_search(roots: list[tuple[np.ndarray, np.ndarray]], t: np.ndarray, fid:
             x = np.concatenate((tf[tc] + 0.5 * h[k] * (f[c - 1] - f[c + 1]) / curv,
                                 np.where(d1 == d0, tf[i], tf[i] - d0 * h[kc] / (d1 - d0))))
         slope = np.concatenate((curv / (h[k] * h[k]), np.zeros(kc.size)))
-        # per point: roots o then e, rows o, o', e, e' with coefficients r and -i z r
-        (z_o, r_o), (z_e, r_e) = roots
-        n_o = z_o.shape[1]
-        z = np.concatenate((z_o, z_e), axis=1)
-        coeff = np.zeros((t.shape[0], 4, z.shape[1]), dtype=complex)
-        coeff[:, 0, :n_o], coeff[:, 1, :n_o] = r_o, -1j * z_o * r_o
-        coeff[:, 2, n_o:], coeff[:, 3, n_o:] = r_e, -1j * z_e * r_e
-        z, coeff, on_peak = z[pt], coeff[pt], np.arange(pt.size) < k.size
+        # per candidate: its point's roots (odd, then even) and their coefficients r and -i z r
+        z, r, bounds = roots
+        coeff = np.array([r, -1j * z * r])
+        first, n_odd, size = bounds[2 * pt], bounds[2 * pt + 1] - bounds[2 * pt], bounds[2 * pt + 2] - bounds[2 * pt]
+        on_peak = np.arange(pt.size) < k.size
         p = 0.5 - 0.5j * kind
         q = np.conj(p)
 
-        def fun(times):
-            """g, its slope and F on every row: F' and the table's slope on a peak, sign (pop1 - pop2) and its derivative on the crossing."""
-            o0, o1, e0, e1 = (coeff @ np.exp(-1j * (z * times[:, None]))[:, :, None])[:, :, 0].T
-            a0 = p * o0 + q * e0
-            g = np.where(on_peak, (np.conj(a0) * (p * o1 + q * e1)).real, kind * (o0 * np.conj(e0)).real)
-            s = np.where(on_peak, slope, kind * (o1 * np.conj(e0) + o0 * np.conj(e1)).real)
+        active = None
+
+        def fun(times, cells):
+            """g, its slope and F of the candidates cells: F' and the table's slope on a peak, sign (pop1 - pop2) and its derivative on the crossing."""
+            nonlocal active
+            if active is None or active[0] is not cells:
+                # the roots of these candidates, gathered once per set of candidates
+                width = size[cells]
+                end = width.cumsum()
+                at = (first[cells] - (end - width)).repeat(width) + np.arange(end[-1])
+                # each candidate's odd sum, then its even sum, over its own roots only
+                cuts = np.array([end - width, end - width + n_odd[cells]]).T.reshape(-1)
+                active = cells, width, z[at], coeff[:, at], cuts, p[cells], q[cells], on_peak[cells], kind[cells], slope[cells]
+            _, width, zc, cc, cuts, pc, qc, peaks, sign, sc = active
+            sums = np.add.reduceat(cc * np.exp(-1j * (zc * times.repeat(width))), cuts, axis=1)
+            (o0, e0), (o1, e1) = sums[0].reshape(-1, 2).T, sums[1].reshape(-1, 2).T
+            a0 = pc * o0 + qc * e0
+            g = np.where(peaks, (np.conj(a0) * (pc * o1 + qc * e1)).real, sign * (o0 * np.conj(e0)).real)
+            s = np.where(peaks, sc, sign * (o1 * np.conj(e0) + o0 * np.conj(e1)).real)
             return g, s, 0.5 * (np.conj(a0) * a0).real
 
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -614,20 +723,26 @@ def _bell_search(roots: list[tuple[np.ndarray, np.ndarray]], t: np.ndarray, fid:
 def _observe(spectra: list[tuple[Spectrum, Spectrum]], dt: np.ndarray, t: np.ndarray) -> tuple:
     """amp_a, amp_b and the Bell fidelity of branch +1 and -1 on t, then the peak, the branch and the extracted rate of each point.
 
-    spectra[k] are the odd and even spectra of point k, every point with the
-    same block sizes, and row k of t its uniform table t_j = j dt[k] from 0.
-    The atomic amplitudes of all points on t are one stacked _phase_sum per
-    block; _bell_search refines every point's peak and first pop1 = pop2
-    crossing in one search, and the exchange rate |delta_omega| in Gamma0
-    units is pi / (4 t_cross), or None without a crossing.
+    spectra[k] are the odd and even spectra of point k, of any block sizes,
+    and row k of t its uniform table t_j = j dt[k] from 0.  The atomic
+    amplitudes of every point are one _phase_sum over the roots of all
+    points, one segment per block, and _bell_search refines every point's
+    peak and first pop1 = pop2 crossing in one search; each point's sums
+    run over its own roots only, so it gets the same bits alone or with
+    others.  The exchange rate |delta_omega| in Gamma0 units is
+    pi / (4 t_cross), or None without a crossing.
     """
-    roots = [(np.array([point[b][0] for point in spectra]), np.array([point[b][1] for point in spectra])) for b in (0, 1)]
-    atom_o, atom_e = (_phase_sum(z, r, dt, t.shape[1]) for z, r in roots)
+    blocks = [block for point in spectra for block in point]
+    widths = [block[0].size for block in blocks]
+    z, r = (np.concatenate([block[i] for block in blocks]) for i in (0, 1))
+    atom = _phase_sum(z, r, np.repeat(dt, 2), t.shape[1], widths)
+    atom_o, atom_e = atom[0::2], atom[1::2]
     amp_a = 0.5 * (atom_o + atom_e)
     amp_b = 0.5 * (atom_o - atom_e)
     # Bell fidelity against (|a> -+ i|b>)/sqrt2: branch +1, then -1
     fid = 0.5 * np.abs(amp_a + np.multiply.outer([-1j, 1j], amp_b)) ** 2
-    peak, branch, t_cross = _bell_search(roots, t, fid, np.abs(amp_a) ** 2 - np.abs(amp_b) ** 2)
+    bounds = np.concatenate(([0], np.cumsum(widths)))
+    peak, branch, t_cross = _bell_search((z, r, bounds), t, fid, np.abs(amp_a) ** 2 - np.abs(amp_b) ** 2)
     rate = [0.25 * math.pi / (tc * DEFAULT_GAMMA0) if tc else None for tc in t_cross]
     return amp_a, amp_b, fid, peak, branch, rate
 
@@ -637,9 +752,10 @@ def evolve(blocks: tuple[BlockModel, BlockModel], kappa: float, t_grid: np.ndarr
 
     t_grid must be uniform and start at 0 (t_k = k dt, as np.linspace(0, T, n)
     gives), else DomainError.  Each block is propagated from the roots and
-    residues of its secular equation; only the atomic amplitude is formed
-    here, and the full state behind `state_norm` is built when that
-    attribute is first read.  kappa is applied on every mode diagonal.
+    residues of its secular equation, both blocks in one secular pass and
+    one observation (_observe); only the atomic amplitude is formed here,
+    and the full state behind `state_norm` is built when that attribute is
+    first read.  kappa is applied on every mode diagonal.
     Raises EigensolveError if both the secular solve and the dense
     fallback of a block fail their checks.  Reported times
     and the extracted exchange rate are converted to Gamma0 units via
@@ -659,7 +775,7 @@ def evolve(blocks: tuple[BlockModel, BlockModel], kappa: float, t_grid: np.ndarr
     offgrid = np.abs(t_grid - dt * np.arange(n_times))
     if not (t_grid[0] == 0.0 and dt > 0.0 and np.all(offgrid <= GRID_TOL * t_grid[-1])):
         raise DomainError("t_grid must be uniform and increasing from 0, t_k = k dt")
-    spectra = [_block_spectra(block, [kappa])[0] for block in blocks]
+    spectra = [outs[0] for outs in _spectra([(block, [kappa]) for block in blocks])]
     amp_a, amp_b, fid, peak, branch, rate = _observe([spectra], np.array([dt]), t_grid[None])
     branch = int(branch[0])
     return SimResult(
@@ -698,8 +814,10 @@ def compare_losses(
     antipodal atoms (the parity reduction assumes them).  Lenses equal but
     for alpha share their blocks (build_blocks with l_max; one Legendre
     table per l_max and call) and each block's loss-independent secular data
-    (_SecularSolver), and are observed together; the results keep the order
-    of cfgs.  Each point searches the window [0, 3 pi / |delta_omega|], a few
+    (_SecularSolver).  The lenses of the call are solved in one secular pass
+    (_secular_spectra) and observed in one _observe, whatever their block
+    sizes, up to PASS_ROOTS roots a pass; the results keep the order of
+    cfgs.  Each point searches the window [0, 3 pi / |delta_omega|], a few
     exchange cycles, with a SEARCH_POINTS phase table refined from the
     spectra (_bell_search).  The relative deviation is on the entangling error
     |(1 - F_num) - (1 - F_ana)| / (1 - F_ana), F_ana = entanglement_fidelity(rates).
@@ -711,15 +829,23 @@ def compare_losses(
     lossless: dict[tuple[float, float, float], list[int]] = {}
     for k, cfg in enumerate(cfgs):
         lossless.setdefault((cfg.radius, cfg.n0, cfg.b), []).append(k)
-    out: list[AnalyticsComparison] = [None] * len(cfgs)
-    theta, tables = stereo_theta(atoms.p1.rho), {}
+    theta, tables, passes, roots = stereo_theta(atoms.p1.rho), {}, [[]], 0
     for ks in lossless.values():
         blocks = _build_blocks(cfgs[ks[0]], theta, l_max, tables)
-        kappas = [cfgs[k].kappa for k in ks]
-        spectra = list(zip(*(_block_spectra(block, kappas) for block in blocks)))
-        dt = np.array([3.0 * math.pi / (abs(rates[k].delta_omega) * DEFAULT_GAMMA0) / (SEARCH_POINTS - 1) for k in ks])
+        size = len(ks) * (blocks[0].dim + blocks[1].dim)
+        if passes[-1] and roots + size > PASS_ROOTS:
+            passes.append([])
+            roots = 0
+        passes[-1].append((ks, blocks))
+        roots += size
+    out: list[AnalyticsComparison] = [None] * len(cfgs)
+    for groups in passes:
+        solved = _spectra([(block, [cfgs[k].kappa for k in ks]) for ks, blocks in groups for block in blocks])
+        order = [k for ks, _ in groups for k in ks]
+        spectra = [point for odd, even in zip(solved[0::2], solved[1::2]) for point in zip(odd, even)]
+        dt = np.array([3.0 * math.pi / (abs(rates[k].delta_omega) * DEFAULT_GAMMA0) / (SEARCH_POINTS - 1) for k in order])
         *_, peaks, _, found = _observe(spectra, dt, dt[:, None] * np.arange(SEARCH_POINTS))
-        for k, peak, rate in zip(ks, peaks.tolist(), found):
+        for k, peak, rate in zip(order, peaks.tolist(), found):
             point = rates[k]
             f_ana = entanglement_fidelity(point)
             err_ana = 1.0 - f_ana

@@ -213,6 +213,16 @@ class TestResidualSlope:
         assert np.all(np.abs(z) < 1e-6)
         self._assert_slope(stack, n_eff, d_nm)
 
+    @pytest.mark.parametrize("delta, z_abs", [(1.4e-12, 3e-6), (1.4e-10, 3e-5), (1.4e-8, 3e-4)])
+    def test_near_the_dielectric_light_line(self, stack, delta, z_abs):
+        # 1e-6 <= |z| < 1e-3: h takes its series, where its closed form lost
+        # 2.7e-5 (|z| = 3e-6) and 1.1e-7 (3e-5) of the slope to cancellation
+        n_eff = np.array([math.sqrt(stack.eps_dielectric) + delta * (1 + 0.3j)])
+        d_nm = np.array([150.0])
+        z = transverse_wavenumbers(n_eff, stack)[1] * stack.eps_dielectric * d_nm
+        assert 0.9 * z_abs < abs(z[0]) < 1.1 * z_abs
+        self._assert_slope(stack, n_eff, d_nm)
+
     def test_in_the_thick_film_limit(self, stack):
         n_eff = stack.thick_film_index
         self._assert_slope(stack, [n_eff, n_eff, n_eff * (1 + 1e-3j)], [1000.0, 4000.0, 10_000.0])

@@ -15,12 +15,17 @@ from fisheye.schrodinger import (
     build_blocks,
     compare_to_analytics,
     evolve,
+    _ModeRows,
     _SecularSolver,
-    _block_spectra,
     _full_state,
     _phase_sum,
 )
 from fisheye.specfun import legendre_poly_table
+
+
+def _block_spectra(block, kappas):
+    """Spectrum of one block at each loss kappa, as the simulator's one-call solve gives it."""
+    return schrodinger._spectra([(block, kappas)])[0]
 
 
 def _reference_cfg(nu_re=20.5, alpha=0.0):
@@ -200,11 +205,36 @@ class TestAtomicRow:
         kappa = alpha * OMEGA0
         for block in build_blocks(cfg, stereo_theta(0.27)):
             z, res, weights = _block_spectra(block, [kappa])[0]
-            atomic, full = _phase_sum(z, res, dt, len(t)), _full_state(z, weights, dt, len(t))
+            atomic, full = _phase_sum(z, res, [dt], len(t), [z.size])[0], _full_state(z, weights, dt, len(t))
             assert float(np.max(np.abs(atomic - full[:, 0]))) <= 1e-13
             ref = _expm_states(block.hamiltonian(kappa), dt, len(t))
             assert float(np.max(np.abs(atomic - ref[:, 0]))) <= 1e-9
             assert float(np.max(np.abs(full - ref))) <= 1e-9
+
+    @pytest.mark.parametrize("alpha", [0.0, 1e-3])
+    @pytest.mark.parametrize("n_times", [64, 2000, 100_000])
+    def test_power_tables_within_their_bound(self, antipodal_027, n_times, alpha):
+        # _phase_sum's tables are powers of exp(-i z dt) and exp(-i z B dt); against tables of
+        # one np.exp per entry the sums differ by at most 2.6 B EPS sum|w| (measured, lossless at
+        # 64 samples).  The entries themselves differ by up to ~EPS |z| t, the rounding of the
+        # exponent of either side, on the far-detuned modes, whose weights are small
+        cfg = LensConfig(radius=14.48, alpha=alpha)
+        t, _ = _time_grid(cfg, antipodal_027, alpha, n=n_times)
+        dt, kappa = t[-1] / (n_times - 1), alpha * OMEGA0
+        n_inner = math.isqrt(n_times - 1) + 1
+        n_outer = -(-n_times // n_inner)
+        for block in build_blocks(cfg, stereo_theta(0.27)):
+            z, res, _ = _block_spectra(block, [kappa])[0]
+            inner = np.exp(-1j * dt * (np.arange(n_inner)[:, None] * z))
+            outer = np.exp(-1j * (n_inner * dt) * (np.arange(n_outer)[:, None] * z))
+            want = ((outer * res) @ inner.T).reshape(-1)[:n_times]
+            got = _phase_sum(z, res, [dt], n_times, [z.size])
+            assert got.shape == (1, n_times)
+            bound = 8.0 * n_inner * schrodinger.EPS * float(np.abs(res).sum())
+            assert float(np.max(np.abs(got[0] - want))) <= bound
+            if alpha and n_times > 64:
+                # some decaying phases are subnormal floats (at 64 samples they step past that range)
+                assert np.any((np.abs(outer) > 0.0) & (np.abs(outer) < np.finfo(float).tiny))
 
     @pytest.mark.parametrize("alpha", [0.0, 3e-3])
     def test_state_norm_on_demand_matches_eager_norm(self, antipodal_027, alpha):
@@ -300,7 +330,7 @@ class TestSecularSpectrum:
             _SecularSolver(*block.arrowhead(1e-3)).spectrum(0.0)
         z, res, weights = _block_spectra(block, [1e-3])[0]
         ref = _expm_states(block.hamiltonian(1e-3), 5.0, 200)
-        assert float(np.max(np.abs(_phase_sum(z, res, 5.0, 200) - ref[:, 0]))) <= 1e-12
+        assert float(np.max(np.abs(_phase_sum(z, res, [5.0], 200, [z.size])[0] - ref[:, 0]))) <= 1e-12
         assert float(np.max(np.abs(_full_state(z, weights, 5.0, 200) - ref))) <= 1e-12
 
     def test_decoupled_atoms_stay_excited(self):
@@ -327,7 +357,7 @@ class TestSecularSpectrum:
         for block in build_blocks(cfg, stereo_theta(0.27)):
             z, res, weights = _block_spectra(block, [kappa])[0]
             ref = _expm_states(block.hamiltonian(kappa), dt, n)
-            assert float(np.max(np.abs(_phase_sum(z, res, dt, n) - ref[:, 0]))) <= 1e-9
+            assert float(np.max(np.abs(_phase_sum(z, res, [dt], n, [z.size])[0] - ref[:, 0]))) <= 1e-9
             assert float(np.max(np.abs(_full_state(z, weights, dt, n) - ref))) <= 1e-8
 
     @pytest.mark.parametrize(
@@ -657,6 +687,110 @@ class TestSharedSecularData:
         with pytest.raises(DomainError, match="one CouplingRates per lens"):
             schrodinger.compare_losses(cfgs, antipodal_027, rates[:2])
 
+    def test_stacked_solve_equals_each_block_alone(self):
+        # blocks of 22, 42 and 182 modes (every even block's top mode is deflated), an empty block,
+        # and Re nu = 30.99, whose odd block has a mode root beyond the series radius below
+        # alpha = 1e-2, each at its own losses, in one solve whose mode rows run in one Newton
+        radii = (1.749, 3.34, 14.48)
+        blocks = [block for r0 in radii for block in build_blocks(LensConfig(radius=r0), stereo_theta(0.27))]
+        blocks.append(build_blocks(LensConfig(radius=3.34), stereo_theta(0.27), l_max=1)[1])
+        blocks += build_blocks(LensConfig(radius=radius_for_order(30.99)), stereo_theta(0.27))
+        assert [block.l.size for block in blocks] == [22, 22, 42, 42, 182, 182, 0, 62, 62]
+        solvers = [_SecularSolver(block.detuning, block.coupling) for block in blocks]
+        assert [solver.rows.size - 1 for solver in solvers] == [22, 21, 42, 41, 182, 181, 0, 62, 61]
+        kappas = [self.KAPPAS[k:] + self.KAPPAS[:k] for k in range(len(blocks))]
+        stacked = schrodinger._secular_spectra(list(zip(solvers, kappas)))
+        for block, losses, outs in zip(blocks, kappas, stacked):
+            assert len(outs) == len(losses)
+            for kappa, (z, res, weights) in zip(losses, outs):
+                z_one, res_one, weights_one = _SecularSolver(*block.arrowhead(kappa)).spectrum(0.0)
+                assert np.array_equal(_bits(z), _bits(z_one))
+                assert np.array_equal(_bits(res), _bits(res_one))
+                assert np.array_equal(_bits(weights()), _bits(weights_one()))
+
+    def test_a_capped_mode_row_fails_only_its_loss(self, monkeypatch):
+        # the stacked Newton reports a mode row still moving at its cap: only that row's block and
+        # loss get the error (and so the eig fallback), every other spectrum keeps its bits
+        blocks = [block for r0 in (1.749, 3.34) for block in build_blocks(LensConfig(radius=r0), stereo_theta(0.27))]
+        solvers = [_SecularSolver(block.detuning, block.coupling) for block in blocks]
+        kappas = self.KAPPAS[:3]
+        want = schrodinger._secular_spectra([(solver, kappas) for solver in solvers])
+        n = [solver.g2.size for solver in solvers]
+        row = 3 * (n[0] + n[1]) + n[2] + 5  # mode row 5 of the third block at its second loss
+        newton = schrodinger._newton
+
+        def capped(terms, u):
+            out = newton(terms, u)
+            if u.size == 3 * sum(n):
+                out[-1][row] = True
+            return out
+
+        monkeypatch.setattr(schrodinger, "_newton", capped)
+        got = schrodinger._secular_spectra([(solver, kappas) for solver in solvers])
+        for b, (outs, wants) in enumerate(zip(got, want)):
+            for k, (out, spectrum) in enumerate(zip(outs, wants)):
+                if (b, k) == (2, 1):
+                    assert isinstance(out, EigensolveError) and "did not converge" in str(out)
+                else:
+                    assert np.array_equal(_bits(out[0]), _bits(spectrum[0]))
+                    assert np.array_equal(_bits(out[1]), _bits(spectrum[1]))
+
+    def test_passes_split_between_lens_groups(self, antipodal_027, monkeypatch):
+        # a call of more than PASS_ROOTS roots runs several passes, each of whole lens groups,
+        # and every point keeps the bits of the one-pass call
+        cfgs = [LensConfig(radius=r0, alpha=alpha) for r0 in (3.34, 1.749, 14.48) for alpha in (1e-4, 1e-2)]
+        rates = [coupling_rates(cfg, antipodal_027) for cfg in cfgs]
+        whole = schrodinger.compare_losses(cfgs, antipodal_027, rates)
+        observed, observe = [], schrodinger._observe
+
+        def counted(spectra, *args):
+            observed.append([point[0][0].size for point in spectra])
+            return observe(spectra, *args)
+
+        monkeypatch.setattr(schrodinger, "_observe", counted)
+        monkeypatch.setattr(schrodinger, "PASS_ROOTS", 2 * (43 + 43) + 2 * (23 + 23))
+        split = schrodinger.compare_losses(cfgs, antipodal_027, rates)
+        assert observed == [[43, 43, 23, 23], [183, 183]]
+        for got, want in zip(split, whole):
+            assert got == want
+            assert np.array_equal(_bits(got.F_numeric), _bits(want.F_numeric))
+
+    def test_one_observation_and_one_mode_newton_per_call(self, monkeypatch, tmp_path):
+        # default vs-detuning --simulate: 100 points of their own radius (200 blocks) in one
+        # compare_losses call; every mode row of the call in one Newton, every point in one observation
+        calls, newtons, observed = [], [], []
+        compare, newton, mode_terms, observe = (schrodinger.compare_losses, schrodinger._newton,
+                                                _ModeRows._mode_terms, schrodinger._observe)
+
+        def counted_compare(*args, **kwargs):
+            calls.append(len(args[0]))
+            return compare(*args, **kwargs)
+
+        def counted_newton(terms, u):
+            newtons.append("atom")
+            return newton(terms, u)
+
+        def counted_mode_terms(self, *args):
+            newtons[-1] = "modes"
+            return mode_terms(self, *args)
+
+        def counted_observe(spectra, *args):
+            observed.append(len(spectra))
+            return observe(spectra, *args)
+
+        monkeypatch.setattr(schrodinger, "compare_losses", counted_compare)
+        monkeypatch.setattr(schrodinger, "_newton", counted_newton)
+        monkeypatch.setattr(_ModeRows, "_mode_terms", counted_mode_terms)
+        monkeypatch.setattr(schrodinger, "_observe", counted_observe)
+        out = tmp_path / "out.csv"
+        assert cli.main(["fidelity", "--mode", "vs-detuning", "--simulate", "--out", str(out)]) == 0
+        assert calls == [100] and observed == [100]
+        assert newtons.count("modes") == 1 and newtons.count("atom") == 200
+        del newtons[:], observed[:]
+        assert cli.main(["dynamics", "--simulate", "--out", str(out)]) == 0
+        assert observed == [1]
+        assert newtons.count("modes") == 1 and newtons.count("atom") == 2
+
     def test_one_legendre_table_per_ladder(self, antipodal_027, monkeypatch):
         # as in a vs-detuning sweep: a radius of its own at every point, one l_max = 4 ceil(Re nu) per centre
         cfgs = [LensConfig(radius=radius_for_order(centre + dnu), alpha=5e-4)
@@ -681,7 +815,7 @@ def _per_row_iterates(solver, kappa):
     """The Newton iterates of every row, from a loop that evaluates f on all rows at every pass.
 
     The rows take the solver's own terms (the atom row summed directly, the
-    mode rows from _mode_terms).  Each row steps from the guess on its own
+    mode rows from _ModeRows._mode_terms).  Each row steps from the guess on its own
     and stops at the first iterate whose step is within SECULAR_STEP_TOL |u|
     + 4 EPS size / |f'|; a stopped row keeps its iterate.  Returns one list of
     iterates per row, the guess first.
@@ -689,12 +823,12 @@ def _per_row_iterates(solver, kappa):
     base = np.concatenate(([0.0], solver.diag0 - 1j * kappa)).astype(complex)[solver.rows][None]
     atom_gaps = base[:, :1] - base[:, 1:]
     u_atom, u_modes = solver._guess(base, atom_gaps)
-    u, modes = np.concatenate((u_atom, u_modes[0])), np.arange(solver.g2.size)
+    u, modes, table = np.concatenate((u_atom, u_modes[0])), np.arange(solver.g2.size), _ModeRows([solver])
     iterates = [[x] for x in u.tolist()]
     moving = np.ones(u.size, dtype=bool)
     with np.errstate(all="ignore"):
         for _ in range(schrodinger.SECULAR_MAX_ITER):
-            rows = solver._direct_terms(atom_gaps, u[:1], u[:1]), solver._mode_terms(base[0, 1:] + u[1:], u[1:], modes)
+            rows = solver._direct_terms(atom_gaps, u[:1], u[:1]), table._mode_terms(base[0, 1:] + u[1:], u[1:], modes)
             f, fp, scale = (np.concatenate(parts) for parts in zip(*rows))
             step = f / fp
             moving &= ~(np.abs(step) <= schrodinger.SECULAR_STEP_TOL * np.abs(u) + 4.0 * schrodinger.EPS * scale / np.abs(fp))
@@ -718,7 +852,7 @@ class TestSecularSolveCost:
 
     def test_one_evaluation_fewer_than_the_full_step_loop(self, monkeypatch):
         direct, series = [], []
-        direct_terms, mode_terms = _SecularSolver._direct_terms, _SecularSolver._mode_terms
+        direct_terms, mode_terms = _SecularSolver._direct_terms, _ModeRows._mode_terms
 
         def counted_direct(self, gaps, *args):
             direct.append(gaps.shape)
@@ -729,7 +863,7 @@ class TestSecularSolveCost:
             return mode_terms(self, z, u, j)
 
         monkeypatch.setattr(_SecularSolver, "_direct_terms", counted_direct)
-        monkeypatch.setattr(_SecularSolver, "_mode_terms", counted_series)
+        monkeypatch.setattr(_ModeRows, "_mode_terms", counted_series)
         for centre, dnu, alpha in self.GRID:
             cfg = LensConfig(radius=radius_for_order(centre + dnu), alpha=alpha)
             for block in build_blocks(cfg, stereo_theta(0.27)):
@@ -841,7 +975,7 @@ class TestPullSeries:
             assert np.all(np.abs(fp_series - fp_sum) <= fp_bound + 32.0 * eps * fp_scale)
             # the rows beyond the series radius are summed directly, bit for bit as _direct_terms sums them
             far = np.flatnonzero(r > schrodinger.SERIES_RADIUS)
-            got = solver._mode_terms(z, u, np.arange(modes.size))
+            got = _ModeRows([solver])._mode_terms(z, u, np.arange(modes.size))
             want = solver._direct_terms(gaps[far], z[far], u[far])
             for got_part, want_part in zip(got, want):
                 assert np.array_equal(_bits(got_part[far]), _bits(want_part))
