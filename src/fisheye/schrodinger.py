@@ -36,12 +36,14 @@ Newton that returns its first iterate whose step is within SECULAR_STEP_TOL
 (relative, plus a rounding floor), so within one such step of the refined
 root.  A mode row sums its pull as the series sum_k (-u)^k M_k,j near its
 pole, in O(1); the atom row, whose gaps change with the loss, and a mode row
-beyond the series radius are summed directly, in O(n).  On the fidelity
-radii the guess passes on every row but the atom's and at most one mode's,
-so a loss costs O(n) after an O(K n^2) set-up per block.  The checks run on
-the returned iterates: Newton's cap, the relative secular residual, sum res =
-1 and distinct roots; a loss that fails falls back to dense eig with its
-residual check, and EigensolveError is raised if that fails too.
+beyond the series radius are summed directly, in O(n), as a segment of
+np.add.reduceat over its own block's modes (numpy's row sum, bit for bit).
+On the fidelity radii the guess passes on every row but the atom's and at
+most one mode's, so a loss costs O(n) after an O(K n^2) set-up per block.
+The checks run on the returned iterates: Newton's cap, the relative secular
+residual, sum res = 1 and distinct roots; a loss that fails falls back to
+dense eig with its residual check, and EigensolveError is raised if that
+fails too.
 The time grid is uniform from 0, so the phases exp(-i z_k j dt) factor
 into two ~sqrt(T) x n tables, each the powers of one exponential per root,
 and the atomic amplitude on all T times is one GEMM; the full block state
@@ -50,9 +52,10 @@ read.
 Blocks hold their modes as arrays.  A flat loss cancels from the gaps
 d_l - d_m, so the deflation set and the pull moments are formed once per
 block and shared by lenses that differ only in loss (compare_losses).  A
-compare_losses or evolve call is one pass: the mode rows of every block,
-lens and loss run in one Newton, each block and loss adding its atom row,
-and every point is observed together (_observe).  The atomic rows give
+compare_losses or evolve call is one pass: the atom rows of every block,
+lens and loss run in one Newton, their mode rows in another, one pass of
+segment reductions and one segmented sort check every (block, loss), and
+every point is observed together (_observe).  The atomic rows give
 pair tables (SEARCH_POINTS times in compare_losses, the caller's grid in
 evolve), the blocks of one width in one batched GEMM, that bracket each
 Bell peak and first population crossing, and one search refines all
@@ -75,6 +78,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from itertools import islice
 
 import numpy as np
 
@@ -238,26 +242,55 @@ def _build_blocks(cfg: LensConfig, theta: float, l_max: int | None, tables: dict
     )
 
 
-def _distinct_roots(z: np.ndarray) -> bool:
-    """Whether every two roots lie more than ROOT_SEPARATION_TOL * max|z| apart (never, if one is not finite).
+def _ranges(first: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """The indices first[i] .. first[i] + width[i] - 1 of every i, side by side."""
+    end = width.cumsum()
+    return (first - (end - width)).repeat(width) + np.arange(end[-1] if end.size else 0)
+
+
+def _distinct_roots(z: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Per segment z[starts[i]:starts[i + 1]]: whether its roots lie pairwise over ROOT_SEPARATION_TOL * its max|z| apart.
+
+    A segment with a root that is not finite never passes; the last segment
+    runs to the end of z.
 
     Only roots whose real parts lie within that distance can be that close,
-    so the roots are sorted by real part and each is compared with those
-    after it whose real part is within twice the distance (a margin over
-    the rounding of the sort keys): O(n log n) for well separated roots, and
-    the same outcome as comparing all n^2 pairs.
+    so one sort orders the roots by segment, then by real part, and each is
+    compared with those after it in its own segment whose real part is within
+    twice the distance (a margin over the rounding of the sort keys): O(n log n)
+    for well separated roots, the outcome of comparing all n^2 pairs of each
+    segment, and never a comparison across segments.
     """
-    limit = ROOT_SEPARATION_TOL * np.abs(z).max()
-    if not np.isfinite(limit):
-        return False
-    z = z[np.argsort(z.real, kind="stable")]
-    # the ahead[i] - 1 roots after root i have real parts within 2 limit of its own
-    ahead = np.searchsorted(z.real, z.real + 2.0 * limit, side="right") - np.arange(z.size)
-    for step in range(1, int(ahead.max())):
-        i = np.flatnonzero(ahead > step)
-        if np.any(np.abs(z[i + step] - z[i]) <= limit):
-            return False
-    return True
+    seg = np.arange(starts.size).repeat(np.diff(starts, append=z.size))
+    limit = ROOT_SEPARATION_TOL * np.maximum.reduceat(np.abs(z), starts)
+    distinct = np.isfinite(limit)
+    z = z[np.lexsort((z.real, seg))]
+    real = z.real
+    reach = real + 2.0 * limit[seg]
+    # the roots i whose root `step` places on lies in their segment, with a real part within reach
+    i, step = np.flatnonzero(distinct[seg]), 1
+    while True:
+        i = i[i + step < z.size]
+        i = i[(seg[i + step] == seg[i]) & (real[i + step] <= reach[i])]
+        if not i.size:
+            return distinct
+        distinct[seg[i[np.abs(z[i + step] - z[i]) <= limit[seg[i]]]]] = False
+        step += 1
+
+
+def _row_terms(z: np.ndarray, u: np.ndarray, gaps: np.ndarray, g2c: np.ndarray, width: np.ndarray):
+    """f(z), f'(z) and the size |z| + sum |g^2 / (z - d)| of f's terms on rows z - d = gaps + u, summed directly.
+
+    Row i's terms are the next width[i] entries of gaps and g2c, the first a
+    zero term (gap inf, g^2 0): np.add.reduceat adds that 0 to the pairwise
+    sum of the rest, so each row's sums are numpy's row sums over its modes
+    bit for bit, whatever rows lie beside it.
+    """
+    inv = 1.0 / (gaps + u.repeat(width))
+    pull = g2c * inv
+    cuts = width.cumsum() - width
+    return (z - np.add.reduceat(pull, cuts), 1.0 + np.add.reduceat(pull * inv, cuts),
+            np.abs(z) + np.add.reduceat(np.abs(pull), cuts))
 
 
 def _secular_weights(size, rows, base, u, res, g) -> np.ndarray:
@@ -285,7 +318,8 @@ class _SecularSolver:
     only while r <= SERIES_RADIUS, where the first bound is below EPS A_j.  The
     atom rows, whose gaps 0 - (d_m - i kappa) change with the loss, and the mode
     rows beyond that radius are summed directly, O(n) each: no loss holds an
-    n^2 array.
+    n^2 array.  The data are one table, column j mode j's: rows M_0 .. M_K+1,
+    A, SERIES_RADIUS gap, g^2 and d (real parts).
     """
 
     def __init__(self, diag0: np.ndarray, g: np.ndarray):
@@ -293,29 +327,30 @@ class _SecularSolver:
             raise DomainError("the secular solver takes one flat loss: every imaginary part of diag0 must be equal")
         g2 = g * g
         live = np.flatnonzero(g2 > DEFLATION_TOL * g2.max(initial=0.0))
-        self.diag0, self.g, self.g2 = diag0, g[live], g2[live]
+        self.diag0, self.g, g2 = diag0, g[live], g2[live]
         self.rows = np.concatenate(([0], 1 + live))
-        self.modes = modes = np.real(diag0)[live]
+        modes = np.real(diag0)[live]
         recip = modes[:, None] - modes
         # 1 / gap, a zero gap left at 0; times g^2 it is numpy's complex g^2 / (gap + 0j) bit for bit
         np.divide(1.0, recip, out=recip, where=recip != 0.0)
-        self.moments = moments = np.empty((SERIES_ORDER + 2, live.size))
-        moments[0] = np.multiply(self.g2, recip, out=np.empty(recip.shape, dtype=complex)).sum(axis=1).real
+        moments = np.empty((SERIES_ORDER + 2, live.size))
+        moments[0] = np.multiply(g2, recip, out=np.empty(recip.shape, dtype=complex)).sum(axis=1).real
         power = recip.copy()
         for row in moments[1:]:
-            np.matmul(np.multiply(power, recip, out=power), self.g2, out=row)
+            np.matmul(np.multiply(power, recip, out=power), g2, out=row)
         # the spread A, then the reach SERIES_RADIUS gap from the ordered modes' nearest neighbours
-        self.bound = np.empty((2, live.size))
-        np.matmul(np.abs(recip, out=power), self.g2, out=self.bound[0])
+        bound = np.empty((2, live.size))
+        np.matmul(np.abs(recip, out=power), g2, out=bound[0])
         order = np.argsort(modes)
         ends = np.concatenate(([-np.inf], modes[order], [np.inf]))
         side = ends[1:] - ends[:-1]
-        self.bound[1, order] = SERIES_RADIUS * np.minimum(side[:-1], side[1:])
-        # Horner rows from k = K down to 0: M_k for f beside (k + 1) M_k+1 for f' (with its 1 at k = 0)
-        factor = np.arange(SERIES_ORDER + 1.0, 0.0, -1.0)[:, None]
-        self.coef = np.concatenate((moments[-2::-1, None], (factor * moments[:0:-1])[:, None]), axis=1).astype(complex)
-        self.coef[-1, 1] += 1.0
-        self.g2c = self.g2.astype(complex)
+        bound[1, order] = SERIES_RADIUS * np.minimum(side[:-1], side[1:])
+        self.table = np.concatenate((moments, bound, g2[None], modes[None]))
+
+    moments = property(lambda self: self.table[:SERIES_ORDER + 2])
+    bound = property(lambda self: self.table[SERIES_ORDER + 2:SERIES_ORDER + 4])
+    g2 = property(lambda self: self.table[-2])
+    modes = property(lambda self: self.table[-1])
 
     def spectrum(self, kappa: float) -> Spectrum:
         """spectra([kappa])'s spectrum; raises its EigensolveError."""
@@ -342,94 +377,49 @@ class _SecularSolver:
         """
         return _secular_spectra([(self, kappas)])[0]
 
-    def _guess(self, base: np.ndarray, atom_gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Starting offsets of every loss's atom row and mode rows: each mode root from its pole's quadratic, the atom's from its most mixed mode.
 
-        Root j = d_j + u sees the atom and the other modes' pull
-        S_j(d_j + u) ~ M_0,j - u M_1,j, so f = 0 reads (1 + M_1,j) u^2
-        + (d_j - M_0,j) u - g_j^2 = 0, whose small root is the mode-like one.
-        The atom-like root is the large root of u^2 + (d_j - S_j(0)) u - g_j^2 = 0
-        for the loss's most strongly mixed mode j; atom_gaps are the atom rows' 0 - d.
-        """
-        g2, losses = self.g2, np.arange(base.shape[0])
-        pull = np.zeros(atom_gaps.shape, dtype=complex)
-        np.divide(g2, atom_gaps, out=pull, where=atom_gaps != 0.0)
-        u_modes = 2.0 * g2 / _big_root(base[:, 1:] - self.moments[0], 4.0 * (1.0 + self.moments[1]) * g2)
-        star = np.argmax(g2 / np.abs(base[:, 1:]) ** 2, axis=1)
-        pole = base[losses, 1 + star]
-        return pole - 0.5 * _big_root(pole - (pull.sum(axis=1) - pull[losses, star]), 4.0 * g2[star]), u_modes
-
-    def _checked(self, z: np.ndarray, base: np.ndarray, rows: list | None) -> list[Spectrum | EigensolveError]:
-        """Each loss's spectrum, or the EigensolveError of its checks (spectra), from its rows' Newton results.
-
-        z holds every loss's poles (root 0 at 0) and base its kept rows; rows
-        are the atom rows' and the mode rows' u, f, f', size and still-moving
-        flag at the iterates kept (_newton), or None without a live mode.
-        """
-        n_loss = base.shape[0]
-        if rows is None:
-            u, res, failed = np.zeros(base.shape), np.ones(base.shape), [None] * n_loss
-        else:
-            u, f, fp, size, moving = (np.concatenate((a.reshape(n_loss, -1), m.reshape(n_loss, -1)), axis=1)
-                                      for a, m in zip(*rows))
-            res = 1.0 / fp
-            residual = np.max(np.abs(f) / size, axis=1)
-            sum_dev = np.abs(res.sum(axis=1) - 1.0)
-            failed = []
-            for k, capped in enumerate(moving.any(axis=1).tolist()):
-                if capped:
-                    failed.append(EigensolveError(f"secular Newton did not converge in {SECULAR_MAX_ITER} iterations"))
-                    continue
-                # the separation tolerance is far above the rounding of z itself
-                distinct = _distinct_roots(base[k] + u[k])
-                passed = residual[k] <= SECULAR_RESIDUAL_TOL and sum_dev[k] <= RESIDUE_SUM_TOL and distinct
-                failed.append(None if passed else EigensolveError(
-                    f"secular roots failed their checks: relative residual {residual[k]:.2e}, "
-                    f"|sum res - 1| = {sum_dev[k]:.2e}, distinct roots: {distinct}"))
-        z[:, self.rows] = base + u
-        residues = np.zeros(z.shape, dtype=complex)
-        residues[:, self.rows] = res
-        return [error or (z[k], residues[k], partial(_secular_weights, z.shape[1], self.rows, base[k], u[k], res[k], self.g))
-                for k, error in enumerate(failed)]
-
-    def _direct_terms(self, gaps: np.ndarray, z: np.ndarray, u: np.ndarray):
-        """f(z), f'(z) and the size |z| + sum |g^2 / (z - d)| of f's terms on rows z - d = gaps + u, summed over every mode."""
-        inv = 1.0 / (gaps + u[:, None])
-        pull = self.g2c * inv
-        return z - pull.sum(axis=1), 1.0 + (pull * inv).sum(axis=1), np.abs(z) + np.abs(pull).sum(axis=1)
+#: The column of zero terms (mode -inf, so gap inf, and g^2 0) before each solver's columns in _ModeRows.
+_LEAD = np.array([[0.0]] * (SERIES_ORDER + 5) + [[-np.inf]])
 
 
 class _ModeRows:
-    """The mode rows of several secular solvers as one table: column offsets[s] + j is mode row j of solvers[s].
+    """The tables of a call's secular solvers side by side: column offsets[s] leads solvers[s], column offsets[s] + 1 + j is its mode j.
 
-    Each solver's Horner rows, g^2, spread and reach are concatenated, so that
-    one _mode_terms call, and one Newton, serves the mode rows of every block
-    and loss of a call; a row beyond its series radius is summed directly
-    over the modes of its own solver.
+    Each solver's table is copied in once, behind a column of zero terms
+    (_LEAD), and the solver keeps a view of its columns, so each table is held
+    once per call; the Horner rows and g^2 as complex are formed here for the
+    whole call.  _mode_terms serves the mode rows of every block and loss of a
+    call, so one Newton runs them all; a row beyond its series radius is
+    summed directly over its own solver's columns, lead first (_row_terms).
     """
 
     def __init__(self, solvers: list[_SecularSolver]):
-        self.solvers = solvers
-        self.offsets = np.cumsum([0] + [solver.g2.size for solver in solvers])
-        self.coef, self.g2c, self.bound = (np.concatenate([getattr(solver, name) for solver in solvers], axis=-1)
-                                           for name in ("coef", "g2c", "bound"))
+        self.offsets = np.cumsum([0] + [1 + solver.table.shape[1] for solver in solvers])
+        self.table = np.concatenate([part for solver in solvers for part in (_LEAD, solver.table)], axis=1)
+        for solver, at, end in zip(solvers, self.offsets.tolist(), self.offsets[1:].tolist()):
+            solver.table = self.table[:, at + 1:end]
+        # Horner rows from k = K down to 0: M_k for f beside (k + 1) M_k+1 for f' (with its 1 at k = 0)
+        moments, factor = self.table[:SERIES_ORDER + 2], np.arange(SERIES_ORDER + 1.0, 0.0, -1.0)[:, None]
+        self.coef = np.concatenate((moments[-2::-1, None], (factor * moments[:0:-1])[:, None]), axis=1).astype(complex)
+        self.coef[-1, 1] += 1.0
+        self.g2c = self.table[-2].astype(complex)
 
     def _mode_terms(self, z: np.ndarray, u: np.ndarray, j: np.ndarray):
-        """f(z), f'(z) and the size of f's terms on mode rows j at z = d_j + u: by the series, or summed directly beyond its radius."""
+        """f(z), f'(z) and the size of f's terms on the mode rows of columns j at z = d_j + u: by the series, or summed directly beyond its radius."""
         coef = self.coef[:, :, j]
         acc = coef[0]
         for row in coef[1:]:
             acc = row - u * acc
         pole = self.g2c[j] / u
-        spread, reach = self.bound[:, j]
+        spread, reach = self.table[SERIES_ORDER + 2:SERIES_ORDER + 4, j]
         f, fp, size = z - pole - acc[0], pole / u + acc[1], np.abs(z) + np.abs(pole) + spread
         far = np.flatnonzero(~(np.abs(u) <= reach))
         if far.size:
-            owner = np.searchsorted(self.offsets, j[far], side="right") - 1
-            for s in np.unique(owner).tolist():
-                rows, solver = far[owner == s], self.solvers[s]
-                local = j[rows] - self.offsets[s]
-                f[rows], fp[rows], size[rows] = solver._direct_terms(solver.modes[local, None] - solver.modes, z[rows], u[rows])
+            col, modes = j[far], self.table[-1]
+            owner = np.searchsorted(self.offsets, col, side="right") - 1
+            width = self.offsets[owner + 1] - self.offsets[owner]
+            at = _ranges(self.offsets[owner], width)
+            f[far], fp[far], size[far] = _row_terms(z[far], u[far], np.repeat(modes[col], width) - modes[at], self.g2c[at], width)
         return f, fp, size
 
 
@@ -443,11 +433,13 @@ def _big_root(c: np.ndarray, four_ag2: np.ndarray) -> np.ndarray:
 def _newton(terms: Callable, u: np.ndarray) -> tuple[np.ndarray, ...]:
     """Run every element of u as its own Newton on terms(cells, u[cells]) = f, f' and size there, updating u in place.
 
-    The first evaluation covers every element, later ones the elements still
-    moving; an element keeps its first iterate whose step is within
-    SECULAR_STEP_TOL |u| + 4 EPS size / |f'| (a NaN step never moves it).
-    Returns u, then f, f' and size at the iterates kept, and whether each
-    element is still moving at SECULAR_MAX_ITER.
+    The first evaluation covers every element (cells = slice(None)), later
+    ones the elements still moving; an element keeps its first iterate whose
+    step is within SECULAR_STEP_TOL |u| + 4 EPS size / |f'| (a NaN step never
+    moves it).  An element's terms must not depend on which others are
+    evaluated with it, as those of _ModeRows and of the atom rows' segments
+    (_row_terms) do not.  Returns u, then f, f' and size at the iterates kept,
+    and whether each element is still moving at SECULAR_MAX_ITER.
     """
     out = f, fp, size = terms(slice(None), u)
     cells, at = np.arange(u.size), u
@@ -465,40 +457,93 @@ def _newton(terms: Callable, u: np.ndarray) -> tuple[np.ndarray, ...]:
     return (u, *out, moving)
 
 
-def _secular_spectra(jobs: list[tuple[_SecularSolver, list[float]]]) -> list[list[Spectrum | EigensolveError]]:
-    """solver.spectra(kappas) for every job (solver, kappas), with the mode rows of every job in one Newton.
+def _checked(roots, res, start, live, cuts, atom, modes) -> list[EigensolveError | None]:
+    """The EigensolveError of each segment's checks (_SecularSolver.spectra), or None.
 
-    A mode row costs O(1) (_ModeRows), so the mode rows of every block and
-    loss of a call run in a single _newton.  _guess, the atom rows (one
-    Newton per solver: their O(n) sums have the solver's own length) and
-    each loss's checks run per solver.  Every row is its own Newton, so each
-    root and residue has the bits of a solve of its block and loss alone.
+    roots and res are every segment's kept roots and residues 1 / f', the
+    segments beginning at start; atom and modes are the Newton results
+    (_newton) of the atom rows and of the mode rows, those of segment live[k]
+    from cuts[k], of the segments live, which alone are checked.  Newton's
+    cap, the relative residual and |sum res - 1| are segment reductions, the
+    distinct-roots test is one sort (_distinct_roots).
     """
-    poles, bases, rows, guesses = [], [], [None] * len(jobs), {}
-    for solver, kappas in jobs:
-        z = np.zeros((len(kappas), solver.diag0.size + 1), dtype=complex)
-        z[:, 1:] = solver.diag0 - 1j * np.asarray(kappas, dtype=float)[:, None]
-        poles.append(z)
-        bases.append(z.take(solver.rows, axis=1))
-    live = [k for k, (solver, _) in enumerate(jobs) if solver.g2.size]
+    capped = atom[4] | np.logical_or.reduceat(modes[4], cuts)
+    residual = np.maximum(np.abs(atom[1]) / atom[3], np.maximum.reduceat(np.abs(modes[1]) / modes[3], cuts))
+    # each segment's residues behind a zero, so that its sum is numpy's row sum (_row_terms)
+    sum_dev = np.abs(np.add.reduceat(np.insert(res, start, 0.0), start + np.arange(start.size))[live] - 1.0)
+    distinct = _distinct_roots(roots, start)[live]
+    passed = (residual <= SECULAR_RESIDUAL_TOL) & (sum_dev <= RESIDUE_SUM_TOL) & distinct
+    errors = [None] * start.size
+    for k in np.flatnonzero(capped | ~passed).tolist():
+        errors[live[k]] = EigensolveError(
+            f"secular Newton did not converge in {SECULAR_MAX_ITER} iterations" if capped[k] else
+            f"secular roots failed their checks: relative residual {residual[k]:.2e}, "
+            f"|sum res - 1| = {sum_dev[k]:.2e}, distinct roots: {distinct[k]}")
+    return errors
+
+
+def _secular_spectra(jobs: list[tuple[_SecularSolver, list[float]]]) -> list[list[Spectrum | EigensolveError]]:
+    """solver.spectra(kappas) for every job (solver, kappas), each step of the solve taken once for the call.
+
+    Every (block, loss) is a segment of flat arrays: its poles 0, diag0 - i
+    kappa, and its kept rows, atom row first.  The mode guesses are
+    elementwise; the atom's is the large root of u^2 + (d_j - S_j(0)) u -
+    g_j^2 = 0, S_j(0) the other modes' pull at 0, for the segment's first most
+    mixed mode j (max g_j^2 / |d_j|^2): a segment sum and a segment argmax.
+    One _newton runs every atom row, summed over its segment (_row_terms),
+    another every mode row (_ModeRows), and _checked checks every segment at
+    once.  Each row is its own Newton over its own segment's terms, so every
+    root, residue and weight has the bits of its block and loss solved alone.
+    """
+    if not jobs:
+        return []
+    table = _ModeRows([solver for solver, _ in jobs])
+    job = np.repeat(np.arange(len(jobs)), [len(kappas) for _, kappas in jobs])
+    kappa = np.array([k for _, kappas in jobs for k in kappas], dtype=float)
+    n_all = np.array([solver.diag0.size for solver, _ in jobs])
+    size, width = n_all[job] + 1, (table.offsets[1:] - table.offsets[:-1])[job]  # poles, kept rows (atom, live modes)
+    first, start = size.cumsum() - size, width.cumsum() - width
+    z = np.zeros(size.sum(), dtype=complex)
+    diag = np.concatenate([solver.diag0 for solver, _ in jobs])
+    z[_ranges(first + 1, size - 1)] = diag[_ranges((n_all.cumsum() - n_all)[job], size - 1)] - 1j * kappa.repeat(size - 1)
+    cols = _ranges(table.offsets[job], width)  # each kept row's column of the table, the lead's for the atom row
+    kept = first.repeat(width) + np.concatenate([solver.rows for solver, _ in jobs])[cols]
+    base, live = z[kept], np.flatnonzero(width > 1)
+    u, fp = np.zeros(base.size, dtype=complex), np.ones(base.size, dtype=complex)
     with np.errstate(all="ignore"):
-        for k in live:
-            solver, base = jobs[k][0], bases[k]
-            gaps = base[:, :1] - base[:, 1:]
-            u_atom, guesses[k] = solver._guess(base, gaps)
-            rows[k] = [_newton(lambda c, w, s=solver, gaps=gaps: s._direct_terms(gaps[c], w, w), u_atom)]
-        if live:
-            # every mode row of the call: its pole, its column of the table and its guess
-            table = _ModeRows([jobs[k][0] for k in live])
-            pole = np.concatenate([bases[k][:, 1:].reshape(-1) for k in live])
-            cols = np.concatenate([np.arange(guesses[k].size) % guesses[k].shape[1] + table.offsets[i]
-                                   for i, k in enumerate(live)])
-            modes = _newton(lambda c, w: table._mode_terms(pole[c] + w, w, cols[c]), np.concatenate(
-                [guesses[k].reshape(-1) for k in live]))
-            ends = np.cumsum([0] + [guesses[k].size for k in live]).tolist()
-            for i, k in enumerate(live):
-                rows[k].append([m[ends[i]:ends[i + 1]] for m in modes])
-        return [solver._checked(poles[k], bases[k], rows[k]) for k, (solver, _) in enumerate(jobs)]
+        if live.size:
+            n = width[live] - 1
+            cuts, mode = n.cumsum() - n, _ranges(start[live] + 1, n)
+            pole, col, g2c = base[mode], cols[mode], table.g2c[cols]
+            m0, m1, g2 = table.table[[0, 1, -2]][:, col]
+            u_modes = 2.0 * g2 / _big_root(pole - m0, 4.0 * (1.0 + m1) * g2)
+            # each segment's atom row: its gaps 0 - d behind the lead's inf, its pull at 0, its first most mixed mode
+            gaps, pull = 0j - base, np.zeros(base.size, dtype=complex)
+            gaps[start] = np.inf
+            np.divide(g2c, gaps, out=pull, where=gaps != 0.0)
+            mix = g2 / np.abs(pole) ** 2
+            top = np.maximum.reduceat(mix, cuts).repeat(n)
+            star = np.minimum.reduceat(np.where(mix < top, mix.size, np.arange(mix.size)), cuts)
+            p = pole[star]
+            u_atom = p - 0.5 * _big_root(p - (np.add.reduceat(pull, start)[live] - pull[mode[star]]), 4.0 * g2[star])
+
+            def atom_terms(cells, w):
+                rows = live[cells]
+                at = _ranges(start[rows], width[rows])
+                return _row_terms(w, w, gaps[at], g2c[at], width[rows])
+
+            atom = _newton(atom_terms, u_atom)
+            modes = _newton(lambda c, w: table._mode_terms(pole[c] + w, w, col[c]), u_modes)
+            u[start[live]], fp[start[live]] = atom[0], atom[2]
+            u[mode], fp[mode] = modes[0], modes[2]
+        roots, res = base + u, 1.0 / fp
+        errors = _checked(roots, res, start, live, cuts, atom, modes) if live.size else [None] * start.size
+    z[kept] = roots
+    residues = np.zeros(z.size, dtype=complex)
+    residues[kept] = res
+    spans = zip(first.tolist(), (first + size).tolist(), start.tolist(), (start + width).tolist(), errors)
+    return [[error or (z[a:b], residues[a:b], partial(_secular_weights, b - a, solver.rows, base[c:d], u[c:d], res[c:d], solver.g))
+             for a, b, c, d, error in islice(spans, len(kappas))] for solver, kappas in jobs]
 
 
 def _spectra(jobs: list[tuple[BlockModel, list[float]]]) -> list[list[Spectrum]]:

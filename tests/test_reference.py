@@ -40,6 +40,7 @@ CASES = (
     ("fidelity-vs-detuning.csv", "fidelity --mode vs-detuning", 1),
     ("fidelity-vs-radius.csv", "fidelity --mode vs-radius", 1),
     ("fidelity-vs-loss-simulate.csv", "fidelity --mode vs-loss --simulate --samples 5", 1),
+    ("fidelity-vs-detuning-simulate.csv", "fidelity --mode vs-detuning --simulate --samples 9", 1),
     ("dynamics.csv", "dynamics", 10),
     ("dynamics-simulate.csv", "dynamics --simulate --samples 400", 4),
     ("plasmon-index-sweep.csv", "plasmon index-sweep", 1),

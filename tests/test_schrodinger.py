@@ -428,9 +428,11 @@ class TestSecularSpectrum:
         secular = _block_spectra(block, kappas)
         distinct, dense, checked, eig_calls = schrodinger._distinct_roots, schrodinger._dense_spectrum, [], []
 
-        def second_loss_fails(z):
-            checked.append(z)
-            return distinct(z) and len(checked) != 2
+        def second_loss_fails(z, starts):
+            checked.append(len(starts))
+            out = distinct(z, starts)
+            out[1] = False
+            return out
 
         def counting(h):
             eig_calls.append(h)
@@ -439,7 +441,7 @@ class TestSecularSpectrum:
         monkeypatch.setattr(schrodinger, "_distinct_roots", second_loss_fails)
         monkeypatch.setattr(schrodinger, "_dense_spectrum", counting)
         mixed = _block_spectra(block, kappas)
-        assert len(checked) == 3 and len(eig_calls) == 1
+        assert checked == [3] and len(eig_calls) == 1  # one distinct-roots pass over the three losses
         assert np.array_equal(eig_calls[0], block.hamiltonian(kappas[1]))
         eig_z, eig_res, eig_weights = dense(block.hamiltonian(kappas[1]))
         assert np.array_equal(mixed[1][0], eig_z) and np.array_equal(mixed[1][1], eig_res)
@@ -469,6 +471,12 @@ class TestSecularSpectrum:
         assert not out.exists()
 
 
+def _distinct(z):
+    """_distinct_roots on z as one segment."""
+    (out,) = schrodinger._distinct_roots(z, np.array([0]))
+    return bool(out)
+
+
 def _distinct_all_pairs(z):
     """The O(n^2) reference: the least distance over all pairs against ROOT_SEPARATION_TOL * max|z|."""
     with np.errstate(all="ignore"):
@@ -492,7 +500,7 @@ class TestDistinctRoots:
         z[0] = 5.0  # fixes max|z|, so the added root leaves the limit as it is
         limit = schrodinger.ROOT_SEPARATION_TOL * 5.0
         z[-1] = z[7] + factor * limit * complex(math.cos(angle), math.sin(angle))
-        got = schrodinger._distinct_roots(z)
+        got = _distinct(z)
         assert got == _distinct_all_pairs(z)
         if factor < 0.9:
             assert not got
@@ -507,7 +515,7 @@ class TestDistinctRoots:
         z[7] = z[7].real
         z[-1] = complex(z[7].real, limit)
         assert abs(z[-1] - z[7]) == limit
-        assert not schrodinger._distinct_roots(z)
+        assert not _distinct(z)
         assert not _distinct_all_pairs(z)
 
     @pytest.mark.parametrize("imag_gap", [1e-3, 0.0])
@@ -521,7 +529,7 @@ class TestDistinctRoots:
         order = np.argsort(z.real, kind="stable")
         where = {int(j): k for k, j in enumerate(order)}
         assert where[11] < where[z.size - 2] < where[z.size - 1]
-        assert not schrodinger._distinct_roots(z)
+        assert not _distinct(z)
         assert not _distinct_all_pairs(z)
 
     def test_clusters_of_equal_real_parts(self, rng):
@@ -531,21 +539,41 @@ class TestDistinctRoots:
             for j in rng.integers(0, z.size, 4):
                 # a stack of roots on one real part, 0.5 to 2.5 limits apart
                 z[rng.integers(0, z.size, 3)] = z[j].real + 1j * (z[j].imag + limit * rng.uniform(0.5, 2.5, 3))
-            assert schrodinger._distinct_roots(z) == _distinct_all_pairs(z)
+            assert _distinct(z) == _distinct_all_pairs(z)
 
     def test_secular_spectra(self):
         # the roots of the simulated radii's blocks (183 rows each at R0 = 14.48)
         for radius in (1.749, 3.34, 8.11, 14.48):
             for block in build_blocks(LensConfig(radius=radius), stereo_theta(0.27)):
                 z, _, _ = _SecularSolver(*block.arrowhead(1e-3 * OMEGA0)).spectrum(0.0)
-                assert schrodinger._distinct_roots(z) and _distinct_all_pairs(z)
+                assert _distinct(z) and _distinct_all_pairs(z)
 
     @pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), complex(1.0, float("-inf"))])
     def test_a_root_that_is_not_finite_is_never_distinct(self, rng, bad):
         z = self._roots(rng)
         z[3] = bad
-        assert not schrodinger._distinct_roots(z)
+        assert not _distinct(z)
         assert not _distinct_all_pairs(z)
+
+    def test_segments_are_checked_apart(self, rng):
+        # one pass over segments of 1 to 40 roots, some with a close pair (or a root that is not finite) inside:
+        # each segment decides as the all-pairs check of its own roots does, and no pair spans two segments
+        for _ in range(50):
+            parts = [self._roots(rng, int(n)) for n in rng.integers(1, 41, 12)]
+            for part in parts[1::3]:
+                if part.size > 1:
+                    limit = schrodinger.ROOT_SEPARATION_TOL * float(np.abs(part).max())
+                    part[-1] = part[0] + rng.uniform(0.5, 1.5) * limit
+            parts[4][0] = complex("nan")
+            # the next segment begins with a copy of this one's last root
+            parts[7][0] = parts[6][-1]
+            starts = np.cumsum([0] + [part.size for part in parts[:-1]])
+            got = schrodinger._distinct_roots(np.concatenate(parts), starts)
+            assert got.tolist() == [_distinct_all_pairs(part) for part in parts]
+
+    def test_equal_roots_in_two_segments_pass(self, rng):
+        z = self._roots(rng)
+        assert schrodinger._distinct_roots(np.concatenate((z, z, z[:1])), np.array([0, z.size, 2 * z.size])).all()
 
 
 class TestFullBasisCrossCheck:
@@ -690,7 +718,7 @@ class TestSharedSecularData:
     def test_stacked_solve_equals_each_block_alone(self):
         # blocks of 22, 42 and 182 modes (every even block's top mode is deflated), an empty block,
         # and Re nu = 30.99, whose odd block has a mode root beyond the series radius below
-        # alpha = 1e-2, each at its own losses, in one solve whose mode rows run in one Newton
+        # alpha = 1e-2, each at its own losses, in one solve whose atom rows run in one Newton, its mode rows in another
         radii = (1.749, 3.34, 14.48)
         blocks = [block for r0 in radii for block in build_blocks(LensConfig(radius=r0), stereo_theta(0.27))]
         blocks.append(build_blocks(LensConfig(radius=3.34), stereo_theta(0.27), l_max=1)[1])
@@ -708,20 +736,50 @@ class TestSharedSecularData:
                 assert np.array_equal(_bits(res), _bits(res_one))
                 assert np.array_equal(_bits(weights()), _bits(weights_one()))
 
-    def test_a_capped_mode_row_fails_only_its_loss(self, monkeypatch):
-        # the stacked Newton reports a mode row still moving at its cap: only that row's block and
-        # loss get the error (and so the eig fallback), every other spectrum keeps its bits
+    def test_stacked_checks_stay_in_their_segment(self, monkeypatch):
+        # two identical lenses give equal roots in different segments, which pass; a block whose two coupled
+        # modes share one pole has a coincident root pair at its loss, which fails that block and loss alone,
+        # so only it takes the eig fallback
+        coincident = schrodinger.BlockModel(
+            "odd", np.arange(1, 5), np.array([-0.3, 0.1, 0.1, 0.5]), np.array([0.02, 0.03, 0.01, 0.02]))
+        odd, even = build_blocks(LensConfig(radius=3.34), stereo_theta(0.27))
+        jobs = [(odd, self.KAPPAS[:2]), (coincident, [1e-3]), (even, [1e-3]), (odd, self.KAPPAS[:2])]
+        solved = schrodinger._secular_spectra([(_SecularSolver(b.detuning, b.coupling), k) for b, k in jobs])
+        (error,) = solved[1]
+        assert isinstance(error, EigensolveError) and "distinct roots: False" in str(error)
+        for (block, kappas), outs in zip(jobs, solved):
+            if block is not coincident:
+                for kappa, (z, res, weights) in zip(kappas, outs):
+                    z_one, res_one, weights_one = _SecularSolver(*block.arrowhead(kappa)).spectrum(0.0)
+                    assert np.array_equal(_bits(z), _bits(z_one)) and np.array_equal(_bits(res), _bits(res_one))
+                    assert np.array_equal(_bits(weights()), _bits(weights_one()))
+        for first, again in zip(solved[0], solved[3]):
+            assert np.array_equal(_bits(first[0]), _bits(again[0]))
+        dense, eig_calls = schrodinger._dense_spectrum, []
+
+        def counting(h):
+            eig_calls.append(h)
+            return dense(h)
+
+        monkeypatch.setattr(schrodinger, "_dense_spectrum", counting)
+        spectra = schrodinger._spectra(jobs)
+        assert len(eig_calls) == 1 and np.array_equal(eig_calls[0], coincident.hamiltonian(1e-3))
+        assert np.array_equal(spectra[1][0][0], dense(coincident.hamiltonian(1e-3))[0])
+
+    def _capped_row_fails_only_its_loss(self, monkeypatch, newton_rows):
+        """newton_rows(n) gives the size of the Newton to cap (n the live modes of each block) and the row to cap
+        there, one of the third block's at its second loss: only that block and loss get the error (and so the eig
+        fallback), every other spectrum keeps its bits."""
         blocks = [block for r0 in (1.749, 3.34) for block in build_blocks(LensConfig(radius=r0), stereo_theta(0.27))]
         solvers = [_SecularSolver(block.detuning, block.coupling) for block in blocks]
         kappas = self.KAPPAS[:3]
         want = schrodinger._secular_spectra([(solver, kappas) for solver in solvers])
-        n = [solver.g2.size for solver in solvers]
-        row = 3 * (n[0] + n[1]) + n[2] + 5  # mode row 5 of the third block at its second loss
+        size, row = newton_rows([solver.g2.size for solver in solvers])
         newton = schrodinger._newton
 
         def capped(terms, u):
             out = newton(terms, u)
-            if u.size == 3 * sum(n):
+            if u.size == size:
                 out[-1][row] = True
             return out
 
@@ -734,6 +792,14 @@ class TestSharedSecularData:
                 else:
                     assert np.array_equal(_bits(out[0]), _bits(spectrum[0]))
                     assert np.array_equal(_bits(out[1]), _bits(spectrum[1]))
+
+    def test_a_capped_mode_row_fails_only_its_loss(self, monkeypatch):
+        # the stacked mode-row Newton reports mode row 5 of the third block at its second loss still moving
+        self._capped_row_fails_only_its_loss(monkeypatch, lambda n: (3 * sum(n), 3 * (n[0] + n[1]) + n[2] + 5))
+
+    def test_a_capped_atom_row_fails_only_its_loss(self, monkeypatch):
+        # the stacked atom-row Newton (one row per block and loss) reports the third block's at its second loss
+        self._capped_row_fails_only_its_loss(monkeypatch, lambda n: (3 * len(n), 3 * 2 + 1))
 
     def test_passes_split_between_lens_groups(self, antipodal_027, monkeypatch):
         # a call of more than PASS_ROOTS roots runs several passes, each of whole lens groups,
@@ -757,7 +823,8 @@ class TestSharedSecularData:
 
     def test_one_observation_and_one_mode_newton_per_call(self, monkeypatch, tmp_path):
         # default vs-detuning --simulate: 100 points of their own radius (200 blocks) in one
-        # compare_losses call; every mode row of the call in one Newton, every point in one observation
+        # compare_losses call; every atom row of the call in one Newton, every mode row in another,
+        # every point in one observation
         calls, newtons, observed = [], [], []
         compare, newton, mode_terms, observe = (schrodinger.compare_losses, schrodinger._newton,
                                                 _ModeRows._mode_terms, schrodinger._observe)
@@ -785,11 +852,11 @@ class TestSharedSecularData:
         out = tmp_path / "out.csv"
         assert cli.main(["fidelity", "--mode", "vs-detuning", "--simulate", "--out", str(out)]) == 0
         assert calls == [100] and observed == [100]
-        assert newtons.count("modes") == 1 and newtons.count("atom") == 200
+        assert newtons.count("modes") == 1 and newtons.count("atom") == 1
         del newtons[:], observed[:]
         assert cli.main(["dynamics", "--simulate", "--out", str(out)]) == 0
         assert observed == [1]
-        assert newtons.count("modes") == 1 and newtons.count("atom") == 2
+        assert newtons.count("modes") == 1 and newtons.count("atom") == 1
 
     def test_one_legendre_table_per_ladder(self, antipodal_027, monkeypatch):
         # as in a vs-detuning sweep: a radius of its own at every point, one l_max = 4 ceil(Re nu) per centre
@@ -814,21 +881,29 @@ class TestSharedSecularData:
 def _per_row_iterates(solver, kappa):
     """The Newton iterates of every row, from a loop that evaluates f on all rows at every pass.
 
-    The rows take the solver's own terms (the atom row summed directly, the
-    mode rows from _ModeRows._mode_terms).  Each row steps from the guess on its own
+    The rows take the solve's own guesses and terms, taken from the two
+    Newtons of solver.spectrum(kappa): the atom row summed directly, then the
+    mode rows from _ModeRows._mode_terms.  Each row steps from the guess on its own
     and stops at the first iterate whose step is within SECULAR_STEP_TOL |u|
     + 4 EPS size / |f'|; a stopped row keeps its iterate.  Returns one list of
     iterates per row, the guess first.
     """
-    base = np.concatenate(([0.0], solver.diag0 - 1j * kappa)).astype(complex)[solver.rows][None]
-    atom_gaps = base[:, :1] - base[:, 1:]
-    u_atom, u_modes = solver._guess(base, atom_gaps)
-    u, modes, table = np.concatenate((u_atom, u_modes[0])), np.arange(solver.g2.size), _ModeRows([solver])
+    newtons, newton = [], schrodinger._newton
+
+    def kept(terms, u):
+        newtons.append((terms, u.copy()))
+        return newton(terms, u)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(schrodinger, "_newton", kept)
+        solver.spectrum(kappa)
+    (atom_terms, u_atom), (mode_terms, u_modes) = newtons
+    u, atom, modes = np.concatenate((u_atom, u_modes)), np.arange(1), np.arange(u_modes.size)
     iterates = [[x] for x in u.tolist()]
     moving = np.ones(u.size, dtype=bool)
     with np.errstate(all="ignore"):
         for _ in range(schrodinger.SECULAR_MAX_ITER):
-            rows = solver._direct_terms(atom_gaps, u[:1], u[:1]), table._mode_terms(base[0, 1:] + u[1:], u[1:], modes)
+            rows = atom_terms(atom, u[:1]), mode_terms(modes, u[1:])
             f, fp, scale = (np.concatenate(parts) for parts in zip(*rows))
             step = f / fp
             moving &= ~(np.abs(step) <= schrodinger.SECULAR_STEP_TOL * np.abs(u) + 4.0 * schrodinger.EPS * scale / np.abs(fp))
@@ -852,17 +927,17 @@ class TestSecularSolveCost:
 
     def test_one_evaluation_fewer_than_the_full_step_loop(self, monkeypatch):
         direct, series = [], []
-        direct_terms, mode_terms = _SecularSolver._direct_terms, _ModeRows._mode_terms
+        row_terms, mode_terms = schrodinger._row_terms, _ModeRows._mode_terms
 
-        def counted_direct(self, gaps, *args):
-            direct.append(gaps.shape)
-            return direct_terms(self, gaps, *args)
+        def counted_direct(z, u, gaps, g2c, width):
+            direct.append(width.tolist())
+            return row_terms(z, u, gaps, g2c, width)
 
         def counted_series(self, z, u, j):
             series.append(j.tolist())
             return mode_terms(self, z, u, j)
 
-        monkeypatch.setattr(_SecularSolver, "_direct_terms", counted_direct)
+        monkeypatch.setattr(schrodinger, "_row_terms", counted_direct)
         monkeypatch.setattr(_ModeRows, "_mode_terms", counted_series)
         for centre, dnu, alpha in self.GRID:
             cfg = LensConfig(radius=radius_for_order(centre + dnu), alpha=alpha)
@@ -875,15 +950,16 @@ class TestSecularSolveCost:
                 direct.clear()
                 series.clear()
                 z, _, _ = solver.spectrum(cfg.kappa)
-                # the series once on every mode row, then on each mode row per step it takes
-                assert series[0] == list(range(n))
+                # the series once on every mode row, then on each mode row per step it takes (mode j is column 1 + j)
+                assert series[0] == list(range(1, n + 1))
                 assert sorted(j for call in series[1:] for j in call) == sorted(
-                    j for j in range(n) for _ in iterates[1 + j][1:])
-                # summed directly: the atom row at each of its iterates, and a mode row at each iterate beyond its reach
+                    1 + j for j in range(n) for _ in iterates[1 + j][1:])
+                # summed directly: the atom row at each of its iterates, and a mode row at each iterate beyond its
+                # reach, each row over its lead zero term and every mode
                 reach = solver.bound[1]
                 beyond = sum(abs(x) > reach[j] for j in range(n) for x in iterates[1 + j])
-                assert all(cols == n for _, cols in direct)
-                assert sum(rows for rows, _ in direct) == len(iterates[0]) + beyond
+                assert all(width == n + 1 for call in direct for width in call)
+                assert sum(len(call) for call in direct) == len(iterates[0]) + beyond
                 assert len(iterates[0]) <= 3 and len(series) <= 3
                 # the same iterates: each row returns its own first iterate that passed its step test
                 base = np.concatenate(([0.0], block.detuning - 1j * cfg.kappa))[solver.rows]
@@ -973,10 +1049,11 @@ class TestPullSeries:
             # rounding: a few EPS of f's terms; f' is dominated by g^2 / u^2, formed from u^2 or 1 / u squared
             assert np.all(np.abs(f_series - f_sum) <= f_bound + 8.0 * eps * scale)
             assert np.all(np.abs(fp_series - fp_sum) <= fp_bound + 32.0 * eps * fp_scale)
-            # the rows beyond the series radius are summed directly, bit for bit as _direct_terms sums them
+            # the rows beyond the series radius are summed directly, bit for bit as numpy's row sums over every mode
             far = np.flatnonzero(r > schrodinger.SERIES_RADIUS)
-            got = _ModeRows([solver])._mode_terms(z, u, np.arange(modes.size))
-            want = solver._direct_terms(gaps[far], z[far], u[far])
+            got = _ModeRows([solver])._mode_terms(z, u, 1 + np.arange(modes.size))
+            pull = g2.astype(complex) * inv[far]
+            want = z[far] - pull.sum(axis=1), 1.0 + (pull * inv[far]).sum(axis=1), np.abs(z[far]) + np.abs(pull).sum(axis=1)
             for got_part, want_part in zip(got, want):
                 assert np.array_equal(_bits(got_part[far]), _bits(want_part))
             beyond[block.parity] = far.size
