@@ -874,11 +874,11 @@ def compare_losses(
     lossless: dict[tuple[float, float, float], list[int]] = {}
     for k, cfg in enumerate(cfgs):
         lossless.setdefault((cfg.radius, cfg.n0, cfg.b), []).append(k)
-    theta, tables, passes, roots = stereo_theta(atoms.p1.rho), {}, [[]], 0
+    theta, tables, passes, roots = stereo_theta(atoms.p1.rho), {}, [], 0
     for ks in lossless.values():
         blocks = _build_blocks(cfgs[ks[0]], theta, l_max, tables)
         size = len(ks) * (blocks[0].dim + blocks[1].dim)
-        if passes[-1] and roots + size > PASS_ROOTS:
+        if not passes or roots + size > PASS_ROOTS:
             passes.append([])
             roots = 0
         passes[-1].append((ks, blocks))

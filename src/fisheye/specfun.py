@@ -138,10 +138,18 @@ _BLOCK_FIRST = 16
 _BLOCK_CAP = 256
 
 #: Bytes of block work arrays the seed series may hold at once: a call's
-#: elements are summed in groups of _group_rows, as many as fit at the
-#: widest block.  A buffer for every element at once would take 816 bytes
-#: per element at the fidelity degrees, 41 MB for 50,000 of them.
+#: seed elements (P_s and, for a lifted degree, P_{s+1}) are summed in groups
+#: of _group_rows, as many as fit at the widest block.  A buffer for every
+#: element at once would take 816 bytes per element at the fidelity degrees,
+#: 82 MB for 50,000 of them (100,000 seeds).
 _WORK_BYTES = 1 << 25
+
+#: Columns up to which a block's running sums (and, for a real degree, its
+#: c_n products) are one cumsum (cumprod) down the array rather than one
+#: numpy call per term.  The cumsum costs ~5 ns per element, a call ~0.6 us:
+#: down a 16-term block, 64 columns take 7 us by cumsum and 10 us by rows,
+#: 512 columns 56 and 14 us.
+_NARROW = 64
 
 
 def _work_bytes(rows: int, size: int, itemsize: int) -> int:
@@ -152,8 +160,9 @@ def _work_bytes(rows: int, size: int, itemsize: int) -> int:
 def _group_rows(itemsize: int) -> int:
     """The rows whose work arrays fit within _WORK_BYTES at the widest block: 2,720 complex, 5,440 real.
 
-    A ddi-sweep call (2 x 1,201 arguments at one real degree) is one group,
-    as are a fidelity radius's 801 complex degrees.
+    A ddi-sweep call (2 x 1,201 arguments at one real degree, 4,804 seeds)
+    is one group; a fidelity command's call (3,204 complex degrees, 6,408
+    seeds) takes three.
     """
     return _WORK_BYTES // _work_bytes(1, _BLOCK_CAP, itemsize)
 
@@ -223,14 +232,8 @@ def _log_start(d: complex | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return source_offset(d, sin), (sin.view(float) / math.pi).view(sin.dtype)
 
 
-def _series_array(
-    d: complex | np.ndarray,
-    x: np.ndarray,
-    w: np.ndarray,
-    hyp: bool,
-    start: tuple[np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray:
-    """Seed series for P_d(x) over many x: hypergeometric (hyp=True) or logarithmic.
+def _series_array(segments: list[tuple]) -> list[np.ndarray]:
+    """Seed series for P_d(x), hypergeometric or logarithmic, every segment of a call in one pass.
 
     With p_n = (n-d)(n+d+1), c_0 = 1 and c_{n+1} = c_n p_n y/(n+1)^2, the
     Gauss hypergeometric series is P_d(x) = sum_n c_n, y = (1-x)/2, and the
@@ -241,84 +244,130 @@ def _series_array(
         a_0 = psi(-d) + psi(d+1) + 2 gamma_E,
         a_{n+1} = a_n + 1/(n-d) + 1/(n+d+1) - 2/(n+1) = a_n + (2n+1)/p_n - 2/(n+1).
 
-    `start` is (a_0, sin(pi d)/pi) as _log_start gives them, if the caller
-    has them.  d is one degree for all x or an array with the degree of
-    each x.  Terms are formed a block at a time, in work arrays cut from one
-    buffer and filled in place; p_n, formed once per term, serves the
-    coefficient, the increment of a_n and the tail ratio.  The work arrays
-    are term-major: row j of a block holds term n0 + j of every live
-    element (of every degree, for p_n and a_n), so each row is contiguous,
-    and c_{n+1} = c_n f_n, the running a_n and the block's partial sums are
+    Each segment is (d, x, w, hyp, start), the hypergeometric ones first: d
+    is one degree for all x or an array with the degree of each x, hyp picks
+    the branch, and `start` is (a_0, sin(pi d)/pi) of a logarithmic segment
+    as _log_start gives them, if the caller has them.  The values come back
+    one array per segment.
+
+    The segments' elements are laid end to end and summed together, so the
+    numpy calls of a term (the c_n products, the partial sums) and of a block
+    (the stopping test) are paid once per call, not once per segment.  Each
+    segment keeps its degree layout: p_n, and a_n on the logarithmic
+    segments only (1/p_n divides by zero at an integer degree), are formed
+    once per degree column, one column for a sweep over x and one per element
+    otherwise, and each run of elements takes its column by broadcasting.
+    Terms are formed a block at a time, in work arrays cut from one buffer
+    and filled in place; p_n, formed once per term, serves the coefficient,
+    the increment of a_n and the tail ratio.  The work arrays are
+    term-major: row j of a block holds term n0 + j of every live element (of
+    every degree column, for p_n and a_n), so each row is contiguous, and
+    c_{n+1} = c_n f_n, the running a_n and the block's partial sums are
     carried down the rows with one elementwise call per term.  numpy's
     cumprod and cumsum along a block cost ~5 ns per element, several times
     a product over a contiguous row (a 1,201 x 17 float cumprod 101 us, the
-    rows' products 38 us); a single column (one degree's a_n, or a call's
-    last live element) is summed by one cumsum down it instead.  The
-    elements are summed in groups of _group_rows, so the buffer stays
-    within _WORK_BYTES however large the call.  An element is
-    tested only at the end of a block, which it pays for whole: it stops
-    there, with the block-end partial sum, if each of the block's last two
-    terms has a geometric tail bound |term| r/(1-r),
-    r = y |p_{n+1}|/(n+2)^2, within SERIES_TOL of its partial sum (of 1 at
-    least, on the hypergeometric branch); a single term can dip when n
-    passes Re d.
+    rows' products 38 us), but an array of at most _NARROW columns (the a_n
+    of a few degrees, or a call's last live elements) is summed by one
+    cumsum down it, which there costs less than a call per term.  The
+    elements are summed in groups of _group_rows, so the buffer stays within
+    _WORK_BYTES however large the call.  An element is tested only at the
+    end of a block, which it pays for whole: it stops there, with the
+    block-end partial sum, if each of the block's last two terms has a
+    geometric tail bound |term| r/(1-r), r = y |p_{n+1}|/(n+2)^2, within
+    SERIES_TOL of its partial sum (of 1 at least, on the hypergeometric
+    branch); a single term can dip when n passes Re d.
 
     Every element's arithmetic is its own, in a fixed operand order
     (numpy's complex product fuses a multiply-add, so it is not commutative
     to the last bit), so its value does not depend on the other elements
-    of the call or on their grouping.  Two roundings of numpy would break
-    that, and are avoided.  np.add.reduce down the term axis adds row after
-    row when a row holds many elements but sums pairwise when it holds one,
-    so the partial sums are carried term by term.  A complex product of one
-    element written over one of its own factors is rounded without the
-    fused multiply-add, so no product is written in place.  The sums being
-    sequential, a real d (a float or a float array), summed in float64,
-    keeps the bits of the complex sum's real parts.
+    of the call, on their segments or on their grouping.  Two roundings of
+    numpy would break that, and are avoided.  np.add.reduce down the term
+    axis adds row after row when a row holds many elements but sums pairwise
+    when it holds one, so the partial sums are carried term by term.  A
+    complex product of one element written over one of its own factors is
+    rounded without the fused multiply-add, so no product is written in
+    place.  The sums being sequential, a real d (a float or a float array),
+    summed in float64, keeps the bits of the complex sum's real parts.
     """
-    dtype = complex if np.iscomplexobj(d) else float
-    # a column per degree: one degree broadcasts over every x
-    d_all = np.ravel(np.asarray(d, dtype=dtype))
-    if hyp:
-        floor = 1.0
-    else:
-        floor = 1e-300
-        a_all, scale = _log_start(d) if start is None else start
+    dtype = complex if any(np.iscomplexobj(seg[0]) for seg in segments) else float
+    itemsize = np.dtype(dtype).itemsize
+    # each segment's first element in the call, its arguments, degrees, branch and (a_0, prefactor)
+    layout, size_all = [], 0
+    for d, x, w, hyp, start in segments:
+        d = np.ravel(np.asarray(d, dtype=dtype))
+        if not hyp and start is None:
+            start = _log_start(d)
+        layout.append((size_all, x, w, d, hyp, start))
+        size_all += x.size
 
     def take(slot: np.ndarray, rows: int, cols: int) -> np.ndarray:
         return slot[: rows * cols].reshape(rows, cols)
 
-    def per_degree(slot: np.ndarray, rows: int) -> np.ndarray | None:
-        """A work array with a column per degree; one degree's single column is allocated apart."""
-        return take(slot, rows, kd) if kd == k else None
-
     def running_sum(rows: np.ndarray) -> None:
-        """rows[j] = rows[j - 1] + rows[j] down the term axis, in order; a single column by one cumsum, in the same order."""
-        if rows.shape[1] == 1:
+        """rows[j] = rows[j - 1] + rows[j] down the term axis, in order; a narrow array by one cumsum, in the same order."""
+        if rows.shape[1] <= _NARROW:
             np.cumsum(rows, axis=0, out=rows)
         else:
             for prev, row in zip(rows, rows[1:]):
                 np.add(prev, row, row)
 
-    itemsize = np.dtype(dtype).itemsize
+    def spans(runs: list[list]) -> tuple[list, list, int, int]:
+        """The element and column slices of each run, those of the logarithmic runs counted from their first, kh and dh.
+
+        kh and dh count the hypergeometric elements and degree columns,
+        which come first.
+        """
+        every, log, e, c = [], [], 0, 0
+        kh = dh = 0
+        for count, one, hyp in runs:
+            width = 1 if one else count
+            every.append((slice(e, e + count), slice(c, c + width)))
+            if hyp:
+                kh, dh = e + count, c + width
+            else:
+                log.append((slice(e - kh, e + count - kh), slice(c - dh, c + width - dh)))
+            e, c = e + count, c + width
+        return every, log, kh, dh
+
     group = _group_rows(itemsize)
     # the work arrays are cut from one buffer per call: a single allocation,
     # which serves every group and which the heap reuses from call to call
     # instead of mapping fresh pages for each array
     arena = np.empty(0, dtype=np.uint8)
-    out = np.empty(x.shape, dtype=dtype)
-    for g0 in range(0, x.size, group):
-        rows_g = slice(g0, g0 + group)
-        y = (1.0 - x[rows_g]) / 2.0 if hyp else w[rows_g]
-        dv = d_all[rows_g] if d_all.size > 1 else d_all
+    out = np.empty(size_all, dtype=dtype)
+    for g0 in range(0, size_all, group):
+        g1 = min(g0 + group, size_all)
+        # the group's runs of elements, [count, one degree for all, hyp]: a
+        # segment's part each, neighbouring parts with a degree per element
+        # and one branch merged; their y, degree columns and a_0s in that order
+        runs, ys, dcols, acols = [], [], [], []
+        for s0, x, w, d, hyp, start in layout:
+            lo, hi = max(s0, g0), min(s0 + x.size, g1)
+            if lo >= hi:
+                continue
+            part = slice(lo - s0, hi - s0)
+            ys.append((1.0 - x[part]) / 2.0 if hyp else w[part])
+            one = d.size == 1
+            if not one:
+                d = d[part]
+            dcols.append(d)
+            if not hyp:
+                acols.append(start[0] if one else start[0][part])
+            if not one and runs and not runs[-1][1] and runs[-1][2] == hyp:
+                runs[-1][0] += hi - lo
+            else:
+                runs.append([hi - lo, one, hyp])
+        y, dv = (ys[0], dcols[0]) if len(ys) == 1 else (np.concatenate(ys), np.concatenate(dcols))
+        a = (acols[0] if len(acols) == 1 else np.concatenate(acols)) if acols else None
+        every, log, kh, dh = spans(runs)
         yc = y.astype(dtype)
         c = None  # c_n at the start of the block; None for c_0 = 1
-        if hyp:
-            total = np.ones(y.shape, dtype=dtype)
-        else:
-            a = a_all[rows_g] if d_all.size > 1 else a_all
-            lw = np.log(y).astype(dtype)
-            total = lw + a
-        out_g = out[rows_g]
+        total = np.ones(y.size, dtype=dtype)
+        if kh < y.size:
+            lw = np.log(y[kh:]).astype(dtype)
+            for els, cols in log:
+                np.add(lw[els], a[cols], out=total[kh:][els])
+        out_g = out[g0:g1]
         live = np.arange(y.size)
         n0 = 0
         while n0 < MAX_TERMS:
@@ -330,51 +379,64 @@ def _series_array(
             if arena.size < need:
                 arena = np.empty(need, dtype=np.uint8)
             U, V, W = arena[:need].view(dtype).reshape(3, -1)
-            # p_n for n0 <= n <= n0 + size
+            # p_n for n0 <= n <= n0 + size, a column per degree
             p = np.multiply(
-                np.subtract(n.astype(dtype), dv, out=per_degree(U, width)),
-                np.add((n + 1.0).astype(dtype), dv, out=per_degree(V, width)),
-                out=per_degree(W, width),
+                np.subtract(n.astype(dtype), dv, out=take(U, width, kd)),
+                np.add((n + 1.0).astype(dtype), dv, out=take(V, width, kd)),
+                out=take(W, width, kd),
             )
             # the tail ratios r_n = y |p_{n+1}|/(n+2)^2 of the block's last two
             # terms (of its one term, in a block of one), before p's buffer is reused
             last = slice(max(size - 1, 1), None)
-            ratio = np.abs(p[last])
-            ratio *= 1.0 / (n[last] + 1.0) ** 2
-            ratio = np.minimum(ratio * y, 0.999)
-            if not hyp:
-                # a_{n+1} = a_n + (2n+1)/p_n - 2/(n+1), a_n folded into the first
-                # increment; 1/p_n times 2n+1 is one division, rounded for a real d
-                # as the complex path's real part (see _quotient)
+            r = np.abs(p[last])
+            r *= 1.0 / (n[last] + 1.0) ** 2
+            ratio = np.empty((r.shape[0], k))
+            for els, cols in every:
+                np.multiply(r[:, cols], y[els], out=ratio[:, els])
+            np.minimum(ratio, 0.999, out=ratio)
+            if dh < kd:
+                # a_{n+1} = a_n + (2n+1)/p_n - 2/(n+1) on the logarithmic columns, a_n
+                # folded into the first increment; 1/p_n times 2n+1 is one division,
+                # rounded for a real d as the complex path's real part (see _quotient)
                 a_n = np.multiply(
-                    np.divide(1.0, p[:size], out=per_degree(V, size)),
+                    np.divide(1.0, p[:size, dh:], out=take(V, size, kd - dh)),
                     (2.0 * n[:size] + 1.0).astype(dtype),
-                    out=per_degree(U, size),
+                    out=take(U, size, kd - dh),
                 )
                 a_n -= (2.0 / (n[:size] + 1.0)).astype(dtype)
                 a_n[0] += a
                 running_sum(a_n)
                 a = a_n[-1].copy()
             # c_{n+1} = c_n f_n, f_n = p_n y/(n+1)^2, c_n folded into the block's first factor
+            q = np.multiply(p[:size], (1.0 / (n[:size] + 1.0) ** 2).astype(dtype), out=take(V, size, kd))
+            f = take(W, size, k)
+            for els, cols in every:
+                np.multiply(q[:, cols], yc[els], out=f[:, els])
             cs = take(V, size, k)
-            f = np.multiply(np.multiply(p[:size], (1.0 / (n[:size] + 1.0) ** 2).astype(dtype), out=cs), yc,
-                            out=take(W, size, k))
             if c is None:
                 cs[0] = f[0]
             else:
                 np.multiply(f[0], c, out=cs[0])
-            if k == 1 and dtype is float:
-                # one real column: cumprod rounds each product once, in the same order
+            if k <= _NARROW and dtype is float:
+                # real columns: cumprod rounds each product once, in the same order
                 cs[1:] = f[1:]
                 np.cumprod(cs, axis=0, out=cs)
             else:
                 for prev, f_n, row in zip(cs, f[1:], cs[1:]):
                     np.multiply(prev, f_n, row)
             c = cs[-1].copy()  # the hypergeometric terms become the partial sums below
-            if hyp:
+            if kh == k:
                 terms = cs
             else:
-                terms = np.multiply(cs, np.add(lw, a_n, out=take(U, size, k)), out=take(W, size, k))
+                # the logarithmic terms c_n (ln w + a_n), beside the hypergeometric c_n;
+                # ln w + a_n is formed over a_n where each element has its own column
+                la = a_n if kd - dh == k - kh else take(W, size, k - kh)
+                for els, cols in log:
+                    np.add(lw[els], a_n[:, cols], out=la[:, els])
+                terms = take(W if la is a_n else U, size, k)
+                np.multiply(cs[:, kh:], la, out=terms[:, kh:])
+                if kh:
+                    terms[:, :kh] = cs[:, :kh]
             # the tail bound |term| r/(1-r) of the last two terms, then their partial
             # sums; the block's sum is added to the total apart, which keeps the
             # rounding of a long series to the blocks' count instead of its terms'
@@ -383,28 +445,46 @@ def _series_array(
             bound /= 1.0 - ratio
             running_sum(terms)
             sums = terms[-2:] + total
-            limit = np.maximum(np.abs(sums), floor)
+            limit = np.abs(sums)
+            if kh:
+                np.maximum(limit[:, :kh], 1.0, out=limit[:, :kh])
+            if kh < k:
+                np.maximum(limit[:, kh:], 1e-300, out=limit[:, kh:])
             limit *= SERIES_TOL
-            done = np.all(bound <= limit, axis=0)
-            rows = np.flatnonzero(done)
+            done = (bound <= limit).all(axis=0)
+            rows = done.nonzero()[0]
             out_g[live[rows]] = sums[-1, rows]
-            keep = ~done
-            if not keep.any():
+            if rows.size == k:
                 break
+            keep = ~done
             live, y, yc = live[keep], y[keep], yc[keep]
             c, total = c[keep], sums[-1, keep]
-            if not hyp:
-                lw = lw[keep]
-            if kd > 1:
-                dv = dv[keep]
-                if not hyp:
-                    a = a[keep]
+            if kh < k:
+                lw = lw[keep[kh:]]
+            if rows.size:
+                # a column stays while an element of it does
+                kept, e = [], 0
+                for run in runs:
+                    stay = keep[e : e + run[0]]
+                    e += run[0]
+                    run[0] = int(np.count_nonzero(stay))
+                    kept.append(np.any(stay, keepdims=True) if run[1] else stay)
+                kept = np.concatenate(kept)
+                dv = dv[kept]
+                if a is not None:
+                    a = a[kept[dh:]]
+                runs = [run for run in runs if run[0]]
+                every, log, kh, dh = spans(runs)
         else:
+            # the first element left is the first of the call to fail
+            i = g0 + live[0]
+            s0, x, _, _, hyp, _ = next(seg for seg in layout if i < seg[0] + seg[1].size)
             name = "hypergeometric" if hyp else "logarithmic"
-            raise NonConvergenceError(
-                f"{name} series for P_nu(nu={dv[0]}, x={x[g0 + live[0]]}) exceeded {MAX_TERMS} terms"
-            )
-    return out if hyp else scale * out
+            raise NonConvergenceError(f"{name} series for P_nu(nu={dv[0]}, x={x[i - s0]}) exceeded {MAX_TERMS} terms")
+    for s0, x, _, _, hyp, start in layout:
+        if not hyp:  # times the prefactor into a new array, then back: no product in place
+            out[s0 : s0 + x.size] = start[1] * out[s0 : s0 + x.size]
+    return [out[s0 : s0 + x.size] for s0, x, *_ in layout]
 
 
 def _legendre_nu_array(nu: np.ndarray, x: np.ndarray, w: np.ndarray | None) -> np.ndarray:
@@ -417,11 +497,11 @@ def _legendre_nu_array(nu: np.ndarray, x: np.ndarray, w: np.ndarray | None) -> n
     nu, x = np.asarray(nu), np.asarray(x, dtype=float)
     w = (1.0 + x) / 2.0 if w is None else np.asarray(w, dtype=float)
     nu, x, w = np.broadcast_arrays(nu.astype(complex if np.iscomplexobj(nu) else float), x, w)
-    if not np.all((x > -1.0) & (x <= 1.0)):
+    if not ((x > -1.0) & (x <= 1.0)).all():
         raise DomainError("argument x must lie in (-1, 1]")
-    if not np.all(np.abs(2.0 * w - 1.0 - x) <= W_TOL):
+    if not (np.abs(2.0 * w - 1.0 - x) <= W_TOL).all():
         raise DomainError(f"w must be (1 + x)/2 to within {W_TOL}")
-    if not np.all(np.isfinite(nu)):
+    if not np.isfinite(nu).all():
         raise DomainError("degree nu must be finite")
     out = np.ones(x.shape, dtype=complex)
     inner = x != 1.0
@@ -435,20 +515,24 @@ def _legendre_nu_array(nu: np.ndarray, x: np.ndarray, w: np.ndarray | None) -> n
 
         Both seeds of an element take the branch that d picks.  On the
         logarithmic branch the d + 1 series starts from the a_0 and sine of
-        d: a_0(d+1) = a_0(d) + 2/(d+1) and sin(pi (d+1)) = -sin(pi d).
+        d: a_0(d+1) = a_0(d) + 2/(d+1) and sin(pi (d+1)) = -sin(pi d).  One
+        _series_array pass sums them all, as the segments [hypergeometric
+        at d | at d + 1 | logarithmic at d | at d + 1].
         """
         near_integer = np.minimum(np.abs(d - np.round(d.real)), 1.0) < 1e-3
         hyp = near_integer | (x >= 0.0)
         p, p1 = np.empty(x.shape, dtype=d.dtype), np.empty(np.count_nonzero(up), dtype=d.dtype)
+        segments, places = [], []
         for is_hyp, branch in ((True, hyp), (False, ~hyp)):
             if not branch.any():
                 continue
             db, xb, wb, ub = d[branch], x[branch], w[branch], up[branch]
-            one = bool(np.all(db == db[0]))  # one degree for all (a sweep over x)
+            one = bool((db == db[0]).all())  # one degree for all (a sweep over x)
             if one:
                 db = db[:1]
             start = None if is_hyp else _log_start(db)
-            p[branch] = _series_array(db, xb, wb, is_hyp, start)
+            segments.append((db, xb, wb, is_hyp, start))
+            places.append((p, branch))
             if ub.any():
                 if not one:
                     db = db[ub]
@@ -456,7 +540,11 @@ def _legendre_nu_array(nu: np.ndarray, x: np.ndarray, w: np.ndarray | None) -> n
                 if start is not None:
                     a0, scale = start if one else (start[0][ub], start[1][ub])
                     start = (a0 + _quotient(2.0, db), -scale)
-                p1[branch[up]] = _series_array(db, xb[ub], wb[ub], is_hyp, start)
+                segments.append((db, xb[ub], wb[ub], is_hyp, start))
+                places.append((p1, branch[up]))
+        if segments:
+            for (seed, where), vals in zip(places, _series_array(segments)):
+                seed[where] = vals
         return p, p1
 
     # nu itself where no recurrence is needed, else s, and s + 1 below
@@ -470,7 +558,7 @@ def _legendre_nu_array(nu: np.ndarray, x: np.ndarray, w: np.ndarray | None) -> n
         running = np.searchsorted(-steps, -np.arange(1, steps[0] + 1))
         p0, p1 = vals[lift][order], vals1[order]
         xl, k = xs[lift][order].astype(nu.dtype), s[lift][order] + 1.0
-        if np.all(k == k[0]):  # one fractional degree for all (a sweep over x)
+        if (k == k[0]).all():  # one fractional degree for all (a sweep over x)
             k = k[0].item()
         lifted = np.empty(p1.shape, dtype=nu.dtype)
         for live in running:
@@ -547,7 +635,8 @@ def legendre_nu(
     If nu or x is an ndarray, the two are broadcast and a complex array of
     the broadcast shape is returned; otherwise the result is a Python
     complex, computed as a one-element array.  The seed series and the
-    recurrence run as numpy operations over all elements.  Each element
+    recurrence run as numpy operations over all elements, every seed of the
+    call in one series pass (_series_array).  Each element
     keeps its own degree split, branch (including the near-integer rule,
     which s decides for both seeds) and stopping rule, and leaves the
     recurrence at its own n.  An element's value does not depend on the
@@ -559,13 +648,13 @@ def legendre_nu(
     one-element call takes about 0.1 ms (a real degree below 2 at x >= 0)
     to 0.4 ms (nu = 20.5 + 0.02i at x < 0), most of it numpy's per-call
     cost (the seed series carry their terms a call per term), and 801
-    complex degrees at one x take about 2.0 ms at Re nu = 10.5 and 2.7 ms at
+    complex degrees at one x take about 2.3 ms at Re nu = 10.5 and 3.0 ms at
     90.5 (the difference is the recurrence); so a loop over points or
     degrees should pass them as one array.  The seed series hold their work
-    arrays for at most 2,720 complex (5,440 real) elements at a time, within
-    32 MiB; the rest of a call takes a few hundred bytes per element.  A
-    100,000-degree call at one x raises peak RSS by ~32 MB and takes about
-    2.2 us per element.  When every degree is real (the lossless
+    arrays for at most 2,720 complex (5,440 real) seeds at a time (a lifted
+    degree has two), within 32 MiB; the rest of a call takes a few hundred
+    bytes per element.  A 100,000-degree call at one x raises peak RSS by
+    ~36 MB and takes about 3 us per element.  When every degree is real (the lossless
     cavity at real frequency), the seeds and the recurrence run in float64
     instead of complex128, with the bits of the complex arithmetic's real
     parts: numpy divides complex numbers by multiplying with the divisor's

@@ -715,6 +715,10 @@ class TestSharedSecularData:
         with pytest.raises(DomainError, match="one CouplingRates per lens"):
             schrodinger.compare_losses(cfgs, antipodal_027, rates[:2])
 
+    def test_no_lens_is_no_comparison(self, antipodal_027):
+        # an empty call makes no pass at all, so nothing reaches _observe
+        assert schrodinger.compare_losses([], antipodal_027, []) == []
+
     def test_stacked_solve_equals_each_block_alone(self):
         # blocks of 22, 42 and 182 modes (every even block's top mode is deflated), an empty block,
         # and Re nu = 30.99, whose odd block has a mode root beyond the series radius below

@@ -586,7 +586,7 @@ class TestSeedSeriesKernel:
     def test_work_arrays_do_not_grow_with_the_call(self):
         # the seed series sum a large call in groups of rows, so the call's peak
         # memory is its own per-element arrays and a bounded buffer; a buffer
-        # for every row at once would take ~41 MB here
+        # for every row at once would take ~82 MB here (two seeds a degree)
         import tracemalloc
 
         nu = np.concatenate([_scan_degrees(re_nu)[::16] for re_nu in (10.5, 20.5, 50.5, 90.5)])
@@ -666,8 +666,13 @@ def _seed_reference(d, y: float, hyp: bool, lw: float = 0.0, a: float = 0.0):
     raise NonConvergenceError("reference series exceeded MAX_TERMS")
 
 
+def _one_segment(d, x: np.ndarray, hyp: bool) -> np.ndarray:
+    """A _series_array pass of one segment: degree(s) d over x on one branch, w = (1 + x)/2."""
+    return _series_array([(d, x, (1.0 + x) / 2.0, hyp, None)])[0]
+
+
 def _series_reference(d, x: np.ndarray, hyp: bool) -> np.ndarray:
-    """_series_array(d, x, (1 + x)/2, hyp) by _seed_reference, one element at a time.
+    """_one_segment(d, x, hyp) by _seed_reference, one element at a time.
 
     ln w, a_0 and the prefactor are taken from numpy and _log_start.
     """
@@ -715,12 +720,100 @@ class TestSeriesReference:
             monkeypatch.setattr(specfun, "_WORK_BYTES", specfun._work_bytes(3, specfun._BLOCK_CAP, 16))
             assert _group_rows(16) == 3
         for d, x in self._cases(hyp):
-            got = _series_array(d, x, (1.0 + x) / 2.0, hyp)
+            got = _one_segment(d, x, hyp)
             want = _series_reference(d, x, hyp)
             if np.iscomplexobj(d):
                 assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= self.COMPLEX_BOUND
             else:
                 assert got.dtype == float and np.array_equal(got, want)
+
+
+class TestOneSeriesPass:
+    """A legendre_nu call sums all its seeds in one _series_array pass, each element as it would be alone."""
+
+    @staticmethod
+    def _mixed(dtype, hyp_one: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Degrees and arguments over both branches, lifted and not, with one branch at one degree.
+
+        hyp_one puts the hypergeometric branch at one degree (s = 0.25, and
+        s + 1 for the lifted elements) beside logarithmic elements with a
+        degree each; otherwise the logarithmic branch is at one degree
+        (0.75) and the hypergeometric one mixes degrees within 1e-3 of an
+        integer (taken at x < 0 too) with others.
+        """
+        rng = np.random.default_rng(36)
+        im = 0.1 if dtype is complex else 0.0
+        if hyp_one:
+            one = np.tile([0.25, 5.25, 30.25], 5) + 1j * im
+            x_one = rng.uniform(0.0, 0.99, one.size)
+            each = rng.uniform(0.01, 40.0, 20) + 1j * im * rng.uniform(0.0, 9.0, 20)
+            x_each = rng.uniform(-0.99, -0.01, each.size)
+        else:
+            one = np.tile([0.75, 3.75, 20.75], 5) + 1j * im
+            x_one = rng.uniform(-0.99, -0.01, one.size)
+            near = np.array([7.0007, 0.9996, 12.0004, 1.0007, 0.0008]) + 1j * im * 1e-4
+            each = np.concatenate([near, rng.uniform(0.01, 40.0, 12) + 1j * im])
+            x_each = np.concatenate([rng.uniform(-0.9, -0.3, near.size), rng.uniform(0.0, 0.99, 12)])
+        order = rng.permutation(one.size + each.size)
+        nu = np.concatenate([one, each])[order]
+        return (nu if dtype is complex else nu.real), np.concatenate([x_one, x_each])[order]
+
+    @staticmethod
+    def _passes(monkeypatch) -> list:
+        """The segments of every _series_array pass from here on."""
+        passes, series = [], specfun._series_array
+
+        def counted(segments):
+            passes.append(segments)
+            return series(segments)
+
+        monkeypatch.setattr(specfun, "_series_array", counted)
+        return passes
+
+    @pytest.mark.parametrize("grouped", [False, True])
+    @pytest.mark.parametrize("hyp_one", [True, False])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_one_pass_equals_each_element_alone(self, monkeypatch, dtype, hyp_one, grouped):
+        if grouped:  # three complex (six real) rows a group: the groups cut through every segment
+            monkeypatch.setattr(specfun, "_WORK_BYTES", specfun._work_bytes(3, specfun._BLOCK_CAP, 16))
+        nu, x = self._mixed(dtype, hyp_one)
+        passes = self._passes(monkeypatch)
+        got = legendre_nu(nu, x)
+        # [hypergeometric at s | at s + 1 | logarithmic at s | at s + 1], the one-degree branch in one column
+        assert [(hyp, np.size(d) == 1) for d, _, _, hyp, _ in passes[0]] == [
+            (True, hyp_one), (True, hyp_one), (False, not hyp_one), (False, not hyp_one)]
+        assert len(passes) == 1
+        alone = np.array([legendre_nu(nu_i, x_i) for nu_i, x_i in zip(nu.tolist(), x.tolist())])
+        assert len(passes) == 1 + nu.size
+        assert np.array_equal(got, alone)
+
+    def test_the_ddi_sweep_layout(self, monkeypatch):
+        # one real degree (R0 = 4.93, Re nu = 30.48) over x across (-1, 1): four one-column segments
+        nu = complex(order_parameter(LensConfig(radius=4.93), OMEGA0)).real
+        x = np.linspace(-0.999, 0.999, 241)
+        passes = self._passes(monkeypatch)
+        got = legendre_nu(nu, x)
+        assert [(hyp, np.size(d), xs.size) for d, xs, _, hyp, _ in passes[0]] == [
+            (True, 1, 121), (True, 1, 121), (False, 1, 120), (False, 1, 120)]
+        assert np.array_equal(got, [legendre_nu(nu, x_i) for x_i in x.tolist()])
+
+    def test_every_element_at_one(self, monkeypatch):
+        passes = self._passes(monkeypatch)
+        got = legendre_nu(np.array([0.3, 20.5 + 0.1j, 7.0]), np.ones(3))
+        assert passes == [] and np.array_equal(got, np.ones(3))
+
+    @pytest.mark.parametrize("nu, x, message", [
+        ([0.5, 10.25], [-0.4, 0.3], "hypergeometric series for P_nu(nu=0.25, x=0.3) exceeded 3 terms"),
+        ([0.5 + 0.1j, 10.25, 3.75], [-0.4, -0.3, 0.2],
+         "hypergeometric series for P_nu(nu=(0.75+0j), x=0.2) exceeded 3 terms"),
+        ([12.5, 3.5 + 0.1j], [-0.6, -0.3], "logarithmic series for P_nu(nu=(0.5+0j), x=-0.6) exceeded 3 terms"),
+    ])
+    def test_nonconvergence_names_the_first_failing_segment(self, monkeypatch, nu, x, message):
+        # the hypergeometric segments come first, whatever the order of the elements
+        monkeypatch.setattr(specfun, "MAX_TERMS", 3)
+        with pytest.raises(NonConvergenceError) as err:
+            legendre_nu(np.array(nu), np.array(x))
+        assert str(err.value) == message
 
 
 class TestNearIntegerLimitNearMinusOne:
@@ -757,17 +850,17 @@ class TestRealDegreePath:
     @pytest.mark.parametrize("d", [0.2718, 0.5, 0.9, 1.5, 1.0007])
     def test_series_matches_zero_imaginary_part(self, d, hyp):
         x = self.X[self.X >= 0.0] if hyp else self.X[self.X < 0.0]
-        got = _series_array(d, x, (1.0 + x) / 2.0, hyp)
+        got = _one_segment(d, x, hyp)
         assert got.dtype == float
-        assert _same_bits(got, _series_array(complex(d), x, (1.0 + x) / 2.0, hyp))
+        assert _same_bits(got, _one_segment(complex(d), x, hyp))
 
     @pytest.mark.parametrize("hyp", [True, False])
     def test_series_over_a_degree_array(self, rng, hyp):
         d = rng.uniform(0.01, 1.99, 300)
         x = rng.uniform(0.0, 0.999, d.size) if hyp else rng.uniform(-0.9999, -0.01, d.size)
-        got = _series_array(d, x, (1.0 + x) / 2.0, hyp)
+        got = _one_segment(d, x, hyp)
         assert got.dtype == float
-        assert _same_bits(got, _series_array(d.astype(complex), x, (1.0 + x) / 2.0, hyp))
+        assert _same_bits(got, _one_segment(d.astype(complex), x, hyp))
 
     @pytest.mark.parametrize("nu", [0.3, 1.7, 3.0, 10.5, 20.5, 50.459, 90.5, 59.8, 76.9993])
     def test_series_and_recurrence_over_x(self, nu):
